@@ -5,6 +5,16 @@ The engine is deliberately the classical one -- Buchberger with the
 coprime-lcm and chain criteria under a normal selection strategy -- with a
 hard S-pair budget so runaway eliminations abort as a resource error instead
 of hanging.
+
+Pending S-pairs sit in a heap keyed by (order key of the lcm, index pair), so
+each step pops the pair a linear scan for the smallest such key would pick:
+the S-pair sequence, and therefore where a budget trips, is that of the
+plain normal strategy.  Order keys are memoized for the length of one
+Buchberger or normal-form call and dropped when it returns; each basis
+element's lead is computed once, and every remainder goes through one
+division kernel (`_reduce`) shared by `normal_form` and the Buchberger loop.
+The module engine in `modules.py` reuses the pair heap, the key memo and
+the term-subtraction step `_sub_shifted`.
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import add, le as le_, sub
 from typing import Iterable, Sequence
 
 from .ring import (
@@ -56,10 +68,13 @@ _LIMITS: ContextVar[Limits] = ContextVar("linkcoh_limits", default=Limits())
 
 @contextmanager
 def set_limits(max_spairs: int | None = None, soft_timeout: float | None = None):
+    """Set the ambient limits for the block; a limit left as None keeps the
+    enclosing block's value, so a nested `set_limits(max_spairs=...)` still
+    honours the outer deadline."""
     cur = _LIMITS.get()
     nxt = Limits(
         max_spairs=cur.max_spairs if max_spairs is None else max_spairs,
-        deadline=None if soft_timeout is None else time.monotonic() + soft_timeout,
+        deadline=cur.deadline if soft_timeout is None else time.monotonic() + soft_timeout,
     )
     token = _LIMITS.set(nxt)
     try:
@@ -138,109 +153,182 @@ def _same_ctx(I: Ideal, J: Ideal) -> RingCtx:
 # ---------------------------------------------------------------------------
 # Division and Buchberger.
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
-) -> Polynomial:
-    """Full remainder of f under division by `basis`."""
-    leads = [(g.lead(order), g) for g in basis if not g.is_zero()]
-    if not leads:
-        return f
-    key = order.key
-    work = dict(f.term_map())
+class _KeyMemo(dict):
+    """e -> fn(e), each key computed once.
+
+    One memo is made per Buchberger or normal-form call and dropped when the
+    call returns, so no key outlives its run and the order objects stay
+    stateless.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, e):
+        k = self[e] = self.fn(e)
+        return k
+
+
+def _memo_key(fn):
+    """A memoized copy of the sort key `fn`, for the length of one run."""
+    return _KeyMemo(fn).__getitem__
+
+
+class _PairQueue:
+    """Pending S-pairs, popped in normal-strategy order.
+
+    Entries are (key(lcm), (i, j), lcm), so pairs leave smallest lcm first
+    and ties go to the smaller index pair -- the order a `min` scan over
+    (key(lcm), (i, j)) would give.  `pending` holds the pairs not yet popped,
+    for the chain criterion.
+    """
+
+    __slots__ = ("_heap", "pending", "_key")
+
+    def __init__(self, key) -> None:
+        self._heap: list = []
+        self.pending: set[tuple[int, int]] = set()
+        self._key = key
+
+    def add(self, pairs: Iterable[tuple[int, int, Exponents]]) -> None:
+        for i, j, l in pairs:
+            heappush(self._heap, (self._key(l), (i, j), l))
+            self.pending.add((i, j))
+
+    def pop(self) -> tuple[int, int, Exponents]:
+        _, p, l = heappop(self._heap)
+        self.pending.discard(p)
+        return p[0], p[1], l
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+def _monic(p: Polynomial, key) -> tuple[Polynomial, tuple[Exponents, tuple]]:
+    """A nonzero p scaled to lead coefficient 1, and its (lead, tail) reducer.
+
+    The tail lists the other terms of the scaled p as (exponent, coefficient).
+    """
+    terms = p.term_map()
+    lead = max(terms, key=key)
+    c = terms[lead]
+    if c != 1:
+        p = p * (_ONE / c)
+        terms = p.term_map()
+    return p, (lead, tuple((e, v) for e, v in terms.items() if e != lead))
+
+
+def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
+    """work -= c * x^q * tail, dropping terms that cancel."""
+    for ge, gc in tail:
+        k = tuple(map(add, ge, q))
+        v = work.get(k)
+        if v is None:
+            work[k] = -c * gc
+        else:
+            v -= c * gc
+            if v:
+                work[k] = v
+            else:
+                del work[k]
+
+
+def _reduce(work: dict, reducers: Sequence[tuple[Exponents, tuple]], key) -> dict:
+    """Remainder of the term map `work` (consumed) under division by
+    `reducers`, each a (lead, tail) pair from `_monic`, tried in order."""
     rem: dict[Exponents, Fraction] = {}
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        for (le, lc), g in leads:
-            if mono_divides(le, e):
-                q = mono_quotient(e, le)
-                t = c / lc
-                for ge, gc in g.term_map().items():
-                    k = mono_mul(ge, q)
-                    if k == e:
-                        continue  # cancels with the popped lead
-                    v = work.get(k, 0) - t * gc
-                    if v:
-                        work[k] = v
-                    else:
-                        work.pop(k, None)
+        for le, tail in reducers:
+            if all(map(le_, le, e)):
+                _sub_shifted(work, tail, tuple(map(sub, e, le)), c)
                 break
         else:
             rem[e] = c
-    return Polynomial(f.ctx, rem)
+    return rem
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    (ef, cf) = f.lead(order)
-    (eg, cg) = g.lead(order)
-    l = mono_lcm(ef, eg)
-    return f.mul_term(mono_quotient(l, ef), _ONE / cf) - g.mul_term(
-        mono_quotient(l, eg), _ONE / cg
-    )
+def normal_form(
+    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
+) -> Polynomial:
+    """Full remainder of f under division by `basis`."""
+    key = _memo_key(order.key)
+    reducers = [_monic(g, key)[1] for g in basis if not g.is_zero()]
+    if not reducers:
+        return f
+    return Polynomial(f.ctx, _reduce(dict(f.term_map()), reducers, key))
 
 
 def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, meter: _Meter) -> list[Polynomial]:
-    G: list[Polynomial] = []
+    key = _memo_key(order.key)
+    G: list[Polynomial] = []  # monic basis elements
+    red: list[tuple[Exponents, tuple]] = []  # their (lead, tail)
     for g in gens:
         if not g.is_zero():
-            G.append(g.monic(order))
+            g, r = _monic(g, key)
+            G.append(g)
+            red.append(r)
     if not G:
         return []
-    leads: list[Exponents] = [g.lead(order)[0] for g in G]
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
-    key = order.key
+    ctx = G[0].ctx
+    leads: list[Exponents] = [le for le, _ in red]
+    queue = _PairQueue(key)
+    queue.add((i, j, mono_lcm(leads[i], leads[j])) for j in range(len(G)) for i in range(j))
 
-    while pairs:
+    while queue:
         meter.charge("buchberger")
-        i, j = min(pairs, key=lambda p: (key(mono_lcm(leads[p[0]], leads[p[1]])), p))
-        pairs.discard((i, j))
+        i, j, l = queue.pop()
         li, lj = leads[i], leads[j]
-        l = mono_lcm(li, lj)
         # coprime-lcm criterion
         if l == mono_mul(li, lj):
             continue
         # chain criterion
+        pending = queue.pending
         skip = False
-        for k in range(len(G)):
-            if k in (i, j):
+        for k, lk in enumerate(leads):
+            if k == i or k == j:
                 continue
-            if mono_divides(leads[k], l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
+            if all(map(le_, lk, l)):
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
+                if a not in pending and b not in pending:
                     skip = True
                     break
         if skip:
             continue
-        h = normal_form(_spoly(G[i], G[j], order), G, order)
-        if h.is_zero():
+        # S-polynomial of two monic elements: their lcm terms cancel
+        qi = tuple(map(sub, l, li))
+        work = {tuple(map(add, e, qi)): c for e, c in red[i][1]}
+        _sub_shifted(work, red[j][1], tuple(map(sub, l, lj)), _ONE)
+        rem = _reduce(work, red, key)
+        if not rem:
             continue
-        h = h.monic(order)
+        h, r = _monic(Polynomial(ctx, rem), key)
         G.append(h)
-        leads.append(h.lead(order)[0])
+        red.append(r)
+        leads.append(r[0])
         new = len(G) - 1
-        pairs.update((t, new) for t in range(new))
+        queue.add((t, new, mono_lcm(leads[t], leads[new])) for t in range(new))
 
     # minimalize: keep only leading terms that form an antichain
     orderidx = sorted(range(len(G)), key=lambda i: key(leads[i]))
-    kept: list[Polynomial] = []
-    kept_leads: list[Exponents] = []
+    kept: list[int] = []
     for i in orderidx:
-        if not any(mono_divides(le, leads[i]) for le in kept_leads):
-            kept.append(G[i])
-            kept_leads.append(leads[i])
-    # tail-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            r = normal_form(kept[i], others, order).monic(order)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-    kept.sort(key=lambda g: key(g.lead(order)[0]))
-    return kept
+        if not any(mono_divides(leads[k], leads[i]) for k in kept):
+            kept.append(i)
+    # tail-reduce to the unique reduced basis; no lead divides another, so
+    # every lead survives and one pass leaves no term reducible
+    basis = [G[i] for i in kept]
+    kept_red = [red[i] for i in kept]
+    for n, g in enumerate(basis):
+        r = _reduce(dict(g.term_map()), kept_red[:n] + kept_red[n + 1 :], key)
+        if r != g.term_map():
+            basis[n], kept_red[n] = _monic(Polynomial(ctx, r), key)
+    return basis
 
 
 def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:

@@ -7,18 +7,29 @@ Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
 position; that makes the tag-block elimination used by the syzygy routine a
 textbook module elimination.
+
+`module_gb` runs the same normal strategy as the ideal engine: pending
+S-vectors come from the heap of `groebner._PairQueue`, ordered by (order key
+of the lead-exponent lcm, index pair), which keeps the S-vector sequence of
+a linear scan.  Order keys are memoized for one call, each basis vector's
+lead is computed once, and remainders go through one kernel
+(`_module_reduce`) that clears positions from the lowest up.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import combinations
+from operator import le as le_, sub
 from typing import Iterable, Sequence
 
 from .groebner import (
     BudgetExceeded,
     Ideal,
     _Meter,
+    _PairQueue,
+    _memo_key,
+    _sub_shifted,
     ideal_equal,
     ideal_intersect,
     ideal_quotient,
@@ -45,8 +56,6 @@ from .ring import (
     RingError,
     mono_divides,
     mono_lcm,
-    mono_mul,
-    mono_quotient,
 )
 
 log = logging.getLogger("linkcoh")
@@ -72,31 +81,8 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(f: Polynomial, v: Vec) -> Vec:
     return tuple(f * p for p in v)
-
-
-def vec_mul_term(v: Vec, e: Exponents, c) -> Vec:
-    return tuple(p.mul_term(e, c) for p in v)
-
-
-def vec_lead(v: Vec, order: MonomialOrder = DEGREVLEX) -> tuple:
-    """Lead (position, exponent, coefficient); lowest position dominates."""
-    for pos, p in enumerate(v):
-        if not p.is_zero():
-            e, c = p.lead(order)
-            return pos, e, c
-    raise RingError("zero vector has no lead term")
-
-
-def vec_monic(v: Vec, order: MonomialOrder = DEGREVLEX) -> Vec:
-    _, _, c = vec_lead(v, order)
-    inv = 1 / c
-    return tuple(inv * p for p in v)
 
 
 def ideal_block(I: Ideal, rank: int) -> list[Vec]:
@@ -110,63 +96,68 @@ def ideal_block(I: Ideal, rank: int) -> list[Vec]:
     return out
 
 
-def _pot_key(order: MonomialOrder):
-    key = order.key
+def _vec_monic(v: Vec, key) -> tuple[Vec, tuple[int, Exponents, tuple]]:
+    """A nonzero v scaled to lead coefficient 1, and its (lead position,
+    lead exponent, tail) reducer.
 
-    def k(pe):
-        return (-pe[0], key(pe[1]))
+    The tail pairs each position, from the lead position on, with the other
+    terms of the scaled v there, in the form of a `groebner._monic` tail.
+    """
+    pos = next(k for k, p in enumerate(v) if not p.is_zero())
+    terms = v[pos].term_map()
+    lead = max(terms, key=key)
+    c = terms[lead]
+    if c != 1:
+        inv = 1 / c
+        v = tuple(inv * p for p in v)
+    tail = []
+    for k in range(pos, len(v)):
+        t = tuple((e, x) for e, x in v[k].term_map().items() if k != pos or e != lead)
+        if t:
+            tail.append((k, t))
+    return v, (pos, lead, tuple(tail))
 
-    return k
+
+def _vec_sub_shifted(work: list[dict], tail: tuple, q: Exponents, c) -> None:
+    """work -= c * x^q * tail, position by position."""
+    for pos, t in tail:
+        _sub_shifted(work[pos], t, q, c)
+
+
+def _module_reduce(work: list[dict], reducers: Sequence[tuple], key) -> list[dict]:
+    """Per-position remainder of `work` (a term map per position, consumed)
+    under division by `reducers`, each a (position, lead, tail) triple from
+    `_vec_monic`, tried in order.
+
+    Lower positions dominate and a reducer's tail never reaches a lower
+    position than its lead, so the positions are cleared one after another.
+    """
+    rem = []
+    for pos, terms in enumerate(work):
+        here = [(le, tail) for p, le, tail in reducers if p == pos]
+        out: dict[Exponents, object] = {}
+        while terms:
+            e = max(terms, key=key)
+            c = terms.pop(e)
+            for le, tail in here:
+                if all(map(le_, le, e)):
+                    _vec_sub_shifted(work, tail, tuple(map(sub, e, le)), c)
+                    break
+            else:
+                out[e] = c
+        rem.append(out)
+    return rem
 
 
 def module_normal_form(v: Vec, basis: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> Vec:
     """Full remainder of v under division by the given vectors."""
-    leads = [(vec_lead(w, order), w) for w in basis if not vec_is_zero(w)]
-    if not leads or vec_is_zero(v):
+    key = _memo_key(order.key)
+    reducers = [_vec_monic(w, key)[1] for w in basis if not vec_is_zero(w)]
+    if not reducers or vec_is_zero(v):
         return v
     ctx = v[0].ctx
-    rank = len(v)
-    potkey = _pot_key(order)
-    work: dict[tuple[int, Exponents], object] = {}
-    for pos, p in enumerate(v):
-        for e, c in p.term_map().items():
-            work[(pos, e)] = c
-    rem: dict[tuple[int, Exponents], object] = {}
-    while work:
-        pos, e = max(work, key=potkey)
-        c = work.pop((pos, e))
-        for (lp, le, lc), w in leads:
-            if lp == pos and mono_divides(le, e):
-                q = mono_quotient(e, le)
-                t = c / lc
-                for wpos, wp in enumerate(w):
-                    for ge, gc in wp.term_map().items():
-                        k = (wpos, mono_mul(ge, q))
-                        if k == (pos, e):
-                            continue  # cancels with the popped lead
-                        val = work.get(k, 0) - t * gc
-                        if val:
-                            work[k] = val
-                        else:
-                            work.pop(k, None)
-                break
-        else:
-            rem[(pos, e)] = c
-    comps: list[dict] = [{} for _ in range(rank)]
-    for (pos, e), c in rem.items():
-        comps[pos][e] = c
-    return tuple(Polynomial(ctx, d) for d in comps)
-
-
-def _module_spair(u: Vec, w: Vec, order: MonomialOrder) -> Vec:
-    pu, eu, cu = vec_lead(u, order)
-    pw, ew, cw = vec_lead(w, order)
-    if pu != pw:
-        raise RingError("S-vector needs equal lead positions")
-    l = mono_lcm(eu, ew)
-    a = vec_mul_term(u, mono_quotient(l, eu), 1 / cu)
-    b = vec_mul_term(w, mono_quotient(l, ew), 1 / cw)
-    return vec_sub(a, b)
+    rem = _module_reduce([dict(p.term_map()) for p in v], reducers, key)
+    return tuple(Polynomial(ctx, d) for d in rem)
 
 
 def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
@@ -177,71 +168,87 @@ def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec
     (with matching positions) still is.
     """
     meter = _Meter()
-    G: list[Vec] = [vec_monic(g, order) for g in gens if not vec_is_zero(g)]
+    key = _memo_key(order.key)
+    G: list[Vec] = []  # monic basis vectors
+    red: list[tuple[int, Exponents, tuple]] = []  # their (position, lead, tail)
+    for g in gens:
+        if not vec_is_zero(g):
+            g, r = _vec_monic(g, key)
+            G.append(g)
+            red.append(r)
     if not G:
         return []
-    leads: list[tuple[int, Exponents]] = [vec_lead(g, order)[:2] for g in G]
-    pairs: set[tuple[int, int]] = {
-        (i, j) for j in range(len(G)) for i in range(j) if leads[i][0] == leads[j][0]
-    }
-    key = order.key
+    ctx = G[0][0].ctx
+    rank = len(G[0])
+    leads: list[tuple[int, Exponents]] = [(p, le) for p, le, _ in red]
+    queue = _PairQueue(key)
+    queue.add(
+        (i, j, mono_lcm(leads[i][1], leads[j][1]))
+        for j in range(len(G))
+        for i in range(j)
+        if leads[i][0] == leads[j][0]
+    )
 
-    def pairkey(p):
-        return (key(mono_lcm(leads[p[0]][1], leads[p[1]][1])), p)
-
-    while pairs:
+    while queue:
         meter.charge("module buchberger")
-        i, j = min(pairs, key=pairkey)
-        pairs.discard((i, j))
+        i, j, l = queue.pop()
         pos = leads[i][0]
-        l = mono_lcm(leads[i][1], leads[j][1])
+        pending = queue.pending
         skip = False
-        for k in range(len(G)):
-            if k in (i, j) or leads[k][0] != pos:
+        for k, (pk, lk) in enumerate(leads):
+            if k == i or k == j or pk != pos:
                 continue
-            if mono_divides(leads[k][1], l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
+            if all(map(le_, lk, l)):
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
+                if a not in pending and b not in pending:
                     skip = True
                     break
         if skip:
             continue
-        h = module_normal_form(_module_spair(G[i], G[j], order), G, order)
+        # S-vector of two monic vectors: their lead terms cancel
+        work: list[dict] = [{} for _ in range(rank)]
+        _vec_sub_shifted(work, red[i][2], tuple(map(sub, l, leads[i][1])), -1)
+        _vec_sub_shifted(work, red[j][2], tuple(map(sub, l, leads[j][1])), 1)
+        h = tuple(Polynomial(ctx, d) for d in _module_reduce(work, red, key))
         if vec_is_zero(h):
             continue
-        h = vec_monic(h, order)
+        h, r = _vec_monic(h, key)
         G.append(h)
-        leads.append(vec_lead(h, order)[:2])
+        red.append(r)
+        leads.append(r[:2])
         new = len(G) - 1
         # the reduced S-vector may lead at a different position than the pair
         # that produced it; pair it at its own position
         newpos = leads[new][0]
-        pairs.update((t, new) for t in range(new) if leads[t][0] == newpos)
+        queue.add(
+            (t, new, mono_lcm(leads[t][1], leads[new][1]))
+            for t in range(new)
+            if leads[t][0] == newpos
+        )
 
-    potkey = _pot_key(order)
-    orderidx = sorted(range(len(G)), key=lambda i: potkey(leads[i]))
-    kept: list[Vec] = []
-    kept_leads: list[tuple[int, Exponents]] = []
+    orderidx = sorted(range(len(G)), key=lambda i: (-leads[i][0], key(leads[i][1])))
+    kept: list[int] = []
     for i in orderidx:
         p, e = leads[i]
-        if not any(lp == p and mono_divides(le, e) for lp, le in kept_leads):
-            kept.append(G[i])
-            kept_leads.append(leads[i])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            r = module_normal_form(kept[i], others, order)
-            if vec_is_zero(r):
-                raise RingError("reduced module basis collapsed; minimalization is broken")
-            r = vec_monic(r, order)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-    kept.sort(key=lambda g: potkey(vec_lead(g, order)[:2]))
-    return kept
+        if not any(leads[k][0] == p and mono_divides(leads[k][1], e) for k in kept):
+            kept.append(i)
+    # tail-reduce; no lead divides another, so every lead survives and one
+    # pass leaves no term reducible
+    basis = [G[i] for i in kept]
+    kept_red = [red[i] for i in kept]
+    for n, g in enumerate(basis):
+        others = kept_red[:n] + kept_red[n + 1 :]
+        r = tuple(
+            Polynomial(ctx, d)
+            for d in _module_reduce([dict(p.term_map()) for p in g], others, key)
+        )
+        if vec_is_zero(r):
+            raise RingError("reduced module basis collapsed; minimalization is broken")
+        r, rr = _vec_monic(r, key)
+        if r != g:
+            basis[n], kept_red[n] = r, rr
+    return basis
 
 
 def submodule_member(v: Vec, gb: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> bool:

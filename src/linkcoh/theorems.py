@@ -12,6 +12,7 @@ inconclusive verdicts.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -741,13 +742,17 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     """Check one claim on `params.count` seeded instances and tally verdicts.
 
     The instance stream depends only on params, never on jobs, so reruns are
-    reproducible byte for byte.
+    reproducible byte for byte.  At most `jobs` worker processes run, and
+    never more than there are instances or CPUs.
     """
     if claim not in CLAIMS:
         raise RingError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
+    if jobs < 1:
+        raise RingError(f"jobs must be at least 1, got {jobs}")
     tasks = [(claim, params, params.seed + k) for k in range(params.count)]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             verdicts = pool.map(_run_instance, tasks, chunksize=1)
     else:
         verdicts = [_run_instance(t) for t in tasks]

@@ -14,6 +14,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from linkcoh.cli import run
 from linkcoh.groebner import (
     Ideal,
@@ -125,6 +127,7 @@ def test_01_linkage_ground_truth():
     _ok("01 linkage-ground-truth")
 
 
+@pytest.mark.slow
 def test_02_depth_two_routes():
     rng = _rng("depth")
     checked = 0
@@ -274,6 +277,7 @@ def test_06_cm_forcing_and_sequence_oracle():
     _ok(f"06 cm-forcing-and-sequence-oracle ({passes} modules, {inconclusive} inconclusive excluded)")
 
 
+@pytest.mark.slow
 def test_07_grade_one_links_unmixed_principal_radical():
     rng = _rng("grade-one")
     gated = 0
@@ -301,6 +305,7 @@ def test_07_grade_one_links_unmixed_principal_radical():
     _ok(f"07 grade-one-links ({gated} gated instances)")
 
 
+@pytest.mark.slow
 def test_08_support_identities_across_corpus():
     rng = _rng("support")
     total = 0
@@ -327,6 +332,7 @@ def test_08_support_identities_across_corpus():
     _ok(f"08 support-identities ({total} certificates, {decided} with the monomial route)")
 
 
+@pytest.mark.slow
 def test_09_module_height_equals_grade():
     rng = _rng("heights")
     gated = 0

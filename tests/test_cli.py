@@ -235,6 +235,14 @@ def test_verify_unknown_claim_usage(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = invoke(capsys, "verify", "l08", "--random", "2", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert "jobs" in err
+
+
 def test_session_roundtrip(tmp_path, capsys):
     p = tmp_path / "demo.session"
     p.write_text(

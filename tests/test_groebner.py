@@ -277,3 +277,84 @@ def test_ideal_parse():
     assert len(I.gens) == 2
     Z = Ideal.parse(ctx, "0")
     assert is_zero_ideal(Z)
+
+
+def test_nested_limits_keep_outer_deadline():
+    # an inner set_limits that only caps S-pairs must not drop the deadline
+    with set_limits(soft_timeout=5) as outer:
+        with set_limits(max_spairs=100) as inner:
+            assert inner.deadline == outer.deadline
+            assert inner.max_spairs == 100
+        with set_limits(soft_timeout=60) as later:
+            assert later.deadline > outer.deadline
+    with set_limits(soft_timeout=-1):
+        with set_limits(max_spairs=100):
+            with pytest.raises(BudgetExceeded):
+                reduced_gb(I_of(ring("x", "y"), "x^2 - y", "x*y - 1"))
+
+
+# ---------------------------------------------------------------------------
+# Pinned S-pair sequence and an outside oracle.
+
+CYCLIC4 = ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-1")
+KATSURA3 = ("a+2*b+2*c-1", "a^2+2*b^2+2*c^2-a", "2*a*b+2*b*c-b")
+KATSURA4 = (
+    "a+2*b+2*c+2*d-1", "a^2+2*b^2+2*c^2+2*d^2-a", "2*a*b+2*b*c+2*c*d-b", "b^2+2*a*c+2*b*d-c",
+)
+
+
+@pytest.mark.parametrize("names, gens, spairs", [
+    ("abcd", CYCLIC4, 45),
+    ("abc", KATSURA3, 15),
+])
+def test_spair_count_is_pinned(names, gens, spairs):
+    # S-pairs charged under the normal strategy with the coprime and chain
+    # criteria; a change to pair selection or pruning must update these
+    ctx = ring(*names)
+    with set_limits(max_spairs=spairs):
+        assert reduced_gb(I_of(ctx, *gens))
+    with set_limits(max_spairs=spairs - 1):
+        with pytest.raises(BudgetExceeded):
+            reduced_gb(I_of(ctx, *gens))
+
+
+def _sparse_system(seed):
+    rng = random.Random(seed)
+    ctx = ring("x", "y", "z")
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(1, 3)):
+                e[rng.randrange(3)] += 1
+            terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(Polynomial(ctx, terms))
+    return Ideal(ctx, gens)
+
+
+@pytest.mark.parametrize("case", ["cyclic4", "katsura3", "katsura4"] + [f"sparse{s}" for s in range(6)])
+def test_reduced_gb_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    if case.startswith("sparse"):
+        I = _sparse_system(int(case[len("sparse"):]))
+    else:
+        gens = {"cyclic4": CYCLIC4, "katsura3": KATSURA3, "katsura4": KATSURA4}[case]
+        I = I_of(ring(*"abcd"[: 3 if case == "katsura3" else 4]), *gens)
+    ctx = I.ctx
+    syms = sympy.symbols(ctx.var_names)
+    polys = [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.term_map().items()},
+            *syms, domain="QQ",
+        )
+        for g in I.gens
+    ]
+    oracle = sympy.groebner(polys, *syms, order="grevlex", domain="QQ")
+    expected = {
+        Polynomial(ctx, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
+        for p in oracle.polys
+    }
+    ours = reduced_gb(I)
+    assert len(ours) == len(expected)
+    assert set(ours) == expected

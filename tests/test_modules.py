@@ -15,6 +15,7 @@ from linkcoh.groebner import (
     ideal_equal,
     is_unit_ideal,
     is_zero_ideal,
+    set_limits,
 )
 from linkcoh.modules import (
     CyclicModule,
@@ -111,6 +112,24 @@ def test_module_gb_idempotent_membership():
         assert submodule_member(g, gb)
     combo = vec_add(vec_scale(P(ctx, "y"), gens[0]), vec_scale(P(ctx, "x"), gens[1]))
     assert submodule_member(combo, gb)
+
+
+def test_module_spair_count_is_pinned():
+    # S-vectors charged under the normal strategy with the chain criterion;
+    # a change to pair selection or pruning must update this count
+    ctx = ring("x", "y", "z")
+    gens = [
+        vec(ctx, "x^2-y*z", "x*y"),
+        vec(ctx, "y^2-x*z", "y*z"),
+        vec(ctx, "z^2-x*y", "x*z"),
+        vec(ctx, "x*y*z", "x^2+y^2"),
+    ]
+    with set_limits(max_spairs=46):
+        gb = module_gb(gens)
+    assert all(submodule_member(g, gb) for g in gens)
+    with set_limits(max_spairs=45):
+        with pytest.raises(BudgetExceeded):
+            module_gb(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from linkcoh.modules import CyclicModule
 from linkcoh.monomial import as_monomial
 from linkcoh.invariants import is_equidimensional
 from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh import theorems
 from linkcoh.theorems import (
     CLAIMS,
     InstanceParams,
@@ -170,6 +171,43 @@ def test_run_claim_parallel_matches_serial():
     serial = run_claim("l08", params, jobs=1)
     parallel = run_claim("l08", params, jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs, count, cpus, workers", [
+    (64, 3, 2, 2),
+    (64, 3, 8, 3),
+    (3, 10, 8, 3),
+    (64, 1, 8, None),
+    (1, 10, 8, None),
+])
+def test_run_claim_clamps_pool(monkeypatch, jobs, count, cpus, workers):
+    spawned = []
+
+    class FakePool:
+        def __init__(self, processes):
+            spawned.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(theorems, "Pool", FakePool)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
+    params = InstanceParams(n_vars=3, count=count, maxdeg=2, seed=4)
+    doc = run_claim("t2", params, jobs=jobs)
+    assert len(doc["verdicts"]) == count
+    assert spawned == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_run_claim_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(RingError):
+        run_claim("l08", InstanceParams(count=2), jobs=jobs)
 
 
 def test_run_claim_rejects_unknown():
