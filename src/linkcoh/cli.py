@@ -7,7 +7,8 @@ stderr.  Identical argv and seed give byte-identical stdout.
 Exit codes: 0 the computation ran (negative verdicts included), 1 usage
 or input error, 2 resource budget tripped.  The global `--max-spairs`
 and `--timeout-soft` flags go before the subcommand and bound every
-Groebner computation of the invocation.
+Groebner computation of the invocation; the soft deadline also bounds the
+Stanley-Reisner depth scan and the irreducible decomposition.
 """
 
 from __future__ import annotations
@@ -533,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="soft wall-clock budget checked between reduction steps",
+        help="soft wall-clock budget checked between reduction steps, depth links "
+        "and decomposition nodes",
     )
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
 

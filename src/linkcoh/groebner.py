@@ -96,8 +96,16 @@ class _Meter:
         lim = _LIMITS.get()
         if self.spent > lim.max_spairs:
             raise BudgetExceeded(what, self.spent, lim.max_spairs)
-        if lim.deadline is not None and time.monotonic() > lim.deadline:
-            raise BudgetExceeded(what, self.spent, "soft timeout")
+        check_deadline(what, self.spent)
+
+
+def check_deadline(what: str, spent: int = 0) -> None:
+    """Raise BudgetExceeded once the ambient soft deadline has passed.
+
+    Loops that run no S-pairs call it directly; it charges no meter."""
+    deadline = _LIMITS.get().deadline
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded(what, spent, "soft timeout")
 
 
 class Ideal:

@@ -597,7 +597,9 @@ class CyclicModule:
         if self.monomial is not None:
             try:
                 return depth_monomial(self.monomial)
-            except BudgetExceeded:
+            except BudgetExceeded as exc:
+                if exc.limit == "soft timeout":
+                    raise
                 log.info(
                     "depth: polarization needs more than %d variables, using the Koszul route",
                     POLARIZATION_VAR_BUDGET,

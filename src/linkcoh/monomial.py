@@ -278,7 +278,11 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
 
     Splits a generator m = u*v with coprime nontrivial u, v via
     I = (I + (u)) ∩ (I + (v)) until all generators are pure powers, then
-    removes redundant components.
+    removes redundant components.  Irreducible monomial ideals are
+    meet-prime: if A ∩ B ⊆ Q while m1 ∈ A and m2 ∈ B lie outside Q, then
+    lcm(m1, m2) lies in A ∩ B but not in Q.  So a component is redundant
+    exactly when it contains another component, and one containment pass
+    finds the unique irredundant set.
     """
     if I.is_zero() or not I.is_proper():
         raise ImproperIdealError("irreducible decomposition needs a nonzero proper ideal")
@@ -288,6 +292,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
         got = memo.get(key)
         if got is not None:
             return got
+        groebner.check_deadline("irreducible decomposition")
         gens = minimalize(key)
         split = None
         for g in gens:
@@ -307,25 +312,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
         return out
 
     raw = rec(frozenset(I.min_gens))
-    comps = [MonomialIdeal(I.ctx, gens) for gens in raw]
-    comps.sort(key=lambda c: c.min_gens)
-
-    # drop any component containing the intersection of the others
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(comps)):
-            others = comps[:i] + comps[i + 1 :]
-            if not others:
-                break
-            meet = others[0]
-            for c in others[1:]:
-                meet = mono_intersect(meet, c)
-            if mono_contains(comps[i], meet):
-                comps.pop(i)
-                changed = True
-                break
-    return tuple(comps)
+    comps = sorted((MonomialIdeal(I.ctx, gens) for gens in raw), key=lambda c: c.min_gens)
+    return tuple(c for c in comps if not any(d is not c and mono_contains(c, d) for d in comps))
 
 
 def associated_primes(I: MonomialIdeal) -> PrimeSet:

@@ -51,6 +51,9 @@ class RingCtx:
     @classmethod
     def parse(cls, text: str) -> "RingCtx":
         names = [part.strip() for part in text.split(",") if part.strip()]
+        for name in names:
+            if not name.isidentifier():
+                raise RingError(f"variable name {name!r} is not an identifier")
         return cls(tuple(names))
 
     @property

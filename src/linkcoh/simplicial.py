@@ -3,10 +3,14 @@ exact reduced simplicial cohomology over Q, depth of monomial quotients via
 the graded local-cohomology support formula, and cohomological dimension
 along the squarefree path.
 
-Rank decisions are exact.  A mod-p rank is used only as a *vanishing filter*
-(rank can only drop modulo p, so a zero cohomology rank mod p certifies a
-zero rank over Q); every nonzero rank that influences an answer is
-recomputed with Fraction arithmetic.
+Rank decisions are exact.  A GF(2) rank is used only as a *vanishing
+filter*: each coboundary row is a Python int whose set bits are the columns
+it touches (signs vanish mod 2), and elimination is XOR against one pivot row
+per lowest set bit.  The rank of an integer matrix over any F_p is at most
+its rank over Q, so the cohomology rank computed mod 2 bounds the rational
+one from above and a zero there proves vanishing.  Every nonzero rank that
+influences an answer is recomputed with Fraction arithmetic, which also
+clears the 2-torsion (for example RP^2) that the filter cannot see past.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .groebner import BudgetExceeded
+from .groebner import BudgetExceeded, check_deadline
 from .monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -28,8 +32,6 @@ from .monomial import (
 from .ring import RingCtx, RingError, mono_support
 
 log = logging.getLogger("linkcoh")
-
-_FILTER_PRIME = 1_000_003
 
 POLARIZATION_VAR_BUDGET = 16
 
@@ -76,12 +78,15 @@ class SimplicialComplex:
         return any(fs <= f for f in self.facets)
 
     def faces_of_size(self, k: int) -> list[frozenset]:
+        """The faces with k vertices, in lexicographic order of their sorted
+        vertex tuples; every face lies in a facet, so they are read off the
+        facets instead of testing each vertex subset."""
         if self.is_void():
             return []
         if k == 0:
             return [frozenset()]
-        out = [frozenset(c) for c in combinations(self.vertices(), k) if self.has_face(c)]
-        return out
+        subsets = {c for f in self.facets if len(f) >= k for c in combinations(sorted(f), k)}
+        return [frozenset(c) for c in sorted(subsets)]
 
     def all_faces(self) -> list[frozenset]:
         out: list[frozenset] = []
@@ -181,34 +186,19 @@ def _rank_exact(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _rank_modp(rows: Sequence[Sequence[int]], p: int = _FILTER_PRIME) -> int:
-    mat = [[v % p for v in r] for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
+def _rank_gf2(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows given as int bitsets, by XOR elimination
+    against one pivot row per lowest set bit."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = r
                 break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        prow = [v * inv % p for v in mat[rank]]
-        mat[rank] = prow
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+            r ^= p
+    return len(pivots)
 
 
 def _coboundary(faces_k: list[frozenset], faces_k1: list[frozenset]) -> list[list[int]]:
@@ -259,7 +249,7 @@ def reduced_cohomology(cx: SimplicialComplex) -> CohomologyProfile:
         return CohomologyProfile({-1: 1})
     faces: dict[int, list[frozenset]] = {}
     for k in range(0, cx.dim + 2):
-        faces[k] = sorted(cx.faces_of_size(k), key=sorted)
+        faces[k] = cx.faces_of_size(k)
     ranks: dict[int, int] = {}
     d_rank: dict[int, int] = {}
     # degree j cochains live on faces of size j+1
@@ -275,7 +265,8 @@ def reduced_cohomology(cx: SimplicialComplex) -> CohomologyProfile:
 
 
 class _LinkScanner:
-    """Lazy per-link cohomology with the mod-p vanishing filter."""
+    """Lazy per-link cohomology: GF(2) bitset ranks as the vanishing filter,
+    exact ranks only where the filter leaves a nonzero bound."""
 
     def __init__(self, cx: SimplicialComplex) -> None:
         self.cx = cx
@@ -285,21 +276,19 @@ class _LinkScanner:
 
     def faces(self, k: int) -> list[frozenset]:
         if k not in self._faces:
-            self._faces[k] = sorted(self.cx.faces_of_size(k), key=sorted)
+            self._faces[k] = self.cx.faces_of_size(k)
         return self._faces[k]
-
-    def _rows(self, j: int) -> list[list[int]]:
-        return _coboundary(self.faces(j + 1), self.faces(j + 2))
 
     def rank_filter(self, j: int) -> int:
         if j not in self._dr_filter:
-            rows = self._rows(j)
-            self._dr_filter[j] = _rank_modp(rows) if rows else 0
+            index = {f: 1 << i for i, f in enumerate(self.faces(j + 1))}
+            rows = (sum(index[g - {v}] for v in g) for g in self.faces(j + 2))
+            self._dr_filter[j] = _rank_gf2(rows)
         return self._dr_filter[j]
 
     def rank_exact(self, j: int) -> int:
         if j not in self._dr_exact:
-            rows = self._rows(j)
+            rows = _coboundary(self.faces(j + 1), self.faces(j + 2))
             self._dr_exact[j] = _rank_exact(rows) if rows else 0
         return self._dr_exact[j]
 
@@ -307,7 +296,7 @@ class _LinkScanner:
         dim_cj = len(self.faces(j + 1))
         if dim_cj == 0:
             return False
-        # mod-p ranks never exceed the rational ones, so this difference is an
+        # GF(2) ranks never exceed the rational ones, so this difference is an
         # upper bound for the true rank: zero here is a proof of vanishing
         if dim_cj - self.rank_filter(j) - self.rank_filter(j - 1) == 0:
             return False
@@ -331,6 +320,7 @@ def depth_squarefree(I: MonomialIdeal) -> int:
         for w in cx.faces_of_size(size):
             if size >= best:
                 break
+            check_deadline("depth links")
             link = cx.link(w)
             if link.is_cone():
                 continue

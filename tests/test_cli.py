@@ -325,6 +325,28 @@ def test_budget_exit_two(capsys):
     assert doc["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("cmd", ["depth", "decompose", "cd"])
+def test_soft_timeout_trips_monomial_kernels(capsys, cmd):
+    code, out, err = invoke(
+        capsys,
+        "--timeout-soft", "0",
+        cmd,
+        "--ring", "a,b,c,d,e,f,g",
+        "--ideal", "a^2*c, e*f^2*g, c^2*d*g, b*d*f^2",
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("names", ["1,x", "x y,z"])
+def test_ring_names_must_be_identifiers(capsys, names):
+    code, out, err = invoke(capsys, "gb", "--ring", names, "--ideal", "x")
+    assert code == 1
+    assert out == ""
+    assert "identifier" in err
+
+
 def test_human_summary_on_stderr(capsys):
     code, out, err = invoke(
         capsys, "depth", "--ring", "x,y", "--ideal", "x*y"

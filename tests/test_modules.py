@@ -277,6 +277,15 @@ def test_cyclic_module_depth_dim_cm():
     assert (flat.depth(), flat.dim(), flat.is_cohen_macaulay()) == (0, 1, False)
 
 
+def test_cyclic_module_depth_reports_soft_timeout_from_link_scan():
+    ctx = ring("x", "y", "z")
+    mixed = CyclicModule(ctx, I_of(ctx, "x*z", "y*z"))
+    # a deadline trip is not the polarization budget: no Koszul fallback
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded, match="^depth links"):
+            mixed.depth()
+
+
 def test_cyclic_module_nonmonomial_dim():
     ctx = ring("x", "y")
     curve = CyclicModule(ctx, I_of(ctx, "y - x^2"))

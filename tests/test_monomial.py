@@ -137,25 +137,26 @@ def test_auto_paths_agree_with_groebner(ctx):
 
 
 def test_irreducible_decomposition_membership_oracle():
-    ctx2 = ring("x", "y")
-    rng = random.Random(31)
-    for _ in range(25):
-        A = random_ideal(rng, ctx2, maxdeg=3, max_gens=3)
-        comps = irreducible_decomposition(A)
-        for c in comps:
-            # irreducible: generated by pure variable powers
-            for e in c.min_gens:
-                assert sum(1 for a in e if a) == 1
-        for e in grid(2, 7):
-            assert A.contains_mono(e) == all(c.contains_mono(e) for c in comps)
-        # irredundant: dropping any component changes the intersection
-        if len(comps) > 1:
-            for k in range(len(comps)):
-                rest = [c for i, c in enumerate(comps) if i != k]
-                inter = rest[0]
-                for c in rest[1:]:
-                    inter = mono_intersect(inter, c)
-                assert not mono_equal(inter, A)
+    for names, seed, box in (("xy", 31, 7), ("xyz", 43, 5)):
+        ctx = ring(*names)
+        rng = random.Random(seed)
+        for _ in range(25):
+            A = random_ideal(rng, ctx, maxdeg=3, max_gens=3)
+            comps = irreducible_decomposition(A)
+            for c in comps:
+                # irreducible: generated by pure variable powers
+                for e in c.min_gens:
+                    assert sum(1 for a in e if a) == 1
+            for e in grid(ctx.n, box):
+                assert A.contains_mono(e) == all(c.contains_mono(e) for c in comps)
+            # irredundant: dropping any component changes the intersection
+            if len(comps) > 1:
+                for k in range(len(comps)):
+                    rest = [c for i, c in enumerate(comps) if i != k]
+                    inter = rest[0]
+                    for c in rest[1:]:
+                        inter = mono_intersect(inter, c)
+                    assert not mono_equal(inter, A)
 
 
 def test_associated_primes_hand_cases(ctx):

@@ -43,6 +43,11 @@ def test_ring_ctx_validation():
     assert r.extend(["z"]).n == 3
     assert r.fresh_name("x") != "x"
     assert r.fresh_name("t") == "t"
+    # user-facing names must be identifiers; internal tag variables need not be
+    for text in ("1,x", "x y,z", "x,y-z"):
+        with pytest.raises(RingError):
+            RingCtx.parse(text)
+    assert r.extend(["t@0"]).var_names[-1] == "t@0"
 
 
 def test_monomial_helpers():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from linkcoh import simplicial
 from linkcoh.monomial import MonomialIdeal, polarize
 from linkcoh.ring import RingError, ring
 from linkcoh.simplicial import (
@@ -213,3 +214,73 @@ def test_cd_on_quotient():
     assert cd_on_quotient(a, MonomialPrime((1,))) == 1
     # on R/(x): a becomes 0, cd 0
     assert cd_on_quotient(a, MonomialPrime((0,))) == 0
+
+
+# ---------------------------------------------------------------------------
+# Depth against Hochster's formula with exact ranks only.
+
+def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
+    n = cx.n_vertices
+    ctx = ring(*"abcdefg"[:n])
+    nonfaces = [
+        c
+        for k in range(1, n + 1)
+        for c in itertools.combinations(range(n), k)
+        if not cx.has_face(c)
+    ]
+    return MonomialIdeal.from_exponents(
+        ctx, [tuple(int(i in c) for i in range(n)) for c in nonfaces]
+    )
+
+
+def hochster_depth_oracle(cx: SimplicialComplex) -> int:
+    """min |W| + 1 + j over faces W with exact reduced H^j(link W) nonzero."""
+    faces = [
+        c
+        for k in range(cx.n_vertices + 1)
+        for c in itertools.combinations(range(cx.n_vertices), k)
+        if cx.has_face(c)
+    ]
+    return min(
+        len(w) + 1 + j
+        for w in faces
+        for j in reduced_cohomology(cx.link(w)).nonzero_degrees()
+    )
+
+
+def test_depth_squarefree_matches_exact_hochster_oracle():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        cx = random_complex(rng, n)
+        for k in range(n + 1):
+            # faces read off the facets, in the order of a full subset scan
+            scan = [frozenset(c) for c in itertools.combinations(cx.vertices(), k) if cx.has_face(c)]
+            assert cx.faces_of_size(k) == scan
+        I = stanley_reisner_ideal(cx)
+        assert complex_of(I) == cx
+        assert depth_squarefree(I) == hochster_depth_oracle(cx)
+
+
+# The 6-vertex triangulation of the real projective plane.  It is acyclic
+# over Q, but H^1 and H^2 over GF(2) are nonzero, so the GF(2) vanishing
+# filter cannot clear H^1 of the whole complex and the exact route must.
+RP2_FACETS = ("012", "023", "034", "045", "051", "124", "235", "341", "452", "513")
+
+
+def test_rp2_torsion_is_cleared_by_exact_ranks(monkeypatch):
+    exact_calls = []
+    rank_exact = simplicial._LinkScanner.rank_exact
+
+    def counted(self, j):
+        exact_calls.append(j)
+        return rank_exact(self, j)
+
+    monkeypatch.setattr(simplicial._LinkScanner, "rank_exact", counted)
+    rp2 = SimplicialComplex.from_facets(6, [[int(v) for v in f] for f in RP2_FACETS])
+    I = stanley_reisner_ideal(rp2)
+    assert len(I.min_gens) == 10
+    assert complex_of(I) == rp2
+    # Cohen-Macaulay over Q; an answer from GF(2) ranks alone would be depth 2
+    assert depth_squarefree(I) == dim_monomial(I) == 3
+    assert exact_calls
