@@ -1,20 +1,35 @@
 """Buchberger-based ideal arithmetic: reduced bases, membership, colon,
-intersection, saturation, radical membership, and variable elimination.
+intersection, saturation, radical membership, and variable elimination --
+and the one Groebner engine that ideals and free modules share.
 
 The engine is deliberately the classical one -- Buchberger with the
 coprime-lcm and chain criteria under a normal selection strategy -- with a
 hard S-pair budget so runaway eliminations abort as a resource error instead
 of hanging.
 
-Pending S-pairs sit in a heap keyed by (order key of the lcm, index pair), so
-each step pops the pair a linear scan for the smallest such key would pick:
-the S-pair sequence, and therefore where a budget trips, is that of the
-plain normal strategy.  Order keys are memoized for the length of one
-Buchberger or normal-form call and dropped when it returns; each basis
-element's lead is computed once, and every remainder goes through one
-division kernel (`_reduce`) shared by `normal_form` and the Buchberger loop.
-The module engine in `modules.py` reuses the pair heap, the key memo and
-the term-subtraction step `_sub_shifted`.
+It works on term maps (exponent -> coefficient).  A vector of R^r is encoded
+as the term map whose exponents are a one-hot position prefix of length r
+followed by the ring exponent; an ideal is the case of an empty prefix.
+Terms compare by (prefix, order key of the ring exponent), which is
+position-over-term with lower positions dominant.  Basis elements are
+listed per position of their lead, and pairing, the chain criterion and each
+reduction step consult only their own position's list.  The coprime
+criterion, unsound for modules, needs no position test: at a position the
+lcm's prefix entry is 1 and the product's is 2, so it never fires there.
+
+Pending S-pairs sit in a heap keyed by (order key of the ring part of the
+lcm, index pair), so each step pops the pair a linear scan for the smallest
+such key would pick: the S-pair sequence, and therefore where a budget
+trips, is that of the plain normal strategy.  Order keys are memoized for
+the length of one Buchberger or normal-form call and dropped when it
+returns; each basis element's lead is computed once, and every remainder
+goes through one division kernel (`_reduce`).  `modules.py` encodes its
+vectors for this engine.
+
+The colon I : J is a syzygy computation in the same engine: with g_1..g_k
+generating J, I : J is the set of a with a*(g_1..g_k) in I*R^k.  The
+tag-variable `ideal_intersect` stays as an independent route, which the
+tests use as the oracle for the colon.
 """
 
 from __future__ import annotations
@@ -36,11 +51,7 @@ from .ring import (
     RingCtx,
     RingError,
     elimination_order,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     mono_one,
-    mono_quotient,
     parse_poly,
 )
 
@@ -159,7 +170,7 @@ def _same_ctx(I: Ideal, J: Ideal) -> RingCtx:
 
 
 # ---------------------------------------------------------------------------
-# Division and Buchberger.
+# The Groebner engine.
 
 class _KeyMemo(dict):
     """e -> fn(e), each key computed once.
@@ -183,6 +194,21 @@ class _KeyMemo(dict):
 def _memo_key(fn):
     """A memoized copy of the sort key `fn`, for the length of one run."""
     return _KeyMemo(fn).__getitem__
+
+
+def _keys(order: MonomialOrder, rank: int):
+    """The term key and the pair key of one engine run over `rank` positions.
+
+    Terms compare by (position prefix, order key of the ring exponent): a
+    one-hot prefix is larger the lower its position, so this is
+    position-over-term with lower positions dominant.  Pairs are queued by the
+    order key of the ring part of their lcm alone.  An ideal (rank 0) has an
+    empty prefix and both keys are the order key.
+    """
+    if not rank:
+        key = _memo_key(order.key)
+        return key, key
+    return _memo_key(lambda e: (e[:rank], order.key(e[rank:]))), lambda e: order.key(e[rank:])
 
 
 class _PairQueue:
@@ -215,18 +241,16 @@ class _PairQueue:
         return bool(self._heap)
 
 
-def _monic(p: Polynomial, key) -> tuple[Polynomial, tuple[Exponents, tuple]]:
-    """A nonzero p scaled to lead coefficient 1, and its (lead, tail) reducer.
-
-    The tail lists the other terms of the scaled p as (exponent, coefficient).
-    """
-    terms = p.term_map()
+def _reducer(terms: dict, key) -> tuple[Exponents, tuple]:
+    """The (lead, tail) reducer of a nonzero term map scaled to lead
+    coefficient 1; the tail lists the other scaled terms as (exponent,
+    coefficient)."""
     lead = max(terms, key=key)
     c = terms[lead]
-    if c != 1:
-        p = p * (_ONE / c)
-        terms = p.term_map()
-    return p, (lead, tuple((e, v) for e, v in terms.items() if e != lead))
+    if c == 1:
+        return lead, tuple((e, v) for e, v in terms.items() if e != lead)
+    inv = _ONE / c
+    return lead, tuple((e, v * inv) for e, v in terms.items() if e != lead)
 
 
 def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
@@ -244,14 +268,20 @@ def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
                 del work[k]
 
 
-def _reduce(work: dict, reducers: Sequence[tuple[Exponents, tuple]], key) -> dict:
-    """Remainder of the term map `work` (consumed) under division by
-    `reducers`, each a (lead, tail) pair from `_monic`, tried in order."""
+def _reduce(work: dict, table: dict, key, rank: int = 0) -> dict:
+    """Remainder of the term map `work` (consumed) under division by the
+    reducers in `table`, which maps a position prefix to the (lead, tail)
+    reducers leading there; those are tried in order.
+
+    The largest remaining term is taken first.  A reducer's tail never
+    reaches a lower position than its lead, so the positions empty one after
+    another, lowest first, and each step scans only its own position's list.
+    """
     rem: dict[Exponents, Fraction] = {}
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        for le, tail in reducers:
+        for le, tail in table.get(e[:rank], ()):
             if all(map(le_, le, e)):
                 _sub_shifted(work, tail, tuple(map(sub, e, le)), c)
                 break
@@ -260,47 +290,72 @@ def _reduce(work: dict, reducers: Sequence[tuple[Exponents, tuple]], key) -> dic
     return rem
 
 
+def _divide(work: dict, basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> dict:
+    """Remainder of the term map `work` (consumed) under division by `basis`."""
+    key, _ = _keys(order, rank)
+    table: dict = {}
+    for g in basis:
+        if g:
+            r = _reducer(g, key)
+            table.setdefault(r[0][:rank], []).append(r)
+    return _reduce(work, table, key, rank)
+
+
 def normal_form(
     f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
 ) -> Polynomial:
     """Full remainder of f under division by `basis`."""
-    key = _memo_key(order.key)
-    reducers = [_monic(g, key)[1] for g in basis if not g.is_zero()]
-    if not reducers:
-        return f
-    return Polynomial(f.ctx, _reduce(dict(f.term_map()), reducers, key))
+    return Polynomial(f.ctx, _divide(dict(f.term_map()), (g.term_map() for g in basis), order))
 
 
-def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, meter: _Meter) -> list[Polynomial]:
-    key = _memo_key(order.key)
-    G: list[Polynomial] = []  # monic basis elements
-    red: list[tuple[Exponents, tuple]] = []  # their (lead, tail)
+def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> list[dict]:
+    """The reduced Groebner basis of the term maps `gens`, as monic term maps
+    in increasing order of their leads.
+
+    Each exponent is a position prefix of length `rank` followed by a ring
+    exponent; `rank` 0 is an ideal.  Elements are listed per position of
+    their lead, and pairs, the chain criterion and reduction steps look only
+    at the list of their own position.  The coprime criterion needs no
+    position test: at a position the prefix entry of the lcm is 1 and that
+    of the product 2, so for a module it never fires.
+    """
+    meter = _Meter()
+    what = "module buchberger" if rank else "buchberger"
+    key, pair_key = _keys(order, rank)
+    queue = _PairQueue(pair_key)
+    red: list[tuple[Exponents, tuple]] = []  # (lead, tail) of the monic basis elements
+    leads: list[Exponents] = []
+    table: dict = {}  # position prefix -> the reducers leading there
+    at: dict = {}  # position prefix -> the indices of the elements leading there
+
+    def admit(terms: dict) -> None:
+        r = _reducer(terms, key)
+        lead = r[0]
+        same = at.setdefault(lead[:rank], [])
+        queue.add((t, len(red), tuple(map(max, leads[t], lead))) for t in same)
+        same.append(len(red))
+        table.setdefault(lead[:rank], []).append(r)
+        red.append(r)
+        leads.append(lead)
+
     for g in gens:
-        if not g.is_zero():
-            g, r = _monic(g, key)
-            G.append(g)
-            red.append(r)
-    if not G:
-        return []
-    ctx = G[0].ctx
-    leads: list[Exponents] = [le for le, _ in red]
-    queue = _PairQueue(key)
-    queue.add((i, j, mono_lcm(leads[i], leads[j])) for j in range(len(G)) for i in range(j))
+        if g:
+            admit(g)
 
     while queue:
-        meter.charge("buchberger")
+        meter.charge(what)
         i, j, l = queue.pop()
         li, lj = leads[i], leads[j]
         # coprime-lcm criterion
-        if l == mono_mul(li, lj):
+        if l == tuple(map(add, li, lj)):
             continue
         # chain criterion
         pending = queue.pending
         skip = False
-        for k, lk in enumerate(leads):
+        for k in at[l[:rank]]:
             if k == i or k == j:
                 continue
-            if all(map(le_, lk, l)):
+            if all(map(le_, leads[k], l)):
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -312,31 +367,87 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, meter: _Meter)
         qi = tuple(map(sub, l, li))
         work = {tuple(map(add, e, qi)): c for e, c in red[i][1]}
         _sub_shifted(work, red[j][1], tuple(map(sub, l, lj)), _ONE)
-        rem = _reduce(work, red, key)
-        if not rem:
-            continue
-        h, r = _monic(Polynomial(ctx, rem), key)
-        G.append(h)
-        red.append(r)
-        leads.append(r[0])
-        new = len(G) - 1
-        queue.add((t, new, mono_lcm(leads[t], leads[new])) for t in range(new))
+        rem = _reduce(work, table, key, rank)
+        if rem:
+            # the remainder may lead at another position than its pair did
+            admit(rem)
 
     # minimalize: keep only leading terms that form an antichain
-    orderidx = sorted(range(len(G)), key=lambda i: key(leads[i]))
+    final: dict = {}  # position prefix -> the reducers kept there
     kept: list[int] = []
-    for i in orderidx:
-        if not any(mono_divides(leads[k], leads[i]) for k in kept):
+    for i in sorted(range(len(red)), key=lambda i: key(leads[i])):
+        here = final.setdefault(leads[i][:rank], [])
+        if not any(all(map(le_, le, leads[i])) for le, _ in here):
+            here.append(red[i])
             kept.append(i)
-    # tail-reduce to the unique reduced basis; no lead divides another, so
-    # every lead survives and one pass leaves no term reducible
-    basis = [G[i] for i in kept]
-    kept_red = [red[i] for i in kept]
-    for n, g in enumerate(basis):
-        r = _reduce(dict(g.term_map()), kept_red[:n] + kept_red[n + 1 :], key)
-        if r != g.term_map():
-            basis[n], kept_red[n] = _monic(Polynomial(ctx, r), key)
-    return basis
+    # tail-reduce: the kept elements form a minimal basis, so each tail has a
+    # unique remainder under them, and no kept lead divides another or a
+    # smaller term of its own element, so every lead stays
+    return [{leads[i]: _ONE, **_reduce(dict(red[i][1]), final, key, rank)} for i in kept]
+
+
+def _gb(ctx: RingCtx, gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """The reduced Groebner basis of an ideal given by generators over ctx."""
+    return [Polynomial(ctx, g) for g in _buchberger([p.term_map() for p in gens], order)]
+
+
+# ---------------------------------------------------------------------------
+# Free modules in the engine.  A vector of R^r is the term map whose exponents
+# are a one-hot position prefix of length r followed by the ring exponent.
+
+Vec = tuple[Polynomial, ...]
+
+
+def _heads(rank: int) -> list[Exponents]:
+    """The one-hot position prefixes of R^rank, position 0 first."""
+    return [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
+
+
+def _encode(v: Vec, heads: Sequence[Exponents]) -> dict:
+    return {h + e: c for h, p in zip(heads, v) for e, c in p.term_map().items()}
+
+
+def _decode(terms: dict, ctx: RingCtx, rank: int) -> Vec:
+    parts: list[dict] = [{} for _ in range(rank)]
+    for e, c in terms.items():
+        parts[e.index(1, 0, rank)][e[rank:]] = c
+    return tuple(Polynomial(ctx, d) for d in parts)
+
+
+def ideal_block(I: Ideal, rank: int) -> list[Vec]:
+    """The vectors g*e_j for generators g of I; spans I times the free module."""
+    out = []
+    for g in I.gens:
+        if g.is_zero():
+            continue
+        for j in range(rank):
+            out.append(tuple(g if k == j else Polynomial.zero(I.ctx) for k in range(rank)))
+    return out
+
+
+def _syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank: int) -> list[Vec]:
+    """Generators of {a in R^k : sum a_i vectors[i] lies in <modulo>}, where
+    k = len(vectors) and every vector has rank `rank`.
+
+    One engine run over R^(rank + k): vectors[i] carries the unit tag
+    e_(rank + i) below the main block, and the basis elements that lead in
+    the tag block, i.e. whose main block vanished, carry the syzygies in
+    their tags.
+    """
+    k = len(vectors)
+    heads = _heads(rank + k)
+    one = mono_one(ctx.n)
+    aug = []
+    for i, v in enumerate(vectors):
+        g = _encode(v, heads)
+        g[heads[rank + i] + one] = _ONE
+        aug.append(g)
+    aug += [_encode(w, heads) for w in modulo]
+    return [
+        _decode(g, ctx, rank + k)[rank:]
+        for g in _buchberger(aug, DEGREVLEX, rank + k)
+        if all(e.index(1) >= rank for e in g)
+    ]
 
 
 def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
@@ -345,7 +456,7 @@ def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, 
     cached = I._gb_cache.get(token)
     if cached is not None:
         return cached
-    basis = tuple(_buchberger(I.gens, order, _Meter()))
+    basis = tuple(_gb(I.ctx, I.gens, order))
     I._gb_cache[token] = basis
     return basis
 
@@ -393,25 +504,6 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(ctx, gens)
 
 
-def exact_div(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Quotient f/g when g divides f exactly; RingError otherwise."""
-    if g.is_zero():
-        raise RingError("division by the zero polynomial")
-    ctx = f.ctx
-    quot: dict[Exponents, Fraction] = {}
-    rem = f
-    (eg, cg) = g.lead(order)
-    while not rem.is_zero():
-        (e, c) = rem.lead(order)
-        if not mono_divides(eg, e):
-            raise RingError("polynomial division is not exact")
-        q = mono_quotient(e, eg)
-        t = c / cg
-        quot[q] = quot.get(q, Fraction(0)) + t
-        rem = rem - g.mul_term(q, t)
-    return Polynomial(ctx, quot)
-
-
 # ---------------------------------------------------------------------------
 # Tag-variable constructions.
 
@@ -434,7 +526,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     one = Polynomial.const(big, 1)
     gens = [t * _lift(ctx, big, f) for f in I.gens]
     gens += [(one - t) * _lift(ctx, big, g) for g in J.gens]
-    basis = _buchberger(gens, elimination_order({ti}, big.n), _Meter())
+    basis = _gb(big, gens, elimination_order({ti}, big.n))
     down = {i: i for i in range(ctx.n)}
     out = [p.map_vars(ctx, down) for p in basis if ti not in p.support()]
     result = Ideal(ctx, out)
@@ -447,18 +539,17 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
-    """The colon ideal I : J, via I:(g) = (I ∩ (g))/g per generator of J."""
+    """The colon ideal I : J, the a with a*g in I for every generator g of J.
+
+    With g_1..g_k the generators, that is the syzygy module of the single
+    vector (g_1..g_k) modulo I*R^k, found in one engine run; its tags form a
+    Groebner basis of I : J.
+    """
     ctx = _same_ctx(I, J)
-    nonzero = [g for g in J.gens if not g.is_zero()]
-    if not nonzero:
+    g = tuple(p for p in J.gens if not p.is_zero())
+    if not g:
         return Ideal.unit(ctx)  # I : (0) is everything
-    result: Ideal | None = None
-    for g in nonzero:
-        meet = ideal_intersect(I, Ideal(ctx, [g]))
-        part = Ideal(ctx, [exact_div(h, g) for h in meet.gens if not h.is_zero()])
-        result = part if result is None else ideal_intersect(result, part)
-    assert result is not None
-    return result
+    return Ideal(ctx, [a for (a,) in _syzygies([g], ideal_block(I, len(g)), ctx, len(g))])
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
@@ -473,7 +564,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     t = Polynomial.from_monomial(big, tuple(1 if i == ti else 0 for i in range(big.n)))
     gens = [_lift(ctx, big, g) for g in I.gens]
     gens.append(Polynomial.const(big, 1) - t * _lift(ctx, big, f))
-    basis = _buchberger(gens, elimination_order({ti}, big.n), _Meter())
+    basis = _gb(big, gens, elimination_order({ti}, big.n))
     down = {i: i for i in range(ctx.n)}
     return Ideal(ctx, [p.map_vars(ctx, down) for p in basis if ti not in p.support()])
 
@@ -490,7 +581,7 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     t = Polynomial.from_monomial(big, tuple(1 if i == ti else 0 for i in range(big.n)))
     gens = [_lift(ctx, big, g) for g in I.gens]
     gens.append(Polynomial.const(big, 1) - t * _lift(ctx, big, f))
-    basis = _buchberger(gens, DEGREVLEX, _Meter())
+    basis = _gb(big, gens, DEGREVLEX)
     return len(basis) == 1 and basis[0].is_constant()
 
 
@@ -504,7 +595,7 @@ def eliminate(I: Ideal, drop_names: Iterable[str]) -> Ideal:
     if not keep:
         raise RingError("cannot eliminate every variable")
     small = RingCtx(tuple(ctx.var_names[i] for i in keep))
-    basis = _buchberger(I.gens, elimination_order(drop_idx, ctx.n), _Meter())
+    basis = _gb(ctx, I.gens, elimination_order(drop_idx, ctx.n))
     down = {old: new for new, old in enumerate(keep)}
     out = []
     for p in basis:

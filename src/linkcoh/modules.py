@@ -8,28 +8,32 @@ position-over-term with lower positions dominant and degrevlex inside each
 position; that makes the tag-block elimination used by the syzygy routine a
 textbook module elimination.
 
-`module_gb` runs the same normal strategy as the ideal engine: pending
-S-vectors come from the heap of `groebner._PairQueue`, ordered by (order key
-of the lead-exponent lcm, index pair), which keeps the S-vector sequence of
-a linear scan.  Order keys are memoized for one call, each basis vector's
-lead is computed once, and remainders go through one kernel
-(`_module_reduce`) that clears positions from the lowest up.
+`module_gb`, `module_normal_form` and `submodule_syzygies` run on the one
+Groebner engine of `groebner.py`, which ideals share: a vector of R^r is
+encoded as a term map whose exponents carry a one-hot position prefix of
+length r in front of the ring exponent, goes through `groebner._buchberger`
+or the division kernel `groebner._reduce`, and is decoded on the way out.
+The encoding and the syzygy step live in `groebner.py` because
+`ideal_quotient` is a syzygy computation too.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import combinations
-from operator import le as le_, sub
 from typing import Iterable, Sequence
 
 from .groebner import (
     BudgetExceeded,
     Ideal,
-    _Meter,
-    _PairQueue,
-    _memo_key,
-    _sub_shifted,
+    Vec,
+    _buchberger,
+    _decode,
+    _divide,
+    _encode,
+    _heads,
+    _syzygies,
+    ideal_block,
     ideal_equal,
     ideal_intersect,
     ideal_quotient,
@@ -47,20 +51,9 @@ from .monomial import (
     from_ideal,
 )
 from .simplicial import POLARIZATION_VAR_BUDGET, depth_monomial, dim_monomial
-from .ring import (
-    DEGREVLEX,
-    Exponents,
-    MonomialOrder,
-    Polynomial,
-    RingCtx,
-    RingError,
-    mono_divides,
-    mono_lcm,
-)
+from .ring import DEGREVLEX, MonomialOrder, Polynomial, RingCtx, RingError
 
 log = logging.getLogger("linkcoh")
-
-Vec = tuple[Polynomial, ...]
 
 
 def vec_zero(ctx: RingCtx, rank: int) -> Vec:
@@ -85,170 +78,25 @@ def vec_scale(f: Polynomial, v: Vec) -> Vec:
     return tuple(f * p for p in v)
 
 
-def ideal_block(I: Ideal, rank: int) -> list[Vec]:
-    """The vectors g*e_j for generators g of I; spans I times the free module."""
-    out = []
-    for g in I.gens:
-        if g.is_zero():
-            continue
-        for j in range(rank):
-            out.append(tuple(g if k == j else Polynomial.zero(I.ctx) for k in range(rank)))
-    return out
-
-
-def _vec_monic(v: Vec, key) -> tuple[Vec, tuple[int, Exponents, tuple]]:
-    """A nonzero v scaled to lead coefficient 1, and its (lead position,
-    lead exponent, tail) reducer.
-
-    The tail pairs each position, from the lead position on, with the other
-    terms of the scaled v there, in the form of a `groebner._monic` tail.
-    """
-    pos = next(k for k, p in enumerate(v) if not p.is_zero())
-    terms = v[pos].term_map()
-    lead = max(terms, key=key)
-    c = terms[lead]
-    if c != 1:
-        inv = 1 / c
-        v = tuple(inv * p for p in v)
-    tail = []
-    for k in range(pos, len(v)):
-        t = tuple((e, x) for e, x in v[k].term_map().items() if k != pos or e != lead)
-        if t:
-            tail.append((k, t))
-    return v, (pos, lead, tuple(tail))
-
-
-def _vec_sub_shifted(work: list[dict], tail: tuple, q: Exponents, c) -> None:
-    """work -= c * x^q * tail, position by position."""
-    for pos, t in tail:
-        _sub_shifted(work[pos], t, q, c)
-
-
-def _module_reduce(work: list[dict], reducers: Sequence[tuple], key) -> list[dict]:
-    """Per-position remainder of `work` (a term map per position, consumed)
-    under division by `reducers`, each a (position, lead, tail) triple from
-    `_vec_monic`, tried in order.
-
-    Lower positions dominate and a reducer's tail never reaches a lower
-    position than its lead, so the positions are cleared one after another.
-    """
-    rem = []
-    for pos, terms in enumerate(work):
-        here = [(le, tail) for p, le, tail in reducers if p == pos]
-        out: dict[Exponents, object] = {}
-        while terms:
-            e = max(terms, key=key)
-            c = terms.pop(e)
-            for le, tail in here:
-                if all(map(le_, le, e)):
-                    _vec_sub_shifted(work, tail, tuple(map(sub, e, le)), c)
-                    break
-            else:
-                out[e] = c
-        rem.append(out)
-    return rem
-
-
 def module_normal_form(v: Vec, basis: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> Vec:
     """Full remainder of v under division by the given vectors."""
-    key = _memo_key(order.key)
-    reducers = [_vec_monic(w, key)[1] for w in basis if not vec_is_zero(w)]
-    if not reducers or vec_is_zero(v):
+    if vec_is_zero(v):
         return v
-    ctx = v[0].ctx
-    rem = _module_reduce([dict(p.term_map()) for p in v], reducers, key)
-    return tuple(Polynomial(ctx, d) for d in rem)
+    rank = len(v)
+    heads = _heads(rank)
+    rem = _divide(_encode(v, heads), (_encode(w, heads) for w in basis), order, rank)
+    return _decode(rem, v[0].ctx, rank)
 
 
 def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
-    """Reduced Groebner basis of the submodule spanned by `gens`.
-
-    Only pairs with equal lead positions produce S-vectors.  The coprime-lcm
-    shortcut is unsound for modules and is not applied; the chain criterion
-    (with matching positions) still is.
-    """
-    meter = _Meter()
-    key = _memo_key(order.key)
-    G: list[Vec] = []  # monic basis vectors
-    red: list[tuple[int, Exponents, tuple]] = []  # their (position, lead, tail)
-    for g in gens:
-        if not vec_is_zero(g):
-            g, r = _vec_monic(g, key)
-            G.append(g)
-            red.append(r)
-    if not G:
+    """Reduced Groebner basis of the submodule spanned by `gens`, under
+    position-over-term order with lower positions dominant."""
+    gens = [v for v in gens if not vec_is_zero(v)]
+    if not gens:
         return []
-    ctx = G[0][0].ctx
-    rank = len(G[0])
-    leads: list[tuple[int, Exponents]] = [(p, le) for p, le, _ in red]
-    queue = _PairQueue(key)
-    queue.add(
-        (i, j, mono_lcm(leads[i][1], leads[j][1]))
-        for j in range(len(G))
-        for i in range(j)
-        if leads[i][0] == leads[j][0]
-    )
-
-    while queue:
-        meter.charge("module buchberger")
-        i, j, l = queue.pop()
-        pos = leads[i][0]
-        pending = queue.pending
-        skip = False
-        for k, (pk, lk) in enumerate(leads):
-            if k == i or k == j or pk != pos:
-                continue
-            if all(map(le_, lk, l)):
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        # S-vector of two monic vectors: their lead terms cancel
-        work: list[dict] = [{} for _ in range(rank)]
-        _vec_sub_shifted(work, red[i][2], tuple(map(sub, l, leads[i][1])), -1)
-        _vec_sub_shifted(work, red[j][2], tuple(map(sub, l, leads[j][1])), 1)
-        h = tuple(Polynomial(ctx, d) for d in _module_reduce(work, red, key))
-        if vec_is_zero(h):
-            continue
-        h, r = _vec_monic(h, key)
-        G.append(h)
-        red.append(r)
-        leads.append(r[:2])
-        new = len(G) - 1
-        # the reduced S-vector may lead at a different position than the pair
-        # that produced it; pair it at its own position
-        newpos = leads[new][0]
-        queue.add(
-            (t, new, mono_lcm(leads[t][1], leads[new][1]))
-            for t in range(new)
-            if leads[t][0] == newpos
-        )
-
-    orderidx = sorted(range(len(G)), key=lambda i: (-leads[i][0], key(leads[i][1])))
-    kept: list[int] = []
-    for i in orderidx:
-        p, e = leads[i]
-        if not any(leads[k][0] == p and mono_divides(leads[k][1], e) for k in kept):
-            kept.append(i)
-    # tail-reduce; no lead divides another, so every lead survives and one
-    # pass leaves no term reducible
-    basis = [G[i] for i in kept]
-    kept_red = [red[i] for i in kept]
-    for n, g in enumerate(basis):
-        others = kept_red[:n] + kept_red[n + 1 :]
-        r = tuple(
-            Polynomial(ctx, d)
-            for d in _module_reduce([dict(p.term_map()) for p in g], others, key)
-        )
-        if vec_is_zero(r):
-            raise RingError("reduced module basis collapsed; minimalization is broken")
-        r, rr = _vec_monic(r, key)
-        if r != g:
-            basis[n], kept_red[n] = r, rr
-    return basis
+    ctx, rank = gens[0][0].ctx, len(gens[0])
+    heads = _heads(rank)
+    return [_decode(g, ctx, rank) for g in _buchberger([_encode(v, heads) for v in gens], order, rank)]
 
 
 def submodule_member(v: Vec, gb: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> bool:
@@ -268,22 +116,11 @@ def submodule_syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec]) -> list[Ve
     rank = len(vectors[0])
     if rank == 0:
         raise RingError("syzygies of rank-zero vectors are everything; handle that upstream")
-    ctx = vectors[0][0].ctx
-    zeros_tag = vec_zero(ctx, k)
-    aug: list[Vec] = []
-    for i, v in enumerate(vectors):
-        if len(v) != rank:
-            raise RingError("syzygy input vectors have mixed ranks")
-        aug.append(v + unit_vec(ctx, k, i))
-    for w in modulo:
-        if len(w) != rank:
-            raise RingError("modulo vectors have the wrong rank")
-        aug.append(w + zeros_tag)
-    out: list[Vec] = []
-    for g in module_gb(aug):
-        if all(p.is_zero() for p in g[:rank]):
-            out.append(g[rank:])
-    return out
+    if any(len(v) != rank for v in vectors):
+        raise RingError("syzygy input vectors have mixed ranks")
+    if any(len(w) != rank for w in modulo):
+        raise RingError("modulo vectors have the wrong rank")
+    return _syzygies(vectors, modulo, vectors[0][0].ctx, rank)
 
 
 class FPModule:

@@ -36,6 +36,10 @@ log = logging.getLogger("linkcoh")
 POLARIZATION_VAR_BUDGET = 16
 
 
+def _facet_key(s: frozenset):
+    return (len(s), sorted(s))
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A complex given by its facets over an ambient vertex index set.
@@ -52,8 +56,7 @@ class SimplicialComplex:
     def from_facets(cls, n_vertices: int, sets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         cand = [frozenset(s) for s in sets]
         maximal = [s for s in cand if not any(s < t for t in cand)]
-        uniq = sorted(set(maximal), key=lambda s: (len(s), sorted(s)))
-        return cls(n_vertices, tuple(uniq))
+        return cls(n_vertices, tuple(sorted(set(maximal), key=_facet_key)))
 
     def is_void(self) -> bool:
         return not self.facets
@@ -100,9 +103,10 @@ class SimplicialComplex:
         fw = frozenset(w)
         if not self.has_face(fw):
             raise RingError("link requested at a non-face")
-        return SimplicialComplex.from_facets(
-            self.n_vertices, [f - fw for f in self.facets if fw <= f]
-        )
+        # no maximality filter: the facets are distinct and an antichain, and
+        # so are their links, since F - w <= G - w with w <= F, G gives F <= G
+        star = [f - fw for f in self.facets if fw <= f]
+        return SimplicialComplex(self.n_vertices, tuple(sorted(star, key=_facet_key)))
 
     def is_cone(self) -> bool:
         """Some vertex lies in every facet (then all reduced cohomology is 0)."""

@@ -323,6 +323,17 @@ def test_budget_exit_two(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "budget-exceeded"
+    # the colon is one syzygy run of the same engine, under the same budget
+    code, out, err = invoke(
+        capsys,
+        "--max-spairs", "1",
+        "colon",
+        "--ring", "x,y,z",
+        "--ideal", "x^2*y-z^3, x*y^2-z, x*z-y^3",
+        "--by", "x+y+z",
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "budget-exceeded"
 
 
 @pytest.mark.parametrize("cmd", ["depth", "decompose", "cd"])

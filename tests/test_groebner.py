@@ -216,6 +216,31 @@ def test_quotient_hand_cases_and_property():
     for q in Q.gens:
         for b in B.gens:
             assert ideal_member(q * b, A)
+    # the tag-variable intersection is the oracle for the syzygy colon:
+    # (I : g)*g = I ∩ (g), and I : (g1, g2) = (I : g1) ∩ (I : g2)
+    ctx = ring("x", "y", "z")
+    rng = random.Random(31)
+
+    def terms_poly(nterms):
+        while True:
+            terms = {}
+            for _ in range(nterms):
+                e = [0, 0, 0]
+                for _ in range(rng.randint(1, 3)):
+                    e[rng.randrange(3)] += 1
+                terms[tuple(e)] = Fraction(rng.choice([-2, -1, 1, 2]))
+            p = Polynomial(ctx, terms)
+            if not p.is_zero():
+                return p
+
+    for _ in range(10):
+        I = Ideal(ctx, [terms_poly(2) for _ in range(rng.randint(1, 3))])
+        g1, g2 = terms_poly(1), terms_poly(2)  # a monomial and a binomial
+        for g in (g1, g2):
+            G = Ideal(ctx, [g])
+            assert ideal_equal(ideal_product(ideal_quotient(I, G), G), ideal_intersect(I, G))
+        parts = [ideal_quotient(I, Ideal(ctx, [g])) for g in (g1, g2)]
+        assert ideal_equal(ideal_quotient(I, Ideal(ctx, [g1, g2])), ideal_intersect(*parts))
 
 
 def test_saturation():

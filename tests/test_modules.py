@@ -7,6 +7,8 @@ syzygies), and the Ext-via-Hom computation collapsing to zero on
 (z, x^2) over R/(z, x^3).
 """
 
+import itertools
+
 import pytest
 
 from linkcoh.groebner import (
@@ -15,6 +17,7 @@ from linkcoh.groebner import (
     ideal_equal,
     is_unit_ideal,
     is_zero_ideal,
+    reduced_gb,
     set_limits,
 )
 from linkcoh.modules import (
@@ -43,7 +46,7 @@ from linkcoh.monomial import (
     all_monomial_primes,
     associated_primes,
 )
-from linkcoh.ring import Polynomial, RingError, parse_poly, ring
+from linkcoh.ring import Polynomial, RingError, mono_divides, parse_poly, ring
 
 
 def P(ctx, text):
@@ -130,6 +133,42 @@ def test_module_spair_count_is_pinned():
     with set_limits(max_spairs=45):
         with pytest.raises(BudgetExceeded):
             module_gb(gens)
+
+
+def test_module_gb_engine_properties():
+    # random vectors of rank 1-3 over 2-3 variables, components of degree <= 2
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def polys(draw, ctx):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            e = draw(st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n))
+            if sum(e) <= 2:
+                terms[tuple(e)] = draw(st.sampled_from([-2, -1, 1, 3]))
+        return Polynomial(ctx, terms)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        rank = data.draw(st.integers(1, 3))
+        gens = data.draw(st.lists(st.tuples(*[polys(ctx)] * rank), min_size=1, max_size=3))
+        gb = module_gb(gens)
+        assert all(submodule_member(g, gb) for g in gens)
+        leads = []
+        for v in gb:
+            pos = next(k for k, p in enumerate(v) if not p.is_zero())
+            leads.append((pos, v[pos].lead()[0]))
+        for (p, e), (q, f) in itertools.permutations(leads, 2):
+            assert p != q or not mono_divides(e, f)
+        polys_in = [p for v in gens for p in v if not p.is_zero()]
+        if polys_in:
+            as_ideal = [v[0] for v in module_gb([(p,) for p in polys_in])]
+            assert as_ideal == list(reduced_gb(Ideal(ctx, polys_in)))
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,10 @@ def test_depth_squarefree_matches_exact_hochster_oracle():
         I = stanley_reisner_ideal(cx)
         assert complex_of(I) == cx
         assert depth_squarefree(I) == hochster_depth_oracle(cx)
+        # links are built without the maximality filter of from_facets
+        for v in cx.vertices():
+            star = [f - {v} for f in cx.facets if v in f]
+            assert cx.link([v]) == SimplicialComplex.from_facets(n, star)
 
 
 # The 6-vertex triangulation of the real projective plane.  It is acyclic
