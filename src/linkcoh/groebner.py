@@ -543,13 +543,18 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
 
     With g_1..g_k the generators, that is the syzygy module of the single
     vector (g_1..g_k) modulo I*R^k, found in one engine run; its tags form a
-    Groebner basis of I : J.
+    Groebner basis of I : J.  The reduced engine run lists them as the
+    reduced degrevlex basis, so they seed the result's basis cache; the
+    list is empty exactly when the colon is the zero ideal.
     """
     ctx = _same_ctx(I, J)
     g = tuple(p for p in J.gens if not p.is_zero())
     if not g:
         return Ideal.unit(ctx)  # I : (0) is everything
-    return Ideal(ctx, [a for (a,) in _syzygies([g], ideal_block(I, len(g)), ctx, len(g))])
+    tags = tuple(a for (a,) in _syzygies([g], ideal_block(I, len(g)), ctx, len(g)))
+    Q = Ideal(ctx, tags)
+    Q._gb_cache[DEGREVLEX.token()] = tags
+    return Q
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:

@@ -178,6 +178,11 @@ class GenParams:
     attempts_factor: int = 80
     allow_sums: bool = True
 
+    def __post_init__(self) -> None:
+        for name, least in (("count", 1), ("maxdeg", 1), ("max_extra", 0)):
+            if getattr(self, name) < least:
+                raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
 
 def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> Polynomial:
     deg = rng.randint(1, maxdeg)

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 from .groebner import Ideal
 from .modules import CyclicModule
+from .ops import OPS, session_shape
 from .ring import ParseError, RingCtx, RingError
 
 __all__ = [
     "SessionError",
     "SessionTask",
     "SessionFile",
-    "TASK_SHAPES",
     "parse_session",
     "parse_session_text",
     "render_session",
@@ -41,24 +41,10 @@ class SessionError(ParseError):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"R", "ring", "ideal", "module", "task", "over"}
 
-# operand slots per task verb; "over" is the literal word followed by a
-# module name and must close the statement
-TASK_SHAPES: dict[str, tuple[str, ...]] = {
-    "linkage check": ("ideal", "ideal", "ideal", "over"),
-    "linkage link-of": ("ideal", "ideal", "over"),
-    "gb": ("ideal",),
-    "decompose": ("ideal",),
-    "ass": ("ideal",),
-    "minprimes": ("ideal",),
-    "assh": ("ideal",),
-    "radical": ("ideal",),
-    "dim": ("ideal",),
-    "depth": ("module",),
-    "cm": ("module",),
-    "equidim": ("module",),
-    "grade": ("ideal", "over"),
-    "att-top": ("ideal", "over"),
-    "assf0": ("ideal", "over"),
+# the session verbs and their operand slots, read off the operation table;
+# "over" is the literal word followed by a module name and closes the task
+_VERBS: dict[str, tuple[str, ...]] = {
+    name: shape for name, op in OPS.items() if (shape := session_shape(op)) is not None
 }
 
 
@@ -86,6 +72,26 @@ class SessionFile:
     modules: dict[str, CyclicModule]
     module_defs: dict[str, str | None]
     tasks: tuple[SessionTask, ...]
+    source: str = "<session>"
+
+    def render(self) -> str:
+        """Canonical text for the session: ring, ideals, modules, tasks."""
+        lines = ["ring " + ", ".join(self.ctx.var_names)]
+        if self.ideals:
+            lines.append("")
+            for name, I in self.ideals.items():
+                lines.append(f"ideal {name} = " + ", ".join(str(g) for g in I.gens))
+        if self.modules:
+            lines.append("")
+            for name in self.modules:
+                ref = self.module_defs[name]
+                rhs = "R" if ref is None else f"R / {ref}"
+                lines.append(f"module {name} = {rhs}")
+        if self.tasks:
+            lines.append("")
+            for task in self.tasks:
+                lines.append("task " + " ".join(task.words()))
+        return "\n".join(lines) + "\n"
 
 
 def parse_session_text(text: str, source: str = "<session>") -> SessionFile:
@@ -169,12 +175,13 @@ def parse_session_text(text: str, source: str = "<session>") -> SessionFile:
                 fail(lineno, "empty task")
             op = words[0]
             consumed = 1
-            if op == "linkage":
+            verbs = [n.split()[1] for n in _VERBS if n.startswith(op + " ")]
+            if verbs:
                 if len(words) < 2:
-                    fail(lineno, "linkage task needs a verb (check, link-of)")
-                op = f"linkage {words[1]}"
+                    fail(lineno, f"{op} task needs a verb ({', '.join(verbs)})")
+                op = f"{op} {words[1]}"
                 consumed = 2
-            shape = TASK_SHAPES.get(op)
+            shape = _VERBS.get(op)
             if shape is None:
                 fail(lineno, f"unknown task {op!r}")
             operands = words[consumed:]
@@ -207,7 +214,7 @@ def parse_session_text(text: str, source: str = "<session>") -> SessionFile:
 
     if ctx is None:
         raise SessionError(f"{source}: no ring declaration")
-    return SessionFile(ctx, ideals, modules, module_defs, tuple(tasks))
+    return SessionFile(ctx, ideals, modules, module_defs, tuple(tasks), source)
 
 
 def parse_session(path: str) -> SessionFile:
@@ -217,19 +224,4 @@ def parse_session(path: str) -> SessionFile:
 
 def render_session(sf: SessionFile) -> str:
     """Canonical text for a session: ring, ideals, modules, tasks."""
-    lines = ["ring " + ", ".join(sf.ctx.var_names)]
-    if sf.ideals:
-        lines.append("")
-        for name, I in sf.ideals.items():
-            lines.append(f"ideal {name} = " + ", ".join(str(g) for g in I.gens))
-    if sf.modules:
-        lines.append("")
-        for name in sf.modules:
-            ref = sf.module_defs[name]
-            rhs = "R" if ref is None else f"R / {ref}"
-            lines.append(f"module {name} = {rhs}")
-    if sf.tasks:
-        lines.append("")
-        for task in sf.tasks:
-            lines.append("task " + " ".join(task.words()))
-    return "\n".join(lines) + "\n"
+    return sf.render()

@@ -78,6 +78,11 @@ class InstanceParams:
     module: str | None = None
     max_spairs: int | None = None
 
+    def __post_init__(self) -> None:
+        for name, least in (("count", 1), ("maxdeg", 1)):
+            if getattr(self, name) < least:
+                raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # Samplers.

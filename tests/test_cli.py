@@ -1,10 +1,18 @@
 """Command line surface: document shapes, exit codes, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linkcoh
+from linkcoh import cli
 from linkcoh.cli import run
+from linkcoh.ops import MODULE, OPS, SWITCH, session_shape
 
 
 def invoke(capsys, *argv):
@@ -243,6 +251,21 @@ def test_verify_rejects_nonpositive_jobs(capsys, jobs):
     assert "jobs" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("linkage", "random", "--ring", "x,y", "--maxdeg", "0"), "maxdeg"),
+    (("linkage", "random", "--ring", "x,y", "--count", "-3"), "count"),
+    (("linkage", "random", "--ring", "x,y", "--max-extra", "-1"), "max_extra"),
+    (("verify", "l08", "--random", "2", "--maxdeg", "0"), "maxdeg"),
+    (("verify", "l08", "--random", "-2"), "count"),
+    (("verify", "l08", "--random", "0"), "count"),
+])
+def test_bad_numeric_input_exit_one(capsys, argv, field):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert field in err
+
+
 def test_session_roundtrip(tmp_path, capsys):
     p = tmp_path / "demo.session"
     p.write_text(
@@ -336,6 +359,20 @@ def test_budget_exit_two(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-spairs", "-5"),
+    ("--timeout-soft", "-1"),
+    ("--timeout-soft", "nan"),
+])
+def test_budget_flags_refuse_bad_values(capsys, flag, value):
+    code, out, err = invoke(
+        capsys, flag, value, "gb", "--ring", "x,y", "--ideal", "x^2 - y, x*y"
+    )
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and flag in err
+
+
 @pytest.mark.parametrize("cmd", ["depth", "decompose", "cd"])
 def test_soft_timeout_trips_monomial_kernels(capsys, cmd):
     code, out, err = invoke(
@@ -365,3 +402,72 @@ def test_human_summary_on_stderr(capsys):
     assert code == 0
     assert err.strip()  # a one-line human summary
     json.loads(out)  # stdout stays pure json
+
+
+# ---------------------------------------------------------------------------
+# One operation table behind the parser and the session runner.
+
+def test_session_and_argv_routes_agree(tmp_path, capsys):
+    # every session verb, once as a session task and once as an argv command
+    texts = {"a": "x", "b": "y", "z0": "0"}
+    verbs = {name: session_shape(op) for name, op in OPS.items() if session_shape(op)}
+    assert {"colon", "intersect", "cd", "linkage check", "depth", "cm", "att-top"} <= set(verbs)
+    tasks, argvs = [], []
+    for name, shape in verbs.items():
+        op = OPS[name]
+        ideals = iter(texts)
+        words, argv = [name], [*name.split(), "--ring", "x,y"]
+        for o in op.operands:
+            if o.kind == SWITCH:
+                continue
+            if o.kind == MODULE:
+                words += ["M"] if shape == ("module",) else ["over", "M"]
+                argv += [o.flag, "x*y"]
+            else:
+                ideal = next(ideals)
+                words.append(ideal)
+                argv += [o.flag, texts[ideal]]
+        tasks.append(" ".join(words))
+        argvs.append(argv)
+    # a session leaves --close off; here the double link of q is not q
+    tasks.append("linkage link-of q s over N")
+    argvs.append(["linkage", "link-of", "--ring", "x,y", "--a", "x^2, x*y", "--I", "x^2"])
+    p = tmp_path / "routes.session"
+    p.write_text(
+        "ring x, y\nideal a = x\nideal b = y\nideal z0 = 0\nideal c = x*y\n"
+        "ideal q = x^2, x*y\nideal s = x^2\nmodule M = R / c\nmodule N = R\n"
+        + "".join(f"task {t}\n" for t in tasks),
+        encoding="utf-8",
+    )
+    results = doc_of(capsys, "session", str(p))["tasks"]
+    assert [r["task"] for r in results] == tasks
+    for result, argv in zip(results, argvs):
+        doc = doc_of(capsys, *argv)
+        del doc["schema_version"]
+        assert result["result"] == doc, argv
+    by_task = {r["task"]: r["result"] for r in results}
+    assert by_task["colon a b"] == {"quotient": ["x"]}
+    assert by_task["intersect a b"] == {"intersection": ["x*y"]}
+    assert by_task["linkage check a b z0 over M"]["linked"] is True
+
+
+def test_parser_built_once_per_process_and_not_at_import(capsys):
+    src = str(Path(linkcoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import linkcoh.cli as c; print(c.build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert invoke(capsys, "dim", "--ring", "x,y", "--ideal", "x*y")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_help_lists_every_table_entry(capsys):
+    for name in OPS:
+        *group, last = name.split()
+        code, out, err = invoke(capsys, *group, "--help")
+        assert code == 0
+        assert re.search(rf"^\s+{re.escape(last)}\s", out, re.M), name

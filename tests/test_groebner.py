@@ -15,6 +15,7 @@ import pytest
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
+    _gb,
     eliminate,
     ideal_contains,
     ideal_equal,
@@ -32,7 +33,7 @@ from linkcoh.groebner import (
     saturate,
     set_limits,
 )
-from linkcoh.ring import Polynomial, parse_poly, ring
+from linkcoh.ring import DEGREVLEX, Polynomial, parse_poly, ring
 
 
 def P(ctx, text):
@@ -233,14 +234,23 @@ def test_quotient_hand_cases_and_property():
             if not p.is_zero():
                 return p
 
+    def seeded(Q):
+        # the colon seeds its degrevlex basis, listed as a fresh run lists it
+        assert Q._gb_cache[DEGREVLEX.token()] == tuple(_gb(Q.ctx, Q.gens, DEGREVLEX))
+        return Q
+
     for _ in range(10):
         I = Ideal(ctx, [terms_poly(2) for _ in range(rng.randint(1, 3))])
         g1, g2 = terms_poly(1), terms_poly(2)  # a monomial and a binomial
         for g in (g1, g2):
             G = Ideal(ctx, [g])
-            assert ideal_equal(ideal_product(ideal_quotient(I, G), G), ideal_intersect(I, G))
-        parts = [ideal_quotient(I, Ideal(ctx, [g])) for g in (g1, g2)]
-        assert ideal_equal(ideal_quotient(I, Ideal(ctx, [g1, g2])), ideal_intersect(*parts))
+            Q = seeded(ideal_quotient(I, G))
+            assert ideal_equal(ideal_product(Q, G), ideal_intersect(I, G))
+        parts = [seeded(ideal_quotient(I, Ideal(ctx, [g]))) for g in (g1, g2)]
+        Q = seeded(ideal_quotient(I, Ideal(ctx, [g1, g2])))
+        assert ideal_equal(Q, ideal_intersect(*parts))
+    # the zero colon: its generator list holds one zero, its basis is empty
+    assert seeded(ideal_quotient(Ideal.zero(ctx), Ideal(ctx, [g1]))).is_zero_ideal()
 
 
 def test_saturation():
