@@ -26,8 +26,10 @@ returns; each basis element's lead is computed once, and every remainder
 goes through one division kernel (`_reduce`).  `modules.py` encodes its
 vectors for this engine.
 
-The colon I : J is a syzygy computation in the same engine: with g_1..g_k
-generating J, I : J is the set of a with a*(g_1..g_k) in I*R^k.  The
+Every colon is one syzygy computation in the same engine (`_colon`): for a
+submodule N of R^r and vectors u_1..u_k, N : (u_1..u_k) is the set of a
+with a*(u_1|..|u_k) in k block-diagonal copies of N.  `ideal_quotient` is
+the case r = 1, and `modules.FPModule.annihilator` the case u_j = e_j.  The
 tag-variable `ideal_intersect` stays as an independent route, which the
 tests use as the oracle for the colon.
 """
@@ -414,15 +416,19 @@ def _decode(terms: dict, ctx: RingCtx, rank: int) -> Vec:
     return tuple(Polynomial(ctx, d) for d in parts)
 
 
+def _block_diagonal(vectors: Sequence[Vec], k: int) -> list[Vec]:
+    """k block-diagonal copies of the span of `vectors` in R^(r*k): each
+    vector in block 0, 1, .., k-1 in turn."""
+    out = []
+    for w in vectors:
+        pad = (Polynomial.zero(w[0].ctx),) * len(w)
+        out += [pad * i + w + pad * (k - 1 - i) for i in range(k)]
+    return out
+
+
 def ideal_block(I: Ideal, rank: int) -> list[Vec]:
     """The vectors g*e_j for generators g of I; spans I times the free module."""
-    out = []
-    for g in I.gens:
-        if g.is_zero():
-            continue
-        for j in range(rank):
-            out.append(tuple(g if k == j else Polynomial.zero(I.ctx) for k in range(rank)))
-    return out
+    return _block_diagonal([(g,) for g in I.gens if not g.is_zero()], rank)
 
 
 def _syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank: int) -> list[Vec]:
@@ -448,6 +454,24 @@ def _syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank:
         for g in _buchberger(aug, DEGREVLEX, rank + k)
         if all(e.index(1) >= rank for e in g)
     ]
+
+
+def _colon(ctx: RingCtx, vectors: Sequence[Vec], modulo: Sequence[Vec]) -> Ideal:
+    """N : (u_1..u_k), the a with a*u_i in N for every i, where N is spanned by
+    `modulo` and u_1..u_k are `vectors`, all of one rank r.
+
+    That is the syzygy module of the single stacked vector (u_1|..|u_k) of
+    R^(r*k) modulo k block-diagonal copies of N, found in one engine run.  Its
+    tag block is one position, so the tags are the reduced degrevlex basis of
+    the colon, listed as `reduced_gb` lists it; they seed the result's basis
+    cache, and the list is empty exactly when the colon is the zero ideal.
+    """
+    stacked = tuple(p for u in vectors for p in u)
+    blocks = _block_diagonal(modulo, len(vectors))
+    tags = tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked)))
+    Q = Ideal(ctx, tags)
+    Q._gb_cache[DEGREVLEX.token()] = tags
+    return Q
 
 
 def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
@@ -507,8 +531,12 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # Tag-variable constructions.
 
-def _lift(ctx_small: RingCtx, ctx_big: RingCtx, p: Polynomial) -> Polynomial:
-    return p.map_vars(ctx_big, {i: i for i in range(ctx_small.n)})
+def _tagged(ctx: RingCtx):
+    """ctx extended by one fresh tag variable: the big ring, the tag t as a
+    polynomial of it, and the map lifting a polynomial of ctx into it."""
+    big = ctx.extend([ctx.fresh_name("t@")])
+    up = {i: i for i in range(ctx.n)}
+    return big, Polynomial.variable(big, big.var_names[-1]), lambda p: p.map_vars(big, up)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -520,16 +548,10 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ctx, J.gens)
     if is_unit_ideal(J):
         return Ideal(ctx, I.gens)
-    big = ctx.extend([ctx.fresh_name("t@")])
-    ti = big.n - 1
-    t = Polynomial.from_monomial(big, tuple(1 if i == ti else 0 for i in range(big.n)))
+    big, t, lift = _tagged(ctx)
     one = Polynomial.const(big, 1)
-    gens = [t * _lift(ctx, big, f) for f in I.gens]
-    gens += [(one - t) * _lift(ctx, big, g) for g in J.gens]
-    basis = _gb(big, gens, elimination_order({ti}, big.n))
-    down = {i: i for i in range(ctx.n)}
-    out = [p.map_vars(ctx, down) for p in basis if ti not in p.support()]
-    result = Ideal(ctx, out)
+    gens = [t * lift(f) for f in I.gens] + [(one - t) * lift(g) for g in J.gens]
+    result = eliminate(Ideal(big, gens), big.var_names[-1:])
     # sanity required of this construction: products of generators must land inside
     for f in I.gens:
         for g in J.gens:
@@ -542,50 +564,35 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     """The colon ideal I : J, the a with a*g in I for every generator g of J.
 
     With g_1..g_k the generators, that is the syzygy module of the single
-    vector (g_1..g_k) modulo I*R^k, found in one engine run; its tags form a
-    Groebner basis of I : J.  The reduced engine run lists them as the
-    reduced degrevlex basis, so they seed the result's basis cache; the
-    list is empty exactly when the colon is the zero ideal.
+    vector (g_1..g_k) modulo I*R^k: `_colon` over R^1.  The result's basis
+    cache holds its reduced degrevlex basis.
     """
     ctx = _same_ctx(I, J)
-    g = tuple(p for p in J.gens if not p.is_zero())
+    g = [(p,) for p in J.gens if not p.is_zero()]
     if not g:
         return Ideal.unit(ctx)  # I : (0) is everything
-    tags = tuple(a for (a,) in _syzygies([g], ideal_block(I, len(g)), ctx, len(g)))
-    Q = Ideal(ctx, tags)
-    Q._gb_cache[DEGREVLEX.token()] = tags
-    return Q
+    return _colon(ctx, g, [(f,) for f in I.gens if not f.is_zero()])
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity via the Rabinowitsch tag 1 - t*f."""
     if f.is_zero():
         raise RingError("saturation by zero is undefined")
-    ctx = I.ctx
-    if f.ctx != ctx:
+    if f.ctx != I.ctx:
         raise RingError("mixed ring contexts")
-    big = ctx.extend([ctx.fresh_name("t@")])
-    ti = big.n - 1
-    t = Polynomial.from_monomial(big, tuple(1 if i == ti else 0 for i in range(big.n)))
-    gens = [_lift(ctx, big, g) for g in I.gens]
-    gens.append(Polynomial.const(big, 1) - t * _lift(ctx, big, f))
-    basis = _gb(big, gens, elimination_order({ti}, big.n))
-    down = {i: i for i in range(ctx.n)}
-    return Ideal(ctx, [p.map_vars(ctx, down) for p in basis if ti not in p.support()])
+    big, t, lift = _tagged(I.ctx)
+    gens = [lift(g) for g in I.gens] + [Polynomial.const(big, 1) - t * lift(f)]
+    return eliminate(Ideal(big, gens), big.var_names[-1:])
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Whether f lies in the radical of I (1 ∈ I + (1 - t*f))."""
     if f.is_zero():
         return True
-    ctx = I.ctx
-    if f.ctx != ctx:
+    if f.ctx != I.ctx:
         raise RingError("mixed ring contexts")
-    big = ctx.extend([ctx.fresh_name("t@")])
-    ti = big.n - 1
-    t = Polynomial.from_monomial(big, tuple(1 if i == ti else 0 for i in range(big.n)))
-    gens = [_lift(ctx, big, g) for g in I.gens]
-    gens.append(Polynomial.const(big, 1) - t * _lift(ctx, big, f))
+    big, t, lift = _tagged(I.ctx)
+    gens = [lift(g) for g in I.gens] + [Polynomial.const(big, 1) - t * lift(f)]
     basis = _gb(big, gens, DEGREVLEX)
     return len(basis) == 1 and basis[0].is_constant()
 

@@ -97,10 +97,7 @@ def _becomes_maximal(a: Ideal, am: MonomialIdeal | None, p: MonomialPrime) -> bo
     """Whether sqrt(a + p) is the ideal of all variables."""
     ctx = a.ctx
     if am is not None:
-        prime = MonomialIdeal.from_exponents(
-            ctx, [tuple(1 if k == i else 0 for k in range(ctx.n)) for i in p.vars]
-        )
-        rad = mono_radical(mono_sum(am, prime))
+        rad = mono_radical(mono_sum(am, p.monomial_ideal(ctx)))
         return all(
             rad.contains_mono(tuple(1 if k == i else 0 for k in range(ctx.n)))
             for i in range(ctx.n)

@@ -118,9 +118,9 @@ def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> Linkage
     a is first replaced by its double colon (which is always stable).
     """
     T = ideal_sum(I, M.ideal)
-    b = Ideal(M.ctx, reduced_gb(ideal_quotient(T, a)))
+    b = ideal_quotient(T, a)
     if close:
-        a = Ideal(M.ctx, reduced_gb(ideal_quotient(T, b)))
+        a = ideal_quotient(T, b)
     return check_linked(a, b, I, M)
 
 
@@ -179,17 +179,18 @@ class GenParams:
     allow_sums: bool = True
 
     def __post_init__(self) -> None:
-        for name, least in (("count", 1), ("maxdeg", 1), ("max_extra", 0)):
+        for name, least in (("count", 1), ("maxdeg", 1), ("max_extra", 0), ("seq_len_max", 0)):
             if getattr(self, name) < least:
                 raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
-def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> Polynomial:
+def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> tuple[int, ...]:
+    """The exponent of a random monomial of degree 1..maxdeg."""
     deg = rng.randint(1, maxdeg)
     e = [0] * ctx.n
     for _ in range(deg):
         e[rng.randrange(ctx.n)] += 1
-    return Polynomial.from_monomial(ctx, tuple(e))
+    return tuple(e)
 
 
 def _sequence_pool(rng: random.Random, ctx, maxdeg: int, allow_sums: bool) -> Polynomial:
@@ -247,17 +248,17 @@ def random_linked_pairs(
         I = Ideal(ctx, seq)
         extra_min = 1 if not seq else 0
         extras = [
-            _random_monomial(rng, ctx, params.maxdeg)
+            Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, params.maxdeg))
             for _ in range(rng.randint(extra_min, max(extra_min, params.max_extra)))
         ]
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I
         if not is_proper(ideal_sum(trial, J)):
             continue
         T = ideal_sum(I, J)
-        b = Ideal(ctx, reduced_gb(ideal_quotient(T, trial)))
+        b = ideal_quotient(T, trial)
         if not is_proper(ideal_sum(b, J)):
             continue
-        a = Ideal(ctx, reduced_gb(ideal_quotient(T, b)))
+        a = ideal_quotient(T, b)
         try:
             cert = check_linked(a, b, I, M)
         except LinkageError:

@@ -13,8 +13,10 @@ Groebner engine of `groebner.py`, which ideals share: a vector of R^r is
 encoded as a term map whose exponents carry a one-hot position prefix of
 length r in front of the ring exponent, goes through `groebner._buchberger`
 or the division kernel `groebner._reduce`, and is decoded on the way out.
-The encoding and the syzygy step live in `groebner.py` because
-`ideal_quotient` is a syzygy computation too.
+The encoding, the syzygy step and the colon kernel `groebner._colon` live
+in `groebner.py` because `ideal_quotient` is a syzygy computation too.
+`FPModule.annihilator` is that kernel's N : (e_1..e_r): one engine run,
+whatever the rank.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .groebner import (
     Ideal,
     Vec,
     _buchberger,
+    _colon,
     _decode,
     _divide,
     _encode,
@@ -35,7 +38,6 @@ from .groebner import (
     _syzygies,
     ideal_block,
     ideal_equal,
-    ideal_intersect,
     ideal_quotient,
     ideal_sum,
     is_proper,
@@ -170,15 +172,12 @@ class FPModule:
         return all(self.is_zero_elt(unit_vec(self.ctx, self.rank, j)) for j in range(self.rank))
 
     def annihilator(self) -> Ideal:
-        """Intersection over generators of the colons (relations : e_j)."""
+        """The colon (relations : (e_1..e_r)), found in one engine run; its
+        basis cache holds its reduced degrevlex basis."""
         if self.rank == 0:
             return Ideal.unit(self.ctx)
-        ann: Ideal | None = None
-        for j in range(self.rank):
-            tags = submodule_syzygies([unit_vec(self.ctx, self.rank, j)], self.relations)
-            colon = Ideal(self.ctx, [t[0] for t in tags])
-            ann = colon if ann is None else ideal_intersect(ann, colon)
-        return ann
+        units = [unit_vec(self.ctx, self.rank, j) for j in range(self.rank)]
+        return _colon(self.ctx, units, self.relations)
 
     def __repr__(self) -> str:
         return f"<fp module rank {self.rank}, {len(self.relations)} relations>"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import groebner
 from .ring import (
@@ -28,7 +28,6 @@ from .ring import (
     mono_one,
     mono_quotient,
     mono_support,
-    parse_poly,
 )
 
 
@@ -55,17 +54,11 @@ class MonomialPrime:
     def height(self) -> int:
         return len(self.vars)
 
-    def is_zero_prime(self) -> bool:
-        return not self.vars
-
     def sort_key(self):
         return (len(self.vars), self.vars)
 
     def __lt__(self, other: "MonomialPrime") -> bool:
         return self.sort_key() < other.sort_key()
-
-    def contains_var(self, i: int) -> bool:
-        return i in self.vars
 
     def contains_poly(self, f: Polynomial) -> bool:
         """Membership of a polynomial: every term must involve a var of p."""
@@ -77,6 +70,12 @@ class MonomialPrime:
     def to_ideal(self, ctx: RingCtx) -> groebner.Ideal:
         gens = [Polynomial.variable(ctx, ctx.var_names[i]) for i in self.vars]
         return groebner.Ideal(ctx, gens)
+
+    def monomial_ideal(self, ctx: RingCtx) -> "MonomialIdeal":
+        """The prime as a monomial ideal of ctx."""
+        return MonomialIdeal.from_exponents(
+            ctx, [tuple(1 if k == i else 0 for k in range(ctx.n)) for i in self.vars]
+        )
 
     def render(self, ctx: RingCtx) -> list[str]:
         return [ctx.var_names[i] for i in self.vars]
@@ -417,21 +416,3 @@ def polarize(I: MonomialIdeal) -> Polarization:
         exps.append(tuple(e))
     pol = MonomialIdeal.from_exponents(big, exps)
     return Polarization(pol, big, big.n - n, tuple(copies))
-
-
-# ---------------------------------------------------------------------------
-# Auto-dispatch helpers: use the combinatorial path when both sides are
-# monomial, the Groebner path otherwise.
-
-def colon_auto(I: groebner.Ideal, J: groebner.Ideal) -> groebner.Ideal:
-    a, b = from_ideal(I), from_ideal(J)
-    if a is not None and b is not None:
-        return mono_colon(a, b).to_ideal()
-    return groebner.ideal_quotient(I, J)
-
-
-def intersect_auto(I: groebner.Ideal, J: groebner.Ideal) -> groebner.Ideal:
-    a, b = from_ideal(I), from_ideal(J)
-    if a is not None and b is not None:
-        return mono_intersect(a, b).to_ideal()
-    return groebner.ideal_intersect(I, J)

@@ -24,7 +24,9 @@ from .groebner import (
     _LIMITS,
     Ideal,
     eliminate,
+    ideal_intersect,
     ideal_member,
+    ideal_quotient,
     reduced_gb,
     saturate,
 )
@@ -51,8 +53,6 @@ from .monomial import (
     MonomialIdeal,
     as_monomial,
     associated_primes,
-    colon_auto,
-    intersect_auto,
     irreducible_decomposition,
     min_assh_dim,
     mono_radical,
@@ -339,9 +339,9 @@ TABLE: tuple[Op | Group, ...] = (
     Op("member", "ideal membership via normal form", (_IDEAL, Operand("--poly", POLY)),
        _doc_member, lambda doc: f"member: {doc['member']}"),
     Op("colon", "ideal quotient I : J", (_IDEAL, Operand("--by", IDEAL)),
-       lambda I, J: {"quotient": _gens(colon_auto(I, J))}, _listed("quotient", "quotient")),
+       lambda I, J: {"quotient": _gens(ideal_quotient(I, J))}, _listed("quotient", "quotient")),
     Op("intersect", "ideal intersection", (_IDEAL, Operand("--with", IDEAL)),
-       lambda I, J: {"intersection": _gens(intersect_auto(I, J))},
+       lambda I, J: {"intersection": _gens(ideal_intersect(I, J))},
        _listed("intersection", "intersection")),
     Op("saturate", "saturation I : f^infinity", (_IDEAL, Operand("--poly", POLY)),
        lambda I, f: {"saturation": _gens(saturate(I, f))}, _listed("saturation", "saturation")),

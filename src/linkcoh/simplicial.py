@@ -91,13 +91,6 @@ class SimplicialComplex:
         subsets = {c for f in self.facets if len(f) >= k for c in combinations(sorted(f), k)}
         return [frozenset(c) for c in sorted(subsets)]
 
-    def all_faces(self) -> list[frozenset]:
-        out: list[frozenset] = []
-        if self.is_void():
-            return out
-        for k in range(0, self.dim + 2):
-            out.extend(self.faces_of_size(k))
-        return out
 
     def link(self, w: Iterable[int]) -> "SimplicialComplex":
         fw = frozenset(w)

@@ -38,7 +38,14 @@ from .invariants import (
     is_equidimensional,
     module_ass_primes,
 )
-from .linkage import GenParams, LinkageCertificate, LinkageError, check_linked, random_linked_pairs
+from .linkage import (
+    GenParams,
+    LinkageCertificate,
+    LinkageError,
+    _random_monomial,
+    check_linked,
+    random_linked_pairs,
+)
 from .modules import CyclicModule, ext1_selfdual, koszul_grade, maximal_ideal, module_ass
 from .monomial import (
     MonomialIdeal,
@@ -87,14 +94,6 @@ class InstanceParams:
 # ---------------------------------------------------------------------------
 # Samplers.
 
-def _random_monomial(rng: random.Random, ctx: RingCtx, maxdeg: int) -> tuple[int, ...]:
-    deg = rng.randint(1, maxdeg)
-    e = [0] * ctx.n
-    for _ in range(deg):
-        e[rng.randrange(ctx.n)] += 1
-    return tuple(e)
-
-
 def _random_proper_monomial_ideal(
     rng: random.Random, ctx: RingCtx, maxdeg: int, max_gens: int = 3
 ) -> MonomialIdeal:
@@ -124,16 +123,10 @@ def _pinned_module(params: InstanceParams, ctx: RingCtx) -> CyclicModule | None:
     return CyclicModule(ctx, Ideal.parse(ctx, text))
 
 
-def _prime_ideal(ctx: RingCtx, p: MonomialPrime) -> MonomialIdeal:
-    return MonomialIdeal.from_exponents(
-        ctx, [tuple(1 if k == i else 0 for k in range(ctx.n)) for i in p.vars]
-    )
-
-
 def _meet_of_primes(ctx: RingCtx, primes: list[MonomialPrime]) -> MonomialIdeal:
-    acc = _prime_ideal(ctx, primes[0])
+    acc = primes[0].monomial_ideal(ctx)
     for p in primes[1:]:
-        acc = mono_intersect(acc, _prime_ideal(ctx, p))
+        acc = mono_intersect(acc, p.monomial_ideal(ctx))
     return acc
 
 
@@ -613,10 +606,10 @@ def _draw_p1(params: InstanceParams, seed: int) -> Verdict:
     ]
     T = core
     trial = ideal_sum(core, Ideal(ctx, extras))
-    b = Ideal(ctx, reduced_gb(ideal_quotient(T, trial)))
+    b = ideal_quotient(T, trial)
     if not is_proper(b):
         return Verdict.skipped("p1", "trial collapsed to a unit colon")
-    a = Ideal(ctx, reduced_gb(ideal_quotient(T, b)))
+    a = ideal_quotient(T, b)
     try:
         cert = check_linked(a, b, core, M)
     except LinkageError as err:

@@ -258,6 +258,7 @@ def test_verify_rejects_nonpositive_jobs(capsys, jobs):
     (("verify", "l08", "--random", "2", "--maxdeg", "0"), "maxdeg"),
     (("verify", "l08", "--random", "-2"), "count"),
     (("verify", "l08", "--random", "0"), "count"),
+    (("linkage", "random", "--ring", "x,y", "--seq-len-max", "-1"), "seq_len_max"),
 ])
 def test_bad_numeric_input_exit_one(capsys, argv, field):
     code, out, err = invoke(capsys, *argv)

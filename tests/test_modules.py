@@ -8,13 +8,16 @@ syzygies), and the Ext-via-Hom computation collapsing to zero on
 """
 
 import itertools
+import random
 
 import pytest
 
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
+    _gb,
     ideal_equal,
+    ideal_intersect,
     is_unit_ideal,
     is_zero_ideal,
     reduced_gb,
@@ -35,6 +38,7 @@ from linkcoh.modules import (
     module_gb,
     submodule_member,
     submodule_syzygies,
+    unit_vec,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -46,7 +50,7 @@ from linkcoh.monomial import (
     all_monomial_primes,
     associated_primes,
 )
-from linkcoh.ring import Polynomial, RingError, mono_divides, parse_poly, ring
+from linkcoh.ring import DEGREVLEX, Polynomial, RingError, mono_divides, parse_poly, ring
 
 
 def P(ctx, text):
@@ -254,6 +258,48 @@ def test_annihilator_of_cyclic_and_zero():
     assert is_unit_ideal(zero_mod.annihilator())
     free = CyclicModule.full_ring(ctx).to_fp()
     assert is_zero_ideal(free.annihilator())
+
+
+def _small_poly(rng, ctx):
+    """One or two terms of degree 1..2 with small coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        e = [0] * ctx.n
+        for _ in range(rng.randint(1, 2)):
+            e[rng.randrange(ctx.n)] += 1
+        terms[tuple(e)] = rng.choice([1, -1, 2])
+    return Polynomial(ctx, terms)
+
+
+def test_annihilator_of_higher_rank_matches_joined_colons():
+    # N : (e_1..e_r) in one engine run against the join of the r colons
+    # N : e_j by the tag-variable intersection
+    ctx = ring("x", "y", "z")
+    rng = random.Random(61)
+    checked = 0
+    for i in range(24):
+        a = Ideal(ctx, [_small_poly(rng, ctx) for _ in range(rng.randint(2, 3))])
+        J = Ideal(ctx, [f * g for f, g in zip(a.gens, a.gens[1:] + a.gens[:1])])
+        try:
+            N = ext1_selfdual(a, J)
+            if i % 2:
+                N = hom_cyclic(Ideal(ctx, [_small_poly(rng, ctx) for _ in range(2)]), N)
+        except ImproperIdealError:
+            continue
+        if N.rank < 2:
+            continue
+        ann = N.annihilator()
+        joined = None
+        for j in range(N.rank):
+            tags = submodule_syzygies([unit_vec(ctx, N.rank, j)], N.relations)
+            colon = Ideal(ctx, [t[0] for t in tags])
+            joined = colon if joined is None else ideal_intersect(joined, colon)
+        assert ideal_equal(ann, joined), (i, N.rank)
+        seeded = ann._gb_cache[DEGREVLEX.token()]
+        assert list(seeded) == _gb(ctx, ann.gens, DEGREVLEX)
+        assert seeded == ann.gens or (not seeded and ann.is_zero_ideal())
+        checked += 1
+    assert checked >= 12
 
 
 def test_ass_member_matches_associated_primes():

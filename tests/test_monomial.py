@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from linkcoh.groebner import Ideal, ideal_equal
+from linkcoh.groebner import Ideal, ideal_equal, ideal_intersect, ideal_quotient
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -20,8 +20,6 @@ from linkcoh.monomial import (
     all_monomial_primes,
     as_monomial,
     associated_primes,
-    colon_auto,
-    intersect_auto,
     irreducible_decomposition,
     min_assh_dim,
     minimalize,
@@ -132,8 +130,8 @@ def test_auto_paths_agree_with_groebner(ctx):
         A = random_ideal(rng, ctx, maxdeg=2, max_gens=3)
         B = random_ideal(rng, ctx, maxdeg=2, max_gens=2)
         IA, IB = A.to_ideal(), B.to_ideal()
-        assert ideal_equal(colon_auto(IA, IB), mono_colon(A, B).to_ideal())
-        assert ideal_equal(intersect_auto(IA, IB), mono_intersect(A, B).to_ideal())
+        assert ideal_equal(ideal_quotient(IA, IB), mono_colon(A, B).to_ideal())
+        assert ideal_equal(ideal_intersect(IA, IB), mono_intersect(A, B).to_ideal())
 
 
 def test_irreducible_decomposition_membership_oracle():
