@@ -21,10 +21,12 @@ Pending S-pairs sit in a heap keyed by (order key of the ring part of the
 lcm, index pair), so each step pops the pair a linear scan for the smallest
 such key would pick: the S-pair sequence, and therefore where a budget
 trips, is that of the plain normal strategy.  Order keys are memoized for
-the length of one Buchberger or normal-form call and dropped when it
-returns; each basis element's lead is computed once, and every remainder
-goes through one division kernel (`_reduce`).  `modules.py` encodes its
-vectors for this engine.
+the length of one Buchberger run, table build or division and dropped when
+it returns; each basis element's lead is computed once, and every remainder
+goes through one division kernel (`_reduce`).  Outside Buchberger a division
+is two steps, `_table` (the reducers of a basis) and `_divide` (one
+remainder against them), so a caller dividing many elements by one basis
+builds its table once.  `modules.py` encodes its vectors for this engine.
 
 Every colon is one syzygy computation in the same engine (`_colon`): for a
 submodule N of R^r and vectors u_1..u_k, N : (u_1..u_k) is the set of a
@@ -177,9 +179,9 @@ def _same_ctx(I: Ideal, J: Ideal) -> RingCtx:
 class _KeyMemo(dict):
     """e -> fn(e), each key computed once.
 
-    One memo is made per Buchberger or normal-form call and dropped when the
-    call returns, so no key outlives its run and the order objects stay
-    stateless.
+    One memo is made per Buchberger run, table build or division and dropped
+    when the call returns, so no key outlives its run and the order objects
+    stay stateless.
     """
 
     __slots__ = ("fn",)
@@ -292,14 +294,23 @@ def _reduce(work: dict, table: dict, key, rank: int = 0) -> dict:
     return rem
 
 
-def _divide(work: dict, basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> dict:
-    """Remainder of the term map `work` (consumed) under division by `basis`."""
+def _table(basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> dict:
+    """The reducer table of the term maps `basis`: position prefix -> the
+    (lead, tail) reducers leading there, in basis order.  It holds no order
+    keys, so one table serves any number of `_divide` calls."""
     key, _ = _keys(order, rank)
     table: dict = {}
     for g in basis:
         if g:
             r = _reducer(g, key)
             table.setdefault(r[0][:rank], []).append(r)
+    return table
+
+
+def _divide(work: dict, table: dict, order: MonomialOrder, rank: int = 0) -> dict:
+    """Remainder of the term map `work` (consumed) under division by the
+    reducer table `table` of `_table`."""
+    key, _ = _keys(order, rank)
     return _reduce(work, table, key, rank)
 
 
@@ -307,7 +318,8 @@ def normal_form(
     f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
 ) -> Polynomial:
     """Full remainder of f under division by `basis`."""
-    return Polynomial(f.ctx, _divide(dict(f.term_map()), (g.term_map() for g in basis), order))
+    table = _table((g.term_map() for g in basis), order)
+    return Polynomial(f.ctx, _divide(dict(f.term_map()), table, order))
 
 
 def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> list[dict]:

@@ -13,6 +13,9 @@ Groebner engine of `groebner.py`, which ideals share: a vector of R^r is
 encoded as a term map whose exponents carry a one-hot position prefix of
 length r in front of the ring exponent, goes through `groebner._buchberger`
 or the division kernel `groebner._reduce`, and is decoded on the way out.
+A basis that divides many vectors is encoded once, as the reducer table of
+`module_table`: `FPModule` keeps the table of its relation basis, and
+`koszul_grade` builds one per level for all of that level's cycles.
 The encoding, the syzygy step and the colon kernel `groebner._colon` live
 in `groebner.py` because `ideal_quotient` is a syzygy computation too.
 `FPModule.annihilator` is that kernel's N : (e_1..e_r): one engine run,
@@ -36,6 +39,7 @@ from .groebner import (
     _encode,
     _heads,
     _syzygies,
+    _table,
     ideal_block,
     ideal_equal,
     ideal_quotient,
@@ -80,14 +84,24 @@ def vec_scale(f: Polynomial, v: Vec) -> Vec:
     return tuple(f * p for p in v)
 
 
-def module_normal_form(v: Vec, basis: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> Vec:
-    """Full remainder of v under division by the given vectors."""
+def module_table(basis: Sequence[Vec], rank: int, order: MonomialOrder = DEGREVLEX) -> dict:
+    """The reducer table of vectors of R^rank, built once for any number of
+    `module_reduce` calls."""
+    heads = _heads(rank)
+    return _table((_encode(w, heads) for w in basis), order, rank)
+
+
+def module_reduce(v: Vec, table: dict, order: MonomialOrder = DEGREVLEX) -> Vec:
+    """Full remainder of v under division by the vectors of a `module_table`."""
     if vec_is_zero(v):
         return v
     rank = len(v)
-    heads = _heads(rank)
-    rem = _divide(_encode(v, heads), (_encode(w, heads) for w in basis), order, rank)
-    return _decode(rem, v[0].ctx, rank)
+    return _decode(_divide(_encode(v, _heads(rank)), table, order, rank), v[0].ctx, rank)
+
+
+def module_normal_form(v: Vec, basis: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> Vec:
+    """Full remainder of v under division by the given vectors."""
+    return module_reduce(v, module_table(basis, len(v), order), order)
 
 
 def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
@@ -134,7 +148,7 @@ class FPModule:
     the monomial primes.
     """
 
-    __slots__ = ("ctx", "rank", "relations", "multigraded", "_gb")
+    __slots__ = ("ctx", "rank", "relations", "multigraded", "_gb", "_table")
 
     def __init__(
         self,
@@ -154,6 +168,7 @@ class FPModule:
         self.relations: tuple[Vec, ...] = tuple(kept)
         self.multigraded = multigraded
         self._gb: list[Vec] | None = None
+        self._table: dict | None = None
 
     def rel_gb(self) -> list[Vec]:
         if self._gb is None:
@@ -163,7 +178,9 @@ class FPModule:
     def nf(self, v: Vec) -> Vec:
         if len(v) != self.rank:
             raise RingError("element has the wrong rank")
-        return module_normal_form(v, self.rel_gb())
+        if self._table is None:
+            self._table = module_table(self.rel_gb(), self.rank)
+        return module_reduce(v, self._table)
 
     def is_zero_elt(self, v: Vec) -> bool:
         return vec_is_zero(self.nf(v))
@@ -187,12 +204,12 @@ def present_subquotient(
     gens: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank: int, multigraded: bool = False
 ) -> FPModule:
     """Present (<gens> + <modulo>)/<modulo> by generators and fresh syzygies."""
-    mgb = module_gb(list(modulo))
+    table = module_table(module_gb(list(modulo)), rank)
     seen: dict[Vec, None] = {}
     for g in gens:
         if len(g) != rank:
             raise RingError("subquotient generator has the wrong rank")
-        r = module_normal_form(g, mgb)
+        r = module_reduce(g, table)
         if not vec_is_zero(r):
             seen.setdefault(r)
     kept = list(seen)
@@ -351,12 +368,22 @@ class KoszulComplex:
         return self._cols[i]
 
 
-def koszul_grade(seq: Sequence[Polynomial], base: Ideal) -> int:
+def koszul_grade(
+    seq: Sequence[Polynomial], base: Ideal, lower: int = 0, upper: int | None = None
+) -> int:
     """grade of the ideal generated by seq on R/base, via Koszul homology.
 
     Equals s minus the top nonvanishing homological degree of the Koszul
-    complex on the s given elements, tensored with R/base.  The search runs
-    top down and stops at the first nonzero homology.
+    complex on the s nonzero given elements, tensored with R/base.  The
+    search runs top down and stops at the first nonzero homology.
+
+    `lower` <= grade <= `upper` are bounds the caller already knows: the
+    levels above s - lower vanish and level s - upper does not, so only the
+    levels s - lower down to s - upper + 1 are searched, and `upper` is the
+    answer when all of them vanish.  The defaults 0 and s search every level
+    from s down to 1.  `CyclicModule.depth` passes the bounds of a Groebner
+    degeneration, depth R/in(J) <= depth R/J <= dim R/J; the unbounded search
+    is the oracle that route is tested against.
     """
     ctx = base.ctx
     elements = [f for f in seq if not f.is_zero()]
@@ -366,13 +393,18 @@ def koszul_grade(seq: Sequence[Polynomial], base: Ideal) -> int:
         raise ImproperIdealError("grade is undefined when the sequence generates everything")
     K = KoszulComplex(ctx, elements)
     s = K.size
-    for i in range(s, 0, -1):
+    if upper is None:
+        upper = s
+    if not 0 <= lower <= upper <= s:
+        raise RingError(f"grade bounds {lower}..{upper} do not lie in 0..{s}")
+    for i in range(s - lower, s - upper, -1):
+        rank = len(K.basis[i])
         kernel = submodule_syzygies(K.columns(i), ideal_block(base, len(K.basis[i - 1])))
-        image = list(K.columns(i + 1)) + ideal_block(base, len(K.basis[i]))
-        igb = module_gb(image)
-        if any(not submodule_member(z, igb) for z in kernel):
+        image = list(K.columns(i + 1)) + ideal_block(base, rank)
+        table = module_table(module_gb(image), rank)
+        if any(not vec_is_zero(module_reduce(z, table)) for z in kernel):
             return s - i
-    return s
+    return upper
 
 
 def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
@@ -394,9 +426,25 @@ def maximal_ideal(ctx: RingCtx) -> Ideal:
 
 
 class CyclicModule:
-    """The module R/J, with cached dimension and depth at the variable ideal."""
+    """The module R/J, with cached dimension and depth at the variable ideal.
 
-    __slots__ = ("ctx", "ideal", "monomial", "_dim", "_depth")
+    Dimension and depth come from a monomial ideal where one is at hand.  For
+    monomial J that is J itself.  For J with homogeneous generators it is the
+    lead-term ideal in(J) of the reduced degrevlex basis, a flat (Groebner)
+    degeneration of J, which keeps the dimension and can only lower the depth:
+    depth R/in(J) <= depth R/J <= dim R/J = dim R/in(J) (Herzog-Hibi,
+    *Monomial Ideals*, Sec. 3.3).  When in(J) is squarefree the two depths
+    are equal (Conca-Varbaro, "Square-free Groebner degenerations",
+    Invent. Math. 221, 2020).  So depth R/in(J) is the answer when in(J) is
+    squarefree or reaches the dimension; otherwise the Koszul search runs
+    only over the levels those two bounds leave open.  A non-homogeneous J,
+    or a monomial ideal past the polarization budget, takes the full Koszul
+    search.  Each depth logs its route at debug level on the `linkcoh`
+    logger: `monomial`, `degeneration`, `degeneration+koszul` with its
+    levels, or `koszul`.
+    """
+
+    __slots__ = ("ctx", "ideal", "monomial", "_lead", "_dim", "_depth")
 
     def __init__(self, ctx: RingCtx, J: Ideal) -> None:
         if J.ctx != ctx:
@@ -406,6 +454,7 @@ class CyclicModule:
         self.ctx = ctx
         self.ideal = J
         self.monomial: MonomialIdeal | None = from_ideal(J)
+        self._lead: MonomialIdeal | None = None
         self._dim: int | None = None
         self._depth: int | None = None
 
@@ -414,8 +463,10 @@ class CyclicModule:
         return cls(ctx, Ideal.zero(ctx))
 
     def lead_term_ideal(self) -> MonomialIdeal:
-        gb = reduced_gb(self.ideal)
-        return MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
+        if self._lead is None:
+            gb = reduced_gb(self.ideal)
+            self._lead = MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
+        return self._lead
 
     def dim(self) -> int:
         # Krull dimension survives the flat degeneration to the lead-term ideal
@@ -430,9 +481,14 @@ class CyclicModule:
         return self._depth
 
     def _compute_depth(self) -> int:
-        if self.monomial is not None:
+        mono = self.monomial
+        if mono is None and all(g.is_homogeneous() for g in self.ideal.gens):
+            mono = self.lead_term_ideal()
+        gens = [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
+        n = len(gens)
+        if mono is not None:
             try:
-                return depth_monomial(self.monomial)
+                d0 = depth_monomial(mono)
             except BudgetExceeded as exc:
                 if exc.limit == "soft timeout":
                     raise
@@ -440,7 +496,19 @@ class CyclicModule:
                     "depth: polarization needs more than %d variables, using the Koszul route",
                     POLARIZATION_VAR_BUDGET,
                 )
-        gens = [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
+            else:
+                if self.monomial is not None:
+                    log.debug("depth: route monomial")
+                    return d0
+                dim = self.dim()
+                if mono.is_squarefree() or d0 == dim:
+                    log.debug("depth: route degeneration")
+                    return d0
+                log.debug(
+                    "depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1
+                )
+                return koszul_grade(gens, self.ideal, d0, dim)
+        log.debug("depth: route koszul")
         return koszul_grade(gens, self.ideal)
 
     def is_cohen_macaulay(self) -> bool:

@@ -241,6 +241,10 @@ class Polynomial:
                     out.add(i)
         return out
 
+    def is_homogeneous(self) -> bool:
+        """Every term has the same total degree; zero counts as homogeneous."""
+        return len({sum(e) for e in self._terms}) <= 1
+
     def total_degree(self) -> int:
         if not self._terms:
             return -1

@@ -8,6 +8,7 @@ syzygies), and the Ext-via-Hom computation collapsing to zero on
 """
 
 import itertools
+import logging
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from linkcoh.groebner import (
     _gb,
     ideal_equal,
     ideal_intersect,
+    is_proper,
     is_unit_ideal,
     is_zero_ideal,
     reduced_gb,
@@ -51,6 +53,7 @@ from linkcoh.monomial import (
     associated_primes,
 )
 from linkcoh.ring import DEGREVLEX, Polynomial, RingError, mono_divides, parse_poly, ring
+from linkcoh.simplicial import depth_monomial
 
 
 def P(ctx, text):
@@ -378,6 +381,170 @@ def test_cyclic_module_nonmonomial_dim():
     assert curve.depth() == 1
     assert curve.is_cohen_macaulay()
     assert curve.monomial is None
+
+
+# ---------------------------------------------------------------------------
+# Depth routes: the Groebner degeneration against the full Koszul search.
+
+CTX4 = ring("a", "b", "c", "d")
+
+# homogeneous ideals whose lead-term ideal is not squarefree and has depth
+# d0 = 1 < depth = dim = 2: a build that answers d0 without the squarefree
+# test, or stops the bounded search one level early, gets these wrong
+D0_BELOW_DEPTH = (
+    "a*c - d^2, a*c - c*d, c*d - c^2",
+    "b*c - d^2, b^2 - d^2, b*d - c*d",
+    "c*d - b*c, b*d - c*d, b^2 - c*d",
+    "b*c - a*b, b*d - b^2, a*d - b*c",
+)
+# not squarefree, d0 = depth = 1 < dim = 2: the top open level is nonzero
+D0_AT_DEPTH = (
+    "b*d - c*d, a*b - a*d, b^2 - c*d",
+    "c^2 - b*c, d - b, a*c - b*c",
+)
+
+
+def _oracle_depth(J):
+    return koszul_grade(list(maximal_ideal(J.ctx).gens), J)
+
+
+def _ideal4(text):
+    return Ideal.parse(CTX4, text)
+
+
+def _monomial4(rng, degree):
+    e = [0] * 4
+    for _ in range(degree):
+        e[rng.randrange(4)] += 1
+    return tuple(e)
+
+
+def _binomial4(rng):
+    d = rng.randint(1, 2)
+    while True:
+        u, v = _monomial4(rng, d), _monomial4(rng, d)
+        if u != v:
+            return Polynomial(CTX4, {u: 1, v: -1})
+
+
+def _minors4(rng):
+    """The nonzero 2x2 minors of a 2x3 matrix of variables, at least two."""
+    while True:
+        m = [[Polynomial.variable(CTX4, rng.choice("abcd")) for _ in range(3)] for _ in range(2)]
+        minors = [m[0][i] * m[1][j] - m[0][j] * m[1][i] for i, j in ((0, 1), (0, 2), (1, 2))]
+        minors = [f for f in minors if not f.is_zero()]
+        if len(minors) >= 2:
+            return minors
+
+
+def _homogeneous_ideals(count, seed):
+    """Proper non-monomial ideals of Q[a,b,c,d], alternately 2-3 binomials
+    of one degree (1 or 2) and the 2x2 minors of a matrix of variables."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = _minors4(rng) if len(out) % 2 else [_binomial4(rng) for _ in range(rng.randint(2, 3))]
+        J = Ideal(CTX4, gens)
+        if not J.is_monomial() and is_proper(J):
+            out.append(J)
+    return out
+
+
+def _depth_case(M):
+    """Which branch of the degeneration route decides M's depth."""
+    lt = M.lead_term_ideal()
+    d0 = depth_monomial(lt)
+    if lt.is_squarefree():
+        return "squarefree"
+    if d0 == M.dim():
+        return "d0 = dim"
+    return "d0 < depth" if d0 < _oracle_depth(M.ideal) else "d0 = depth < dim"
+
+
+def test_degeneration_depth_matches_koszul_on_homogeneous_ideals():
+    ideals = _homogeneous_ideals(64, seed=7)
+    ideals += [_ideal4(t) for t in D0_BELOW_DEPTH + D0_AT_DEPTH]
+    cases = set()
+    for J in ideals:
+        assert all(g.is_homogeneous() for g in J.gens)
+        oracle = _oracle_depth(J)
+        M = CyclicModule(CTX4, J)
+        assert M.depth() == oracle, J
+        assert M.is_cohen_macaulay() == (oracle == M.dim()), J
+        cases.add(_depth_case(M))
+    assert cases == {"squarefree", "d0 = dim", "d0 < depth", "d0 = depth < dim"}
+
+
+def test_degeneration_pinned_ideals():
+    for text in D0_BELOW_DEPTH:
+        M = CyclicModule(CTX4, _ideal4(text))
+        assert depth_monomial(M.lead_term_ideal()) == 1
+        assert not M.lead_term_ideal().is_squarefree()
+        assert (M.depth(), M.dim(), M.is_cohen_macaulay()) == (2, 2, True), text
+    for text in D0_AT_DEPTH:
+        M = CyclicModule(CTX4, _ideal4(text))
+        assert not M.lead_term_ideal().is_squarefree()
+        assert (M.depth(), M.dim(), M.is_cohen_macaulay()) == (1, 2, False), text
+
+
+def test_koszul_grade_with_known_bounds():
+    gens = list(maximal_ideal(CTX4).gens)
+    for text in D0_BELOW_DEPTH[:2] + D0_AT_DEPTH:
+        J = _ideal4(text)
+        grade = _oracle_depth(J)
+        for lower in range(grade + 1):
+            for upper in range(grade, 5):
+                assert koszul_grade(gens, J, lower, upper) == grade, (text, lower, upper)
+    J = _ideal4(D0_AT_DEPTH[0])
+    for lower, upper in ((-1, 2), (3, 2), (0, 5)):
+        with pytest.raises(RingError, match="grade bounds"):
+            koszul_grade(gens, J, lower, upper)
+
+
+def test_nonhomogeneous_ideal_takes_the_koszul_route():
+    # in(J) = (x*y, x*z) is squarefree with depth 1, but J is not homogeneous:
+    # the depth at the variable ideal is 2
+    ctx = ring("x", "y", "z")
+    J = I_of(ctx, "x*y - x", "x*z")
+    M = CyclicModule(ctx, J)
+    assert M.lead_term_ideal().is_squarefree()
+    assert depth_monomial(M.lead_term_ideal()) == 1
+    assert M.depth() == _oracle_depth(J) == 2
+
+
+def test_degeneration_polarization_budget_falls_back_to_koszul(caplog):
+    J = _ideal4("a^8 - b^8, c^8 - d^8")  # in(J) polarizes to 18 > 16 variables
+    M = CyclicModule(CTX4, J)
+    with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+        assert M.depth() == 2
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("polarization needs more than 16 variables" in m for m in messages)
+    assert messages[-1] == "depth: route koszul"
+
+
+def test_degeneration_depth_reports_soft_timeout():
+    M = CyclicModule(CTX4, _ideal4("a*b - c*d, a*c - b*d"))
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded):
+            M.depth()
+
+
+def test_depth_logs_its_route(caplog):
+    ctx = ring("x", "y", "z")
+    routes = [
+        (CyclicModule(ctx, I_of(ctx, "x*y")), "depth: route monomial"),
+        (CyclicModule(CTX4, _ideal4("a*d - b*c, a*c - b^2, b*d - c^2")), "depth: route degeneration"),
+        (
+            CyclicModule(CTX4, _ideal4(D0_BELOW_DEPTH[0])),
+            "depth: route degeneration+koszul, levels 3 down to 3",
+        ),
+        (CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z")), "depth: route koszul"),
+    ]
+    for M, message in routes:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+            M.depth()
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [message]
 
 
 def test_cyclic_module_rejects_unit_ideal():
