@@ -26,7 +26,9 @@ it returns; each basis element's lead is computed once, and every remainder
 goes through one division kernel (`_reduce`).  Outside Buchberger a division
 is two steps, `_table` (the reducers of a basis) and `_divide` (one
 remainder against them), so a caller dividing many elements by one basis
-builds its table once.  `modules.py` encodes its vectors for this engine.
+builds its table once.  Only this module knows the vector encoding:
+`modules.py` calls the vector-level `module_gb`, `module_table`,
+`module_reduce`, `_syzygies`, `_block_diagonal` and `_colon`.
 
 Every colon is one syzygy computation in the same engine (`_colon`): for a
 submodule N of R^r and vectors u_1..u_k, N : (u_1..u_k) is the set of a
@@ -441,6 +443,32 @@ def _block_diagonal(vectors: Sequence[Vec], k: int) -> list[Vec]:
 def ideal_block(I: Ideal, rank: int) -> list[Vec]:
     """The vectors g*e_j for generators g of I; spans I times the free module."""
     return _block_diagonal([(g,) for g in I.gens if not g.is_zero()], rank)
+
+
+def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
+    """Reduced Groebner basis of the submodule spanned by `gens`, under
+    position-over-term order with lower positions dominant."""
+    gens = [v for v in gens if not all(p.is_zero() for p in v)]
+    if not gens:
+        return []
+    ctx, rank = gens[0][0].ctx, len(gens[0])
+    heads = _heads(rank)
+    return [_decode(g, ctx, rank) for g in _buchberger([_encode(v, heads) for v in gens], order, rank)]
+
+
+def module_table(basis: Sequence[Vec], rank: int, order: MonomialOrder = DEGREVLEX) -> dict:
+    """The reducer table of vectors of R^rank, built once for any number of
+    `module_reduce` calls."""
+    heads = _heads(rank)
+    return _table((_encode(w, heads) for w in basis), order, rank)
+
+
+def module_reduce(v: Vec, table: dict, order: MonomialOrder = DEGREVLEX) -> Vec:
+    """Full remainder of v under division by the vectors of a `module_table`."""
+    if all(p.is_zero() for p in v):
+        return v
+    rank = len(v)
+    return _decode(_divide(_encode(v, _heads(rank)), table, order, rank), v[0].ctx, rank)
 
 
 def _syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank: int) -> list[Vec]:

@@ -28,7 +28,7 @@ from .groebner import (
     radical_member,
     reduced_gb,
 )
-from .modules import CyclicModule, is_regular_sequence
+from .modules import CyclicModule, is_regular_on, is_regular_sequence
 from .monomial import as_monomial, associated_primes, min_assh_dim
 from .ring import Polynomial, RingError
 
@@ -233,12 +233,15 @@ def random_linked_pairs(
             return
         want = rng.randint(min_len, max(min_len, params.seq_len_max))
         seq: list[Polynomial] = []
+        Q = J  # J + (seq)
         ok = True
         for _ in range(want):
             for _ in range(12):
                 cand = _sequence_pool(rng, ctx, params.maxdeg, params.allow_sums)
-                if is_regular_sequence(seq + [cand], J):
+                step = Ideal(ctx, [cand])
+                if is_regular_on(step, Q) and is_proper(nxt := ideal_sum(Q, step)):
                     seq.append(cand)
+                    Q = nxt
                     break
             else:
                 ok = False

@@ -8,18 +8,15 @@ position-over-term with lower positions dominant and degrevlex inside each
 position; that makes the tag-block elimination used by the syzygy routine a
 textbook module elimination.
 
-`module_gb`, `module_normal_form` and `submodule_syzygies` run on the one
-Groebner engine of `groebner.py`, which ideals share: a vector of R^r is
-encoded as a term map whose exponents carry a one-hot position prefix of
-length r in front of the ring exponent, goes through `groebner._buchberger`
-or the division kernel `groebner._reduce`, and is decoded on the way out.
-A basis that divides many vectors is encoded once, as the reducer table of
-`module_table`: `FPModule` keeps the table of its relation basis, and
-`koszul_grade` builds one per level for all of that level's cycles.
-The encoding, the syzygy step and the colon kernel `groebner._colon` live
-in `groebner.py` because `ideal_quotient` is a syzygy computation too.
-`FPModule.annihilator` is that kernel's N : (e_1..e_r): one engine run,
-whatever the rank.
+Modules run on the one Groebner engine of `groebner.py`, which alone knows
+how a vector is encoded for it; this module calls only its vector-level
+operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`,
+`_block_diagonal`, `_colon`).  A basis that divides many vectors is tabled
+once: `FPModule` keeps the table of its relation basis, and `koszul_grade`
+builds one per level for that level's cycles.  `FPModule.annihilator` is
+the colon kernel's N : (e_1..e_r), and `hom_cyclic` takes its input from the
+colon's block builder: one engine run each, whatever the rank.  The Koszul
+differentials are built per level, only for the levels a search reads.
 """
 
 from __future__ import annotations
@@ -32,20 +29,18 @@ from .groebner import (
     BudgetExceeded,
     Ideal,
     Vec,
-    _buchberger,
+    _block_diagonal,
     _colon,
-    _decode,
-    _divide,
-    _encode,
-    _heads,
     _syzygies,
-    _table,
     ideal_block,
     ideal_equal,
     ideal_quotient,
     ideal_sum,
     is_proper,
     is_unit_ideal,
+    module_gb,
+    module_reduce,
+    module_table,
     reduced_gb,
 )
 from .monomial import (
@@ -60,11 +55,6 @@ from .simplicial import POLARIZATION_VAR_BUDGET, depth_monomial, dim_monomial
 from .ring import DEGREVLEX, MonomialOrder, Polynomial, RingCtx, RingError
 
 log = logging.getLogger("linkcoh")
-
-
-def vec_zero(ctx: RingCtx, rank: int) -> Vec:
-    z = Polynomial.zero(ctx)
-    return (z,) * rank
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -84,39 +74,8 @@ def vec_scale(f: Polynomial, v: Vec) -> Vec:
     return tuple(f * p for p in v)
 
 
-def module_table(basis: Sequence[Vec], rank: int, order: MonomialOrder = DEGREVLEX) -> dict:
-    """The reducer table of vectors of R^rank, built once for any number of
-    `module_reduce` calls."""
-    heads = _heads(rank)
-    return _table((_encode(w, heads) for w in basis), order, rank)
-
-
-def module_reduce(v: Vec, table: dict, order: MonomialOrder = DEGREVLEX) -> Vec:
-    """Full remainder of v under division by the vectors of a `module_table`."""
-    if vec_is_zero(v):
-        return v
-    rank = len(v)
-    return _decode(_divide(_encode(v, _heads(rank)), table, order, rank), v[0].ctx, rank)
-
-
-def module_normal_form(v: Vec, basis: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> Vec:
-    """Full remainder of v under division by the given vectors."""
-    return module_reduce(v, module_table(basis, len(v), order), order)
-
-
-def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
-    """Reduced Groebner basis of the submodule spanned by `gens`, under
-    position-over-term order with lower positions dominant."""
-    gens = [v for v in gens if not vec_is_zero(v)]
-    if not gens:
-        return []
-    ctx, rank = gens[0][0].ctx, len(gens[0])
-    heads = _heads(rank)
-    return [_decode(g, ctx, rank) for g in _buchberger([_encode(v, heads) for v in gens], order, rank)]
-
-
 def submodule_member(v: Vec, gb: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> bool:
-    return vec_is_zero(module_normal_form(v, gb, order))
+    return vec_is_zero(module_reduce(v, module_table(gb, len(v), order), order))
 
 
 def submodule_syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec]) -> list[Vec]:
@@ -220,7 +179,12 @@ def present_subquotient(
 
 
 def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
-    """Hom(R/a, N), presented; canonically the submodule of N killed by a."""
+    """Hom(R/a, N), presented; canonically the submodule of N killed by a.
+
+    For generators g_1..g_t of a, that is the syzygies of the stacked vectors
+    (g_1*e_j|..|g_t*e_j), j = 1..r, modulo t block-diagonal copies of the
+    relations: the colon's input, with r stacked vectors in place of one.
+    """
     if a.ctx != N.ctx:
         raise RingError("ideal and module live in different rings")
     ctx = N.ctx
@@ -229,22 +193,10 @@ def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     g = [p for p in a.gens if not p.is_zero()]
     if not g:
         return N  # Hom(R, N) is N itself
-    t, r = len(g), N.rank
+    r = N.rank
     zero = Polynomial.zero(ctx)
-    columns: list[Vec] = []
-    for j in range(r):
-        col = [zero] * (t * r)
-        for i in range(t):
-            col[i * r + j] = g[i]
-        columns.append(tuple(col))
-    modulo: list[Vec] = []
-    for i in range(t):
-        for rel in N.relations:
-            block = [zero] * (t * r)
-            for j in range(r):
-                block[i * r + j] = rel[j]
-            modulo.append(tuple(block))
-    kernel = submodule_syzygies(columns, modulo)
+    columns = [tuple(f if k == j else zero for f in g for k in range(r)) for j in range(r)]
+    kernel = submodule_syzygies(columns, _block_diagonal(N.relations, len(g)))
     graded = N.multigraded and a.is_monomial()
     return present_subquotient(kernel, N.relations, ctx, r, graded)
 
@@ -318,54 +270,23 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
 KOSZUL_SIZE_BUDGET = 10
 
 
-class KoszulComplex:
-    """The Koszul complex on a tuple of ring elements, with exact matrices."""
-
-    __slots__ = ("ctx", "elements", "size", "basis", "_cols")
-
-    def __init__(self, ctx: RingCtx, elements: Sequence[Polynomial]) -> None:
-        self.ctx = ctx
-        self.elements = tuple(elements)
-        s = len(self.elements)
-        if s > KOSZUL_SIZE_BUDGET:
-            raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
-        self.size = s
-        self.basis: dict[int, list[tuple[int, ...]]] = {
-            i: list(combinations(range(s), i)) for i in range(s + 1)
-        }
-        self._cols: dict[int, list[Vec]] = {}
-        for i in range(1, s + 1):
-            self._cols[i] = self._differential(i)
-        for i in range(2, s + 1):
-            self._check_square_zero(i)
-
-    def _differential(self, i: int) -> list[Vec]:
-        target_index = {T: k for k, T in enumerate(self.basis[i - 1])}
-        cols = []
-        for T in self.basis[i]:
-            col = [Polynomial.zero(self.ctx)] * len(self.basis[i - 1])
-            for drop, v in enumerate(T):
-                sub = T[:drop] + T[drop + 1 :]
-                sign = -1 if drop % 2 else 1
-                col[target_index[sub]] = col[target_index[sub]] + sign * self.elements[v]
-            cols.append(tuple(col))
-        return cols
-
-    def _check_square_zero(self, i: int) -> None:
-        lower = self._cols[i - 1]
-        for col in self._cols[i]:
-            acc = vec_zero(self.ctx, len(self.basis[i - 2]))
-            for j, f in enumerate(col):
-                if not f.is_zero():
-                    acc = vec_add(acc, vec_scale(f, lower[j]))
-            if not vec_is_zero(acc):
-                raise RingError("koszul differential does not square to zero")
-
-    def columns(self, i: int) -> list[Vec]:
-        """Matrix of d_i : K_i -> K_{i-1}, one vector per basis element of K_i."""
-        if i < 1 or i > self.size:
-            return []
-        return self._cols[i]
+def _koszul_columns(elements: Sequence[Polynomial], i: int) -> list[Vec]:
+    """Columns of the Koszul differential d_i : K_i -> K_(i-1) on `elements`:
+    one per i-subset T of their indices, in `combinations` order, holding
+    (-1)^k times the element of T's k-th member at T minus that member.  A
+    level above len(elements) has no columns.  The entries are signed
+    elements at places fixed by the subsets, so d_(i-1) d_i = 0 on
+    independent variables, which a test checks, gives it everywhere."""
+    s = len(elements)
+    target = {T: k for k, T in enumerate(combinations(range(s), i - 1))}
+    zero = Polynomial.zero(elements[0].ctx)
+    cols = []
+    for T in combinations(range(s), i):
+        col = [zero] * len(target)
+        for k, v in enumerate(T):
+            col[target[T[:k] + T[k + 1 :]]] = -elements[v] if k % 2 else elements[v]
+        cols.append(tuple(col))
+    return cols
 
 
 def koszul_grade(
@@ -385,26 +306,34 @@ def koszul_grade(
     degeneration, depth R/in(J) <= depth R/J <= dim R/J; the unbounded search
     is the oracle that route is tested against.
     """
-    ctx = base.ctx
     elements = [f for f in seq if not f.is_zero()]
     if not elements:
         return 0
-    if is_unit_ideal(ideal_sum(base, Ideal(ctx, elements))):
+    if is_unit_ideal(ideal_sum(base, Ideal(base.ctx, elements))):
         raise ImproperIdealError("grade is undefined when the sequence generates everything")
-    K = KoszulComplex(ctx, elements)
-    s = K.size
+    s = len(elements)
+    if s > KOSZUL_SIZE_BUDGET:
+        raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     if upper is None:
         upper = s
     if not 0 <= lower <= upper <= s:
         raise RingError(f"grade bounds {lower}..{upper} do not lie in 0..{s}")
+    above = _koszul_columns(elements, s - lower + 1)  # empty when lower = 0
     for i in range(s - lower, s - upper, -1):
-        rank = len(K.basis[i])
-        kernel = submodule_syzygies(K.columns(i), ideal_block(base, len(K.basis[i - 1])))
-        image = list(K.columns(i + 1)) + ideal_block(base, rank)
-        table = module_table(module_gb(image), rank)
+        cols = _koszul_columns(elements, i)
+        rank = len(cols)
+        kernel = submodule_syzygies(cols, ideal_block(base, len(cols[0])))
+        table = module_table(module_gb(above + ideal_block(base, rank)), rank)
         if any(not vec_is_zero(module_reduce(z, table)) for z in kernel):
             return s - i
+        above = cols
     return upper
+
+
+def is_regular_on(X: Ideal, Q: Ideal) -> bool:
+    """Whether Q : X = Q, i.e. X lies in no associated prime of R/Q; for
+    X = (f), whether f is a nonzerodivisor on R/Q."""
+    return ideal_equal(ideal_quotient(Q, X), Q)
 
 
 def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
@@ -412,7 +341,7 @@ def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
     Q = base
     for f in seq:
         step = Ideal(Q.ctx, [f])
-        if not ideal_equal(ideal_quotient(Q, step), Q):
+        if not is_regular_on(step, Q):
             return False
         Q = ideal_sum(Q, step)
     return is_proper(Q)

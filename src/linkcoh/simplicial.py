@@ -117,6 +117,7 @@ def complex_of(I: MonomialIdeal) -> SimplicialComplex:
     """The complex whose non-faces are the supports of I's generators.
 
     I must be squarefree and proper; the zero ideal gives the full simplex.
+    The two 2^n mask scans check the soft deadline once per 1,024 masks.
     """
     if not I.is_squarefree():
         raise RingError("complex_of needs a squarefree ideal")
@@ -133,12 +134,16 @@ def complex_of(I: MonomialIdeal) -> SimplicialComplex:
         nonfaces[k] = m
     is_face = [True] * (1 << n)
     for mask in range(1 << n):
+        if mask and not mask & 1023:
+            check_deadline("complex_of mask scan")
         for nf in nonfaces:
             if mask & nf == nf:
                 is_face[mask] = False
                 break
     facets = []
     for mask in range(1 << n):
+        if mask and not mask & 1023:
+            check_deadline("complex_of mask scan")
         if not is_face[mask]:
             continue
         maximal = True

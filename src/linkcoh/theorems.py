@@ -20,7 +20,6 @@ from multiprocessing import Pool
 from .groebner import (
     BudgetExceeded,
     Ideal,
-    ideal_equal,
     ideal_quotient,
     ideal_sum,
     is_proper,
@@ -46,7 +45,7 @@ from .linkage import (
     check_linked,
     random_linked_pairs,
 )
-from .modules import CyclicModule, ext1_selfdual, koszul_grade, maximal_ideal, module_ass
+from .modules import CyclicModule, ext1_selfdual, is_regular_on, koszul_grade, maximal_ideal, module_ass
 from .monomial import (
     MonomialIdeal,
     MonomialPrime,
@@ -386,15 +385,14 @@ def _greedy_maximal_sequence(M: CyclicModule, pool: list[Polynomial]):
         for f in pool:
             if f in used:
                 continue
+            used.add(f)
             step = Ideal(ctx, [f])
-            if ideal_equal(ideal_quotient(Q, step), Q):
+            if is_regular_on(step, Q):
                 seq.append(f)
-                used.add(f)
                 Q = ideal_sum(Q, step)
                 progress = True
                 break
-            used.add(f)
-    certified = not ideal_equal(ideal_quotient(Q, maximal_ideal(ctx)), Q)
+    certified = not is_regular_on(maximal_ideal(ctx), Q)
     return seq, Q, certified
 
 
@@ -724,10 +722,7 @@ def _run_instance(args: tuple[str, InstanceParams, int]) -> dict:
     claim, params, seed = args
     info = CLAIMS[claim]
     try:
-        if params.max_spairs is not None:
-            with set_limits(max_spairs=params.max_spairs):
-                verdict = info.draw(params, seed)
-        else:
+        with set_limits(max_spairs=params.max_spairs):
             verdict = info.draw(params, seed)
     except BudgetExceeded as err:
         verdict = Verdict.skipped(claim, f"budget exhausted: {err}")

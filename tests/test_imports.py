@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and only
+groebner.py knows how the engine encodes a vector.
 
 No linter ships with the project, so this walks each module's syntax tree:
 every name bound by an import must be read somewhere in the module, in
 code, in an annotation (quoted or not) or in `__all__`.  `__init__.py` is
-left out because its imports are the package's re-exports.
+left out of that check because its imports are the package's re-exports.
+No module but groebner.py may import the engine's encoding internals, by
+name or as attributes of `groebner`.
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "linkcoh"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the one-hot position-prefix encoding of vectors and the kernels that see it
+ENCODING = {"_encode", "_decode", "_heads", "_buchberger", "_table", "_divide", "_reduce"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -69,3 +74,22 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused
     )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "groebner.py"), ids=lambda p: p.name
+)
+def test_encoding_stays_inside_groebner(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    leaked = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            leaked.update(a.name for a in node.names if a.name in ENCODING)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENCODING
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "groebner"
+        ):
+            leaked.add(node.attr)
+    assert not leaked, f"{path.name} reaches into the engine's encoding: {sorted(leaked)}"

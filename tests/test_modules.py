@@ -9,10 +9,12 @@ syzygies), and the Ext-via-Hom computation collapsing to zero on
 
 import itertools
 import logging
+import math
 import random
 
 import pytest
 
+from linkcoh import modules
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -29,10 +31,12 @@ from linkcoh.modules import (
     CyclicModule,
     FPModule,
     KOSZUL_SIZE_BUDGET,
+    _koszul_columns,
     ass_member,
     ext1_selfdual,
     hom_cyclic,
     ideal_block,
+    is_regular_on,
     is_regular_sequence,
     koszul_grade,
     maximal_ideal,
@@ -227,6 +231,65 @@ def test_grade_error_and_budget():
         koszul_grade(too_many, Ideal.zero(ctx))
 
 
+def test_koszul_differentials_square_to_zero():
+    # every entry is a signed element at a place fixed by the subsets, so
+    # d_(i-1) d_i = 0 on s independent variables covers every complex of
+    # size s; every size the budget admits is checked
+    ctx2 = ring("x", "y")
+    x, y = P(ctx2, "x"), P(ctx2, "y")
+    assert _koszul_columns([x, y], 1) == [(x,), (y,)]
+    assert _koszul_columns([x, y], 2) == [(-y, x)]
+    assert _koszul_columns([x, y], 3) == []
+    for s in range(1, KOSZUL_SIZE_BUDGET + 1):
+        ctx = ring(*(f"x{v}" for v in range(s)))
+        xs = [Polynomial.variable(ctx, name) for name in ctx.var_names]
+        below = None  # nonzero entries of each column of d_(i-1)
+        for i in range(1, s + 1):
+            cols = _koszul_columns(xs, i)
+            assert len(cols) == math.comb(s, i)
+            nonzero = [[(k, f) for k, f in enumerate(c) if not f.is_zero()] for c in cols]
+            assert all(len(c) == math.comb(s, i - 1) for c in cols)
+            assert all(len(nz) == i for nz in nonzero)
+            if below is not None:
+                for nz in nonzero:
+                    acc: dict[int, Polynomial] = {}
+                    for j, f in nz:
+                        for k, g in below[j]:
+                            acc[k] = acc.get(k, Polynomial.zero(ctx)) + f * g
+                    assert all(p.is_zero() for p in acc.values()), (s, i)
+            below = nonzero
+        assert _koszul_columns(xs, s + 1) == []
+
+
+def test_bounded_koszul_grade_builds_only_the_levels_it_reads(monkeypatch):
+    built: list[int] = []
+    real = modules._koszul_columns
+
+    def record(elements, i):
+        built.append(i)
+        return real(elements, i)
+
+    monkeypatch.setattr(modules, "_koszul_columns", record)
+    ctx = ring("a", "b", "c", "d")
+    xs = [Polynomial.variable(ctx, v) for v in ctx.var_names]
+    s = len(xs)
+    for J in (
+        I_of(ctx, "a*b"),
+        I_of(ctx, "a*c - b*d", "a*d - b*c"),
+        I_of(ctx, "a*c - d^2", "a*c - c*d", "c*d - c^2"),
+        I_of(ctx, "a^2", "a*b"),
+    ):
+        grade = koszul_grade(xs, J)
+        for lower in range(grade + 1):
+            for upper in range(grade, s + 1):
+                built.clear()
+                assert koszul_grade(xs, J, lower, upper) == grade
+                # the image level above the search, then each searched level
+                # once, down to the first nonzero homology or level s - upper + 1
+                last = s - min(grade, upper - 1)
+                assert built == [s - lower + 1] + list(range(s - lower, last - 1, -1))
+
+
 def test_is_regular_sequence():
     ctx = ring("x", "y")
     zero = Ideal.zero(ctx)
@@ -236,6 +299,9 @@ def test_is_regular_sequence():
     assert is_regular_sequence([P(ctx, "x + y")], J)
     assert not is_regular_sequence([P(ctx, "x")], J)
     assert is_regular_sequence([], zero)
+    # the one step: Q : X = Q, for non-principal X too
+    assert is_regular_on(I_of(ctx, "x", "y"), J)
+    assert not is_regular_on(I_of(ctx, "x", "y"), I_of(ctx, "x^2", "x*y"))
     # a sequence that generates the whole ring is not regular
     assert not is_regular_sequence([P(ctx, "x"), P(ctx, "x + 1")], zero)
 

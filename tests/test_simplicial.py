@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from linkcoh import simplicial
+from linkcoh.groebner import BudgetExceeded, set_limits
 from linkcoh.monomial import MonomialIdeal, polarize
 from linkcoh.ring import RingError, ring
 from linkcoh.simplicial import (
@@ -164,6 +165,15 @@ def test_complex_of_and_links():
         complex_of(MI(ctx, "x^2"))
     with pytest.raises(RingError):
         cx.link([0, 1, 2])
+
+
+def test_complex_of_mask_scan_honours_soft_timeout():
+    # 11 vertices: 2,048 masks, so the scan checks the deadline at mask 1,024
+    ctx = ring(*(f"x{i}" for i in range(11)))
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded, match="^complex_of mask scan"):
+            complex_of(MI(ctx, "x0*x1"))
+    assert len(complex_of(MI(ctx, "x0*x1")).facets) == 2
 
 
 def test_depth_squarefree_known_values():
