@@ -7,8 +7,9 @@ is ever materialized.  Everything is taken at the ideal generated by the
 variables, which plays the role of the maximal ideal.
 
 These sets are only enumerable here when J is monomial (so that Ass M
-consists of monomial primes); the functions refuse other inputs rather than
-guess.
+consists of monomial primes).  Every function reads Ass, Min, Assh and dim
+of M from `CyclicModule.primes()`, derived once per module, which refuses a
+non-monomial J rather than guess.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .monomial import (
     MonomialPrime,
     PrimeSet,
     as_monomial,
-    associated_primes,
-    min_assh_dim,
     mono_radical,
     mono_sum,
 )
@@ -81,16 +80,13 @@ class Verdict:
 
 def module_ass_primes(M: CyclicModule) -> PrimeSet:
     """Ass of R/J as primes of R; needs a monomial defining ideal."""
-    if M.monomial is None:
-        raise RingError("associated primes here need a monomial defining ideal")
-    return associated_primes(M.monomial)
+    return M.primes().ass
 
 
 def assh(M: CyclicModule) -> PrimeSet:
-    """The top-dimensional associated primes of M."""
-    d = M.dim()
-    n = M.ctx.n
-    return PrimeSet(p for p in module_ass_primes(M) if n - p.height == d)
+    """The top-dimensional associated primes of M: the record's Assh, since
+    an associated prime inside one of them would have larger dimension."""
+    return M.primes().assh
 
 
 def _becomes_maximal(a: Ideal, am: MonomialIdeal | None, p: MonomialPrime) -> bool:
@@ -150,11 +146,8 @@ def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:
 
 def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:
     """Height of p over M: the largest gap to a minimal prime below it."""
-    if M.monomial is None:
-        raise RingError("module heights here need a monomial defining ideal")
-    mins = min_assh_dim(M.monomial).min_primes
     pv = set(p.vars)
-    below = [q for q in mins if set(q.vars) <= pv]
+    below = [q for q in M.primes().min_primes if set(q.vars) <= pv]
     if not below:
         raise RingError("prime lies outside the support of the module")
     return max(len(pv - set(q.vars)) for q in below)
@@ -162,9 +155,5 @@ def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:
 
 def is_equidimensional(M: CyclicModule) -> bool:
     """All minimal primes of M cut out quotients of the same dimension."""
-    if M.monomial is None:
-        raise RingError("equidimensionality here needs a monomial defining ideal")
-    if M.monomial.is_zero():
-        return True
-    info = min_assh_dim(M.monomial)
-    return all(M.ctx.n - q.height == info.dim for q in info.min_primes)
+    info = M.primes()
+    return info.assh == info.min_primes

@@ -1,7 +1,7 @@
 """Finitely presented modules over Q[x_1..x_n]: Groebner bases of submodules
 of free modules, syzygies, Hom from cyclic quotients, annihilators, associated
 prime membership, a self-dual Ext computation for cyclic quotients, Koszul
-homology grades, and cyclic modules R/J with cached dimension and depth.
+homology grades, and cyclic modules R/J caching primes, dimension and depth.
 
 Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
@@ -45,11 +45,13 @@ from .groebner import (
 )
 from .monomial import (
     ImproperIdealError,
+    MinAsshDim,
     MonomialIdeal,
     MonomialPrime,
     PrimeSet,
     all_monomial_primes,
     from_ideal,
+    min_assh_dim,
 )
 from .simplicial import POLARIZATION_VAR_BUDGET, depth_monomial, dim_monomial
 from .ring import DEGREVLEX, MonomialOrder, Polynomial, RingCtx, RingError
@@ -159,23 +161,19 @@ class FPModule:
         return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
 
 
-def present_subquotient(
-    gens: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank: int, multigraded: bool = False
-) -> FPModule:
-    """Present (<gens> + <modulo>)/<modulo> by generators and fresh syzygies."""
-    table = module_table(module_gb(list(modulo)), rank)
+def present_subquotient(gens: Sequence[Vec], N: FPModule, multigraded: bool = False) -> FPModule:
+    """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
+    by generators and fresh syzygies; divides by N's cached relation basis."""
     seen: dict[Vec, None] = {}
     for g in gens:
-        if len(g) != rank:
-            raise RingError("subquotient generator has the wrong rank")
-        r = module_reduce(g, table)
+        r = N.nf(g)
         if not vec_is_zero(r):
             seen.setdefault(r)
     kept = list(seen)
     if not kept:
-        return FPModule(ctx, 0, (), multigraded)
-    rels = submodule_syzygies(kept, list(modulo))
-    return FPModule(ctx, len(kept), rels, multigraded)
+        return FPModule(N.ctx, 0, (), multigraded)
+    rels = submodule_syzygies(kept, N.relations)
+    return FPModule(N.ctx, len(kept), rels, multigraded)
 
 
 def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
@@ -198,7 +196,7 @@ def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     columns = [tuple(f if k == j else zero for f in g for k in range(r)) for j in range(r)]
     kernel = submodule_syzygies(columns, _block_diagonal(N.relations, len(g)))
     graded = N.multigraded and a.is_monomial()
-    return present_subquotient(kernel, N.relations, ctx, r, graded)
+    return present_subquotient(kernel, N, graded)
 
 
 def ass_member(p: MonomialPrime, N: FPModule) -> bool:
@@ -261,7 +259,7 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
         s = len(syz)
         columns = [tuple(syz[i][j] for i in range(s)) for j in range(t)]
         kernel = submodule_syzygies(columns, ideal_block(aJ, s))
-    return present_subquotient(kernel, ideal_block(aJ, t), ctx, t, graded)
+    return present_subquotient(kernel, FPModule(ctx, t, ideal_block(aJ, t)), graded)
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +353,27 @@ def maximal_ideal(ctx: RingCtx) -> Ideal:
 
 
 class CyclicModule:
-    """The module R/J, with cached dimension and depth at the variable ideal.
+    """The module R/J, with cached primes, dimension and depth at the
+    variable ideal.
 
-    Dimension and depth come from a monomial ideal where one is at hand.  For
-    monomial J that is J itself.  For J with homogeneous generators it is the
-    lead-term ideal in(J) of the reduced degrevlex basis, a flat (Groebner)
-    degeneration of J, which keeps the dimension and can only lower the depth:
-    depth R/in(J) <= depth R/J <= dim R/J = dim R/in(J) (Herzog-Hibi,
-    *Monomial Ideals*, Sec. 3.3).  When in(J) is squarefree the two depths
-    are equal (Conca-Varbaro, "Square-free Groebner degenerations",
+    For monomial J, `primes()` is the one record of Ass, Min, Assh, dim and
+    height of R/J, which `dim()` and every prime invariant read, and depth is
+    read off J itself.  For J with homogeneous generators, dimension and
+    depth come from the lead-term ideal in(J) of the reduced degrevlex basis,
+    a flat (Groebner) degeneration of J, which keeps the dimension and can
+    only lower the depth: depth R/in(J) <= depth R/J <= dim R/J = dim R/in(J)
+    (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is squarefree the
+    two depths are equal (Conca-Varbaro, "Square-free Groebner degenerations",
     Invent. Math. 221, 2020).  So depth R/in(J) is the answer when in(J) is
-    squarefree or reaches the dimension; otherwise the Koszul search runs
-    only over the levels those two bounds leave open.  A non-homogeneous J,
-    or a monomial ideal past the polarization budget, takes the full Koszul
-    search.  Each depth logs its route at debug level on the `linkcoh`
-    logger: `monomial`, `degeneration`, `degeneration+koszul` with its
-    levels, or `koszul`.
+    squarefree or reaches the dimension; otherwise the Koszul search runs only
+    over the levels those two bounds leave open.  A non-homogeneous J, or a
+    monomial ideal past the polarization budget, takes the full Koszul search.
+    Each depth logs its route at debug level on the `linkcoh` logger:
+    `monomial`, `degeneration`, `degeneration+koszul` with its levels, or
+    `koszul`.
     """
 
-    __slots__ = ("ctx", "ideal", "monomial", "_lead", "_dim", "_depth")
+    __slots__ = ("ctx", "ideal", "monomial", "_primes", "_lead", "_dim", "_depth")
 
     def __init__(self, ctx: RingCtx, J: Ideal) -> None:
         if J.ctx != ctx:
@@ -383,6 +383,7 @@ class CyclicModule:
         self.ctx = ctx
         self.ideal = J
         self.monomial: MonomialIdeal | None = from_ideal(J)
+        self._primes: MinAsshDim | None = None
         self._lead: MonomialIdeal | None = None
         self._dim: int | None = None
         self._depth: int | None = None
@@ -397,11 +398,20 @@ class CyclicModule:
             self._lead = MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
         return self._lead
 
+    def primes(self) -> MinAsshDim:
+        """Ass, Min, Assh, dim and height of R/J; needs a monomial J."""
+        if self.monomial is None:
+            raise RingError("the primes of R/J here need a monomial defining ideal")
+        if self._primes is None:
+            self._primes = min_assh_dim(self.monomial)
+        return self._primes
+
     def dim(self) -> int:
-        # Krull dimension survives the flat degeneration to the lead-term ideal
+        if self.monomial is not None:
+            return self.primes().dim
         if self._dim is None:
-            mono = self.monomial if self.monomial is not None else self.lead_term_ideal()
-            self._dim = dim_monomial(mono)
+            # Krull dimension survives the flat degeneration to the lead-term ideal
+            self._dim = dim_monomial(self.lead_term_ideal())
         return self._dim
 
     def depth(self) -> int:

@@ -335,17 +335,21 @@ def associated_primes(I: MonomialIdeal) -> PrimeSet:
 
 @dataclass(frozen=True)
 class MinAsshDim:
+    """The primes of R/I for a proper monomial I: Ass, the minimal primes,
+    the top-dimensional ones (Assh), and the dimension and height of R/I."""
+
+    ass: PrimeSet
     min_primes: PrimeSet
     assh: PrimeSet
     dim: int
     height: int
 
 
-def min_assh_dim(I: MonomialIdeal, ambient: MonomialIdeal | None = None) -> MinAsshDim:
-    """Minimal primes, top-dimensional primes, dim, and height of R/(I + ambient)."""
-    T = I if ambient is None else mono_sum(I, ambient)
-    n = T.ctx.n
-    ass = associated_primes(T)
+def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
+    """The prime record of R/I: Ass from one irreducible decomposition, and
+    Min, Assh, dim and height read off it.  The zero ideal has dimension n."""
+    n = I.ctx.n
+    ass = associated_primes(I)
     mins = []
     for p in ass:
         ps = set(p.vars)
@@ -353,7 +357,7 @@ def min_assh_dim(I: MonomialIdeal, ambient: MonomialIdeal | None = None) -> MinA
             mins.append(p)
     dim = n - min(p.height for p in mins)
     assh = [p for p in mins if n - p.height == dim]
-    return MinAsshDim(PrimeSet(mins), PrimeSet(assh), dim, n - dim)
+    return MinAsshDim(ass, PrimeSet(mins), PrimeSet(assh), dim, n - dim)
 
 
 def all_monomial_primes(ctx: RingCtx, include_zero: bool = True) -> list[MonomialPrime]:
@@ -374,7 +378,6 @@ class Polarization:
     ideal: MonomialIdeal
     ctx: RingCtx
     added: int
-    copies: tuple[tuple[int, ...], ...]  # original var i -> indices of its copies
 
 
 def polarize(I: MonomialIdeal) -> Polarization:
@@ -415,4 +418,4 @@ def polarize(I: MonomialIdeal) -> Polarization:
                 e[copies[i][j]] = 1
         exps.append(tuple(e))
     pol = MonomialIdeal.from_exponents(big, exps)
-    return Polarization(pol, big, big.n - n, tuple(copies))
+    return Polarization(pol, big, big.n - n)

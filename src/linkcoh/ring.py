@@ -230,9 +230,6 @@ class Polynomial:
         """Read-only view of the term dict; callers must not mutate it."""
         return self._terms
 
-    def coeff(self, e: Exponents) -> Fraction:
-        return self._terms.get(tuple(e), _ZERO)
-
     def support(self) -> set[int]:
         out: set[int] = set()
         for e in self._terms:
@@ -258,14 +255,6 @@ class Polynomial:
 
     def terms_sorted(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Exponents, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        if not self._terms:
-            return self
-        _, c = self.lead(order)
-        if c == 1:
-            return self
-        return self * (_ONE / c)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -353,8 +353,6 @@ def depth_monomial(J: MonomialIdeal) -> int:
 
 
 def dim_monomial(J: MonomialIdeal) -> int:
-    if J.is_zero():
-        return J.ctx.n
     return min_assh_dim(J).dim
 
 

@@ -116,10 +116,7 @@ def _random_module(
 def _pinned_module(params: InstanceParams, ctx: RingCtx) -> CyclicModule | None:
     if params.module is None:
         return None
-    text = params.module.strip()
-    if text in ("", "0"):
-        return CyclicModule.full_ring(ctx)
-    return CyclicModule(ctx, Ideal.parse(ctx, text))
+    return CyclicModule(ctx, Ideal.parse(ctx, params.module))
 
 
 def _meet_of_primes(ctx: RingCtx, primes: list[MonomialPrime]) -> MonomialIdeal:
@@ -200,20 +197,22 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
     bm = as_monomial(cert.b_mod())
     if tm is None or am is None or bm is None:
         return Verdict.skipped(claim, "needs a monomial core and monomial sides")
-    if associated_primes(tm) != min_assh_dim(tm).min_primes:
+    core = min_assh_dim(tm)
+    if core.ass != core.min_primes:
         # shared hypothesis for both parts; with an embedded prime in the
         # core the Ext module can pick up extra associated primes
         return Verdict.skipped(claim, "core has embedded primes")
     witnesses: list[str] = []
     notes = [GRADED_NOTE]
+    ass_a, ass_b = associated_primes(am), associated_primes(bm)
 
-    for label, side, side_m in (("a", cert.a, am), ("b", cert.b, bm)):
+    for label, side, side_ass in (("a", cert.a, ass_a), ("b", cert.b, ass_b)):
         gens = [g for g in reduced_gb(side) if not g.is_zero()]
         if len(gens) > 8:
             notes.append(f"heights: side {label} skipped, too many generators")
             continue
         g = koszul_grade(gens, M.ideal)
-        for p in associated_primes(side_m):
+        for p in side_ass:
             ht = height_in_module(p, M)
             if ht != g:
                 return Verdict.failing(
@@ -224,7 +223,7 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
                 )
         witnesses.append(f"heights[{label}]=grade={g}")
 
-    common = associated_primes(am) & associated_primes(bm)
+    common = ass_a & ass_b
     base = tm.to_ideal()
     # mod the core, am and bm generate the same ideals as a and b, and Hom
     # does not care which generating set presents its argument
@@ -444,7 +443,8 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
         )
     qm = as_monomial(Q)
     if qm is not None and not qm.is_zero():
-        no_embedded = associated_primes(qm) == min_assh_dim(qm).min_primes
+        info = min_assh_dim(qm)
+        no_embedded = info.ass == info.min_primes
         if no_embedded != dim_zero:
             return Verdict.failing(
                 claim,
@@ -560,9 +560,7 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
 # ---------------------------------------------------------------------------
 # Per-claim instance draws.
 
-def _draw_l1(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_l1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     M = _pinned_module(params, ctx) or _random_module(rng, ctx, min(params.maxdeg, 2))
     if M.ideal.is_zero_ideal():
         return Verdict.skipped("l1", "needs a proper base module")
@@ -572,9 +570,7 @@ def _draw_l1(params: InstanceParams, seed: int) -> Verdict:
     return check_height_and_self_ext(cert)
 
 
-def _draw_t2(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_t2(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     if ctx.n >= 3 and rng.random() < 0.7:
         # bias toward genuinely mixed heights: meet primes of two different sizes
         low = _random_prime_antichain(rng, ctx, 1, rng.randint(1, ctx.n - 2))
@@ -593,9 +589,7 @@ def _draw_t2(params: InstanceParams, seed: int) -> Verdict:
     )
 
 
-def _draw_p1(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_p1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     M = CyclicModule.full_ring(ctx)
     core = Ideal(ctx, [Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, params.maxdeg))])
     extras = [
@@ -615,9 +609,7 @@ def _draw_p1(params: InstanceParams, seed: int) -> Verdict:
     return check_grade_one_links(cert)
 
 
-def _draw_l08(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_l08(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     a = _random_proper_monomial_ideal(rng, ctx, params.maxdeg, 2)
     b = _random_proper_monomial_ideal(rng, ctx, params.maxdeg, 2)
     M = _pinned_module(params, ctx)
@@ -630,16 +622,12 @@ def _draw_l08(params: InstanceParams, seed: int) -> Verdict:
     return check_att_calculus(a, b, M)
 
 
-def _draw_t6(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_t6(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     M = _pinned_module(params, ctx) or _random_module(rng, ctx, params.maxdeg, allow_zero=True)
     return check_cm_criteria(M, rng, params.maxdeg)
 
 
-def _draw_r1(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_r1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     if ctx.n < 2:
         return Verdict.skipped("r1", "needs at least two variables")
     cert = bipartition_zero_link(rng, ctx, equal_height=rng.random() < 0.7)
@@ -648,9 +636,7 @@ def _draw_r1(params: InstanceParams, seed: int) -> Verdict:
     return check_equidim_transfer(cert)
 
 
-def _draw_l15(params: InstanceParams, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    ctx = ctx_for(params.n_vars)
+def _draw_l15(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     if ctx.n < 2:
         return Verdict.skipped("l15", "needs at least two variables")
     if seed % 2 == 0:
@@ -667,50 +653,42 @@ def _draw_l15(params: InstanceParams, seed: int) -> Verdict:
 
 @dataclass(frozen=True)
 class ClaimInfo:
-    key: str
     title: str
     draw: object
 
 
 CLAIMS: dict[str, ClaimInfo] = {
     "l1": ClaimInfo(
-        "l1",
         "linked sides sit at their Koszul grade; self-dual Ext carries the common"
         " associated primes",
         _draw_l1,
     ),
     "t2": ClaimInfo(
-        "t2",
         "the radical splits into a pure-height part and a rest meeting in height"
         " at least two more",
         _draw_t2,
     ),
     "p1": ClaimInfo(
-        "p1",
         "pairs linked through a principal ideal are unmixed of height one with a"
         " principal radical",
         _draw_p1,
     ),
     "l08": ClaimInfo(
-        "l08",
         "attached/associated sets send intersections to intersections, and sums to"
         " unions once the product kills the module",
         _draw_l08,
     ),
     "t6": ClaimInfo(
-        "t6",
         "a nonempty common attached set forces Cohen-Macaulayness; maximal regular"
         " sequences detect it by dimension zero",
         _draw_t6,
     ),
     "r1": ClaimInfo(
-        "r1",
         "geometric zero-links over an equidimensional module keep both quotients"
         " equidimensional of full dimension",
         _draw_r1,
     ),
     "l15": ClaimInfo(
-        "l15",
         "attached primes of one side land among the top primes of the other side's"
         " quotient",
         _draw_l15,
@@ -721,9 +699,10 @@ CLAIMS: dict[str, ClaimInfo] = {
 def _run_instance(args: tuple[str, InstanceParams, int]) -> dict:
     claim, params, seed = args
     info = CLAIMS[claim]
+    ctx = ctx_for(params.n_vars)
     try:
         with set_limits(max_spairs=params.max_spairs):
-            verdict = info.draw(params, seed)
+            verdict = info.draw(params, seed, random.Random(seed), ctx)
     except BudgetExceeded as err:
         verdict = Verdict.skipped(claim, f"budget exhausted: {err}")
     out = verdict.as_json()

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and only
-groebner.py knows how the engine encodes a vector.
+"""No module of the package imports a name it never uses, defines a
+function, method or class nothing refers to, or, except groebner.py, knows
+how the engine encodes a vector.
 
 No linter ships with the project, so this walks each module's syntax tree:
 every name bound by an import must be read somewhere in the module, in
@@ -7,15 +8,27 @@ code, in an annotation (quoted or not) or in `__all__`.  `__init__.py` is
 left out of that check because its imports are the package's re-exports.
 No module but groebner.py may import the engine's encoding internals, by
 name or as attributes of `groebner`.
+
+Every definition in the package must be named by some node of src/,
+tests/ or perfbench/: a name, an attribute, an import, or a string of
+dotted identifiers such as the tracer's "CyclicModule.depth".  Dunder
+names, and methods that override one of a base class (which the base's
+own code calls), are exempt.  The check matches names only, so it cannot
+see a dead method whose name is also used elsewhere, for example as a
+local variable, the way a local `coeff` hid a dead `Polynomial.coeff`.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "linkcoh"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "linkcoh"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 # the one-hot position-prefix encoding of vectors and the kernels that see it
 ENCODING = {"_encode", "_decode", "_heads", "_buchberger", "_table", "_divide", "_reduce"}
 
@@ -93,3 +106,52 @@ def test_encoding_stays_inside_groebner(path):
         ):
             leaked.add(node.attr)
     assert not leaked, f"{path.name} reaches into the engine's encoding: {sorted(leaked)}"
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the tree refers to, by name, attribute, import or dotted string."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def _overrides(path: Path, tree: ast.Module) -> set[int]:
+    """Lines of the methods of top-level classes that override a base's."""
+    module = importlib.import_module(f"linkcoh.{path.stem}".removesuffix(".__init__"))
+    out = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bases = getattr(module, cls.name).__mro__[1:]
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and any(node.name in vars(b) for b in bases):
+                out.add(node.lineno)
+    return out
+
+
+def test_no_dead_definitions():
+    referenced = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            referenced |= _references(ast.parse(path.read_text(), filename=str(path)))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = _overrides(path, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("__") and name.endswith("__") or node.lineno in exempt:
+                    continue
+                if name not in referenced:
+                    dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, "defined but never referenced: " + ", ".join(dead)

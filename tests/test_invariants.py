@@ -15,13 +15,17 @@ from linkcoh.invariants import (
     module_ass_primes,
 )
 from linkcoh.modules import CyclicModule
+from linkcoh import monomial
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
     MonomialPrime,
     PrimeSet,
+    associated_primes,
+    min_assh_dim,
 )
 from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh.simplicial import dim_monomial
 
 import random
 
@@ -154,6 +158,8 @@ def test_height_in_module():
     assert height_in_module(MonomialPrime((0, 1, 2)), M) == 2
     with pytest.raises(RingError):
         height_in_module(MonomialPrime((2,)), M)  # (z) not in the support
+    with pytest.raises(RingError):
+        height_in_module(MonomialPrime((0,)), CyclicModule(ctx, I_of(ctx, "x + y^2")))
 
 
 def test_height_in_module_takes_largest_gap():
@@ -183,6 +189,50 @@ def test_assh_hand_values():
     assert assh(R_mod(ctx, "x*y", "x*z")) == primes((0,))
     assert assh(R_mod(ctx, "x*y")) == primes((0,), (1,))
     assert assh(R_mod(ctx)) == primes(())
+    with pytest.raises(RingError):
+        assh(CyclicModule(ctx, I_of(ctx, "x*y + z^2")))
+
+
+# ---------------------------------------------------------------------------
+# the prime record of a cyclic module.
+
+def test_prime_invariants_share_one_decomposition(monkeypatch):
+    calls = []
+    real = monomial.irreducible_decomposition
+
+    def counted(I):
+        calls.append(I)
+        return real(I)
+
+    monkeypatch.setattr(monomial, "irreducible_decomposition", counted)
+    ctx = ring("x", "y")
+    M = R_mod(ctx, "x^2", "x*y")
+    a = I_of(ctx, "y")
+    att_top(a, M)
+    ass_formal_zeroth(a, M)
+    assh(M)
+    module_ass_primes(M)
+    height_in_module(MonomialPrime((0, 1)), M)
+    is_equidimensional(M)
+    M.dim()
+    assert len(calls) == 1
+
+
+def test_prime_record_matches_its_definitions():
+    # Assh read off the minimal primes is the top-dimensional part of Ass,
+    # and the module's dimension is the record's
+    rng = random.Random(71)
+    for n in (2, 3, 4):
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        ideals = [MonomialIdeal.zero(ctx)]
+        for _ in range(69):
+            exps = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            ideals.append(MonomialIdeal.from_exponents(ctx, [e for e in exps if any(e)]))
+        for J in ideals:
+            info = min_assh_dim(J)
+            assert info.ass == associated_primes(J), J
+            assert info.assh == PrimeSet(p for p in info.ass if n - p.height == info.dim), J
+            assert CyclicModule(ctx, J.to_ideal()).dim() == dim_monomial(J), J
 
 
 def test_verdict_shapes():

@@ -382,6 +382,23 @@ def test_ass_member_matches_associated_primes():
             assert ass_member(p, N) == (p in expected), (texts, p)
 
 
+def test_module_ass_computes_each_relation_basis_once(monkeypatch):
+    # Hom and its presentation divide by the cached basis of the module they
+    # are taken over, so no relation set reaches module_gb twice
+    inputs: list[tuple] = []
+    real = modules.module_gb
+
+    def record(gens):
+        inputs.append(tuple(gens))
+        return real(gens)
+
+    monkeypatch.setattr(modules, "module_gb", record)
+    ctx = ring("x", "y", "z")
+    M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
+    assert module_ass(M.to_fp()) == associated_primes(M.monomial)
+    assert inputs and len(set(inputs)) == len(inputs)
+
+
 def test_module_ass_requires_multigraded():
     ctx = ring("x", "y")
     N = FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)], multigraded=False)
