@@ -1,7 +1,19 @@
 """Stanley-Reisner machinery: simplicial complexes of squarefree ideals,
 exact reduced simplicial cohomology over Q, depth of monomial quotients via
-the graded local-cohomology support formula, and cohomological dimension
-along the squarefree path.
+Hochster's formula for local cohomology, and cohomological dimension along
+the squarefree path.
+
+Two routes compute cohomology.  `SimplicialComplex` holds faces as
+frozensets; its `link`, `faces_of_size`, `is_cone` and `reduced_cohomology`
+are the plain route, used by the tests as the oracle.  The depth scan
+(`depth_squarefree`) works on int bitmasks instead: facets, faces and links
+are ints whose set bits are the vertices, the link at a face w is
+``[f ^ w for f in facets if f & w == w]``, and a link is a cone when the AND
+of its facets is nonzero.  Within one call, each non-cone link is relabelled
+monotonically onto vertices 0..k-1 and looked up in a dict of scanners, so
+links of the same shape share one set of ranks; the dict is dropped when the
+call returns.  A face of size s can only give depth candidates of at least
+s + 1, so the scan stops as soon as the best candidate is that small.
 
 Rank decisions are exact.  A GF(2) rank is used only as a *vanishing
 filter*: each coboundary row is a Python int whose set bits are the columns
@@ -266,75 +278,150 @@ def reduced_cohomology(cx: SimplicialComplex) -> CohomologyProfile:
     return CohomologyProfile(ranks)
 
 
-class _LinkScanner:
-    """Lazy per-link cohomology: GF(2) bitset ranks as the vanishing filter,
-    exact ranks only where the filter leaves a nonzero bound."""
+def _bits(m: int) -> tuple[int, ...]:
+    """The set bits of m as single-bit masks, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low)
+        m ^= low
+    return tuple(out)
 
-    def __init__(self, cx: SimplicialComplex) -> None:
-        self.cx = cx
-        self._faces: dict[int, list[frozenset]] = {}
+
+def _compress(facets: list[int]) -> tuple[int, ...]:
+    """Facet masks relabelled onto vertices 0..k-1 in their order, sorted.
+
+    The relabelling is monotone, so sorted vertex tuples, coboundary signs
+    and ranks carry over: two links with the same key have the same
+    cohomology."""
+    union = 0
+    for f in facets:
+        union |= f
+    gaps = ~union & ((1 << union.bit_length()) - 1)
+    while gaps:
+        # squeeze out the highest unused vertex: the bits above it move down
+        g = 1 << (gaps.bit_length() - 1)
+        gaps ^= g
+        low = g - 1
+        facets = [f & low | f >> 1 & ~low for f in facets]
+    return tuple(sorted(facets))
+
+
+class _LinkScanner:
+    """Lazy cohomology of one complex given by facet masks: GF(2) bitset
+    ranks as the vanishing filter, exact ranks only where the filter leaves
+    a nonzero bound.  Each face is split into its bits once."""
+
+    def __init__(self, facets: tuple[int, ...]) -> None:
+        self.facets = facets
+        self.dim = max(f.bit_count() for f in facets) - 1
+        self._split: dict[int, tuple[int, ...]] = {f: _bits(f) for f in facets}
+        self._faces: dict[int, list[int]] = {}
         self._dr_filter: dict[int, int] = {}
         self._dr_exact: dict[int, int] = {}
+        self._h: dict[int, bool] = {}
 
-    def faces(self, k: int) -> list[frozenset]:
-        if k not in self._faces:
-            self._faces[k] = self.cx.faces_of_size(k)
-        return self._faces[k]
+    def faces(self, k: int) -> list[int]:
+        """The k-vertex faces, in lexicographic order of their vertex tuples
+        (the order of `SimplicialComplex.faces_of_size`)."""
+        faces = self._faces.get(k)
+        if faces is None:
+            found: dict[int, tuple[int, ...]] = {}
+            for f in self.facets:
+                for c in combinations(self._split[f], k):
+                    found[sum(c)] = c
+            self._split.update(found)
+            faces = self._faces[k] = sorted(found, key=found.__getitem__)
+        return faces
 
     def rank_filter(self, j: int) -> int:
         if j not in self._dr_filter:
             index = {f: 1 << i for i, f in enumerate(self.faces(j + 1))}
-            rows = (sum(index[g - {v}] for v in g) for g in self.faces(j + 2))
+            split = self._split
+            rows = (sum(index[g ^ b] for b in split[g]) for g in self.faces(j + 2))
             self._dr_filter[j] = _rank_gf2(rows)
         return self._dr_filter[j]
 
     def rank_exact(self, j: int) -> int:
         if j not in self._dr_exact:
-            rows = _coboundary(self.faces(j + 1), self.faces(j + 2))
+            index = {f: i for i, f in enumerate(self.faces(j + 1))}
+            rows = []
+            for g in self.faces(j + 2):
+                row = [0] * len(index)
+                for pos, b in enumerate(self._split[g]):
+                    row[index[g ^ b]] = -1 if pos % 2 else 1
+                rows.append(row)
             self._dr_exact[j] = _rank_exact(rows) if rows else 0
         return self._dr_exact[j]
 
     def h_nonzero(self, j: int) -> bool:
-        dim_cj = len(self.faces(j + 1))
-        if dim_cj == 0:
-            return False
-        # GF(2) ranks never exceed the rational ones, so this difference is an
-        # upper bound for the true rank: zero here is a proof of vanishing
-        if dim_cj - self.rank_filter(j) - self.rank_filter(j - 1) == 0:
-            return False
-        return dim_cj - self.rank_exact(j) - self.rank_exact(j - 1) > 0
+        verdict = self._h.get(j)
+        if verdict is None:
+            dim_cj = len(self.faces(j + 1))
+            # GF(2) ranks never exceed the rational ones, so this difference
+            # is an upper bound for the true rank: zero is a proof of vanishing
+            verdict = self._h[j] = (
+                dim_cj > 0
+                and dim_cj - self.rank_filter(j) - self.rank_filter(j - 1) > 0
+                and dim_cj - self.rank_exact(j) - self.rank_exact(j - 1) > 0
+            )
+        return verdict
 
 
 def depth_squarefree(I: MonomialIdeal) -> int:
     """depth of R/I for squarefree proper I.
 
     The graded pieces of local cohomology at the irrelevant ideal are the
-    reduced link cohomologies, so depth is the least |W| + 1 + j over faces W
-    and degrees j with nonzero reduced cohomology of the link at W; facet
-    links contribute their size, which seeds the minimum.
+    reduced link cohomologies (Hochster), so depth is the least |W| + 1 + j
+    over faces W and degrees j with nonzero reduced cohomology of the link
+    at W; facet links contribute their size, which seeds the minimum.
+
+    Faces and links are vertex bitmasks: the link at w is the facets over w
+    with w removed, and it is a cone (no cohomology) when its facets share a
+    vertex.  The other links are relabelled onto vertices 0..k-1 and looked
+    up in a memo of scanners that lives for this call only, so each distinct
+    link shape is ranked once.  A face of size s gives candidates of at
+    least s + 1, so the scan stops once the best candidate is that small.
     """
     cx = complex_of(I)
     if cx.is_irrelevant():
         return 0
-    best = min(len(f) for f in cx.facets)
+    facets = [sum(1 << v for v in f) for f in cx.facets]
+    best = min(f.bit_count() for f in facets)
+    root = _LinkScanner(_compress(facets))
+    memo = {root.facets: root}
+    visited = non_cone = 0
     size = 0
     while size < best:
-        for w in cx.faces_of_size(size):
-            if size >= best:
-                break
+        for w in root.faces(size):
             check_deadline("depth links")
-            link = cx.link(w)
-            if link.is_cone():
+            if best <= size + 1:
+                break
+            visited += 1
+            link = [f ^ w for f in root.facets if f & w == w]
+            common = -1
+            for f in link:
+                common &= f
+            if common:
                 continue
-            top = min(best - size - 2, link.dim)
-            scan = _LinkScanner(link)
-            for j in range(0, top + 1):
+            non_cone += 1
+            key = _compress(link)
+            scan = memo.get(key)
+            if scan is None:
+                scan = memo[key] = _LinkScanner(key)
+            for j in range(min(best - size - 2, scan.dim) + 1):
                 if scan.h_nonzero(j):
-                    cand = size + 1 + j
-                    if cand < best:
-                        best = cand
+                    best = size + 1 + j
                     break
         size += 1
+    log.debug(
+        "depth links: %d faces, %d non-cone, %d distinct scanned, %d GF(2) ranks, %d exact ranks",
+        visited,
+        non_cone,
+        len(memo),
+        sum(len(s._dr_filter) for s in memo.values()),
+        sum(len(s._dr_exact) for s in memo.values()),
+    )
     return best
 
 
@@ -381,6 +468,8 @@ def cd_on_quotient(a: MonomialIdeal, p: MonomialPrime) -> int:
     """
     if not a.is_squarefree():
         raise RingError("cd_on_quotient needs a squarefree ideal")
+    if not a.is_proper():
+        raise ImproperIdealError("cd_on_quotient needs a proper ideal")
     ctx = a.ctx
     kill = set(p.vars)
     keep = [i for i in range(ctx.n) if i not in kill]
@@ -396,10 +485,6 @@ def cd_on_quotient(a: MonomialIdeal, p: MonomialPrime) -> int:
         for i in mono_support(g):
             e[pos[i]] = 1
         exps.append(tuple(e))
-    image = MonomialIdeal.from_exponents(small, exps)
-    if image.is_zero():
-        return 0
-    if not image.is_proper():
-        log.warning("cd_on_quotient: image is the unit ideal; returning 0 by convention")
-        return 0
-    return cd_squarefree(image)
+    # a is proper, so every kept generator has a nonempty support and the
+    # image is proper too
+    return cd_squarefree(MonomialIdeal.from_exponents(small, exps))

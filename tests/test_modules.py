@@ -627,7 +627,12 @@ def test_depth_logs_its_route(caplog):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="linkcoh"):
             M.depth()
-        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [message]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        # every route but the plain Koszul one runs one Stanley-Reisner link
+        # scan first, and that scan logs one line of its own
+        scans = 0 if message == "depth: route koszul" else 1
+        assert [m for m in debug if m.startswith("depth links: ")] == debug[:scans]
+        assert debug[scans:] == [message]
 
 
 def test_cyclic_module_rejects_unit_ideal():

@@ -77,6 +77,24 @@ def test_parse_and_format_round_trip(ctx):
         assert parse_poly(str(p), ctx) == p
 
 
+def test_parse_and_format_round_trip_property():
+    # random polynomials over 1-4 variables with rational coefficients
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        names = data.draw(st.sampled_from(["x", "xy", "xyz", "xyzw"]))
+        ctx = ring(*names)
+        exps = st.tuples(*[st.integers(0, 4)] * ctx.n)
+        p = Polynomial(ctx, data.draw(st.dictionaries(exps, coeffs, max_size=6)))
+        assert parse_poly(format_poly(p), ctx) == p
+
+    check()
+
+
 def test_parse_errors(ctx):
     for bad in [")", "x +", "x^", "q", "x**2", "x^-1", "1/0", "(x"]:
         with pytest.raises(ParseError):

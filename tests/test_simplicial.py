@@ -6,6 +6,7 @@ the reduced Euler characteristic computed from face counts alone.
 """
 
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 
 from linkcoh import simplicial
 from linkcoh.groebner import BudgetExceeded, set_limits
-from linkcoh.monomial import MonomialIdeal, polarize
+from linkcoh.monomial import ImproperIdealError, MonomialIdeal, polarize
 from linkcoh.ring import RingError, ring
 from linkcoh.simplicial import (
     CohomologyProfile,
@@ -226,12 +227,22 @@ def test_cd_on_quotient():
     assert cd_on_quotient(a, MonomialPrime((0,))) == 0
 
 
+def test_cd_on_quotient_refuses_unit_ideal():
+    ctx = ring("x", "y", "z")
+    unit = MonomialIdeal.unit(ctx)
+    for p in [MonomialPrime((0,)), MonomialPrime((0, 1, 2))]:
+        with pytest.raises(ImproperIdealError):
+            cd_on_quotient(unit, p)
+    with pytest.raises(ImproperIdealError):
+        cd_squarefree(unit)
+
+
 # ---------------------------------------------------------------------------
 # Depth against Hochster's formula with exact ranks only.
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     n = cx.n_vertices
-    ctx = ring(*"abcdefg"[:n])
+    ctx = ring(*"abcdefgh"[:n])
     nonfaces = [
         c
         for k in range(1, n + 1)
@@ -298,3 +309,68 @@ def test_rp2_torsion_is_cleared_by_exact_ranks(monkeypatch):
     # Cohen-Macaulay over Q; an answer from GF(2) ranks alone would be depth 2
     assert depth_squarefree(I) == dim_monomial(I) == 3
     assert exact_calls
+
+
+# ---------------------------------------------------------------------------
+# The bitmask link scan of depth_squarefree.
+
+def _mask(face) -> int:
+    return sum(1 << v for v in face)
+
+
+def test_scanner_faces_match_faces_of_size():
+    # the 40 seeded complexes of the Hochster test above
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        cx = random_complex(rng, n)
+        scan = simplicial._LinkScanner(tuple(sorted(_mask(f) for f in cx.facets)))
+        assert scan.dim == cx.dim
+        for k in range(n + 1):
+            assert scan.faces(k) == [_mask(f) for f in cx.faces_of_size(k)]
+
+
+OCTAHEDRON = ("x0*x1", "x2*x3", "x4*x5")
+
+
+def test_link_memo_shares_relabelled_links(monkeypatch):
+    built = []
+    init = simplicial._LinkScanner.__init__
+
+    def counted(self, facets):
+        built.append(facets)
+        init(self, facets)
+
+    monkeypatch.setattr(simplicial._LinkScanner, "__init__", counted)
+    ctx = ring(*(f"x{i}" for i in range(6)))
+    # boundary of the octahedron: a 2-sphere, Cohen-Macaulay of dimension 3
+    assert depth_squarefree(MI(ctx, *OCTAHEDRON)) == 3
+    # one scanner for the whole complex (the link of the empty face) and one
+    # shared by the six vertex links, all 4-cycles after relabelling
+    assert len(built) == 2
+    assert built[1] == (0b0101, 0b0110, 0b1001, 0b1010)
+
+
+def test_link_scan_logs_its_work(caplog):
+    ctx = ring(*(f"x{i}" for i in range(6)))
+    with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+        assert depth_squarefree(MI(ctx, *OCTAHEDRON)) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        "depth links: 7 faces, 7 non-cone, 2 distinct scanned, 5 GF(2) ranks, 0 exact ranks"
+    ]
+
+
+def test_depth_squarefree_matches_hochster_oracle_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        # facets of at most 5 vertices keep the exact oracle's matrices small
+        faces = st.sets(st.integers(0, n - 1), min_size=1, max_size=5)
+        cx = SimplicialComplex.from_facets(n, data.draw(st.lists(faces, min_size=1, max_size=6)))
+        assert depth_squarefree(stanley_reisner_ideal(cx)) == hochster_depth_oracle(cx)
+
+    check()
