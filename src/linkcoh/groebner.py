@@ -1,41 +1,41 @@
-"""Buchberger-based ideal arithmetic: reduced bases, membership, colon,
-intersection, saturation, radical membership, and variable elimination --
-and the one Groebner engine that ideals and free modules share.
+"""Ideal arithmetic -- reduced bases, membership, colon, intersection,
+saturation, radical membership and elimination -- and the one Groebner
+engine that ideals and free modules share.
 
-The engine is deliberately the classical one -- Buchberger with the
-coprime-lcm and chain criteria under a normal selection strategy -- with a
-hard S-pair budget so runaway eliminations abort as a resource error instead
-of hanging.
+Operands whose generators are all terms never reach the engine:
+`reduced_gb`, `ideal_quotient` and `ideal_intersect` answer them with the
+divisibility kernels below, which `monomial.py` builds on.  The answer is
+the minimal generators, monic, in increasing order (the engine's output),
+and a colon or intersection has its degrevlex basis cached, as from
+`_colon`.  `_gb` and `_colon` stay callable for tests that compare routes.
 
-It works on term maps (exponent -> coefficient).  A vector of R^r is encoded
-as the term map whose exponents are a one-hot position prefix of length r
-followed by the ring exponent; an ideal is the case of an empty prefix.
-Terms compare by (prefix, order key of the ring exponent), which is
-position-over-term with lower positions dominant.  Basis elements are
-listed per position of their lead, and pairing, the chain criterion and each
-reduction step consult only their own position's list.  The coprime
-criterion, unsound for modules, needs no position test: at a position the
-lcm's prefix entry is 1 and the product's is 2, so it never fires there.
+The engine is Buchberger's algorithm with the coprime-lcm and chain
+criteria under the normal strategy; a hard S-pair budget makes a runaway
+run abort as a resource error instead of hanging.  It works on term maps
+(exponent -> coefficient).  A vector of R^r is the term map whose exponents
+are a one-hot position prefix of length r followed by the ring exponent; an
+ideal has an empty prefix.  Terms compare by (prefix, order key of the ring
+exponent): position-over-term, lower positions dominant.  Pairing, the
+chain criterion and each reduction step consult only the basis elements
+leading at their own position.  The coprime criterion, unsound for modules,
+needs no position test: at a position the lcm's prefix entry is 1 and the
+product's is 2, so it never fires there.
 
 Pending S-pairs sit in a heap keyed by (order key of the ring part of the
-lcm, index pair), so each step pops the pair a linear scan for the smallest
-such key would pick: the S-pair sequence, and therefore where a budget
-trips, is that of the plain normal strategy.  Order keys are memoized for
-the length of one Buchberger run, table build or division and dropped when
-it returns; each basis element's lead is computed once, and every remainder
-goes through one division kernel (`_reduce`).  Outside Buchberger a division
-is two steps, `_table` (the reducers of a basis) and `_divide` (one
-remainder against them), so a caller dividing many elements by one basis
-builds its table once.  Only this module knows the vector encoding:
-`modules.py` calls the vector-level `module_gb`, `module_table`,
-`module_reduce`, `_syzygies`, `_block_diagonal` and `_colon`.
+lcm, index pair): the S-pair sequence, and where a budget trips, is that of
+the plain normal strategy.  Order keys are memoized for one Buchberger run,
+table build or division; each lead is computed once, and every remainder
+goes through one division kernel (`_reduce`).  Outside Buchberger a
+division is `_table` (a basis's reducers, built once) and `_divide` (one
+remainder).  Only this module knows the vector encoding: `modules.py` calls
+`module_gb`, `module_table`, `module_reduce`, `_syzygies`, `_block_diagonal`
+and `_colon`.
 
-Every colon is one syzygy computation in the same engine (`_colon`): for a
-submodule N of R^r and vectors u_1..u_k, N : (u_1..u_k) is the set of a
-with a*(u_1|..|u_k) in k block-diagonal copies of N.  `ideal_quotient` is
-the case r = 1, and `modules.FPModule.annihilator` the case u_j = e_j.  The
-tag-variable `ideal_intersect` stays as an independent route, which the
-tests use as the oracle for the colon.
+Every colon is one syzygy run (`_colon`): for N in R^r and vectors
+u_1..u_k, N : (u_1..u_k) is the a with a*(u_1|..|u_k) in k block-diagonal
+copies of N.  `ideal_quotient` is the case r = 1, `FPModule.annihilator`
+u_j = e_j, and a non-monomial `ideal_intersect` (I*e1 + J*e2) : (1, 1) in
+R^2.  Saturation and radical membership use the Rabinowitsch tag variable.
 """
 
 from __future__ import annotations
@@ -162,9 +162,6 @@ class Ideal:
     def is_zero_ideal(self) -> bool:
         return all(g.is_zero() for g in self.gens)
 
-    def is_monomial(self) -> bool:
-        return all(g.is_term() for g in self.gens if not g.is_zero())
-
     def __repr__(self) -> str:
         return "<ideal (" + ", ".join(str(g) for g in self.gens) + ")>"
 
@@ -173,6 +170,67 @@ def _same_ctx(I: Ideal, J: Ideal) -> RingCtx:
     if I.ctx != J.ctx:
         raise RingError("ideals live in different rings")
     return I.ctx
+
+
+# ---------------------------------------------------------------------------
+# Ideals given by terms, as divisibility on exponent tuples.
+
+def monomial_gens(I: Ideal) -> tuple[Exponents, ...] | None:
+    """The minimal generators of I if all its generators are terms."""
+    if not all(g.is_term() for g in I.gens if not g.is_zero()):
+        return None
+    return minimalize(e for g in I.gens for e in g.term_map())
+
+
+def minimalize(exps: Iterable[Exponents]) -> tuple[Exponents, ...]:
+    """The minimal generators among `exps`, sorted by (degree, exponent)."""
+    kept: list[Exponents] = []
+    for i, e in enumerate(sorted(set(exps), key=lambda e: (sum(e), e))):
+        if i & 255 == 255:
+            check_deadline("minimalize")
+        if not any(all(map(le_, f, e)) for f in kept):
+            kept.append(e)
+    return tuple(kept)
+
+
+def min_gens_intersect(A: Sequence[Exponents], B: Sequence[Exponents]) -> tuple[Exponents, ...]:
+    """The minimal generators of (A) ∩ (B): the minimal lcms of pairs."""
+    lcms = []
+    for f in A:
+        check_deadline("monomial intersection")
+        lcms += [tuple(map(max, f, g)) for g in B]
+    return minimalize(lcms)
+
+
+def min_gens_colon(A: Sequence[Exponents], B: Sequence[Exponents]) -> tuple[Exponents, ...]:
+    """The minimal generators of (A) : (B) for nonempty B: the intersection
+    over m in B of the (A) : m, which the g / gcd(g, m) generate."""
+    out = None
+    for m in B:
+        check_deadline("monomial colon")
+        part = minimalize(tuple(map(sub, g, map(min, g, m))) for g in A)
+        out = part if out is None else min_gens_intersect(out, part)
+    return out
+
+
+def _by_terms(kernel, I: Ideal, J: Ideal) -> Ideal | None:
+    """kernel(minimal gens of I, of J) as a seeded ideal if both are terms."""
+    a, b = monomial_gens(I), monomial_gens(J)
+    if a is None or b is None:
+        return None
+    return _seeded(I.ctx, _term_basis(I.ctx, kernel(a, b), DEGREVLEX))
+
+
+def _term_basis(ctx: RingCtx, gens: Iterable[Exponents], order: MonomialOrder) -> tuple:
+    """The reduced basis of the ideal of minimal generators `gens`."""
+    return tuple(Polynomial(ctx, {e: _ONE}) for e in sorted(gens, key=order.key))
+
+
+def _seeded(ctx: RingCtx, basis: tuple[Polynomial, ...]) -> Ideal:
+    """The ideal of its reduced degrevlex basis `basis`, cached."""
+    Q = Ideal(ctx, basis)
+    Q._gb_cache[DEGREVLEX.token()] = basis
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +566,7 @@ def _colon(ctx: RingCtx, vectors: Sequence[Vec], modulo: Sequence[Vec]) -> Ideal
     """
     stacked = tuple(p for u in vectors for p in u)
     blocks = _block_diagonal(modulo, len(vectors))
-    tags = tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked)))
-    Q = Ideal(ctx, tags)
-    Q._gb_cache[DEGREVLEX.token()] = tags
-    return Q
+    return _seeded(ctx, tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked))))
 
 
 def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
@@ -520,7 +575,8 @@ def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, 
     cached = I._gb_cache.get(token)
     if cached is not None:
         return cached
-    basis = tuple(_gb(I.ctx, I.gens, order))
+    gens = monomial_gens(I)
+    basis = tuple(_gb(I.ctx, I.gens, order)) if gens is None else _term_basis(I.ctx, gens, order)
     I._gb_cache[token] = basis
     return basis
 
@@ -568,36 +624,16 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(ctx, gens)
 
 
-# ---------------------------------------------------------------------------
-# Tag-variable constructions.
-
-def _tagged(ctx: RingCtx):
-    """ctx extended by one fresh tag variable: the big ring, the tag t as a
-    polynomial of it, and the map lifting a polynomial of ctx into it."""
-    big = ctx.extend([ctx.fresh_name("t@")])
-    up = {i: i for i in range(ctx.n)}
-    return big, Polynomial.variable(big, big.var_names[-1]), lambda p: p.map_vars(big, up)
-
-
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via a single tag variable t: eliminate t from t*I + (1-t)*J."""
+    """I ∩ J, its reduced degrevlex basis cached.  Beyond term ideals it is
+    the colon (I*e1 + J*e2) : (1, 1) over R^2: a*(1, 1) lies in I*e1 + J*e2
+    exactly when a lies in I and in J."""
     ctx = _same_ctx(I, J)
-    if is_zero_ideal(I) or is_zero_ideal(J):
-        return Ideal.zero(ctx)
-    if is_unit_ideal(I):
-        return Ideal(ctx, J.gens)
-    if is_unit_ideal(J):
-        return Ideal(ctx, I.gens)
-    big, t, lift = _tagged(ctx)
-    one = Polynomial.const(big, 1)
-    gens = [t * lift(f) for f in I.gens] + [(one - t) * lift(g) for g in J.gens]
-    result = eliminate(Ideal(big, gens), big.var_names[-1:])
-    # sanity required of this construction: products of generators must land inside
-    for f in I.gens:
-        for g in J.gens:
-            if not ideal_member(f * g, result):
-                raise RingError("intersection self-check failed")
-    return result
+    if (by_terms := _by_terms(min_gens_intersect, I, J)) is not None:
+        return by_terms
+    one, zero = Polynomial.const(ctx, 1), Polynomial.zero(ctx)
+    modulo = [(f, zero) for f in I.gens if not f.is_zero()]
+    return _colon(ctx, [(one, one)], modulo + [(zero, g) for g in J.gens if not g.is_zero()])
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
@@ -611,29 +647,38 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     g = [(p,) for p in J.gens if not p.is_zero()]
     if not g:
         return Ideal.unit(ctx)  # I : (0) is everything
+    if (by_terms := _by_terms(min_gens_colon, I, J)) is not None:
+        return by_terms
     return _colon(ctx, g, [(f,) for f in I.gens if not f.is_zero()])
+
+
+# ---------------------------------------------------------------------------
+# The Rabinowitsch tag variable.
+
+def _rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
+    """I + (1 - t*f) over I's ring extended by a fresh last variable t."""
+    if f.ctx != I.ctx:
+        raise RingError("mixed ring contexts")
+    big = I.ctx.extend([I.ctx.fresh_name("t@")])
+    up = {i: i for i in range(I.ctx.n)}
+    t = Polynomial.variable(big, big.var_names[-1])
+    return Ideal(big, [g.map_vars(big, up) for g in I.gens] + [1 - t * f.map_vars(big, up)])
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity via the Rabinowitsch tag 1 - t*f."""
     if f.is_zero():
         raise RingError("saturation by zero is undefined")
-    if f.ctx != I.ctx:
-        raise RingError("mixed ring contexts")
-    big, t, lift = _tagged(I.ctx)
-    gens = [lift(g) for g in I.gens] + [Polynomial.const(big, 1) - t * lift(f)]
-    return eliminate(Ideal(big, gens), big.var_names[-1:])
+    T = _rabinowitsch(I, f)
+    return eliminate(T, T.ctx.var_names[-1:])
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Whether f lies in the radical of I (1 ∈ I + (1 - t*f))."""
     if f.is_zero():
         return True
-    if f.ctx != I.ctx:
-        raise RingError("mixed ring contexts")
-    big, t, lift = _tagged(I.ctx)
-    gens = [lift(g) for g in I.gens] + [Polynomial.const(big, 1) - t * lift(f)]
-    basis = _gb(big, gens, DEGREVLEX)
+    T = _rabinowitsch(I, f)
+    basis = _gb(T.ctx, T.gens, DEGREVLEX)
     return len(basis) == 1 and basis[0].is_constant()
 
 

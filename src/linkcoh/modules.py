@@ -195,7 +195,7 @@ def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     zero = Polynomial.zero(ctx)
     columns = [tuple(f if k == j else zero for f in g for k in range(r)) for j in range(r)]
     kernel = submodule_syzygies(columns, _block_diagonal(N.relations, len(g)))
-    graded = N.multigraded and a.is_monomial()
+    graded = N.multigraded and from_ideal(a) is not None
     return present_subquotient(kernel, N, graded)
 
 
@@ -252,7 +252,7 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
         return FPModule(ctx, 0, ())
     t = len(g)
     syz = submodule_syzygies([(p,) for p in g], [(h,) for h in J.gens if not h.is_zero()])
-    graded = a.is_monomial() and J.is_monomial()
+    graded = from_ideal(a) is not None and from_ideal(J) is not None
     if not syz:
         kernel = [unit_vec(ctx, t, i) for i in range(t)]
     else:

@@ -4,7 +4,8 @@ polarization.
 
 Everything here is divisibility arithmetic on exponent tuples; no Groebner
 machinery is needed (and the general-path results are cross-checked against
-these routines in the test suite).
+these routines in the test suite).  The kernels live in `groebner`, which
+answers term ideals with them and never imports this module.
 """
 
 from __future__ import annotations
@@ -15,18 +16,15 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import groebner
+from .groebner import min_gens_colon, min_gens_intersect, minimalize, monomial_gens
 from .ring import (
     Exponents,
     Polynomial,
     RingCtx,
     RingError,
-    mono_degree,
     mono_divides,
-    mono_gcd,
-    mono_lcm,
     mono_mul,
     mono_one,
-    mono_quotient,
     mono_support,
 )
 
@@ -120,16 +118,6 @@ class PrimeSet:
         return "PrimeSet(" + ", ".join(str(p.vars) for p in self) + ")"
 
 
-def minimalize(exps: Iterable[Exponents]) -> tuple[Exponents, ...]:
-    """The divisibility antichain of minimal generators."""
-    uniq = sorted(set(exps), key=lambda e: (mono_degree(e), e))
-    kept: list[Exponents] = []
-    for e in uniq:
-        if not any(mono_divides(f, e) for f in kept):
-            kept.append(e)
-    return tuple(sorted(kept, key=lambda e: (mono_degree(e), e)))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal held by its (unique) minimal generators.
@@ -194,15 +182,8 @@ class MonomialIdeal:
 
 def from_ideal(I: groebner.Ideal) -> MonomialIdeal | None:
     """Reinterpret a general ideal as monomial when its generators are terms."""
-    exps = []
-    for g in I.gens:
-        if g.is_zero():
-            continue
-        if not g.is_term():
-            return None
-        (e,) = g.term_map().keys()
-        exps.append(e)
-    return MonomialIdeal.from_exponents(I.ctx, exps)
+    gens = monomial_gens(I)
+    return None if gens is None else MonomialIdeal(I.ctx, gens)
 
 
 def as_monomial(I: groebner.Ideal) -> MonomialIdeal | None:
@@ -236,8 +217,7 @@ def mono_sum(I: MonomialIdeal, *others: MonomialIdeal) -> MonomialIdeal:
 
 
 def mono_intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    exps = [mono_lcm(f, g) for f in I.min_gens for g in J.min_gens]
-    return MonomialIdeal.from_exponents(I.ctx, exps)
+    return MonomialIdeal(I.ctx, min_gens_intersect(I.min_gens, J.min_gens))
 
 
 def mono_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -245,21 +225,11 @@ def mono_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(I.ctx, exps)
 
 
-def mono_colon_single(I: MonomialIdeal, m: Exponents) -> MonomialIdeal:
-    exps = [mono_quotient(g, mono_gcd(g, m)) for g in I.min_gens]
-    return MonomialIdeal.from_exponents(I.ctx, exps)
-
-
 def mono_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I : J = the intersection over J's generators of I : (m)."""
     if J.is_zero():
         return MonomialIdeal.unit(I.ctx)
-    result: MonomialIdeal | None = None
-    for m in J.min_gens:
-        part = mono_colon_single(I, m)
-        result = part if result is None else mono_intersect(result, part)
-    assert result is not None
-    return result
+    return MonomialIdeal(I.ctx, min_gens_colon(I.min_gens, J.min_gens))
 
 
 def mono_radical(I: MonomialIdeal) -> MonomialIdeal:
@@ -285,14 +255,14 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """
     if I.is_zero() or not I.is_proper():
         raise ImproperIdealError("irreducible decomposition needs a nonzero proper ideal")
-    memo: dict[frozenset, set[tuple[Exponents, ...]]] = {}
+    # keyed by the canonical `minimalize` tuple, so equal ideals share a node
+    memo: dict[tuple[Exponents, ...], set[tuple[Exponents, ...]]] = {}
 
-    def rec(key: frozenset) -> set[tuple[Exponents, ...]]:
-        got = memo.get(key)
+    def rec(gens: tuple[Exponents, ...]) -> set[tuple[Exponents, ...]]:
+        got = memo.get(gens)
         if got is not None:
             return got
         groebner.check_deadline("irreducible decomposition")
-        gens = minimalize(key)
         split = None
         for g in gens:
             sup = mono_support(g)
@@ -305,12 +275,11 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
             g, i = split
             u = tuple(g[j] if j == i else 0 for j in range(len(g)))
             v = tuple(0 if j == i else g[j] for j in range(len(g)))
-            out = rec(frozenset(minimalize(set(gens) | {u})))
-            out = out | rec(frozenset(minimalize(set(gens) | {v})))
-        memo[key] = out
+            out = rec(minimalize(gens + (u,))) | rec(minimalize(gens + (v,)))
+        memo[gens] = out
         return out
 
-    raw = rec(frozenset(I.min_gens))
+    raw = rec(I.min_gens)
     comps = sorted((MonomialIdeal(I.ctx, gens) for gens in raw), key=lambda c: c.min_gens)
     return tuple(c for c in comps if not any(d is not c and mono_contains(c, d) for d in comps))
 

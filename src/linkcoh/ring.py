@@ -102,24 +102,6 @@ def mono_divides(u: Exponents, v: Exponents) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
 
-def mono_quotient(u: Exponents, v: Exponents) -> Exponents:
-    if not mono_divides(v, u):
-        raise RingError("monomial quotient requested for a non-divisor")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def mono_lcm(u: Exponents, v: Exponents) -> Exponents:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def mono_gcd(u: Exponents, v: Exponents) -> Exponents:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
-def mono_degree(u: Exponents) -> int:
-    return sum(u)
-
-
 def mono_support(u: Exponents) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(u) if e)
 

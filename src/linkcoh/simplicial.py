@@ -383,6 +383,8 @@ def depth_squarefree(I: MonomialIdeal) -> int:
     link shape is ranked once.  A face of size s gives candidates of at
     least s + 1, so the scan stops once the best candidate is that small.
     """
+    if not I.is_squarefree():
+        raise RingError("depth_squarefree needs a squarefree ideal")
     cx = complex_of(I)
     if cx.is_irrelevant():
         return 0
@@ -454,6 +456,8 @@ def cd_squarefree(a: MonomialIdeal) -> int:
     For squarefree ideals this equals the projective dimension of R/a,
     i.e. n - depth R/a.
     """
+    if not a.is_squarefree():
+        raise RingError("cd_squarefree needs a squarefree ideal")
     if a.is_zero():
         return 0
     if not a.is_proper():

@@ -388,6 +388,27 @@ def test_soft_timeout_trips_monomial_kernels(capsys, cmd):
     assert doc["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("cmd, flag, what", [
+    ("colon", "--by", "monomial colon"),
+    ("intersect", "--with", "monomial intersection"),
+])
+def test_soft_timeout_trips_monomial_colon_and_intersection(capsys, cmd, flag, what):
+    # both operands are given by terms, so the divisibility kernels answer
+    # and their loops are what must see the deadline
+    code, out, err = invoke(
+        capsys,
+        "--timeout-soft", "0",
+        cmd,
+        "--ring", "a,b,c,d,e,f,g",
+        "--ideal", "a^2*c, e*f^2*g, c^2*d*g, b*d*f^2, a*b*c*d, e^3*g, b^2*f",
+        flag, "a*b, c*d*e, f*g, a^2*g",
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded"
+    assert doc["detail"].startswith(what)
+
+
 @pytest.mark.parametrize("names", ["1,x", "x y,z"])
 def test_ring_names_must_be_identifiers(capsys, names):
     code, out, err = invoke(capsys, "gb", "--ring", names, "--ideal", "x")

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from engine_routes import engine_gb, engine_quotient, tag_intersect
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -33,7 +34,7 @@ from linkcoh.groebner import (
     saturate,
     set_limits,
 )
-from linkcoh.ring import DEGREVLEX, Polynomial, parse_poly, ring
+from linkcoh.ring import DEGREVLEX, LEX, Polynomial, parse_poly, ring
 
 
 def P(ctx, text):
@@ -196,6 +197,8 @@ def test_intersection_hand_and_membership_property():
         A = Ideal(ctx, [random_homogeneous(rng, ctx, rng.randint(1, 2)) for _ in range(2)])
         B = Ideal(ctx, [random_homogeneous(rng, ctx, rng.randint(1, 2)) for _ in range(2)])
         T = ideal_intersect(A, B)
+        # the colon over R^2 lists the basis the tag-variable route eliminates to
+        assert T.gens == tag_intersect(A, B).gens
         for g in reduced_gb(T):
             if not g.is_zero():
                 assert ideal_member(g, A) and ideal_member(g, B)
@@ -217,7 +220,8 @@ def test_quotient_hand_cases_and_property():
     for q in Q.gens:
         for b in B.gens:
             assert ideal_member(q * b, A)
-    # the tag-variable intersection is the oracle for the syzygy colon:
+    # the tag-variable intersection is the oracle for the engine's syzygy
+    # colon, called directly since an all-term I and g would not reach it:
     # (I : g)*g = I ∩ (g), and I : (g1, g2) = (I : g1) ∩ (I : g2)
     ctx = ring("x", "y", "z")
     rng = random.Random(31)
@@ -244,13 +248,68 @@ def test_quotient_hand_cases_and_property():
         g1, g2 = terms_poly(1), terms_poly(2)  # a monomial and a binomial
         for g in (g1, g2):
             G = Ideal(ctx, [g])
-            Q = seeded(ideal_quotient(I, G))
-            assert ideal_equal(ideal_product(Q, G), ideal_intersect(I, G))
-        parts = [seeded(ideal_quotient(I, Ideal(ctx, [g]))) for g in (g1, g2)]
-        Q = seeded(ideal_quotient(I, Ideal(ctx, [g1, g2])))
-        assert ideal_equal(Q, ideal_intersect(*parts))
+            Q = seeded(engine_quotient(I, G))
+            assert seeded(ideal_quotient(I, G)).gens == Q.gens
+            assert engine_gb(ideal_product(Q, G)) == engine_gb(tag_intersect(I, G))
+        parts = [seeded(engine_quotient(I, Ideal(ctx, [g]))) for g in (g1, g2)]
+        Q = seeded(engine_quotient(I, Ideal(ctx, [g1, g2])))
+        assert engine_gb(Q) == engine_gb(tag_intersect(*parts))
     # the zero colon: its generator list holds one zero, its basis is empty
+    assert seeded(engine_quotient(Ideal.zero(ctx), Ideal(ctx, [g1]))).is_zero_ideal()
     assert seeded(ideal_quotient(Ideal.zero(ctx), Ideal(ctx, [g1]))).is_zero_ideal()
+
+
+def test_monomial_dispatch_matches_engine():
+    # ideals given by terms are answered by divisibility, without one S-pair;
+    # the answers equal the engine's tuple for tuple, cache included
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def term_ideal(draw, ctx):
+        gens = []
+        for _ in range(draw(st.integers(0, 4))):
+            e = draw(st.lists(st.integers(0, 3), min_size=ctx.n, max_size=ctx.n))
+            gens.append(Polynomial(ctx, {tuple(e): draw(st.sampled_from([-2, 1, 3]))}))
+        return Ideal(ctx, gens)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
+        I, J = data.draw(term_ideal(ctx)), data.draw(term_ideal(ctx))
+        with set_limits(max_spairs=0):
+            bases = {order: reduced_gb(I, order) for order in (DEGREVLEX, LEX)}
+            X = ideal_intersect(I, J)
+            Q = None if J.is_zero_ideal() else ideal_quotient(I, J)
+        T = tag_intersect(I, J)
+        assert X.gens == T.gens
+        for order, basis in bases.items():
+            assert basis == engine_gb(I, order)
+            assert reduced_gb(X, order) == engine_gb(T, order)
+        if Q is not None:
+            E = engine_quotient(I, J)
+            assert Q.gens == E.gens and Q._gb_cache == E._gb_cache
+            assert reduced_gb(Q, LEX) == engine_gb(E, LEX)
+
+    check()
+
+
+def test_monomial_dispatch_honours_soft_timeout():
+    ctx = ring("x", "y", "z")
+    I, J = I_of(ctx, "x^3*y", "y^2*z", "x*z^4"), I_of(ctx, "x*y", "z^2")
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded, match="^monomial colon"):
+            ideal_quotient(I, J)
+        with pytest.raises(BudgetExceeded, match="^monomial intersection"):
+            ideal_intersect(I, J)
+    # a term ideal's reduced basis is one quadratic minimalize scan, which
+    # checks the deadline every 256 candidates: all 276 terms of degree 22
+    many = Ideal(ctx, [Polynomial(ctx, {(a, b, 22 - a - b): 1}) for a in range(23) for b in range(23 - a)])
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded, match="^minimalize"):
+            reduced_gb(many)
+    assert len(reduced_gb(many)) == 276
 
 
 def test_saturation():

@@ -55,6 +55,7 @@ from linkcoh.monomial import (
     PrimeSet,
     all_monomial_primes,
     associated_primes,
+    from_ideal,
 )
 from linkcoh.ring import DEGREVLEX, Polynomial, RingError, mono_divides, parse_poly, ring
 from linkcoh.simplicial import depth_monomial
@@ -528,7 +529,7 @@ def _homogeneous_ideals(count, seed):
     while len(out) < count:
         gens = _minors4(rng) if len(out) % 2 else [_binomial4(rng) for _ in range(rng.randint(2, 3))]
         J = Ideal(CTX4, gens)
-        if not J.is_monomial() and is_proper(J):
+        if from_ideal(J) is None and is_proper(J):
             out.append(J)
     return out
 

@@ -14,9 +14,6 @@ from linkcoh.ring import (
     elimination_order,
     format_poly,
     mono_divides,
-    mono_gcd,
-    mono_lcm,
-    mono_quotient,
     order_by_name,
     parse_poly,
     ring,
@@ -52,13 +49,8 @@ def test_ring_ctx_validation():
 
 def test_monomial_helpers():
     u, v = (2, 0, 1), (1, 3, 0)
-    assert mono_lcm(u, v) == (2, 3, 1)
-    assert mono_gcd(u, v) == (1, 0, 0)
     assert mono_divides((1, 0, 0), u)
     assert not mono_divides(v, u)
-    assert mono_quotient(u, (1, 0, 1)) == (1, 0, 0)
-    with pytest.raises(RingError):
-        mono_quotient((1, 0, 0), (2, 0, 0))
 
 
 def test_parse_and_format_round_trip(ctx):

@@ -237,6 +237,13 @@ def test_cd_on_quotient_refuses_unit_ideal():
         cd_squarefree(unit)
 
 
+def test_squarefree_operations_name_themselves_on_bad_input():
+    ctx = ring("x", "y")
+    for fn in (depth_squarefree, cd_squarefree):
+        with pytest.raises(RingError, match=f"^{fn.__name__} needs a squarefree ideal$"):
+            fn(MI(ctx, "x^2", "y"))
+
+
 # ---------------------------------------------------------------------------
 # Depth against Hochster's formula with exact ranks only.
 
