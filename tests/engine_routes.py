@@ -36,7 +36,8 @@ def tag_intersect(I, J):
     big = ctx.extend([ctx.fresh_name("t@")])
     up = {i: i for i in range(ctx.n)}
     t = Polynomial.variable(big, big.var_names[-1])
-    gens = [t * f.map_vars(big, up) for f in I.gens] + [(1 - t) * g.map_vars(big, up) for g in J.gens]
+    gens = [t * f.map_vars(big, up) for f in I.gens]
+    gens += [(1 - t) * g.map_vars(big, up) for g in J.gens]
     result = eliminate(Ideal(big, gens), big.var_names[-1:])
     basis = engine_gb(result)
     for f in I.gens:

@@ -305,7 +305,8 @@ def test_monomial_dispatch_honours_soft_timeout():
             ideal_intersect(I, J)
     # a term ideal's reduced basis is one quadratic minimalize scan, which
     # checks the deadline every 256 candidates: all 276 terms of degree 22
-    many = Ideal(ctx, [Polynomial(ctx, {(a, b, 22 - a - b): 1}) for a in range(23) for b in range(23 - a)])
+    terms = [(a, b, 22 - a - b) for a in range(23) for b in range(23 - a)]
+    many = Ideal(ctx, [Polynomial(ctx, {e: 1}) for e in terms])
     with set_limits(soft_timeout=0):
         with pytest.raises(BudgetExceeded, match="^minimalize"):
             reduced_gb(many)
