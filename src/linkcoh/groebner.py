@@ -9,17 +9,20 @@ the minimal generators, monic, in increasing order (the engine's output),
 and a colon or intersection has its degrevlex basis cached, as from
 `_colon`.  `_gb` and `_colon` stay callable for tests that compare routes.
 
-The engine is Buchberger's algorithm with the coprime-lcm and chain
-criteria under the normal strategy; a hard S-pair budget makes a runaway
-run abort as a resource error instead of hanging.  It works on term maps
-(exponent -> coefficient).  A vector of R^r is the term map whose exponents
-are a one-hot position prefix of length r followed by the ring exponent; an
-ideal has an empty prefix.  Terms compare by (prefix, order key of the ring
-exponent): position-over-term, lower positions dominant.  Pairing, the
-chain criterion and each reduction step consult only the basis elements
-leading at their own position.  The coprime criterion, unsound for modules,
-needs no position test: at a position the lcm's prefix entry is 1 and the
-product's is 2, so it never fires there.
+The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
+under the normal strategy; a hard S-pair budget makes a runaway run abort as
+a resource error instead of hanging.  It works on term maps (exponent ->
+coefficient) made primitive and integral on entry.  A division step
+multiplies by a/gcd(a, c) where it would divide by a lead coefficient a, so
+the engine makes no `Fraction` until it answers: `Polynomial`s and every
+answer (monic bases, exact remainders) stay on `Fraction`.  A vector of R^r
+is the term map whose exponents are a one-hot position prefix of length r
+followed by the ring exponent; an ideal has an empty prefix.  Terms compare
+by (prefix, order key of the ring exponent): position-over-term, lower
+positions dominant.  Pairing, the chain criterion and each reduction step
+consult only the basis elements leading at their own position.  The coprime
+criterion, unsound for modules, needs no position test: at a position the
+lcm's prefix entry is 1 and the product's is 2, so it never fires there.
 
 Pending S-pairs sit in a heap keyed by (order key of the ring part of the
 lcm, index pair): the S-pair sequence, and where a budget trips, is that of
@@ -46,6 +49,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 from operator import add, le as le_, sub
 from typing import Iterable, Sequence
 
@@ -305,16 +309,20 @@ class _PairQueue:
         return bool(self._heap)
 
 
-def _reducer(terms: dict, key) -> tuple[Exponents, tuple]:
-    """The (lead, tail) reducer of a nonzero term map scaled to lead
-    coefficient 1; the tail lists the other scaled terms as (exponent,
-    coefficient)."""
-    lead = max(terms, key=key)
-    c = terms[lead]
-    if c == 1:
-        return lead, tuple((e, v) for e, v in terms.items() if e != lead)
-    inv = _ONE / c
-    return lead, tuple((e, v * inv) for e, v in terms.items() if e != lead)
+def _integral(terms: dict) -> tuple[dict, int]:
+    """(D * terms, D) for the least D > 0 that clears every denominator."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _reducer(terms: dict, key) -> tuple[Exponents, int, tuple]:
+    """The (lead, a, tail) reducer of the primitive part of a nonzero term map
+    (denominators cleared, content divided out, signed so that the lead
+    coefficient a > 0); the tail lists the other terms as (exponent, coeff)."""
+    ints, _ = _integral(terms)
+    lead = max(ints, key=key)
+    g = gcd(*ints.values()) * (1 if ints[lead] > 0 else -1)
+    return lead, ints[lead] // g, tuple((e, v // g) for e, v in ints.items() if e != lead)
 
 
 def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
@@ -332,31 +340,43 @@ def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
                 del work[k]
 
 
-def _reduce(work: dict, table: dict, key, rank: int = 0) -> dict:
-    """Remainder of the term map `work` (consumed) under division by the
-    reducers in `table`, which maps a position prefix to the (lead, tail)
-    reducers leading there; those are tried in order.
+def _reduce(work: dict, table: dict, key, rank: int, what: str) -> tuple[dict, int]:
+    """(rem, s): rem is the remainder of s * `work`, an integer term map
+    (consumed), under the reducers in `table`, which maps a position prefix to
+    the reducers leading there, tried in order.
 
-    The largest remaining term is taken first.  A reducer's tail never
-    reaches a lower position than its lead, so the positions empty one after
-    another, lowest first, and each step scans only its own position's list.
+    The largest remaining term c*x^e is taken first.  A reducer (l, a, tail)
+    with g = gcd(a, c) multiplies the work, the remainder so far and s by a/g
+    and subtracts (c/g)*x^(e-l)*tail.  A reducer's tail never reaches a lower
+    position than its lead, so the positions empty one after another, lowest
+    first, and each step scans only its own position's list.  The soft
+    deadline is checked every 256 steps.
     """
-    rem: dict[Exponents, Fraction] = {}
+    rem: dict[Exponents, int] = {}
+    s = steps = 1
     while work:
+        if steps & 255 == 0:
+            check_deadline(what, steps)
+        steps += 1
         e = max(work, key=key)
         c = work.pop(e)
-        for le, tail in table.get(e[:rank], ()):
+        for le, a, tail in table.get(e[:rank], ()):
             if all(map(le_, le, e)):
-                _sub_shifted(work, tail, tuple(map(sub, e, le)), c)
+                g = gcd(a, c)
+                if (m := a // g) != 1:
+                    s *= m
+                    work = {k: v * m for k, v in work.items()}
+                    rem = {k: v * m for k, v in rem.items()}
+                _sub_shifted(work, tail, tuple(map(sub, e, le)), c // g)
                 break
         else:
             rem[e] = c
-    return rem
+    return rem, s
 
 
 def _table(basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> dict:
     """The reducer table of the term maps `basis`: position prefix -> the
-    (lead, tail) reducers leading there, in basis order.  It holds no order
+    (lead, a, tail) reducers leading there, in basis order.  It holds no order
     keys, so one table serves any number of `_divide` calls."""
     key, _ = _keys(order, rank)
     table: dict = {}
@@ -368,10 +388,13 @@ def _table(basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> dict:
 
 
 def _divide(work: dict, table: dict, order: MonomialOrder, rank: int = 0) -> dict:
-    """Remainder of the term map `work` (consumed) under division by the
-    reducer table `table` of `_table`."""
+    """Remainder over Q of the term map `work` under division by the reducer
+    table `table` of `_table`: D*work, its denominators cleared, reduces to
+    (rem, s), and the remainder is rem / (D*s)."""
     key, _ = _keys(order, rank)
-    return _reduce(work, table, key, rank)
+    ints, d = _integral(work)
+    rem, s = _reduce(ints, table, key, rank, "module normal form" if rank else "normal form")
+    return {e: Fraction(c, d * s) for e, c in rem.items()}
 
 
 def normal_form(
@@ -379,7 +402,7 @@ def normal_form(
 ) -> Polynomial:
     """Full remainder of f under division by `basis`."""
     table = _table((g.term_map() for g in basis), order)
-    return Polynomial(f.ctx, _divide(dict(f.term_map()), table, order))
+    return Polynomial(f.ctx, _divide(f.term_map(), table, order))
 
 
 def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> list[dict]:
@@ -397,7 +420,7 @@ def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> li
     what = "module buchberger" if rank else "buchberger"
     key, pair_key = _keys(order, rank)
     queue = _PairQueue(pair_key)
-    red: list[tuple[Exponents, tuple]] = []  # (lead, tail) of the monic basis elements
+    red: list[tuple[Exponents, int, tuple]] = []  # (lead, a, tail) of the basis elements
     leads: list[Exponents] = []
     table: dict = {}  # position prefix -> the reducers leading there
     at: dict = {}  # position prefix -> the indices of the elements leading there
@@ -437,11 +460,12 @@ def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> li
                     break
         if skip:
             continue
-        # S-polynomial of two monic elements: their lcm terms cancel
-        qi = tuple(map(sub, l, li))
-        work = {tuple(map(add, e, qi)): c for e, c in red[i][1]}
-        _sub_shifted(work, red[j][1], tuple(map(sub, l, lj)), _ONE)
-        rem = _reduce(work, table, key, rank)
+        # S-polynomial (a_j/g)*x^qi*f_i - (a_i/g)*x^qj*f_j: the lcm terms cancel
+        (_, ai, ti), (_, aj, tj) = red[i], red[j]
+        g, qi = gcd(ai, aj), tuple(map(sub, l, li))
+        work = {tuple(map(add, e, qi)): aj // g * c for e, c in ti}
+        _sub_shifted(work, tj, tuple(map(sub, l, lj)), ai // g)
+        rem, _ = _reduce(work, table, key, rank, what)
         if rem:
             # the remainder may lead at another position than its pair did
             admit(rem)
@@ -451,13 +475,18 @@ def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> li
     kept: list[int] = []
     for i in sorted(range(len(red)), key=lambda i: key(leads[i])):
         here = final.setdefault(leads[i][:rank], [])
-        if not any(all(map(le_, le, leads[i])) for le, _ in here):
+        if not any(all(map(le_, r[0], leads[i])) for r in here):
             here.append(red[i])
             kept.append(i)
     # tail-reduce: the kept elements form a minimal basis, so each tail has a
-    # unique remainder under them, and no kept lead divides another or a
+    # unique remainder under them (s*tail reduces to rem: a*x^lead + tail is
+    # x^lead + rem/(a*s) made monic), and no kept lead divides another or a
     # smaller term of its own element, so every lead stays
-    return [{leads[i]: _ONE, **_reduce(dict(red[i][1]), final, key, rank)} for i in kept]
+    out = []
+    for lead, a, tail in (red[i] for i in kept):
+        rem, s = _reduce(dict(tail), final, key, rank, what)
+        out.append({lead: _ONE, **{e: Fraction(c, a * s) for e, c in rem.items()}})
+    return out
 
 
 def _gb(ctx: RingCtx, gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynomial]:

@@ -28,6 +28,8 @@ from linkcoh.groebner import (
     is_proper,
     is_unit_ideal,
     is_zero_ideal,
+    module_reduce,
+    module_table,
     normal_form,
     radical_member,
     reduced_gb,
@@ -453,3 +455,95 @@ def test_reduced_gb_matches_sympy(case):
     ours = reduced_gb(I)
     assert len(ours) == len(expected)
     assert set(ours) == expected
+
+
+# ---------------------------------------------------------------------------
+# Rational coefficients: the engine clears denominators on entry and divides
+# by the product of its step multipliers on exit, so sympy checks both ends.
+
+def _sympy_polys(sympy, polys, syms):
+    return [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.term_map().items()},
+            *syms, domain="QQ",
+        )
+        for p in polys
+    ]
+
+
+def _from_sympy(ctx, p):
+    return Polynomial(ctx, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
+
+
+RATIONAL_SYSTEMS = {
+    "quadrics": ("1/2*x^2 - 3/4*y*z", "-5/3*x*y + 1/2*z^2", "-3/4*y^2 + 5/3*x"),
+    "negative_leads": ("-3/4*x^3 + 1/2*y", "-5/3*y^2 - 1/2*x*z", "-1/2*z^2 + 3/4"),
+    "scaled_katsura3": (
+        "-1/2*x + 5/3*y + 5/3*z - 3/4",
+        "5/3*x^2 - 2/7*y^2 + 1/2*z^2 - 3/4*x",
+        "-3/4*x*y + 5/3*y*z - 1/2*y",
+    ),
+    "binomials": ("3/4*x^2*y - 5/3*z^3", "-1/2*x*y^2 + 2/7*z", "5/3*x*z - 3/4*y^3"),
+}
+RATIONAL_REMAINDERS = (
+    "5/3*x^3*y - 1/2*x*z^2 + 3/4*y^3 - 2/7",
+    "-3/4*x^2*y*z + 1/2*y^2 - 5/3*z",
+    "2/7*x^4 - 5/3*y^2*z^2 + x*y*z",
+)
+
+
+@pytest.mark.parametrize("case", sorted(RATIONAL_SYSTEMS))
+def test_rational_gb_and_remainders_match_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    ctx = ring("x", "y", "z")
+    I = I_of(ctx, *RATIONAL_SYSTEMS[case])
+    syms = sympy.symbols(ctx.var_names)
+    G = sympy.groebner(_sympy_polys(sympy, I.gens, syms), *syms, order="grevlex", domain="QQ")
+    ours = reduced_gb(I)
+    assert set(ours) == {_from_sympy(ctx, p) for p in G.polys}
+    assert len(ours) == len(G.polys)
+    # the remainder modulo a Groebner basis is unique: exact agreement
+    for text in RATIONAL_REMAINDERS:
+        f = P(ctx, text)
+        (g,) = _sympy_polys(sympy, [f], syms)
+        expected = sympy.Poly(G.reduce(g.as_expr())[1], *syms, domain="QQ")
+        assert normal_form(f, ours) == _from_sympy(ctx, expected)
+        assert normal_form(f * Fraction(-7, 5), ours) == _from_sympy(ctx, expected) * Fraction(-7, 5)
+
+
+@pytest.mark.parametrize("gens", [
+    ("3*x^2*y", "-2*y^3", "1/5*x*z"),
+    ("-7/2*x*y*z", "4/9*x^2", "-x^3*z", "5/3*y^2*z^2", "2*x*y^3*z"),
+    ("1/3*z^2", "-z^3*x", "0", "-3/4*y"),
+])
+def test_monomial_dispatch_matches_sympy(gens):
+    # term ideals never reach the engine; their reduced basis is still the
+    # unique one: the monic minimal generators, in the engine's order
+    sympy = pytest.importorskip("sympy")
+    ctx = ring("x", "y", "z")
+    I = I_of(ctx, *gens)
+    syms = sympy.symbols(ctx.var_names)
+    polys = _sympy_polys(sympy, [g for g in I.gens if not g.is_zero()], syms)
+    for order, name in ((DEGREVLEX, "grevlex"), (LEX, "lex")):
+        G = sympy.groebner(polys, *syms, order=name, domain="QQ")
+        expected = sorted((_from_sympy(ctx, p) for p in G.polys), key=lambda p: order.key(p.lead()[0]))
+        with set_limits(max_spairs=0):
+            ours = reduced_gb(I, order)
+        assert list(ours) == expected
+        assert all(c == 1 for p in ours for c in p.term_map().values())
+
+
+def test_division_outside_buchberger_honours_soft_timeout():
+    # normal_form and module_reduce check the soft deadline every 256
+    # reduction steps: x^600 takes 600 steps to reduce by x - 1, x^200 only 200
+    ctx = ring("x", "y")
+    basis = [P(ctx, "x - 1")]
+    table = module_table([(P(ctx, "x - 1"), P(ctx, "0"))], 2)
+    with set_limits(soft_timeout=-1):
+        assert normal_form(P(ctx, "x^200"), basis) == P(ctx, "1")
+        assert module_reduce((P(ctx, "x^200"), P(ctx, "y")), table) == (P(ctx, "1"), P(ctx, "y"))
+        with pytest.raises(BudgetExceeded, match="^normal form"):
+            normal_form(P(ctx, "x^600"), basis)
+        with pytest.raises(BudgetExceeded, match="^module normal form"):
+            module_reduce((P(ctx, "x^600"), P(ctx, "y")), table)
+    assert normal_form(P(ctx, "3/2*x^600 + y"), basis) == P(ctx, "y + 3/2")

@@ -24,6 +24,8 @@ from linkcoh.groebner import (
     is_proper,
     is_unit_ideal,
     is_zero_ideal,
+    module_reduce,
+    module_table,
     reduced_gb,
     set_limits,
 )
@@ -179,6 +181,42 @@ def test_module_gb_engine_properties():
         if polys_in:
             as_ideal = [v[0] for v in module_gb([(p,) for p in polys_in])]
             assert as_ideal == list(reduced_gb(Ideal(ctx, polys_in)))
+
+    check()
+
+
+def test_module_reduce_scales_and_lands_in_the_submodule():
+    # module_reduce clears denominators and divides by the product s of its
+    # step multipliers: a wrong or dropped s breaks linearity under scaling
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ctx = ring("x", "y", "z")
+    gens = [
+        vec(ctx, "1/2*x^2 - 3/4*y*z", "-5/3*x*y"),
+        vec(ctx, "-2/3*y^2 + x*z", "3/2*y*z"),
+        vec(ctx, "5/4*z^2 - 1/3*x*y", "-x*z + 2/5*y"),
+    ]
+    table = module_table(module_gb(gens), 2)
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+    @st.composite
+    def vectors(draw):
+        parts = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(draw(st.integers(0, 4))):
+                e = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+                terms[tuple(e)] = draw(coeffs)
+            parts.append(Polynomial(ctx, terms))
+        return tuple(parts)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(vectors(), coeffs.filter(bool))
+    def check(v, lam):
+        r = module_reduce(v, table)
+        scale = Polynomial.const(ctx, lam)
+        assert module_reduce(vec_scale(scale, v), table) == vec_scale(scale, r)
+        assert vec_is_zero(module_reduce(vec_add(v, vec_scale(Polynomial.const(ctx, -1), r)), table))
 
     check()
 

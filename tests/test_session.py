@@ -2,7 +2,9 @@
 
 import pytest
 
+from linkcoh.ring import Polynomial, RingCtx
 from linkcoh.session import (
+    _VERBS,
     SessionError,
     parse_session,
     parse_session_text,
@@ -139,3 +141,56 @@ def test_zero_ideal_and_task_words():
     sf = parse_session_text("ring x, y\nideal z0 = 0\ntask dim z0\n")
     assert sf.ideals["z0"].is_zero_ideal()
     assert sf.tasks[0].words() == ("dim", "z0")
+
+
+def test_render_is_parse_stable_property():
+    # parse -> render -> parse -> render is a fixed point on generated
+    # sessions, and the second parse reads back the same session
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def session_text(draw):
+        letters = st.sampled_from(["x", "y", "z", "w", "u1", "v_2"])
+        names = draw(st.lists(letters, min_size=1, max_size=4, unique=True))
+        ctx = RingCtx(tuple(names))
+        pad = st.sampled_from(["", " ", "  "])
+        lines = ["# generated", "ring " + (draw(pad) + ",").join(names)]
+        ideals, modules = [], []
+        for k in range(draw(st.integers(1, 3))):
+            gens = []
+            for _ in range(draw(st.integers(0, 3))):
+                terms = {}
+                for _ in range(draw(st.integers(1, 2))):
+                    e = draw(st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n))
+                    if any(e):  # no constant term: every ideal is proper
+                        terms[tuple(e)] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+                gens.append(str(Polynomial(ctx, terms)))
+            ideals.append(f"i{k}")
+            lines.append(f"ideal i{k} ={draw(pad)}" + (draw(pad) + ", ").join(gens or ["0"]) + draw(pad))
+            if draw(st.booleans()):
+                lines.append("")
+        for k in range(draw(st.integers(1, 2))):
+            rhs = draw(st.sampled_from(["R"] + [f"R / {i}" for i in ideals]))
+            modules.append(f"m{k}")
+            lines.append(f"module m{k} = {rhs}" + draw(st.sampled_from(["", "  # note"])))
+        for verb in draw(st.lists(st.sampled_from(sorted(_VERBS)), max_size=5)):
+            words = [verb]
+            for slot in _VERBS[verb]:
+                pool = {"ideal": ideals, "module": modules}.get(slot)
+                words += [draw(st.sampled_from(pool))] if pool else ["over", draw(st.sampled_from(modules))]
+            lines.append("task " + (" " + draw(pad)).join(words))
+        return "\n".join(lines) + "\n"
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(session_text())
+    def check(text):
+        first = parse_session_text(text)
+        rendered = render_session(first)
+        again = parse_session_text(rendered)
+        assert render_session(again) == rendered
+        assert again.ctx == first.ctx and again.tasks == first.tasks
+        assert again.module_defs == first.module_defs
+        assert {k: I.gens for k, I in again.ideals.items()} == {k: I.gens for k, I in first.ideals.items()}
+
+    check()
