@@ -17,9 +17,9 @@ multiplies by a/gcd(a, c) where it would divide by a lead coefficient a, so
 the engine makes no `Fraction` until it answers: `Polynomial`s and every
 answer (monic bases, exact remainders) stay on `Fraction`.  A vector of R^r
 is the term map whose exponents are a one-hot position prefix of length r
-followed by the ring exponent; an ideal has an empty prefix.  Terms compare
-by (prefix, order key of the ring exponent): position-over-term, lower
-positions dominant.  Pairing, the chain criterion and each reduction step
+followed by the ring exponent; an ideal has an empty prefix.  A term's key is
+the prefix followed by the order key of the ring exponent, one flat tuple:
+position-over-term, lower positions dominant.  Pairing, the chain criterion and each reduction step
 consult only the basis elements leading at their own position.  The coprime
 criterion, unsound for modules, needs no position test: at a position the
 lcm's prefix entry is 1 and the product's is 2, so it never fires there.
@@ -39,6 +39,16 @@ u_1..u_k, N : (u_1..u_k) is the a with a*(u_1|..|u_k) in k block-diagonal
 copies of N.  `ideal_quotient` is the case r = 1, `FPModule.annihilator`
 u_j = e_j, and a non-monomial `ideal_intersect` (I*e1 + J*e2) : (1, 1) in
 R^2.  Saturation and radical membership use the Rabinowitsch tag variable.
+
+The basis contract: an engine run may take a part that is already a Groebner
+basis (`_buchberger(..., basis=)`), whose elements are never paired with one
+another, since those S-pairs reduce to zero.  The second argument of
+`_syzygies` and `_colon` (and of `modules.submodule_syzygies`) is such a
+basis of the submodule taken modulo, under the run's order, never raw
+generators.  Callers pass what they already hold: `reduced_gb` of an ideal
+(cached on it), `ideal_block` built from it, or `FPModule.rel_gb()`.
+Membership tests divide by a reducer table cached on the ideal beside its
+basis.
 """
 
 from __future__ import annotations
@@ -133,11 +143,12 @@ class Ideal:
     """An ideal of Q[x_1..x_n] held by explicit generators.
 
     Generators are never mutated; the zero ideal is represented by a single
-    zero polynomial so `gens` is always nonempty.  Reduced Groebner bases are
-    cached per monomial order on the instance.
+    zero polynomial so `gens` is always nonempty.  Reduced Groebner bases, and
+    the reducer tables that membership tests divide by, are cached per
+    monomial order on the instance.
     """
 
-    __slots__ = ("ctx", "gens", "_gb_cache")
+    __slots__ = ("ctx", "gens", "_gb_cache", "_table_cache")
 
     def __init__(self, ctx: RingCtx, gens: Iterable[Polynomial]) -> None:
         kept = []
@@ -149,6 +160,7 @@ class Ideal:
         self.ctx = ctx
         self.gens: tuple[Polynomial, ...] = tuple(kept) or (Polynomial.zero(ctx),)
         self._gb_cache: dict = {}
+        self._table_cache: dict = {}
 
     @classmethod
     def parse(cls, ctx: RingCtx, text: str) -> "Ideal":
@@ -267,16 +279,17 @@ def _memo_key(fn):
 def _keys(order: MonomialOrder, rank: int):
     """The term key and the pair key of one engine run over `rank` positions.
 
-    Terms compare by (position prefix, order key of the ring exponent): a
-    one-hot prefix is larger the lower its position, so this is
-    position-over-term with lower positions dominant.  Pairs are queued by the
-    order key of the ring part of their lcm alone.  An ideal (rank 0) has an
-    empty prefix and both keys are the order key.
+    A term's key is its position prefix followed by the order key of its
+    ring exponent, one flat tuple: a one-hot prefix is larger the lower its
+    position, so this is position-over-term with lower positions dominant.
+    Pairs are queued by the order key of the ring part of their lcm alone.
+    An ideal (rank 0) has an empty prefix and both keys are the order key.
     """
+    okey = order.key
     if not rank:
-        key = _memo_key(order.key)
+        key = _memo_key(okey)
         return key, key
-    return _memo_key(lambda e: (e[:rank], order.key(e[rank:]))), lambda e: order.key(e[rank:])
+    return _memo_key(lambda e: e[:rank] + okey(e[rank:])), lambda e: okey(e[rank:])
 
 
 class _PairQueue:
@@ -316,10 +329,15 @@ def _integral(terms: dict) -> tuple[dict, int]:
 
 
 def _reducer(terms: dict, key) -> tuple[Exponents, int, tuple]:
-    """The (lead, a, tail) reducer of the primitive part of a nonzero term map
-    (denominators cleared, content divided out, signed so that the lead
-    coefficient a > 0); the tail lists the other terms as (exponent, coeff)."""
-    ints, _ = _integral(terms)
+    """The reducer of a nonzero term map with `Fraction` coefficients: its
+    denominators cleared, then `_primitive`."""
+    return _primitive(_integral(terms)[0], key)
+
+
+def _primitive(ints: dict, key) -> tuple[Exponents, int, tuple]:
+    """The (lead, a, tail) reducer of the primitive part of a nonzero integer
+    term map (content divided out, signed so that the lead coefficient
+    a > 0); the tail lists the other terms as (exponent, coeff)."""
     lead = max(ints, key=key)
     g = gcd(*ints.values()) * (1 if ints[lead] > 0 else -1)
     return lead, ints[lead] // g, tuple((e, v // g) for e, v in ints.items() if e != lead)
@@ -405,9 +423,17 @@ def normal_form(
     return Polynomial(f.ctx, _divide(f.term_map(), table, order))
 
 
-def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> list[dict]:
-    """The reduced Groebner basis of the term maps `gens`, as monic term maps
-    in increasing order of their leads.
+def _buchberger(
+    gens: Iterable[dict], order: MonomialOrder, rank: int = 0, basis: Iterable[dict] = ()
+) -> list[dict]:
+    """The reduced Groebner basis of the term maps `basis` and `gens`, as
+    monic term maps in increasing order of their leads.
+
+    `basis` must already be a Groebner basis under this order.  Its elements
+    are admitted first and never paired with one another: their S-pairs
+    reduce to zero (Becker-Weispfenning, *Groebner Bases*, Thm 5.48), so the
+    chain criterion, which finds none of those pairs pending, counts them as
+    treated.  Only pairs with an element of `gens` or a remainder are formed.
 
     Each exponent is a position prefix of length `rank` followed by a ring
     exponent; `rank` 0 is an ideal.  Elements are listed per position of
@@ -425,19 +451,22 @@ def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> li
     table: dict = {}  # position prefix -> the reducers leading there
     at: dict = {}  # position prefix -> the indices of the elements leading there
 
-    def admit(terms: dict) -> None:
-        r = _reducer(terms, key)
+    def admit(r: tuple, paired: bool = True) -> None:
         lead = r[0]
         same = at.setdefault(lead[:rank], [])
-        queue.add((t, len(red), tuple(map(max, leads[t], lead))) for t in same)
+        if paired:
+            queue.add((t, len(red), tuple(map(max, leads[t], lead))) for t in same)
         same.append(len(red))
         table.setdefault(lead[:rank], []).append(r)
         red.append(r)
         leads.append(lead)
 
+    for g in basis:
+        if g:
+            admit(_reducer(g, key), False)
     for g in gens:
         if g:
-            admit(g)
+            admit(_reducer(g, key))
 
     while queue:
         meter.charge(what)
@@ -467,8 +496,9 @@ def _buchberger(gens: Iterable[dict], order: MonomialOrder, rank: int = 0) -> li
         _sub_shifted(work, tj, tuple(map(sub, l, lj)), ai // g)
         rem, _ = _reduce(work, table, key, rank, what)
         if rem:
-            # the remainder may lead at another position than its pair did
-            admit(rem)
+            # the remainder is integral already; it may lead at another
+            # position than its pair did
+            admit(_primitive(rem, key))
 
     # minimalize: keep only leading terms that form an antichain
     final: dict = {}  # position prefix -> the reducers kept there
@@ -528,19 +558,27 @@ def _block_diagonal(vectors: Sequence[Vec], k: int) -> list[Vec]:
 
 
 def ideal_block(I: Ideal, rank: int) -> list[Vec]:
-    """The vectors g*e_j for generators g of I; spans I times the free module."""
-    return _block_diagonal([(g,) for g in I.gens if not g.is_zero()], rank)
+    """The vectors g*e_j for g in the reduced degrevlex basis of I: a Groebner
+    basis of I times the free module R^rank."""
+    return _block_diagonal([(g,) for g in reduced_gb(I)], rank)
 
 
-def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
-    """Reduced Groebner basis of the submodule spanned by `gens`, under
-    position-over-term order with lower positions dominant."""
-    gens = [v for v in gens if not all(p.is_zero() for p in v)]
-    if not gens:
+def module_gb(
+    gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX, basis: Sequence[Vec] = ()
+) -> list[Vec]:
+    """Reduced Groebner basis of the submodule spanned by `basis` and `gens`,
+    under position-over-term order with lower positions dominant; `basis`
+    must already be a Groebner basis, and no pair among its elements is
+    formed."""
+    vecs = [v for v in (*gens, *basis) if not all(p.is_zero() for p in v)]
+    if not vecs:
         return []
-    ctx, rank = gens[0][0].ctx, len(gens[0])
+    ctx, rank = vecs[0][0].ctx, len(vecs[0])
     heads = _heads(rank)
-    return [_decode(g, ctx, rank) for g in _buchberger([_encode(v, heads) for v in gens], order, rank)]
+    out = _buchberger(
+        [_encode(v, heads) for v in gens], order, rank, [_encode(w, heads) for w in basis]
+    )
+    return [_decode(g, ctx, rank) for g in out]
 
 
 def module_table(basis: Sequence[Vec], rank: int, order: MonomialOrder = DEGREVLEX) -> dict:
@@ -558,14 +596,16 @@ def module_reduce(v: Vec, table: dict, order: MonomialOrder = DEGREVLEX) -> Vec:
     return _decode(_divide(_encode(v, _heads(rank)), table, order, rank), v[0].ctx, rank)
 
 
-def _syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank: int) -> list[Vec]:
-    """Generators of {a in R^k : sum a_i vectors[i] lies in <modulo>}, where
-    k = len(vectors) and every vector has rank `rank`.
+def _syzygies(vectors: Sequence[Vec], basis: Sequence[Vec], ctx: RingCtx, rank: int) -> list[Vec]:
+    """Generators of {a in R^k : sum a_i vectors[i] lies in <basis>}, where
+    k = len(vectors), every vector has rank `rank`, and `basis` is a
+    Groebner basis of the submodule it spans (position over degrevlex).
 
     One engine run over R^(rank + k): vectors[i] carries the unit tag
     e_(rank + i) below the main block, and the basis elements that lead in
     the tag block, i.e. whose main block vanished, carry the syzygies in
-    their tags.
+    their tags.  `basis` stays a Groebner basis in the bigger module, so it
+    enters the run as its known basis part and none of its pairs is formed.
     """
     k = len(vectors)
     heads = _heads(rank + k)
@@ -575,26 +615,28 @@ def _syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec], ctx: RingCtx, rank:
         g = _encode(v, heads)
         g[heads[rank + i] + one] = _ONE
         aug.append(g)
-    aug += [_encode(w, heads) for w in modulo]
+    known = [_encode(w, heads) for w in basis]
     return [
         _decode(g, ctx, rank + k)[rank:]
-        for g in _buchberger(aug, DEGREVLEX, rank + k)
+        for g in _buchberger(aug, DEGREVLEX, rank + k, known)
         if all(e.index(1) >= rank for e in g)
     ]
 
 
-def _colon(ctx: RingCtx, vectors: Sequence[Vec], modulo: Sequence[Vec]) -> Ideal:
-    """N : (u_1..u_k), the a with a*u_i in N for every i, where N is spanned by
-    `modulo` and u_1..u_k are `vectors`, all of one rank r.
+def _colon(ctx: RingCtx, vectors: Sequence[Vec], basis: Sequence[Vec]) -> Ideal:
+    """N : (u_1..u_k), the a with a*u_i in N for every i, where `basis` is a
+    Groebner basis of N and u_1..u_k are `vectors`, all of one rank r.
 
     That is the syzygy module of the single stacked vector (u_1|..|u_k) of
-    R^(r*k) modulo k block-diagonal copies of N, found in one engine run.  Its
-    tag block is one position, so the tags are the reduced degrevlex basis of
-    the colon, listed as `reduced_gb` lists it; they seed the result's basis
-    cache, and the list is empty exactly when the colon is the zero ideal.
+    R^(r*k) modulo k block-diagonal copies of N, found in one engine run.
+    Copies of a Groebner basis in disjoint blocks of positions form one, so
+    the copies are the run's known basis part.  Its tag block is one
+    position, so the tags are the reduced degrevlex basis of the colon,
+    listed as `reduced_gb` lists it; they seed the result's basis cache, and
+    the list is empty exactly when the colon is the zero ideal.
     """
     stacked = tuple(p for u in vectors for p in u)
-    blocks = _block_diagonal(modulo, len(vectors))
+    blocks = _block_diagonal(basis, len(vectors))
     return _seeded(ctx, tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked))))
 
 
@@ -610,10 +652,20 @@ def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, 
     return basis
 
 
+def _ideal_table(I: Ideal, order: MonomialOrder) -> dict:
+    """The reducer table of I's reduced basis under `order`, built once per
+    ideal and order and cached beside the basis."""
+    token = order.token()
+    table = I._table_cache.get(token)
+    if table is None:
+        table = I._table_cache[token] = _table((g.term_map() for g in reduced_gb(I, order)), order)
+    return table
+
+
 def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> bool:
     if f.is_zero():
         return True
-    return normal_form(f, reduced_gb(I, order), order).is_zero()
+    return not _divide(f.term_map(), _ideal_table(I, order), order)
 
 
 def is_zero_ideal(I: Ideal) -> bool:
@@ -656,21 +708,23 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J, its reduced degrevlex basis cached.  Beyond term ideals it is
     the colon (I*e1 + J*e2) : (1, 1) over R^2: a*(1, 1) lies in I*e1 + J*e2
-    exactly when a lies in I and in J."""
+    exactly when a lies in I and in J.  The reduced bases of I and J, side by
+    side, are a Groebner basis of I*e1 + J*e2 and seed the run."""
     ctx = _same_ctx(I, J)
     if (by_terms := _by_terms(min_gens_intersect, I, J)) is not None:
         return by_terms
     one, zero = Polynomial.const(ctx, 1), Polynomial.zero(ctx)
-    modulo = [(f, zero) for f in I.gens if not f.is_zero()]
-    return _colon(ctx, [(one, one)], modulo + [(zero, g) for g in J.gens if not g.is_zero()])
+    basis = [(f, zero) for f in reduced_gb(I)] + [(zero, g) for g in reduced_gb(J)]
+    return _colon(ctx, [(one, one)], basis)
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     """The colon ideal I : J, the a with a*g in I for every generator g of J.
 
     With g_1..g_k the generators, that is the syzygy module of the single
-    vector (g_1..g_k) modulo I*R^k: `_colon` over R^1.  The result's basis
-    cache holds its reduced degrevlex basis.
+    vector (g_1..g_k) modulo I*R^k: `_colon` over R^1, seeded with the
+    reduced basis of I.  The result's basis cache holds its reduced
+    degrevlex basis.
     """
     ctx = _same_ctx(I, J)
     g = [(p,) for p in J.gens if not p.is_zero()]
@@ -678,7 +732,7 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
         return Ideal.unit(ctx)  # I : (0) is everything
     if (by_terms := _by_terms(min_gens_colon, I, J)) is not None:
         return by_terms
-    return _colon(ctx, g, [(f,) for f in I.gens if not f.is_zero()])
+    return _colon(ctx, g, [(f,) for f in reduced_gb(I)])
 
 
 # ---------------------------------------------------------------------------

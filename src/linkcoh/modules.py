@@ -17,6 +17,12 @@ builds one per level for that level's cycles.  `FPModule.annihilator` is
 the colon kernel's N : (e_1..e_r), and `hom_cyclic` takes its input from the
 colon's block builder: one engine run each, whatever the rank.  The Koszul
 differentials are built per level, only for the levels a search reads.
+
+Every syzygy or colon run is taken modulo a Groebner basis, never raw
+generators (the engine's basis contract, see `groebner.py`): the module
+side passes `FPModule.rel_gb()`, an ideal side `reduced_gb` or the
+`ideal_block` built from it, so no run rebuilds a basis its caller holds.
+`koszul_grade` seeds each level's boundary basis the same way.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .groebner import (
     _block_diagonal,
     _colon,
     _syzygies,
+    check_deadline,
     ideal_block,
     ideal_equal,
     ideal_quotient,
@@ -80,12 +87,14 @@ def submodule_member(v: Vec, gb: Sequence[Vec], order: MonomialOrder = DEGREVLEX
     return vec_is_zero(module_reduce(v, module_table(gb, len(v), order), order))
 
 
-def submodule_syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec]) -> list[Vec]:
-    """Generators of {a in R^k : sum a_i vectors[i] lies in <modulo>}.
+def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec]:
+    """Generators of {a in R^k : sum a_i vectors[i] lies in <basis>}, where
+    `basis` is a Groebner basis (position over degrevlex) of the submodule.
 
     Each input vector is tagged with a fresh unit coordinate below the main
     block; basis elements whose main block vanished carry exactly the wanted
-    coefficient vectors in their tags.
+    coefficient vectors in their tags.  No pair among the elements of
+    `basis` is formed.
     """
     k = len(vectors)
     if k == 0:
@@ -95,9 +104,9 @@ def submodule_syzygies(vectors: Sequence[Vec], modulo: Sequence[Vec]) -> list[Ve
         raise RingError("syzygies of rank-zero vectors are everything; handle that upstream")
     if any(len(v) != rank for v in vectors):
         raise RingError("syzygy input vectors have mixed ranks")
-    if any(len(w) != rank for w in modulo):
-        raise RingError("modulo vectors have the wrong rank")
-    return _syzygies(vectors, modulo, vectors[0][0].ctx, rank)
+    if any(len(w) != rank for w in basis):
+        raise RingError("basis vectors have the wrong rank")
+    return _syzygies(vectors, basis, vectors[0][0].ctx, rank)
 
 
 class FPModule:
@@ -150,12 +159,13 @@ class FPModule:
         return all(self.is_zero_elt(unit_vec(self.ctx, self.rank, j)) for j in range(self.rank))
 
     def annihilator(self) -> Ideal:
-        """The colon (relations : (e_1..e_r)), found in one engine run; its
-        basis cache holds its reduced degrevlex basis."""
+        """The colon (relations : (e_1..e_r)), found in one engine run seeded
+        with the relation basis; its basis cache holds its reduced degrevlex
+        basis."""
         if self.rank == 0:
             return Ideal.unit(self.ctx)
         units = [unit_vec(self.ctx, self.rank, j) for j in range(self.rank)]
-        return _colon(self.ctx, units, self.relations)
+        return _colon(self.ctx, units, self.rel_gb())
 
     def __repr__(self) -> str:
         return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
@@ -163,7 +173,8 @@ class FPModule:
 
 def present_subquotient(gens: Sequence[Vec], N: FPModule, multigraded: bool = False) -> FPModule:
     """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
-    by generators and fresh syzygies; divides by N's cached relation basis."""
+    by generators and fresh syzygies; divides by N's cached relation basis
+    and takes the syzygies modulo it."""
     seen: dict[Vec, None] = {}
     for g in gens:
         r = N.nf(g)
@@ -172,7 +183,7 @@ def present_subquotient(gens: Sequence[Vec], N: FPModule, multigraded: bool = Fa
     kept = list(seen)
     if not kept:
         return FPModule(N.ctx, 0, (), multigraded)
-    rels = submodule_syzygies(kept, N.relations)
+    rels = submodule_syzygies(kept, N.rel_gb())
     return FPModule(N.ctx, len(kept), rels, multigraded)
 
 
@@ -181,7 +192,7 @@ def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
 
     For generators g_1..g_t of a, that is the syzygies of the stacked vectors
     (g_1*e_j|..|g_t*e_j), j = 1..r, modulo t block-diagonal copies of the
-    relations: the colon's input, with r stacked vectors in place of one.
+    relation basis: the colon's input, with r stacked vectors in place of one.
     """
     if a.ctx != N.ctx:
         raise RingError("ideal and module live in different rings")
@@ -194,7 +205,7 @@ def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     r = N.rank
     zero = Polynomial.zero(ctx)
     columns = [tuple(f if k == j else zero for f in g for k in range(r)) for j in range(r)]
-    kernel = submodule_syzygies(columns, _block_diagonal(N.relations, len(g)))
+    kernel = submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(g)))
     graded = N.multigraded and from_ideal(a) is not None
     return present_subquotient(kernel, N, graded)
 
@@ -216,7 +227,10 @@ def ass_member(p: MonomialPrime, N: FPModule) -> bool:
 
 
 def module_ass(N: FPModule) -> PrimeSet:
-    """All associated primes, found by scanning monomial primes over Ann N."""
+    """All associated primes, found by scanning monomial primes over Ann N.
+
+    The soft deadline is checked once per candidate: a candidate outside the
+    support starts no engine run, so nothing else would check it."""
     if not N.multigraded:
         raise RingError("associated-prime scan needs a multigraded module")
     if N.is_zero_module():
@@ -224,6 +238,7 @@ def module_ass(N: FPModule) -> PrimeSet:
     ann = N.annihilator()
     found = []
     for p in all_monomial_primes(N.ctx, include_zero=True):
+        check_deadline("associated-prime scan")
         if not all(p.contains_poly(f) for f in ann.gens):
             continue  # Ass lies inside the support, i.e. over V(Ann)
         if ass_member(p, N):
@@ -251,7 +266,7 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
     if not g:
         return FPModule(ctx, 0, ())
     t = len(g)
-    syz = submodule_syzygies([(p,) for p in g], [(h,) for h in J.gens if not h.is_zero()])
+    syz = submodule_syzygies([(p,) for p in g], [(h,) for h in reduced_gb(J)])
     graded = from_ideal(a) is not None and from_ideal(J) is not None
     if not syz:
         kernel = [unit_vec(ctx, t, i) for i in range(t)]
@@ -321,7 +336,7 @@ def koszul_grade(
         cols = _koszul_columns(elements, i)
         rank = len(cols)
         kernel = submodule_syzygies(cols, ideal_block(base, len(cols[0])))
-        table = module_table(module_gb(above + ideal_block(base, rank)), rank)
+        table = module_table(module_gb(above, basis=ideal_block(base, rank)), rank)
         if any(not vec_is_zero(module_reduce(z, table)) for z in kernel):
             return s - i
         above = cols

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable
 
 Exponents = tuple[int, ...]
@@ -107,8 +108,9 @@ def mono_support(u: Exponents) -> tuple[int, ...]:
 
 
 def _degrevlex_key(e: Exponents):
-    # u > v iff deg u > deg v, else the last nonzero entry of u - v is < 0.
-    return (sum(e), tuple(-x for x in reversed(e)))
+    # u > v iff deg u > deg v, else the last nonzero entry of u - v is < 0;
+    # one flat tuple (deg, -x_n, .., -x_1)
+    return (sum(e), *map(neg, reversed(e)))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 `reduced_gb`, `ideal_quotient` and `ideal_intersect` answer ideals given by
 terms with divisibility arithmetic and never start the engine there, so a
 test comparing the combinatorial route with the basis-driven one calls these
-instead: a fresh engine basis, the engine's syzygy colon, and the
-tag-variable intersection, which shares no construction with the colon and
-is therefore the colon's oracle.
+instead: a fresh engine basis, the engine's syzygy colon (taken modulo such
+a basis, as its contract asks), and the tag-variable intersection, which
+shares no construction with the colon and is therefore the colon's oracle.
 """
 
 from linkcoh.groebner import Ideal, _colon, _gb, eliminate, normal_form
@@ -18,12 +18,9 @@ def engine_gb(I, order=DEGREVLEX):
 
 
 def engine_quotient(I, J):
-    """I : J as one syzygy run of the engine; J must be nonzero."""
-    return _colon(
-        I.ctx,
-        [(g,) for g in J.gens if not g.is_zero()],
-        [(f,) for f in I.gens if not f.is_zero()],
-    )
+    """I : J as one syzygy run of the engine, modulo a fresh engine basis of
+    I; J must be nonzero."""
+    return _colon(I.ctx, [(g,) for g in J.gens if not g.is_zero()], [(f,) for f in engine_gb(I)])
 
 
 def tag_intersect(I, J):

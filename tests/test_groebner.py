@@ -13,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 from engine_routes import engine_gb, engine_quotient, tag_intersect
+from linkcoh import groebner
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
+    _buchberger,
     _gb,
     eliminate,
     ideal_contains,
@@ -413,6 +415,103 @@ def test_spair_count_is_pinned(names, gens, spairs):
     with set_limits(max_spairs=spairs - 1):
         with pytest.raises(BudgetExceeded):
             reduced_gb(I_of(ctx, *gens))
+
+
+def test_colon_spair_count_is_pinned():
+    # the colon runs modulo the reduced basis of I, none of whose pairs it
+    # forms: 15 S-pairs build that basis and 216 the colon, where one run on
+    # I's generators charged 380; a change to pair selection, pruning or
+    # seeding must update these
+    ctx = ring("x", "y", "z")
+    I, f = I_of(ctx, "x^2*y-z^3", "x*y^2-z", "x*z-y^3"), P(ctx, "x+y+z")
+    with set_limits(max_spairs=14):
+        with pytest.raises(BudgetExceeded, match="^buchberger"):
+            reduced_gb(I)
+    with set_limits(max_spairs=15):
+        assert reduced_gb(I)
+    with set_limits(max_spairs=215):
+        with pytest.raises(BudgetExceeded, match="^module buchberger"):
+            ideal_quotient(I, Ideal(ctx, [f]))
+    with set_limits(max_spairs=216):
+        Q = ideal_quotient(I, Ideal(ctx, [f]))
+    # f*(I : f) = I ∩ (f), the intersection by the independent tag route
+    F = Ideal(ctx, [f])
+    assert ideal_equal(ideal_product(Q, F), tag_intersect(I, F))
+
+
+def test_seeded_run_matches_the_joined_run():
+    # a run handed a reduced basis B as its known part, whose pairs it never
+    # forms, ends at the reduced basis of the run on B and the generators;
+    # over ideals and over R^rank, with B a random submodule's basis or the
+    # block I*R^rank of an ideal's basis, under degrevlex and lex
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def term_map(draw, n):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+            terms[e] = Fraction(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.sampled_from([1, 2])))
+        return terms
+
+    def at(pos, rank, terms):
+        head = tuple(int(k == pos) for k in range(rank))
+        return {head + e: c for e, c in terms.items()}
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        n, rank = data.draw(st.integers(2, 3)), data.draw(st.integers(0, 3))
+        order = data.draw(st.sampled_from([DEGREVLEX, LEX]))
+
+        def vector():
+            if not rank:
+                return data.draw(term_map(n))
+            out = {}
+            for pos in range(rank):
+                if data.draw(st.booleans()):
+                    out.update(at(pos, rank, data.draw(term_map(n))))
+            return out
+
+        count = st.integers(1, 3)
+        if rank and data.draw(st.booleans()):
+            ideal = _buchberger([data.draw(term_map(n)) for _ in range(data.draw(count))], order)
+            B = [at(pos, rank, g) for g in ideal for pos in range(rank)]
+        else:
+            B = _buchberger([vector() for _ in range(data.draw(count))], order, rank)
+        gens = [vector() for _ in range(data.draw(count))]
+        assert _buchberger(gens, order, rank, basis=B) == _buchberger(B + gens, order, rank)
+
+    check()
+
+
+def test_membership_builds_one_table_per_ideal_and_order(monkeypatch):
+    # ideal_member and ideal_contains divide by a reducer table cached on the
+    # ideal beside its basis, and answer as normal_form by that basis does
+    built = []
+    real = groebner._table
+
+    def record(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_table", record)
+    ctx = ring("x", "y", "z")
+    I = I_of(ctx, "x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
+    probes = [
+        P(ctx, t)
+        for t in ("x^3 - x*y*z", "x*y - z^2", "x + y", "x^2*y - y^2*z", "1/2*z^3 - 1/2*x*y*z", "y^3")
+    ]
+    expected = [True, True, False, True, True, False]
+    for _ in range(3):
+        assert [ideal_member(f, I) for f in probes] == expected
+        assert [ideal_member(f, I, LEX) for f in probes] == expected
+        assert ideal_contains(I, Ideal(ctx, probes[:2])) and not ideal_contains(I, Ideal(ctx, probes))
+    assert built == [DEGREVLEX, LEX]
+    for order in (DEGREVLEX, LEX):
+        basis = reduced_gb(I, order)
+        assert [normal_form(f, basis, order).is_zero() for f in probes] == expected
 
 
 def _sparse_system(seed):

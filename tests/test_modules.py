@@ -399,7 +399,7 @@ def test_annihilator_of_higher_rank_matches_joined_colons():
         ann = N.annihilator()
         joined = None
         for j in range(N.rank):
-            tags = submodule_syzygies([unit_vec(ctx, N.rank, j)], N.relations)
+            tags = submodule_syzygies([unit_vec(ctx, N.rank, j)], N.rel_gb())
             colon = Ideal(ctx, [t[0] for t in tags])
             joined = colon if joined is None else ideal_intersect(joined, colon)
         assert ideal_equal(ann, joined), (i, N.rank)
@@ -436,6 +436,16 @@ def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
     assert module_ass(M.to_fp()) == associated_primes(M.monomial)
     assert inputs and len(set(inputs)) == len(inputs)
+
+
+def test_associated_prime_scan_honours_soft_timeout():
+    # a candidate outside the support starts no engine run, so the scan checks
+    # the deadline itself, once per candidate; R^1 needs no S-pair before it
+    ctx = ring("x", "y", "z")
+    with set_limits(soft_timeout=-1):
+        with pytest.raises(BudgetExceeded) as trip:
+            module_ass(FPModule(ctx, 1, (), multigraded=True))
+    assert trip.value.what == "associated-prime scan"
 
 
 def test_module_ass_requires_multigraded():
