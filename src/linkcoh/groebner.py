@@ -61,7 +61,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import add, le as le_, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ring import (
     DEGREVLEX,
@@ -563,21 +563,15 @@ def ideal_block(I: Ideal, rank: int) -> list[Vec]:
     return _block_diagonal([(g,) for g in reduced_gb(I)], rank)
 
 
-def module_gb(
-    gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX, basis: Sequence[Vec] = ()
-) -> list[Vec]:
-    """Reduced Groebner basis of the submodule spanned by `basis` and `gens`,
-    under position-over-term order with lower positions dominant; `basis`
-    must already be a Groebner basis, and no pair among its elements is
-    formed."""
-    vecs = [v for v in (*gens, *basis) if not all(p.is_zero() for p in v)]
+def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
+    """Reduced Groebner basis of the submodule spanned by `gens`, under
+    position-over-term order with lower positions dominant."""
+    vecs = [v for v in gens if not all(p.is_zero() for p in v)]
     if not vecs:
         return []
     ctx, rank = vecs[0][0].ctx, len(vecs[0])
     heads = _heads(rank)
-    out = _buchberger(
-        [_encode(v, heads) for v in gens], order, rank, [_encode(w, heads) for w in basis]
-    )
+    out = _buchberger([_encode(v, heads) for v in vecs], order, rank)
     return [_decode(g, ctx, rank) for g in out]
 
 
@@ -596,16 +590,24 @@ def module_reduce(v: Vec, table: dict, order: MonomialOrder = DEGREVLEX) -> Vec:
     return _decode(_divide(_encode(v, _heads(rank)), table, order, rank), v[0].ctx, rank)
 
 
-def _syzygies(vectors: Sequence[Vec], basis: Sequence[Vec], ctx: RingCtx, rank: int) -> list[Vec]:
-    """Generators of {a in R^k : sum a_i vectors[i] lies in <basis>}, where
-    k = len(vectors), every vector has rank `rank`, and `basis` is a
-    Groebner basis of the submodule it spans (position over degrevlex).
+def _syzygies(
+    vectors: Sequence[Vec], basis: Sequence[Vec], ctx: RingCtx, rank: int
+) -> tuple[list[Vec], Iterator[Vec]]:
+    """The syzygies {a in R^k : sum a_i vectors[i] lies in <basis>} and the
+    image span(vectors) + <basis>, each as its reduced Groebner basis
+    (position over degrevlex), where k = len(vectors), every vector has rank
+    `rank`, and `basis` is a Groebner basis of the submodule it spans.
 
     One engine run over R^(rank + k): vectors[i] carries the unit tag
-    e_(rank + i) below the main block, and the basis elements that lead in
-    the tag block, i.e. whose main block vanished, carry the syzygies in
-    their tags.  `basis` stays a Groebner basis in the bigger module, so it
-    enters the run as its known basis part and none of its pairs is formed.
+    e_(rank + i) below the main block, and `basis`, still a Groebner basis
+    there, is the run's known part.  The main block dominates, so the run's
+    basis splits by where each element leads (the elimination property of
+    position-over-term orders, Adams-Loustaunau, ch. 3).  Those leading in
+    the tag block vanish in the main block; their tags are the syzygies'
+    reduced basis.  Those leading in the main block lead as the image does,
+    with main blocks reduced against one another, so without their tags
+    they are its reduced basis, listed as `module_gb` lists it.  The image
+    is decoded only as it is read.
     """
     k = len(vectors)
     heads = _heads(rank + k)
@@ -616,11 +618,10 @@ def _syzygies(vectors: Sequence[Vec], basis: Sequence[Vec], ctx: RingCtx, rank: 
         g[heads[rank + i] + one] = _ONE
         aug.append(g)
     known = [_encode(w, heads) for w in basis]
-    return [
-        _decode(g, ctx, rank + k)[rank:]
-        for g in _buchberger(aug, DEGREVLEX, rank + k, known)
-        if all(e.index(1) >= rank for e in g)
-    ]
+    out = _buchberger(aug, DEGREVLEX, rank + k, known)
+    cut = sum(all(e.index(1) >= rank for e in g) for g in out)  # tag-block leads sort first
+    syzygies = [_decode(g, ctx, rank + k)[rank:] for g in out[:cut]]
+    return syzygies, (_decode(g, ctx, rank + k)[:rank] for g in out[cut:])
 
 
 def _colon(ctx: RingCtx, vectors: Sequence[Vec], basis: Sequence[Vec]) -> Ideal:
@@ -637,7 +638,7 @@ def _colon(ctx: RingCtx, vectors: Sequence[Vec], basis: Sequence[Vec]) -> Ideal:
     """
     stacked = tuple(p for u in vectors for p in u)
     blocks = _block_diagonal(basis, len(vectors))
-    return _seeded(ctx, tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked))))
+    return _seeded(ctx, tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked))[0]))
 
 
 def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
@@ -666,10 +667,6 @@ def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> b
     if f.is_zero():
         return True
     return not _divide(f.term_map(), _ideal_table(I, order), order)
-
-
-def is_zero_ideal(I: Ideal) -> bool:
-    return not reduced_gb(I)
 
 
 def is_unit_ideal(I: Ideal) -> bool:

@@ -25,7 +25,6 @@ from .monomial import (
     PrimeSet,
     as_monomial,
     mono_radical,
-    mono_sum,
 )
 from .ring import Polynomial, RingError
 
@@ -90,14 +89,14 @@ def assh(M: CyclicModule) -> PrimeSet:
 
 
 def _becomes_maximal(a: Ideal, am: MonomialIdeal | None, p: MonomialPrime) -> bool:
-    """Whether sqrt(a + p) is the ideal of all variables."""
+    """Whether sqrt(a + p) is the ideal of all variables.  For monomial a:
+    whether each variable outside p has a pure power (or a unit) among a's
+    minimal generators, as sqrt(a) is generated by their supports."""
     ctx = a.ctx
     if am is not None:
-        rad = mono_radical(mono_sum(am, p.monomial_ideal(ctx)))
-        return all(
-            rad.contains_mono(tuple(1 if k == i else 0 for k in range(ctx.n)))
-            for i in range(ctx.n)
-        )
+        supports = [{i for i, x in enumerate(e) if x} for e in am.min_gens]
+        outside = set(range(ctx.n)) - set(p.vars)
+        return all(any(sup <= {i} for sup in supports) for i in outside)
     ap = ideal_sum(a, p.to_ideal(ctx))
     return all(
         radical_member(Polynomial.variable(ctx, v), ap) for v in ctx.var_names

@@ -32,6 +32,8 @@ from .modules import CyclicModule, is_regular_on, is_regular_sequence
 from .monomial import as_monomial, associated_primes, min_assh_dim
 from .ring import Polynomial, RingError
 
+ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
+
 
 class LinkageError(RingError):
     """A triple (a, b, I) failed one of the linkage conditions."""
@@ -175,7 +177,6 @@ class GenParams:
     maxdeg: int = 3
     max_extra: int = 2
     seq_len_max: int = 2
-    attempts_factor: int = 80
     allow_sums: bool = True
 
     def __post_init__(self) -> None:
@@ -222,7 +223,7 @@ def random_linked_pairs(
     J = M.ideal
     produced = 0
     seen: set = set()
-    attempts = params.attempts_factor * max(1, params.count)
+    attempts = ATTEMPTS_PER_PAIR * max(1, params.count)
     min_len = 0 if not J.is_zero_ideal() else 1
 
     def gb_key(X: Ideal) -> tuple[str, ...]:

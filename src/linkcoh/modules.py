@@ -11,18 +11,17 @@ textbook module elimination.
 Modules run on the one Groebner engine of `groebner.py`, which alone knows
 how a vector is encoded for it; this module calls only its vector-level
 operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`,
-`_block_diagonal`, `_colon`).  A basis that divides many vectors is tabled
-once: `FPModule` keeps the table of its relation basis, and `koszul_grade`
-builds one per level for that level's cycles.  `FPModule.annihilator` is
-the colon kernel's N : (e_1..e_r), and `hom_cyclic` takes its input from the
-colon's block builder: one engine run each, whatever the rank.  The Koszul
-differentials are built per level, only for the levels a search reads.
+`_block_diagonal`, `_colon`).  `FPModule` tables its relation basis once.
+`FPModule.annihilator` is the colon kernel's N : (e_1..e_r), and
+`hom_cyclic` takes its input from the colon's block builder: one engine run
+each, whatever the rank.  `koszul_grade` makes one syzygy run per level it
+reads, giving that level's cycles and the boundaries below, and compares
+the two reduced bases.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
 side passes `FPModule.rel_gb()`, an ideal side `reduced_gb` or the
 `ideal_block` built from it, so no run rebuilds a basis its caller holds.
-`koszul_grade` seeds each level's boundary basis the same way.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec
         raise RingError("syzygy input vectors have mixed ranks")
     if any(len(w) != rank for w in basis):
         raise RingError("basis vectors have the wrong rank")
-    return _syzygies(vectors, basis, vectors[0][0].ctx, rank)
+    return _syzygies(vectors, basis, vectors[0][0].ctx, rank)[0]
 
 
 class FPModule:
@@ -331,15 +330,19 @@ def koszul_grade(
         upper = s
     if not 0 <= lower <= upper <= s:
         raise RingError(f"grade bounds {lower}..{upper} do not lie in 0..{s}")
-    above = _koszul_columns(elements, s - lower + 1)  # empty when lower = 0
-    for i in range(s - lower, s - upper, -1):
+    if lower == upper:
+        return upper
+    # the run at level i yields the cycles Z_i and the boundaries B_(i-1), which
+    # alone are read at level s - lower + 1; B_i lies in Z_i and both are reduced
+    # bases under one order, so H_i vanishes exactly when the two lists agree
+    boundary = ideal_block(base, 1)  # B_s = J*K_s
+    for i in range(s - lower + (lower > 0), s - upper, -1):
         cols = _koszul_columns(elements, i)
-        rank = len(cols)
-        kernel = submodule_syzygies(cols, ideal_block(base, len(cols[0])))
-        table = module_table(module_gb(above, basis=ideal_block(base, rank)), rank)
-        if any(not vec_is_zero(module_reduce(z, table)) for z in kernel):
+        rank = len(cols[0])
+        cycles, image = _syzygies(cols, ideal_block(base, rank), base.ctx, rank)
+        if i <= s - lower and cycles != list(boundary):
             return s - i
-        above = cols
+        boundary = image
     return upper
 
 

@@ -207,7 +207,7 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
     ass_a, ass_b = associated_primes(am), associated_primes(bm)
 
     for label, side, side_ass in (("a", cert.a, ass_a), ("b", cert.b, ass_b)):
-        gens = [g for g in reduced_gb(side) if not g.is_zero()]
+        gens = reduced_gb(side)
         if len(gens) > 8:
             notes.append(f"heights: side {label} skipped, too many generators")
             continue
@@ -284,8 +284,7 @@ def check_grade_one_links(cert: LinkageCertificate) -> Verdict:
     seq = [g for g in cert.I.gens if not g.is_zero()]
     if len(seq) != 1:
         return Verdict.skipped(claim, "needs a principal core")
-    gens_a = [g for g in reduced_gb(cert.a) if not g.is_zero()]
-    if koszul_grade(gens_a, cert.module.ideal) != 1:
+    if koszul_grade(reduced_gb(cert.a), cert.module.ideal) != 1:
         return Verdict.skipped(claim, "needs grade one")
     witnesses = []
     for label, side in (("a", cert.a), ("b", cert.b)):

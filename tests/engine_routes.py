@@ -6,9 +6,22 @@ test comparing the combinatorial route with the basis-driven one calls these
 instead: a fresh engine basis, the engine's syzygy colon (taken modulo such
 a basis, as its contract asks), and the tag-variable intersection, which
 shares no construction with the colon and is therefore the colon's oracle.
+`division_koszul_grade` is the oracle of `koszul_grade`: it divides each
+cycle by a boundary basis built in a run of its own.
 """
 
-from linkcoh.groebner import Ideal, _colon, _gb, eliminate, normal_form
+from linkcoh.groebner import (
+    Ideal,
+    _colon,
+    _gb,
+    eliminate,
+    ideal_block,
+    module_gb,
+    module_reduce,
+    module_table,
+    normal_form,
+)
+from linkcoh.modules import _koszul_columns, submodule_syzygies, vec_is_zero
 from linkcoh.ring import DEGREVLEX, Polynomial
 
 
@@ -41,3 +54,24 @@ def tag_intersect(I, J):
         for g in J.gens:
             assert normal_form(f * g, basis).is_zero(), "intersection self-check failed"
     return result
+
+
+def division_koszul_grade(seq, base, lower=0, upper=None):
+    """The bounded Koszul grade search of `koszul_grade`, deciding each level
+    by division.  At level i the boundary basis of B_i = im d_(i+1) + base*K_i
+    comes from an unseeded `module_gb` of the columns of d_(i+1) and the
+    block base*K_i, and H_i vanishes when every generator of the cycles Z_i
+    reduces to zero by it.  Bounds are those of `koszul_grade`, unchecked.
+    """
+    elements = [f for f in seq if not f.is_zero()]
+    s = len(elements)
+    upper = s if upper is None else upper
+    for i in range(s - lower, s - upper, -1):
+        cols = _koszul_columns(elements, i)
+        rank = len(cols)
+        cycles = submodule_syzygies(cols, ideal_block(base, len(cols[0])))
+        boundary = module_gb(_koszul_columns(elements, i + 1) + ideal_block(base, rank))
+        table = module_table(boundary, rank)
+        if any(not vec_is_zero(module_reduce(z, table)) for z in cycles):
+            return s - i
+    return upper

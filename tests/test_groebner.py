@@ -29,7 +29,6 @@ from linkcoh.groebner import (
     ideal_sum,
     is_proper,
     is_unit_ideal,
-    is_zero_ideal,
     module_reduce,
     module_table,
     normal_form,
@@ -168,7 +167,7 @@ def test_spair_closure_of_reduced_gb():
 def test_zero_and_unit_ideals():
     ctx = ring("x", "y")
     Z = Ideal.zero(ctx)
-    assert is_zero_ideal(Z)
+    assert Z.is_zero_ideal()
     assert is_proper(Z)
     assert not ideal_member(P(ctx, "x"), Z)
     assert ideal_member(Polynomial.zero(ctx), Z)
@@ -375,7 +374,7 @@ def test_ideal_parse():
     I = Ideal.parse(ctx, "x^2, x*y")
     assert len(I.gens) == 2
     Z = Ideal.parse(ctx, "0")
-    assert is_zero_ideal(Z)
+    assert Z.is_zero_ideal()
 
 
 def test_nested_limits_keep_outer_deadline():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from linkcoh.groebner import Ideal
+from linkcoh.groebner import Ideal, ideal_sum, is_proper, radical_member
 from linkcoh.invariants import (
     GRADED_NOTE,
     Verdict,
@@ -24,7 +24,7 @@ from linkcoh.monomial import (
     associated_primes,
     min_assh_dim,
 )
-from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh.ring import Polynomial, RingError, parse_poly, ring
 from linkcoh.simplicial import dim_monomial
 
 import random
@@ -119,6 +119,40 @@ def test_att_top_routes_agree_on_random_squarefree():
             assert left == right, (n, J.min_gens, a.min_gens)
             checked += 1
     assert checked >= 25
+
+
+def test_monomial_cofinality_matches_radical_membership():
+    # for monomial a the cofinality of a + p is read off the pure powers
+    # among a's minimal generators; the general route radical-tests every
+    # variable in a + p
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+
+        def monomial_ideal(least):
+            exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+            return MonomialIdeal.from_exponents(ctx, data.draw(st.lists(exps, min_size=least, max_size=4)))
+
+        J, a = monomial_ideal(0), monomial_ideal(1)
+        hyp.assume(not J.is_unit() and not a.is_squarefree())
+        M, A = CyclicModule(ctx, J.to_ideal()), a.to_ideal()
+
+        def cofinal(p):
+            ap = ideal_sum(A, p.to_ideal(ctx))
+            return all(radical_member(Polynomial.variable(ctx, v), ap) for v in ctx.var_names)
+
+        expected = PrimeSet(p for p in module_ass_primes(M) if cofinal(p))
+        assert ass_formal_zeroth(A, M) == expected, (J.min_gens, a.min_gens)
+        if is_proper(ideal_sum(A, M.ideal)):
+            assert att_top(A, M) == PrimeSet(p for p in assh(M) if cofinal(p))
+        assert ass_formal_zeroth(Ideal.unit(ctx), M) == module_ass_primes(M)
+
+    check()
 
 
 def test_att_top_via_cd_needs_monomial():

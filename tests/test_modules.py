@@ -14,16 +14,17 @@ import random
 
 import pytest
 
-from linkcoh import modules
+from engine_routes import division_koszul_grade
+from linkcoh import groebner, modules
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
     _gb,
+    _syzygies,
     ideal_equal,
     ideal_intersect,
     is_proper,
     is_unit_ideal,
-    is_zero_ideal,
     module_reduce,
     module_table,
     reduced_gb,
@@ -323,10 +324,118 @@ def test_bounded_koszul_grade_builds_only_the_levels_it_reads(monkeypatch):
             for upper in range(grade, s + 1):
                 built.clear()
                 assert koszul_grade(xs, J, lower, upper) == grade
-                # the image level above the search, then each searched level
-                # once, down to the first nonzero homology or level s - upper + 1
+                # the image level above the search when lower > 0, then each
+                # searched level once, down to the first nonzero homology or
+                # level s - upper + 1; nothing when lower == upper
                 last = s - min(grade, upper - 1)
-                assert built == [s - lower + 1] + list(range(s - lower, last - 1, -1))
+                above = [s - lower + 1] if 0 < lower < upper else []
+                assert built == above + list(range(s - lower, last - 1, -1))
+
+
+def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
+    # each level's syzygy run yields its cycles and the boundaries below, so
+    # no boundary basis is built and no cycle is divided
+    runs: list[int] = []
+    built: list[int] = []
+    real_run, real_columns = groebner._buchberger, modules._koszul_columns
+
+    def record_run(gens, order, rank=0, basis=()):
+        if rank:
+            runs.append(rank)
+        return real_run(gens, order, rank, basis)
+
+    def record_columns(elements, i):
+        built.append(i)
+        return real_columns(elements, i)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("koszul_grade builds no boundary basis and divides no cycle")
+
+    monkeypatch.setattr(groebner, "_buchberger", record_run)
+    monkeypatch.setattr(modules, "_koszul_columns", record_columns)
+    for name in ("module_gb", "module_table", "module_reduce"):
+        monkeypatch.setattr(modules, name, banned)
+    ctx = ring("a", "b", "c", "d")
+    xs = [Polynomial.variable(ctx, v) for v in ctx.var_names]
+    for texts, grade in ((("a*b",), 3), (("a*c - b*d", "a*d - b*c"), 2), (("a^2", "a*b"), 2)):
+        J = I_of(ctx, *texts)
+        for lower, upper in ((0, 4), (grade, 4), (1, grade), (grade, grade)):
+            runs.clear()
+            built.clear()
+            assert koszul_grade(xs, J, lower, upper) == grade
+            assert len(runs) == len(built) == len(set(built)), (texts, lower, upper)
+    assert koszul_grade(xs, I_of(ctx, "a*b")) == 3 and built == [4, 3, 2, 1]
+
+
+def test_koszul_grade_matches_the_division_route():
+    # the comparison of reduced bases against a route that builds each
+    # boundary basis in its own run and divides the cycles by it, on random
+    # homogeneous binomial ideals and every pair of bounds
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def term(ctx, variables, c):
+        return Polynomial(ctx, {tuple(variables.count(k) for k in range(ctx.n)): c})
+
+    @st.composite
+    def binomial(draw, ctx):
+        # x^u - c*x^v for two monomials of one degree, each a multiset of
+        # variables; c = 0 now and then leaves a term, which reaches grade 0
+        d = draw(st.integers(1, 2))
+        u, v = (draw(st.lists(st.integers(0, ctx.n - 1), min_size=d, max_size=d)) for _ in "uv")
+        return term(ctx, u, 1) - term(ctx, v, draw(st.sampled_from([1, 1, 0])))
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(3, 4))
+        ctx = ring(*"abcd"[:n])
+        J = Ideal(ctx, [data.draw(binomial(ctx)) for _ in range(data.draw(st.integers(1, 4)))])
+        xs = [Polynomial.variable(ctx, v) for v in ctx.var_names]
+        grade = division_koszul_grade(xs, J)
+        assert koszul_grade(xs, J) == grade
+        for lower in range(n + 1):
+            for upper in range(lower, n + 1):
+                expected = division_koszul_grade(xs, J, lower, upper)
+                if lower <= grade <= upper:
+                    assert expected == grade
+                assert koszul_grade(xs, J, lower, upper) == expected, (J, lower, upper)
+
+    check()
+
+
+def test_syzygy_run_image_is_the_module_basis():
+    # the elements of a syzygy run that lead in the main block are the
+    # reduced basis of span(vectors) + <basis>, listed as module_gb lists it
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        rank = data.draw(st.integers(1, 2))
+
+        def poly():
+            terms = {}
+            for _ in range(data.draw(st.integers(0, 2))):
+                e = tuple(data.draw(st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n)))
+                terms[e] = data.draw(st.sampled_from([-2, -1, 1, 3]))
+            return Polynomial(ctx, terms)
+
+        def vectors(least):
+            return [tuple(poly() for _ in range(rank)) for _ in range(data.draw(st.integers(least, 3)))]
+
+        if data.draw(st.booleans()):
+            basis = ideal_block(Ideal(ctx, [poly() for _ in range(data.draw(st.integers(0, 2)))]), rank)
+        else:
+            basis = module_gb(vectors(0))
+        vs = vectors(1)
+        syzygies, image = _syzygies(vs, basis, ctx, rank)
+        assert syzygies == submodule_syzygies(vs, basis)
+        assert list(image) == module_gb(vs + basis)
+
+    check()
 
 
 def test_is_regular_sequence():
@@ -365,7 +474,7 @@ def test_annihilator_of_cyclic_and_zero():
     zero_mod = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)], multigraded=True)
     assert is_unit_ideal(zero_mod.annihilator())
     free = CyclicModule.full_ring(ctx).to_fp()
-    assert is_zero_ideal(free.annihilator())
+    assert free.annihilator().is_zero_ideal()
 
 
 def _small_poly(rng, ctx):
