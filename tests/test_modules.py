@@ -431,9 +431,7 @@ def test_syzygy_run_image_is_the_module_basis():
         else:
             basis = module_gb(vectors(0))
         vs = vectors(1)
-        syzygies, image = _syzygies(vs, basis, ctx, rank)
-        assert syzygies == submodule_syzygies(vs, basis)
-        assert list(image) == module_gb(vs + basis)
+        assert list(_syzygies(vs, basis, ctx, rank)[1]) == module_gb(vs + basis)
 
     check()
 
