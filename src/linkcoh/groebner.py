@@ -563,7 +563,7 @@ def ideal_block(I: Ideal, rank: int) -> list[Vec]:
     return _block_diagonal([(g,) for g in reduced_gb(I)], rank)
 
 
-def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec]:
+def module_gb(gens: Sequence[Vec]) -> list[Vec]:
     """Reduced Groebner basis of the submodule spanned by `gens`, under
     position-over-term order with lower positions dominant."""
     vecs = [v for v in gens if not all(p.is_zero() for p in v)]
@@ -571,23 +571,23 @@ def module_gb(gens: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> list[Vec
         return []
     ctx, rank = vecs[0][0].ctx, len(vecs[0])
     heads = _heads(rank)
-    out = _buchberger([_encode(v, heads) for v in vecs], order, rank)
+    out = _buchberger([_encode(v, heads) for v in vecs], DEGREVLEX, rank)
     return [_decode(g, ctx, rank) for g in out]
 
 
-def module_table(basis: Sequence[Vec], rank: int, order: MonomialOrder = DEGREVLEX) -> dict:
+def module_table(basis: Sequence[Vec], rank: int) -> dict:
     """The reducer table of vectors of R^rank, built once for any number of
     `module_reduce` calls."""
     heads = _heads(rank)
-    return _table((_encode(w, heads) for w in basis), order, rank)
+    return _table((_encode(w, heads) for w in basis), DEGREVLEX, rank)
 
 
-def module_reduce(v: Vec, table: dict, order: MonomialOrder = DEGREVLEX) -> Vec:
+def module_reduce(v: Vec, table: dict) -> Vec:
     """Full remainder of v under division by the vectors of a `module_table`."""
     if all(p.is_zero() for p in v):
         return v
     rank = len(v)
-    return _decode(_divide(_encode(v, _heads(rank)), table, order, rank), v[0].ctx, rank)
+    return _decode(_divide(_encode(v, _heads(rank)), table, DEGREVLEX, rank), v[0].ctx, rank)
 
 
 def _syzygies(

@@ -60,7 +60,7 @@ from .monomial import (
     min_assh_dim,
 )
 from .simplicial import POLARIZATION_VAR_BUDGET, depth_monomial, dim_monomial
-from .ring import DEGREVLEX, MonomialOrder, Polynomial, RingCtx, RingError
+from .ring import Polynomial, RingCtx, RingError
 
 log = logging.getLogger("linkcoh")
 
@@ -82,8 +82,8 @@ def vec_scale(f: Polynomial, v: Vec) -> Vec:
     return tuple(f * p for p in v)
 
 
-def submodule_member(v: Vec, gb: Sequence[Vec], order: MonomialOrder = DEGREVLEX) -> bool:
-    return vec_is_zero(module_reduce(v, module_table(gb, len(v), order), order))
+def submodule_member(v: Vec, gb: Sequence[Vec]) -> bool:
+    return vec_is_zero(module_reduce(v, module_table(gb, len(v))))
 
 
 def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec]:

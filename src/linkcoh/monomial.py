@@ -251,7 +251,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     meet-prime: if A ∩ B ⊆ Q while m1 ∈ A and m2 ∈ B lie outside Q, then
     lcm(m1, m2) lies in A ∩ B but not in Q.  So a component is redundant
     exactly when it contains another component, and one containment pass
-    finds the unique irredundant set.
+    finds the unique irredundant set.  A component generated by the pure
+    powers x_i^(a_i) is its exponent vector a, and (b) ⊆ (a) exactly when
+    0 < a_i <= b_i wherever b_i != 0, so the pass compares vectors.
     """
     if I.is_zero() or not I.is_proper():
         raise ImproperIdealError("irreducible decomposition needs a nonzero proper ideal")
@@ -279,9 +281,16 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
         memo[gens] = out
         return out
 
-    raw = rec(I.min_gens)
-    comps = sorted((MonomialIdeal(I.ctx, gens) for gens in raw), key=lambda c: c.min_gens)
-    return tuple(c for c in comps if not any(d is not c and mono_contains(c, d) for d in comps))
+    raw = sorted(rec(I.min_gens))
+    # a component's generators are pure powers of distinct variables, so the
+    # sum of their exponent tuples is its exponent vector
+    vecs = [tuple(map(sum, zip(*gens))) for gens in raw]
+    supports = [[(i, y) for i, y in enumerate(b) if y] for b in vecs]
+    return tuple(
+        MonomialIdeal(I.ctx, gens)
+        for gens, a in zip(raw, vecs)
+        if not any(b is not a and all(0 < a[i] <= y for i, y in sup) for b, sup in zip(vecs, supports))
+    )
 
 
 def associated_primes(I: MonomialIdeal) -> PrimeSet:

@@ -13,16 +13,23 @@ of its facets is nonzero.  Within one call, each non-cone link is relabelled
 monotonically onto vertices 0..k-1 and looked up in a dict of scanners, so
 links of the same shape share one set of ranks; the dict is dropped when the
 call returns.  A face of size s can only give depth candidates of at least
-s + 1, so the scan stops as soon as the best candidate is that small.
+s + 1, so the scan stops as soon as the best candidate is that small.  A
+link that can only lower the best candidate through H~^0 is decided inline
+by whether it is connected, with no relabelling and no scanner.
 
-Rank decisions are exact.  A GF(2) rank is used only as a *vanishing
-filter*: each coboundary row is a Python int whose set bits are the columns
-it touches (signs vanish mod 2), and elimination is XOR against one pivot row
-per lowest set bit.  The rank of an integer matrix over any F_p is at most
-its rank over Q, so the cohomology rank computed mod 2 bounds the rational
-one from above and a zero there proves vanishing.  Every nonzero rank that
-influences an answer is recomputed with Fraction arithmetic, which also
-clears the 2-torsion (for example RP^2) that the filter cannot see past.
+Rank decisions are exact.  Over every field rank d_-1 = 1 and rank d_0 =
+V - c (V vertices, c connected components), so each scanner starts with
+those two and H~^0 needs no matrix.  A GF(2) rank is used only as a
+*vanishing filter*: each coboundary row is a Python int whose set bits are
+the columns it touches (signs vanish mod 2), and elimination is XOR against
+one pivot row per lowest set bit.  Since d_j d_(j-1) = 0, rank d_j is at
+most dim C^j - rank d_(j-1), and the elimination stops once it holds that
+many pivots; the rank it returns is still the true one.  The rank of an
+integer matrix over any F_p is at most its rank over Q, so the cohomology
+rank computed mod 2 bounds the rational one from above and a zero there
+proves vanishing.  Every nonzero rank that influences an answer is
+recomputed with Fraction arithmetic, which also clears the 2-torsion (for
+example RP^2) that the filter cannot see past.
 """
 
 from __future__ import annotations
@@ -200,9 +207,14 @@ def _rank_exact(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _rank_gf2(rows: Iterable[int]) -> int:
+def _rank_gf2(rows: Iterable[int], cap: int) -> int:
     """Rank over GF(2) of rows given as int bitsets, by XOR elimination
-    against one pivot row per lowest set bit."""
+    against one pivot row per lowest set bit.
+
+    `cap` must bound the rank from above; the elimination stops as soon as
+    it holds that many pivots, so the value returned is the true rank."""
+    if cap <= 0:
+        return 0
     pivots: dict[int, int] = {}
     for r in rows:
         while r:
@@ -210,6 +222,8 @@ def _rank_gf2(rows: Iterable[int]) -> int:
             p = pivots.get(low)
             if p is None:
                 pivots[low] = r
+                if len(pivots) == cap:
+                    return cap
                 break
             r ^= p
     return len(pivots)
@@ -307,19 +321,49 @@ def _compress(facets: list[int]) -> tuple[int, ...]:
     return tuple(sorted(facets))
 
 
+def _component_count(facets: Iterable[int]) -> int:
+    """The number of connected components of the complex with these facet
+    masks; the empty facet of {∅} spans none."""
+    comps: list[int] = []
+    for f in facets:
+        if f:
+            joined = f
+            apart = []
+            for c in comps:
+                if c & f:
+                    joined |= c
+                else:
+                    apart.append(c)
+            apart.append(joined)
+            comps = apart
+    return len(comps)
+
+
 class _LinkScanner:
     """Lazy cohomology of one complex given by facet masks: GF(2) bitset
     ranks as the vanishing filter, exact ranks only where the filter leaves
-    a nonzero bound.  Each face is split into its bits once."""
+    a nonzero bound.  Each face is split into its bits once.
+
+    Over every field rank d_-1 = 1 and rank d_0 = V - c, for V vertices in c
+    connected components (H~^0 has dimension c - 1), so both rank tables
+    start with these two and H~^0 is decided by c alone.  `capped` counts
+    the GF(2) eliminations that stopped at their bound."""
 
     def __init__(self, facets: tuple[int, ...]) -> None:
         self.facets = facets
         self.dim = max(f.bit_count() for f in facets) - 1
         self._split: dict[int, tuple[int, ...]] = {f: _bits(f) for f in facets}
         self._faces: dict[int, list[int]] = {}
-        self._dr_filter: dict[int, int] = {}
-        self._dr_exact: dict[int, int] = {}
+        union = 0
+        for f in facets:
+            union |= f
+        vertices = union.bit_count()
+        self.components = _component_count(facets)
+        low = {-1: min(vertices, 1), 0: vertices - self.components}
+        self._dr_filter: dict[int, int] = dict(low)
+        self._dr_exact: dict[int, int] = dict(low)
         self._h: dict[int, bool] = {}
+        self.capped = 0
 
     def faces(self, k: int) -> list[int]:
         """The k-vertex faces, in lexicographic order of their vertex tuples
@@ -339,7 +383,11 @@ class _LinkScanner:
             index = {f: 1 << i for i, f in enumerate(self.faces(j + 1))}
             split = self._split
             rows = (sum(index[g ^ b] for b in split[g]) for g in self.faces(j + 2))
-            self._dr_filter[j] = _rank_gf2(rows)
+            # d_j d_(j-1) = 0 also mod 2, so the image of d_(j-1) lies in the
+            # kernel of d_j and bounds its rank
+            cap = len(index) - self.rank_filter(j - 1)
+            rank = self._dr_filter[j] = _rank_gf2(rows, cap)
+            self.capped += rank == cap
         return self._dr_filter[j]
 
     def rank_exact(self, j: int) -> int:
@@ -357,14 +405,18 @@ class _LinkScanner:
     def h_nonzero(self, j: int) -> bool:
         verdict = self._h.get(j)
         if verdict is None:
-            dim_cj = len(self.faces(j + 1))
-            # GF(2) ranks never exceed the rational ones, so this difference
-            # is an upper bound for the true rank: zero is a proof of vanishing
-            verdict = self._h[j] = (
-                dim_cj > 0
-                and dim_cj - self.rank_filter(j) - self.rank_filter(j - 1) > 0
-                and dim_cj - self.rank_exact(j) - self.rank_exact(j - 1) > 0
-            )
+            if j == 0:
+                verdict = self.components > 1
+            else:
+                dim_cj = len(self.faces(j + 1))
+                # GF(2) ranks never exceed the rational ones, so this difference
+                # is an upper bound for the true rank: zero proves vanishing
+                verdict = (
+                    dim_cj > 0
+                    and dim_cj - self.rank_filter(j) - self.rank_filter(j - 1) > 0
+                    and dim_cj - self.rank_exact(j) - self.rank_exact(j - 1) > 0
+                )
+            self._h[j] = verdict
         return verdict
 
 
@@ -381,7 +433,9 @@ def depth_squarefree(I: MonomialIdeal) -> int:
     vertex.  The other links are relabelled onto vertices 0..k-1 and looked
     up in a memo of scanners that lives for this call only, so each distinct
     link shape is ranked once.  A face of size s gives candidates of at
-    least s + 1, so the scan stops once the best candidate is that small.
+    least s + 1, so the scan stops once the best candidate is that small;
+    when only s + 1 itself is left to beat, the link matters only through
+    H~^0, and it is nonzero exactly when the link is disconnected.
     """
     if not I.is_squarefree():
         raise RingError("depth_squarefree needs a squarefree ideal")
@@ -392,7 +446,7 @@ def depth_squarefree(I: MonomialIdeal) -> int:
     best = min(f.bit_count() for f in facets)
     root = _LinkScanner(_compress(facets))
     memo = {root.facets: root}
-    visited = non_cone = 0
+    visited = non_cone = connectivity = 0
     size = 0
     while size < best:
         for w in root.faces(size):
@@ -407,22 +461,34 @@ def depth_squarefree(I: MonomialIdeal) -> int:
             if common:
                 continue
             non_cone += 1
+            top = best - size - 2
+            if not top:
+                # only H~^0 could lower the best: it is nonzero exactly when
+                # the link is disconnected
+                connectivity += 1
+                if _component_count(link) > 1:
+                    best = size + 1
+                continue
             key = _compress(link)
             scan = memo.get(key)
             if scan is None:
                 scan = memo[key] = _LinkScanner(key)
-            for j in range(min(best - size - 2, scan.dim) + 1):
+            for j in range(min(top, scan.dim) + 1):
                 if scan.h_nonzero(j):
                     best = size + 1 + j
                     break
         size += 1
     log.debug(
-        "depth links: %d faces, %d non-cone, %d distinct scanned, %d GF(2) ranks, %d exact ranks",
+        "depth links: %d faces, %d non-cone, %d by connectivity, %d distinct scanned, "
+        "%d GF(2) ranks (%d stopped at the bound), %d exact ranks",
         visited,
         non_cone,
+        connectivity,
         len(memo),
-        sum(len(s._dr_filter) for s in memo.values()),
-        sum(len(s._dr_exact) for s in memo.values()),
+        # the two closed-form ranks every scanner starts with are not counted
+        sum(len(s._dr_filter) - 2 for s in memo.values()),
+        sum(s.capped for s in memo.values()),
+        sum(len(s._dr_exact) - 2 for s in memo.values()),
     )
     return best
 

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from engine_routes import engine_gb, engine_quotient, tag_intersect
-from linkcoh.groebner import Ideal
+from linkcoh.groebner import Ideal, min_gens_intersect
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -158,6 +158,40 @@ def test_irreducible_decomposition_membership_oracle():
                     for c in rest[1:]:
                         inter = mono_intersect(inter, c)
                     assert not mono_equal(inter, A)
+
+
+def _leaves(gens):
+    """The pure-power ideals the splitting I = (I + (u)) ∩ (I + (v)) ends
+    in, splitting off the last variable of a generator's support."""
+    for g in gens:
+        sup = [i for i, x in enumerate(g) if x]
+        if len(sup) >= 2:
+            u = tuple(x if i == sup[-1] else 0 for i, x in enumerate(g))
+            v = tuple(0 if i == sup[-1] else x for i, x in enumerate(g))
+            return _leaves(minimalize(gens + (u,))) | _leaves(minimalize(gens + (v,)))
+    return {gens}
+
+
+def test_irredundant_components_match_pairwise_containment_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.integers(2, 4), st.integers(0, 10**6))
+    def check(n, seed):
+        ctx = ring(*"xyzw"[:n])
+        I = random_ideal(random.Random(seed), ctx, maxdeg=4, max_gens=4)
+        comps = [MonomialIdeal(ctx, gens) for gens in sorted(_leaves(I.min_gens))]
+        # the pairwise containment pass over the leaves, as an oracle
+        want = [c.min_gens for c in comps if not any(d is not c and mono_contains(c, d) for d in comps)]
+        got = irreducible_decomposition(I)
+        assert [c.min_gens for c in got] == want
+        inter = got[0].min_gens
+        for c in got[1:]:
+            inter = min_gens_intersect(inter, c.min_gens)
+        assert inter == I.min_gens
+
+    check()
 
 
 def test_associated_primes_hand_cases(ctx):

@@ -337,10 +337,64 @@ def test_scanner_faces_match_faces_of_size():
             assert scan.faces(k) == [_mask(f) for f in cx.faces_of_size(k)]
 
 
+def _rank_mod2(rows):
+    """Rank over GF(2) of int bitset rows, kept as a basis with distinct
+    leading bits in decreasing order."""
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def test_capped_gf2_rank_is_the_rank_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @hyp.given(st.lists(st.integers(0, (1 << 12) - 1), max_size=14), st.integers(0, 3))
+    def check(rows, slack):
+        rank = _rank_mod2(rows)
+        # any cap at or above the rank gives the rank itself
+        assert simplicial._rank_gf2(iter(rows), rank + slack) == rank
+
+    check()
+
+
+def test_scanner_low_ranks_match_exact_coboundaries():
+    rng = random.Random(61)
+    complexes = [SimplicialComplex.from_facets(3, [[]])]
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        a, b = random_complex(rng, n), random_complex(rng, m)
+        complexes.append(a)
+        # a disjoint union: at least two components
+        shifted = [[v + n for v in f] for f in b.facets]
+        complexes.append(SimplicialComplex.from_facets(n + m, list(a.facets) + shifted))
+    disconnected = 0
+    for cx in complexes:
+        scan = simplicial._LinkScanner(tuple(sorted(_mask(f) for f in cx.facets)))
+        faces = [cx.faces_of_size(k) for k in range(3)]
+        for j in (-1, 0):
+            want = simplicial._rank_exact(simplicial._coboundary(faces[j + 1], faces[j + 2]))
+            assert scan.rank_filter(j) == scan.rank_exact(j) == want
+        assert scan.h_nonzero(0) == (reduced_cohomology(cx).rank(0) > 0)
+        # the closed forms need no face list
+        assert not scan._faces
+        disconnected += scan.components > 1
+    assert disconnected >= 30
+
+
 OCTAHEDRON = ("x0*x1", "x2*x3", "x4*x5")
+# boundary of the 4-dimensional cross-polytope: a 3-sphere whose vertex links
+# are octahedra
+CROSS_POLYTOPE = OCTAHEDRON + ("x6*x7",)
 
 
-def test_link_memo_shares_relabelled_links(monkeypatch):
+def _scanners_built(monkeypatch):
     built = []
     init = simplicial._LinkScanner.__init__
 
@@ -349,21 +403,38 @@ def test_link_memo_shares_relabelled_links(monkeypatch):
         init(self, facets)
 
     monkeypatch.setattr(simplicial._LinkScanner, "__init__", counted)
+    return built
+
+
+def test_link_memo_shares_relabelled_links(monkeypatch):
+    built = _scanners_built(monkeypatch)
     ctx = ring(*(f"x{i}" for i in range(6)))
-    # boundary of the octahedron: a 2-sphere, Cohen-Macaulay of dimension 3
+    # boundary of the octahedron: a 2-sphere, Cohen-Macaulay of dimension 3;
+    # its vertex links (4-cycles) only need H~^0, which connectivity decides,
+    # so the only scanner is the one of the whole complex
     assert depth_squarefree(MI(ctx, *OCTAHEDRON)) == 3
-    # one scanner for the whole complex (the link of the empty face) and one
-    # shared by the six vertex links, all 4-cycles after relabelling
+    octahedron = (0b010101, 0b010110, 0b011001, 0b011010, 0b100101, 0b100110, 0b101001, 0b101010)
+    assert built == [octahedron]
+    built.clear()
+    # the eight vertex links of the 3-sphere need H~^1 and share one scanner,
+    # the octahedron after relabelling
+    ctx = ring(*(f"x{i}" for i in range(8)))
+    assert depth_squarefree(MI(ctx, *CROSS_POLYTOPE)) == 4
     assert len(built) == 2
-    assert built[1] == (0b0101, 0b0110, 0b1001, 0b1010)
+    assert built[1] == octahedron
 
 
 def test_link_scan_logs_its_work(caplog):
-    ctx = ring(*(f"x{i}" for i in range(6)))
     with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+        ctx = ring(*(f"x{i}" for i in range(6)))
         assert depth_squarefree(MI(ctx, *OCTAHEDRON)) == 3
+        ctx = ring(*(f"x{i}" for i in range(8)))
+        assert depth_squarefree(MI(ctx, *CROSS_POLYTOPE)) == 4
     assert [r.getMessage() for r in caplog.records] == [
-        "depth links: 7 faces, 7 non-cone, 2 distinct scanned, 5 GF(2) ranks, 0 exact ranks"
+        "depth links: 7 faces, 7 non-cone, 6 by connectivity, 1 distinct scanned, "
+        "1 GF(2) ranks (1 stopped at the bound), 0 exact ranks",
+        "depth links: 33 faces, 33 non-cone, 24 by connectivity, 2 distinct scanned, "
+        "3 GF(2) ranks (3 stopped at the bound), 0 exact ranks",
     ]
 
 
