@@ -286,10 +286,13 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     # sum of their exponent tuples is its exponent vector
     vecs = [tuple(map(sum, zip(*gens))) for gens in raw]
     supports = [[(i, y) for i, y in enumerate(b) if y] for b in vecs]
+    # (a) is redundant when some other component (b) lies inside it
     return tuple(
         MonomialIdeal(I.ctx, gens)
         for gens, a in zip(raw, vecs)
-        if not any(b is not a and all(0 < a[i] <= y for i, y in sup) for b, sup in zip(vecs, supports))
+        if not any(
+            b is not a and all(0 < a[i] <= y for i, y in sup) for b, sup in zip(vecs, supports)
+        )
     )
 
 

@@ -183,7 +183,8 @@ def test_irredundant_components_match_pairwise_containment_property():
         I = random_ideal(random.Random(seed), ctx, maxdeg=4, max_gens=4)
         comps = [MonomialIdeal(ctx, gens) for gens in sorted(_leaves(I.min_gens))]
         # the pairwise containment pass over the leaves, as an oracle
-        want = [c.min_gens for c in comps if not any(d is not c and mono_contains(c, d) for d in comps)]
+        kept = [c for c in comps if not any(d is not c and mono_contains(c, d) for d in comps)]
+        want = [c.min_gens for c in kept]
         got = irreducible_decomposition(I)
         assert [c.min_gens for c in got] == want
         inter = got[0].min_gens
