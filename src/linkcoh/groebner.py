@@ -139,16 +139,20 @@ def check_deadline(what: str, spent: int = 0) -> None:
         raise BudgetExceeded(what, spent, "soft timeout")
 
 
+# `Ideal._monomial_gens` before `monomial_gens` has looked: None is an answer
+_NOT_COMPUTED = object()
+
+
 class Ideal:
     """An ideal of Q[x_1..x_n] held by explicit generators.
 
     Generators are never mutated; the zero ideal is represented by a single
     zero polynomial so `gens` is always nonempty.  Reduced Groebner bases, and
     the reducer tables that membership tests divide by, are cached per
-    monomial order on the instance.
+    monomial order on the instance, and so is the answer of `monomial_gens`.
     """
 
-    __slots__ = ("ctx", "gens", "_gb_cache", "_table_cache")
+    __slots__ = ("ctx", "gens", "_gb_cache", "_table_cache", "_monomial_gens")
 
     def __init__(self, ctx: RingCtx, gens: Iterable[Polynomial]) -> None:
         kept = []
@@ -161,6 +165,7 @@ class Ideal:
         self.gens: tuple[Polynomial, ...] = tuple(kept) or (Polynomial.zero(ctx),)
         self._gb_cache: dict = {}
         self._table_cache: dict = {}
+        self._monomial_gens = _NOT_COMPUTED
 
     @classmethod
     def parse(cls, ctx: RingCtx, text: str) -> "Ideal":
@@ -192,10 +197,16 @@ def _same_ctx(I: Ideal, J: Ideal) -> RingCtx:
 # Ideals given by terms, as divisibility on exponent tuples.
 
 def monomial_gens(I: Ideal) -> tuple[Exponents, ...] | None:
-    """The minimal generators of I if all its generators are terms."""
-    if not all(g.is_term() for g in I.gens if not g.is_zero()):
-        return None
-    return minimalize(e for g in I.gens for e in g.term_map())
+    """The minimal generators of I if all its generators are terms, else
+    None; computed once per ideal."""
+    got = I._monomial_gens
+    if got is _NOT_COMPUTED:
+        if all(g.is_term() for g in I.gens if not g.is_zero()):
+            got = minimalize(e for g in I.gens for e in g.term_map())
+        else:
+            got = None
+        I._monomial_gens = got
+    return got
 
 
 def minimalize(exps: Iterable[Exponents]) -> tuple[Exponents, ...]:

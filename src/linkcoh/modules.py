@@ -59,7 +59,7 @@ from .monomial import (
     from_ideal,
     min_assh_dim,
 )
-from .simplicial import POLARIZATION_VAR_BUDGET, depth_monomial, dim_monomial
+from .simplicial import depth_monomial, dim_monomial
 from .ring import Polynomial, RingCtx, RingError
 
 log = logging.getLogger("linkcoh")
@@ -384,8 +384,8 @@ class CyclicModule:
     two depths are equal (Conca-Varbaro, "Square-free Groebner degenerations",
     Invent. Math. 221, 2020).  So depth R/in(J) is the answer when in(J) is
     squarefree or reaches the dimension; otherwise the Koszul search runs only
-    over the levels those two bounds leave open.  A non-homogeneous J, or a
-    monomial ideal past the polarization budget, takes the full Koszul search.
+    over the levels those two bounds leave open.  A non-homogeneous J takes
+    the full Koszul search.
     Each depth logs its route at debug level on the `linkcoh` logger:
     `monomial`, `degeneration`, `degeneration+koszul` with its levels, or
     `koszul`.
@@ -444,27 +444,18 @@ class CyclicModule:
         gens = [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
         n = len(gens)
         if mono is not None:
-            try:
-                d0 = depth_monomial(mono)
-            except BudgetExceeded as exc:
-                if exc.limit == "soft timeout":
-                    raise
-                log.info(
-                    "depth: polarization needs more than %d variables, using the Koszul route",
-                    POLARIZATION_VAR_BUDGET,
-                )
-            else:
-                if self.monomial is not None:
-                    log.debug("depth: route monomial")
-                    return d0
-                dim = self.dim()
-                if mono.is_squarefree() or d0 == dim:
-                    log.debug("depth: route degeneration")
-                    return d0
-                log.debug(
-                    "depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1
-                )
-                return koszul_grade(gens, self.ideal, d0, dim)
+            d0 = depth_monomial(mono)
+            if self.monomial is not None:
+                log.debug("depth: route monomial")
+                return d0
+            dim = self.dim()
+            if mono.is_squarefree() or d0 == dim:
+                log.debug("depth: route degeneration")
+                return d0
+            log.debug(
+                "depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1
+            )
+            return koszul_grade(gens, self.ideal, d0, dim)
         log.debug("depth: route koszul")
         return koszul_grade(gens, self.ideal)
 

@@ -3,6 +3,14 @@ exact reduced simplicial cohomology over Q, depth of monomial quotients via
 Hochster's formula for local cohomology, and cohomological dimension along
 the squarefree path.
 
+Depth of R/J for a monomial J that is not squarefree needs no polarization:
+Takayama's formula writes each graded piece of H^i_m(R/J) as the reduced
+homology of a degree complex (Takayama, Bull. Math. Soc. Sci. Math.
+Roumanie 48, 2005), and each degree complex is a link in the Stanley-Reisner
+complex of a colon radical √(J : x^b) (Minh-Trung, J. Algebra 322, 2009).
+So `depth_monomial` is the least `depth_squarefree` over the finitely many
+distinct radicals, all on the n original vertices.
+
 Two routes compute cohomology.  `SimplicialComplex` holds faces as
 frozensets; its `link`, `faces_of_size`, `is_cone` and `reduced_cohomology`
 are the plain route, used by the tests as the oracle.  The depth scan
@@ -37,7 +45,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .groebner import BudgetExceeded, check_deadline
@@ -46,13 +54,10 @@ from .monomial import (
     MonomialIdeal,
     MonomialPrime,
     min_assh_dim,
-    polarize,
 )
 from .ring import RingCtx, RingError, mono_support
 
 log = logging.getLogger("linkcoh")
-
-POLARIZATION_VAR_BUDGET = 16
 
 
 def _facet_key(s: frozenset):
@@ -494,17 +499,47 @@ def depth_squarefree(I: MonomialIdeal) -> int:
 
 
 def depth_monomial(J: MonomialIdeal) -> int:
-    """depth of R/J for proper monomial J, via polarization.
+    """depth of R/J for proper monomial J, from the radicals of its colons
+    by monomials, on the n original vertices.
 
-    Polarization adds one variable per repeated exponent and shifts depth by
-    exactly that count.
+    Takayama's formula gives each graded piece H^i_m(R/J)_a as the reduced
+    homology of a degree complex (Takayama, Bull. Math. Soc. Sci. Math.
+    Roumanie 48, 2005); that complex is a link in the Stanley-Reisner
+    complex of √(J : x^b), b the positive part of a (Minh-Trung, J. Algebra
+    322, 2009).  So depth R/J is the least depth R/√(J : x^b) over x^b ∉ J.
+    The piece vanishes once some a_j reaches ρ_j, the largest exponent of
+    x_j among J's generators, so b_j < ρ_j; and the radical only changes
+    where some generator's exponent g_j > b_j stops holding, so b_j runs over
+    0 and the exponents of x_j that occur below ρ_j.  √(J : x^b) is
+    generated by the supports {j : g_j > b_j} over J's generators g (an
+    empty one means x^b ∈ J); its minimal generators key it, and
+    `depth_squarefree` runs once per distinct radical, so more than 20
+    variables trip the vertex budget of `complex_of`.  The debug line
+    `depth colon radicals: V exponent vectors, K distinct` counts the
+    vectors outside J and the radicals scanned.
     """
     if not J.is_proper():
         raise ImproperIdealError("depth needs a proper ideal")
-    pol = polarize(J)
-    if pol.ctx.n > POLARIZATION_VAR_BUDGET:
-        raise BudgetExceeded("polarization variable budget", pol.ctx.n, POLARIZATION_VAR_BUDGET)
-    return depth_squarefree(pol.ideal) - pol.added
+    ctx, gens = J.ctx, J.min_gens
+    choices = []
+    for j in range(ctx.n):
+        rho = max((g[j] for g in gens), default=0)
+        choices.append(sorted({0} | {g[j] for g in gens if g[j] < rho}))
+    depths: dict[tuple, int] = {}
+    vectors = 0
+    for b in product(*choices):
+        check_deadline("depth colon radicals")
+        radical = MonomialIdeal.from_exponents(
+            ctx, [tuple(int(x > y) for x, y in zip(g, b)) for g in gens]
+        )
+        if radical.is_unit():
+            continue  # some generator divides x^b, so x^b lies in J
+        vectors += 1
+        if radical.min_gens not in depths:
+            depths[radical.min_gens] = depth_squarefree(radical)
+    log.debug("depth colon radicals: %d exponent vectors, %d distinct", vectors, len(depths))
+    # b = 0 lies outside the proper J, so there is at least one radical
+    return min(depths.values())
 
 
 def dim_monomial(J: MonomialIdeal) -> int:

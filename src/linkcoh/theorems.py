@@ -59,10 +59,8 @@ from .monomial import (
     mono_product,
     mono_radical,
     mono_sum,
-    polarize,
 )
 from .ring import Polynomial, RingCtx, RingError, ring
-from .simplicial import POLARIZATION_VAR_BUDGET
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
 
@@ -93,14 +91,19 @@ class InstanceParams:
 # ---------------------------------------------------------------------------
 # Samplers.
 
+POLARIZATION_VAR_BUDGET = 16
+
 def _random_proper_monomial_ideal(
     rng: random.Random, ctx: RingCtx, maxdeg: int, max_gens: int = 3
 ) -> MonomialIdeal:
-    """A nonzero proper monomial ideal within the polarization variable budget."""
+    """A nonzero proper monomial ideal whose polarization would need at most
+    `POLARIZATION_VAR_BUDGET` variables: Σ_j max(1, ρ_j), ρ_j the largest
+    exponent of x_j among its generators."""
     for _ in range(24):
         gens = [_random_monomial(rng, ctx, maxdeg) for _ in range(rng.randint(1, max_gens))]
         I = MonomialIdeal.from_exponents(ctx, gens)
-        if polarize(I).ctx.n <= POLARIZATION_VAR_BUDGET:
+        width = sum(max([1] + [g[j] for g in I.min_gens]) for j in range(ctx.n))
+        if width <= POLARIZATION_VAR_BUDGET:
             return I
     return mono_radical(I)  # squarefree always fits the budget
 

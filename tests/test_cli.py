@@ -388,6 +388,21 @@ def test_soft_timeout_trips_monomial_kernels(capsys, cmd):
     assert doc["error"] == "budget-exceeded"
 
 
+def test_depth_beyond_the_vertex_budget_exits_two(capsys):
+    # 22 variables: the colon radicals live on all of them, past the
+    # 20-vertex budget of the Stanley-Reisner complex
+    code, out, err = invoke(
+        capsys,
+        "depth",
+        "--ring", ",".join(f"x{i}" for i in range(22)),
+        "--ideal", ", ".join(f"x{2 * i}*x{2 * i + 1}" for i in range(11)),
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded"
+    assert doc["detail"].startswith("complex_of vertex budget")
+
+
 @pytest.mark.parametrize("cmd, flag, what", [
     ("colon", "--by", "monomial colon"),
     ("intersect", "--with", "monomial intersection"),

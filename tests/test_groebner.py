@@ -377,6 +377,20 @@ def test_ideal_parse():
     assert Z.is_zero_ideal()
 
 
+def test_monomial_gens_is_computed_once_per_ideal(monkeypatch):
+    ctx = ring("x", "y")
+    terms = Ideal.parse(ctx, "x^2*y, x*y, y^3")
+    binomial = Ideal.parse(ctx, "x^2 - y, x*y")
+    first = groebner.monomial_gens(terms)
+    assert first == ((1, 1), (0, 3))
+    assert groebner.monomial_gens(binomial) is None
+    # the answers, None included, come from the ideals from now on
+    monkeypatch.setattr(groebner, "minimalize", None)
+    monkeypatch.setattr(Polynomial, "is_term", None)
+    assert groebner.monomial_gens(terms) is first
+    assert groebner.monomial_gens(binomial) is None
+
+
 def test_nested_limits_keep_outer_deadline():
     # an inner set_limits that only caps S-pairs must not drop the deadline
     with set_limits(soft_timeout=5) as outer:

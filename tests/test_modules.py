@@ -604,12 +604,12 @@ def test_cyclic_module_depth_dim_cm():
     assert (flat.depth(), flat.dim(), flat.is_cohen_macaulay()) == (0, 1, False)
 
 
-def test_cyclic_module_depth_reports_soft_timeout_from_link_scan():
+def test_cyclic_module_depth_reports_soft_timeout_from_colon_radicals():
     ctx = ring("x", "y", "z")
     mixed = CyclicModule(ctx, I_of(ctx, "x*z", "y*z"))
-    # a deadline trip is not the polarization budget: no Koszul fallback
+    # a deadline trip is reported as such and never falls back to Koszul
     with set_limits(soft_timeout=0):
-        with pytest.raises(BudgetExceeded, match="^depth links"):
+        with pytest.raises(BudgetExceeded, match="^depth colon radicals"):
             mixed.depth()
 
 
@@ -751,14 +751,19 @@ def test_nonhomogeneous_ideal_takes_the_koszul_route():
     assert M.depth() == _oracle_depth(J) == 2
 
 
-def test_degeneration_polarization_budget_falls_back_to_koszul(caplog):
-    J = _ideal4("a^8 - b^8, c^8 - d^8")  # in(J) polarizes to 18 > 16 variables
+def test_degeneration_takes_high_exponent_lead_terms_directly(caplog):
+    # in(J) = (a^8, c^8) would polarize to 18 variables; its colon radicals
+    # live on the 4 original ones, so the degeneration answers with no Koszul run
+    J = _ideal4("a^8 - b^8, c^8 - d^8")
     M = CyclicModule(CTX4, J)
     with caplog.at_level(logging.DEBUG, logger="linkcoh"):
         assert M.depth() == 2
-    messages = [r.getMessage() for r in caplog.records]
-    assert any("polarization needs more than 16 variables" in m for m in messages)
-    assert messages[-1] == "depth: route koszul"
+    assert [r.getMessage() for r in caplog.records] == [
+        "depth links: 1 faces, 0 non-cone, 0 by connectivity, 1 distinct scanned, "
+        "0 GF(2) ranks (0 stopped at the bound), 0 exact ranks",
+        "depth colon radicals: 1 exponent vectors, 1 distinct",
+        "depth: route degeneration",
+    ]
 
 
 def test_degeneration_depth_reports_soft_timeout():
@@ -770,25 +775,40 @@ def test_degeneration_depth_reports_soft_timeout():
 
 def test_depth_logs_its_route(caplog):
     ctx = ring("x", "y", "z")
+    one_face = (
+        "depth links: 1 faces, 0 non-cone, 0 by connectivity, 1 distinct scanned, "
+        "0 GF(2) ranks (0 stopped at the bound), 0 exact ranks"
+    )
+    no_face = (
+        "depth links: 0 faces, 0 non-cone, 0 by connectivity, 1 distinct scanned, "
+        "0 GF(2) ranks (0 stopped at the bound), 0 exact ranks"
+    )
+    # every route but the plain Koszul one scans the links of each distinct
+    # colon radical (one line each), then sums up the colon radicals
     routes = [
-        (CyclicModule(ctx, I_of(ctx, "x*y")), "depth: route monomial"),
-        (CyclicModule(CTX4, _ideal4("a*d - b*c, a*c - b^2, b*d - c^2")), "depth: route degeneration"),
+        (
+            CyclicModule(ctx, I_of(ctx, "x*y")),
+            [one_face, "depth colon radicals: 1 exponent vectors, 1 distinct"],
+            "depth: route monomial",
+        ),
+        (
+            CyclicModule(CTX4, _ideal4("a*d - b*c, a*c - b^2, b*d - c^2")),
+            [one_face, "depth colon radicals: 3 exponent vectors, 1 distinct"],
+            "depth: route degeneration",
+        ),
         (
             CyclicModule(CTX4, _ideal4(D0_BELOW_DEPTH[0])),
+            [one_face, no_face, "depth colon radicals: 3 exponent vectors, 2 distinct"],
             "depth: route degeneration+koszul, levels 3 down to 3",
         ),
-        (CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z")), "depth: route koszul"),
+        (CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z")), [], "depth: route koszul"),
     ]
-    for M, message in routes:
+    for M, scans, message in routes:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="linkcoh"):
             M.depth()
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        # every route but the plain Koszul one runs one Stanley-Reisner link
-        # scan first, and that scan logs one line of its own
-        scans = 0 if message == "depth: route koszul" else 1
-        assert [m for m in debug if m.startswith("depth links: ")] == debug[:scans]
-        assert debug[scans:] == [message]
+        assert debug == scans + [message]
 
 
 def test_cyclic_module_rejects_unit_ideal():

@@ -14,8 +14,9 @@ import pytest
 
 from linkcoh import simplicial
 from linkcoh.groebner import BudgetExceeded, set_limits
+from linkcoh.modules import koszul_grade
 from linkcoh.monomial import ImproperIdealError, MonomialIdeal, polarize
-from linkcoh.ring import RingError, ring
+from linkcoh.ring import Polynomial, RingError, ring
 from linkcoh.simplicial import (
     CohomologyProfile,
     SimplicialComplex,
@@ -207,6 +208,65 @@ def test_depth_monomial_polarizes():
     assert depth_monomial(MI(ctx3, "x^2*y")) == 2
     pol = polarize(MI(ctx3, "x^2*y"))
     assert depth_squarefree(pol.ideal) - pol.added == 2
+
+
+# ---------------------------------------------------------------------------
+# Depth of monomial quotients: colon radicals against the polarization and
+# against the Koszul search.
+
+def polarized_depth(J: MonomialIdeal) -> int:
+    """Hochster's formula on the squarefree polarization, shifted back."""
+    pol = polarize(J)
+    return depth_squarefree(pol.ideal) - pol.added
+
+
+def test_depth_monomial_matches_polarization_and_koszul_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        ctx = ring(*"wxyz"[:n])
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        # pure powers are drawn on their own too, so (x^a, y^b, ...) and
+        # mixtures with them turn up often; no generators is the zero ideal
+        powers = st.builds(
+            lambda i, a: tuple(a if k == i else 0 for k in range(n)),
+            st.integers(0, n - 1),
+            st.integers(1, 3),
+        )
+        gens = data.draw(st.lists(st.one_of(exps, powers), max_size=4))
+        J = MonomialIdeal.from_exponents(ctx, gens)
+        hyp.assume(J.is_proper())
+        variables = [Polynomial.variable(ctx, v) for v in ctx.var_names]
+        depth = depth_monomial(J)
+        assert depth == polarized_depth(J) == koszul_grade(variables, J.to_ideal())
+
+    check()
+
+
+def test_depth_monomial_matches_polarization_on_larger_rings():
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(5, 6)
+        ctx = ring(*"abcdef"[:n])
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        J = MonomialIdeal.from_exponents(ctx, gens)
+        # the polarized oracle's cost grows with its vertex count
+        if not J.is_proper() or polarize(J).ctx.n > 11:
+            continue
+        assert depth_monomial(J) == polarized_depth(J)
+        checked += 1
+
+
+def test_depth_monomial_honours_soft_timeout():
+    ctx = ring("x", "y", "z")
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded, match="^depth colon radicals"):
+            depth_monomial(MI(ctx, "x^2*y", "y^3*z"))
 
 
 def test_cd_squarefree_known_values():
