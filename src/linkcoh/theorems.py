@@ -93,6 +93,7 @@ class InstanceParams:
 
 POLARIZATION_VAR_BUDGET = 16
 
+
 def _random_proper_monomial_ideal(
     rng: random.Random, ctx: RingCtx, maxdeg: int, max_gens: int = 3
 ) -> MonomialIdeal:

@@ -241,8 +241,7 @@ def test_depth_monomial_matches_polarization_and_koszul_property():
         J = MonomialIdeal.from_exponents(ctx, gens)
         hyp.assume(J.is_proper())
         variables = [Polynomial.variable(ctx, v) for v in ctx.var_names]
-        depth = depth_monomial(J)
-        assert depth == polarized_depth(J) == koszul_grade(variables, J.to_ideal())
+        assert depth_monomial(J) == polarized_depth(J) == koszul_grade(variables, J.to_ideal())
 
     check()
 
