@@ -17,22 +17,29 @@ multiplies by a/gcd(a, c) where it would divide by a lead coefficient a, so
 the engine makes no `Fraction` until it answers: `Polynomial`s and every
 answer (monic bases, exact remainders) stay on `Fraction`.  A vector of R^r
 is the term map whose exponents are a one-hot position prefix of length r
-followed by the ring exponent; an ideal has an empty prefix.  A term's key is
-the prefix followed by the order key of the ring exponent, one flat tuple:
-position-over-term, lower positions dominant.  Pairing, the chain criterion and each reduction step
-consult only the basis elements leading at their own position.  The coprime
-criterion, unsound for modules, needs no position test: at a position the
-lcm's prefix entry is 1 and the product's is 2, so it never fires there.
+followed by the ring exponent; an ideal has an empty prefix.
 
-Pending S-pairs sit in a heap keyed by (order key of the ring part of the
-lcm, index pair): the S-pair sequence, and where a budget trips, is that of
-the plain normal strategy.  Order keys are memoized for one Buchberger run,
-table build or division; each lead is computed once, and every remainder
-goes through one division kernel (`_reduce`).  Outside Buchberger a
-division is `_table` (a basis's reducers, built once) and `_divide` (one
-remainder).  Only this module knows the vector encoding: `modules.py` calls
-`module_gb`, `module_table`, `module_reduce`, `_syzygies`, `_block_diagonal`
-and `_colon`.
+Inside a run every exponent is one int packed by a `_Codec`: fixed-width
+fields of w value bits, each under a guard bit, laid out so that integer
+comparison is the term order -- position-over-term, lower positions
+dominant, then the monomial order.  Multiplying by a monomial is an int
+addition, a divisibility test one addition and one mask against the guard
+bits, and `max` and `sorted` need no key.  The width starts from the
+inputs' largest degree, so they fit; a made term with a guard bit set has
+overflowed a field, and the run starts again at double width on a fresh
+S-pair meter (the soft deadline spans the whole call).  Answers are decoded
+to exponent tuples on exit, each term once.  Pairing, the chain criterion
+and each reduction step consult only the basis elements leading at their
+own position.
+
+Pending S-pairs sit in a heap keyed by (ring part of the packed lcm, index
+pair): the S-pair sequence, and where a budget trips, is that of the plain
+normal strategy.  Every remainder goes through one division kernel
+(`_reduce`).  Outside Buchberger a division is `_table` (a basis's
+reducers, packed once per width asked for) and `_divide` (one remainder,
+widened as a run is).  Only this module knows the vector encoding and the
+packing: `modules.py` calls `module_gb`, `module_table`, `module_reduce`,
+`_syzygies`, `_block_diagonal` and `_colon`.
 
 Every colon is one syzygy run (`_colon`): for N in R^r and vectors
 u_1..u_k, N : (u_1..u_k) is the a with a*(u_1|..|u_k) in k block-diagonal
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, le as le_, sub
+from operator import le as le_, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .ring import (
@@ -263,68 +270,128 @@ def _seeded(ctx: RingCtx, basis: tuple[Polynomial, ...]) -> Ideal:
 # ---------------------------------------------------------------------------
 # The Groebner engine.
 
-class _KeyMemo(dict):
-    """e -> fn(e), each key computed once.
+class _Overflow(Exception):
+    """A term of an engine run does not fit its codec's fields."""
 
-    One memo is made per Buchberger run, table build or division and dropped
-    when the call returns, so no key outlives its run and the order objects
-    stay stateless.
+
+class _Codec:
+    """The packed exponents of one engine run over `rank` positions and n
+    variables: each exponent, position prefix and ring part, is one int of
+    fixed-width fields whose integer order is the run's term order.
+
+    A field holds w value bits under one guard bit; M = 2^w - 1.  From the
+    top: the position field r - p when rank > 0, so lower positions dominate;
+    then the ring fields -- degrevlex: deg, M - e_n, .., M - e_1; block: per
+    block, dominant first, its degree and then its complement fields; lex:
+    e_1, .., e_n.  The encoding is affine, enc(e) = C + sum e_j*W_j over the
+    whole exponent, so x^(e - le)*g is enc(g) + enc(e) - enc(le).  While
+    every field stays in [0, M] no guard bit is set and nothing carries, and
+    a sum of two encodings less a third sets the guard bit of its lowest
+    field out of range, so `k & G` flags each overflow.  The variable fields
+    (complement or lex) carry divisibility: le | e at a common position
+    exactly when (R + sign*e) & GM == GM, with the reducer's mark
+    R = G - sign*enc(le), since each such field then reads 2^w + e_j - le_j.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("w", "M", "G", "GM", "C", "W", "sign", "flip", "shifts", "pshift", "ring_mask", "heads")
 
-    def __init__(self, fn) -> None:
-        super().__init__()
-        self.fn = fn
+    def __init__(self, order: MonomialOrder, rank: int, n: int, w: int) -> None:
+        lex = order.kind == "lex"
+        if lex:
+            fields = [("e", j) for j in range(n)]
+        else:
+            fields = []
+            for blk in order.blocks or (tuple(range(n)),):
+                fields += [("deg", blk)] + [("e", j) for j in reversed(blk)]
+        F, M = w + 1, (1 << w) - 1
+        W, shifts = [0] * n, [0] * n
+        C = G = GM = 0
+        for i, (kind, v) in enumerate(reversed(fields)):  # bottom field first
+            s = i * F
+            G |= 1 << (s + w)
+            if kind == "deg":
+                for j in v:
+                    W[j] += 1 << s
+            else:
+                W[v] += 1 << s if lex else -(1 << s)
+                C += 0 if lex else M << s
+                GM |= 1 << (s + w)
+                shifts[v] = s
+        ps = len(fields) * F
+        if rank:
+            G |= 1 << (ps + w)
+        self.w, self.M, self.G, self.GM, self.C = w, M, G, GM, C
+        self.W = [(rank - p) << ps for p in range(rank)] + W
+        self.sign, self.flip = (1, 0) if lex else (-1, -1)
+        self.shifts, self.pshift, self.ring_mask = shifts, ps, (1 << ps) - 1
+        # the prefix of position field value v, which is r - p
+        self.heads = [()] + [tuple(int(q == rank - v) for q in range(rank)) for v in range(1, rank + 1)]
 
-    def __missing__(self, e):
-        k = self[e] = self.fn(e)
-        return k
+    def pack(self, terms: dict) -> dict:
+        """The integer term map `terms` with packed exponents."""
+        C, W, G = self.C, self.W, self.G
+        out = {}
+        for e, c in terms.items():
+            k = C + sum(map(mul, e, W))
+            if k & G:
+                raise _Overflow
+            out[k] = c
+        return out
+
+    def dec(self, k: int) -> Exponents:
+        """The exponent tuple, prefix and ring part, of a packed exponent."""
+        x, M = k ^ self.flip, self.M
+        return self.heads[k >> self.pshift] + tuple([x >> s & M for s in self.shifts])
 
 
-def _memo_key(fn):
-    """A memoized copy of the sort key `fn`, for the length of one run."""
-    return _KeyMemo(fn).__getitem__
+_CODECS: dict = {}  # (order token, rank, n, w) -> _Codec
 
 
-def _keys(order: MonomialOrder, rank: int):
-    """The term key and the pair key of one engine run over `rank` positions.
+def _codec(order: MonomialOrder, rank: int, n: int, w: int) -> _Codec:
+    key = (order.token(), rank, n, w)
+    cx = _CODECS.get(key)
+    if cx is None:
+        cx = _CODECS[key] = _Codec(order, rank, n, w)
+    return cx
 
-    A term's key is its position prefix followed by the order key of its
-    ring exponent, one flat tuple: a one-hot prefix is larger the lower its
-    position, so this is position-over-term with lower positions dominant.
-    Pairs are queued by the order key of the ring part of their lcm alone.
-    An ideal (rank 0) has an empty prefix and both keys are the order key.
-    """
-    okey = order.key
-    if not rank:
-        key = _memo_key(okey)
-        return key, key
-    return _memo_key(lambda e: e[:rank] + okey(e[rank:])), lambda e: okey(e[rank:])
+
+def _degree(maps: Iterable[dict]) -> int:
+    """The largest total degree of a term of `maps` (a position entry counts)."""
+    return max((sum(e) for g in maps for e in g), default=0)
+
+
+def _widening(run, order: MonomialOrder, rank: int, n: int, degree: int):
+    """run(codec), with w = max(15, bit_length(4*degree + 4)) to start, and
+    again at double the width whenever a term overflows its fields."""
+    w = max(15, (4 * degree + 4).bit_length())
+    while True:
+        try:
+            return run(_codec(order, rank, n, w))
+        except _Overflow:
+            w *= 2
 
 
 class _PairQueue:
     """Pending S-pairs, popped in normal-strategy order.
 
-    Entries are (key(lcm), (i, j), lcm), so pairs leave smallest lcm first
-    and ties go to the smaller index pair -- the order a `min` scan over
-    (key(lcm), (i, j)) would give.  `pending` holds the pairs not yet popped,
-    for the chain criterion.
+    Entries are (ring part of lcm, (i, j), lcm), so pairs leave smallest lcm
+    first and ties go to the smaller index pair -- the order a `min` scan
+    over (order key of the lcm's ring exponent, (i, j)) would give.
+    `pending` holds the pairs not yet popped, for the chain criterion.
     """
 
-    __slots__ = ("_heap", "pending", "_key")
+    __slots__ = ("_heap", "pending", "_ring_mask")
 
-    def __init__(self, key) -> None:
+    def __init__(self, ring_mask: int) -> None:
         self._heap: list = []
         self.pending: set[tuple[int, int]] = set()
-        self._key = key
+        self._ring_mask = ring_mask
 
-    def add(self, pairs: Iterable[tuple[int, int, Exponents]]) -> None:
-        for i, j, l in pairs:
-            heappush(self._heap, (self._key(l), (i, j), l))
-            self.pending.add((i, j))
+    def add(self, i: int, j: int, l: int) -> None:
+        heappush(self._heap, (l & self._ring_mask, (i, j), l))
+        self.pending.add((i, j))
 
-    def pop(self) -> tuple[int, int, Exponents]:
+    def pop(self) -> tuple[int, int, int]:
         _, p, l = heappop(self._heap)
         self.pending.discard(p)
         return p[0], p[1], l
@@ -339,25 +406,24 @@ def _integral(terms: dict) -> tuple[dict, int]:
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
-def _reducer(terms: dict, key) -> tuple[Exponents, int, tuple]:
-    """The reducer of a nonzero term map with `Fraction` coefficients: its
-    denominators cleared, then `_primitive`."""
-    return _primitive(_integral(terms)[0], key)
-
-
-def _primitive(ints: dict, key) -> tuple[Exponents, int, tuple]:
-    """The (lead, a, tail) reducer of the primitive part of a nonzero integer
-    term map (content divided out, signed so that the lead coefficient
-    a > 0); the tail lists the other terms as (exponent, coeff)."""
-    lead = max(ints, key=key)
+def _primitive(ints: dict, cx: _Codec) -> tuple[int, int, int, tuple]:
+    """The (mark, lead, a, tail) reducer of the primitive part of a nonzero
+    packed integer term map (content divided out, signed so that the lead
+    coefficient a > 0); the tail lists the other terms as (exponent, coeff)
+    and the mark is the lead's divisibility mark G - sign*lead."""
+    lead = max(ints)
     g = gcd(*ints.values()) * (1 if ints[lead] > 0 else -1)
-    return lead, ints[lead] // g, tuple((e, v // g) for e, v in ints.items() if e != lead)
+    tail = tuple((e, v // g) for e, v in ints.items() if e != lead)
+    return cx.G - cx.sign * lead, lead, ints[lead] // g, tail
 
 
-def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
-    """work -= c * x^q * tail, dropping terms that cancel."""
+def _sub_shifted(work: dict, tail: tuple, q: int, c, G: int) -> None:
+    """work -= c * x^q * tail, dropping terms that cancel; a shifted term
+    whose guard bits are set raises _Overflow."""
     for ge, gc in tail:
-        k = tuple(map(add, ge, q))
+        k = ge + q
+        if k & G:
+            raise _Overflow
         v = work.get(k)
         if v is None:
             work[k] = -c * gc
@@ -369,61 +435,89 @@ def _sub_shifted(work: dict, tail: tuple, q: Exponents, c) -> None:
                 del work[k]
 
 
-def _reduce(work: dict, table: dict, key, rank: int, what: str) -> tuple[dict, int]:
-    """(rem, s): rem is the remainder of s * `work`, an integer term map
-    (consumed), under the reducers in `table`, which maps a position prefix to
+def _reduce(work: dict, table: dict, cx: _Codec, what: str) -> tuple[dict, int]:
+    """(rem, s): rem is the remainder of s * `work`, a packed integer term map
+    (consumed), under the reducers in `table`, which maps a position field to
     the reducers leading there, tried in order.
 
-    The largest remaining term c*x^e is taken first.  A reducer (l, a, tail)
-    with g = gcd(a, c) multiplies the work, the remainder so far and s by a/g
-    and subtracts (c/g)*x^(e-l)*tail.  A reducer's tail never reaches a lower
-    position than its lead, so the positions empty one after another, lowest
-    first, and each step scans only its own position's list.  The soft
-    deadline is checked every 256 steps.
+    The largest remaining term c*x^e is taken first.  A reducer (R, l, a,
+    tail) whose lead divides e, with g = gcd(a, c), multiplies the work, the
+    remainder so far and s by a/g and subtracts (c/g)*x^(e-l)*tail.  A
+    reducer's tail never reaches a lower position than its lead, so the
+    positions empty one after another, lowest first, and each step scans
+    only its own position's list.  The soft deadline is checked every 256
+    steps.
     """
-    rem: dict[Exponents, int] = {}
+    rem: dict[int, int] = {}
     s = steps = 1
+    G, GM, sign, ps = cx.G, cx.GM, cx.sign, cx.pshift
     while work:
         if steps & 255 == 0:
             check_deadline(what, steps)
         steps += 1
-        e = max(work, key=key)
+        e = max(work)
         c = work.pop(e)
-        for le, a, tail in table.get(e[:rank], ()):
-            if all(map(le_, le, e)):
+        t = sign * e
+        for R, le, a, tail in table.get(e >> ps, ()):
+            if (R + t) & GM == GM:
                 g = gcd(a, c)
                 if (m := a // g) != 1:
                     s *= m
                     work = {k: v * m for k, v in work.items()}
                     rem = {k: v * m for k, v in rem.items()}
-                _sub_shifted(work, tail, tuple(map(sub, e, le)), c // g)
+                _sub_shifted(work, tail, e - le, c // g, G)
                 break
         else:
             rem[e] = c
     return rem, s
 
 
-def _table(basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> dict:
-    """The reducer table of the term maps `basis`: position prefix -> the
-    (lead, a, tail) reducers leading there, in basis order.  It holds no order
-    keys, so one table serves any number of `_divide` calls."""
-    key, _ = _keys(order, rank)
-    table: dict = {}
-    for g in basis:
-        if g:
-            r = _reducer(g, key)
-            table.setdefault(r[0][:rank], []).append(r)
-    return table
+class ReducerTable:
+    """The reducers of a basis for `_divide`: its term maps with denominators
+    cleared, packed and made primitive once per codec width a division asks
+    for, so one table serves any number of divisions."""
+
+    __slots__ = ("order", "rank", "maps", "degree", "_packed")
+
+    def __init__(self, maps: list[dict], order: MonomialOrder, rank: int) -> None:
+        self.order, self.rank, self.maps = order, rank, maps
+        self.degree = _degree(maps)
+        self._packed: dict = {}  # width -> position field -> reducers
+
+    def reducers(self, cx: _Codec) -> dict:
+        """Position field -> the reducers leading there, packed by `cx`."""
+        got = self._packed.get(cx.w)
+        if got is None:
+            got = {}
+            for m in self.maps:
+                r = _primitive(cx.pack(m), cx)
+                got.setdefault(r[1] >> cx.pshift, []).append(r)
+            self._packed[cx.w] = got
+        return got
 
 
-def _divide(work: dict, table: dict, order: MonomialOrder, rank: int = 0) -> dict:
+def _table(basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> ReducerTable:
+    """The reducer table of the term maps `basis`, in basis order."""
+    return ReducerTable([_integral(g)[0] for g in basis if g], order, rank)
+
+
+def _divide(work: dict, table: ReducerTable) -> dict:
     """Remainder over Q of the term map `work` under division by the reducer
-    table `table` of `_table`: D*work, its denominators cleared, reduces to
-    (rem, s), and the remainder is rem / (D*s)."""
-    key, _ = _keys(order, rank)
+    table `table`: D*work, its denominators cleared, reduces to (rem, s),
+    and the remainder is rem / (D*s).  The width fits both the table and
+    the work."""
+    if not work:
+        return {}
     ints, d = _integral(work)
-    rem, s = _reduce(ints, table, key, rank, "module normal form" if rank else "normal form")
-    return {e: Fraction(c, d * s) for e, c in rem.items()}
+    rank = table.rank
+    what = "module normal form" if rank else "normal form"
+
+    def run(cx: _Codec) -> dict:
+        rem, s = _reduce(cx.pack(ints), table.reducers(cx), cx, what)
+        return {cx.dec(e): Fraction(c, d * s) for e, c in rem.items()}
+
+    n = len(next(iter(ints))) - rank
+    return _widening(run, table.order, rank, n, max(table.degree, _degree([ints])))
 
 
 def normal_form(
@@ -431,7 +525,7 @@ def normal_form(
 ) -> Polynomial:
     """Full remainder of f under division by `basis`."""
     table = _table((g.term_map() for g in basis), order)
-    return Polynomial(f.ctx, _divide(f.term_map(), table, order))
+    return Polynomial(f.ctx, _divide(f.term_map(), table))
 
 
 def _buchberger(
@@ -447,52 +541,73 @@ def _buchberger(
     treated.  Only pairs with an element of `gens` or a remainder are formed.
 
     Each exponent is a position prefix of length `rank` followed by a ring
-    exponent; `rank` 0 is an ideal.  Elements are listed per position of
-    their lead, and pairs, the chain criterion and reduction steps look only
-    at the list of their own position.  The coprime criterion needs no
-    position test: at a position the prefix entry of the lcm is 1 and that
-    of the product 2, so for a module it never fires.
+    exponent; `rank` 0 is an ideal.  The run packs them with one `_Codec`
+    and starts again, on a fresh S-pair meter, at double width when a term
+    overflows.
+    """
+    known = [_integral(g)[0] for g in basis if g]
+    fresh = [_integral(g)[0] for g in gens if g]
+    if not known and not fresh:
+        return []
+    n = len(next(iter((known or fresh)[0]))) - rank
+    what = "module buchberger" if rank else "buchberger"
+    return _widening(
+        lambda cx: _run(known, fresh, cx, what), order, rank, n, _degree(known + fresh)
+    )
+
+
+def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[dict]:
+    """One engine run of `_buchberger` under the codec `cx`.
+
+    Elements are listed per position of their lead, and pairs, the chain
+    criterion and reduction steps look only at the list of their own
+    position.  The coprime criterion is lcm == li + lj - C, which is exact
+    for ideals; for a vector the position field of li + lj - C is twice that
+    of the lcm, so it never fires there, as it must not.
     """
     meter = _Meter()
-    what = "module buchberger" if rank else "buchberger"
-    key, pair_key = _keys(order, rank)
-    queue = _PairQueue(pair_key)
-    red: list[tuple[Exponents, int, tuple]] = []  # (lead, a, tail) of the basis elements
-    leads: list[Exponents] = []
-    table: dict = {}  # position prefix -> the reducers leading there
-    at: dict = {}  # position prefix -> the indices of the elements leading there
+    G, GM, sign, ps, C, W, dec = cx.G, cx.GM, cx.sign, cx.pshift, cx.C, cx.W, cx.dec
+    queue = _PairQueue(cx.ring_mask)
+    red: list[tuple[int, int, int, tuple]] = []  # (mark, lead, a, tail) of the basis elements
+    exps: list[Exponents] = []  # their leads, decoded
+    table: dict = {}  # position field -> the reducers leading there
+    at: dict = {}  # position field -> the indices of the elements leading there
 
     def admit(r: tuple, paired: bool = True) -> None:
-        lead = r[0]
-        same = at.setdefault(lead[:rank], [])
+        lead = r[1]
+        e = dec(lead)
+        same = at.setdefault(lead >> ps, [])
         if paired:
-            queue.add((t, len(red), tuple(map(max, leads[t], lead))) for t in same)
+            for t in same:
+                l = C + sum(map(mul, map(max, exps[t], e), W))  # the packed lcm
+                if l & G:
+                    raise _Overflow
+                queue.add(t, len(red), l)
         same.append(len(red))
-        table.setdefault(lead[:rank], []).append(r)
+        table.setdefault(lead >> ps, []).append(r)
         red.append(r)
-        leads.append(lead)
+        exps.append(e)
 
-    for g in basis:
-        if g:
-            admit(_reducer(g, key), False)
-    for g in gens:
-        if g:
-            admit(_reducer(g, key))
+    for g in known:
+        admit(_primitive(cx.pack(g), cx), False)
+    for g in fresh:
+        admit(_primitive(cx.pack(g), cx))
 
     while queue:
         meter.charge(what)
         i, j, l = queue.pop()
-        li, lj = leads[i], leads[j]
+        (_, li, ai, ti), (_, lj, aj, tj) = red[i], red[j]
         # coprime-lcm criterion
-        if l == tuple(map(add, li, lj)):
+        if l == li + lj - C:
             continue
         # chain criterion
         pending = queue.pending
+        t = sign * l
         skip = False
-        for k in at[l[:rank]]:
+        for k in at[l >> ps]:
             if k == i or k == j:
                 continue
-            if all(map(le_, leads[k], l)):
+            if (red[k][0] + t) & GM == GM:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -500,23 +615,25 @@ def _buchberger(
                     break
         if skip:
             continue
-        # S-polynomial (a_j/g)*x^qi*f_i - (a_i/g)*x^qj*f_j: the lcm terms cancel
-        (_, ai, ti), (_, aj, tj) = red[i], red[j]
-        g, qi = gcd(ai, aj), tuple(map(sub, l, li))
-        work = {tuple(map(add, e, qi)): aj // g * c for e, c in ti}
-        _sub_shifted(work, tj, tuple(map(sub, l, lj)), ai // g)
-        rem, _ = _reduce(work, table, key, rank, what)
+        # S-polynomial (a_j/g)*x^(l-li)*f_i - (a_i/g)*x^(l-lj)*f_j: the lcm terms cancel
+        g = gcd(ai, aj)
+        work: dict = {}
+        _sub_shifted(work, ti, l - li, -(aj // g), G)
+        _sub_shifted(work, tj, l - lj, ai // g, G)
+        rem, _ = _reduce(work, table, cx, what)
         if rem:
             # the remainder is integral already; it may lead at another
             # position than its pair did
-            admit(_primitive(rem, key))
+            admit(_primitive(rem, cx))
 
     # minimalize: keep only leading terms that form an antichain
-    final: dict = {}  # position prefix -> the reducers kept there
+    final: dict = {}  # position field -> the reducers kept there
     kept: list[int] = []
-    for i in sorted(range(len(red)), key=lambda i: key(leads[i])):
-        here = final.setdefault(leads[i][:rank], [])
-        if not any(all(map(le_, r[0], leads[i])) for r in here):
+    for i in sorted(range(len(red)), key=lambda i: red[i][1]):
+        lead = red[i][1]
+        here = final.setdefault(lead >> ps, [])
+        t = sign * lead
+        if not any((r[0] + t) & GM == GM for r in here):
             here.append(red[i])
             kept.append(i)
     # tail-reduce: the kept elements form a minimal basis, so each tail has a
@@ -524,9 +641,11 @@ def _buchberger(
     # x^lead + rem/(a*s) made monic), and no kept lead divides another or a
     # smaller term of its own element, so every lead stays
     out = []
-    for lead, a, tail in (red[i] for i in kept):
-        rem, s = _reduce(dict(tail), final, key, rank, what)
-        out.append({lead: _ONE, **{e: Fraction(c, a * s) for e, c in rem.items()}})
+    for i in kept:
+        _, _, a, tail = red[i]
+        rem, s = _reduce(dict(tail), final, cx, what)
+        d = a * s
+        out.append({exps[i]: _ONE, **{dec(e): Fraction(c, d) for e, c in rem.items()}})
     return out
 
 
@@ -586,19 +705,19 @@ def module_gb(gens: Sequence[Vec]) -> list[Vec]:
     return [_decode(g, ctx, rank) for g in out]
 
 
-def module_table(basis: Sequence[Vec], rank: int) -> dict:
+def module_table(basis: Sequence[Vec], rank: int) -> ReducerTable:
     """The reducer table of vectors of R^rank, built once for any number of
     `module_reduce` calls."""
     heads = _heads(rank)
     return _table((_encode(w, heads) for w in basis), DEGREVLEX, rank)
 
 
-def module_reduce(v: Vec, table: dict) -> Vec:
+def module_reduce(v: Vec, table: ReducerTable) -> Vec:
     """Full remainder of v under division by the vectors of a `module_table`."""
     if all(p.is_zero() for p in v):
         return v
     rank = len(v)
-    return _decode(_divide(_encode(v, _heads(rank)), table, DEGREVLEX, rank), v[0].ctx, rank)
+    return _decode(_divide(_encode(v, _heads(rank)), table), v[0].ctx, rank)
 
 
 def _syzygies(
@@ -630,7 +749,8 @@ def _syzygies(
         aug.append(g)
     known = [_encode(w, heads) for w in basis]
     out = _buchberger(aug, DEGREVLEX, rank + k, known)
-    cut = sum(all(e.index(1) >= rank for e in g) for g in out)  # tag-block leads sort first
+    # tag-block leads sort first; a map's first key is its lead
+    cut = sum(not any(next(iter(g))[:rank]) for g in out)
     syzygies = [_decode(g, ctx, rank + k)[rank:] for g in out[:cut]]
     return syzygies, (_decode(g, ctx, rank + k)[:rank] for g in out[cut:])
 
@@ -664,7 +784,7 @@ def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, 
     return basis
 
 
-def _ideal_table(I: Ideal, order: MonomialOrder) -> dict:
+def _ideal_table(I: Ideal, order: MonomialOrder) -> ReducerTable:
     """The reducer table of I's reduced basis under `order`, built once per
     ideal and order and cached beside the basis."""
     token = order.token()
@@ -677,7 +797,7 @@ def _ideal_table(I: Ideal, order: MonomialOrder) -> dict:
 def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> bool:
     if f.is_zero():
         return True
-    return not _divide(f.term_map(), _ideal_table(I, order), order)
+    return not _divide(f.term_map(), _ideal_table(I, order))
 
 
 def is_unit_ideal(I: Ideal) -> bool:

@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 from .groebner import (
     BudgetExceeded,
     Ideal,
+    ReducerTable,
     Vec,
     _block_diagonal,
     _colon,
@@ -137,7 +138,7 @@ class FPModule:
         self.relations: tuple[Vec, ...] = tuple(kept)
         self.multigraded = multigraded
         self._gb: list[Vec] | None = None
-        self._table: dict | None = None
+        self._table: ReducerTable | None = None
 
     def rel_gb(self) -> list[Vec]:
         if self._gb is None:

@@ -187,6 +187,11 @@ def _doc_gb(I: Ideal) -> dict:
     }
 
 
+def _summary_gb(doc: dict) -> str:
+    # the document shows the zero ideal's empty basis as "0"
+    return f"{sum(g != '0' for g in doc['reduced_gb'])} basis element(s)"
+
+
 def _doc_member(I: Ideal, f) -> dict:
     inside = ideal_member(f, I)
     return {"poly": str(f), "ideal": _gens(I), "member": inside}
@@ -335,7 +340,7 @@ _PRIME = Operand("--prime", PRIME, help="comma-separated variables, or 0")
 TABLE: tuple[Op | Group, ...] = (
     Op("gb", "reduced Groebner basis (degrevlex)",
        (Operand("--ideal", IDEAL, help="comma-separated generators"),),
-       _doc_gb, _count("reduced_gb", "basis element(s)")),
+       _doc_gb, _summary_gb),
     Op("member", "ideal membership via normal form", (_IDEAL, Operand("--poly", POLY)),
        _doc_member, lambda doc: f"member: {doc['member']}"),
     Op("colon", "ideal quotient I : J", (_IDEAL, Operand("--by", IDEAL)),

@@ -41,6 +41,22 @@ def test_gb_doc(capsys):
     assert doc["generators"] == ["x^2 - y", "x*y"]
 
 
+def test_gb_of_the_zero_ideal_counts_no_basis_element(capsys):
+    # stdout shows the zero ideal as "0"; the summary counts no element
+    code, out, err = invoke(capsys, "gb", "--ring", "x", "--ideal", "0")
+    assert code == 0
+    assert out == '{\n  "generators": [\n    "0"\n  ],\n  "reduced_gb": [\n    "0"\n  ],\n  "schema_version": 1\n}\n'
+    assert err == "0 basis element(s)\n"
+
+
+def test_gb_widens_past_any_exponent(capsys):
+    # an exponent of 67 bits packs at a width taken from the input
+    code, out, err = invoke(capsys, "gb", "--ring", "x,y", "--ideal", "x^99999999999999999999*y-1, y^2")
+    assert code == 0
+    assert json.loads(out)["reduced_gb"] == ["1"]
+    assert err == "1 basis element(s)\n"
+
+
 def test_member(capsys):
     doc = doc_of(
         capsys, "member", "--ring", "x,y", "--ideal", "x^2, y", "--poly", "x^3 + y"

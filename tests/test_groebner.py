@@ -37,7 +37,16 @@ from linkcoh.groebner import (
     saturate,
     set_limits,
 )
-from linkcoh.ring import DEGREVLEX, LEX, Polynomial, parse_poly, ring
+from linkcoh.ring import (
+    DEGREVLEX,
+    LEX,
+    Polynomial,
+    elimination_order,
+    mono_divides,
+    mono_mul,
+    parse_poly,
+    ring,
+)
 
 
 def P(ctx, text):
@@ -527,6 +536,129 @@ def test_membership_builds_one_table_per_ideal_and_order(monkeypatch):
         assert [normal_form(f, basis, order).is_zero() for f in probes] == expected
 
 
+# ---------------------------------------------------------------------------
+# Packed exponents: each engine run packs its exponents into ints by one
+# codec and widens its fields when a term overflows them.
+
+def _fields_fit(order, e, M):
+    """Whether every field of the ring exponent e stays in [0, M]: each
+    entry, and each block degree of a graded order."""
+    blocks = () if order.kind == "lex" else order.blocks or (tuple(range(len(e))),)
+    return max(e, default=0) <= M and all(sum(e[j] for j in blk) <= M for blk in blocks)
+
+
+def test_codec_packs_the_term_order_divisibility_and_products():
+    # for prefix + ring exponents over rank 0-3 and 1-6 variables, under
+    # degrevlex, lex and an elimination order: integer order is the term key,
+    # the guard test of a division step is mono_divides, a sum less C is the
+    # product (or sets a guard bit when a field overflows), and decoding
+    # inverts encoding
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @hyp.given(st.data())
+    def check(data):
+        rank, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 6))
+        order = data.draw(st.sampled_from([DEGREVLEX, LEX, "block"]))
+        if order == "block":
+            drop = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+            order = elimination_order(drop, n)
+        w = data.draw(st.sampled_from([3, 4, 15]))
+        cx = groebner._codec(order, rank, n, w)
+
+        def enc(e):
+            (k,) = cx.pack({e: 1})
+            return k
+
+        ring_exp = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+        pos = st.integers(0, rank - 1) if rank else st.just(None)
+
+        def exponent(p, e):
+            return tuple(int(q == p) for q in range(rank)) + e
+
+        def key(e):
+            return e[:rank] + order.key(e[rank:])
+
+        (p, a), (q, b), (_, m) = [data.draw(st.tuples(pos, ring_exp)) for _ in range(3)]
+        if not (_fields_fit(order, a, cx.M) and _fields_fit(order, b, cx.M)):
+            return
+        ea, eb = exponent(p, a), exponent(q, b)
+        ka, kb = enc(ea), enc(eb)
+        assert cx.dec(ka) == ea and cx.dec(kb) == eb
+        assert (ka < kb) == (key(ea) < key(eb)) and (ka == kb) == (ea == eb)
+        # a division step by the lone term x^a reduces x^b away exactly when
+        # x^a divides x^b at its position
+        reducers = {ka >> cx.pshift: [groebner._primitive({ka: 1}, cx)]}
+        rem, _ = groebner._reduce({enc(exponent(p, b)): 1}, reducers, cx, "test")
+        assert (not rem) == mono_divides(a, b)
+        if not _fields_fit(order, m, cx.M):
+            return
+        product = enc(ea) + enc((0,) * rank + m) - cx.C
+        if _fields_fit(order, mono_mul(a, m), cx.M):
+            assert product == enc(exponent(p, mono_mul(a, m)))
+            assert not product & cx.G
+        else:
+            assert product & cx.G
+
+    check()
+
+
+def test_lex_chain_widens_past_fifteen_bits():
+    # x_i - x_(i+1)^2 over 17 variables: the reduced lex basis has
+    # x_i - x_16^(2^(16 - i)), and 2^16 does not fit a 15-bit field
+    names = [f"x{i}" for i in range(17)]
+    ctx = ring(*names)
+    I = Ideal(ctx, [P(ctx, f"x{i} - x{i + 1}^2") for i in range(16)])
+    expected = [P(ctx, f"x{i} - x16^{2 ** (16 - i)}") for i in range(15, -1, -1)]
+    assert list(reduced_gb(I, LEX)) == expected
+
+
+def test_overflowing_lcm_trips_the_run():
+    # at w = 3 (M = 7) the leads x^4 and y^4 fit but their lcm's degree 8
+    # does not: the pair is never queued, the run trips to be widened
+    x4, y4 = {(4, 0): 1, (0, 0): 1}, {(0, 4): 1, (0, 0): 1}
+    cx = groebner._codec(DEGREVLEX, 0, 2, 3)
+    with pytest.raises(groebner._Overflow):
+        groebner._run([], [x4, y4], cx, "buchberger")
+    assert groebner._run([], [x4], cx, "buchberger") == [{(4, 0): 1, (0, 0): 1}]
+
+
+def test_widened_run_has_its_own_spair_budget(monkeypatch):
+    # the 17-variable lex chain with one more generator overflows 15-bit
+    # fields after 106 S-pairs and then runs 153 at 30 bits: the budget bounds
+    # each run, so 153 suffice and 152 trip the widened run
+    widths = []
+    real = groebner._codec
+
+    def record(order, rank, n, w):
+        widths.append(w)
+        return real(order, rank, n, w)
+
+    monkeypatch.setattr(groebner, "_codec", record)
+    ctx = ring(*[f"x{i}" for i in range(17)])
+    gens = [P(ctx, f"x{i} - x{i + 1}^2") for i in range(16)] + [P(ctx, "x0*x16 - x1")]
+    with set_limits(max_spairs=152):
+        with pytest.raises(BudgetExceeded, match=r"\(153 of 152\)"):
+            reduced_gb(Ideal(ctx, gens), LEX)
+    assert widths == [15, 30]
+    with set_limits(max_spairs=153):
+        assert reduced_gb(Ideal(ctx, gens), LEX)
+    assert widths == [15, 30, 15, 30]
+
+
+def test_cached_table_widens_for_a_high_degree_member():
+    # the table cached by a low-degree membership test is packed again at
+    # the width a degree-70000 member needs
+    ctx = ring("x", "y")
+    I = I_of(ctx, "x - y")
+    assert ideal_member(P(ctx, "x^2 - y^2"), I)
+    assert ideal_member(P(ctx, "x^70000 - y^70000"), I)
+    assert not ideal_member(P(ctx, "x^70000 - y^69999"), I)
+    assert sorted(I._table_cache[DEGREVLEX.token()]._packed) == [15, 19]
+    assert normal_form(P(ctx, "x^70000 + 1"), reduced_gb(I)) == P(ctx, "y^70000 + 1")
+
+
 def _sparse_system(seed):
     rng = random.Random(seed)
     ctx = ring("x", "y", "z")
@@ -621,6 +753,41 @@ def test_rational_gb_and_remainders_match_sympy(case):
         expected = sympy.Poly(G.reduce(g.as_expr())[1], *syms, domain="QQ")
         assert normal_form(f, ours) == _from_sympy(ctx, expected)
         assert normal_form(f * Fraction(-7, 5), ours) == _from_sympy(ctx, expected) * Fraction(-7, 5)
+
+
+def test_reduced_gb_and_eliminate_match_sympy_property():
+    # random systems over 2-3 variables, 1-3 generators of degree <= 3 with
+    # integer and rational coefficients: the reduced bases under degrevlex
+    # and lex are sympy's, and eliminating the first variable leaves the
+    # ideal of sympy's lex basis elements free of it
+    sympy = pytest.importorskip("sympy")
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3]))
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        ctx = ring(*"xyz"[:n])
+        exp = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda e: sum(e) <= 3)
+        term_map = st.dictionaries(exp.map(tuple), coeff, min_size=1, max_size=3)
+        gens = [Polynomial(ctx, t) for t in data.draw(st.lists(term_map, min_size=1, max_size=3))]
+        I = Ideal(ctx, gens)
+        syms = sympy.symbols(ctx.var_names)
+        polys = _sympy_polys(sympy, I.gens, syms)
+        for order, name in ((DEGREVLEX, "grevlex"), (LEX, "lex")):
+            G = sympy.groebner(polys, *syms, order=name, domain="QQ")
+            expected = sorted((_from_sympy(ctx, p) for p in G.polys), key=lambda p: order.key(p.lead(order)[0]))
+            assert list(reduced_gb(I, order)) == expected == list(engine_gb(I, order))
+        # G is the lex basis: its elements free of x are the reduced lex
+        # basis of the elimination ideal
+        small = ring(*ctx.var_names[1:])
+        free = [sympy.Poly(p.as_expr(), *syms[1:]) for p in G.polys if not p.degree(syms[0])]
+        free = sorted((_from_sympy(small, p) for p in free), key=lambda p: LEX.key(p.lead(LEX)[0]))
+        assert list(reduced_gb(eliminate(I, ctx.var_names[:1]), LEX)) == free
+
+    check()
 
 
 @pytest.mark.parametrize("gens", [

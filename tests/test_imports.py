@@ -29,8 +29,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linkcoh"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
-# the one-hot position-prefix encoding of vectors and the kernels that see it
-ENCODING = {"_encode", "_decode", "_heads", "_buchberger", "_table", "_divide", "_reduce"}
+# the one-hot position-prefix encoding of vectors, the packed exponents of the
+# engine's codec, and the kernels that see them
+ENCODING = {
+    "_encode", "_decode", "_heads", "_buchberger", "_table", "_divide", "_reduce", "_Codec", "_codec",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
