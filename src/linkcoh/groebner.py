@@ -348,6 +348,8 @@ _CODECS: dict = {}  # (order token, rank, n, w) -> _Codec
 
 
 def _codec(order: MonomialOrder, rank: int, n: int, w: int) -> _Codec:
+    """The codec of runs under `order` over `rank` positions, n variables and
+    width w, built once per process."""
     key = (order.token(), rank, n, w)
     cx = _CODECS.get(key)
     if cx is None:
