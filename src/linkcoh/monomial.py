@@ -200,10 +200,6 @@ def as_monomial(I: groebner.Ideal) -> MonomialIdeal | None:
     return from_ideal(groebner.Ideal(I.ctx, gb))
 
 
-def mono_equal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    return I.ctx == J.ctx and I.min_gens == J.min_gens
-
-
 def mono_contains(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """Whether J ⊆ I."""
     return all(I.contains_mono(g) for g in J.min_gens)

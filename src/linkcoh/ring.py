@@ -148,13 +148,6 @@ def elimination_order(drop: Iterable[int], n: int) -> MonomialOrder:
     return MonomialOrder("block", (drop_t, keep_t))
 
 
-def order_by_name(name: str) -> MonomialOrder:
-    try:
-        return {"degrevlex": DEGREVLEX, "lex": LEX}[name]
-    except KeyError:
-        raise RingError(f"unknown monomial order {name!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Polynomials.
 

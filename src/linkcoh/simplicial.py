@@ -11,11 +11,16 @@ complex of a colon radical √(J : x^b) (Minh-Trung, J. Algebra 322, 2009).
 So `depth_monomial` is the least `depth_squarefree` over the finitely many
 distinct radicals, all on the n original vertices.
 
+The facets of the Stanley-Reisner complex of a squarefree I are the
+complements of the minimal vertex covers of its generator supports
+(Bruns-Herzog, Cohen-Macaulay Rings, 5.1); `_facet_masks` enumerates those
+covers on int bitmasks, and `complex_of` only turns its masks into frozensets.
+
 Two routes compute cohomology.  `SimplicialComplex` holds faces as
 frozensets; its `link`, `faces_of_size`, `is_cone` and `reduced_cohomology`
 are the plain route, used by the tests as the oracle.  The depth scan
-(`depth_squarefree`) works on int bitmasks instead: facets, faces and links
-are ints whose set bits are the vertices, the link at a face w is
+(`depth_squarefree`) reads the masks of `_facet_masks` directly: facets,
+faces and links are ints whose set bits are the vertices, the link at a face w is
 ``[f ^ w for f in facets if f & w == w]``, and a link is a cone when the AND
 of its facets is nonzero.  Within one call, each non-cone link is relabelled
 monotonically onto vertices 0..k-1 and looked up in a dict of scanners, so
@@ -54,8 +59,9 @@ from .monomial import (
     MonomialIdeal,
     MonomialPrime,
     min_assh_dim,
+    mono_sum,
 )
-from .ring import RingCtx, RingError, mono_support
+from .ring import RingError, mono_support
 
 log = logging.getLogger("linkcoh")
 
@@ -137,11 +143,17 @@ class SimplicialComplex:
         return bool(common)
 
 
-def complex_of(I: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose non-faces are the supports of I's generators.
+def _facet_masks(I: MonomialIdeal) -> list[int]:
+    """The facets of the complex of the squarefree proper I, as vertex masks.
 
-    I must be squarefree and proper; the zero ideal gives the full simplex.
-    The two 2^n mask scans check the soft deadline once per 1,024 masks.
+    A facet is the complement of a minimal vertex cover of the generator
+    supports (Bruns-Herzog, Cohen-Macaulay Rings, 5.1).  Covers grow by
+    branching on the first support they miss: branch i adds that support's
+    i-th vertex not yet banned and bans the vertices of the branches before
+    it, so no cover is reached twice.  A cover is minimal when each of its
+    vertices is the only cover vertex of some support.  The soft deadline is
+    checked once per branch; more than 20 vertices are refused outright,
+    which bounds the link scan that reads these facets.
     """
     if not I.is_squarefree():
         raise RingError("complex_of needs a squarefree ideal")
@@ -150,34 +162,43 @@ def complex_of(I: MonomialIdeal) -> SimplicialComplex:
     n = I.ctx.n
     if n > 20:
         raise BudgetExceeded("complex_of vertex budget", n, 20)
-    nonfaces = [0] * len(I.min_gens)
-    for k, g in enumerate(I.min_gens):
-        m = 0
-        for i in mono_support(g):
-            m |= 1 << i
-        nonfaces[k] = m
-    is_face = [True] * (1 << n)
-    for mask in range(1 << n):
-        if mask and not mask & 1023:
-            check_deadline("complex_of mask scan")
-        for nf in nonfaces:
-            if mask & nf == nf:
-                is_face[mask] = False
+    supports = [sum(1 << i for i in mono_support(g)) for g in I.min_gens]
+    full = (1 << n) - 1
+    facets: list[int] = []
+
+    def grow(cover: int, banned: int) -> None:
+        for s in supports:
+            if not s & cover:
                 break
-    facets = []
-    for mask in range(1 << n):
-        if mask and not mask & 1023:
-            check_deadline("complex_of mask scan")
-        if not is_face[mask]:
-            continue
-        maximal = True
-        for i in range(n):
-            if not mask & (1 << i) and is_face[mask | (1 << i)]:
-                maximal = False
-                break
-        if maximal:
-            facets.append(frozenset(i for i in range(n) if mask & (1 << i)))
-    return SimplicialComplex.from_facets(n, facets)
+        else:
+            # every support is hit; keep the cover if each of its vertices
+            # is the only one hitting some support
+            private = 0
+            for s in supports:
+                t = s & cover
+                if not t & (t - 1):
+                    private |= t
+            if private == cover:
+                facets.append(full ^ cover)
+            return
+        for v in _bits(s & ~banned):
+            check_deadline("complex_of covers")
+            grow(cover | v, banned)
+            banned |= v
+
+    grow(0, 0)
+    return facets
+
+
+def complex_of(I: MonomialIdeal) -> SimplicialComplex:
+    """The complex whose non-faces are the supports of I's generators, with
+    the facets of `_facet_masks` as sorted frozensets.
+
+    I must be squarefree and proper; the zero ideal gives the full simplex.
+    """
+    n = I.ctx.n
+    facets = [frozenset(i for i in range(n) if m >> i & 1) for m in _facet_masks(I)]
+    return SimplicialComplex(n, tuple(sorted(facets, key=_facet_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +465,7 @@ def depth_squarefree(I: MonomialIdeal) -> int:
     """
     if not I.is_squarefree():
         raise RingError("depth_squarefree needs a squarefree ideal")
-    cx = complex_of(I)
-    if cx.is_irrelevant():
-        return 0
-    facets = [sum(1 << v for v in f) for f in cx.facets]
+    facets = _facet_masks(I)
     best = min(f.bit_count() for f in facets)
     root = _LinkScanner(_compress(facets))
     memo = {root.facets: root}
@@ -513,8 +531,9 @@ def depth_monomial(J: MonomialIdeal) -> int:
     0 and the exponents of x_j that occur below ρ_j.  √(J : x^b) is
     generated by the supports {j : g_j > b_j} over J's generators g (an
     empty one means x^b ∈ J); its minimal generators key it, and
-    `depth_squarefree` runs once per distinct radical, so more than 20
-    variables trip the vertex budget of `complex_of`.  The debug line
+    `depth_squarefree` runs once per distinct radical, on the facet masks of
+    its minimal vertex covers, so more than 20 variables trip the vertex
+    budget of `_facet_masks`.  The debug line
     `depth colon radicals: V exponent vectors, K distinct` counts the
     vectors outside J and the radicals scanned.
     """
@@ -546,11 +565,6 @@ def dim_monomial(J: MonomialIdeal) -> int:
     return min_assh_dim(J).dim
 
 
-def is_cohen_macaulay_ideal(J: MonomialIdeal) -> bool:
-    """Whether R/J is Cohen-Macaulay (depth equals dimension)."""
-    return depth_monomial(J) == dim_monomial(J)
-
-
 def cd_squarefree(a: MonomialIdeal) -> int:
     """Cohomological dimension of a squarefree ideal acting on the full ring.
 
@@ -559,8 +573,6 @@ def cd_squarefree(a: MonomialIdeal) -> int:
     """
     if not a.is_squarefree():
         raise RingError("cd_squarefree needs a squarefree ideal")
-    if a.is_zero():
-        return 0
     if not a.is_proper():
         raise ImproperIdealError("cd needs a proper ideal")
     return a.ctx.n - depth_squarefree(a)
@@ -569,27 +581,12 @@ def cd_squarefree(a: MonomialIdeal) -> int:
 def cd_on_quotient(a: MonomialIdeal, p: MonomialPrime) -> int:
     """Cohomological dimension of a acting on R/p, for a squarefree, p monomial.
 
-    Variables of p are killed; generators meeting p map to zero.
+    R/(a + p) is the image of a in the polynomial ring on the variables
+    outside p (generators meeting p are dropped by minimalization), so
+    cd(a, R/p) = n - ht p - depth R/(a + p).
     """
     if not a.is_squarefree():
         raise RingError("cd_on_quotient needs a squarefree ideal")
     if not a.is_proper():
         raise ImproperIdealError("cd_on_quotient needs a proper ideal")
-    ctx = a.ctx
-    kill = set(p.vars)
-    keep = [i for i in range(ctx.n) if i not in kill]
-    if not keep:
-        return 0  # the quotient is the ground field
-    small = RingCtx(tuple(ctx.var_names[i] for i in keep))
-    pos = {old: new for new, old in enumerate(keep)}
-    exps = []
-    for g in a.min_gens:
-        if any(i in kill for i in mono_support(g)):
-            continue
-        e = [0] * small.n
-        for i in mono_support(g):
-            e[pos[i]] = 1
-        exps.append(tuple(e))
-    # a is proper, so every kept generator has a nonempty support and the
-    # image is proper too
-    return cd_squarefree(MonomialIdeal.from_exponents(small, exps))
+    return a.ctx.n - p.height - depth_squarefree(mono_sum(a, p.monomial_ideal(a.ctx)))

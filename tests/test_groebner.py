@@ -805,7 +805,7 @@ def test_monomial_dispatch_matches_sympy(gens):
     polys = _sympy_polys(sympy, [g for g in I.gens if not g.is_zero()], syms)
     for order, name in ((DEGREVLEX, "grevlex"), (LEX, "lex")):
         G = sympy.groebner(polys, *syms, order=name, domain="QQ")
-        expected = sorted((_from_sympy(ctx, p) for p in G.polys), key=lambda p: order.key(p.lead()[0]))
+        expected = sorted((_from_sympy(ctx, p) for p in G.polys), key=lambda p: order.key(p.lead(order)[0]))
         with set_limits(max_spairs=0):
             ours = reduced_gb(I, order)
         assert list(ours) == expected

@@ -26,7 +26,6 @@ from linkcoh.monomial import (
     minimalize,
     mono_colon,
     mono_contains,
-    mono_equal,
     mono_intersect,
     mono_product,
     mono_radical,
@@ -157,7 +156,7 @@ def test_irreducible_decomposition_membership_oracle():
                     inter = rest[0]
                     for c in rest[1:]:
                         inter = mono_intersect(inter, c)
-                    assert not mono_equal(inter, A)
+                    assert inter != A
 
 
 def _leaves(gens):
@@ -253,7 +252,7 @@ def test_polarization_squarefree_and_depth_shift(ctx):
     sm = MI(ctx, "x*y", "y*z")
     pol2 = polarize(sm)
     assert pol2.ideal.ctx.n == ctx.n
-    assert mono_equal(pol2.ideal, sm)
+    assert pol2.ideal == sm
 
 
 def test_prime_contains_poly(ctx):

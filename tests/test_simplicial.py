@@ -15,7 +15,7 @@ import pytest
 from linkcoh import simplicial
 from linkcoh.groebner import BudgetExceeded, set_limits
 from linkcoh.modules import koszul_grade
-from linkcoh.monomial import ImproperIdealError, MonomialIdeal, polarize
+from linkcoh.monomial import ImproperIdealError, MonomialIdeal, associated_primes, polarize
 from linkcoh.ring import Polynomial, RingError, ring
 from linkcoh.simplicial import (
     CohomologyProfile,
@@ -26,7 +26,6 @@ from linkcoh.simplicial import (
     depth_monomial,
     depth_squarefree,
     dim_monomial,
-    is_cohen_macaulay_ideal,
     reduced_cohomology,
 )
 from linkcoh.monomial import MonomialPrime
@@ -169,13 +168,56 @@ def test_complex_of_and_links():
         cx.link([0, 1, 2])
 
 
-def test_complex_of_mask_scan_honours_soft_timeout():
-    # 11 vertices: 2,048 masks, so the scan checks the deadline at mask 1,024
+def test_complex_of_cover_enumeration_honours_soft_timeout():
+    # each branch of the cover enumeration checks the deadline
     ctx = ring(*(f"x{i}" for i in range(11)))
     with set_limits(soft_timeout=0):
-        with pytest.raises(BudgetExceeded, match="^complex_of mask scan"):
+        with pytest.raises(BudgetExceeded, match="^complex_of covers"):
             complex_of(MI(ctx, "x0*x1"))
     assert len(complex_of(MI(ctx, "x0*x1")).facets) == 2
+
+
+def test_facets_are_complements_of_associated_primes_property():
+    # cover enumeration against irreducible decomposition: for squarefree I
+    # the associated primes are the minimal vertex covers
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 10))
+        ctx = ring(*(f"x{i}" for i in range(n)))
+        support = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+        supports = data.draw(st.lists(support, max_size=8))
+        I = MonomialIdeal.from_exponents(ctx, [tuple(int(i in s) for i in range(n)) for s in supports])
+        complements = {frozenset(range(n)) - frozenset(p.vars) for p in associated_primes(I)}
+        facets = complex_of(I).facets
+        assert len(facets) == len(set(facets))
+        assert set(facets) == complements
+
+    check()
+
+
+def test_complete_graph_covers_branch_without_repeats(monkeypatch):
+    # K_20: the minimal covers are the 20 sets of all vertices but one, so
+    # the facets are the 20 points; without the bans on earlier branches the
+    # enumeration would take more than 2^19 branches
+    checks = []
+    deadline = simplicial.check_deadline
+
+    def counted(what):
+        checks.append(what)
+        deadline(what)
+
+    monkeypatch.setattr(simplicial, "check_deadline", counted)
+    n = 20
+    ctx = ring(*(f"x{i}" for i in range(n)))
+    edges = [tuple(int(k in (i, j)) for k in range(n)) for i, j in itertools.combinations(range(n), 2)]
+    I = MonomialIdeal.from_exponents(ctx, edges)
+    assert complex_of(I).facets == tuple(frozenset({v}) for v in range(n))
+    assert 0 < checks.count("complex_of covers") <= 1000
+    assert depth_squarefree(I) == 1
 
 
 def test_depth_squarefree_known_values():
@@ -184,12 +226,12 @@ def test_depth_squarefree_known_values():
     pts = MI(ctx, "x*y", "x*z", "y*z")
     assert depth_squarefree(pts) == 1
     assert dim_monomial(pts) == 1
-    assert is_cohen_macaulay_ideal(pts)
+    assert depth_monomial(pts) == dim_monomial(pts)
     # an edge plus an isolated vertex: depth 1 < dim 2
     mixed = MI(ctx, "x*z", "y*z")
     assert depth_squarefree(mixed) == 1
     assert dim_monomial(mixed) == 2
-    assert not is_cohen_macaulay_ideal(mixed)
+    assert depth_monomial(mixed) < dim_monomial(mixed)
     # hypersurface: depth = dim = 2
     assert depth_squarefree(MI(ctx, "x*y")) == 2
     # the zero ideal: the full ring
@@ -275,6 +317,7 @@ def test_cd_squarefree_known_values():
     # three points: pd of the quotient is 2
     assert cd_squarefree(MI(ctx, "x*y", "x*z", "y*z")) == 2
     assert cd_squarefree(MI(ctx, "x*y")) == 1
+    assert cd_squarefree(MonomialIdeal.zero(ctx)) == 0
 
 
 def test_cd_on_quotient():
@@ -284,6 +327,35 @@ def test_cd_on_quotient():
     assert cd_on_quotient(a, MonomialPrime((1,))) == 1
     # on R/(x): a becomes 0, cd 0
     assert cd_on_quotient(a, MonomialPrime((0,))) == 0
+
+
+def restricted_cd(a: MonomialIdeal, p: MonomialPrime) -> int:
+    """cd of a on R/p by restriction: kill the variables of p, drop the
+    generators that meet p, and take cd_squarefree on the smaller ring."""
+    keep = [i for i in range(a.ctx.n) if i not in p.vars]
+    if not keep:
+        return 0
+    small = ring(*(a.ctx.var_names[i] for i in keep))
+    gens = [tuple(g[i] for i in keep) for g in a.min_gens if not any(g[i] for i in p.vars)]
+    return cd_squarefree(MonomialIdeal.from_exponents(small, gens))
+
+
+def test_cd_on_quotient_matches_ring_restriction_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 6))
+        ctx = ring(*"uvwxyz"[:n])
+        support = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+        supports = data.draw(st.lists(support, max_size=6))
+        a = MonomialIdeal.from_exponents(ctx, [tuple(int(i in s) for i in range(n)) for s in supports])
+        p = MonomialPrime(tuple(data.draw(st.sets(st.integers(0, n - 1)))))
+        assert cd_on_quotient(a, p) == restricted_cd(a, p)
+
+    check()
 
 
 def test_cd_on_quotient_refuses_unit_ideal():
