@@ -32,7 +32,6 @@ from .invariants import (
     ass_formal_zeroth,
     assh,
     att_top,
-    att_top_via_cd,
     height_in_module,
     is_equidimensional,
     module_ass_primes,
@@ -67,17 +66,13 @@ from .monomial import (
     irreducible_decomposition,
     min_assh_dim,
     mono_radical,
-    polarize,
 )
 from .ring import ParseError, Polynomial, RingCtx, RingError, parse_poly, ring
-from .session import SessionFile, parse_session, parse_session_text, render_session
+from .session import SessionFile, parse_session, parse_session_text
 from .simplicial import (
-    SimplicialComplex,
     cd_squarefree,
-    complex_of,
     depth_monomial,
     dim_monomial,
-    reduced_cohomology,
 )
 from .theorems import CLAIMS, InstanceParams, run_claim
 
@@ -101,7 +96,6 @@ __all__ = [
     "RingCtx",
     "RingError",
     "SessionFile",
-    "SimplicialComplex",
     "Verdict",
     "as_monomial",
     "ass_formal_zeroth",
@@ -109,10 +103,8 @@ __all__ = [
     "assh",
     "associated_primes",
     "att_top",
-    "att_top_via_cd",
     "cd_squarefree",
     "check_linked",
-    "complex_of",
     "depth_monomial",
     "dim_monomial",
     "eliminate",
@@ -141,12 +133,9 @@ __all__ = [
     "parse_poly",
     "parse_session",
     "parse_session_text",
-    "polarize",
     "radical_member",
     "random_linked_pairs",
-    "reduced_cohomology",
     "reduced_gb",
-    "render_session",
     "ring",
     "run_claim",
     "saturate",

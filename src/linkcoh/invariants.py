@@ -24,7 +24,6 @@ from .monomial import (
     MonomialPrime,
     PrimeSet,
     as_monomial,
-    mono_radical,
 )
 from .ring import Polynomial, RingError
 
@@ -113,27 +112,6 @@ def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:
         raise ImproperIdealError("att_top wants aM != M")
     am = as_monomial(a)
     return PrimeSet(p for p in assh(M) if _becomes_maximal(a, am, p))
-
-
-def att_top_via_cd(a: Ideal, M: CyclicModule) -> PrimeSet:
-    """The same attached set through cohomological dimensions.
-
-    A prime p in Ass M is attached to the top cohomology exactly when a
-    still has cohomological dimension dim M on R/p.  Only available along
-    the monomial route.
-    """
-    from .simplicial import cd_on_quotient
-
-    am = as_monomial(a)
-    if am is None:
-        raise RingError("the cohomological-dimension route needs a monomial ideal")
-    if not is_proper(ideal_sum(a, M.ideal)):
-        raise ImproperIdealError("att_top wants aM != M")
-    rad = mono_radical(am)
-    d = M.dim()
-    return PrimeSet(
-        p for p in module_ass_primes(M) if cd_on_quotient(rad, p) == d
-    )
 
 
 def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:

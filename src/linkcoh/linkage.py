@@ -177,7 +177,6 @@ class GenParams:
     maxdeg: int = 3
     max_extra: int = 2
     seq_len_max: int = 2
-    allow_sums: bool = True
 
     def __post_init__(self) -> None:
         for name, least in (("count", 1), ("maxdeg", 1), ("max_extra", 0), ("seq_len_max", 0)):
@@ -194,9 +193,9 @@ def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _sequence_pool(rng: random.Random, ctx, maxdeg: int, allow_sums: bool) -> Polynomial:
+def _sequence_pool(rng: random.Random, ctx, maxdeg: int) -> Polynomial:
     i = rng.randrange(ctx.n)
-    if allow_sums and ctx.n > 1 and rng.random() < 0.3:
+    if ctx.n > 1 and rng.random() < 0.3:
         j = rng.randrange(ctx.n)
         while j == i:
             j = rng.randrange(ctx.n)
@@ -238,7 +237,7 @@ def random_linked_pairs(
         ok = True
         for _ in range(want):
             for _ in range(12):
-                cand = _sequence_pool(rng, ctx, params.maxdeg, params.allow_sums)
+                cand = _sequence_pool(rng, ctx, params.maxdeg)
                 step = Ideal(ctx, [cand])
                 if is_regular_on(step, Q) and is_proper(nxt := ideal_sum(Q, step)):
                     seq.append(cand)

@@ -75,18 +75,6 @@ def unit_vec(ctx: RingCtx, rank: int, pos: int) -> Vec:
     return tuple(Polynomial.const(ctx, 1) if k == pos else z for k in range(rank))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(f: Polynomial, v: Vec) -> Vec:
-    return tuple(f * p for p in v)
-
-
-def submodule_member(v: Vec, gb: Sequence[Vec]) -> bool:
-    return vec_is_zero(module_reduce(v, module_table(gb, len(v))))
-
-
 def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec]:
     """Generators of {a in R^k : sum a_i vectors[i] lies in <basis>}, where
     `basis` is a Groebner basis (position over degrevlex) of the submodule.

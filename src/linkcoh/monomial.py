@@ -1,6 +1,5 @@
-"""Combinatorics of monomial ideals: minimal generators, colon and
-intersection, irreducible decomposition, associated primes, radicals, and
-polarization.
+"""Combinatorics of monomial ideals: minimal generators, sums, products and
+intersections, irreducible decomposition, associated primes and radicals.
 
 Everything here is divisibility arithmetic on exponent tuples; no Groebner
 machinery is needed (and the general-path results are cross-checked against
@@ -16,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import groebner
-from .groebner import min_gens_colon, min_gens_intersect, minimalize, monomial_gens
+from .groebner import min_gens_intersect, minimalize, monomial_gens
 from .ring import (
     Exponents,
     Polynomial,
@@ -221,13 +220,6 @@ def mono_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(I.ctx, exps)
 
 
-def mono_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I : J = the intersection over J's generators of I : (m)."""
-    if J.is_zero():
-        return MonomialIdeal.unit(I.ctx)
-    return MonomialIdeal(I.ctx, min_gens_colon(I.min_gens, J.min_gens))
-
-
 def mono_radical(I: MonomialIdeal) -> MonomialIdeal:
     exps = []
     for g in I.min_gens:
@@ -345,54 +337,3 @@ def all_monomial_primes(ctx: RingCtx, include_zero: bool = True) -> list[Monomia
             out.append(MonomialPrime(sub))
     out.sort()
     return out
-
-
-# ---------------------------------------------------------------------------
-# Polarization.
-
-@dataclass(frozen=True)
-class Polarization:
-    ideal: MonomialIdeal
-    ctx: RingCtx
-    added: int
-
-
-def polarize(I: MonomialIdeal) -> Polarization:
-    """The standard squarefree polarization; depth shifts by `added`."""
-    ctx = I.ctx
-    n = ctx.n
-    maxexp = [1] * n
-    for g in I.min_gens:
-        for i, x in enumerate(g):
-            if x > maxexp[i]:
-                maxexp[i] = x
-    names: list[str] = []
-    copies: list[tuple[int, ...]] = []
-    used = set()
-
-    def uniq(name: str) -> str:
-        while name in used:
-            name = name + "_"
-        used.add(name)
-        return name
-
-    for i in range(n):
-        if maxexp[i] == 1:
-            names.append(uniq(ctx.var_names[i]))
-            copies.append((len(names) - 1,))
-        else:
-            idxs = []
-            for j in range(1, maxexp[i] + 1):
-                names.append(uniq(f"{ctx.var_names[i]}_{j}"))
-                idxs.append(len(names) - 1)
-            copies.append(tuple(idxs))
-    big = RingCtx(tuple(names))
-    exps = []
-    for g in I.min_gens:
-        e = [0] * big.n
-        for i, x in enumerate(g):
-            for j in range(x):
-                e[copies[i][j]] = 1
-        exps.append(tuple(e))
-    pol = MonomialIdeal.from_exponents(big, exps)
-    return Polarization(pol, big, big.n - n)

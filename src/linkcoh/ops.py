@@ -16,7 +16,6 @@ prime, a list of variable names) need `--ring`; the scalar kinds do not.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -229,13 +228,8 @@ def _summary_cd(doc: dict) -> str:
     return f"cohomological dimension {doc['cd']}{note}"
 
 
-def _doc_regseq(seq: list, M: CyclicModule, all_permutations: bool) -> dict:
-    doc = {"sequence": [str(f) for f in seq], "regular": is_regular_sequence(seq, M.ideal)}
-    if all_permutations:
-        doc["regular_all_permutations"] = all(
-            is_regular_sequence(list(p), M.ideal) for p in itertools.permutations(seq)
-        )
-    return doc
+def _doc_regseq(seq: list, M: CyclicModule) -> dict:
+    return {"sequence": [str(f) for f in seq], "regular": is_regular_sequence(seq, M.ideal)}
 
 
 def _certified(certify, *args, **kwargs) -> dict:
@@ -376,8 +370,7 @@ TABLE: tuple[Op | Group, ...] = (
        lambda a, M: {"grade": koszul_grade(list(a.gens), M.ideal)},
        lambda doc: f"grade {doc['grade']}"),
     Op("regseq", "regular-sequence test on R/J (given order)",
-       (Operand("--seq", SEQUENCE, help="comma-separated elements, in order"), _MODULE,
-        Operand("--all-permutations", SWITCH, False, "also test every ordering (debug aid)")),
+       (Operand("--seq", SEQUENCE, help="comma-separated elements, in order"), _MODULE),
        _doc_regseq, lambda doc: f"regular: {doc['regular']}"),
     Op("ann", "annihilator of R/J or of Hom(R/a, R/J)", (_MODULE_J, _HOM),
        lambda M, hom: {"annihilator": _gens(_hom_target(M, hom).annihilator())},

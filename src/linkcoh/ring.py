@@ -219,11 +219,6 @@ class Polynomial:
         """Every term has the same total degree; zero counts as homogeneous."""
         return len({sum(e) for e in self._terms}) <= 1
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def lead(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponents, Fraction]:
         if not self._terms:
             raise RingError("zero polynomial has no leading term")
@@ -303,11 +298,6 @@ class Polynomial:
         for _ in range(k):
             out = out * self
         return out
-
-    def mul_term(self, e: Exponents, c: Fraction) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.ctx)
-        return Polynomial(self.ctx, {mono_mul(t, e): v * c for t, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (

@@ -30,7 +30,6 @@ __all__ = [
     "SessionFile",
     "parse_session",
     "parse_session_text",
-    "render_session",
 ]
 
 
@@ -220,8 +219,3 @@ def parse_session_text(text: str, source: str = "<session>") -> SessionFile:
 def parse_session(path: str) -> SessionFile:
     with open(path, encoding="utf-8") as fh:
         return parse_session_text(fh.read(), source=path)
-
-
-def render_session(sf: SessionFile) -> str:
-    """Canonical text for a session: ring, ideals, modules, tasks."""
-    return sf.render()

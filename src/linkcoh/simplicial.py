@@ -1,7 +1,7 @@
-"""Stanley-Reisner machinery: simplicial complexes of squarefree ideals,
-exact reduced simplicial cohomology over Q, depth of monomial quotients via
-Hochster's formula for local cohomology, and cohomological dimension along
-the squarefree path.
+"""Stanley-Reisner machinery: facets of the complexes of squarefree ideals,
+exact reduced cohomology of their links over Q, depth of monomial quotients
+via Hochster's formula for local cohomology, and cohomological dimension
+along the squarefree path.
 
 Depth of R/J for a monomial J that is not squarefree needs no polarization:
 Takayama's formula writes each graded piece of H^i_m(R/J) as the reduced
@@ -14,21 +14,21 @@ distinct radicals, all on the n original vertices.
 The facets of the Stanley-Reisner complex of a squarefree I are the
 complements of the minimal vertex covers of its generator supports
 (Bruns-Herzog, Cohen-Macaulay Rings, 5.1); `_facet_masks` enumerates those
-covers on int bitmasks, and `complex_of` only turns its masks into frozensets.
+covers on int bitmasks.
 
-Two routes compute cohomology.  `SimplicialComplex` holds faces as
-frozensets; its `link`, `faces_of_size`, `is_cone` and `reduced_cohomology`
-are the plain route, used by the tests as the oracle.  The depth scan
-(`depth_squarefree`) reads the masks of `_facet_masks` directly: facets,
-faces and links are ints whose set bits are the vertices, the link at a face w is
-``[f ^ w for f in facets if f & w == w]``, and a link is a cone when the AND
-of its facets is nonzero.  Within one call, each non-cone link is relabelled
-monotonically onto vertices 0..k-1 and looked up in a dict of scanners, so
-links of the same shape share one set of ranks; the dict is dropped when the
-call returns.  A face of size s can only give depth candidates of at least
-s + 1, so the scan stops as soon as the best candidate is that small.  A
-link that can only lower the best candidate through H~^0 is decided inline
-by whether it is connected, with no relabelling and no scanner.
+Everything here works on those masks.  The depth scan (`depth_squarefree`)
+reads them directly: facets, faces and links are ints whose set bits are the
+vertices, the link at a face w is ``[f ^ w for f in facets if f & w == w]``,
+and a link is a cone when the AND of its facets is nonzero.  Within one
+call, each non-cone link is relabelled monotonically onto vertices 0..k-1
+and looked up in a dict of scanners, so links of the same shape share one
+set of ranks; the dict is dropped when the call returns.  A face of size s
+can only give depth candidates of at least s + 1, so the scan stops as soon
+as the best candidate is that small.  A link that can only lower the best
+candidate through H~^0 is decided inline by whether it is connected, with no
+relabelling and no scanner.  The plain route on frozensets (complexes,
+links, exact reduced cohomology) that the tests compare this scan against
+lives in `tests/oracles.py`.
 
 Rank decisions are exact.  Over every field rank d_-1 = 1 and rank d_0 =
 V - c (V vertices, c connected components), so each scanner starts with
@@ -48,99 +48,15 @@ example RP^2) that the filter cannot see past.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .groebner import BudgetExceeded, check_deadline
-from .monomial import (
-    ImproperIdealError,
-    MonomialIdeal,
-    MonomialPrime,
-    min_assh_dim,
-    mono_sum,
-)
+from .monomial import ImproperIdealError, MonomialIdeal, min_assh_dim
 from .ring import RingError, mono_support
 
 log = logging.getLogger("linkcoh")
-
-
-def _facet_key(s: frozenset):
-    return (len(s), sorted(s))
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A complex given by its facets over an ambient vertex index set.
-
-    No facets at all is the void complex; the single facet ∅ is the complex
-    {∅} (these two are genuinely different: only the latter has reduced
-    cohomology, in degree -1).
-    """
-
-    n_vertices: int
-    facets: tuple[frozenset, ...]
-
-    @classmethod
-    def from_facets(cls, n_vertices: int, sets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        cand = [frozenset(s) for s in sets]
-        maximal = [s for s in cand if not any(s < t for t in cand)]
-        return cls(n_vertices, tuple(sorted(set(maximal), key=_facet_key)))
-
-    def is_void(self) -> bool:
-        return not self.facets
-
-    def is_irrelevant(self) -> bool:
-        return self.facets == (frozenset(),)
-
-    @property
-    def dim(self) -> int:
-        if self.is_void():
-            return -2  # conventional sentinel; the void complex has no faces
-        return max(len(f) for f in self.facets) - 1
-
-    def vertices(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for f in self.facets:
-            out.update(f)
-        return tuple(sorted(out))
-
-    def has_face(self, s: Iterable[int]) -> bool:
-        fs = frozenset(s)
-        return any(fs <= f for f in self.facets)
-
-    def faces_of_size(self, k: int) -> list[frozenset]:
-        """The faces with k vertices, in lexicographic order of their sorted
-        vertex tuples; every face lies in a facet, so they are read off the
-        facets instead of testing each vertex subset."""
-        if self.is_void():
-            return []
-        if k == 0:
-            return [frozenset()]
-        subsets = {c for f in self.facets if len(f) >= k for c in combinations(sorted(f), k)}
-        return [frozenset(c) for c in sorted(subsets)]
-
-
-    def link(self, w: Iterable[int]) -> "SimplicialComplex":
-        fw = frozenset(w)
-        if not self.has_face(fw):
-            raise RingError("link requested at a non-face")
-        # no maximality filter: the facets are distinct and an antichain, and
-        # so are their links, since F - w <= G - w with w <= F, G gives F <= G
-        star = [f - fw for f in self.facets if fw <= f]
-        return SimplicialComplex(self.n_vertices, tuple(sorted(star, key=_facet_key)))
-
-    def is_cone(self) -> bool:
-        """Some vertex lies in every facet (then all reduced cohomology is 0)."""
-        if self.is_void() or self.is_irrelevant():
-            return False
-        common = set(self.facets[0])
-        for f in self.facets[1:]:
-            common &= f
-            if not common:
-                return False
-        return bool(common)
 
 
 def _facet_masks(I: MonomialIdeal) -> list[int]:
@@ -153,7 +69,8 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
     it, so no cover is reached twice.  A cover is minimal when each of its
     vertices is the only cover vertex of some support.  The soft deadline is
     checked once per branch; more than 20 vertices are refused outright,
-    which bounds the link scan that reads these facets.
+    which bounds the link scan that reads these facets.  Its messages say
+    `complex_of`, and a budget trip prints them on the command line.
     """
     if not I.is_squarefree():
         raise RingError("complex_of needs a squarefree ideal")
@@ -188,17 +105,6 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
 
     grow(0, 0)
     return facets
-
-
-def complex_of(I: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose non-faces are the supports of I's generators, with
-    the facets of `_facet_masks` as sorted frozensets.
-
-    I must be squarefree and proper; the zero ideal gives the full simplex.
-    """
-    n = I.ctx.n
-    facets = [frozenset(i for i in range(n) if m >> i & 1) for m in _facet_masks(I)]
-    return SimplicialComplex(n, tuple(sorted(facets, key=_facet_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,69 +159,6 @@ def _rank_gf2(rows: Iterable[int], cap: int) -> int:
                 break
             r ^= p
     return len(pivots)
-
-
-def _coboundary(faces_k: list[frozenset], faces_k1: list[frozenset]) -> list[list[int]]:
-    """Matrix of d: C^k -> C^{k+1}; rows indexed by (k+1)-faces."""
-    index = {f: i for i, f in enumerate(faces_k)}
-    rows = []
-    for g in faces_k1:
-        row = [0] * len(faces_k)
-        verts = sorted(g)
-        for pos, v in enumerate(verts):
-            sub = g - {v}
-            j = index.get(sub)
-            if j is not None:
-                row[j] = -1 if pos % 2 else 1
-        rows.append(row)
-    return rows
-
-
-class CohomologyProfile:
-    """Reduced cohomology ranks over Q, indexed by degree (nonzero only)."""
-
-    __slots__ = ("ranks",)
-
-    def __init__(self, ranks: dict[int, int]) -> None:
-        self.ranks = {j: r for j, r in ranks.items() if r}
-
-    def rank(self, j: int) -> int:
-        return self.ranks.get(j, 0)
-
-    def nonzero_degrees(self) -> list[int]:
-        return sorted(self.ranks)
-
-    def euler_reduced(self) -> int:
-        return sum((-1) ** j * r for j, r in self.ranks.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CohomologyProfile) and self.ranks == other.ranks
-
-    def __repr__(self) -> str:
-        return f"CohomologyProfile({self.ranks})"
-
-
-def reduced_cohomology(cx: SimplicialComplex) -> CohomologyProfile:
-    """Full reduced cohomology of the complex, computed exactly."""
-    if cx.is_void():
-        return CohomologyProfile({})
-    if cx.is_irrelevant():
-        return CohomologyProfile({-1: 1})
-    faces: dict[int, list[frozenset]] = {}
-    for k in range(0, cx.dim + 2):
-        faces[k] = cx.faces_of_size(k)
-    ranks: dict[int, int] = {}
-    d_rank: dict[int, int] = {}
-    # degree j cochains live on faces of size j+1
-    for j in range(-1, cx.dim + 1):
-        rows = _coboundary(faces.get(j + 1, []), faces.get(j + 2, []))
-        d_rank[j] = _rank_exact(rows) if rows else 0
-    for j in range(-1, cx.dim + 1):
-        dim_cj = len(faces.get(j + 1, []))
-        h = dim_cj - d_rank[j] - d_rank.get(j - 1, 0)
-        if h:
-            ranks[j] = h
-    return CohomologyProfile(ranks)
 
 
 def _bits(m: int) -> tuple[int, ...]:
@@ -393,7 +236,8 @@ class _LinkScanner:
 
     def faces(self, k: int) -> list[int]:
         """The k-vertex faces, in lexicographic order of their vertex tuples
-        (the order of `SimplicialComplex.faces_of_size`)."""
+        (the order of `faces_of_size` of the frozenset complex in
+        `tests/oracles.py`)."""
         faces = self._faces.get(k)
         if faces is None:
             found: dict[int, tuple[int, ...]] = {}
@@ -576,17 +420,3 @@ def cd_squarefree(a: MonomialIdeal) -> int:
     if not a.is_proper():
         raise ImproperIdealError("cd needs a proper ideal")
     return a.ctx.n - depth_squarefree(a)
-
-
-def cd_on_quotient(a: MonomialIdeal, p: MonomialPrime) -> int:
-    """Cohomological dimension of a acting on R/p, for a squarefree, p monomial.
-
-    R/(a + p) is the image of a in the polynomial ring on the variables
-    outside p (generators meeting p are dropped by minimalization), so
-    cd(a, R/p) = n - ht p - depth R/(a + p).
-    """
-    if not a.is_squarefree():
-        raise RingError("cd_on_quotient needs a squarefree ideal")
-    if not a.is_proper():
-        raise ImproperIdealError("cd_on_quotient needs a proper ideal")
-    return a.ctx.n - p.height - depth_squarefree(mono_sum(a, p.monomial_ideal(a.ctx)))

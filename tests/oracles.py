@@ -1,0 +1,301 @@
+"""Reference routes that the package's own routes are tested against.
+
+The package answers each question one way: depth by colon radicals and the
+bitmask link scan of `simplicial`, attached primes of top local cohomology
+by cofinality in `invariants.att_top`.  The routes here exist only so that
+the tests can compare, and share with those no more than noted:
+
+- `SimplicialComplex` holds faces as frozensets; its `link`,
+  `faces_of_size` and `is_cone`, and `reduced_cohomology` on exact
+  coboundary ranks (by `simplicial._rank_exact`), are the plain
+  Stanley-Reisner route.  `complex_of` turns the facet masks of
+  `simplicial._facet_masks` into such a complex, so it keeps that
+  function's messages (`complex_of vertex budget`, `complex_of covers`).
+- `polarize` is the standard squarefree polarization: depth R/J is depth of
+  the polarized quotient minus the number of variables added.
+- `cd_on_quotient` and `att_top_via_cd` read the attached primes of the top
+  local cohomology off cohomological dimensions instead of cofinality.
+
+The helpers at the end (`mono_colon`, `s_polynomial`) are small
+constructions that several test modules share.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterable
+
+from linkcoh.groebner import Ideal, ideal_sum, is_proper, min_gens_colon
+from linkcoh.modules import CyclicModule
+from linkcoh.monomial import (
+    ImproperIdealError,
+    MonomialIdeal,
+    MonomialPrime,
+    PrimeSet,
+    as_monomial,
+    mono_radical,
+    mono_sum,
+)
+from linkcoh.ring import Polynomial, RingCtx, RingError
+from linkcoh.simplicial import _facet_masks, _rank_exact, depth_squarefree
+
+
+# ---------------------------------------------------------------------------
+# Stanley-Reisner complexes on frozensets.
+
+def _facet_key(s: frozenset):
+    return (len(s), sorted(s))
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """A complex given by its facets over an ambient vertex index set.
+
+    No facets at all is the void complex; the single facet ∅ is the complex
+    {∅} (these two are genuinely different: only the latter has reduced
+    cohomology, in degree -1).
+    """
+
+    n_vertices: int
+    facets: tuple[frozenset, ...]
+
+    @classmethod
+    def from_facets(cls, n_vertices: int, sets: Iterable[Iterable[int]]) -> "SimplicialComplex":
+        cand = [frozenset(s) for s in sets]
+        maximal = [s for s in cand if not any(s < t for t in cand)]
+        return cls(n_vertices, tuple(sorted(set(maximal), key=_facet_key)))
+
+    def is_void(self) -> bool:
+        return not self.facets
+
+    def is_irrelevant(self) -> bool:
+        return self.facets == (frozenset(),)
+
+    @property
+    def dim(self) -> int:
+        if self.is_void():
+            return -2  # conventional sentinel; the void complex has no faces
+        return max(len(f) for f in self.facets) - 1
+
+    def vertices(self) -> tuple[int, ...]:
+        out: set[int] = set()
+        for f in self.facets:
+            out.update(f)
+        return tuple(sorted(out))
+
+    def has_face(self, s: Iterable[int]) -> bool:
+        fs = frozenset(s)
+        return any(fs <= f for f in self.facets)
+
+    def faces_of_size(self, k: int) -> list[frozenset]:
+        """The faces with k vertices, in lexicographic order of their sorted
+        vertex tuples; every face lies in a facet, so they are read off the
+        facets instead of testing each vertex subset."""
+        if self.is_void():
+            return []
+        if k == 0:
+            return [frozenset()]
+        subsets = {c for f in self.facets if len(f) >= k for c in combinations(sorted(f), k)}
+        return [frozenset(c) for c in sorted(subsets)]
+
+    def link(self, w: Iterable[int]) -> "SimplicialComplex":
+        fw = frozenset(w)
+        if not self.has_face(fw):
+            raise RingError("link requested at a non-face")
+        # no maximality filter: the facets are distinct and an antichain, and
+        # so are their links, since F - w <= G - w with w <= F, G gives F <= G
+        star = [f - fw for f in self.facets if fw <= f]
+        return SimplicialComplex(self.n_vertices, tuple(sorted(star, key=_facet_key)))
+
+    def is_cone(self) -> bool:
+        """Some vertex lies in every facet (then all reduced cohomology is 0)."""
+        if self.is_void() or self.is_irrelevant():
+            return False
+        common = set(self.facets[0])
+        for f in self.facets[1:]:
+            common &= f
+            if not common:
+                return False
+        return bool(common)
+
+
+def complex_of(I: MonomialIdeal) -> SimplicialComplex:
+    """The complex whose non-faces are the supports of I's generators, with
+    the facets of `simplicial._facet_masks` as sorted frozensets.
+
+    I must be squarefree and proper; the zero ideal gives the full simplex.
+    """
+    n = I.ctx.n
+    facets = [frozenset(i for i in range(n) if m >> i & 1) for m in _facet_masks(I)]
+    return SimplicialComplex(n, tuple(sorted(facets, key=_facet_key)))
+
+
+def _coboundary(faces_k: list[frozenset], faces_k1: list[frozenset]) -> list[list[int]]:
+    """Matrix of d: C^k -> C^{k+1}; rows indexed by (k+1)-faces."""
+    index = {f: i for i, f in enumerate(faces_k)}
+    rows = []
+    for g in faces_k1:
+        row = [0] * len(faces_k)
+        verts = sorted(g)
+        for pos, v in enumerate(verts):
+            sub = g - {v}
+            j = index.get(sub)
+            if j is not None:
+                row[j] = -1 if pos % 2 else 1
+        rows.append(row)
+    return rows
+
+
+class CohomologyProfile:
+    """Reduced cohomology ranks over Q, indexed by degree (nonzero only)."""
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks: dict[int, int]) -> None:
+        self.ranks = {j: r for j, r in ranks.items() if r}
+
+    def rank(self, j: int) -> int:
+        return self.ranks.get(j, 0)
+
+    def nonzero_degrees(self) -> list[int]:
+        return sorted(self.ranks)
+
+    def euler_reduced(self) -> int:
+        return sum((-1) ** j * r for j, r in self.ranks.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CohomologyProfile) and self.ranks == other.ranks
+
+    def __repr__(self) -> str:
+        return f"CohomologyProfile({self.ranks})"
+
+
+def reduced_cohomology(cx: SimplicialComplex) -> CohomologyProfile:
+    """Full reduced cohomology of the complex, computed exactly."""
+    if cx.is_void():
+        return CohomologyProfile({})
+    if cx.is_irrelevant():
+        return CohomologyProfile({-1: 1})
+    faces: dict[int, list[frozenset]] = {}
+    for k in range(0, cx.dim + 2):
+        faces[k] = cx.faces_of_size(k)
+    ranks: dict[int, int] = {}
+    d_rank: dict[int, int] = {}
+    # degree j cochains live on faces of size j+1
+    for j in range(-1, cx.dim + 1):
+        rows = _coboundary(faces.get(j + 1, []), faces.get(j + 2, []))
+        d_rank[j] = _rank_exact(rows) if rows else 0
+    for j in range(-1, cx.dim + 1):
+        dim_cj = len(faces.get(j + 1, []))
+        h = dim_cj - d_rank[j] - d_rank.get(j - 1, 0)
+        if h:
+            ranks[j] = h
+    return CohomologyProfile(ranks)
+
+
+# ---------------------------------------------------------------------------
+# Polarization.
+
+@dataclass(frozen=True)
+class Polarization:
+    ideal: MonomialIdeal
+    ctx: RingCtx
+    added: int
+
+
+def polarize(I: MonomialIdeal) -> Polarization:
+    """The standard squarefree polarization; depth shifts by `added`."""
+    ctx = I.ctx
+    n = ctx.n
+    maxexp = [1] * n
+    for g in I.min_gens:
+        for i, x in enumerate(g):
+            if x > maxexp[i]:
+                maxexp[i] = x
+    names: list[str] = []
+    copies: list[tuple[int, ...]] = []
+    used = set()
+
+    def uniq(name: str) -> str:
+        while name in used:
+            name = name + "_"
+        used.add(name)
+        return name
+
+    for i in range(n):
+        if maxexp[i] == 1:
+            names.append(uniq(ctx.var_names[i]))
+            copies.append((len(names) - 1,))
+        else:
+            idxs = []
+            for j in range(1, maxexp[i] + 1):
+                names.append(uniq(f"{ctx.var_names[i]}_{j}"))
+                idxs.append(len(names) - 1)
+            copies.append(tuple(idxs))
+    big = RingCtx(tuple(names))
+    exps = []
+    for g in I.min_gens:
+        e = [0] * big.n
+        for i, x in enumerate(g):
+            for j in range(x):
+                e[copies[i][j]] = 1
+        exps.append(tuple(e))
+    pol = MonomialIdeal.from_exponents(big, exps)
+    return Polarization(pol, big, big.n - n)
+
+
+# ---------------------------------------------------------------------------
+# Attached primes of the top local cohomology through cohomological dimension.
+
+def cd_on_quotient(a: MonomialIdeal, p: MonomialPrime) -> int:
+    """Cohomological dimension of a acting on R/p, for a squarefree, p monomial.
+
+    R/(a + p) is the image of a in the polynomial ring on the variables
+    outside p (generators meeting p are dropped by minimalization), so
+    cd(a, R/p) = n - ht p - depth R/(a + p).
+    """
+    if not a.is_squarefree():
+        raise RingError("cd_on_quotient needs a squarefree ideal")
+    if not a.is_proper():
+        raise ImproperIdealError("cd_on_quotient needs a proper ideal")
+    return a.ctx.n - p.height - depth_squarefree(mono_sum(a, p.monomial_ideal(a.ctx)))
+
+
+def att_top_via_cd(a: Ideal, M: CyclicModule) -> PrimeSet:
+    """The attached primes of `att_top`, through cohomological dimensions.
+
+    A prime p in Ass M is attached to the top cohomology exactly when a
+    still has cohomological dimension dim M on R/p.  Needs a monomial a.
+    """
+    am = as_monomial(a)
+    if am is None:
+        raise RingError("the cohomological-dimension route needs a monomial ideal")
+    if not is_proper(ideal_sum(a, M.ideal)):
+        raise ImproperIdealError("att_top wants aM != M")
+    rad = mono_radical(am)
+    d = M.dim()
+    return PrimeSet(p for p in M.primes().ass if cd_on_quotient(rad, p) == d)
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers.
+
+def mono_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I : J = the intersection over J's generators of I : (m)."""
+    if J.is_zero():
+        return MonomialIdeal.unit(I.ctx)
+    return MonomialIdeal(I.ctx, min_gens_colon(I.min_gens, J.min_gens))
+
+
+def s_polynomial(g: Polynomial, h: Polynomial) -> Polynomial:
+    """The S-polynomial of g and h in degrevlex: both leading terms are
+    lifted to their lcm with coefficient 1, and the two are subtracted."""
+    ctx = g.ctx
+    (eg, cg), (eh, ch) = g.lead(), h.lead()
+    lcm = tuple(max(a, b) for a, b in zip(eg, eh))
+
+    def lift(f, e, c):
+        return f * Polynomial.from_monomial(ctx, tuple(l - a for l, a in zip(lcm, e)), 1 / c)
+
+    return lift(g, eg, cg) - lift(h, eh, ch)

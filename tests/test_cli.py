@@ -130,15 +130,6 @@ def test_cd_and_grade(capsys):
 def test_regseq(capsys):
     doc = doc_of(capsys, "regseq", "--ring", "x,y", "--seq", "x, y")
     assert doc["regular"] is True
-    doc = doc_of(
-        capsys,
-        "regseq",
-        "--ring", "x,y",
-        "--seq", "x, y",
-        "--all-permutations",
-    )
-    assert doc["regular"] is True
-    assert doc["regular_all_permutations"] is True
 
 
 def test_ann_and_hom(capsys):

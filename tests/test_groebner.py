@@ -47,6 +47,7 @@ from linkcoh.ring import (
     parse_poly,
     ring,
 )
+from oracles import s_polynomial
 
 
 def P(ctx, text):
@@ -71,18 +72,22 @@ def monomials_of_degree(n, d):
         yield tuple(exps)
 
 
+def total_degree(p):
+    return max((sum(e) for e in p.term_map()), default=-1)
+
+
 def homogeneous_member_oracle(f, gens, ctx):
     """Exact span test in the graded piece of f's degree."""
-    d = f.total_degree()
+    d = total_degree(f)
     rows = []
     for g in gens:
         if g.is_zero():
             continue
-        dg = g.total_degree()
+        dg = total_degree(g)
         if dg > d:
             continue
         for e in monomials_of_degree(ctx.n, d - dg):
-            rows.append(g.mul_term(e, Fraction(1)))
+            rows.append(g * Polynomial.from_monomial(ctx, e))
     basis = sorted(set(m for r in rows for m in r.term_map()) | set(f.term_map()))
     index = {m: k for k, m in enumerate(basis)}
 
@@ -164,13 +169,7 @@ def test_spair_closure_of_reduced_gb():
         I = Ideal(ctx, [g for g in gens if not g.is_zero()] or [Polynomial.zero(ctx)])
         gb = reduced_gb(I)
         for g, h in itertools.combinations(gb, 2):
-            eg, cg = g.lead()
-            eh, ch = h.lead()
-            lcm = tuple(max(a, b) for a, b in zip(eg, eh))
-            s = g.mul_term(
-                tuple(l - a for l, a in zip(lcm, eg)), Fraction(1) / cg
-            ) - h.mul_term(tuple(l - a for l, a in zip(lcm, eh)), Fraction(1) / ch)
-            assert normal_form(s, gb).is_zero()
+            assert normal_form(s_polynomial(g, h), gb).is_zero()
 
 
 def test_zero_and_unit_ideals():
@@ -361,7 +360,7 @@ def test_random_membership_of_constructed_elements():
         combo = Polynomial.zero(ctx)
         for g in I.gens:
             e = tuple(rng.randint(0, 1) for _ in range(3))
-            combo = combo + g.mul_term(e, Fraction(rng.randint(-2, 2)))
+            combo = combo + g * Polynomial.from_monomial(ctx, e, rng.randint(-2, 2))
         assert ideal_member(combo, I)
         if is_proper(I):
             assert not ideal_member(combo + 1, I)

@@ -9,7 +9,6 @@ from linkcoh.invariants import (
     ass_formal_zeroth,
     assh,
     att_top,
-    att_top_via_cd,
     height_in_module,
     is_equidimensional,
     module_ass_primes,
@@ -26,6 +25,7 @@ from linkcoh.monomial import (
 )
 from linkcoh.ring import Polynomial, RingError, parse_poly, ring
 from linkcoh.simplicial import dim_monomial
+from oracles import att_top_via_cd
 
 import random
 

@@ -45,12 +45,9 @@ from linkcoh.modules import (
     maximal_ideal,
     module_ass,
     module_gb,
-    submodule_member,
     submodule_syzygies,
     unit_vec,
-    vec_add,
     vec_is_zero,
-    vec_scale,
 )
 from linkcoh.monomial import (
     ImproperIdealError,
@@ -74,6 +71,19 @@ def I_of(ctx, *texts):
 
 def vec(ctx, *texts):
     return tuple(parse_poly(t, ctx) for t in texts)
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(f, v):
+    return tuple(f * p for p in v)
+
+
+def submodule_member(v, gb):
+    """Whether v lies in the submodule with Groebner basis gb."""
+    return vec_is_zero(module_reduce(v, module_table(gb, len(v))))
 
 
 # ---------------------------------------------------------------------------

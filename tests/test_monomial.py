@@ -24,15 +24,14 @@ from linkcoh.monomial import (
     irreducible_decomposition,
     min_assh_dim,
     minimalize,
-    mono_colon,
     mono_contains,
     mono_intersect,
     mono_product,
     mono_radical,
     mono_sum,
-    polarize,
 )
 from linkcoh.ring import RingError, parse_poly, ring
+from oracles import mono_colon, polarize
 
 
 def MI(ctx, *texts):

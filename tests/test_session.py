@@ -8,7 +8,6 @@ from linkcoh.session import (
     SessionError,
     parse_session,
     parse_session_text,
-    render_session,
 )
 
 GOOD = """\
@@ -43,8 +42,8 @@ def test_parse_good_session():
 
 
 def test_render_is_parse_stable():
-    first = render_session(parse_session_text(GOOD))
-    second = render_session(parse_session_text(first))
+    first = parse_session_text(GOOD).render()
+    second = parse_session_text(first).render()
     assert first == second
     assert first.endswith("\n")
     assert "task linkage check b b I0 over M" in first
@@ -54,7 +53,7 @@ def test_render_from_file(tmp_path):
     p = tmp_path / "t.session"
     p.write_text(GOOD, encoding="utf-8")
     sf = parse_session(str(p))
-    assert render_session(sf) == render_session(parse_session_text(GOOD))
+    assert sf.render() == parse_session_text(GOOD).render()
 
 
 def fails_with(text, fragment, line=None, source="<session>"):
@@ -186,9 +185,9 @@ def test_render_is_parse_stable_property():
     @hyp.given(session_text())
     def check(text):
         first = parse_session_text(text)
-        rendered = render_session(first)
+        rendered = first.render()
         again = parse_session_text(rendered)
-        assert render_session(again) == rendered
+        assert again.render() == rendered
         assert again.ctx == first.ctx and again.tasks == first.tasks
         assert again.module_defs == first.module_defs
         assert {k: I.gens for k, I in again.ideals.items()} == {k: I.gens for k, I in first.ideals.items()}
