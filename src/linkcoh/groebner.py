@@ -4,10 +4,12 @@ engine that ideals and free modules share.
 
 Operands whose generators are all terms never reach the engine:
 `reduced_gb`, `ideal_quotient` and `ideal_intersect` answer them with the
-divisibility kernels below, which `monomial.py` builds on.  The answer is
-the minimal generators, monic, in increasing order (the engine's output),
-and a colon or intersection has its degrevlex basis cached, as from
-`_colon`.  `_gb` and `_colon` stay callable for tests that compare routes.
+divisibility kernels below, which `monomial.py` builds on, and
+`is_unit_ideal` (so `is_proper`) looks for a nonzero constant among them.
+The answer is the minimal generators, monic, in increasing order (the
+engine's output), and a colon or intersection has its degrevlex basis and
+its minimal generators cached, as `_colon` caches its basis.  `_gb` and
+`_colon` stay callable for tests that compare routes.
 
 The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
 under the normal strategy; a hard S-pair budget makes a runaway run abort as
@@ -146,7 +148,9 @@ def check_deadline(what: str, spent: int = 0) -> None:
         raise BudgetExceeded(what, spent, "soft timeout")
 
 
-# `Ideal._monomial_gens` before `monomial_gens` has looked: None is an answer
+# `Ideal._monomial_gens` before `monomial_gens` has looked: None is an answer.
+# `_by_terms` and `MonomialIdeal.to_ideal` seed it with the minimal
+# generators they already hold, so `monomial_gens` never looks there.
 _NOT_COMPUTED = object()
 
 
@@ -218,8 +222,11 @@ def monomial_gens(I: Ideal) -> tuple[Exponents, ...] | None:
 
 def minimalize(exps: Iterable[Exponents]) -> tuple[Exponents, ...]:
     """The minimal generators among `exps`, sorted by (degree, exponent)."""
+    distinct = set(exps)
+    if len(distinct) < 2:
+        return tuple(distinct)
     kept: list[Exponents] = []
-    for i, e in enumerate(sorted(set(exps), key=lambda e: (sum(e), e))):
+    for i, e in enumerate(sorted(distinct, key=lambda e: (sum(e), e))):
         if i & 255 == 255:
             check_deadline("minimalize")
         if not any(all(map(le_, f, e)) for f in kept):
@@ -248,11 +255,15 @@ def min_gens_colon(A: Sequence[Exponents], B: Sequence[Exponents]) -> tuple[Expo
 
 
 def _by_terms(kernel, I: Ideal, J: Ideal) -> Ideal | None:
-    """kernel(minimal gens of I, of J) as a seeded ideal if both are terms."""
+    """kernel(minimal gens of I, of J) as a seeded ideal if both are terms;
+    the kernel's answer is also the ideal's `monomial_gens`."""
     a, b = monomial_gens(I), monomial_gens(J)
     if a is None or b is None:
         return None
-    return _seeded(I.ctx, _term_basis(I.ctx, kernel(a, b), DEGREVLEX))
+    gens = kernel(a, b)
+    Q = _seeded(I.ctx, _term_basis(I.ctx, gens, DEGREVLEX))
+    Q._monomial_gens = gens
+    return Q
 
 
 def _term_basis(ctx: RingCtx, gens: Iterable[Exponents], order: MonomialOrder) -> tuple:
@@ -803,8 +814,14 @@ def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> b
 
 
 def is_unit_ideal(I: Ideal) -> bool:
+    """Whether I is the whole ring.  While I's degrevlex basis is not cached
+    and its generators are all terms, that is whether one of them is a
+    nonzero constant, and no basis is built."""
+    if DEGREVLEX.token() not in I._gb_cache and all(g.is_term() for g in I.gens if not g.is_zero()):
+        return any(g.is_constant() for g in I.gens if not g.is_zero())
     gb = reduced_gb(I)
     return len(gb) == 1 and gb[0].is_constant()
+
 
 def is_proper(I: Ideal) -> bool:
     return not is_unit_ideal(I)

@@ -216,17 +216,33 @@ def random_linked_pairs(
     Each draw picks an M-regular sequence I, throws extra monomials on top to
     get a trial ideal, and closes it under the double colon before the full
     certification; duplicates (same pair mod J) are dropped.
+
+    A sequence grows one drawn candidate at a time.  A dict kept for the
+    call maps each drawn prefix (*seq, cand) to the ideal J + (seq, cand),
+    or to None when cand is not regular on J + (seq) or the sum is not
+    proper, so each prefix is tested once however often it is drawn, and
+    the bases cached on its ideal serve every later draw.  The chain's last
+    ideal is J + I, the core that the colons are taken in.
     """
     rng = random.Random(seed)
     ctx = M.ctx
     J = M.ideal
     produced = 0
     seen: set = set()
+    chains: dict[tuple[Polynomial, ...], Ideal | None] = {}
     attempts = ATTEMPTS_PER_PAIR * max(1, params.count)
     min_len = 0 if not J.is_zero_ideal() else 1
 
     def gb_key(X: Ideal) -> tuple[str, ...]:
         return tuple(str(g) for g in reduced_gb(X))
+
+    def extend(Q: Ideal, cand: Polynomial) -> Ideal | None:
+        """Q + (cand) when cand is regular on R/Q and the sum is proper."""
+        step = Ideal(ctx, [cand])
+        if not is_regular_on(step, Q):
+            return None
+        nxt = ideal_sum(Q, step)
+        return nxt if is_proper(nxt) else None
 
     for _ in range(attempts):
         if produced >= params.count:
@@ -238,10 +254,12 @@ def random_linked_pairs(
         for _ in range(want):
             for _ in range(12):
                 cand = _sequence_pool(rng, ctx, params.maxdeg)
-                step = Ideal(ctx, [cand])
-                if is_regular_on(step, Q) and is_proper(nxt := ideal_sum(Q, step)):
+                key = (*seq, cand)
+                if key not in chains:
+                    chains[key] = extend(Q, cand)
+                if chains[key] is not None:
                     seq.append(cand)
-                    Q = nxt
+                    Q = chains[key]
                     break
             else:
                 ok = False
@@ -257,7 +275,7 @@ def random_linked_pairs(
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I
         if not is_proper(ideal_sum(trial, J)):
             continue
-        T = ideal_sum(I, J)
+        T = Q  # J + I
         b = ideal_quotient(T, trial)
         if not is_proper(ideal_sum(b, J)):
             continue

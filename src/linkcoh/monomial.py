@@ -119,7 +119,8 @@ class PrimeSet:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal held by its (unique) minimal generators.
+    """A monomial ideal held by its (unique) minimal generators, sorted by
+    (degree, exponent) as `minimalize` returns them.
 
     No generators at all means the zero ideal; the single generator 1 means
     the unit ideal.
@@ -167,10 +168,11 @@ class MonomialIdeal:
         return all(self.contains_mono(e) for e in f.term_map())
 
     def to_ideal(self) -> groebner.Ideal:
-        if self.is_zero():
-            return groebner.Ideal.zero(self.ctx)
-        gens = [Polynomial.from_monomial(self.ctx, e) for e in self.min_gens]
-        return groebner.Ideal(self.ctx, gens)
+        """The ideal of the terms x^e, e in `min_gens`, which are already its
+        `monomial_gens` answer."""
+        I = groebner.Ideal(self.ctx, [Polynomial.from_monomial(self.ctx, e) for e in self.min_gens])
+        I._monomial_gens = self.min_gens
+        return I
 
     def render(self) -> list[str]:
         return [str(Polynomial.from_monomial(self.ctx, e)) for e in self.min_gens]

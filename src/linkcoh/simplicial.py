@@ -69,16 +69,17 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
     it, so no cover is reached twice.  A cover is minimal when each of its
     vertices is the only cover vertex of some support.  The soft deadline is
     checked once per branch; more than 20 vertices are refused outright,
-    which bounds the link scan that reads these facets.  Its messages say
-    `complex_of`, and a budget trip prints them on the command line.
+    which bounds the link scan that reads these facets.  Its messages name
+    the Stanley-Reisner facets, and a budget trip prints them on the command
+    line.
     """
     if not I.is_squarefree():
-        raise RingError("complex_of needs a squarefree ideal")
+        raise RingError("Stanley-Reisner facets need a squarefree ideal")
     if not I.is_proper():
-        raise ImproperIdealError("complex_of needs a proper ideal")
+        raise ImproperIdealError("Stanley-Reisner facets need a proper ideal")
     n = I.ctx.n
     if n > 20:
-        raise BudgetExceeded("complex_of vertex budget", n, 20)
+        raise BudgetExceeded("Stanley-Reisner vertex budget", n, 20)
     supports = [sum(1 << i for i in mono_support(g)) for g in I.min_gens]
     full = (1 << n) - 1
     facets: list[int] = []
@@ -99,7 +100,7 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
                 facets.append(full ^ cover)
             return
         for v in _bits(s & ~banned):
-            check_deadline("complex_of covers")
+            check_deadline("Stanley-Reisner vertex covers")
             grow(cover | v, banned)
             banned |= v
 

@@ -9,8 +9,9 @@ the tests can compare, and share with those no more than noted:
   `faces_of_size` and `is_cone`, and `reduced_cohomology` on exact
   coboundary ranks (by `simplicial._rank_exact`), are the plain
   Stanley-Reisner route.  `complex_of` turns the facet masks of
-  `simplicial._facet_masks` into such a complex, so it keeps that
-  function's messages (`complex_of vertex budget`, `complex_of covers`).
+  `simplicial._facet_masks` into such a complex, so it raises that
+  function's messages (`Stanley-Reisner vertex budget`, `Stanley-Reisner
+  vertex covers`).
 - `polarize` is the standard squarefree polarization: depth R/J is depth of
   the polarized quotient minus the number of variables added.
 - `cd_on_quotient` and `att_top_via_cd` read the attached primes of the top

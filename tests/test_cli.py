@@ -407,7 +407,7 @@ def test_depth_beyond_the_vertex_budget_exits_two(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "budget-exceeded"
-    assert doc["detail"].startswith("complex_of vertex budget")
+    assert doc["detail"].startswith("Stanley-Reisner vertex budget")
 
 
 @pytest.mark.parametrize("cmd, flag, what", [

@@ -37,6 +37,7 @@ from linkcoh.groebner import (
     saturate,
     set_limits,
 )
+from linkcoh.monomial import from_ideal
 from linkcoh.ring import (
     DEGREVLEX,
     LEX,
@@ -397,6 +398,82 @@ def test_monomial_gens_is_computed_once_per_ideal(monkeypatch):
     monkeypatch.setattr(Polynomial, "is_term", None)
     assert groebner.monomial_gens(terms) is first
     assert groebner.monomial_gens(binomial) is None
+
+
+def _term_ideal(st, ctx):
+    """A hypothesis strategy of ideals of ctx given by terms, with the zero
+    ideal, constants and repeated generators among them."""
+    exps = st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n).map(tuple)
+    terms = st.builds(lambda e, c: Polynomial(ctx, {e: c}), exps, st.sampled_from([-2, 1, 3]))
+    gens = st.lists(st.one_of(terms, st.just(Polynomial.zero(ctx))), max_size=4)
+    return gens.map(lambda g: Ideal(ctx, g + g[: len(g) // 2]))
+
+
+def test_unit_test_of_term_ideals_reads_the_generators():
+    # a term ideal is the unit ideal exactly when the engine's basis is (1);
+    # before a basis is cached the answer builds none and minimalizes nothing
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        I = data.draw(_term_ideal(st, ctx))
+        unit = _gb(ctx, I.gens, DEGREVLEX) == [Polynomial.const(ctx, 1)]
+        assert is_unit_ideal(I) == unit
+        assert is_proper(I) != unit
+        assert not I._gb_cache and I._monomial_gens is groebner._NOT_COMPUTED
+        reduced_gb(I)
+        assert is_unit_ideal(I) == unit
+
+    check()
+
+
+def test_seeded_monomial_gens_match_a_fresh_look():
+    # colons, intersections and `to_ideal` seed the minimal generators they
+    # hold; they equal what `monomial_gens` finds on the same generators
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        I, J = data.draw(_term_ideal(st, ctx)), data.draw(_term_ideal(st, ctx))
+        made = [ideal_intersect(I, J), from_ideal(I).to_ideal()]
+        if not J.is_zero_ideal():
+            made.append(ideal_quotient(I, J))
+        for Q in made:
+            assert Q._monomial_gens is not groebner._NOT_COMPUTED
+            assert Q._monomial_gens == groebner.monomial_gens(Ideal(ctx, Q.gens))
+
+    check()
+
+
+def _minimalize_loop(exps):
+    """The general loop of `minimalize`: in (degree, exponent) order, keep
+    each exponent that no kept one divides."""
+    kept = []
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(mono_divides(f, e) for f in kept):
+            kept.append(e)
+    return tuple(kept)
+
+
+def test_minimalize_of_few_exponents_matches_the_general_loop():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    exps = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(tuple)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.lists(exps, max_size=3), st.data())
+    def check(some, data):
+        some += data.draw(st.lists(st.sampled_from(some), max_size=2)) if some else []
+        assert groebner.minimalize(some) == _minimalize_loop(some)
+        assert groebner.minimalize(iter(some)) == _minimalize_loop(some)
+
+    check()
 
 
 def test_nested_limits_keep_outer_deadline():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from linkcoh import linkage
 from linkcoh.groebner import Ideal, ideal_equal, ideal_quotient, ideal_sum, reduced_gb
 from linkcoh.linkage import (
     GenParams,
@@ -188,3 +189,63 @@ def test_partner_is_involutive_on_certificates():
         T = ideal_sum(cert.I, M.ideal)
         back = ideal_quotient(T, Ideal(ctx, reduced_gb(ideal_quotient(T, cert.a))))
         assert ideal_equal(back, cert.a_mod())
+
+
+# Certificates drawn before the sampler kept its chains per call; the draws
+# must not change.  The first module has a monomial J, the others do not.
+PINNED_DRAWS = [
+    (("x*y", "z^2"), 3, 11, [
+        {"module": "R/(x*y, z^2)", "I": ["0"], "a": ["y", "z^2"], "b": ["x", "z^2"],
+         "geometric": True, "selflinked": False},
+        {"module": "R/(x*y, z^2)", "I": ["x + y"], "a": ["y", "x", "z^2"], "b": ["y", "x", "z^2"],
+         "geometric": False, "selflinked": True},
+        {"module": "R/(x*y, z^2)", "I": ["x + y"], "a": ["x + y", "z^2", "y*z", "y^2"],
+         "b": ["z", "y", "x"], "geometric": False, "selflinked": False},
+    ]),
+    (("x^2 - y*z",), 3, 12, [
+        {"module": "R/(x^2 - y*z)", "I": ["x^2"], "a": ["z", "x^2"], "b": ["y", "x^2"],
+         "geometric": True, "selflinked": False},
+        {"module": "R/(x^2 - y*z)", "I": ["x"], "a": ["z", "x"], "b": ["y", "x"],
+         "geometric": True, "selflinked": False},
+        {"module": "R/(x^2 - y*z)", "I": ["y + z", "z^2"], "a": ["y + z", "z^2", "x*z", "x^2"],
+         "b": ["z", "y", "x"], "geometric": False, "selflinked": False},
+    ]),
+    (("x*y - z^2", "x*z"), 2, 13, [
+        {"module": "R/(x*y - z^2, x*z)", "I": ["x + y"], "a": ["y", "x", "z^2"],
+         "b": ["z", "x + y", "y^2"], "geometric": False, "selflinked": False},
+        {"module": "R/(x*y - z^2, x*z)", "I": ["x + y"], "a": ["x + y", "z^2", "y*z", "y^2"],
+         "b": ["z", "y", "x"], "geometric": False, "selflinked": False},
+    ]),
+]
+
+
+@pytest.mark.parametrize("gens, count, seed, expected", PINNED_DRAWS)
+def test_random_pairs_are_pinned(gens, count, seed, expected):
+    ctx = ring("x", "y", "z")
+    M = R_mod(ctx, *gens)
+    got = [c.as_json() for c in random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS])
+def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
+    # within one call, a prefix (*seq, cand) drawn again reuses its ideal
+    # J + (seq, cand) or its refusal: one regularity test per distinct prefix
+    ctx = ring("x", "y", "z")
+    M = R_mod(ctx, *gens)
+    tested, drawn = [], []
+    is_regular_on, pool = linkage.is_regular_on, linkage._sequence_pool
+
+    def counted_test(step, Q):
+        tested.append((Q.gens, step.gens))
+        return is_regular_on(step, Q)
+
+    def counted_draw(*args):
+        drawn.append(pool(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(linkage, "is_regular_on", counted_test)
+    monkeypatch.setattr(linkage, "_sequence_pool", counted_draw)
+    list(random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed))
+    assert tested and len(set(tested)) == len(tested)
+    assert len(drawn) > len(tested)

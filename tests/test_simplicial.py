@@ -170,7 +170,7 @@ def test_complex_of_cover_enumeration_honours_soft_timeout():
     # each branch of the cover enumeration checks the deadline
     ctx = ring(*(f"x{i}" for i in range(11)))
     with set_limits(soft_timeout=0):
-        with pytest.raises(BudgetExceeded, match="^complex_of covers"):
+        with pytest.raises(BudgetExceeded, match="^Stanley-Reisner vertex covers"):
             complex_of(MI(ctx, "x0*x1"))
     assert len(complex_of(MI(ctx, "x0*x1")).facets) == 2
 
@@ -214,7 +214,7 @@ def test_complete_graph_covers_branch_without_repeats(monkeypatch):
     edges = [tuple(int(k in (i, j)) for k in range(n)) for i, j in itertools.combinations(range(n), 2)]
     I = MonomialIdeal.from_exponents(ctx, edges)
     assert complex_of(I).facets == tuple(frozenset({v}) for v in range(n))
-    assert 0 < checks.count("complex_of covers") <= 1000
+    assert 0 < checks.count("Stanley-Reisner vertex covers") <= 1000
     assert depth_squarefree(I) == 1
 
 
