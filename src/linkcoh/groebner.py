@@ -222,11 +222,8 @@ def monomial_gens(I: Ideal) -> tuple[Exponents, ...] | None:
 
 def minimalize(exps: Iterable[Exponents]) -> tuple[Exponents, ...]:
     """The minimal generators among `exps`, sorted by (degree, exponent)."""
-    distinct = set(exps)
-    if len(distinct) < 2:
-        return tuple(distinct)
     kept: list[Exponents] = []
-    for i, e in enumerate(sorted(distinct, key=lambda e: (sum(e), e))):
+    for i, e in enumerate(sorted(set(exps), key=lambda e: (sum(e), e))):
         if i & 255 == 255:
             check_deadline("minimalize")
         if not any(all(map(le_, f, e)) for f in kept):
@@ -814,10 +811,9 @@ def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> b
 
 
 def is_unit_ideal(I: Ideal) -> bool:
-    """Whether I is the whole ring.  While I's degrevlex basis is not cached
-    and its generators are all terms, that is whether one of them is a
-    nonzero constant, and no basis is built."""
-    if DEGREVLEX.token() not in I._gb_cache and all(g.is_term() for g in I.gens if not g.is_zero()):
+    """Whether I is the whole ring.  When its generators are all terms, that
+    is whether one of them is a nonzero constant, and no basis is built."""
+    if all(g.is_term() for g in I.gens if not g.is_zero()):
         return any(g.is_constant() for g in I.gens if not g.is_zero())
     gb = reduced_gb(I)
     return len(gb) == 1 and gb[0].is_constant()

@@ -122,6 +122,11 @@ class MonomialIdeal:
     """A monomial ideal held by its (unique) minimal generators, sorted by
     (degree, exponent) as `minimalize` returns them.
 
+    `min_gens` must be that canonical tuple: equality, `is_squarefree` and
+    `to_ideal` (which hands it on as the ideal's `monomial_gens`) rely on it.
+    Build from other exponents with `from_exponents`; `from_ideal`, `parse`
+    and the kernels of this module return canonical ideals.
+
     No generators at all means the zero ideal; the single generator 1 means
     the unit ideal.
     """
