@@ -2,6 +2,11 @@
 saturation, radical membership and elimination -- and the one Groebner
 engine that ideals and free modules share.
 
+Every basis, remainder and membership test is degrevlex (position over
+degrevlex for vectors); an ideal caches one reduced basis and one reducer
+table.  The engine entries `_buchberger` and `_gb` also take a block order,
+which `eliminate` (and so `saturate`) runs under and nothing caches.
+
 Operands whose generators are all terms never reach the engine:
 `reduced_gb`, `ideal_quotient` and `ideal_intersect` answer them with the
 divisibility kernels below, which `monomial.py` builds on, and
@@ -158,12 +163,13 @@ class Ideal:
     """An ideal of Q[x_1..x_n] held by explicit generators.
 
     Generators are never mutated; the zero ideal is represented by a single
-    zero polynomial so `gens` is always nonempty.  Reduced Groebner bases, and
-    the reducer tables that membership tests divide by, are cached per
-    monomial order on the instance, and so is the answer of `monomial_gens`.
+    zero polynomial so `gens` is always nonempty.  The reduced degrevlex
+    basis (`_gb`), the reducer table that membership tests divide by
+    (`_table`) and the answer of `monomial_gens` are each computed at most
+    once and cached on the instance; None means not yet computed.
     """
 
-    __slots__ = ("ctx", "gens", "_gb_cache", "_table_cache", "_monomial_gens")
+    __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens")
 
     def __init__(self, ctx: RingCtx, gens: Iterable[Polynomial]) -> None:
         kept = []
@@ -174,8 +180,8 @@ class Ideal:
                 kept.append(g)
         self.ctx = ctx
         self.gens: tuple[Polynomial, ...] = tuple(kept) or (Polynomial.zero(ctx),)
-        self._gb_cache: dict = {}
-        self._table_cache: dict = {}
+        self._gb: tuple[Polynomial, ...] | None = None
+        self._table: ReducerTable | None = None
         self._monomial_gens = _NOT_COMPUTED
 
     @classmethod
@@ -258,20 +264,20 @@ def _by_terms(kernel, I: Ideal, J: Ideal) -> Ideal | None:
     if a is None or b is None:
         return None
     gens = kernel(a, b)
-    Q = _seeded(I.ctx, _term_basis(I.ctx, gens, DEGREVLEX))
+    Q = _seeded(I.ctx, _term_basis(I.ctx, gens))
     Q._monomial_gens = gens
     return Q
 
 
-def _term_basis(ctx: RingCtx, gens: Iterable[Exponents], order: MonomialOrder) -> tuple:
+def _term_basis(ctx: RingCtx, gens: Iterable[Exponents]) -> tuple:
     """The reduced basis of the ideal of minimal generators `gens`."""
-    return tuple(Polynomial(ctx, {e: _ONE}) for e in sorted(gens, key=order.key))
+    return tuple(Polynomial(ctx, {e: _ONE}) for e in sorted(gens, key=DEGREVLEX.key))
 
 
 def _seeded(ctx: RingCtx, basis: tuple[Polynomial, ...]) -> Ideal:
     """The ideal of its reduced degrevlex basis `basis`, cached."""
     Q = Ideal(ctx, basis)
-    Q._gb_cache[DEGREVLEX.token()] = basis
+    Q._gb = basis
     return Q
 
 
@@ -289,28 +295,26 @@ class _Codec:
 
     A field holds w value bits under one guard bit; M = 2^w - 1.  From the
     top: the position field r - p when rank > 0, so lower positions dominate;
-    then the ring fields -- degrevlex: deg, M - e_n, .., M - e_1; block: per
-    block, dominant first, its degree and then its complement fields; lex:
-    e_1, .., e_n.  The encoding is affine, enc(e) = C + sum e_j*W_j over the
-    whole exponent, so x^(e - le)*g is enc(g) + enc(e) - enc(le).  While
-    every field stays in [0, M] no guard bit is set and nothing carries, and
-    a sum of two encodings less a third sets the guard bit of its lowest
-    field out of range, so `k & G` flags each overflow.  The variable fields
-    (complement or lex) carry divisibility: le | e at a common position
-    exactly when (R + sign*e) & GM == GM, with the reducer's mark
-    R = G - sign*enc(le), since each such field then reads 2^w + e_j - le_j.
+    then the ring fields, per block of the order (degrevlex is one block of
+    every variable), dominant block first: the block's degree, then the
+    complement fields M - e_j of its variables, last variable first.  The
+    encoding is affine, enc(e) = C + sum e_j*W_j over the whole exponent, so
+    x^(e - le)*g is enc(g) + enc(e) - enc(le).  While every field stays in
+    [0, M] no guard bit is set and nothing carries, and a sum of two
+    encodings less a third sets the guard bit of its lowest field out of
+    range, so `k & G` flags each overflow.  The complement fields carry
+    divisibility: le | e at a common position exactly when
+    (R - enc(e)) & GM == GM, with the reducer's mark R = G + enc(le), since
+    each such field then reads 2^w + e_j - le_j.  Decoding reads ~k, whose
+    complement fields are the e_j.
     """
 
-    __slots__ = ("w", "M", "G", "GM", "C", "W", "sign", "flip", "shifts", "pshift", "ring_mask", "heads")
+    __slots__ = ("w", "M", "G", "GM", "C", "W", "shifts", "pshift", "ring_mask", "heads")
 
     def __init__(self, order: MonomialOrder, rank: int, n: int, w: int) -> None:
-        lex = order.kind == "lex"
-        if lex:
-            fields = [("e", j) for j in range(n)]
-        else:
-            fields = []
-            for blk in order.blocks or (tuple(range(n)),):
-                fields += [("deg", blk)] + [("e", j) for j in reversed(blk)]
+        fields = []
+        for blk in order.blocks or (tuple(range(n)),):
+            fields += [("deg", blk)] + [("e", j) for j in reversed(blk)]
         F, M = w + 1, (1 << w) - 1
         W, shifts = [0] * n, [0] * n
         C = G = GM = 0
@@ -321,8 +325,8 @@ class _Codec:
                 for j in v:
                     W[j] += 1 << s
             else:
-                W[v] += 1 << s if lex else -(1 << s)
-                C += 0 if lex else M << s
+                W[v] -= 1 << s
+                C += M << s
                 GM |= 1 << (s + w)
                 shifts[v] = s
         ps = len(fields) * F
@@ -330,7 +334,6 @@ class _Codec:
             G |= 1 << (ps + w)
         self.w, self.M, self.G, self.GM, self.C = w, M, G, GM, C
         self.W = [(rank - p) << ps for p in range(rank)] + W
-        self.sign, self.flip = (1, 0) if lex else (-1, -1)
         self.shifts, self.pshift, self.ring_mask = shifts, ps, (1 << ps) - 1
         # the prefix of position field value v, which is r - p
         self.heads = [()] + [tuple(int(q == rank - v) for q in range(rank)) for v in range(1, rank + 1)]
@@ -348,17 +351,17 @@ class _Codec:
 
     def dec(self, k: int) -> Exponents:
         """The exponent tuple, prefix and ring part, of a packed exponent."""
-        x, M = k ^ self.flip, self.M
+        x, M = ~k, self.M
         return self.heads[k >> self.pshift] + tuple([x >> s & M for s in self.shifts])
 
 
-_CODECS: dict = {}  # (order token, rank, n, w) -> _Codec
+_CODECS: dict = {}  # (order, rank, n, w) -> _Codec
 
 
 def _codec(order: MonomialOrder, rank: int, n: int, w: int) -> _Codec:
     """The codec of runs under `order` over `rank` positions, n variables and
     width w, built once per process."""
-    key = (order.token(), rank, n, w)
+    key = (order, rank, n, w)
     cx = _CODECS.get(key)
     if cx is None:
         cx = _CODECS[key] = _Codec(order, rank, n, w)
@@ -420,11 +423,11 @@ def _primitive(ints: dict, cx: _Codec) -> tuple[int, int, int, tuple]:
     """The (mark, lead, a, tail) reducer of the primitive part of a nonzero
     packed integer term map (content divided out, signed so that the lead
     coefficient a > 0); the tail lists the other terms as (exponent, coeff)
-    and the mark is the lead's divisibility mark G - sign*lead."""
+    and the mark is the lead's divisibility mark G + lead."""
     lead = max(ints)
     g = gcd(*ints.values()) * (1 if ints[lead] > 0 else -1)
     tail = tuple((e, v // g) for e, v in ints.items() if e != lead)
-    return cx.G - cx.sign * lead, lead, ints[lead] // g, tail
+    return cx.G + lead, lead, ints[lead] // g, tail
 
 
 def _sub_shifted(work: dict, tail: tuple, q: int, c, G: int) -> None:
@@ -460,16 +463,15 @@ def _reduce(work: dict, table: dict, cx: _Codec, what: str) -> tuple[dict, int]:
     """
     rem: dict[int, int] = {}
     s = steps = 1
-    G, GM, sign, ps = cx.G, cx.GM, cx.sign, cx.pshift
+    G, GM, ps = cx.G, cx.GM, cx.pshift
     while work:
         if steps & 255 == 0:
             check_deadline(what, steps)
         steps += 1
         e = max(work)
         c = work.pop(e)
-        t = sign * e
         for R, le, a, tail in table.get(e >> ps, ()):
-            if (R + t) & GM == GM:
+            if (R - e) & GM == GM:
                 g = gcd(a, c)
                 if (m := a // g) != 1:
                     s *= m
@@ -487,10 +489,10 @@ class ReducerTable:
     cleared, packed and made primitive once per codec width a division asks
     for, so one table serves any number of divisions."""
 
-    __slots__ = ("order", "rank", "maps", "degree", "_packed")
+    __slots__ = ("rank", "maps", "degree", "_packed")
 
-    def __init__(self, maps: list[dict], order: MonomialOrder, rank: int) -> None:
-        self.order, self.rank, self.maps = order, rank, maps
+    def __init__(self, maps: list[dict], rank: int) -> None:
+        self.rank, self.maps = rank, maps
         self.degree = _degree(maps)
         self._packed: dict = {}  # width -> position field -> reducers
 
@@ -506,9 +508,9 @@ class ReducerTable:
         return got
 
 
-def _table(basis: Iterable[dict], order: MonomialOrder, rank: int = 0) -> ReducerTable:
-    """The reducer table of the term maps `basis`, in basis order."""
-    return ReducerTable([_integral(g)[0] for g in basis if g], order, rank)
+def _table(basis: Iterable[dict], rank: int = 0) -> ReducerTable:
+    """The degrevlex reducer table of the term maps `basis`, in basis order."""
+    return ReducerTable([_integral(g)[0] for g in basis if g], rank)
 
 
 def _divide(work: dict, table: ReducerTable) -> dict:
@@ -527,14 +529,12 @@ def _divide(work: dict, table: ReducerTable) -> dict:
         return {cx.dec(e): Fraction(c, d * s) for e, c in rem.items()}
 
     n = len(next(iter(ints))) - rank
-    return _widening(run, table.order, rank, n, max(table.degree, _degree([ints])))
+    return _widening(run, DEGREVLEX, rank, n, max(table.degree, _degree([ints])))
 
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX
-) -> Polynomial:
-    """Full remainder of f under division by `basis`."""
-    table = _table((g.term_map() for g in basis), order)
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Full remainder of f under degrevlex division by `basis`."""
+    table = _table(g.term_map() for g in basis)
     return Polynomial(f.ctx, _divide(f.term_map(), table))
 
 
@@ -576,7 +576,7 @@ def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[di
     of the lcm, so it never fires there, as it must not.
     """
     meter = _Meter()
-    G, GM, sign, ps, C, W, dec = cx.G, cx.GM, cx.sign, cx.pshift, cx.C, cx.W, cx.dec
+    G, GM, ps, C, W, dec = cx.G, cx.GM, cx.pshift, cx.C, cx.W, cx.dec
     queue = _PairQueue(cx.ring_mask)
     red: list[tuple[int, int, int, tuple]] = []  # (mark, lead, a, tail) of the basis elements
     exps: list[Exponents] = []  # their leads, decoded
@@ -612,12 +612,11 @@ def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[di
             continue
         # chain criterion
         pending = queue.pending
-        t = sign * l
         skip = False
         for k in at[l >> ps]:
             if k == i or k == j:
                 continue
-            if (red[k][0] + t) & GM == GM:
+            if (red[k][0] - l) & GM == GM:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -642,8 +641,7 @@ def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[di
     for i in sorted(range(len(red)), key=lambda i: red[i][1]):
         lead = red[i][1]
         here = final.setdefault(lead >> ps, [])
-        t = sign * lead
-        if not any((r[0] + t) & GM == GM for r in here):
+        if not any((r[0] - lead) & GM == GM for r in here):
             here.append(red[i])
             kept.append(i)
     # tail-reduce: the kept elements form a minimal basis, so each tail has a
@@ -719,7 +717,7 @@ def module_table(basis: Sequence[Vec], rank: int) -> ReducerTable:
     """The reducer table of vectors of R^rank, built once for any number of
     `module_reduce` calls."""
     heads = _heads(rank)
-    return _table((_encode(w, heads) for w in basis), DEGREVLEX, rank)
+    return _table((_encode(w, heads) for w in basis), rank)
 
 
 def module_reduce(v: Vec, table: ReducerTable) -> Vec:
@@ -782,32 +780,25 @@ def _colon(ctx: RingCtx, vectors: Sequence[Vec], basis: Sequence[Vec]) -> Ideal:
     return _seeded(ctx, tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked))[0]))
 
 
-def reduced_gb(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis; empty tuple for the zero ideal."""
-    token = order.token()
-    cached = I._gb_cache.get(token)
-    if cached is not None:
-        return cached
-    gens = monomial_gens(I)
-    basis = tuple(_gb(I.ctx, I.gens, order)) if gens is None else _term_basis(I.ctx, gens, order)
-    I._gb_cache[token] = basis
-    return basis
+def reduced_gb(I: Ideal) -> tuple[Polynomial, ...]:
+    """The unique reduced degrevlex Groebner basis, monic, in increasing
+    order of the leads; empty tuple for the zero ideal.  Computed once per
+    ideal: a term ideal's is its minimal generators, any other an engine
+    run's answer."""
+    if I._gb is None:
+        gens = monomial_gens(I)
+        I._gb = tuple(_gb(I.ctx, I.gens, DEGREVLEX)) if gens is None else _term_basis(I.ctx, gens)
+    return I._gb
 
 
-def _ideal_table(I: Ideal, order: MonomialOrder) -> ReducerTable:
-    """The reducer table of I's reduced basis under `order`, built once per
-    ideal and order and cached beside the basis."""
-    token = order.token()
-    table = I._table_cache.get(token)
-    if table is None:
-        table = I._table_cache[token] = _table((g.term_map() for g in reduced_gb(I, order)), order)
-    return table
-
-
-def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = DEGREVLEX) -> bool:
+def ideal_member(f: Polynomial, I: Ideal) -> bool:
+    """Whether f lies in I: f divides to zero by the reducer table of I's
+    reduced basis, built once per ideal and cached beside the basis."""
     if f.is_zero():
         return True
-    return not _divide(f.term_map(), _ideal_table(I, order))
+    if I._table is None:
+        I._table = _table(g.term_map() for g in reduced_gb(I))
+    return not _divide(f.term_map(), I._table)
 
 
 def is_unit_ideal(I: Ideal) -> bool:
@@ -823,9 +814,9 @@ def is_proper(I: Ideal) -> bool:
     return not is_unit_ideal(I)
 
 
-def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = DEGREVLEX) -> bool:
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
     _same_ctx(I, J)
-    return reduced_gb(I, order) == reduced_gb(J, order)
+    return reduced_gb(I) == reduced_gb(J)
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:

@@ -88,16 +88,19 @@ def assh(M: CyclicModule) -> PrimeSet:
 
 
 def _becomes_maximal(a: Ideal, am: MonomialIdeal | None, p: MonomialPrime) -> bool:
-    """Whether sqrt(a + p) is the ideal of all variables.  For monomial a:
-    whether each variable outside p has a pure power (or a unit) among a's
-    minimal generators, as sqrt(a) is generated by their supports."""
+    """Whether sqrt(a + p) is the ideal of all variables, which the unit
+    ideal is not.  For monomial a: whether a is proper and each variable
+    outside p has a pure power among a's minimal generators, as sqrt(a) is
+    generated by their supports."""
     ctx = a.ctx
     if am is not None:
+        if am.is_unit():
+            return False
         supports = [{i for i, x in enumerate(e) if x} for e in am.min_gens]
         outside = set(range(ctx.n)) - set(p.vars)
         return all(any(sup <= {i} for sup in supports) for i in outside)
     ap = ideal_sum(a, p.to_ideal(ctx))
-    return all(
+    return is_proper(ap) and all(
         radical_member(Polynomial.variable(ctx, v), ap) for v in ctx.var_names
     )
 

@@ -117,9 +117,12 @@ def _degrevlex_key(e: Exponents):
 class MonomialOrder:
     """A multiplicative monomial well-order usable as a max-selection key.
 
-    kind "block" is the elimination order: exponents are compared degrevlex
-    on the first (dominant) index block, then on the second, so any monomial
-    involving a dominant variable beats every monomial that avoids them.
+    There are two kinds.  "degrevlex" is the term order of every ideal and
+    module answer.  "block" is the elimination order that `eliminate` runs
+    the engine under: exponents are compared degrevlex on the first
+    (dominant) index block, then on the next, so any monomial involving a
+    dominant variable beats every monomial that avoids them.  Lex is the
+    block order with one singleton block per variable.
     """
 
     kind: str
@@ -128,16 +131,10 @@ class MonomialOrder:
     def key(self, e: Exponents):
         if self.kind == "degrevlex":
             return _degrevlex_key(e)
-        if self.kind == "lex":
-            return e
         return tuple(_degrevlex_key(tuple(e[i] for i in blk)) for blk in self.blocks)
-
-    def token(self):
-        return (self.kind, self.blocks)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
 
 
 def elimination_order(drop: Iterable[int], n: int) -> MonomialOrder:
@@ -219,14 +216,16 @@ class Polynomial:
         """Every term has the same total degree; zero counts as homogeneous."""
         return len({sum(e) for e in self._terms}) <= 1
 
-    def lead(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponents, Fraction]:
+    def lead(self) -> tuple[Exponents, Fraction]:
+        """The degrevlex-largest term."""
         if not self._terms:
             raise RingError("zero polynomial has no leading term")
-        e = max(self._terms, key=order.key)
+        e = max(self._terms, key=_degrevlex_key)
         return e, self._terms[e]
 
-    def terms_sorted(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def terms_sorted(self) -> list[tuple[Exponents, Fraction]]:
+        """The terms, degrevlex-largest first."""
+        return sorted(self._terms.items(), key=lambda t: _degrevlex_key(t[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -449,13 +448,14 @@ def parse_poly(text: str, ctx: RingCtx) -> Polynomial:
     return Polynomial(ctx, terms)
 
 
-def format_poly(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
-    """Canonical text form; ``parse_poly(format_poly(p), ctx) == p``."""
+def format_poly(p: Polynomial) -> str:
+    """Canonical text form, terms in decreasing degrevlex order;
+    ``parse_poly(format_poly(p), ctx) == p``."""
     if p.is_zero():
         return "0"
     names = p.ctx.var_names
     pieces: list[str] = []
-    for k, (e, c) in enumerate(p.terms_sorted(order)):
+    for k, (e, c) in enumerate(p.terms_sorted()):
         factors = []
         for i, x in enumerate(e):
             if x == 1:

@@ -715,7 +715,7 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     if jobs < 1:
         raise RingError(f"jobs must be at least 1, got {jobs}")
     tasks = [(claim, params, params.seed + k) for k in range(params.count)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
         with Pool(processes=workers) as pool:
             verdicts = pool.map(_run_instance, tasks, chunksize=1)

@@ -7,7 +7,9 @@ instead: a fresh engine basis, the engine's syzygy colon (taken modulo such
 a basis, as its contract asks), and the tag-variable intersection, which
 shares no construction with the colon and is therefore the colon's oracle.
 `division_koszul_grade` is the oracle of `koszul_grade`: it divides each
-cycle by a boundary basis built in a run of its own.
+cycle by a boundary basis built in a run of its own.  The ideal API is
+degrevlex only, so a test that wants a lex basis asks the engine for one
+under `lex(n)`.
 """
 
 from linkcoh.groebner import (
@@ -22,11 +24,18 @@ from linkcoh.groebner import (
     normal_form,
 )
 from linkcoh.modules import _koszul_columns, submodule_syzygies, vec_is_zero
-from linkcoh.ring import DEGREVLEX, Polynomial
+from linkcoh.ring import DEGREVLEX, MonomialOrder, Polynomial
+
+
+def lex(n):
+    """Lex over n variables, x_1 > .. > x_n: the block order of n singleton
+    blocks, which the engine packs as it packs an elimination order."""
+    return MonomialOrder("block", tuple((i,) for i in range(n)))
 
 
 def engine_gb(I, order=DEGREVLEX):
-    """The reduced basis of I from a fresh engine run, cache unread."""
+    """The reduced basis of I under `order` from a fresh engine run, cache
+    unread."""
     return tuple(_gb(I.ctx, I.gens, order))
 
 

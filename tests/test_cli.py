@@ -223,6 +223,15 @@ def test_att_top_and_assf0(capsys):
     assert doc["associated_primes"] == [["x"], ["x", "y"]]
 
 
+def test_att_top_and_assf0_when_a_plus_p_is_the_unit_ideal(capsys):
+    # (x - 1) + (x) and (1) + p are the unit ideal, whose radical is not the
+    # ideal of variables: no prime of Ass M = {(x), (y)} qualifies
+    doc = doc_of(capsys, "att-top", "--ring", "x,y", "--ideal", "x-1", "--module", "x*y")
+    assert doc["attached_primes"] == []
+    doc = doc_of(capsys, "assf0", "--ring", "x,y", "--ideal", "1", "--module", "x*y")
+    assert doc["associated_primes"] == []
+
+
 def test_htm(capsys):
     doc = doc_of(
         capsys, "htm", "--ring", "x,y,z", "--prime", "x,y", "--module", "x*y"

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from engine_routes import engine_gb, engine_quotient, tag_intersect
+from engine_routes import engine_gb, engine_quotient, lex, tag_intersect
 from linkcoh import groebner
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -40,7 +40,6 @@ from linkcoh.groebner import (
 from linkcoh.monomial import from_ideal
 from linkcoh.ring import (
     DEGREVLEX,
-    LEX,
     Polynomial,
     elimination_order,
     mono_divides,
@@ -252,7 +251,7 @@ def test_quotient_hand_cases_and_property():
 
     def seeded(Q):
         # the colon seeds its degrevlex basis, listed as a fresh run lists it
-        assert Q._gb_cache[DEGREVLEX.token()] == tuple(_gb(Q.ctx, Q.gens, DEGREVLEX))
+        assert Q._gb == tuple(_gb(Q.ctx, Q.gens, DEGREVLEX))
         return Q
 
     for _ in range(10):
@@ -291,18 +290,16 @@ def test_monomial_dispatch_matches_engine():
         ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
         I, J = data.draw(term_ideal(ctx)), data.draw(term_ideal(ctx))
         with set_limits(max_spairs=0):
-            bases = {order: reduced_gb(I, order) for order in (DEGREVLEX, LEX)}
+            basis = reduced_gb(I)
             X = ideal_intersect(I, J)
             Q = None if J.is_zero_ideal() else ideal_quotient(I, J)
         T = tag_intersect(I, J)
         assert X.gens == T.gens
-        for order, basis in bases.items():
-            assert basis == engine_gb(I, order)
-            assert reduced_gb(X, order) == engine_gb(T, order)
+        assert basis == engine_gb(I)
+        assert reduced_gb(X) == engine_gb(T)
         if Q is not None:
             E = engine_quotient(I, J)
-            assert Q.gens == E.gens and Q._gb_cache == E._gb_cache
-            assert reduced_gb(Q, LEX) == engine_gb(E, LEX)
+            assert Q.gens == E.gens and Q._gb == E._gb
 
     check()
 
@@ -423,7 +420,7 @@ def test_unit_test_of_term_ideals_reads_the_generators():
         unit = _gb(ctx, I.gens, DEGREVLEX) == [Polynomial.const(ctx, 1)]
         assert is_unit_ideal(I) == unit
         assert is_proper(I) != unit
-        assert not I._gb_cache and I._monomial_gens is groebner._NOT_COMPUTED
+        assert I._gb is None and I._monomial_gens is groebner._NOT_COMPUTED
 
     check()
 
@@ -534,7 +531,7 @@ def test_seeded_run_matches_the_joined_run():
     @hyp.given(st.data())
     def check(data):
         n, rank = data.draw(st.integers(2, 3)), data.draw(st.integers(0, 3))
-        order = data.draw(st.sampled_from([DEGREVLEX, LEX]))
+        order = data.draw(st.sampled_from([DEGREVLEX, lex(n)]))
 
         def vector():
             if not rank:
@@ -557,14 +554,14 @@ def test_seeded_run_matches_the_joined_run():
     check()
 
 
-def test_membership_builds_one_table_per_ideal_and_order(monkeypatch):
+def test_membership_builds_one_table_per_ideal(monkeypatch):
     # ideal_member and ideal_contains divide by a reducer table cached on the
     # ideal beside its basis, and answer as normal_form by that basis does
     built = []
     real = groebner._table
 
     def record(*args):
-        built.append(args[1])
+        built.append(args)
         return real(*args)
 
     monkeypatch.setattr(groebner, "_table", record)
@@ -577,12 +574,9 @@ def test_membership_builds_one_table_per_ideal_and_order(monkeypatch):
     expected = [True, True, False, True, True, False]
     for _ in range(3):
         assert [ideal_member(f, I) for f in probes] == expected
-        assert [ideal_member(f, I, LEX) for f in probes] == expected
         assert ideal_contains(I, Ideal(ctx, probes[:2])) and not ideal_contains(I, Ideal(ctx, probes))
-    assert built == [DEGREVLEX, LEX]
-    for order in (DEGREVLEX, LEX):
-        basis = reduced_gb(I, order)
-        assert [normal_form(f, basis, order).is_zero() for f in probes] == expected
+    assert len(built) == 1 and I._table is not None
+    assert [normal_form(f, reduced_gb(I)).is_zero() for f in probes] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +585,8 @@ def test_membership_builds_one_table_per_ideal_and_order(monkeypatch):
 
 def _fields_fit(order, e, M):
     """Whether every field of the ring exponent e stays in [0, M]: each
-    entry, and each block degree of a graded order."""
-    blocks = () if order.kind == "lex" else order.blocks or (tuple(range(len(e))),)
+    entry, and each block degree."""
+    blocks = order.blocks or (tuple(range(len(e))),)
     return max(e, default=0) <= M and all(sum(e[j] for j in blk) <= M for blk in blocks)
 
 
@@ -609,7 +603,7 @@ def test_codec_packs_the_term_order_divisibility_and_products():
     @hyp.given(st.data())
     def check(data):
         rank, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 6))
-        order = data.draw(st.sampled_from([DEGREVLEX, LEX, "block"]))
+        order = data.draw(st.sampled_from([DEGREVLEX, lex(n), "block"]))
         if order == "block":
             drop = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
             order = elimination_order(drop, n)
@@ -660,7 +654,7 @@ def test_lex_chain_widens_past_fifteen_bits():
     ctx = ring(*names)
     I = Ideal(ctx, [P(ctx, f"x{i} - x{i + 1}^2") for i in range(16)])
     expected = [P(ctx, f"x{i} - x16^{2 ** (16 - i)}") for i in range(15, -1, -1)]
-    assert list(reduced_gb(I, LEX)) == expected
+    assert list(engine_gb(I, lex(17))) == expected
 
 
 def test_overflowing_lcm_trips_the_run():
@@ -689,10 +683,10 @@ def test_widened_run_has_its_own_spair_budget(monkeypatch):
     gens = [P(ctx, f"x{i} - x{i + 1}^2") for i in range(16)] + [P(ctx, "x0*x16 - x1")]
     with set_limits(max_spairs=152):
         with pytest.raises(BudgetExceeded, match=r"\(153 of 152\)"):
-            reduced_gb(Ideal(ctx, gens), LEX)
+            engine_gb(Ideal(ctx, gens), lex(17))
     assert widths == [15, 30]
     with set_limits(max_spairs=153):
-        assert reduced_gb(Ideal(ctx, gens), LEX)
+        assert engine_gb(Ideal(ctx, gens), lex(17))
     assert widths == [15, 30, 15, 30]
 
 
@@ -704,7 +698,7 @@ def test_cached_table_widens_for_a_high_degree_member():
     assert ideal_member(P(ctx, "x^2 - y^2"), I)
     assert ideal_member(P(ctx, "x^70000 - y^70000"), I)
     assert not ideal_member(P(ctx, "x^70000 - y^69999"), I)
-    assert sorted(I._table_cache[DEGREVLEX.token()]._packed) == [15, 19]
+    assert sorted(I._table._packed) == [15, 19]
     assert normal_form(P(ctx, "x^70000 + 1"), reduced_gb(I)) == P(ctx, "y^70000 + 1")
 
 
@@ -768,6 +762,12 @@ def _from_sympy(ctx, p):
     return Polynomial(ctx, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
 
 
+def _sympy_basis(ctx, polys, order):
+    """The sympy polynomials `polys` over ctx, in increasing order of their
+    leads under `order`, as the engine lists a reduced basis."""
+    return sorted((_from_sympy(ctx, p) for p in polys), key=lambda p: max(map(order.key, p.term_map())))
+
+
 RATIONAL_SYSTEMS = {
     "quadrics": ("1/2*x^2 - 3/4*y*z", "-5/3*x*y + 1/2*z^2", "-3/4*y^2 + 5/3*x"),
     "negative_leads": ("-3/4*x^3 + 1/2*y", "-5/3*y^2 - 1/2*x*z", "-1/2*z^2 + 3/4"),
@@ -806,9 +806,9 @@ def test_rational_gb_and_remainders_match_sympy(case):
 
 def test_reduced_gb_and_eliminate_match_sympy_property():
     # random systems over 2-3 variables, 1-3 generators of degree <= 3 with
-    # integer and rational coefficients: the reduced bases under degrevlex
-    # and lex are sympy's, and eliminating the first variable leaves the
-    # ideal of sympy's lex basis elements free of it
+    # integer and rational coefficients: the reduced degrevlex basis and the
+    # engine's lex basis are sympy's, and eliminating the first variable
+    # leaves the ideal of sympy's lex basis elements free of it
     sympy = pytest.importorskip("sympy")
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -825,16 +825,16 @@ def test_reduced_gb_and_eliminate_match_sympy_property():
         I = Ideal(ctx, gens)
         syms = sympy.symbols(ctx.var_names)
         polys = _sympy_polys(sympy, I.gens, syms)
-        for order, name in ((DEGREVLEX, "grevlex"), (LEX, "lex")):
-            G = sympy.groebner(polys, *syms, order=name, domain="QQ")
-            expected = sorted((_from_sympy(ctx, p) for p in G.polys), key=lambda p: order.key(p.lead(order)[0]))
-            assert list(reduced_gb(I, order)) == expected == list(engine_gb(I, order))
+        G = sympy.groebner(polys, *syms, order="grevlex", domain="QQ")
+        assert list(reduced_gb(I)) == _sympy_basis(ctx, G.polys, DEGREVLEX) == list(engine_gb(I))
+        G = sympy.groebner(polys, *syms, order="lex", domain="QQ")
+        assert list(engine_gb(I, lex(n))) == _sympy_basis(ctx, G.polys, lex(n))
         # G is the lex basis: its elements free of x are the reduced lex
         # basis of the elimination ideal
         small = ring(*ctx.var_names[1:])
         free = [sympy.Poly(p.as_expr(), *syms[1:]) for p in G.polys if not p.degree(syms[0])]
-        free = sorted((_from_sympy(small, p) for p in free), key=lambda p: LEX.key(p.lead(LEX)[0]))
-        assert list(reduced_gb(eliminate(I, ctx.var_names[:1]), LEX)) == free
+        ours = engine_gb(eliminate(I, ctx.var_names[:1]), lex(n - 1))
+        assert list(ours) == _sympy_basis(small, free, lex(n - 1))
 
     check()
 
@@ -846,19 +846,20 @@ def test_reduced_gb_and_eliminate_match_sympy_property():
 ])
 def test_monomial_dispatch_matches_sympy(gens):
     # term ideals never reach the engine; their reduced basis is still the
-    # unique one: the monic minimal generators, in the engine's order
+    # unique one: the monic minimal generators, in the engine's order, as
+    # the engine's lex basis is under lex
     sympy = pytest.importorskip("sympy")
     ctx = ring("x", "y", "z")
     I = I_of(ctx, *gens)
     syms = sympy.symbols(ctx.var_names)
     polys = _sympy_polys(sympy, [g for g in I.gens if not g.is_zero()], syms)
-    for order, name in ((DEGREVLEX, "grevlex"), (LEX, "lex")):
-        G = sympy.groebner(polys, *syms, order=name, domain="QQ")
-        expected = sorted((_from_sympy(ctx, p) for p in G.polys), key=lambda p: order.key(p.lead(order)[0]))
-        with set_limits(max_spairs=0):
-            ours = reduced_gb(I, order)
-        assert list(ours) == expected
-        assert all(c == 1 for p in ours for c in p.term_map().values())
+    G = sympy.groebner(polys, *syms, order="grevlex", domain="QQ")
+    with set_limits(max_spairs=0):
+        ours = reduced_gb(I)
+    assert list(ours) == _sympy_basis(ctx, G.polys, DEGREVLEX)
+    assert all(c == 1 for p in ours for c in p.term_map().values())
+    G = sympy.groebner(polys, *syms, order="lex", domain="QQ")
+    assert list(engine_gb(I, lex(3))) == _sympy_basis(ctx, G.polys, lex(3))
 
 
 def test_division_outside_buchberger_honours_soft_timeout():

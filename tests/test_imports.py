@@ -10,12 +10,14 @@ No module but groebner.py may import the engine's encoding internals, by
 name or as attributes of `groebner`.  Every name in `linkcoh.__all__` must
 resolve on the package, once.
 
-Every definition in the package must be named by some node of src/ or
-perfbench/: a name, an attribute, an import, or a string of dotted
-identifiers such as the tracer's "CyclicModule.depth".  References from
-tests/ do not count, so a route that only tests call lives in tests/ (the
-reference routes are in tests/oracles.py and tests/engine_routes.py), not
-in the package.  Dunder names, and methods that override one of a base
+Every definition in the package -- function, method, class, or name
+assigned at module top level -- must be read by some node of src/ or
+perfbench/: a name or attribute that is loaded, an import, or a string of
+dotted identifiers such as the tracer's "CyclicModule.depth".  The
+assignment that binds a name does not read it.  References from tests/ do
+not count, so a route or a constant that only tests use lives in tests/
+(the reference routes are in tests/oracles.py and tests/engine_routes.py),
+not in the package.  Dunder names, and methods that override one of a base
 class (which the base's own code calls), are exempt.  The check matches
 names only, so it cannot see a dead method whose name is also used
 elsewhere, for example as a local variable, the way a local `coeff` hid a
@@ -123,12 +125,13 @@ def test_encoding_stays_inside_groebner(path):
 
 
 def _references(tree: ast.Module) -> set[str]:
-    """Every name the tree refers to, by name, attribute, import or dotted string."""
+    """Every name the tree reads, by loaded name or attribute, import or
+    dotted string."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.update(node.name.split("."))
@@ -152,6 +155,21 @@ def _overrides(path: Path, tree: ast.Module) -> set[int]:
     return out
 
 
+def _top_level_names(tree: ast.Module):
+    """(line, name) of each name an assignment at module top level binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield node.lineno, name.id
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_no_dead_definitions():
     referenced = set()
     for top in ("src", "perfbench"):
@@ -164,8 +182,11 @@ def test_no_dead_definitions():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 name = node.name
-                if name.startswith("__") and name.endswith("__") or node.lineno in exempt:
+                if _dunder(name) or node.lineno in exempt:
                     continue
                 if name not in referenced:
                     dead.append(f"{path.name}:{node.lineno} {name}")
+        for line, name in _top_level_names(tree):
+            if not _dunder(name) and name not in referenced:
+                dead.append(f"{path.name}:{line} {name}")
     assert not dead, "defined but never referenced: " + ", ".join(dead)

@@ -520,7 +520,7 @@ def test_annihilator_of_higher_rank_matches_joined_colons():
             colon = Ideal(ctx, [t[0] for t in tags])
             joined = colon if joined is None else ideal_intersect(joined, colon)
         assert ideal_equal(ann, joined), (i, N.rank)
-        seeded = ann._gb_cache[DEGREVLEX.token()]
+        seeded = ann._gb
         assert list(seeded) == _gb(ctx, ann.gens, DEGREVLEX)
         assert seeded == ann.gens or (not seeded and ann.is_zero_ideal())
         checked += 1

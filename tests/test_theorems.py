@@ -87,6 +87,19 @@ def test_transfer_checkers_pass_on_branch_split():
     assert check_top_prime_transfer(cert).status == "pass"
 
 
+def test_top_prime_transfer_fires_dimension_gap_and_exhaustive_case():
+    # the zero-link ((x, y), (x)) over R/(x^2, xy): M/aM has dimension 0 and
+    # M/bM dimension 1, and a = (x, y) pushes both of Ass M = {(x), (x, y)}
+    # up to the ideal of variables
+    ctx = ring("x", "y")
+    M = R_mod(ctx, "x^2", "x*y")
+    cert = check_linked(I_of(ctx, "x", "y"), I_of(ctx, "x"), Ideal.zero(ctx), M)
+    v = check_top_prime_transfer(cert)
+    assert v.status == "pass", v
+    assert "dimension-gap: one side empty" in v.witnesses
+    assert "exhaustive-case fired" in v.witnesses
+
+
 def test_grade_one_checker():
     ctx = ring("x", "y")
     cert = check_linked(I_of(ctx, "x"), I_of(ctx, "y"), I_of(ctx, "x*y"), R_mod(ctx))
@@ -202,6 +215,16 @@ def test_run_claim_clamps_pool(monkeypatch, jobs, count, cpus, workers):
     doc = run_claim("t2", params, jobs=jobs)
     assert len(doc["verdicts"]) == count
     assert spawned == ([] if workers is None else [workers])
+
+
+def test_run_claim_asks_for_cpus_only_with_several_jobs(monkeypatch):
+    # one job runs serially whatever the CPU count, so the count is not read
+    def cpu_count():
+        raise AssertionError("os.cpu_count() called for jobs=1")
+
+    monkeypatch.setattr(theorems.os, "cpu_count", cpu_count)
+    params = InstanceParams(n_vars=3, count=2, maxdeg=2, seed=4)
+    assert len(run_claim("t2", params)["verdicts"]) == 2
 
 
 @pytest.mark.parametrize("jobs", [0, -4])
