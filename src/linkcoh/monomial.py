@@ -240,55 +240,55 @@ def mono_radical(I: MonomialIdeal) -> MonomialIdeal:
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """The unique irredundant decomposition into irreducible monomial ideals.
 
-    Splits a generator m = u*v with coprime nontrivial u, v via
-    I = (I + (u)) ∩ (I + (v)) until all generators are pure powers, then
-    removes redundant components.  Irreducible monomial ideals are
-    meet-prime: if A ∩ B ⊆ Q while m1 ∈ A and m2 ∈ B lie outside Q, then
-    lcm(m1, m2) lies in A ∩ B but not in Q.  So a component is redundant
-    exactly when it contains another component, and one containment pass
-    finds the unique irredundant set.  A component generated by the pure
-    powers x_i^(a_i) is its exponent vector a, and (b) ⊆ (a) exactly when
-    0 < a_i <= b_i wherever b_i != 0, so the pass compares vectors.
+    Built one minimal generator at a time (Miller and Sturmfels,
+    *Combinatorial Commutative Algebra*, ch. 5; Roune, "The slice algorithm
+    for irreducible decomposition of monomial ideals", J. Symb. Comp. 44,
+    2009).  A component generated by the pure powers x_i^(a_i) is held as
+    its exponent vector a, with a_i = 0 when x_i is absent.  The first
+    generator g gives one vector g_i e_i per i in supp g.  Each further
+    generator g keeps a component Q that contains it (0 < a_i <= g_i for
+    some i) and replaces any other by one copy per i in supp g with a_i set
+    to g_i, since Q + (g) = ∩_{i in supp g} (Q + (x_i^(g_i))).
+
+    After each generator the redundant components are dropped.  Irreducible
+    monomial ideals are meet-prime: if A ∩ B ⊆ Q while m1 ∈ A and m2 ∈ B lie
+    outside Q, then lcm(m1, m2) lies in A ∩ B but not in Q.  So a component
+    is redundant exactly when it contains another, and (b) ⊆ (a) exactly
+    when 0 < a_i <= b_i wherever b_i != 0.  A kept component cannot contain
+    a new one, as it would contain the component that grew, so only the new
+    ones are tested.  The soft deadline is checked at each generator and at
+    each new component.
     """
     if I.is_zero() or not I.is_proper():
         raise ImproperIdealError("irreducible decomposition needs a nonzero proper ideal")
-    # keyed by the canonical `minimalize` tuple, so equal ideals share a node
-    memo: dict[tuple[Exponents, ...], set[tuple[Exponents, ...]]] = {}
+    n = I.ctx.n
 
-    def rec(gens: tuple[Exponents, ...]) -> set[tuple[Exponents, ...]]:
-        got = memo.get(gens)
-        if got is not None:
-            return got
+    def power(i: int, y: int) -> Exponents:
+        return (0,) * i + (y,) + (0,) * (n - i - 1)
+
+    first, *rest = I.min_gens
+    vecs = [power(i, y) for i, y in enumerate(first) if y]
+    for g in rest:
         groebner.check_deadline("irreducible decomposition")
-        split = None
-        for g in gens:
-            sup = mono_support(g)
-            if len(sup) >= 2:
-                split = (g, sup[0])
-                break
-        if split is None:
-            out = {gens}
-        else:
-            g, i = split
-            u = tuple(g[j] if j == i else 0 for j in range(len(g)))
-            v = tuple(0 if j == i else g[j] for j in range(len(g)))
-            out = rec(minimalize(gens + (u,))) | rec(minimalize(gens + (v,)))
-        memo[gens] = out
-        return out
-
-    raw = sorted(rec(I.min_gens))
-    # a component's generators are pure powers of distinct variables, so the
-    # sum of their exponent tuples is its exponent vector
-    vecs = [tuple(map(sum, zip(*gens))) for gens in raw]
-    supports = [[(i, y) for i, y in enumerate(b) if y] for b in vecs]
-    # (a) is redundant when some other component (b) lies inside it
-    return tuple(
-        MonomialIdeal(I.ctx, gens)
-        for gens, a in zip(raw, vecs)
-        if not any(
-            b is not a and all(0 < a[i] <= y for i, y in sup) for b, sup in zip(vecs, supports)
-        )
+        sup = [(i, y) for i, y in enumerate(g) if y]
+        kept, grown = [], set()
+        for a in vecs:
+            if any(0 < a[i] <= y for i, y in sup):
+                kept.append(a)
+            else:
+                grown.update(a[:i] + (y,) + a[i + 1 :] for i, y in sup)
+        pool = [(b, [(i, y) for i, y in enumerate(b) if y]) for b in kept + list(grown)]
+        vecs = kept
+        for a in grown:
+            groebner.check_deadline("irreducible decomposition")
+            if not any(b is not a and all(0 < a[i] <= y for i, y in s) for b, s in pool):
+                vecs.append(a)
+    # a component's minimal generators are its pure powers, by (degree, exponent)
+    comps = sorted(
+        tuple(sorted((power(i, y) for i, y in enumerate(a) if y), key=lambda e: (sum(e), e)))
+        for a in vecs
     )
+    return tuple(MonomialIdeal(I.ctx, gens) for gens in comps)
 
 
 def associated_primes(I: MonomialIdeal) -> PrimeSet:
@@ -324,13 +324,12 @@ class MinAsshDim:
 def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
     """The prime record of R/I: Ass from one irreducible decomposition, and
     Min, Assh, dim and height read off it.  The zero ideal has dimension n."""
+    if I.is_unit():
+        raise ImproperIdealError("the primes of R/I need a proper ideal")
     n = I.ctx.n
     ass = associated_primes(I)
-    mins = []
-    for p in ass:
-        ps = set(p.vars)
-        if not any(q != p and set(q.vars) < ps for q in ass):
-            mins.append(p)
+    pairs = [(p, set(p.vars)) for p in ass]
+    mins = [p for p, ps in pairs if not any(qs < ps for _, qs in pairs)]
     dim = n - min(p.height for p in mins)
     assh = [p for p in mins if n - p.height == dim]
     return MinAsshDim(ass, PrimeSet(mins), PrimeSet(assh), dim, n - dim)

@@ -103,6 +103,17 @@ def test_monomial_prime_docs(capsys):
     assert doc["components"] == [["y", "x^2"], ["x"]]
 
 
+@pytest.mark.parametrize("cmd, words", [
+    ("minprimes", "the primes of R/I need a proper ideal"),
+    ("ass", "associated primes need a proper ideal"),
+])
+def test_prime_docs_refuse_the_unit_ideal_in_their_own_words(capsys, cmd, words):
+    code, out, err = invoke(capsys, cmd, "--ring", "x,y", "--ideal", "1")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: " + words
+
+
 def test_depth_doc_matches_worked_example(capsys):
     doc = doc_of(
         capsys, "depth", "--ring", "a,b,c,d", "--ideal", "a*c,a*d,b*c,b*d"
@@ -390,7 +401,7 @@ def test_budget_flags_refuse_bad_values(capsys, flag, value):
     assert "usage error" in err and flag in err
 
 
-@pytest.mark.parametrize("cmd", ["depth", "decompose", "cd"])
+@pytest.mark.parametrize("cmd", ["depth", "decompose", "ass", "minprimes", "cd"])
 def test_soft_timeout_trips_monomial_kernels(capsys, cmd):
     code, out, err = invoke(
         capsys,

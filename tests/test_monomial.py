@@ -12,7 +12,7 @@ import random
 import pytest
 
 from engine_routes import engine_gb, engine_quotient, tag_intersect
-from linkcoh.groebner import Ideal, min_gens_intersect
+from linkcoh.groebner import BudgetExceeded, Ideal, min_gens_intersect, set_limits
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -174,11 +174,13 @@ def test_irredundant_components_match_pairwise_containment_property():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
+    # up to 7 variables and 6 generators of degree <= 4: the shape of the
+    # ideals a monomial depth decomposes
     @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
-    @hyp.given(st.integers(2, 4), st.integers(0, 10**6))
+    @hyp.given(st.integers(2, 7), st.integers(0, 10**6))
     def check(n, seed):
-        ctx = ring(*"xyzw"[:n])
-        I = random_ideal(random.Random(seed), ctx, maxdeg=4, max_gens=4)
+        ctx = ring(*"xyzwuvt"[:n])
+        I = random_ideal(random.Random(seed), ctx, maxdeg=4, max_gens=6)
         comps = [MonomialIdeal(ctx, gens) for gens in sorted(_leaves(I.min_gens))]
         # the pairwise containment pass over the leaves, as an oracle
         kept = [c for c in comps if not any(d is not c and mono_contains(c, d) for d in comps)]
@@ -191,6 +193,14 @@ def test_irredundant_components_match_pairwise_containment_property():
         assert inter == I.min_gens
 
     check()
+
+
+def test_decomposition_checks_the_soft_deadline(ctx):
+    # the first check comes with the second generator
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded, match="^irreducible decomposition"):
+            irreducible_decomposition(MI(ctx, "x*y", "y*z"))
+    assert len(irreducible_decomposition(MI(ctx, "x*y", "y*z"))) == 2
 
 
 def test_associated_primes_hand_cases(ctx):
