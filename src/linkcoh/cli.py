@@ -18,7 +18,8 @@ Exit codes: 0 the computation ran (negative verdicts included), 1 usage
 or input error, 2 resource budget tripped.  The global `--max-spairs`
 and `--timeout-soft` flags go before the subcommand and bound every
 Groebner computation of the invocation; the soft deadline also bounds the
-Stanley-Reisner depth scan and the irreducible decomposition.
+monomial kernels, the Stanley-Reisner depth scan, the associated-prime
+scan and the irreducible decomposition (README lists every check point).
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative(float),
         default=None,
         metavar="SECONDS",
-        help="soft wall-clock budget checked between reduction steps, depth links "
-        "and decomposition nodes",
+        help="soft wall-clock budget checked at S-pairs, division steps, minimalize, "
+        "the monomial colon and intersection kernels, colon radicals, vertex covers, "
+        "depth links, the associated-prime scan and the irreducible decomposition",
     )
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
     for item in TABLE:

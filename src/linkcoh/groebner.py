@@ -162,11 +162,12 @@ _NOT_COMPUTED = object()
 class Ideal:
     """An ideal of Q[x_1..x_n] held by explicit generators.
 
-    Generators are never mutated; the zero ideal is represented by a single
-    zero polynomial so `gens` is always nonempty.  The reduced degrevlex
-    basis (`_gb`), the reducer table that membership tests divide by
-    (`_table`) and the answer of `monomial_gens` are each computed at most
-    once and cached on the instance; None means not yet computed.
+    `gens` holds the given generators in order with every zero dropped, so
+    the zero ideal is the one with no generators.  Generators are never
+    mutated.  The reduced degrevlex basis (`_gb`), the reducer table that
+    membership tests divide by (`_table`) and the answer of `monomial_gens`
+    are each computed at most once and cached on the instance; None means
+    not yet computed.
     """
 
     __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens")
@@ -179,7 +180,7 @@ class Ideal:
             if not g.is_zero():
                 kept.append(g)
         self.ctx = ctx
-        self.gens: tuple[Polynomial, ...] = tuple(kept) or (Polynomial.zero(ctx),)
+        self.gens: tuple[Polynomial, ...] = tuple(kept)
         self._gb: tuple[Polynomial, ...] | None = None
         self._table: ReducerTable | None = None
         self._monomial_gens = _NOT_COMPUTED
@@ -198,10 +199,10 @@ class Ideal:
         return cls(ctx, [Polynomial.const(ctx, 1)])
 
     def is_zero_ideal(self) -> bool:
-        return all(g.is_zero() for g in self.gens)
+        return not self.gens
 
     def __repr__(self) -> str:
-        return "<ideal (" + ", ".join(str(g) for g in self.gens) + ")>"
+        return "<ideal (" + (", ".join(str(g) for g in self.gens) or "0") + ")>"
 
 
 def _same_ctx(I: Ideal, J: Ideal) -> RingCtx:
@@ -218,7 +219,7 @@ def monomial_gens(I: Ideal) -> tuple[Exponents, ...] | None:
     None; computed once per ideal."""
     got = I._monomial_gens
     if got is _NOT_COMPUTED:
-        if all(g.is_term() for g in I.gens if not g.is_zero()):
+        if all(g.is_term() for g in I.gens):
             got = minimalize(e for g in I.gens for e in g.term_map())
         else:
             got = None
@@ -704,12 +705,11 @@ def ideal_block(I: Ideal, rank: int) -> list[Vec]:
 def module_gb(gens: Sequence[Vec]) -> list[Vec]:
     """Reduced Groebner basis of the submodule spanned by `gens`, under
     position-over-term order with lower positions dominant."""
-    vecs = [v for v in gens if not all(p.is_zero() for p in v)]
-    if not vecs:
+    if not gens:
         return []
-    ctx, rank = vecs[0][0].ctx, len(vecs[0])
+    ctx, rank = gens[0][0].ctx, len(gens[0])
     heads = _heads(rank)
-    out = _buchberger([_encode(v, heads) for v in vecs], DEGREVLEX, rank)
+    out = _buchberger([_encode(v, heads) for v in gens], DEGREVLEX, rank)
     return [_decode(g, ctx, rank) for g in out]
 
 
@@ -804,8 +804,8 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
 def is_unit_ideal(I: Ideal) -> bool:
     """Whether I is the whole ring.  When its generators are all terms, that
     is whether one of them is a nonzero constant, and no basis is built."""
-    if all(g.is_term() for g in I.gens if not g.is_zero()):
-        return any(g.is_constant() for g in I.gens if not g.is_zero())
+    if all(g.is_term() for g in I.gens):
+        return any(g.is_constant() for g in I.gens)
     gb = reduced_gb(I)
     return len(gb) == 1 and gb[0].is_constant()
 
@@ -861,12 +861,11 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     degrevlex basis.
     """
     ctx = _same_ctx(I, J)
-    g = [(p,) for p in J.gens if not p.is_zero()]
-    if not g:
+    if not J.gens:
         return Ideal.unit(ctx)  # I : (0) is everything
     if (by_terms := _by_terms(min_gens_colon, I, J)) is not None:
         return by_terms
-    return _colon(ctx, g, [(f,) for f in reduced_gb(I)])
+    return _colon(ctx, [(p,) for p in J.gens], [(f,) for f in reduced_gb(I)])
 
 
 # ---------------------------------------------------------------------------

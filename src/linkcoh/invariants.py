@@ -38,12 +38,11 @@ GRADED_NOTE = (
 class Verdict:
     """Outcome of checking one claim on one instance (or one batch).
 
-    status is one of pass / fail / skip / inconclusive; `holds` is None
-    whenever the claim was not actually decided.
+    status is one of pass / fail / skip / inconclusive; `holds` reads it as
+    True, False, or None when the claim was not actually decided.
     """
 
     claim: str
-    holds: bool | None
     status: str
     witnesses: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
@@ -51,19 +50,23 @@ class Verdict:
 
     @classmethod
     def passing(cls, claim: str, witnesses=(), notes=()) -> "Verdict":
-        return cls(claim, True, "pass", tuple(witnesses), tuple(notes))
+        return cls(claim, "pass", tuple(witnesses), tuple(notes))
 
     @classmethod
     def failing(cls, claim: str, counterexample: str, witnesses=(), notes=()) -> "Verdict":
-        return cls(claim, False, "fail", tuple(witnesses), tuple(notes), counterexample)
+        return cls(claim, "fail", tuple(witnesses), tuple(notes), counterexample)
 
     @classmethod
     def skipped(cls, claim: str, reason: str) -> "Verdict":
-        return cls(claim, None, "skip", (), (reason,))
+        return cls(claim, "skip", (), (reason,))
 
     @classmethod
     def inconclusive(cls, claim: str, reason: str) -> "Verdict":
-        return cls(claim, None, "inconclusive", (), (reason,))
+        return cls(claim, "inconclusive", (), (reason,))
+
+    @property
+    def holds(self) -> bool | None:
+        return {"pass": True, "fail": False}.get(self.status)
 
     def as_json(self) -> dict:
         return {

@@ -89,14 +89,13 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
         if X.ctx != ctx:
             raise RingError("linkage data lives in different rings")
     J = M.ideal
-    seq = [g for g in I.gens if not g.is_zero()]
-    if not is_regular_sequence(seq, J):
+    if not is_regular_sequence(I.gens, J):
         raise LinkageError(
             "not-regular", "the generators of I are not an M-regular sequence"
         )
     aJ = ideal_sum(a, J)
     bJ = ideal_sum(b, J)
-    for g in seq:
+    for g in I.gens:
         if not (ideal_member(g, aJ) and ideal_member(g, bJ)):
             raise LinkageError("not-contained", "I does not sit inside both ideals mod J")
     if not is_proper(aJ):
@@ -138,16 +137,10 @@ def support_identity(cert: LinkageCertificate) -> bool:
     aJ = cert.a_mod()
     bJ = cert.b_mod()
     for g in T.gens:
-        if g.is_zero():
-            continue
         if not (radical_member(g, aJ) and radical_member(g, bJ)):
             return False
     for g1 in aJ.gens:
-        if g1.is_zero():
-            continue
         for g2 in bJ.gens:
-            if g2.is_zero():
-                continue
             if not radical_member(g1 * g2, T):
                 return False
     return True

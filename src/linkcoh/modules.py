@@ -187,13 +187,12 @@ def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     ctx = N.ctx
     if N.rank == 0:
         return N
-    g = [p for p in a.gens if not p.is_zero()]
-    if not g:
+    if not a.gens:
         return N  # Hom(R, N) is N itself
     r = N.rank
     zero = Polynomial.zero(ctx)
-    columns = [tuple(f if k == j else zero for f in g for k in range(r)) for j in range(r)]
-    kernel = submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(g)))
+    columns = [tuple(f if k == j else zero for f in a.gens for k in range(r)) for j in range(r)]
+    kernel = submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(a.gens)))
     graded = N.multigraded and from_ideal(a) is not None
     return present_subquotient(kernel, N, graded)
 
@@ -250,11 +249,10 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
     aJ = ideal_sum(a, J)
     if not is_proper(aJ):
         raise ImproperIdealError("self-dual Ext wants a proper ideal")
-    g = [p for p in a.gens if not p.is_zero()]
-    if not g:
+    if not a.gens:
         return FPModule(ctx, 0, ())
-    t = len(g)
-    syz = submodule_syzygies([(p,) for p in g], [(h,) for h in reduced_gb(J)])
+    t = len(a.gens)
+    syz = submodule_syzygies([(p,) for p in a.gens], [(h,) for h in reduced_gb(J)])
     graded = from_ideal(a) is not None and from_ideal(J) is not None
     if not syz:
         kernel = [unit_vec(ctx, t, i) for i in range(t)]
@@ -452,7 +450,7 @@ class CyclicModule:
         return self.depth() == self.dim()
 
     def to_fp(self) -> FPModule:
-        rels = [(g,) for g in self.ideal.gens if not g.is_zero()]
+        rels = [(g,) for g in self.ideal.gens]
         return FPModule(self.ctx, 1, rels, multigraded=self.monomial is not None)
 
     def describe(self) -> str:

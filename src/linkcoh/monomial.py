@@ -29,7 +29,7 @@ from .ring import (
 
 
 class ImproperIdealError(RingError):
-    """An operation that needs a proper (or nonzero) ideal got something else."""
+    """An operation that needs a proper ideal got the whole ring."""
 
 
 @total_ordering
@@ -257,10 +257,13 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     when 0 < a_i <= b_i wherever b_i != 0.  A kept component cannot contain
     a new one, as it would contain the component that grew, so only the new
     ones are tested.  The soft deadline is checked at each generator and at
-    each new component.
+    each new component.  The zero ideal is irreducible: its decomposition
+    is itself.
     """
-    if I.is_zero() or not I.is_proper():
-        raise ImproperIdealError("irreducible decomposition needs a nonzero proper ideal")
+    if not I.is_proper():
+        raise ImproperIdealError("irreducible decomposition needs a proper ideal")
+    if I.is_zero():
+        return (I,)
     n = I.ctx.n
 
     def power(i: int, y: int) -> Exponents:
@@ -292,12 +295,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
 
 
 def associated_primes(I: MonomialIdeal) -> PrimeSet:
-    """Ass of R/I: radicals of the irredundant irreducible components.
-
-    The zero ideal contributes exactly the zero prime.
-    """
-    if I.is_zero():
-        return PrimeSet([MonomialPrime(())])
+    """Ass of R/I: radicals of the irredundant irreducible components.  The
+    zero ideal is its own component, so its one prime is the zero prime."""
     if not I.is_proper():
         raise ImproperIdealError("associated primes need a proper ideal")
     primes = set()

@@ -181,7 +181,7 @@ def _listed(label: str, key: str) -> Callable[[dict], str]:
 
 def _doc_gb(I: Ideal) -> dict:
     return {
-        "generators": [str(g) for g in I.gens],
+        "generators": [str(g) for g in I.gens] or ["0"],
         "reduced_gb": [str(g) for g in reduced_gb(I)] or ["0"],
     }
 
@@ -349,7 +349,7 @@ TABLE: tuple[Op | Group, ...] = (
        lambda I, drop: {"dropped": drop, "eliminated": _gens(eliminate(I, drop))},
        _listed("elimination ideal", "eliminated")),
     Op("decompose", "irreducible decomposition (monomial)", (_MONO,),
-       lambda m: {"components": [c.render() for c in irreducible_decomposition(m)]},
+       lambda m: {"components": [c.render() or ["0"] for c in irreducible_decomposition(m)]},
        _count("components", "irreducible component(s)")),
     Op("ass", "associated primes of R/I (monomial)", (_MONO,),
        lambda m: {"associated_primes": associated_primes(m).render(m.ctx)},

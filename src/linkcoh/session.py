@@ -79,7 +79,7 @@ class SessionFile:
         if self.ideals:
             lines.append("")
             for name, I in self.ideals.items():
-                lines.append(f"ideal {name} = " + ", ".join(str(g) for g in I.gens))
+                lines.append(f"ideal {name} = " + (", ".join(str(g) for g in I.gens) or "0"))
         if self.modules:
             lines.append("")
             for name in self.modules:

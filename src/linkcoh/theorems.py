@@ -275,8 +275,7 @@ def check_grade_one_links(cert: LinkageCertificate) -> Verdict:
     ctx = cert.ctx
     if not cert.module.ideal.is_zero_ideal():
         return Verdict.skipped(claim, "needs the full ring as base module")
-    seq = [g for g in cert.I.gens if not g.is_zero()]
-    if len(seq) != 1:
+    if len(cert.I.gens) != 1:
         return Verdict.skipped(claim, "needs a principal core")
     if koszul_grade(reduced_gb(cert.a), cert.module.ideal) != 1:
         return Verdict.skipped(claim, "needs grade one")

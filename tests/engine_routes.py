@@ -42,7 +42,7 @@ def engine_gb(I, order=DEGREVLEX):
 def engine_quotient(I, J):
     """I : J as one syzygy run of the engine, modulo a fresh engine basis of
     I; J must be nonzero."""
-    return _colon(I.ctx, [(g,) for g in J.gens if not g.is_zero()], [(f,) for f in engine_gb(I)])
+    return _colon(I.ctx, [(g,) for g in J.gens], [(f,) for f in engine_gb(I)])
 
 
 def tag_intersect(I, J):

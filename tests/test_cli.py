@@ -103,9 +103,18 @@ def test_monomial_prime_docs(capsys):
     assert doc["components"] == [["y", "x^2"], ["x"]]
 
 
+def test_the_zero_ideal_through_the_monomial_commands(capsys):
+    # (0) is irreducible: its one component prints as "0", its one prime is (0)
+    code, out, err = invoke(capsys, "decompose", "--ring", "x,y", "--ideal", "0")
+    assert (code, json.loads(out)["components"], err) == (0, [["0"]], "1 irreducible component(s)\n")
+    for cmd, key in (("ass", "associated_primes"), ("minprimes", "minimal_primes"), ("assh", "assh")):
+        assert doc_of(capsys, cmd, "--ring", "x,y", "--ideal", "0")[key] == [[]]
+
+
 @pytest.mark.parametrize("cmd, words", [
     ("minprimes", "the primes of R/I need a proper ideal"),
     ("ass", "associated primes need a proper ideal"),
+    ("decompose", "irreducible decomposition needs a proper ideal"),
 ])
 def test_prime_docs_refuse_the_unit_ideal_in_their_own_words(capsys, cmd, words):
     code, out, err = invoke(capsys, cmd, "--ring", "x,y", "--ideal", "1")

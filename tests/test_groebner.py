@@ -383,6 +383,15 @@ def test_ideal_parse():
     assert Z.is_zero_ideal()
 
 
+def test_the_zero_ideal_has_no_generators():
+    ctx = ring("x", "y")
+    x = Polynomial.variable(ctx, "x")
+    assert Ideal.zero(ctx).gens == ()
+    assert Ideal(ctx, [x - x]).gens == ()
+    assert Ideal(ctx, [x - x, x]).gens == (x,)
+    assert repr(Ideal.zero(ctx)) == "<ideal (0)>"
+
+
 def test_monomial_gens_is_computed_once_per_ideal(monkeypatch):
     ctx = ring("x", "y")
     terms = Ideal.parse(ctx, "x^2*y, x*y, y^3")
@@ -852,7 +861,7 @@ def test_monomial_dispatch_matches_sympy(gens):
     ctx = ring("x", "y", "z")
     I = I_of(ctx, *gens)
     syms = sympy.symbols(ctx.var_names)
-    polys = _sympy_polys(sympy, [g for g in I.gens if not g.is_zero()], syms)
+    polys = _sympy_polys(sympy, I.gens, syms)
     G = sympy.groebner(polys, *syms, order="grevlex", domain="QQ")
     with set_limits(max_spairs=0):
         ours = reduced_gb(I)

@@ -281,6 +281,8 @@ def test_verdict_shapes():
     assert (s.status, s.holds, s.notes) == ("skip", None, ("why",))
     i = Verdict.inconclusive("c", "dunno")
     assert i.status == "inconclusive" and i.holds is None
+    for status, holds in (("pass", True), ("fail", False), ("skip", None), ("inconclusive", None)):
+        assert Verdict("c", status).holds is holds
     doc = f.as_json()
     assert doc == {
         "claim": "c",

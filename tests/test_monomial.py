@@ -215,6 +215,13 @@ def test_associated_primes_hand_cases(ctx):
     assert associated_primes(zero) == PrimeSet([MonomialPrime(())])
 
 
+def test_the_zero_ideal_is_its_own_irreducible_component(ctx):
+    zero = MonomialIdeal.zero(ctx)
+    assert irreducible_decomposition(zero) == (zero,)
+    with pytest.raises(ImproperIdealError, match="^irreducible decomposition needs a proper ideal$"):
+        irreducible_decomposition(MonomialIdeal.unit(ctx))
+
+
 def test_associated_primes_colon_oracle():
     ctx2 = ring("x", "y")
     rng = random.Random(37)

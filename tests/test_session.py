@@ -47,6 +47,9 @@ def test_render_is_parse_stable():
     assert first == second
     assert first.endswith("\n")
     assert "task linkage check b b I0 over M" in first
+    # the zero ideal has no generators and renders as "0"
+    assert "\nideal I0 = 0\n" in first
+    assert parse_session_text(first).ideals["I0"].is_zero_ideal()
 
 
 def test_render_from_file(tmp_path):
