@@ -51,6 +51,7 @@ from .modules import (
     FPModule,
     ass_member,
     ext1_selfdual,
+    hom_annihilator,
     hom_cyclic,
     is_regular_sequence,
     koszul_grade,
@@ -110,6 +111,7 @@ __all__ = [
     "eliminate",
     "ext1_selfdual",
     "height_in_module",
+    "hom_annihilator",
     "hom_cyclic",
     "ideal_contains",
     "ideal_equal",

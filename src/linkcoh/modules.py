@@ -11,12 +11,15 @@ textbook module elimination.
 Modules run on the one Groebner engine of `groebner.py`, which alone knows
 how a vector is encoded for it; this module calls only its vector-level
 operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`,
-`_block_diagonal`, `_colon`).  `FPModule` tables its relation basis once.
-`FPModule.annihilator` is the colon kernel's N : (e_1..e_r), and
-`hom_cyclic` takes its input from the colon's block builder: one engine run
-each, whatever the rank.  `koszul_grade` makes one syzygy run per level it
-reads, giving that level's cycles and the boundaries below, and compares
-the two reduced bases.
+`_block_diagonal`, `_colon`).  `FPModule` tables its relation basis once,
+and a module presented by an ideal's reduced basis (`CyclicModule.to_fp`,
+the Ext ambient) keeps it as that basis.  Hom(R/a, N), the submodule of N
+that a kills, is generated by one syzygy run on the colon's block builder;
+`hom_annihilator` takes its annihilator as one more colon on N, without
+presenting Hom, and `FPModule.annihilator` (a = 0) and `ass_member` (a = p)
+read it.  `koszul_grade` makes one syzygy run per level it reads, giving
+that level's cycles and the boundaries below, and compares the two reduced
+bases.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -57,7 +60,7 @@ from .monomial import (
     MonomialPrime,
     PrimeSet,
     all_monomial_primes,
-    from_ideal,
+    as_monomial,
     min_assh_dim,
 )
 from .simplicial import depth_monomial, dim_monomial
@@ -140,77 +143,81 @@ class FPModule:
             self._table = module_table(self.rel_gb(), self.rank)
         return module_reduce(v, self._table)
 
-    def is_zero_elt(self, v: Vec) -> bool:
-        return vec_is_zero(self.nf(v))
-
-    def is_zero_module(self) -> bool:
-        return all(self.is_zero_elt(unit_vec(self.ctx, self.rank, j)) for j in range(self.rank))
-
     def annihilator(self) -> Ideal:
-        """The colon (relations : (e_1..e_r)), found in one engine run seeded
-        with the relation basis; its basis cache holds its reduced degrevlex
-        basis."""
-        if self.rank == 0:
-            return Ideal.unit(self.ctx)
-        units = [unit_vec(self.ctx, self.rank, j) for j in range(self.rank)]
-        return _colon(self.ctx, units, self.rel_gb())
+        """Ann N, which is Ann Hom(R, N): one colon by `hom_annihilator`."""
+        return hom_annihilator(Ideal.zero(self.ctx), self)
 
     def __repr__(self) -> str:
         return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
+
+
+def _presented_by(ctx: RingCtx, rank: int, basis: list[Vec], multigraded: bool) -> FPModule:
+    """R^rank / <basis> for a reduced basis, kept as the relation basis."""
+    N = FPModule(ctx, rank, basis, multigraded)
+    N._gb = basis
+    return N
+
+
+def _nonzero_forms(gens: Iterable[Vec], N: FPModule) -> list[Vec]:
+    """The distinct nonzero normal forms of gens modulo N's relation basis."""
+    seen: dict[Vec, None] = {}
+    for g in gens:
+        r = N.nf(g)
+        if not vec_is_zero(r):
+            seen.setdefault(r)
+    return list(seen)
 
 
 def present_subquotient(gens: Sequence[Vec], N: FPModule, multigraded: bool = False) -> FPModule:
     """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
     by generators and fresh syzygies; divides by N's cached relation basis
     and takes the syzygies modulo it."""
-    seen: dict[Vec, None] = {}
-    for g in gens:
-        r = N.nf(g)
-        if not vec_is_zero(r):
-            seen.setdefault(r)
-    kept = list(seen)
+    kept = _nonzero_forms(gens, N)
     if not kept:
         return FPModule(N.ctx, 0, (), multigraded)
     rels = submodule_syzygies(kept, N.rel_gb())
     return FPModule(N.ctx, len(kept), rels, multigraded)
 
 
-def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
-    """Hom(R/a, N), presented; canonically the submodule of N killed by a.
-
-    For generators g_1..g_t of a, that is the syzygies of the stacked vectors
-    (g_1*e_j|..|g_t*e_j), j = 1..r, modulo t block-diagonal copies of the
-    relation basis: the colon's input, with r stacked vectors in place of one.
-    """
+def _hom_kernel(a: Ideal, N: FPModule) -> list[Vec]:
+    """Vectors of R^r whose images generate Hom(R/a, N), the submodule of N
+    that a kills: for generators g_1..g_t of a, the syzygies of the stacked
+    vectors (g_1*e_j|..|g_t*e_j), j = 1..r, modulo t block-diagonal copies
+    of the relation basis, in one engine run; every e_j when a = 0."""
     if a.ctx != N.ctx:
         raise RingError("ideal and module live in different rings")
-    ctx = N.ctx
-    if N.rank == 0:
-        return N
-    if not a.gens:
-        return N  # Hom(R, N) is N itself
     r = N.rank
-    zero = Polynomial.zero(ctx)
+    if r == 0:
+        return []
+    if not a.gens:
+        return [unit_vec(N.ctx, r, j) for j in range(r)]
+    zero = Polynomial.zero(N.ctx)
     columns = [tuple(f if k == j else zero for f in a.gens for k in range(r)) for j in range(r)]
-    kernel = submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(a.gens)))
-    graded = N.multigraded and from_ideal(a) is not None
-    return present_subquotient(kernel, N, graded)
+    return submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(a.gens)))
+
+
+def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
+    """Hom(R/a, N), presented as the submodule of N that a kills."""
+    kernel = _hom_kernel(a, N)
+    return present_subquotient(kernel, N, N.multigraded and as_monomial(a) is not None)
+
+
+def hom_annihilator(a: Ideal, N: FPModule) -> Ideal:
+    """Ann Hom(R/a, N) without presenting Hom: the colon N : (u_1..u_k) over
+    the nonzero normal forms u_i of `_hom_kernel`, which generate Hom, in one
+    engine run seeded with N's relation basis; the answer comes back with its
+    reduced degrevlex basis cached.  The unit ideal when there are none."""
+    kept = _nonzero_forms(_hom_kernel(a, N), N)
+    if not kept:
+        return Ideal.unit(N.ctx)
+    return _colon(N.ctx, kept, N.rel_gb())
 
 
 def ass_member(p: MonomialPrime, N: FPModule) -> bool:
-    """Whether p is an associated prime of N.
-
-    p is associated iff Hom(R/p, N) is nonzero after localizing at p; for the
-    module H = Hom(R/p, N), which p kills, that localization is nonzero
-    exactly when Ann H is contained in p.
-    """
-    if N.is_zero_module():
-        return False
-    H = hom_cyclic(p.to_ideal(N.ctx), N)
-    if H.is_zero_module():
-        return False
-    ann = H.annihilator()
-    return all(p.contains_poly(f) for f in ann.gens)
+    """Whether p is an associated prime of N: whether Hom(R/p, N), which p
+    kills, is nonzero after localizing at p, i.e. its annihilator lies in p.
+    A zero Hom has the unit annihilator, which lies in no prime."""
+    return all(p.contains_poly(f) for f in hom_annihilator(p.to_ideal(N.ctx), N).gens)
 
 
 def module_ass(N: FPModule) -> PrimeSet:
@@ -220,8 +227,6 @@ def module_ass(N: FPModule) -> PrimeSet:
     support starts no engine run, so nothing else would check it."""
     if not N.multigraded:
         raise RingError("associated-prime scan needs a multigraded module")
-    if N.is_zero_module():
-        return PrimeSet(())
     ann = N.annihilator()
     found = []
     for p in all_monomial_primes(N.ctx, include_zero=True):
@@ -253,14 +258,14 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
         return FPModule(ctx, 0, ())
     t = len(a.gens)
     syz = submodule_syzygies([(p,) for p in a.gens], [(h,) for h in reduced_gb(J)])
-    graded = from_ideal(a) is not None and from_ideal(J) is not None
+    graded = as_monomial(a) is not None and as_monomial(J) is not None
     if not syz:
         kernel = [unit_vec(ctx, t, i) for i in range(t)]
     else:
         s = len(syz)
         columns = [tuple(syz[i][j] for i in range(s)) for j in range(t)]
         kernel = submodule_syzygies(columns, ideal_block(aJ, s))
-    return present_subquotient(kernel, FPModule(ctx, t, ideal_block(aJ, t)), graded)
+    return present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t), False), graded)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +392,7 @@ class CyclicModule:
             raise ImproperIdealError("cyclic module wants a proper defining ideal")
         self.ctx = ctx
         self.ideal = J
-        self.monomial: MonomialIdeal | None = from_ideal(J)
+        self.monomial: MonomialIdeal | None = as_monomial(J)
         self._primes: MinAsshDim | None = None
         self._lead: MonomialIdeal | None = None
         self._dim: int | None = None
@@ -450,8 +455,7 @@ class CyclicModule:
         return self.depth() == self.dim()
 
     def to_fp(self) -> FPModule:
-        rels = [(g,) for g in self.ideal.gens]
-        return FPModule(self.ctx, 1, rels, multigraded=self.monomial is not None)
+        return _presented_by(self.ctx, 1, ideal_block(self.ideal, 1), self.monomial is not None)
 
     def describe(self) -> str:
         if self.ideal.is_zero_ideal():

@@ -124,7 +124,7 @@ class MonomialIdeal:
 
     `min_gens` must be that canonical tuple: equality, `is_squarefree` and
     `to_ideal` (which hands it on as the ideal's `monomial_gens`) rely on it.
-    Build from other exponents with `from_exponents`; `from_ideal`, `parse`
+    Build from other exponents with `from_exponents`; `as_monomial`, `parse`
     and the kernels of this module return canonical ideals.
 
     No generators at all means the zero ideal; the single generator 1 means
@@ -149,7 +149,7 @@ class MonomialIdeal:
     @classmethod
     def parse(cls, ctx: RingCtx, text: str) -> "MonomialIdeal":
         I = groebner.Ideal.parse(ctx, text)
-        got = from_ideal(I)
+        got = as_monomial(I)
         if got is None:
             raise RingError("not a monomial ideal: " + text)
         return got
@@ -186,24 +186,17 @@ class MonomialIdeal:
         return "<monomial ideal (" + ", ".join(self.render()) + ")>"
 
 
-def from_ideal(I: groebner.Ideal) -> MonomialIdeal | None:
-    """Reinterpret a general ideal as monomial when its generators are terms."""
-    gens = monomial_gens(I)
-    return None if gens is None else MonomialIdeal(I.ctx, gens)
-
-
 def as_monomial(I: groebner.Ideal) -> MonomialIdeal | None:
     """Recognize a general ideal as monomial via its reduced Groebner basis.
 
     An ideal is monomial exactly when its reduced basis consists of terms, so
-    this test is sound and complete (unlike `from_ideal`, which only looks at
-    the given generators).
+    this test is sound and complete; generators that are already terms
+    answer without a basis.
     """
-    m = from_ideal(I)
-    if m is not None:
-        return m
-    gb = groebner.reduced_gb(I)
-    return from_ideal(groebner.Ideal(I.ctx, gb))
+    gens = monomial_gens(I)
+    if gens is None:
+        gens = monomial_gens(groebner.Ideal(I.ctx, groebner.reduced_gb(I)))
+    return None if gens is None else MonomialIdeal(I.ctx, gens)
 
 
 def mono_contains(I: MonomialIdeal, J: MonomialIdeal) -> bool:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .groebner import (
-    _LIMITS,
     Ideal,
     eliminate,
     ideal_intersect,
@@ -47,7 +46,14 @@ from .linkage import (
     random_linked_pairs,
     support_identity,
 )
-from .modules import CyclicModule, ass_member, hom_cyclic, is_regular_sequence, koszul_grade
+from .modules import (
+    CyclicModule,
+    ass_member,
+    hom_annihilator,
+    hom_cyclic,
+    is_regular_sequence,
+    koszul_grade,
+)
 from .monomial import (
     MonomialIdeal,
     as_monomial,
@@ -161,13 +167,6 @@ def _cert_doc(cert: LinkageCertificate) -> dict:
     }
 
 
-def _hom_target(M: CyclicModule, hom: Ideal | None):
-    N = M.to_fp()
-    if hom is not None:
-        N = hom_cyclic(hom, N)
-    return N
-
-
 def _count(key: str, noun: str) -> Callable[[dict], str]:
     return lambda doc: f"{len(doc[key])} {noun}"
 
@@ -265,16 +264,7 @@ def _doc_random(count, seed, maxdeg, max_extra, seq_len_max, M: CyclicModule) ->
 
 
 def _doc_verify(claim, count, n_vars, maxdeg, seed, module, jobs) -> dict:
-    # instances may run in worker processes, so the ambient S-pair budget
-    # travels in the parameters
-    params = InstanceParams(
-        n_vars=n_vars,
-        count=count,
-        maxdeg=maxdeg,
-        seed=seed,
-        module=module,
-        max_spairs=_LIMITS.get().max_spairs,
-    )
+    params = InstanceParams(n_vars=n_vars, count=count, maxdeg=maxdeg, seed=seed, module=module)
     report = run_claim(claim, params, jobs=jobs)
     counts = report["counts"]
     return {
@@ -373,10 +363,12 @@ TABLE: tuple[Op | Group, ...] = (
        (Operand("--seq", SEQUENCE, help="comma-separated elements, in order"), _MODULE),
        _doc_regseq, lambda doc: f"regular: {doc['regular']}"),
     Op("ann", "annihilator of R/J or of Hom(R/a, R/J)", (_MODULE_J, _HOM),
-       lambda M, hom: {"annihilator": _gens(_hom_target(M, hom).annihilator())},
+       lambda M, hom: {"annihilator": _gens(
+           M.to_fp().annihilator() if hom is None else hom_annihilator(hom, M.to_fp()))},
        _listed("annihilator", "annihilator")),
     Op("assmember", "associated-prime membership test", (_PRIME, _MODULE, _HOM),
-       lambda p, M, hom: {"prime": p.render(M.ctx), "member": ass_member(p, _hom_target(M, hom))},
+       lambda p, M, hom: {"prime": p.render(M.ctx), "member": ass_member(
+           p, M.to_fp() if hom is None else hom_cyclic(hom, M.to_fp()))},
        lambda doc: f"associated: {doc['member']}"),
     Group("linkage", "linkage of ideals over a cyclic module", (
         Op("check", "certify a ~ b through I over R/J",

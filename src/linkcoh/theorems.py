@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .groebner import (
+    _LIMITS,
     BudgetExceeded,
     Ideal,
+    Limits,
     ideal_quotient,
     ideal_sum,
     is_proper,
     reduced_gb,
     radical_member,
-    set_limits,
 )
 from .invariants import (
     Verdict,
@@ -80,7 +81,6 @@ class InstanceParams:
     maxdeg: int = 3
     seed: int = 0
     module: str | None = None
-    max_spairs: int | None = None
 
     def __post_init__(self) -> None:
         for name, least in (("count", 1), ("maxdeg", 1)):
@@ -688,15 +688,17 @@ CLAIMS: dict[str, ClaimInfo] = {
 }
 
 
-def _run_instance(args: tuple[str, InstanceParams, int]) -> dict:
-    claim, params, seed = args
+def _run_instance(args: tuple[str, InstanceParams, int, Limits]) -> dict:
+    claim, params, seed, limits = args
     info = CLAIMS[claim]
     ctx = ctx_for(params.n_vars)
+    token = _LIMITS.set(limits)
     try:
-        with set_limits(max_spairs=params.max_spairs):
-            verdict = info.draw(params, seed, random.Random(seed), ctx)
+        verdict = info.draw(params, seed, random.Random(seed), ctx)
     except BudgetExceeded as err:
         verdict = Verdict.skipped(claim, f"budget exhausted: {err}")
+    finally:
+        _LIMITS.reset(token)
     out = verdict.as_json()
     out["seed"] = seed
     return out
@@ -707,13 +709,15 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
 
     The instance stream depends only on params, never on jobs, so reruns are
     reproducible byte for byte.  At most `jobs` worker processes run, and
-    never more than there are instances or CPUs.
+    never more than there are instances or CPUs.  Every instance runs under
+    the caller's limits, in a worker process too.
     """
     if claim not in CLAIMS:
         raise RingError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
     if jobs < 1:
         raise RingError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(claim, params, params.seed + k) for k in range(params.count)]
+    limits = _LIMITS.get()
+    tasks = [(claim, params, params.seed + k, limits) for k in range(params.count)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
         with Pool(processes=workers) as pool:

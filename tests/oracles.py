@@ -16,6 +16,11 @@ the tests can compare, and share with those no more than noted:
   the polarized quotient minus the number of variables added.
 - `cd_on_quotient` and `att_top_via_cd` read the attached primes of the top
   local cohomology off cohomological dimensions instead of cofinality.
+- `presented_annihilator` is the colon of a module's relation basis by its
+  unit vectors, and `ass_member_presented` decides an associated prime by
+  presenting H = Hom(R/p, N) (`modules.hom_cyclic`) and taking Ann H so,
+  where `modules.hom_annihilator` and `ass_member` take one colon on N's own
+  relation basis over the generators of Hom.
 
 The helpers at the end (`mono_colon`, `s_polynomial`) are small
 constructions that several test modules share.
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from linkcoh.groebner import Ideal, ideal_sum, is_proper, min_gens_colon
-from linkcoh.modules import CyclicModule
+from linkcoh.groebner import Ideal, _colon, ideal_sum, is_proper, min_gens_colon
+from linkcoh.modules import CyclicModule, FPModule, hom_cyclic, unit_vec, vec_is_zero
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -277,6 +282,36 @@ def att_top_via_cd(a: Ideal, M: CyclicModule) -> PrimeSet:
     rad = mono_radical(am)
     d = M.dim()
     return PrimeSet(p for p in M.primes().ass if cd_on_quotient(rad, p) == d)
+
+
+# ---------------------------------------------------------------------------
+# Associated primes through a presented Hom.
+
+def _is_zero_module(N: FPModule) -> bool:
+    return all(vec_is_zero(N.nf(unit_vec(N.ctx, N.rank, j))) for j in range(N.rank))
+
+
+def presented_annihilator(H: FPModule) -> Ideal:
+    """Ann H, the colon of H's relation basis by e_1..e_r; the unit ideal at
+    rank zero."""
+    if H.rank == 0:
+        return Ideal.unit(H.ctx)
+    return _colon(H.ctx, [unit_vec(H.ctx, H.rank, j) for j in range(H.rank)], H.rel_gb())
+
+
+def ass_member_presented(p: MonomialPrime, N: FPModule) -> bool:
+    """Whether p is an associated prime of N.
+
+    p is associated iff Hom(R/p, N) is nonzero after localizing at p; for the
+    module H = Hom(R/p, N), presented, which p kills, that localization is
+    nonzero exactly when Ann H is contained in p.
+    """
+    if _is_zero_module(N):
+        return False
+    H = hom_cyclic(p.to_ideal(N.ctx), N)
+    if _is_zero_module(H):
+        return False
+    return all(p.contains_poly(f) for f in presented_annihilator(H).gens)
 
 
 # ---------------------------------------------------------------------------

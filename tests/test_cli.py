@@ -259,6 +259,27 @@ def test_htm(capsys):
     assert doc["height"] == 1
 
 
+@pytest.mark.parametrize("module, basis, assh, assf0, htm", [
+    ("x*y+y^2, y^2", "x*y, y^2", [["y"]], [["y"], ["x", "y"]], 1),
+    ("x+y, y", "x, y", [["x", "y"]], [["x", "y"]], 0),
+])
+def test_prime_commands_read_a_monomial_ideal_off_its_basis(capsys, module, basis, assh, assf0, htm):
+    # the reduced basis of each ideal consists of terms, so R/J is monomial
+    # although its generators are not; each command answers as on the basis
+    ring = ("--ring", "x,y")
+    commands = [
+        (("assh", "--ideal"), "assh", assh),
+        (("equidim", "--module"), "equidimensional", True),
+        (("att-top", "--ideal", "x", "--module"), "attached_primes", assh),
+        (("assf0", "--ideal", "x", "--module"), "associated_primes", assf0),
+        (("htm", "--prime", "x,y", "--module"), "height", htm),
+    ]
+    for argv, key, answer in commands:
+        doc = doc_of(capsys, argv[0], *ring, *argv[1:], module)
+        assert doc[key] == answer, argv
+        assert doc == doc_of(capsys, argv[0], *ring, *argv[1:], basis), argv
+
+
 # ---------------------------------------------------------------------------
 # Verify and session.
 

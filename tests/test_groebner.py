@@ -37,7 +37,7 @@ from linkcoh.groebner import (
     saturate,
     set_limits,
 )
-from linkcoh.monomial import from_ideal
+from linkcoh.monomial import as_monomial
 from linkcoh.ring import (
     DEGREVLEX,
     Polynomial,
@@ -445,7 +445,7 @@ def test_seeded_monomial_gens_match_a_fresh_look():
     def check(data):
         ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
         I, J = data.draw(_term_ideal(st, ctx)), data.draw(_term_ideal(st, ctx))
-        made = [ideal_intersect(I, J), from_ideal(I).to_ideal()]
+        made = [ideal_intersect(I, J), as_monomial(I).to_ideal()]
         if not J.is_zero_ideal():
             made.append(ideal_quotient(I, J))
         for Q in made:

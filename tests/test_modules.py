@@ -15,6 +15,7 @@ import random
 import pytest
 
 from engine_routes import division_koszul_grade
+from oracles import ass_member_presented, presented_annihilator
 from linkcoh import groebner, modules
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -37,6 +38,7 @@ from linkcoh.modules import (
     _koszul_columns,
     ass_member,
     ext1_selfdual,
+    hom_annihilator,
     hom_cyclic,
     ideal_block,
     is_regular_on,
@@ -55,7 +57,6 @@ from linkcoh.monomial import (
     PrimeSet,
     all_monomial_primes,
     associated_primes,
-    from_ideal,
 )
 from linkcoh.ring import DEGREVLEX, Polynomial, RingError, mono_divides, parse_poly, ring
 from linkcoh.simplicial import depth_monomial
@@ -522,7 +523,7 @@ def test_annihilator_of_higher_rank_matches_joined_colons():
         assert ideal_equal(ann, joined), (i, N.rank)
         seeded = ann._gb
         assert list(seeded) == _gb(ctx, ann.gens, DEGREVLEX)
-        assert seeded == ann.gens or (not seeded and ann.is_zero_ideal())
+        assert seeded == ann.gens
         checked += 1
     assert checked >= 12
 
@@ -539,8 +540,9 @@ def test_ass_member_matches_associated_primes():
 
 
 def test_module_ass_computes_each_relation_basis_once(monkeypatch):
-    # Hom and its presentation divide by the cached basis of the module they
-    # are taken over, so no relation set reaches module_gb twice
+    # a cyclic module keeps its ideal's reduced basis as its relation basis,
+    # so module_gb is never reached on it; Ext is presented by fresh
+    # syzygies, whose basis is built once and then divided by from its cache
     inputs: list[tuple] = []
     real = modules.module_gb
 
@@ -552,7 +554,79 @@ def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     ctx = ring("x", "y", "z")
     M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
     assert module_ass(M.to_fp()) == associated_primes(M.monomial)
+    assert inputs == []
+    E = ext1_selfdual(I_of(ctx, "x*y", "z^2"), I_of(ctx, "x^2", "y*z"))
+    assert module_ass(E) == PrimeSet([MonomialPrime((0, 2)), MonomialPrime((0, 1, 2))])
     assert inputs and len(set(inputs)) == len(inputs)
+
+
+def _count_engine_runs(monkeypatch) -> list[int]:
+    runs = [0]
+    real = groebner._buchberger
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    return runs
+
+
+def test_ass_member_takes_one_colon_on_the_module_basis(monkeypatch):
+    # the cyclic module is presented by its ideal's cached basis, and each
+    # membership test is the kernel run of Hom plus one colon on that basis
+    runs = _count_engine_runs(monkeypatch)
+    ctx = ring("x", "y", "z")
+    M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
+    N = M.to_fp()
+    assert N.rel_gb() == [(g,) for g in reduced_gb(M.ideal)]
+    assert runs[0] == 0
+    for vars_, member in [((0, 1), True), ((0, 2), False), ((0, 1, 2), True), ((1,), False)]:
+        runs[0] = 0
+        assert ass_member(MonomialPrime(vars_), N) is member
+        assert runs[0] <= 2, vars_
+
+
+def test_hom_annihilator_matches_the_presented_route():
+    # Ann Hom(R/a, N) as one colon on N against the annihilator of the
+    # presented Hom, and ass_member against the presented route, over cyclic
+    # R/J (monomial or binomial J) and self-dual Ext modules
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def terms(draw, ctx, binomial):
+        out = []
+        for _ in range(draw(st.integers(1, 2 if binomial else 3))):
+            e = draw(st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n))
+            f = draw(st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n))
+            poly = {tuple(e): 1}
+            if binomial and tuple(f) != tuple(e):
+                poly[tuple(f)] = draw(st.sampled_from([-1, 2]))
+            out.append(Polynomial(ctx, poly))
+        return Ideal(ctx, out)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        try:
+            if data.draw(st.booleans()):
+                N = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans())))).to_fp()
+            else:
+                N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
+        except ImproperIdealError:
+            hyp.assume(False)
+        primes = all_monomial_primes(ctx)
+        a = data.draw(st.one_of(
+            st.sampled_from(primes).map(lambda p: p.to_ideal(ctx)),
+            terms(ctx, True),
+        ))
+        assert ideal_equal(hom_annihilator(a, N), presented_annihilator(hom_cyclic(a, N)))
+        for p in primes:
+            assert ass_member(p, N) == ass_member_presented(p, N), p
+
+    check()
 
 
 def test_associated_prime_scan_honours_soft_timeout():
@@ -694,7 +768,7 @@ def _homogeneous_ideals(count, seed):
     while len(out) < count:
         gens = _minors4(rng) if len(out) % 2 else [_binomial4(rng) for _ in range(rng.randint(2, 3))]
         J = Ideal(CTX4, gens)
-        if from_ideal(J) is None and is_proper(J):
+        if groebner.monomial_gens(J) is None and is_proper(J):
             out.append(J)
     return out
 

@@ -1,10 +1,11 @@
 """Claim checkers and the randomized claim runner."""
 
+import multiprocessing
 import random
 
 import pytest
 
-from linkcoh.groebner import Ideal
+from linkcoh.groebner import Ideal, set_limits
 from linkcoh.linkage import check_linked
 from linkcoh.modules import CyclicModule
 from linkcoh.monomial import as_monomial
@@ -184,6 +185,20 @@ def test_run_claim_parallel_matches_serial():
     serial = run_claim("l08", params, jobs=1)
     parallel = run_claim("l08", params, jobs=2)
     assert serial == parallel
+
+
+def test_run_claim_runs_spawned_workers_under_the_callers_limits(monkeypatch):
+    # a spawned worker starts from the default limits, so the caller's (here
+    # a soft deadline already past) travel with each instance
+    monkeypatch.setattr(theorems, "Pool", multiprocessing.get_context("spawn").Pool)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    params = InstanceParams(n_vars=3, count=4, maxdeg=2, seed=4)
+    with set_limits(soft_timeout=-1):
+        serial = run_claim("l08", params, jobs=1)
+        spawned = run_claim("l08", params, jobs=2)
+    assert spawned == serial
+    assert serial["counts"]["skip"] == 4
+    assert all(v["notes"][0].startswith("budget exhausted") for v in serial["verdicts"])
 
 
 @pytest.mark.parametrize("jobs, count, cpus, workers", [
