@@ -9,6 +9,11 @@ selflinked when the two sides agree mod J.
 `check_linked` certifies a triple or raises LinkageError with a reason code;
 `link_of` takes the colon partner; `random_linked_pairs` draws certified
 instances, exploiting that a double colon is always colon-stable.
+
+A certificate holds M/aM = R/(a+J), M/bM = R/(b+J) and the core
+M/IM = R/(I+J), the end of the regular chain that certified I, as cyclic
+modules on the ideals certification built, whose bases, monomial forms and
+primes every reader takes from there.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from .groebner import (
     radical_member,
     reduced_gb,
 )
-from .modules import CyclicModule, is_regular_on, is_regular_sequence
-from .monomial import as_monomial, associated_primes, min_assh_dim
+from .modules import CyclicModule, regular_chain
 from .ring import Polynomial, RingError
 
 ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
@@ -45,27 +49,22 @@ class LinkageError(RingError):
 
 @dataclass(frozen=True)
 class LinkageCertificate:
-    """A verified linkage instance; construction goes through check_linked."""
+    """A verified linkage instance, holding M/aM, M/bM and M/IM as its three
+    quotients; construction goes through check_linked."""
 
     module: CyclicModule
     I: Ideal
     a: Ideal
     b: Ideal
+    quotient_a: CyclicModule
+    quotient_b: CyclicModule
+    quotient_core: CyclicModule
     geometric: bool
     selflinked: bool
 
     @property
     def ctx(self):
         return self.module.ctx
-
-    def a_mod(self) -> Ideal:
-        return ideal_sum(self.a, self.module.ideal)
-
-    def b_mod(self) -> Ideal:
-        return ideal_sum(self.b, self.module.ideal)
-
-    def core(self) -> Ideal:
-        return ideal_sum(self.I, self.module.ideal)
 
     def as_json(self) -> dict:
         return {
@@ -89,7 +88,8 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
         if X.ctx != ctx:
             raise RingError("linkage data lives in different rings")
     J = M.ideal
-    if not is_regular_sequence(I.gens, J):
+    T = regular_chain(I.gens, J)
+    if T is None:
         raise LinkageError(
             "not-regular", "the generators of I are not an M-regular sequence"
         )
@@ -102,14 +102,14 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
         raise LinkageError("improper-a", "a kills the module: aM = M")
     if not is_proper(bJ):
         raise LinkageError("improper-b", "b kills the module: bM = M")
-    T = ideal_sum(I, J)
     if not ideal_equal(ideal_quotient(T, a), bJ):
         raise LinkageError("colon-mismatch-a", "(I+J) : a is not b mod J")
     if not ideal_equal(ideal_quotient(T, b), aJ):
         raise LinkageError("colon-mismatch-b", "(I+J) : b is not a mod J")
     geometric = ideal_equal(ideal_intersect(aJ, bJ), T)
     selflinked = ideal_equal(aJ, bJ)
-    return LinkageCertificate(M, I, a, b, geometric, selflinked)
+    quotients = (CyclicModule(ctx, aJ), CyclicModule(ctx, bJ), CyclicModule(ctx, T))
+    return LinkageCertificate(M, I, a, b, *quotients, geometric, selflinked)
 
 
 def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> LinkageCertificate:
@@ -133,9 +133,7 @@ def support_identity(cert: LinkageCertificate) -> bool:
     is the radical of the product ideal, so it suffices to put every product
     of generators inside sqrt(I+J).  No radical is ever computed.
     """
-    T = cert.core()
-    aJ = cert.a_mod()
-    bJ = cert.b_mod()
+    T, aJ, bJ = (X.ideal for X in (cert.quotient_core, cert.quotient_a, cert.quotient_b))
     for g in T.gens:
         if not (radical_member(g, aJ) and radical_member(g, bJ)):
             return False
@@ -152,13 +150,10 @@ def minimal_primes_in_core_ass(cert: LinkageCertificate) -> bool | None:
     Decided along the monomial route; returns None when either ideal is not
     monomial, since general primary decomposition is out of scope here.
     """
-    am = as_monomial(cert.a_mod())
-    tm = as_monomial(cert.core())
-    if am is None or tm is None:
+    Ma, core = cert.quotient_a, cert.quotient_core
+    if Ma.monomial is None or core.monomial is None:
         return None
-    mins = min_assh_dim(am).min_primes
-    ass = associated_primes(tm)
-    return mins.issubset(ass)
+    return Ma.primes().min_primes.issubset(core.primes().ass)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +208,10 @@ def random_linked_pairs(
     A sequence grows one drawn candidate at a time.  A dict kept for the
     call maps each drawn prefix (*seq, cand) to the ideal J + (seq, cand),
     or to None when cand is not regular on J + (seq) or the sum is not
-    proper, so each prefix is tested once however often it is drawn, and
-    the bases cached on its ideal serve every later draw.  The chain's last
-    ideal is J + I, the core that the colons are taken in.
+    proper (`regular_chain` of the one candidate over J + (seq)), so each
+    prefix is tested once however often it is drawn, and the bases cached on
+    its ideal serve every later draw.  The chain's last ideal is J + I, the
+    core that the colons are taken in.
     """
     rng = random.Random(seed)
     ctx = M.ctx
@@ -226,16 +222,8 @@ def random_linked_pairs(
     attempts = ATTEMPTS_PER_PAIR * max(1, params.count)
     min_len = 0 if not J.is_zero_ideal() else 1
 
-    def gb_key(X: Ideal) -> tuple[str, ...]:
-        return tuple(str(g) for g in reduced_gb(X))
-
-    def extend(Q: Ideal, cand: Polynomial) -> Ideal | None:
-        """Q + (cand) when cand is regular on R/Q and the sum is proper."""
-        step = Ideal(ctx, [cand])
-        if not is_regular_on(step, Q):
-            return None
-        nxt = ideal_sum(Q, step)
-        return nxt if is_proper(nxt) else None
+    def gb_key(X: CyclicModule) -> tuple[str, ...]:
+        return tuple(str(g) for g in reduced_gb(X.ideal))
 
     for _ in range(attempts):
         if produced >= params.count:
@@ -249,7 +237,7 @@ def random_linked_pairs(
                 cand = _sequence_pool(rng, ctx, params.maxdeg)
                 key = (*seq, cand)
                 if key not in chains:
-                    chains[key] = extend(Q, cand)
+                    chains[key] = regular_chain([cand], Q)
                 if chains[key] is not None:
                     seq.append(cand)
                     Q = chains[key]
@@ -268,16 +256,15 @@ def random_linked_pairs(
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I
         if not is_proper(ideal_sum(trial, J)):
             continue
-        T = Q  # J + I
-        b = ideal_quotient(T, trial)
-        if not is_proper(ideal_sum(b, J)):
+        b = ideal_quotient(Q, trial)  # Q = J + I
+        if not is_proper(b):  # b contains Q, which contains J
             continue
-        a = ideal_quotient(T, b)
+        a = ideal_quotient(Q, b)
         try:
             cert = check_linked(a, b, I, M)
         except LinkageError:
             continue
-        key = (frozenset({gb_key(cert.a_mod()), gb_key(cert.b_mod())}), gb_key(T))
+        key = frozenset(map(gb_key, (cert.quotient_a, cert.quotient_b))), gb_key(cert.quotient_core)
         if key in seen:
             continue
         seen.add(key)

@@ -12,14 +12,16 @@ Modules run on the one Groebner engine of `groebner.py`, which alone knows
 how a vector is encoded for it; this module calls only its vector-level
 operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`,
 `_block_diagonal`, `_colon`).  `FPModule` tables its relation basis once,
-and a module presented by an ideal's reduced basis (`CyclicModule.to_fp`,
-the Ext ambient) keeps it as that basis.  Hom(R/a, N), the submodule of N
-that a kills, is generated by one syzygy run on the colon's block builder;
-`hom_annihilator` takes its annihilator as one more colon on N, without
-presenting Hom, and `FPModule.annihilator` (a = 0) and `ass_member` (a = p)
-read it.  `koszul_grade` makes one syzygy run per level it reads, giving
-that level's cycles and the boundaries below, and compares the two reduced
-bases.
+and a module presented by a reduced basis its maker holds keeps it as that
+basis, so `module_gb` never runs on it: an ideal's (`CyclicModule.to_fp`,
+the Ext ambient) or a subquotient's syzygies (Hom, Ext).  Hom(R/a, N), the
+submodule of N that a kills, is generated by one syzygy run on the colon's
+block builder; `hom_annihilator` takes its annihilator as one more colon on
+N, without presenting Hom, and `FPModule.annihilator` (a = 0) and
+`ass_member` (a = p) read it.  `koszul_grade` makes one syzygy run per
+level it reads, giving that level's cycles and the boundaries below, and
+compares the two reduced bases.  Every regular sequence grows in one
+routine, `regular_chain`, which returns the ideal base + (seq) it built.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -171,12 +173,12 @@ def _nonzero_forms(gens: Iterable[Vec], N: FPModule) -> list[Vec]:
 def present_subquotient(gens: Sequence[Vec], N: FPModule, multigraded: bool = False) -> FPModule:
     """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
     by generators and fresh syzygies; divides by N's cached relation basis
-    and takes the syzygies modulo it."""
+    and takes the syzygies modulo it, keeping their reduced basis as its own."""
     kept = _nonzero_forms(gens, N)
     if not kept:
         return FPModule(N.ctx, 0, (), multigraded)
     rels = submodule_syzygies(kept, N.rel_gb())
-    return FPModule(N.ctx, len(kept), rels, multigraded)
+    return _presented_by(N.ctx, len(kept), rels, multigraded)
 
 
 def _hom_kernel(a: Ideal, N: FPModule) -> list[Vec]:
@@ -344,15 +346,23 @@ def is_regular_on(X: Ideal, Q: Ideal) -> bool:
     return ideal_equal(ideal_quotient(Q, X), Q)
 
 
-def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
-    """Whether seq is a regular sequence on R/base (in the given order)."""
+def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
+    """base + (seq), built one element at a time with its basis cached, when
+    seq is a regular sequence on R/base (in the given order): each element a
+    nonzerodivisor modulo base and those before it, the last sum proper.
+    None otherwise."""
     Q = base
     for f in seq:
         step = Ideal(Q.ctx, [f])
         if not is_regular_on(step, Q):
-            return False
+            return None
         Q = ideal_sum(Q, step)
-    return is_proper(Q)
+    return Q if is_proper(Q) else None
+
+
+def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
+    """Whether seq is a regular sequence on R/base (in the given order)."""
+    return regular_chain(seq, base) is not None
 
 
 # ---------------------------------------------------------------------------

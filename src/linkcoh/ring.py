@@ -115,26 +115,26 @@ def _degrevlex_key(e: Exponents):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A multiplicative monomial well-order usable as a max-selection key.
+    """A multiplicative monomial well-order usable as a max-selection key,
+    held by its index blocks alone.
 
-    There are two kinds.  "degrevlex" is the term order of every ideal and
-    module answer.  "block" is the elimination order that `eliminate` runs
+    With no blocks it is degrevlex, the term order of every ideal and module
+    answer.  With blocks it is the elimination order that `eliminate` runs
     the engine under: exponents are compared degrevlex on the first
     (dominant) index block, then on the next, so any monomial involving a
     dominant variable beats every monomial that avoids them.  Lex is the
     block order with one singleton block per variable.
     """
 
-    kind: str
     blocks: tuple[tuple[int, ...], ...] = ()
 
     def key(self, e: Exponents):
-        if self.kind == "degrevlex":
+        if not self.blocks:
             return _degrevlex_key(e)
         return tuple(_degrevlex_key(tuple(e[i] for i in blk)) for blk in self.blocks)
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
+DEGREVLEX = MonomialOrder()
 
 
 def elimination_order(drop: Iterable[int], n: int) -> MonomialOrder:
@@ -142,7 +142,7 @@ def elimination_order(drop: Iterable[int], n: int) -> MonomialOrder:
     if not drop_t:
         return DEGREVLEX
     keep_t = tuple(i for i in range(n) if i not in set(drop_t))
-    return MonomialOrder("block", (drop_t, keep_t))
+    return MonomialOrder((drop_t, keep_t))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,15 @@ from .linkage import (
     check_linked,
     random_linked_pairs,
 )
-from .modules import CyclicModule, ext1_selfdual, is_regular_on, koszul_grade, maximal_ideal, module_ass
+from .modules import (
+    CyclicModule,
+    ext1_selfdual,
+    is_regular_on,
+    koszul_grade,
+    maximal_ideal,
+    module_ass,
+    regular_chain,
+)
 from .monomial import (
     MonomialIdeal,
     MonomialPrime,
@@ -186,19 +194,18 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
     """
     claim = "l1"
     M = cert.module
-    tm = as_monomial(cert.core())  # never zero: a zero core would force a = 0 : 0 = R
-    am = as_monomial(cert.a_mod())
-    bm = as_monomial(cert.b_mod())
-    if tm is None or am is None or bm is None:
+    if M.monomial is None:
+        return Verdict.skipped(claim, "needs a monomial base ideal")
+    Ma, Mb, core = cert.quotient_a, cert.quotient_b, cert.quotient_core
+    if core.monomial is None or Ma.monomial is None or Mb.monomial is None:
         return Verdict.skipped(claim, "needs a monomial core and monomial sides")
-    core = min_assh_dim(tm)
-    if core.ass != core.min_primes:
+    if core.primes().ass != core.primes().min_primes:
         # shared hypothesis for both parts; with an embedded prime in the
         # core the Ext module can pick up extra associated primes
         return Verdict.skipped(claim, "core has embedded primes")
     witnesses: list[str] = []
     notes = [GRADED_NOTE]
-    ass_a, ass_b = associated_primes(am), associated_primes(bm)
+    ass_a, ass_b = Ma.primes().ass, Mb.primes().ass
 
     for label, side, side_ass in (("a", cert.a, ass_a), ("b", cert.b, ass_b)):
         gens = reduced_gb(side)
@@ -218,10 +225,10 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
         witnesses.append(f"heights[{label}]=grade={g}")
 
     common = ass_a & ass_b
-    base = tm.to_ideal()
-    # mod the core, am and bm generate the same ideals as a and b, and Hom
-    # does not care which generating set presents its argument
-    for label, side in (("a", am.to_ideal()), ("b", bm.to_ideal())):
+    base = core.monomial.to_ideal()
+    # mod the core, the monomial forms of a+J and b+J generate the same ideals
+    # as a and b, and Hom does not care which generating set presents its argument
+    for label, side in (("a", Ma.monomial.to_ideal()), ("b", Mb.monomial.to_ideal())):
         E = ext1_selfdual(side, base)
         got = module_ass(E)
         if got != common:
@@ -280,12 +287,12 @@ def check_grade_one_links(cert: LinkageCertificate) -> Verdict:
     if koszul_grade(reduced_gb(cert.a), cert.module.ideal) != 1:
         return Verdict.skipped(claim, "needs grade one")
     witnesses = []
-    for label, side in (("a", cert.a), ("b", cert.b)):
-        sm = as_monomial(side)
+    # over the full ring each quotient is R/a or R/b itself
+    for label, side, quot in (("a", cert.a, cert.quotient_a), ("b", cert.b, cert.quotient_b)):
+        sm = quot.monomial
         if sm is None:
             return Verdict.skipped(claim, "needs monomial sides")
-        info = min_assh_dim(sm)
-        if any(p.height != 1 for p in info.min_primes):
+        if any(p.height != 1 for p in quot.primes().min_primes):
             return Verdict.failing(
                 claim, f"side {label} has a minimal prime of height above one"
             )
@@ -312,6 +319,8 @@ def check_att_calculus(a: MonomialIdeal, b: MonomialIdeal, M: CyclicModule) -> V
     sets along a + b are the unions.
     """
     claim = "l08"
+    if M.monomial is None:
+        return Verdict.skipped(claim, "needs a monomial base ideal")
     ctx = M.ctx
     aI, bI = a.to_ideal(), b.to_ideal()
     cap = mono_intersect(a, b).to_ideal()
@@ -323,7 +332,7 @@ def check_att_calculus(a: MonomialIdeal, b: MonomialIdeal, M: CyclicModule) -> V
         return Verdict.failing(claim, "formal zeroth sets fail the intersection rule")
     witnesses = [f"att(a)={att_a.render(ctx)}", f"att(b)={att_b.render(ctx)}"]
     notes = [GRADED_NOTE]
-    if M.monomial is not None and mono_contains(M.monomial, mono_product(a, b)):
+    if mono_contains(M.monomial, mono_product(a, b)):
         plus = mono_sum(a, b).to_ideal()
         if att_top(plus, M) != att_a | att_b:
             return Verdict.failing(claim, "attached set of the sum is not the union")
@@ -361,7 +370,8 @@ def _homogeneous_pool(rng: random.Random, ctx: RingCtx, maxdeg: int) -> list[Pol
 
 
 def _greedy_maximal_sequence(M: CyclicModule, pool: list[Polynomial]):
-    """Extend a regular sequence greedily; certify maximality by depth zero.
+    """Extend a regular sequence greedily, in one pass over the pool, each
+    element tried once; certify maximality by depth zero.
 
     Returns (sequence, J + sequence, certified); certified means the colon at
     the ideal of variables moved, i.e. no regular element exists at all.
@@ -369,20 +379,13 @@ def _greedy_maximal_sequence(M: CyclicModule, pool: list[Polynomial]):
     ctx = M.ctx
     Q = M.ideal
     seq: list[Polynomial] = []
-    used: set[Polynomial] = set()
-    progress = True
-    while progress and len(seq) < ctx.n:
-        progress = False
-        for f in pool:
-            if f in used:
-                continue
-            used.add(f)
-            step = Ideal(ctx, [f])
-            if is_regular_on(step, Q):
-                seq.append(f)
-                Q = ideal_sum(Q, step)
-                progress = True
-                break
+    for f in pool:
+        if len(seq) == ctx.n:
+            break
+        nxt = regular_chain([f], Q)
+        if nxt is not None:
+            seq.append(f)
+            Q = nxt
     certified = not is_regular_on(maximal_ideal(ctx), Q)
     return seq, Q, certified
 
@@ -391,7 +394,8 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
     """Cohen-Macaulayness two ways against the depth/dimension oracle.
 
     Linkage route: any zero-linked pair over R/(I+J) whose two attached sets
-    meet forces that module to be Cohen-Macaulay.  Sequence route: after a
+    meet forces that module to be Cohen-Macaulay; it reads the attached
+    sets, so it needs a monomial J.  Sequence route: after a
     certified-maximal regular sequence, the quotient has dimension zero
     exactly when the module was Cohen-Macaulay.
     """
@@ -400,7 +404,9 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
     notes = [GRADED_NOTE]
     witnesses: list[str] = []
 
-    cert = _one_linked_cert(M, rng, maxdeg)
+    if M.monomial is None:
+        notes.append("linkage route skipped: needs a monomial base ideal")
+    cert = _one_linked_cert(M, rng, maxdeg) if M.monomial is not None else None
     if cert is not None:
         att_a = att_top(cert.a, M)
         att_b = att_top(cert.b, M)
@@ -461,12 +467,10 @@ def check_equidim_transfer(cert: LinkageCertificate) -> Verdict:
     if not is_equidimensional(M):
         return Verdict.skipped(claim, "needs an equidimensional module")
     d = M.dim()
-    for label, side in (("a", cert.a_mod()), ("b", cert.b_mod())):
-        sm = as_monomial(side)
-        if sm is None:
+    for label, quot in (("a", cert.quotient_a), ("b", cert.quotient_b)):
+        if quot.monomial is None:
             return Verdict.skipped(claim, "needs monomial sides")
-        info = min_assh_dim(sm)
-        dims = {cert.ctx.n - p.height for p in info.min_primes}
+        dims = {cert.ctx.n - p.height for p in quot.primes().min_primes}
         if dims != {d}:
             return Verdict.failing(
                 claim,
@@ -495,12 +499,9 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
         return Verdict.skipped(claim, "needs a monomial base ideal")
     if M.dim() <= 0:
         return Verdict.skipped(claim, "needs positive dimension")
-    am = as_monomial(cert.a_mod())
-    bm = as_monomial(cert.b_mod())
-    if am is None or bm is None:
+    Ma, Mb = cert.quotient_a, cert.quotient_b
+    if Ma.monomial is None or Mb.monomial is None:
         return Verdict.skipped(claim, "needs monomial sides")
-    Ma = CyclicModule(ctx, am.to_ideal())
-    Mb = CyclicModule(ctx, bm.to_ideal())
     att_a = att_top(cert.a, M)
     att_b = att_top(cert.b, M)
     assh_a = assh(Ma)

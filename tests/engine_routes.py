@@ -30,7 +30,7 @@ from linkcoh.ring import DEGREVLEX, MonomialOrder, Polynomial
 def lex(n):
     """Lex over n variables, x_1 > .. > x_n: the block order of n singleton
     blocks, which the engine packs as it packs an elimination order."""
-    return MonomialOrder("block", tuple((i,) for i in range(n)))
+    return MonomialOrder(tuple((i,) for i in range(n)))
 
 
 def engine_gb(I, order=DEGREVLEX):

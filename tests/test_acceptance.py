@@ -233,12 +233,10 @@ def test_05_zero_link_top_prime_transfer():
         M = cert.module
         if M.dim() <= 0:
             continue
-        am = as_monomial(cert.a_mod())
-        bm = as_monomial(cert.b_mod())
         att_a = att_top(cert.a, M)
         att_b = att_top(cert.b, M)
-        assh_a = assh(CyclicModule(ctx, am.to_ideal()))
-        assh_b = assh(CyclicModule(ctx, bm.to_ideal()))
+        assh_a = assh(cert.quotient_a)
+        assh_b = assh(cert.quotient_b)
         # containment both ways round
         assert att_a.issubset(assh_b) and att_b.issubset(assh_a)
         if is_equidimensional(M):
@@ -341,16 +339,15 @@ def test_09_module_height_equals_grade():
             for cert in random_linked_pairs(
                 M, GenParams(count=5, maxdeg=2), seed=rng.randrange(1 << 20)
             ):
-                tm = as_monomial(cert.core())
-                if tm is None or associated_primes(tm) != min_assh_dim(tm).min_primes:
+                core = cert.quotient_core
+                if core.monomial is None or core.primes().ass != core.primes().min_primes:
                     continue
-                for side, side_mod in ((cert.a, cert.a_mod()), (cert.b, cert.b_mod())):
-                    sm = as_monomial(side_mod)
-                    if sm is None:
+                for side, quot in ((cert.a, cert.quotient_a), (cert.b, cert.quotient_b)):
+                    if quot.monomial is None:
                         continue
                     gens = [g for g in reduced_gb(side) if not g.is_zero()]
                     g = koszul_grade(gens, M.ideal)
-                    for p in associated_primes(sm):
+                    for p in quot.primes().ass:
                         assert height_in_module(p, M) == g, (p, g, cert.as_json())
                     gated += 1
     assert gated >= 30, gated

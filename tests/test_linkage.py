@@ -2,7 +2,7 @@
 
 import pytest
 
-from linkcoh import linkage
+from linkcoh import groebner, linkage
 from linkcoh.groebner import Ideal, ideal_equal, ideal_quotient, ideal_sum, reduced_gb
 from linkcoh.linkage import (
     GenParams,
@@ -63,7 +63,9 @@ def test_zero_link_over_hypersurface_module():
     cert = check_linked(I_of(ctx, "x"), I_of(ctx, "y"), Ideal.zero(ctx), M)
     assert cert.geometric
     assert not cert.selflinked
-    assert ideal_equal(cert.core(), I_of(ctx, "x*y"))
+    assert ideal_equal(cert.quotient_core.ideal, I_of(ctx, "x*y"))
+    assert ideal_equal(cert.quotient_a.ideal, I_of(ctx, "x"))
+    assert ideal_equal(cert.quotient_b.ideal, I_of(ctx, "y"))
     assert support_identity(cert)
 
 
@@ -174,8 +176,7 @@ def test_link_reduces_to_zero_link_over_core():
     zero = Ideal.zero(ctx)
     n = 0
     for cert in random_linked_pairs(M, GenParams(count=6, maxdeg=2), seed=9):
-        core = CyclicModule(ctx, Ideal(ctx, reduced_gb(cert.core())))
-        flat = check_linked(cert.a, cert.b, zero, core)
+        flat = check_linked(cert.a, cert.b, zero, cert.quotient_core)
         assert flat.geometric == cert.geometric
         assert flat.selflinked == cert.selflinked
         n += 1
@@ -188,7 +189,7 @@ def test_partner_is_involutive_on_certificates():
     for cert in random_linked_pairs(M, GenParams(count=5, maxdeg=2), seed=21):
         T = ideal_sum(cert.I, M.ideal)
         back = ideal_quotient(T, Ideal(ctx, reduced_gb(ideal_quotient(T, cert.a))))
-        assert ideal_equal(back, cert.a_mod())
+        assert ideal_equal(back, cert.quotient_a.ideal)
 
 
 # Certificates drawn before the sampler kept its chains per call; the draws
@@ -230,22 +231,59 @@ def test_random_pairs_are_pinned(gens, count, seed, expected):
 @pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS])
 def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
     # within one call, a prefix (*seq, cand) drawn again reuses its ideal
-    # J + (seq, cand) or its refusal: one regularity test per distinct prefix
+    # J + (seq, cand) or its refusal: one regularity test per distinct prefix;
+    # the chains check_linked grows to certify a draw are not the sampler's
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, *gens)
-    tested, drawn = [], []
-    is_regular_on, pool = linkage.is_regular_on, linkage._sequence_pool
+    tested, drawn, certifying = [], [], [False]
+    chain, certify, pool = linkage.regular_chain, linkage.check_linked, linkage._sequence_pool
 
-    def counted_test(step, Q):
-        tested.append((Q.gens, step.gens))
-        return is_regular_on(step, Q)
+    def counted_chain(seq, base):
+        if not certifying[0]:
+            tested.append((base.gens, tuple(seq)))
+        return chain(seq, base)
+
+    def uncounted_certify(*args):
+        certifying[0] = True
+        try:
+            return certify(*args)
+        finally:
+            certifying[0] = False
 
     def counted_draw(*args):
         drawn.append(pool(*args))
         return drawn[-1]
 
-    monkeypatch.setattr(linkage, "is_regular_on", counted_test)
+    monkeypatch.setattr(linkage, "regular_chain", counted_chain)
+    monkeypatch.setattr(linkage, "check_linked", uncounted_certify)
     monkeypatch.setattr(linkage, "_sequence_pool", counted_draw)
     list(random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed))
     assert tested and len(set(tested)) == len(tested)
     assert len(drawn) > len(tested)
+
+
+@pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS[1:]])
+def test_certificate_quotients_keep_their_bases(monkeypatch, gens, count, seed):
+    # certification computed the bases of a+J, b+J and I+J, and the
+    # certificate's quotients keep them: over a non-monomial J, reading a
+    # basis, a monomial form or the support identity runs the engine only on
+    # the radical tests, which live over the ring with one more variable
+    ctx = ring("x", "y", "z")
+    certs = list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=count, maxdeg=2), seed=seed))
+    widths = []
+    real = groebner._buchberger
+
+    def counted(maps, order, rank=0, basis=()):
+        maps = list(maps)
+        widths.append(len(next(iter(maps[0]))) - rank)
+        return real(maps, order, rank, basis)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    for cert in certs:
+        for X in (cert.quotient_a, cert.quotient_b, cert.quotient_core):
+            assert X.ideal._gb is not None
+            reduced_gb(X.ideal)
+            X.monomial  # read, not derived: set when the quotient was built
+    assert widths == []
+    assert all(support_identity(cert) for cert in certs)
+    assert widths and set(widths) == {ctx.n + 1}

@@ -7,6 +7,7 @@ import pytest
 
 from linkcoh.ring import (
     DEGREVLEX,
+    MonomialOrder,
     ParseError,
     Polynomial,
     RingCtx,
@@ -131,15 +132,23 @@ def test_degrevlex_order(ctx):
     assert f.lead()[0] == (0, 2, 0)
     g = parse_poly("x^3 + x*y*z", ctx)
     assert g.lead()[0] == (3, 0, 0)
-    assert DEGREVLEX.key((1, 1, 1)) > DEGREVLEX.key((2, 0, 0)) or DEGREVLEX.key(
-        (2, 0, 0)
-    ) > DEGREVLEX.key((1, 1, 1))
+    # an order without blocks is degrevlex, and the key ranks as the leads do
+    assert MonomialOrder() == DEGREVLEX
+    assert DEGREVLEX.key((0, 2, 0)) > DEGREVLEX.key((1, 0, 1))
+    assert DEGREVLEX.key((3, 0, 0)) > DEGREVLEX.key((1, 1, 1)) > DEGREVLEX.key((0, 0, 2))
 
 
 def test_elimination_order():
     order = elimination_order([0], 3)
+    assert order == MonomialOrder(((0,), (1, 2)))
+    assert elimination_order([], 3) == DEGREVLEX
     # anything involving the dropped variable beats anything without it
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+    # inside a block the key is degrevlex: one block of every variable ranks
+    # exponents as the order without blocks does
+    whole = MonomialOrder(((0, 1, 2),))
+    exps = [(0, 2, 0), (1, 0, 1), (3, 0, 0), (1, 1, 1), (0, 0, 2), (2, 0, 0)]
+    assert sorted(exps, key=whole.key) == sorted(exps, key=DEGREVLEX.key)
 
 
 def test_format_poly_stable(ctx):

@@ -258,3 +258,16 @@ def test_run_claim_pinned_module():
     doc = run_claim("t6", params)
     assert doc["params"]["module"] == "x*y"
     assert doc["ok"]
+
+
+def test_run_claim_non_monomial_pinned_module():
+    # the attached and associated sets need a monomial J: l1 and l08 skip,
+    # and t6 keeps its sequence route, which needs no monomial J
+    params = InstanceParams(n_vars=3, count=4, maxdeg=2, seed=7, module="x^2 - y*z")
+    for claim in ("l1", "l08"):
+        doc = run_claim(claim, params)
+        assert doc["counts"]["skip"] == 4
+        assert all("needs a monomial base ideal" in v["notes"] for v in doc["verdicts"])
+    doc = run_claim("t6", params)
+    assert doc["ok"] and doc["counts"]["pass"] == 4
+    assert all(any("linkage route skipped" in n for n in v["notes"]) for v in doc["verdicts"])
