@@ -533,12 +533,6 @@ def _divide(work: dict, table: ReducerTable) -> dict:
     return _widening(run, DEGREVLEX, rank, n, max(table.degree, _degree([ints])))
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full remainder of f under degrevlex division by `basis`."""
-    table = _table(g.term_map() for g in basis)
-    return Polynomial(f.ctx, _divide(f.term_map(), table))
-
-
 def _buchberger(
     gens: Iterable[dict], order: MonomialOrder, rank: int = 0, basis: Iterable[dict] = ()
 ) -> list[dict]:

@@ -108,8 +108,14 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
         raise LinkageError("colon-mismatch-b", "(I+J) : b is not a mod J")
     geometric = ideal_equal(ideal_intersect(aJ, bJ), T)
     selflinked = ideal_equal(aJ, bJ)
-    quotients = (CyclicModule(ctx, aJ), CyclicModule(ctx, bJ), CyclicModule(ctx, T))
-    return LinkageCertificate(M, I, a, b, *quotients, geometric, selflinked)
+    # a selflink has one quotient M/aM = M/bM, and a zero link (I = 0) leaves
+    # the chain at J itself, whose module is M
+    quotient_a = CyclicModule(ctx, aJ)
+    quotient_b = quotient_a if selflinked else CyclicModule(ctx, bJ)
+    quotient_core = M if T is J else CyclicModule(ctx, T)
+    return LinkageCertificate(
+        M, I, a, b, quotient_a, quotient_b, quotient_core, geometric, selflinked
+    )
 
 
 def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> LinkageCertificate:

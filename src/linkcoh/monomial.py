@@ -23,7 +23,6 @@ from .ring import (
     RingError,
     mono_divides,
     mono_mul,
-    mono_one,
     mono_support,
 )
 
@@ -124,8 +123,8 @@ class MonomialIdeal:
 
     `min_gens` must be that canonical tuple: equality, `is_squarefree` and
     `to_ideal` (which hands it on as the ideal's `monomial_gens`) rely on it.
-    Build from other exponents with `from_exponents`; `as_monomial`, `parse`
-    and the kernels of this module return canonical ideals.
+    Build from other exponents with `from_exponents`; `as_monomial` and the
+    kernels of this module return canonical ideals.
 
     No generators at all means the zero ideal; the single generator 1 means
     the unit ideal.
@@ -137,22 +136,6 @@ class MonomialIdeal:
     @classmethod
     def from_exponents(cls, ctx: RingCtx, exps: Iterable[Exponents]) -> "MonomialIdeal":
         return cls(ctx, minimalize(exps))
-
-    @classmethod
-    def zero(cls, ctx: RingCtx) -> "MonomialIdeal":
-        return cls(ctx, ())
-
-    @classmethod
-    def unit(cls, ctx: RingCtx) -> "MonomialIdeal":
-        return cls(ctx, (mono_one(ctx.n),))
-
-    @classmethod
-    def parse(cls, ctx: RingCtx, text: str) -> "MonomialIdeal":
-        I = groebner.Ideal.parse(ctx, text)
-        got = as_monomial(I)
-        if got is None:
-            raise RingError("not a monomial ideal: " + text)
-        return got
 
     def is_zero(self) -> bool:
         return not self.min_gens
@@ -168,9 +151,6 @@ class MonomialIdeal:
 
     def contains_mono(self, e: Exponents) -> bool:
         return any(mono_divides(g, e) for g in self.min_gens)
-
-    def contains_poly(self, f: Polynomial) -> bool:
-        return all(self.contains_mono(e) for e in f.term_map())
 
     def to_ideal(self) -> groebner.Ideal:
         """The ideal of the terms x^e, e in `min_gens`, which are already its

@@ -4,6 +4,9 @@ This layer is the substrate for everything else in the package.  Coefficients
 are arbitrary-precision ``fractions.Fraction`` values -- machine floats would
 silently corrupt the discrete prime-set answers computed downstream -- and
 every value is immutable so results can be cached and shared freely.
+
+Polynomial text is read by `parse_poly` against one grammar per variable
+tuple, compiled once and cached, and written back by `format_poly`.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import neg
 from typing import Iterable
 
@@ -342,109 +346,60 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Text format: `^` for powers, `*` optional, integer or rational coefficients.
+# Text format: signed terms, each a product of factors with `*` optional
+# between them; a factor is an integer or rational coefficient, or a variable
+# with an optional `^` and nonnegative integer exponent.  No parentheses.
 
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-
-
-def _tokenize(text: str, ctx: RingCtx) -> list[tuple[str, str, int]]:
-    names = sorted(ctx.var_names, key=len, reverse=True)
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            tokens.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        for name in names:
-            if text.startswith(name, i):
-                tokens.append(("var", name, i))
-                i += len(name)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+@lru_cache(maxsize=64)
+def _grammar(names: tuple[str, ...]):
+    """The (term, factor) patterns of a ring with these variable names, and
+    each name's index.  Longer names are tried first, so ``x1`` is one
+    variable when the ring has one."""
+    variable = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    factor = (
+        r"\s*(?:\*\s*)?"
+        r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?"
+        rf"|(?P<var>{variable})(?:\s*\^\s*(?P<exp>\d+))?)"
+    )
+    term = rf"\s*(?P<sign>[+-]?)(?P<body>(?:{factor})*)\s*"
+    return re.compile(term), re.compile(factor), {name: i for i, name in enumerate(names)}
 
 
 def parse_poly(text: str, ctx: RingCtx) -> Polynomial:
-    """Parse polynomial text like ``x^2*y - 3*z`` or ``1/2x y``."""
-    tokens = _tokenize(text, ctx)
-    if not tokens:
+    """Parse polynomial text like ``x^2*y - 3*z`` or ``1/2x y``, term by
+    term; a refusal names the column where reading stopped."""
+    if not text or text.isspace():
         raise ParseError("empty polynomial text")
+    term, factor, index = _grammar(ctx.var_names)
     terms: dict[Exponents, Fraction] = {}
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, "", len(text))
-
-    def parse_number(tok_text: str, at: int) -> Fraction:
-        if "/" in tok_text:
-            num, den = tok_text.split("/")
-            if int(den) == 0:
-                raise ParseError("division by zero in a coefficient", at)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok_text))
-
-    while pos < len(tokens):
-        sign = _ONE
-        kind, val, at = peek()
-        if kind in "+-":
-            if kind == "-":
-                sign = -_ONE
-            pos += 1
-            kind, val, at = peek()
-        coeff = sign
+    while pos < len(text):
+        m = term.match(text, pos)
+        if not m["body"]:
+            # no factor follows; this also catches a later term without its
+            # sign, as the body before it read every factor it could
+            pos = m.end()
+            if pos == len(text):
+                raise ParseError("the text ended where a term was expected", pos)
+            raise ParseError(f"unexpected {text[pos]!r}", pos)
+        num_c, den_c = (-1 if m["sign"] == "-" else 1), 1
         exps = [0] * ctx.n
-        saw_factor = False
-        while True:
-            kind, val, at = peek()
-            if kind == "num":
-                coeff *= parse_number(val, at)
-                pos += 1
-                saw_factor = True
-            elif kind == "var":
-                idx = ctx.index(val)
-                pos += 1
-                power = 1
-                if peek()[0] == "^":
-                    pos += 1
-                    k2, v2, a2 = peek()
-                    if k2 != "num" or "/" in v2:
-                        raise ParseError("exponent must be a nonnegative integer", a2)
-                    power = int(v2)
-                    pos += 1
-                exps[idx] += power
-                saw_factor = True
-            elif kind == "*":
-                pos += 1
-                k2, _, a2 = peek()
-                if k2 not in ("num", "var"):
-                    raise ParseError("dangling '*'", a2)
+        for f in factor.finditer(text, m.start("body"), m.end("body")):
+            num, den, var, exp = f.groups()
+            if var is not None:
+                exps[index[var]] += int(exp or 1)
                 continue
-            else:
-                break
-        if not saw_factor:
-            raise ParseError("expected a term", at)
+            d = int(den or 1)
+            if not d:
+                raise ParseError("division by zero in a coefficient", f.start("num"))
+            num_c, den_c = num_c * int(num), den_c * d
         key = tuple(exps)
-        v = terms.get(key, _ZERO) + coeff
+        v = terms.get(key, _ZERO) + Fraction(num_c, den_c)
         if v:
             terms[key] = v
         else:
             terms.pop(key, None)
-        kind, val, at = peek()
-        if kind is None:
-            break
-        if kind not in "+-":
-            raise ParseError(f"unexpected {val!r}", at)
+        pos = m.end()
     return Polynomial(ctx, terms)
 
 

@@ -689,6 +689,10 @@ CLAIMS: dict[str, ClaimInfo] = {
 }
 
 
+# the claims whose draws read `InstanceParams.module`; the rest draw their own
+_PINNABLE = ("l1", "l08", "t6")
+
+
 def _run_instance(args: tuple[str, InstanceParams, int, Limits]) -> dict:
     claim, params, seed, limits = args
     info = CLAIMS[claim]
@@ -717,6 +721,10 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
         raise RingError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
     if jobs < 1:
         raise RingError(f"jobs must be at least 1, got {jobs}")
+    if params.module is not None and claim not in _PINNABLE:
+        raise RingError(
+            f"claim {claim} draws its own base module; only l1, l08 and t6 take a pinned module"
+        )
     limits = _LIMITS.get()
     tasks = [(claim, params, params.seed + k, limits) for k in range(params.count)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1) if jobs > 1 else 1

@@ -20,11 +20,19 @@ from linkcoh.groebner import (
     ideal_block,
     module_gb,
     module_reduce,
+    _divide,
+    _table,
     module_table,
-    normal_form,
 )
 from linkcoh.modules import _koszul_columns, submodule_syzygies, vec_is_zero
 from linkcoh.ring import DEGREVLEX, MonomialOrder, Polynomial
+
+
+def normal_form(f, basis):
+    """Full remainder of f under degrevlex division by `basis`, by the
+    engine's division kernel."""
+    table = _table(g.term_map() for g in basis)
+    return Polynomial(f.ctx, _divide(f.term_map(), table))
 
 
 def lex(n):

@@ -43,7 +43,7 @@ from linkcoh.monomial import (
     mono_radical,
     mono_sum,
 )
-from linkcoh.ring import Polynomial, RingCtx, RingError
+from linkcoh.ring import Polynomial, RingCtx, RingError, mono_one
 from linkcoh.simplicial import _facet_masks, _rank_exact, depth_squarefree
 
 
@@ -320,7 +320,7 @@ def ass_member_presented(p: MonomialPrime, N: FPModule) -> bool:
 def mono_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I : J = the intersection over J's generators of I : (m)."""
     if J.is_zero():
-        return MonomialIdeal.unit(I.ctx)
+        return MonomialIdeal(I.ctx, (mono_one(I.ctx.n),))
     return MonomialIdeal(I.ctx, min_gens_colon(I.min_gens, J.min_gens))
 
 

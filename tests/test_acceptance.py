@@ -15,14 +15,13 @@ import random
 
 import pytest
 
-from engine_routes import engine_gb, engine_quotient, tag_intersect
+from engine_routes import engine_gb, engine_quotient, normal_form, tag_intersect
 from linkcoh.cli import run
 from linkcoh.groebner import (
     Ideal,
     ideal_intersect,
     ideal_quotient,
     ideal_sum,
-    normal_form,
     radical_member,
     reduced_gb,
 )

@@ -111,6 +111,13 @@ def test_the_zero_ideal_through_the_monomial_commands(capsys):
         assert doc_of(capsys, cmd, "--ring", "x,y", "--ideal", "0")[key] == [[]]
 
 
+def test_monomial_commands_refuse_a_non_monomial_ideal(capsys):
+    # x + y is its own reduced basis, and that basis is not made of terms
+    code, out, err = invoke(capsys, "decompose", "--ring", "x,y", "--ideal", "x + y")
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: this operation is only certified for monomial ideals"
+
+
 @pytest.mark.parametrize("cmd, words", [
     ("minprimes", "the primes of R/I need a proper ideal"),
     ("ass", "associated primes need a proper ideal"),
@@ -292,6 +299,17 @@ def test_verify_deterministic_and_parallel(capsys):
     doc = json.loads(one_out)
     assert doc["ok"] is True
     assert doc["instances"] == 5
+
+
+@pytest.mark.parametrize("claim", ["r1", "l15", "p1", "t2"])
+def test_verify_refuses_a_module_the_claim_never_reads(capsys, claim):
+    code, out, err = invoke(
+        capsys, "verify", claim, "--random", "4", "--vars", "3", "--maxdeg", "2",
+        "--seed", "7", "--module", "x^2 - y*z",
+    )
+    assert code == 1
+    assert out == ""
+    assert "l1, l08 and t6" in err
 
 
 def test_verify_unknown_claim_usage(capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from engine_routes import engine_gb, engine_quotient, lex, tag_intersect
+from engine_routes import engine_gb, engine_quotient, lex, normal_form, tag_intersect
 from linkcoh import groebner
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -31,7 +31,6 @@ from linkcoh.groebner import (
     is_unit_ideal,
     module_reduce,
     module_table,
-    normal_form,
     radical_member,
     reduced_gb,
     saturate,

@@ -261,7 +261,7 @@ def test_prime_record_matches_its_definitions():
     rng = random.Random(71)
     for n in (2, 3, 4):
         ctx = ring(*[f"x{i}" for i in range(n)])
-        ideals = [MonomialIdeal.zero(ctx)]
+        ideals = [MonomialIdeal(ctx, ())]
         for _ in range(69):
             exps = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
             ideals.append(MonomialIdeal.from_exponents(ctx, [e for e in exps if any(e)]))

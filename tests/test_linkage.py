@@ -47,6 +47,8 @@ def test_selflinked_maximal_ideal():
     cert = check_linked(a, a, I_of(ctx, "x^2", "y"), R_mod(ctx))
     assert cert.selflinked
     assert not cert.geometric
+    # one quotient M/aM = M/bM, built once
+    assert cert.quotient_b is cert.quotient_a
 
 
 def test_principal_selflink():
@@ -55,6 +57,8 @@ def test_principal_selflink():
     assert cert.selflinked
     assert not cert.geometric
     assert support_identity(cert)
+    assert cert.quotient_b is cert.quotient_a
+    assert cert.quotient_core is not cert.module
 
 
 def test_zero_link_over_hypersurface_module():
@@ -67,6 +71,9 @@ def test_zero_link_over_hypersurface_module():
     assert ideal_equal(cert.quotient_a.ideal, I_of(ctx, "x"))
     assert ideal_equal(cert.quotient_b.ideal, I_of(ctx, "y"))
     assert support_identity(cert)
+    # the core M/IM of a zero link is M itself, and its quotients stay apart
+    assert cert.quotient_core is cert.module
+    assert cert.quotient_b is not cert.quotient_a
 
 
 def test_height_two_link():

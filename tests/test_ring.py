@@ -93,6 +93,39 @@ def test_parse_errors(ctx):
             parse_poly(bad, ctx)
 
 
+def test_parse_grammar_corners(ctx):
+    x, y = (Polynomial.variable(ctx, v) for v in "xy")
+    accepted = {
+        "*x": x,
+        "-*x": -x,
+        "2 3x": 6 * x,
+        "x y": x * y,
+        "1/2x y": Fraction(1, 2) * x * y,
+        "x ^ 2": x**2,
+        "x^0": Polynomial.const(ctx, 1),
+        "x^2y": x**2 * y,
+        "+x": x,
+        "3 x^2 - 3x^2": Polynomial.zero(ctx),
+    }
+    for text, want in accepted.items():
+        assert parse_poly(text, ctx) == want, text
+    # the longest name is read first, and only names the ring declares
+    shared = ring("x", "x1", "y")
+    x_, x1 = Polynomial.variable(shared, "x"), Polynomial.variable(shared, "x1")
+    assert parse_poly("x1", shared) == x1
+    assert parse_poly("xx1", shared) == x_ * x1
+    assert parse_poly("x1", ring("x", "y")) == Polynomial.variable(ring("x", "y"), "x")
+    refused = [
+        "x**2", "x^-1", "x^1/2", "1/2/3", "x--y", "x + - y", "x +", "+", "2^3", "x^2^3",
+        "x*", "x^", "q", "(x",
+    ]
+    for text in refused:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ctx)
+        assert 0 <= err.value.position <= len(text), text
+        assert f"(column {err.value.position + 1})" in str(err.value)
+
+
 def test_parse_arithmetic_identities(ctx):
     x = Polynomial.variable(ctx, "x")
     y = Polynomial.variable(ctx, "y")

@@ -13,10 +13,16 @@ from fractions import Fraction
 import pytest
 
 from linkcoh import simplicial
-from linkcoh.groebner import BudgetExceeded, set_limits
+from linkcoh.groebner import BudgetExceeded, Ideal, set_limits
 from linkcoh.modules import koszul_grade
-from linkcoh.monomial import ImproperIdealError, MonomialIdeal, MonomialPrime, associated_primes
-from linkcoh.ring import Polynomial, RingError, ring
+from linkcoh.monomial import (
+    ImproperIdealError,
+    MonomialIdeal,
+    MonomialPrime,
+    as_monomial,
+    associated_primes,
+)
+from linkcoh.ring import Polynomial, RingError, mono_one, ring
 from linkcoh.simplicial import cd_squarefree, depth_monomial, depth_squarefree, dim_monomial
 from oracles import (
     CohomologyProfile,
@@ -30,7 +36,7 @@ from oracles import (
 
 
 def MI(ctx, *texts):
-    return MonomialIdeal.parse(ctx, ", ".join(texts))
+    return as_monomial(Ideal.parse(ctx, ", ".join(texts)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +321,7 @@ def test_cd_squarefree_known_values():
     # three points: pd of the quotient is 2
     assert cd_squarefree(MI(ctx, "x*y", "x*z", "y*z")) == 2
     assert cd_squarefree(MI(ctx, "x*y")) == 1
-    assert cd_squarefree(MonomialIdeal.zero(ctx)) == 0
+    assert cd_squarefree(MonomialIdeal(ctx, ())) == 0
 
 
 def test_cd_on_quotient():
@@ -358,7 +364,7 @@ def test_cd_on_quotient_matches_ring_restriction_property():
 
 def test_cd_on_quotient_refuses_unit_ideal():
     ctx = ring("x", "y", "z")
-    unit = MonomialIdeal.unit(ctx)
+    unit = MonomialIdeal(ctx, (mono_one(ctx.n),))
     for p in [MonomialPrime((0,)), MonomialPrime((0, 1, 2))]:
         with pytest.raises(ImproperIdealError):
             cd_on_quotient(unit, p)

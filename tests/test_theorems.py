@@ -253,6 +253,27 @@ def test_run_claim_rejects_unknown():
         run_claim("nope", InstanceParams())
 
 
+@pytest.mark.parametrize("claim", ["r1", "l15", "p1", "t2"])
+def test_run_claim_refuses_a_module_the_claim_never_reads(claim):
+    # these claims draw their own base module, so a pinned one would be
+    # echoed in the report without being checked
+    params = InstanceParams(n_vars=3, count=4, maxdeg=2, seed=7, module="x^2 - y*z")
+    with pytest.raises(RingError, match="only l1, l08 and t6 take a pinned module"):
+        run_claim(claim, params)
+
+
+def test_p1_draws_reach_the_linked_path():
+    # seed 2 of the smoke run skips every p1 draw at the unit colon; these
+    # draws certify linked pairs and check them
+    doc = run_claim("p1", InstanceParams(n_vars=2, count=20, maxdeg=2, seed=7))
+    assert doc["counts"]["pass"] >= 1
+    assert doc["counts"]["fail"] == doc["counts"]["inconclusive"] == 0
+    for v in doc["verdicts"]:
+        if v["status"] == "skip":
+            (note,) = v["notes"]
+            assert note == "trial collapsed to a unit colon" or note.startswith("draw not linked: ")
+
+
 def test_run_claim_pinned_module():
     params = InstanceParams(n_vars=2, count=2, maxdeg=2, seed=1, module="x*y")
     doc = run_claim("t6", params)
