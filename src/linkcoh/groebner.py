@@ -9,12 +9,19 @@ which `eliminate` (and so `saturate`) runs under and nothing caches.
 
 Operands whose generators are all terms never reach the engine:
 `reduced_gb`, `ideal_quotient` and `ideal_intersect` answer them with the
-divisibility kernels below, which `monomial.py` builds on, and
+divisibility kernels below, which `monomial.py` builds on, `ideal_member`
+asks whether each term of f is divisible by a minimal generator, and
 `is_unit_ideal` (so `is_proper`) looks for a nonzero constant among them.
 The answer is the minimal generators, monic, in increasing order (the
 engine's output), and a colon or intersection has its degrevlex basis and
-its minimal generators cached, as `_colon` caches its basis.  `_gb` and
-`_colon` stay callable for tests that compare routes.
+its minimal generators cached, as `_colon` caches its basis.  Three more
+answers need no run on any operands: an ideal none of whose generators has
+a constant term lies in the ideal of the variables, so it is proper; one
+with a constant generator is the unit ideal; and I : J is the unit ideal,
+`Ideal.unit` with its basis seeded, when every generator of J lies in I
+(J = (0) among them).  `colon_and_sum` reads I : (f) and I + (f) off one
+syzygy run.  `_gb` and `_colon` stay callable for tests that compare
+routes.
 
 The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
 under the normal strategy; a hard S-pair budget makes a runaway run abort as
@@ -196,7 +203,11 @@ class Ideal:
 
     @classmethod
     def unit(cls, ctx: RingCtx) -> "Ideal":
-        return cls(ctx, [Polynomial.const(ctx, 1)])
+        """The whole ring, its reduced basis and minimal generators (1)
+        cached."""
+        U = _seeded(ctx, (Polynomial.const(ctx, 1),))
+        U._monomial_gens = (mono_one(ctx.n),)
+        return U
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -786,20 +797,30 @@ def reduced_gb(I: Ideal) -> tuple[Polynomial, ...]:
 
 
 def ideal_member(f: Polynomial, I: Ideal) -> bool:
-    """Whether f lies in I: f divides to zero by the reducer table of I's
-    reduced basis, built once per ideal and cached beside the basis."""
+    """Whether f lies in I.  When I's generators are all terms, whether each
+    term of f is divisible by one of its minimal generators; otherwise
+    whether f divides to zero by the reducer table of I's reduced basis,
+    built once per ideal and cached beside the basis."""
     if f.is_zero():
         return True
+    gens = monomial_gens(I)
+    if gens is not None:
+        return all(any(all(map(le_, g, e)) for g in gens) for e in f.term_map())
     if I._table is None:
         I._table = _table(g.term_map() for g in reduced_gb(I))
     return not _divide(f.term_map(), I._table)
 
 
 def is_unit_ideal(I: Ideal) -> bool:
-    """Whether I is the whole ring.  When its generators are all terms, that
-    is whether one of them is a nonzero constant, and no basis is built."""
-    if all(g.is_term() for g in I.gens):
-        return any(g.is_constant() for g in I.gens)
+    """Whether I is the whole ring.  No basis is built when no generator has
+    a constant term (I then lies in the ideal of the variables, so it is
+    proper) or when a generator is a nonzero constant, as one is whenever
+    the generators are all terms and one has a constant term."""
+    one = mono_one(I.ctx.n)
+    if not any(one in g.term_map() for g in I.gens):
+        return False
+    if any(g.is_constant() for g in I.gens):
+        return True
     gb = reduced_gb(I)
     return len(gb) == 1 and gb[0].is_constant()
 
@@ -851,15 +872,37 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
 
     With g_1..g_k the generators, that is the syzygy module of the single
     vector (g_1..g_k) modulo I*R^k: `_colon` over R^1, seeded with the
-    reduced basis of I.  The result's basis cache holds its reduced
-    degrevlex basis.
+    reduced basis of I.  When every g_j lies in I (J = (0) among them) the
+    colon is the whole ring, found by membership alone.  The result's basis
+    cache holds its reduced degrevlex basis.
     """
     ctx = _same_ctx(I, J)
-    if not J.gens:
-        return Ideal.unit(ctx)  # I : (0) is everything
+    if all(ideal_member(g, I) for g in J.gens):
+        return Ideal.unit(ctx)
     if (by_terms := _by_terms(min_gens_colon, I, J)) is not None:
         return by_terms
     return _colon(ctx, [(p,) for p in J.gens], [(f,) for f in reduced_gb(I)])
+
+
+def colon_and_sum(I: Ideal, f: Polynomial) -> tuple[Ideal, Ideal]:
+    """I : (f) and I + (f), each with its reduced degrevlex basis cached.
+
+    Past the answers `ideal_quotient` finds without the engine (f in I, or
+    I and f given by terms), both come from one syzygy run of the vector
+    (f) of R^1 modulo the reduced basis of I: its tags are the colon's
+    reduced basis and its image is the sum's (see `_syzygies`).  The sum
+    keeps the generators of I, then f.
+    """
+    S = Ideal(I.ctx, (*I.gens, f))
+    if monomial_gens(S) is not None:
+        reduced_gb(S)
+        return ideal_quotient(I, Ideal(I.ctx, [f])), S
+    if ideal_member(f, I):
+        S._gb = reduced_gb(I)
+        return Ideal.unit(I.ctx), S
+    syz, image = _syzygies([(f,)], [(g,) for g in reduced_gb(I)], I.ctx, 1)
+    S._gb = tuple(g for (g,) in image)
+    return _seeded(I.ctx, tuple(a for (a,) in syz)), S
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ non-monomial J rather than guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .groebner import Ideal, ideal_sum, is_proper, radical_member
 from .modules import CyclicModule
 from .monomial import (
     ImproperIdealError,
-    MonomialIdeal,
     MonomialPrime,
     PrimeSet,
     as_monomial,
@@ -90,22 +90,28 @@ def assh(M: CyclicModule) -> PrimeSet:
     return M.primes().assh
 
 
-def _becomes_maximal(a: Ideal, am: MonomialIdeal | None, p: MonomialPrime) -> bool:
-    """Whether sqrt(a + p) is the ideal of all variables, which the unit
-    ideal is not.  For monomial a: whether a is proper and each variable
-    outside p has a pure power among a's minimal generators, as sqrt(a) is
-    generated by their supports."""
+def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
+    """The test of whether sqrt(a + p) is the ideal of all variables, which
+    the unit ideal is not, for monomial primes p.  For monomial a, sqrt(a)
+    is generated by the supports of its minimal generators, so p passes
+    exactly when a is proper and p holds every variable without a pure power
+    among them; that set is found once, for every p."""
     ctx = a.ctx
+    am = as_monomial(a)
     if am is not None:
         if am.is_unit():
-            return False
-        supports = [{i for i, x in enumerate(e) if x} for e in am.min_gens]
-        outside = set(range(ctx.n)) - set(p.vars)
-        return all(any(sup <= {i} for sup in supports) for i in outside)
-    ap = ideal_sum(a, p.to_ideal(ctx))
-    return is_proper(ap) and all(
-        radical_member(Polynomial.variable(ctx, v), ap) for v in ctx.var_names
-    )
+            return lambda p: False
+        powered = {i for e in am.min_gens for i, x in enumerate(e) if x and sum(e) == x}
+        needed = set(range(ctx.n)) - powered
+        return lambda p: needed.issubset(p.vars)
+
+    def test(p: MonomialPrime) -> bool:
+        ap = ideal_sum(a, p.to_ideal(ctx))
+        return is_proper(ap) and all(
+            radical_member(Polynomial.variable(ctx, v), ap) for v in ctx.var_names
+        )
+
+    return test
 
 
 def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:
@@ -116,15 +122,13 @@ def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:
     """
     if not is_proper(ideal_sum(a, M.ideal)):
         raise ImproperIdealError("att_top wants aM != M")
-    am = as_monomial(a)
-    return PrimeSet(p for p in assh(M) if _becomes_maximal(a, am, p))
+    return PrimeSet(filter(_becomes_maximal(a), assh(M)))
 
 
 def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:
     """Associated primes of the zeroth formal local cohomology of M along a:
     the associated primes of M that a pushes up to the maximal ideal."""
-    am = as_monomial(a)
-    return PrimeSet(p for p in module_ass_primes(M) if _becomes_maximal(a, am, p))
+    return PrimeSet(filter(_becomes_maximal(a), module_ass_primes(M)))
 
 
 def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:

@@ -21,7 +21,10 @@ N, without presenting Hom, and `FPModule.annihilator` (a = 0) and
 `ass_member` (a = p) read it.  `koszul_grade` makes one syzygy run per
 level it reads, giving that level's cycles and the boundaries below, and
 compares the two reduced bases.  Every regular sequence grows in one
-routine, `regular_chain`, which returns the ideal base + (seq) it built.
+routine, `regular_chain`, which returns the ideal base + (seq) it built:
+each step reads the colon Q : f, which decides whether f is regular, and
+the next sum Q + (f), with its reduced basis, off one syzygy run
+(`colon_and_sum`).
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -44,6 +47,7 @@ from .groebner import (
     _colon,
     _syzygies,
     check_deadline,
+    colon_and_sum,
     ideal_block,
     ideal_equal,
     ideal_quotient,
@@ -349,14 +353,15 @@ def is_regular_on(X: Ideal, Q: Ideal) -> bool:
 def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
     """base + (seq), built one element at a time with its basis cached, when
     seq is a regular sequence on R/base (in the given order): each element a
-    nonzerodivisor modulo base and those before it, the last sum proper.
-    None otherwise."""
+    nonzerodivisor modulo base and those before it (Q : f = Q), the last sum
+    proper.  None otherwise.  Each step's colon and sum come from one
+    `colon_and_sum`."""
     Q = base
     for f in seq:
-        step = Ideal(Q.ctx, [f])
-        if not is_regular_on(step, Q):
+        colon, nxt = colon_and_sum(Q, f)
+        if not ideal_equal(colon, Q):
             return None
-        Q = ideal_sum(Q, step)
+        Q = nxt
     return Q if is_proper(Q) else None
 
 

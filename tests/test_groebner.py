@@ -19,6 +19,7 @@ from linkcoh.groebner import (
     Ideal,
     _buchberger,
     _gb,
+    colon_and_sum,
     eliminate,
     ideal_contains,
     ideal_equal,
@@ -452,6 +453,161 @@ def test_seeded_monomial_gens_match_a_fresh_look():
             assert Q._monomial_gens == groebner.monomial_gens(Ideal(ctx, Q.gens))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Answers found without the engine, held against the engine routes.
+
+def _poly(st, ctx, constant):
+    """A hypothesis strategy of nonzero polynomials of ctx with up to three
+    terms of degree <= 2; `constant` decides whether one has degree 0."""
+    exps = st.lists(st.integers(0, 1), min_size=ctx.n, max_size=ctx.n).map(tuple)
+    coeffs = st.sampled_from([-2, -1, 1, 3])
+    terms = st.dictionaries(exps.filter(any), coeffs, min_size=1, max_size=3)
+    one = (0,) * ctx.n
+    if constant:
+        terms = st.builds(lambda t, c: {**t, one: c}, terms, coeffs)
+    return terms.map(lambda t: Polynomial(ctx, t))
+
+
+def _engine_runs(monkeypatch):
+    """A list that gains one entry per `groebner._buchberger` call."""
+    runs = []
+    real = groebner._buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    return runs
+
+
+def test_unit_test_by_the_origin_matches_the_engine(monkeypatch):
+    # an ideal none of whose generators has a constant term lies in the
+    # ideal of the variables: proper, with no basis built; the others are
+    # decided as the engine decides them
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    runs = _engine_runs(monkeypatch)
+    ctx = ring("x", "y")
+    assert not is_unit_ideal(I_of(ctx, "x - 1"))
+    assert is_unit_ideal(I_of(ctx, "x*y + 1", "x"))
+    assert len(runs) == 2  # a constant term, and no constant generator
+    assert is_unit_ideal(I_of(ctx, "x^2 - y", "3")) and is_unit_ideal(I_of(ctx, "x", "2"))
+    assert not is_unit_ideal(I_of(ctx, "x^2 - y", "x*y"))
+    assert len(runs) == 2
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(1, 3))])
+        flags = data.draw(st.lists(st.booleans(), max_size=3))
+        I = Ideal(ctx, [data.draw(_poly(st, ctx, c)) for c in flags])
+        unit = engine_gb(I) == (Polynomial.const(ctx, 1),)
+        del runs[:]
+        assert is_unit_ideal(I) == unit
+        if not any(flags):
+            assert not unit and I._gb is None and runs == []
+
+    check()
+
+
+def test_term_membership_matches_the_engine_remainder():
+    # f lies in an ideal given by terms when each of its terms is divisible
+    # by a minimal generator; no reducer table is built
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        I = data.draw(_term_ideal(st, ctx))
+        f = data.draw(_poly(st, ctx, data.draw(st.booleans())))
+        if data.draw(st.booleans()) and I.gens:
+            # a multiple of a generator plus a term, kept or not, of I
+            f = f * I.gens[0] + data.draw(_poly(st, ctx, False)) * I.gens[-1]
+        assert ideal_member(f, I) == normal_form(f, engine_gb(I)).is_zero()
+        assert I._table is None
+
+    check()
+
+
+def test_unit_colon_matches_the_engine_colon(monkeypatch):
+    # I : J is the whole ring, its basis (1) cached, exactly when J lies in
+    # I; that answer starts no syzygy run
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ctx = ring("x", "y")
+    U = ideal_quotient(Ideal.parse(ctx, "x^2 - y, x*y"), Ideal.zero(ctx))
+    assert U._gb == (Polynomial.const(ctx, 1),) and U.gens == U._gb
+    runs = _engine_runs(monkeypatch)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        I = Ideal(ctx, [data.draw(_poly(st, ctx, False)) for _ in range(data.draw(st.integers(1, 3)))])
+        mults = st.lists(_poly(st, ctx, data.draw(st.booleans())), min_size=1, max_size=3)
+        J = Ideal(ctx, [sum((m * g for m, g in zip(data.draw(mults), I.gens)), Polynomial.zero(ctx))])
+        if J.is_zero_ideal():
+            J = Ideal(ctx, I.gens[:1])
+        E = engine_quotient(I, J)
+        assert E._gb == (Polynomial.const(ctx, 1),)
+        reduced_gb(I)
+        del runs[:]
+        Q = ideal_quotient(I, J)
+        assert Q._gb == E._gb and Q.gens == E.gens and runs == []
+
+    check()
+
+
+def test_colon_and_sum_match_the_engine_routes():
+    # one syzygy run gives I : (f), as the engine colon lists it, and the
+    # reduced basis of I + (f), as a fresh run on its generators lists it;
+    # f = 0, f in I, f regular and f a zero-divisor on R/I all occur
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    def agree(I, f):
+        colon, S = colon_and_sum(I, f)
+        assert S.gens == I.gens + ((f,) if f else ())
+        assert S._gb == engine_gb(S)
+        if f.is_zero():
+            assert colon._gb == (Polynomial.const(I.ctx, 1),)
+            return "zero"
+        E = engine_quotient(I, Ideal(I.ctx, [f]))
+        assert colon.gens == E.gens and colon._gb == E._gb
+        if colon._gb == (Polynomial.const(I.ctx, 1),):
+            return "member"
+        return "regular" if colon._gb == engine_gb(I) else "zero-divisor"
+
+    ctx = ring("x", "y", "z")
+    I = I_of(ctx, "x^2 - y*z", "x*y")
+    hand = {
+        agree(I, P(ctx, f))
+        for f in ("0", "x^3 - x*y*z + x*y", "z + 1", "y + z", "x", "x^2 + y")
+    }
+    assert hand == {"zero", "member", "regular", "zero-divisor"}
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        I = Ideal(ctx, [data.draw(_poly(st, ctx, False)) for _ in range(data.draw(st.integers(0, 3)))])
+        kind = data.draw(st.sampled_from(["zero", "member", "any"]))
+        if kind == "zero" or (kind == "member" and not I.gens):
+            f = Polynomial.zero(ctx)
+        elif kind == "member":
+            f = data.draw(_poly(st, ctx, True)) * I.gens[-1]
+        else:
+            f = data.draw(_poly(st, ctx, data.draw(st.booleans())))
+        seen.add(agree(I, f))
+
+    check()
+    assert seen == {"zero", "member", "regular", "zero-divisor"}
 
 
 def test_nested_limits_keep_outer_deadline():

@@ -3,7 +3,7 @@
 import pytest
 
 from linkcoh import groebner, linkage
-from linkcoh.groebner import Ideal, ideal_equal, ideal_quotient, ideal_sum, reduced_gb
+from linkcoh.groebner import Ideal, ideal_equal, ideal_quotient, ideal_sum, is_proper, reduced_gb
 from linkcoh.linkage import (
     GenParams,
     LinkageError,
@@ -13,7 +13,7 @@ from linkcoh.linkage import (
     random_linked_pairs,
     support_identity,
 )
-from linkcoh.modules import CyclicModule
+from linkcoh.modules import CyclicModule, is_regular_sequence
 from linkcoh.ring import RingError, parse_poly, ring
 
 
@@ -294,3 +294,32 @@ def test_certificate_quotients_keep_their_bases(monkeypatch, gens, count, seed):
     assert widths == []
     assert all(support_identity(cert) for cert in certs)
     assert widths and set(widths) == {ctx.n + 1}
+
+
+def test_engine_runs_are_pinned(monkeypatch):
+    # a regular chain reads each step's colon and sum off one syzygy run,
+    # membership in a term ideal divides by its generators, a colon by an
+    # ideal inside I is the unit ideal, and an ideal whose generators all
+    # vanish at the origin is proper, none of them with an engine run; the
+    # route through `is_regular_on`, then the sum's own basis, made the
+    # counts in the comments.  A change to any of these must update them.
+    runs = []
+    real = groebner._buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    ctx = ring(*"abcd")
+    b, c = parse_poly("b", ctx), parse_poly("c", ctx)
+    assert is_regular_sequence([b, c], I_of(ctx, "a*d - b*c"))
+    assert len(runs) == 3  # was 5: J's basis, then one run per step
+    del runs[:]
+    assert is_proper(ideal_sum(I_of(ctx, "a^2 - b*c", "a*d + c"), I_of(ctx, "b^3 - d")))
+    assert runs == []  # was 1
+    ctx = ring("x", "y", "z")
+    gens, count, seed, expected = PINNED_DRAWS[1]
+    got = list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=count, maxdeg=2), seed=seed))
+    assert len(runs) == 58  # was 121
+    assert [cert.as_json() for cert in got] == expected
