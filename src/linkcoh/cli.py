@@ -77,11 +77,11 @@ def _prime(ctx: RingCtx, text: str) -> MonomialPrime:
     t = text.strip()
     if t in ("", "0"):
         return MonomialPrime(())
-    return MonomialPrime(tuple(ctx.index(s.strip()) for s in t.split(",") if s.strip()))
+    return MonomialPrime(tuple(ctx.index(s) for s in _items(t)))
 
 
 def _items(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
+    return [s.strip() for s in text.split(",")]
 
 
 # the value of an operand's text, per kind; the other kinds keep argparse's value

@@ -174,10 +174,12 @@ class Ideal:
     mutated.  The reduced degrevlex basis (`_gb`), the reducer table that
     membership tests divide by (`_table`) and the answer of `monomial_gens`
     are each computed at most once and cached on the instance; None means
-    not yet computed.
+    not yet computed.  `_steps` maps each f that `colon_and_sum` has
+    extended the ideal by to its answer, so a regular chain grown again
+    from the same ideal reads every step it has taken before.
     """
 
-    __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens")
+    __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens", "_steps")
 
     def __init__(self, ctx: RingCtx, gens: Iterable[Polynomial]) -> None:
         kept = []
@@ -191,11 +193,13 @@ class Ideal:
         self._gb: tuple[Polynomial, ...] | None = None
         self._table: ReducerTable | None = None
         self._monomial_gens = _NOT_COMPUTED
+        self._steps: dict[Polynomial, tuple[Ideal, Ideal]] | None = None
 
     @classmethod
     def parse(cls, ctx: RingCtx, text: str) -> "Ideal":
-        parts = [s.strip() for s in text.split(",")]
-        return cls(ctx, [parse_poly(s, ctx) for s in parts if s])
+        """The ideal of the comma-separated polynomials in `text`; "0" is the
+        zero ideal, and an empty item is refused by `parse_poly`."""
+        return cls(ctx, [parse_poly(s.strip(), ctx) for s in text.split(",")])
 
     @classmethod
     def zero(cls, ctx: RingCtx) -> "Ideal":
@@ -891,18 +895,27 @@ def colon_and_sum(I: Ideal, f: Polynomial) -> tuple[Ideal, Ideal]:
     I and f given by terms), both come from one syzygy run of the vector
     (f) of R^1 modulo the reduced basis of I: its tags are the colon's
     reduced basis and its image is the sum's (see `_syzygies`).  The sum
-    keeps the generators of I, then f.
+    keeps the generators of I, then f.  The pair is kept on I under f
+    (`Ideal._steps`): a second call returns the same two ideals and runs
+    nothing.
     """
+    if I._steps is None:
+        I._steps = {}
+    elif f in I._steps:
+        return I._steps[f]
     S = Ideal(I.ctx, (*I.gens, f))
     if monomial_gens(S) is not None:
         reduced_gb(S)
-        return ideal_quotient(I, Ideal(I.ctx, [f])), S
-    if ideal_member(f, I):
+        colon = ideal_quotient(I, Ideal(I.ctx, [f]))
+    elif ideal_member(f, I):
         S._gb = reduced_gb(I)
-        return Ideal.unit(I.ctx), S
-    syz, image = _syzygies([(f,)], [(g,) for g in reduced_gb(I)], I.ctx, 1)
-    S._gb = tuple(g for (g,) in image)
-    return _seeded(I.ctx, tuple(a for (a,) in syz)), S
+        colon = Ideal.unit(I.ctx)
+    else:
+        syz, image = _syzygies([(f,)], [(g,) for g in reduced_gb(I)], I.ctx, 1)
+        S._gb = tuple(g for (g,) in image)
+        colon = _seeded(I.ctx, tuple(a for (a,) in syz))
+    I._steps[f] = colon, S
+    return colon, S
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ The link is geometric when (a+J) and (b+J) meet exactly in I+J, and a is
 selflinked when the two sides agree mod J.
 
 `check_linked` certifies a triple or raises LinkageError with a reason code;
-`link_of` takes the colon partner; `random_linked_pairs` draws certified
-instances, exploiting that a double colon is always colon-stable.
+`link_of` takes the colon partner, or the double colon of a trial ideal, and
+certifies it, and is the one place a pair is built: `random_linked_pairs`
+draws certified instances through it, exploiting that a double colon is
+always colon-stable.  Both take the core I + J from one helper, `_core`,
+which grows I as a regular chain from J; each step stays on the ideal it
+extended, so the chain is tested once however often it is grown.
 
 A certificate holds M/aM = R/(a+J), M/bM = R/(b+J) and the core
 M/IM = R/(I+J), the end of the regular chain that certified I, as cyclic
@@ -30,6 +34,7 @@ from .groebner import (
     ideal_quotient,
     ideal_sum,
     is_proper,
+    is_unit_ideal,
     radical_member,
     reduced_gb,
 )
@@ -77,6 +82,19 @@ class LinkageCertificate:
         }
 
 
+def _core(I: Ideal, J: Ideal) -> Ideal:
+    """J + I grown as a regular chain from J (`regular_chain`), the core
+    that both colons are taken in; refuses I when its generators are not
+    an M-regular sequence.  Every step's colon and sum stay on the ideal it
+    extended, so growing the chain again from the same J reads them."""
+    T = regular_chain(I.gens, J)
+    if T is None:
+        raise LinkageError(
+            "not-regular", "the generators of I are not an M-regular sequence"
+        )
+    return T
+
+
 def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertificate:
     """Verify every linkage condition for (a, b) through I over M.
 
@@ -88,11 +106,7 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
         if X.ctx != ctx:
             raise RingError("linkage data lives in different rings")
     J = M.ideal
-    T = regular_chain(I.gens, J)
-    if T is None:
-        raise LinkageError(
-            "not-regular", "the generators of I are not an M-regular sequence"
-        )
+    T = _core(I, J)
     aJ = ideal_sum(a, J)
     bJ = ideal_sum(b, J)
     for g in I.gens:
@@ -119,14 +133,20 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
 
 
 def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> LinkageCertificate:
-    """The colon partner b = (I+J) : a, certified.
+    """The colon partner b = (I+J) : a, certified by `check_linked`; the
+    one place a linked pair is built.
 
     When a is not colon-stable the pair fails certification; with close=True
-    a is first replaced by its double colon (which is always stable).
+    a is first replaced by its double colon (I+J) : b, which is always
+    stable.  A unit b is then refused at once as improper-b, the answer
+    certification would give: the double colon (I+J) : R = I+J holds I and
+    is proper.
     """
-    T = ideal_sum(I, M.ideal)
+    T = _core(I, M.ideal)
     b = ideal_quotient(T, a)
     if close:
+        if is_unit_ideal(b):
+            raise LinkageError("improper-b", "b kills the module: bM = M")
         a = ideal_quotient(T, b)
     return check_linked(a, b, I, M)
 
@@ -208,23 +228,20 @@ def random_linked_pairs(
     """Draw up to params.count distinct certified linkage instances over M.
 
     Each draw picks an M-regular sequence I, throws extra monomials on top to
-    get a trial ideal, and closes it under the double colon before the full
-    certification; duplicates (same pair mod J) are dropped.
+    get a trial ideal, and takes `link_of(trial, I, M, close=True)`;
+    duplicates (same pair mod J) are dropped.
 
-    A sequence grows one drawn candidate at a time.  A dict kept for the
-    call maps each drawn prefix (*seq, cand) to the ideal J + (seq, cand),
-    or to None when cand is not regular on J + (seq) or the sum is not
-    proper (`regular_chain` of the one candidate over J + (seq)), so each
-    prefix is tested once however often it is drawn, and the bases cached on
-    its ideal serve every later draw.  The chain's last ideal is J + I, the
-    core that the colons are taken in.
+    A sequence grows one drawn candidate at a time, from J, by
+    `regular_chain`.  Each step's colon and sum stay on the ideal it
+    extended (`colon_and_sum`), so a prefix drawn again, and the chain that
+    `link_of` grows again to certify I, cost dict lookups; the chain's last
+    ideal is J + I, the core that the colons are taken in.
     """
     rng = random.Random(seed)
     ctx = M.ctx
     J = M.ideal
     produced = 0
     seen: set = set()
-    chains: dict[tuple[Polynomial, ...], Ideal | None] = {}
     attempts = ATTEMPTS_PER_PAIR * max(1, params.count)
     min_len = 0 if not J.is_zero_ideal() else 1
 
@@ -241,12 +258,10 @@ def random_linked_pairs(
         for _ in range(want):
             for _ in range(12):
                 cand = _sequence_pool(rng, ctx, params.maxdeg)
-                key = (*seq, cand)
-                if key not in chains:
-                    chains[key] = regular_chain([cand], Q)
-                if chains[key] is not None:
+                nxt = regular_chain([cand], Q)
+                if nxt is not None:
                     seq.append(cand)
-                    Q = chains[key]
+                    Q = nxt
                     break
             else:
                 ok = False
@@ -260,14 +275,8 @@ def random_linked_pairs(
             for _ in range(rng.randint(extra_min, max(extra_min, params.max_extra)))
         ]
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I
-        if not is_proper(ideal_sum(trial, J)):
-            continue
-        b = ideal_quotient(Q, trial)  # Q = J + I
-        if not is_proper(b):  # b contains Q, which contains J
-            continue
-        a = ideal_quotient(Q, b)
         try:
-            cert = check_linked(a, b, I, M)
+            cert = link_of(trial, I, M, close=True)
         except LinkageError:
             continue
         key = frozenset(map(gb_key, (cert.quotient_a, cert.quotient_b))), gb_key(cert.quotient_core)

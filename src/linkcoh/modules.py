@@ -24,7 +24,8 @@ compares the two reduced bases.  Every regular sequence grows in one
 routine, `regular_chain`, which returns the ideal base + (seq) it built:
 each step reads the colon Q : f, which decides whether f is regular, and
 the next sum Q + (f), with its reduced basis, off one syzygy run
-(`colon_and_sum`).
+(`colon_and_sum`), which keeps both on Q, so a chain grown again from
+the same base reads them.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -50,7 +51,6 @@ from .groebner import (
     colon_and_sum,
     ideal_block,
     ideal_equal,
-    ideal_quotient,
     ideal_sum,
     is_proper,
     is_unit_ideal,
@@ -344,18 +344,13 @@ def koszul_grade(
     return upper
 
 
-def is_regular_on(X: Ideal, Q: Ideal) -> bool:
-    """Whether Q : X = Q, i.e. X lies in no associated prime of R/Q; for
-    X = (f), whether f is a nonzerodivisor on R/Q."""
-    return ideal_equal(ideal_quotient(Q, X), Q)
-
-
 def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
     """base + (seq), built one element at a time with its basis cached, when
     seq is a regular sequence on R/base (in the given order): each element a
     nonzerodivisor modulo base and those before it (Q : f = Q), the last sum
     proper.  None otherwise.  Each step's colon and sum come from one
-    `colon_and_sum`."""
+    `colon_and_sum`, which keeps them on the ideal the step extended, so a
+    chain grown again from the same base reads its steps."""
     Q = base
     for f in seq:
         colon, nxt = colon_and_sum(Q, f)

@@ -55,7 +55,7 @@ class RingCtx:
 
     @classmethod
     def parse(cls, text: str) -> "RingCtx":
-        names = [part.strip() for part in text.split(",") if part.strip()]
+        names = [part.strip() for part in text.split(",")]
         for name in names:
             if not name.isidentifier():
                 raise RingError(f"variable name {name!r} is not an identifier")

@@ -22,9 +22,9 @@ from .groebner import (
     BudgetExceeded,
     Ideal,
     Limits,
+    ideal_equal,
     ideal_quotient,
     ideal_sum,
-    is_proper,
     reduced_gb,
     radical_member,
 )
@@ -44,12 +44,12 @@ from .linkage import (
     LinkageError,
     _random_monomial,
     check_linked,
+    link_of,
     random_linked_pairs,
 )
 from .modules import (
     CyclicModule,
     ext1_selfdual,
-    is_regular_on,
     koszul_grade,
     maximal_ideal,
     module_ass,
@@ -386,7 +386,7 @@ def _greedy_maximal_sequence(M: CyclicModule, pool: list[Polynomial]):
         if nxt is not None:
             seq.append(f)
             Q = nxt
-    certified = not is_regular_on(maximal_ideal(ctx), Q)
+    certified = not ideal_equal(ideal_quotient(Q, maximal_ideal(ctx)), Q)
     return seq, Q, certified
 
 
@@ -589,15 +589,12 @@ def _draw_p1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
         Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, params.maxdeg))
         for _ in range(rng.randint(1, 2))
     ]
-    T = core
     trial = ideal_sum(core, Ideal(ctx, extras))
-    b = ideal_quotient(T, trial)
-    if not is_proper(b):
-        return Verdict.skipped("p1", "trial collapsed to a unit colon")
-    a = ideal_quotient(T, b)
     try:
-        cert = check_linked(a, b, core, M)
+        cert = link_of(trial, core, M, close=True)
     except LinkageError as err:
+        if err.reason == "improper-b":
+            return Verdict.skipped("p1", "trial collapsed to a unit colon")
         return Verdict.skipped("p1", f"draw not linked: {err.reason}")
     return check_grade_one_links(cert)
 

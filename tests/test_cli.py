@@ -411,6 +411,31 @@ def test_parse_error_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, words", [
+    (("gb", "--ring", "x,y", "--ideal", ","), "empty polynomial text"),
+    (("gb", "--ring", "x,y", "--ideal", ""), "empty polynomial text"),
+    (("gb", "--ring", "x,y", "--ideal", "x,,y"), "empty polynomial text"),
+    (("gb", "--ring", "x,,y", "--ideal", "x"), "identifier"),
+    (("htm", "--ring", "x,y", "--prime", "x,,y"), "unknown variable ''"),
+    (("eliminate", "--ring", "x,y", "--ideal", "x", "--drop", "x,"), "unknown variable ''"),
+    (("regseq", "--ring", "x,y", "--seq", ","), "empty polynomial text"),
+    (("verify", "l1", "--random", "1", "--module", ""), "empty polynomial text"),
+])
+def test_empty_items_in_comma_lists_exit_one(capsys, argv, words):
+    # an empty item is refused, never skipped or read as the zero ideal
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert words in err
+
+
+def test_zero_ideal_and_zero_prime_stay_readable(capsys):
+    assert doc_of(capsys, "regseq", "--ring", "x,y", "--seq", "x, y", "--module", "0")["regular"]
+    for prime in ("", "0"):
+        doc = doc_of(capsys, "htm", "--ring", "x,y", "--prime", prime, "--module", "0")
+        assert doc["height"] == 0
+
+
 def test_budget_exit_two(capsys):
     code, out, err = invoke(
         capsys,

@@ -563,16 +563,22 @@ def test_unit_colon_matches_the_engine_colon(monkeypatch):
     check()
 
 
-def test_colon_and_sum_match_the_engine_routes():
+def test_colon_and_sum_match_the_engine_routes(monkeypatch):
     # one syzygy run gives I : (f), as the engine colon lists it, and the
     # reduced basis of I + (f), as a fresh run on its generators lists it;
-    # f = 0, f in I, f regular and f a zero-divisor on R/I all occur
+    # f = 0, f in I, f regular and f a zero-divisor on R/I all occur.  The
+    # pair stays on I: asked again for an equal f, it comes back as the same
+    # two ideals with no engine run
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     seen = set()
+    runs = _engine_runs(monkeypatch)
 
     def agree(I, f):
         colon, S = colon_and_sum(I, f)
+        del runs[:]
+        again = colon_and_sum(I, Polynomial(I.ctx, dict(f.term_map())))
+        assert again[0] is colon and again[1] is S and runs == []
         assert S.gens == I.gens + ((f,) if f else ())
         assert S._gb == engine_gb(S)
         if f.is_zero():

@@ -2,8 +2,16 @@
 
 import pytest
 
-from linkcoh import groebner, linkage
-from linkcoh.groebner import Ideal, ideal_equal, ideal_quotient, ideal_sum, is_proper, reduced_gb
+from linkcoh import groebner, linkage, modules
+from linkcoh.groebner import (
+    Ideal,
+    ideal_equal,
+    ideal_quotient,
+    ideal_sum,
+    is_proper,
+    is_unit_ideal,
+    reduced_gb,
+)
 from linkcoh.linkage import (
     GenParams,
     LinkageError,
@@ -151,6 +159,98 @@ def test_link_of_unstable_ideal_needs_close():
     assert cert.selflinked
 
 
+def _outcome(route, *args):
+    """The certificate a linkage route returns, or its refusal reason."""
+    try:
+        return route(*args)
+    except LinkageError as err:
+        return err.reason
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return want
+    assert got.as_json() == want.as_json()
+    for side in ("quotient_a", "quotient_b", "quotient_core"):
+        assert ideal_equal(getattr(got, side).ideal, getattr(want, side).ideal)
+    return "linked"
+
+
+def _link_input(data, st):
+    """(M, copy, I, trial), drawn as the sampler draws them: M = R/J with J
+    given by terms or by one binomial, I up to two of the sampler's elements
+    (a power of a variable, or a sum of two variables), M-regular or not,
+    and trial I plus up to two terms, at least one when I is zero.  `copy`
+    is M on fresh ideals, so that a reference route shares no cached step
+    with `link_of`."""
+    ctx = ring("x", "y", "z")
+    var = st.sampled_from(ctx.var_names)
+    term = st.lists(var, min_size=1, max_size=3).map(lambda vs: parse_poly("*".join(vs), ctx))
+    if data.draw(st.booleans()):
+        J = data.draw(st.lists(term, max_size=2))
+    else:
+        J = [data.draw(term) - data.draw(term)]
+    element = st.one_of(
+        st.builds(lambda v, d: parse_poly(f"{v}^{d}", ctx), var, st.integers(1, 2)),
+        st.builds(lambda v, w: parse_poly(f"{v} + {w}", ctx), var, var),
+    )
+    I = Ideal(ctx, data.draw(st.lists(element, max_size=2)))
+    extras = data.draw(st.lists(term, min_size=0 if I.gens else 1, max_size=2))
+    M, copy = (CyclicModule(ctx, Ideal(ctx, J)) for _ in range(2))
+    return M, copy, I, ideal_sum(I, Ideal(ctx, extras))
+
+
+def test_closed_link_of_matches_the_inline_double_colon():
+    # link_of(trial, I, M, close=True) answers as the double colon the
+    # sampler and p1 once took inline (b = T : trial, a = T : b over
+    # T = I + J, then check_linked), and refuses a unit b as improper-b
+    # before taking a; improper-b occurs exactly when b is the unit ideal
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    def inline(trial, I, M):
+        T = ideal_sum(I, M.ideal)
+        b = ideal_quotient(T, trial)
+        return _outcome(check_linked, ideal_quotient(T, b), b, I, M), is_unit_ideal(b)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        M, copy, I, trial = _link_input(data, st)
+        want, unit_b = inline(trial, I, copy)
+        got = _outcome(link_of, trial, I, M, True)
+        seen.add(_same_outcome(got, want))
+        assert (got == "improper-b") == (unit_b and want != "not-regular")
+
+    check()
+    assert {"linked", "improper-a", "improper-b", "not-regular"} <= seen
+
+
+def test_open_link_of_refuses_as_check_linked_does():
+    # without close, link_of certifies (a, (I+J) : a) and nothing else: its
+    # answer is check_linked's on that unclosed pair, reason for reason, and
+    # a unit partner is not refused early (a = (xy) through (y) is not-contained)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+    ctx = ring("x", "y")
+    assert _outcome(link_of, I_of(ctx, "x*y"), I_of(ctx, "y"), R_mod(ctx)) == "not-contained"
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        M, copy, I, trial = _link_input(data, st)
+        # the trial, or its extra terms alone, which need not hold I
+        a = data.draw(st.sampled_from([trial, Ideal(I.ctx, trial.gens[len(I.gens):])]))
+        b = ideal_quotient(ideal_sum(I, copy.ideal), a)
+        seen.add(_same_outcome(_outcome(link_of, a, I, M), _outcome(check_linked, a, b, I, copy)))
+
+    check()
+    assert {"linked", "not-contained", "colon-mismatch-b"} <= seen
+
+
 # ---------------------------------------------------------------------------
 # Random sampling.
 
@@ -237,36 +337,29 @@ def test_random_pairs_are_pinned(gens, count, seed, expected):
 
 @pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS])
 def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
-    # within one call, a prefix (*seq, cand) drawn again reuses its ideal
-    # J + (seq, cand) or its refusal: one regularity test per distinct prefix;
-    # the chains check_linked grows to certify a draw are not the sampler's
+    # within one call, each chain step (Q, f) is computed once: a prefix
+    # (*seq, cand) drawn again, and the chain that certification grows again
+    # from J, read the colon and sum kept on Q (`colon_and_sum`)
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, *gens)
-    tested, drawn, certifying = [], [], [False]
-    chain, certify, pool = linkage.regular_chain, linkage.check_linked, linkage._sequence_pool
+    computed, calls, drawn = [], [], []
+    step, pool = modules.colon_and_sum, linkage._sequence_pool
 
-    def counted_chain(seq, base):
-        if not certifying[0]:
-            tested.append((base.gens, tuple(seq)))
-        return chain(seq, base)
-
-    def uncounted_certify(*args):
-        certifying[0] = True
-        try:
-            return certify(*args)
-        finally:
-            certifying[0] = False
+    def counted_step(Q, f):
+        calls.append(f)
+        if f not in (Q._steps or ()):
+            computed.append((Q.gens, f))
+        return step(Q, f)
 
     def counted_draw(*args):
         drawn.append(pool(*args))
         return drawn[-1]
 
-    monkeypatch.setattr(linkage, "regular_chain", counted_chain)
-    monkeypatch.setattr(linkage, "check_linked", uncounted_certify)
+    monkeypatch.setattr(modules, "colon_and_sum", counted_step)
     monkeypatch.setattr(linkage, "_sequence_pool", counted_draw)
     list(random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed))
-    assert tested and len(set(tested)) == len(tested)
-    assert len(drawn) > len(tested)
+    assert computed and len(set(computed)) == len(computed)
+    assert len(drawn) > len(computed) and len(calls) > len(drawn)
 
 
 @pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS[1:]])
@@ -297,12 +390,13 @@ def test_certificate_quotients_keep_their_bases(monkeypatch, gens, count, seed):
 
 
 def test_engine_runs_are_pinned(monkeypatch):
-    # a regular chain reads each step's colon and sum off one syzygy run,
-    # membership in a term ideal divides by its generators, a colon by an
-    # ideal inside I is the unit ideal, and an ideal whose generators all
-    # vanish at the origin is proper, none of them with an engine run; the
-    # route through `is_regular_on`, then the sum's own basis, made the
-    # counts in the comments.  A change to any of these must update them.
+    # a regular chain reads each step's colon and sum off one syzygy run and
+    # keeps them on the ideal it extended, membership in a term ideal divides
+    # by its generators, a colon by an ideal inside I is the unit ideal, and
+    # an ideal whose generators all vanish at the origin is proper, none of
+    # them with an engine run; the route that took each step's colon, then
+    # the sum's own basis, made the counts in the comments.  A change to any
+    # of these must update them.
     runs = []
     real = groebner._buchberger
 
@@ -321,5 +415,5 @@ def test_engine_runs_are_pinned(monkeypatch):
     ctx = ring("x", "y", "z")
     gens, count, seed, expected = PINNED_DRAWS[1]
     got = list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=count, maxdeg=2), seed=seed))
-    assert len(runs) == 58  # was 121
+    assert len(runs) == 54  # was 121
     assert [cert.as_json() for cert in got] == expected

@@ -24,6 +24,7 @@ from linkcoh.groebner import (
     _syzygies,
     ideal_equal,
     ideal_intersect,
+    ideal_quotient,
     ideal_sum,
     is_proper,
     is_unit_ideal,
@@ -42,7 +43,6 @@ from linkcoh.modules import (
     hom_annihilator,
     hom_cyclic,
     ideal_block,
-    is_regular_on,
     is_regular_sequence,
     koszul_grade,
     maximal_ideal,
@@ -458,9 +458,11 @@ def test_is_regular_sequence():
     assert is_regular_sequence([P(ctx, "x + y")], J)
     assert not is_regular_sequence([P(ctx, "x")], J)
     assert is_regular_sequence([], zero)
-    # the one step: Q : X = Q, for non-principal X too
-    assert is_regular_on(I_of(ctx, "x", "y"), J)
-    assert not is_regular_on(I_of(ctx, "x", "y"), I_of(ctx, "x^2", "x*y"))
+    # the maximality test of t6's greedy sequences: Q : X = Q, X not principal
+    X = I_of(ctx, "x", "y")
+    assert ideal_equal(ideal_quotient(J, X), J)
+    Q = I_of(ctx, "x^2", "x*y")
+    assert not ideal_equal(ideal_quotient(Q, X), Q)
     # a sequence that generates the whole ring is not regular
     assert not is_regular_sequence([P(ctx, "x"), P(ctx, "x + 1")], zero)
 

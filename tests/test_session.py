@@ -133,6 +133,8 @@ def test_task_shape_errors():
 
 def test_parse_error_carries_source_name():
     fails_with("ring x\nideal a = x +\n", "a.session:2:", source="a.session")
+    # an empty item in a generator list is refused, not skipped
+    fails_with("ring x\nideal a = x,\n", "empty polynomial text", line=2)
 
 
 def test_unknown_statement():
