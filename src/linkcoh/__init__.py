@@ -52,7 +52,6 @@ from .modules import (
     ass_member,
     ext1_selfdual,
     hom_annihilator,
-    hom_cyclic,
     is_regular_sequence,
     koszul_grade,
     maximal_ideal,
@@ -112,7 +111,6 @@ __all__ = [
     "ext1_selfdual",
     "height_in_module",
     "hom_annihilator",
-    "hom_cyclic",
     "ideal_contains",
     "ideal_equal",
     "ideal_intersect",

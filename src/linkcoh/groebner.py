@@ -57,9 +57,10 @@ packing: `modules.py` calls `module_gb`, `module_table`, `module_reduce`,
 
 Every colon is one syzygy run (`_colon`): for N in R^r and vectors
 u_1..u_k, N : (u_1..u_k) is the a with a*(u_1|..|u_k) in k block-diagonal
-copies of N.  `ideal_quotient` is the case r = 1, `FPModule.annihilator`
-u_j = e_j, and a non-monomial `ideal_intersect` (I*e1 + J*e2) : (1, 1) in
-R^2.  Saturation and radical membership use the Rabinowitsch tag variable.
+copies of N.  `ideal_quotient` is the case r = 1, the annihilator
+`hom_annihilator(0, N)` u_j = e_j, and a non-monomial `ideal_intersect`
+(I*e1 + J*e2) : (1, 1) in R^2.  Saturation and radical membership use the
+Rabinowitsch tag variable.
 
 The basis contract: an engine run may take a part that is already a Groebner
 basis (`_buchberger(..., basis=)`), whose elements are never paired with one

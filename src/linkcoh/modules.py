@@ -1,7 +1,8 @@
 """Finitely presented modules over Q[x_1..x_n]: Groebner bases of submodules
-of free modules, syzygies, Hom from cyclic quotients, annihilators, associated
-prime membership, a self-dual Ext computation for cyclic quotients, Koszul
-homology grades, and cyclic modules R/J caching primes, dimension and depth.
+of free modules, syzygies, annihilators of Hom from cyclic quotients,
+associated prime membership, a self-dual Ext computation for cyclic
+quotients, Koszul homology grades, and cyclic modules R/J caching primes,
+dimension and depth.
 
 Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
@@ -14,11 +15,13 @@ operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`,
 `_block_diagonal`, `_colon`).  `FPModule` tables its relation basis once,
 and a module presented by a reduced basis its maker holds keeps it as that
 basis, so `module_gb` never runs on it: an ideal's (`CyclicModule.to_fp`,
-the Ext ambient) or a subquotient's syzygies (Hom, Ext).  Hom(R/a, N), the
+the Ext ambient) or a subquotient's syzygies (Ext).  Hom(R/a, N), the
 submodule of N that a kills, is generated by one syzygy run on the colon's
 block builder; `hom_annihilator` takes its annihilator as one more colon on
-N, without presenting Hom, and `FPModule.annihilator` (a = 0) and
-`ass_member` (a = p) read it.  `koszul_grade` makes one syzygy run per
+N, and Ann N (a = 0) and `ass_member` (a = p) read it.  Hom is never
+presented: Ass Hom(R/a, N) = V(a) meet Ass N for every finite N
+(Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise 1.2.27), so `ass_member`
+on N answers for Hom too.  `koszul_grade` makes one syzygy run per
 level it reads, giving that level's cycles and the boundaries below, and
 compares the two reduced bases.  Every regular sequence grows in one
 routine, `regular_chain`, which returns the ideal base + (seq) it built:
@@ -149,10 +152,6 @@ class FPModule:
             self._table = module_table(self.rel_gb(), self.rank)
         return module_reduce(v, self._table)
 
-    def annihilator(self) -> Ideal:
-        """Ann N, which is Ann Hom(R, N): one colon by `hom_annihilator`."""
-        return hom_annihilator(Ideal.zero(self.ctx), self)
-
     def __repr__(self) -> str:
         return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
 
@@ -202,12 +201,6 @@ def _hom_kernel(a: Ideal, N: FPModule) -> list[Vec]:
     return submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(a.gens)))
 
 
-def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
-    """Hom(R/a, N), presented as the submodule of N that a kills."""
-    kernel = _hom_kernel(a, N)
-    return present_subquotient(kernel, N, N.multigraded and as_monomial(a) is not None)
-
-
 def hom_annihilator(a: Ideal, N: FPModule) -> Ideal:
     """Ann Hom(R/a, N) without presenting Hom: the colon N : (u_1..u_k) over
     the nonzero normal forms u_i of `_hom_kernel`, which generate Hom, in one
@@ -233,7 +226,7 @@ def module_ass(N: FPModule) -> PrimeSet:
     support starts no engine run, so nothing else would check it."""
     if not N.multigraded:
         raise RingError("associated-prime scan needs a multigraded module")
-    ann = N.annihilator()
+    ann = hom_annihilator(Ideal.zero(N.ctx), N)
     found = []
     for p in all_monomial_primes(N.ctx, include_zero=True):
         check_deadline("associated-prime scan")
@@ -260,8 +253,6 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
     aJ = ideal_sum(a, J)
     if not is_proper(aJ):
         raise ImproperIdealError("self-dual Ext wants a proper ideal")
-    if not a.gens:
-        return FPModule(ctx, 0, ())
     t = len(a.gens)
     syz = submodule_syzygies([(p,) for p in a.gens], [(h,) for h in reduced_gb(J)])
     graded = as_monomial(a) is not None and as_monomial(J) is not None

@@ -50,7 +50,6 @@ from .modules import (
     CyclicModule,
     ass_member,
     hom_annihilator,
-    hom_cyclic,
     is_regular_sequence,
     koszul_grade,
 )
@@ -123,14 +122,11 @@ def session_shape(op: Op) -> tuple[str, ...] | None:
     A session task names ideals and modules declared earlier in the file:
     an ideal operand is a positional name, and a module operand is one too
     when it stands alone; after ideals it is written `over M` and closes
-    the task.  Switches keep their defaults.  Any other operand, or an ideal
-    that may be left out (default None), makes the entry command-line only.
+    the task.  Switches keep their defaults.  Any other operand, or a module
+    before an ideal, makes the entry command-line only.
     """
     kinds = [o.kind for o in op.operands if o.kind != SWITCH]
-    if not kinds or any(
-        o.kind not in (IDEAL, MONOMIAL, MODULE, SWITCH) or o.default is None
-        for o in op.operands
-    ):
+    if not kinds or any(o.kind not in (IDEAL, MONOMIAL, MODULE, SWITCH) for o in op.operands):
         return None
     if kinds == [MODULE]:
         return ("module",)
@@ -317,7 +313,7 @@ _MONO = Operand("--ideal", MONOMIAL)
 _MODULE = Operand("--module", MODULE, "0")
 _MODULE_J = Operand("--module", MODULE, "0", "defining ideal J; defaults to 0")
 _QUOTIENT = Operand("--ideal", MODULE, "0", "defaults to the zero ideal")
-_HOM = Operand("--hom", IDEAL, None, "take Hom(R/THIS, module) first")
+_HOM = Operand("--hom", IDEAL, "0", "take Hom(R/THIS, module) first; defaults to 0")
 _PRIME = Operand("--prime", PRIME, help="comma-separated variables, or 0")
 
 
@@ -363,12 +359,12 @@ TABLE: tuple[Op | Group, ...] = (
        (Operand("--seq", SEQUENCE, help="comma-separated elements, in order"), _MODULE),
        _doc_regseq, lambda doc: f"regular: {doc['regular']}"),
     Op("ann", "annihilator of R/J or of Hom(R/a, R/J)", (_MODULE_J, _HOM),
-       lambda M, hom: {"annihilator": _gens(
-           M.to_fp().annihilator() if hom is None else hom_annihilator(hom, M.to_fp()))},
+       lambda M, hom: {"annihilator": _gens(hom_annihilator(hom, M.to_fp()))},
        _listed("annihilator", "annihilator")),
     Op("assmember", "associated-prime membership test", (_PRIME, _MODULE, _HOM),
-       lambda p, M, hom: {"prime": p.render(M.ctx), "member": ass_member(
-           p, M.to_fp() if hom is None else hom_cyclic(hom, M.to_fp()))},
+       # Ass Hom(R/a, N) = V(a) meet Ass N, so an a outside p starts no engine run
+       lambda p, M, hom: {"prime": p.render(M.ctx), "member": all(
+           map(p.contains_poly, hom.gens)) and ass_member(p, M.to_fp())},
        lambda doc: f"associated: {doc['member']}"),
     Group("linkage", "linkage of ideals over a cyclic module", (
         Op("check", "certify a ~ b through I over R/J",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from .groebner import (
@@ -719,8 +719,9 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     if jobs < 1:
         raise RingError(f"jobs must be at least 1, got {jobs}")
     if params.module is not None and claim not in _PINNABLE:
+        pinnable = ", ".join(_PINNABLE[:-1]) + " and " + _PINNABLE[-1]
         raise RingError(
-            f"claim {claim} draws its own base module; only l1, l08 and t6 take a pinned module"
+            f"claim {claim} draws its own base module; only {pinnable} take a pinned module"
         )
     limits = _LIMITS.get()
     tasks = [(claim, params, params.seed + k, limits) for k in range(params.count)]
@@ -736,13 +737,7 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     return {
         "claim": claim,
         "title": CLAIMS[claim].title,
-        "params": {
-            "n_vars": params.n_vars,
-            "count": params.count,
-            "maxdeg": params.maxdeg,
-            "seed": params.seed,
-            "module": params.module,
-        },
+        "params": asdict(params),
         "counts": counts,
         "ok": counts["fail"] == 0,
         "verdicts": verdicts,

@@ -16,10 +16,11 @@ the tests can compare, and share with those no more than noted:
   the polarized quotient minus the number of variables added.
 - `cd_on_quotient` and `att_top_via_cd` read the attached primes of the top
   local cohomology off cohomological dimensions instead of cofinality.
-- `presented_annihilator` is the colon of a module's relation basis by its
-  unit vectors, and `ass_member_presented` decides an associated prime by
-  presenting H = Hom(R/p, N) (`modules.hom_cyclic`) and taking Ann H so,
-  where `modules.hom_annihilator` and `ass_member` take one colon on N's own
+- `hom_cyclic` presents Hom(R/a, N) as a module of its own, which the
+  package never does, `presented_annihilator` is the colon of a module's
+  relation basis by its unit vectors, and `ass_member_presented` decides an
+  associated prime by presenting H = Hom(R/p, N) and taking Ann H so, where
+  `modules.hom_annihilator` and `ass_member` take one colon on N's own
   relation basis over the generators of Hom.
 
 The helpers at the end (`mono_colon`, `s_polynomial`) are small
@@ -33,7 +34,14 @@ from itertools import combinations
 from typing import Iterable
 
 from linkcoh.groebner import Ideal, _colon, ideal_sum, is_proper, min_gens_colon
-from linkcoh.modules import CyclicModule, FPModule, hom_cyclic, unit_vec, vec_is_zero
+from linkcoh.modules import (
+    CyclicModule,
+    FPModule,
+    _hom_kernel,
+    present_subquotient,
+    unit_vec,
+    vec_is_zero,
+)
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -289,6 +297,11 @@ def att_top_via_cd(a: Ideal, M: CyclicModule) -> PrimeSet:
 
 def _is_zero_module(N: FPModule) -> bool:
     return all(vec_is_zero(N.nf(unit_vec(N.ctx, N.rank, j))) for j in range(N.rank))
+
+
+def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
+    """Hom(R/a, N), presented as the submodule of N that a kills."""
+    return present_subquotient(_hom_kernel(a, N), N, N.multigraded and as_monomial(a) is not None)
 
 
 def presented_annihilator(H: FPModule) -> Ideal:

@@ -188,6 +188,19 @@ def test_assmember(capsys):
     assert doc["member"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("ann", "--ring", "x,y", "--module", "x^2, x*y"),
+    ("ann", "--ring", "x,y", "--module", "x^2 - y"),
+    ("assmember", "--ring", "x,y", "--module", "x^2, x*y", "--prime", "x,y"),
+    ("assmember", "--ring", "x,y", "--module", "x*y", "--prime", "y"),
+])
+def test_hom_defaults_to_the_zero_ideal(capsys, argv):
+    # Hom(R/0, N) = N: an explicit --hom 0 prints what the default prints
+    default = invoke(capsys, *argv)
+    assert default[0] == 0
+    assert invoke(capsys, *argv, "--hom", "0") == default
+
+
 # ---------------------------------------------------------------------------
 # Linkage and cohomology commands.
 

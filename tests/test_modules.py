@@ -15,7 +15,7 @@ import random
 import pytest
 
 from engine_routes import division_koszul_grade
-from oracles import ass_member_presented, presented_annihilator
+from oracles import ass_member_presented, hom_cyclic, presented_annihilator
 from linkcoh import groebner, modules
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -41,7 +41,6 @@ from linkcoh.modules import (
     ass_member,
     ext1_selfdual,
     hom_annihilator,
-    hom_cyclic,
     ideal_block,
     is_regular_sequence,
     koszul_grade,
@@ -60,6 +59,7 @@ from linkcoh.monomial import (
     all_monomial_primes,
     associated_primes,
 )
+from linkcoh.ops import OPS
 from linkcoh.ring import DEGREVLEX, Polynomial, RingError, mono_divides, parse_poly, ring
 from linkcoh.simplicial import depth_monomial
 
@@ -492,20 +492,20 @@ def test_hom_cyclic_annihilators():
     ctx = ring("x", "y")
     N = CyclicModule(ctx, I_of(ctx, "x*y")).to_fp()
     H = hom_cyclic(I_of(ctx, "x"), N)
-    assert ideal_equal(H.annihilator(), I_of(ctx, "x"))
+    assert ideal_equal(hom_annihilator(Ideal.zero(ctx), H), I_of(ctx, "x"))
     free = CyclicModule.full_ring(ctx).to_fp()
     H0 = hom_cyclic(I_of(ctx, "x"), free)
-    assert is_unit_ideal(H0.annihilator())
+    assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), H0))
 
 
 def test_annihilator_of_cyclic_and_zero():
     ctx = ring("x", "y")
     M = CyclicModule(ctx, I_of(ctx, "x^2", "x*y")).to_fp()
-    assert ideal_equal(M.annihilator(), I_of(ctx, "x^2", "x*y"))
+    assert ideal_equal(hom_annihilator(Ideal.zero(ctx), M), I_of(ctx, "x^2", "x*y"))
     zero_mod = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)], multigraded=True)
-    assert is_unit_ideal(zero_mod.annihilator())
+    assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), zero_mod))
     free = CyclicModule.full_ring(ctx).to_fp()
-    assert free.annihilator().is_zero_ideal()
+    assert hom_annihilator(Ideal.zero(ctx), free).is_zero_ideal()
 
 
 def _small_poly(rng, ctx):
@@ -536,7 +536,7 @@ def test_annihilator_of_higher_rank_matches_joined_colons():
             continue
         if N.rank < 2:
             continue
-        ann = N.annihilator()
+        ann = hom_annihilator(Ideal.zero(ctx), N)
         joined = None
         for j in range(N.rank):
             tags = submodule_syzygies([unit_vec(ctx, N.rank, j)], N.rel_gb())
@@ -609,12 +609,10 @@ def test_ass_member_takes_one_colon_on_the_module_basis(monkeypatch):
         assert runs[0] <= 2, vars_
 
 
-def test_hom_annihilator_matches_the_presented_route():
-    # Ann Hom(R/a, N) as one colon on N against the annihilator of the
-    # presented Hom, and ass_member against the presented route, over cyclic
-    # R/J (monomial or binomial J) and self-dual Ext modules
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
+def _small_ideals(st):
+    """The hypothesis strategy `terms(ctx, binomial)`: ideals of ctx with one
+    to three term generators, or one or two binomials (a term plus -1 or 2
+    times another) when `binomial` is set."""
 
     @st.composite
     def terms(draw, ctx, binomial):
@@ -627,6 +625,17 @@ def test_hom_annihilator_matches_the_presented_route():
                 poly[tuple(f)] = draw(st.sampled_from([-1, 2]))
             out.append(Polynomial(ctx, poly))
         return Ideal(ctx, out)
+
+    return terms
+
+
+def test_hom_annihilator_matches_the_presented_route():
+    # Ann Hom(R/a, N) as one colon on N against the annihilator of the
+    # presented Hom, and ass_member against the presented route, over cyclic
+    # R/J (monomial or binomial J) and self-dual Ext modules
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    terms = _small_ideals(st)
 
     @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
     @hyp.given(st.data())
@@ -651,6 +660,51 @@ def test_hom_annihilator_matches_the_presented_route():
     check()
 
 
+def test_ass_of_hom_is_read_off_the_support():
+    # Ass Hom(R/a, N) = V(a) meet Ass N: the containment a in p and ass_member
+    # on N against presenting Hom(R/a, N), for every monomial prime p, over a
+    # by terms or binomials, (0) and (1), and N cyclic (monomial or binomial
+    # J) or a self-dual Ext module; a cyclic N also through `assmember`
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    terms = _small_ideals(st)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
+        M = None
+        try:
+            if data.draw(st.booleans()):
+                M = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans()))))
+                N = M.to_fp()
+            else:
+                N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
+        except ImproperIdealError:
+            hyp.assume(False)
+        a = data.draw(st.one_of(
+            terms(ctx, False), terms(ctx, True), st.just(Ideal.zero(ctx)), st.just(Ideal.unit(ctx))
+        ))
+        H = hom_cyclic(a, N)
+        for p in all_monomial_primes(ctx, include_zero=True):
+            support = all(map(p.contains_poly, a.gens)) and ass_member(p, N)
+            assert support == ass_member_presented(p, H), p
+            if M is not None:
+                assert OPS["assmember"].doc(p, M, a)["member"] == support, p
+
+    check()
+
+
+def test_hom_outside_the_prime_starts_no_engine_run(monkeypatch):
+    # an a outside p fails the containment test before ass_member runs
+    ctx = ring("x", "y", "z")
+    M = CyclicModule(ctx, I_of(ctx, "x^2 - y*z", "x*y"))
+    runs = _count_engine_runs(monkeypatch)
+    doc = OPS["assmember"].doc(MonomialPrime((1, 2)), M, I_of(ctx, "x + y"))
+    assert doc["member"] is False
+    assert runs[0] == 0
+
+
 def test_associated_prime_scan_honours_soft_timeout():
     # a candidate outside the support starts no engine run, so the scan checks
     # the deadline itself, once per candidate; R^1 needs no S-pair before it
@@ -673,7 +727,17 @@ def test_ext_selfdual_vanishing_split_base():
     ctx = ring("x", "y")
     E = ext1_selfdual(I_of(ctx, "x"), I_of(ctx, "x*y"))
     assert module_ass(E) == PrimeSet()
-    assert is_unit_ideal(E.annihilator())
+    assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), E))
+
+
+def test_zero_ext_keeps_its_grading():
+    # Ext over the zero ideal is the zero module, still multigraded, so the
+    # associated-prime scan reads it as (x) over R/(x) does
+    ctx = ring("x", "y")
+    for a, J in [(Ideal.zero(ctx), I_of(ctx, "x*y")), (I_of(ctx, "x"), I_of(ctx, "x"))]:
+        E = ext1_selfdual(a, J)
+        assert (E.rank, E.multigraded) == (0, True)
+        assert module_ass(E) == PrimeSet()
 
 
 def test_ext_selfdual_regression_nonzero():
