@@ -368,7 +368,8 @@ class CyclicModule:
     variable ideal.
 
     For monomial J, `primes()` is the one record of Ass, Min, Assh, dim and
-    height of R/J, which `dim()` and every prime invariant read, and depth is
+    height of R/J, which `dim()` and every prime invariant read (its Ass is
+    decomposed on first read, the rest are vertex covers), and depth is
     read off J itself.  For J with homogeneous generators, dimension and
     depth come from the lead-term ideal in(J) of the reduced degrevlex basis,
     a flat (Groebner) degeneration of J, which keeps the dimension and can

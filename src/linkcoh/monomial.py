@@ -1,18 +1,26 @@
 """Combinatorics of monomial ideals: minimal generators, sums, products and
-intersections, irreducible decomposition, associated primes and radicals.
+intersections, irreducible decomposition, associated primes, minimal primes
+and radicals.
 
-Everything here is divisibility arithmetic on exponent tuples; no Groebner
-machinery is needed (and the general-path results are cross-checked against
-these routines in the test suite).  The kernels live in `groebner`, which
-answers term ideals with them and never imports this module.
+Everything here is divisibility arithmetic on exponent tuples and bitmasks;
+no Groebner machinery is needed (and the general-path results are
+cross-checked against these routines in the test suite).  The kernels live
+in `groebner`, which answers term ideals with them and never imports this
+module.
+
+The minimal primes of R/I are the minimal vertex covers of the supports of
+I's generators (Bruns-Herzog, *Cohen-Macaulay Rings*, 5.1), so Min, Assh,
+dim and height come from one bitmask enumeration, `min_vertex_covers`, which
+`simplicial` also reads the Stanley-Reisner facets from.  Only Ass needs the
+irreducible decomposition, and the prime record computes it when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import groebner
 from .groebner import min_gens_intersect, minimalize, monomial_gens
@@ -24,6 +32,7 @@ from .ring import (
     mono_divides,
     mono_mul,
     mono_support,
+    mono_text,
 )
 
 
@@ -160,7 +169,9 @@ class MonomialIdeal:
         return I
 
     def render(self) -> list[str]:
-        return [str(Polynomial.from_monomial(self.ctx, e)) for e in self.min_gens]
+        """The generators as text, as `format_poly` writes the terms x^e."""
+        names = self.ctx.var_names
+        return [mono_text(names, e) or "1" for e in self.min_gens]
 
     def __repr__(self) -> str:
         return "<monomial ideal (" + ", ".join(self.render()) + ")>"
@@ -281,30 +292,82 @@ def associated_primes(I: MonomialIdeal) -> PrimeSet:
     return PrimeSet(primes)
 
 
+def min_vertex_covers(supports: Sequence[int], label: str) -> list[int]:
+    """The minimal vertex covers of a family of vertex sets, all as int
+    bitmasks; with no sets at all, the one cover is the empty set.
+
+    Covers grow by branching on the first set they miss: branch i adds that
+    set's i-th vertex not yet banned and bans the vertices of the branches
+    before it, so no cover is reached twice.  A cover is minimal when each
+    of its vertices is the only cover vertex of some set.  The soft deadline
+    is checked once per branch, under `label`, which names the caller's
+    work in a budget message.
+    """
+    covers: list[int] = []
+
+    def grow(cover: int, banned: int) -> None:
+        for s in supports:
+            if not s & cover:
+                break
+        else:
+            # every set is hit; keep the cover if each of its vertices is
+            # the only one hitting some set
+            private = 0
+            for s in supports:
+                t = s & cover
+                if not t & (t - 1):
+                    private |= t
+            if private == cover:
+                covers.append(cover)
+            return
+        branches = s & ~banned
+        while branches:
+            v = branches & -branches
+            branches ^= v
+            groebner.check_deadline(label)
+            grow(cover | v, banned)
+            banned |= v
+
+    grow(0, 0)
+    return covers
+
+
 @dataclass(frozen=True)
 class MinAsshDim:
-    """The primes of R/I for a proper monomial I: Ass, the minimal primes,
-    the top-dimensional ones (Assh), and the dimension and height of R/I."""
+    """The primes of R/I for a proper monomial I: the minimal primes, the
+    top-dimensional ones (Assh), and the dimension and height of R/I, all
+    read off the minimal vertex covers.  Ass needs the irreducible
+    decomposition of `ideal`; it runs on the first read of `ass` and is
+    kept."""
 
-    ass: PrimeSet
+    ideal: MonomialIdeal
     min_primes: PrimeSet
     assh: PrimeSet
     dim: int
     height: int
 
+    @cached_property
+    def ass(self) -> PrimeSet:
+        return associated_primes(self.ideal)
+
 
 def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
-    """The prime record of R/I: Ass from one irreducible decomposition, and
-    Min, Assh, dim and height read off it.  The zero ideal has dimension n."""
+    """The prime record of R/I: Min is the set of minimal vertex covers of
+    the minimal generator supports, the least cover size is the height,
+    and Assh is the covers of that size.  The zero ideal's one cover is
+    empty: its prime is (0) and its dimension is n.  The soft deadline is
+    checked at each branch of the cover enumeration."""
     if I.is_unit():
         raise ImproperIdealError("the primes of R/I need a proper ideal")
     n = I.ctx.n
-    ass = associated_primes(I)
-    pairs = [(p, set(p.vars)) for p in ass]
-    mins = [p for p, ps in pairs if not any(qs < ps for _, qs in pairs)]
-    dim = n - min(p.height for p in mins)
-    assh = [p for p in mins if n - p.height == dim]
-    return MinAsshDim(ass, PrimeSet(mins), PrimeSet(assh), dim, n - dim)
+    masks = {sum(1 << i for i in mono_support(g)) for g in I.min_gens}
+    # smallest first: a support is missed only if those inside it are, so
+    # the covers never branch on one that contains another
+    covers = min_vertex_covers(sorted(masks, key=int.bit_count), "minimal primes")
+    height = min(c.bit_count() for c in covers)
+    mins = {c: MonomialPrime(tuple(i for i in range(n) if c >> i & 1)) for c in covers}
+    assh = [p for c, p in mins.items() if c.bit_count() == height]
+    return MinAsshDim(I, PrimeSet(mins.values()), PrimeSet(assh), n - height, height)
 
 
 def all_monomial_primes(ctx: RingCtx, include_zero: bool = True) -> list[MonomialPrime]:

@@ -6,7 +6,9 @@ silently corrupt the discrete prime-set answers computed downstream -- and
 every value is immutable so results can be cached and shared freely.
 
 Polynomial text is read by `parse_poly` against one grammar per variable
-tuple, compiled once and cached, and written back by `format_poly`.
+tuple, compiled once and cached, and written back by `format_poly`.  Both
+`format_poly` and `monomial.MonomialIdeal.render` write a monomial from its
+exponents with `mono_text`.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ def mono_divides(u: Exponents, v: Exponents) -> bool:
 
 def mono_support(u: Exponents) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(u) if e)
+
+
+def mono_text(names: tuple[str, ...], e: Exponents) -> str:
+    """The monomial x^e as text, ``x^2*y``; empty for x^0 = 1."""
+    return "*".join(name if x == 1 else f"{name}^{x}" for name, x in zip(names, e) if x)
 
 
 def _degrevlex_key(e: Exponents):
@@ -371,7 +378,7 @@ def parse_poly(text: str, ctx: RingCtx) -> Polynomial:
     if not text or text.isspace():
         raise ParseError("empty polynomial text")
     term, factor, index = _grammar(ctx.var_names)
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, int | Fraction] = {}
     pos = 0
     while pos < len(text):
         m = term.match(text, pos)
@@ -394,7 +401,8 @@ def parse_poly(text: str, ctx: RingCtx) -> Polynomial:
                 raise ParseError("division by zero in a coefficient", f.start("num"))
             num_c, den_c = num_c * int(num), den_c * d
         key = tuple(exps)
-        v = terms.get(key, _ZERO) + Fraction(num_c, den_c)
+        # integers stay integers; `Polynomial` makes every coefficient a Fraction
+        v = terms.get(key, 0) + (num_c if den_c == 1 else Fraction(num_c, den_c))
         if v:
             terms[key] = v
         else:
@@ -410,22 +418,18 @@ def format_poly(p: Polynomial) -> str:
         return "0"
     names = p.ctx.var_names
     pieces: list[str] = []
-    for k, (e, c) in enumerate(p.terms_sorted()):
-        factors = []
-        for i, x in enumerate(e):
-            if x == 1:
-                factors.append(names[i])
-            elif x > 1:
-                factors.append(f"{names[i]}^{x}")
-        mag = abs(c)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = str(mag) + "*" + "*".join(factors)
+    for e, c in p.terms_sorted():
+        mono = mono_text(names, e)
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if not mono:
+            body = mag
+        elif mag == "1":
+            body = mono
         else:
-            body = str(mag)
-        if k == 0:
-            pieces.append(("-" if c < 0 else "") + body)
+            body = mag + "*" + mono
+        if pieces:
+            pieces.append(("- " if num < 0 else "+ ") + body)
         else:
-            pieces.append(("- " if c < 0 else "+ ") + body)
+            pieces.append(("-" if num < 0 else "") + body)
     return " ".join(pieces)

@@ -13,8 +13,9 @@ distinct radicals, all on the n original vertices.
 
 The facets of the Stanley-Reisner complex of a squarefree I are the
 complements of the minimal vertex covers of its generator supports
-(Bruns-Herzog, Cohen-Macaulay Rings, 5.1); `_facet_masks` enumerates those
-covers on int bitmasks.
+(Bruns-Herzog, Cohen-Macaulay Rings, 5.1); `_facet_masks` reads them off
+`monomial.min_vertex_covers`, the bitmask cover enumeration that also gives
+the minimal primes.
 
 Everything here works on those masks.  The depth scan (`depth_squarefree`)
 reads them directly: facets, faces and links are ints whose set bits are the
@@ -53,7 +54,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .groebner import BudgetExceeded, check_deadline
-from .monomial import ImproperIdealError, MonomialIdeal, min_assh_dim
+from .monomial import ImproperIdealError, MonomialIdeal, min_assh_dim, min_vertex_covers
 from .ring import RingError, mono_support
 
 log = logging.getLogger("linkcoh")
@@ -63,14 +64,11 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
     """The facets of the complex of the squarefree proper I, as vertex masks.
 
     A facet is the complement of a minimal vertex cover of the generator
-    supports (Bruns-Herzog, Cohen-Macaulay Rings, 5.1).  Covers grow by
-    branching on the first support they miss: branch i adds that support's
-    i-th vertex not yet banned and bans the vertices of the branches before
-    it, so no cover is reached twice.  A cover is minimal when each of its
-    vertices is the only cover vertex of some support.  The soft deadline is
-    checked once per branch; more than 20 vertices are refused outright,
-    which bounds the link scan that reads these facets.  Its messages name
-    the Stanley-Reisner facets, and a budget trip prints them on the command
+    supports (Bruns-Herzog, Cohen-Macaulay Rings, 5.1), and
+    `min_vertex_covers` enumerates those, checking the soft deadline once
+    per branch.  More than 20 vertices are refused outright, which bounds
+    the link scan that reads these facets.  The messages name the
+    Stanley-Reisner facets, and a budget trip prints them on the command
     line.
     """
     if not I.is_squarefree():
@@ -82,30 +80,7 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
         raise BudgetExceeded("Stanley-Reisner vertex budget", n, 20)
     supports = [sum(1 << i for i in mono_support(g)) for g in I.min_gens]
     full = (1 << n) - 1
-    facets: list[int] = []
-
-    def grow(cover: int, banned: int) -> None:
-        for s in supports:
-            if not s & cover:
-                break
-        else:
-            # every support is hit; keep the cover if each of its vertices
-            # is the only one hitting some support
-            private = 0
-            for s in supports:
-                t = s & cover
-                if not t & (t - 1):
-                    private |= t
-            if private == cover:
-                facets.append(full ^ cover)
-            return
-        for v in _bits(s & ~banned):
-            check_deadline("Stanley-Reisner vertex covers")
-            grow(cover | v, banned)
-            banned |= v
-
-    grow(0, 0)
-    return facets
+    return [full ^ c for c in min_vertex_covers(supports, "Stanley-Reisner vertex covers")]
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +321,19 @@ def depth_squarefree(I: MonomialIdeal) -> int:
                     best = size + 1 + j
                     break
         size += 1
-    log.debug(
-        "depth links: %d faces, %d non-cone, %d by connectivity, %d distinct scanned, "
-        "%d GF(2) ranks (%d stopped at the bound), %d exact ranks",
-        visited,
-        non_cone,
-        connectivity,
-        len(memo),
-        # the two closed-form ranks every scanner starts with are not counted
-        sum(len(s._dr_filter) - 2 for s in memo.values()),
-        sum(s.capped for s in memo.values()),
-        sum(len(s._dr_exact) - 2 for s in memo.values()),
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "depth links: %d faces, %d non-cone, %d by connectivity, %d distinct scanned, "
+            "%d GF(2) ranks (%d stopped at the bound), %d exact ranks",
+            visited,
+            non_cone,
+            connectivity,
+            len(memo),
+            # the two closed-form ranks every scanner starts with are not counted
+            sum(len(s._dr_filter) - 2 for s in memo.values()),
+            sum(s.capped for s in memo.values()),
+            sum(len(s._dr_exact) - 2 for s in memo.values()),
+        )
     return best
 
 

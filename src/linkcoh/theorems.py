@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 
 from .groebner import (
     _LIMITS,
@@ -727,6 +726,9 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     tasks = [(claim, params, params.seed + k, limits) for k in range(params.count)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
+        # imported here so that a process that never fans out does not pay for it
+        from multiprocessing import Pool
+
         with Pool(processes=workers) as pool:
             verdicts = pool.map(_run_instance, tasks, chunksize=1)
     else:

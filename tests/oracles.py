@@ -22,6 +22,12 @@ the tests can compare, and share with those no more than noted:
   associated prime by presenting H = Hom(R/p, N) and taking Ann H so, where
   `modules.hom_annihilator` and `ass_member` take one colon on N's own
   relation basis over the generators of Hom.
+- `primes_from_ass` reads Min, Assh, dim and height of R/I off the
+  associated primes of the irreducible decomposition, where
+  `monomial.min_assh_dim` reads them off the minimal vertex covers.
+- `format_poly_fractions` writes polynomial text by `Fraction` arithmetic
+  on each coefficient, where `ring.format_poly` reads the sign and the
+  magnitude off the numerator and the denominator.
 
 The helpers at the end (`mono_colon`, `s_polynomial`) are small
 constructions that several test modules share.
@@ -48,6 +54,7 @@ from linkcoh.monomial import (
     MonomialPrime,
     PrimeSet,
     as_monomial,
+    associated_primes,
     mono_radical,
     mono_sum,
 )
@@ -325,6 +332,52 @@ def ass_member_presented(p: MonomialPrime, N: FPModule) -> bool:
     if _is_zero_module(H):
         return False
     return all(p.contains_poly(f) for f in presented_annihilator(H).gens)
+
+
+# ---------------------------------------------------------------------------
+# Minimal primes by decomposition, and polynomial text by Fraction arithmetic.
+
+def primes_from_ass(I: MonomialIdeal) -> tuple[PrimeSet, PrimeSet, PrimeSet, int, int]:
+    """(Ass, Min, Assh, dim, height) of R/I for a proper monomial I: Ass
+    from the irreducible decomposition, Min its inclusion-minimal members,
+    dim from the least height among them, Assh the minimal primes of that
+    dimension.  The zero ideal's one prime is (0), of dimension n."""
+    n = I.ctx.n
+    ass = associated_primes(I)
+    pairs = [(p, set(p.vars)) for p in ass]
+    mins = [p for p, ps in pairs if not any(qs < ps for _, qs in pairs)]
+    dim = n - min(p.height for p in mins)
+    assh = [p for p in mins if n - p.height == dim]
+    return ass, PrimeSet(mins), PrimeSet(assh), dim, n - dim
+
+
+def format_poly_fractions(p: Polynomial) -> str:
+    """Polynomial text with terms in decreasing degrevlex order, each
+    coefficient's sign and magnitude taken by Fraction comparison, `abs`
+    and `str`."""
+    if p.is_zero():
+        return "0"
+    names = p.ctx.var_names
+    pieces: list[str] = []
+    for k, (e, c) in enumerate(p.terms_sorted()):
+        factors = []
+        for i, x in enumerate(e):
+            if x == 1:
+                factors.append(names[i])
+            elif x > 1:
+                factors.append(f"{names[i]}^{x}")
+        mag = abs(c)
+        if factors and mag == 1:
+            body = "*".join(factors)
+        elif factors:
+            body = str(mag) + "*" + "*".join(factors)
+        else:
+            body = str(mag)
+        if k == 0:
+            pieces.append(("-" if c < 0 else "") + body)
+        else:
+            pieces.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(pieces)
 
 
 # ---------------------------------------------------------------------------

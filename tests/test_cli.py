@@ -501,6 +501,23 @@ def test_soft_timeout_trips_monomial_kernels(capsys, cmd):
     assert doc["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("cmd", ["minprimes", "dim", "assh"])
+def test_soft_timeout_trips_the_minimal_prime_covers(capsys, cmd):
+    # minimal primes, dimension and Assh of a monomial quotient come from
+    # the vertex-cover enumeration, whose branches see the deadline
+    code, out, err = invoke(
+        capsys,
+        "--timeout-soft", "0",
+        cmd,
+        "--ring", "a,b,c,d,e,f,g",
+        "--ideal", "a^2*c, e*f^2*g, c^2*d*g, b*d*f^2",
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded"
+    assert doc["detail"].startswith("minimal primes")
+
+
 def test_depth_beyond_the_vertex_budget_exits_two(capsys):
     # 22 variables: the colon radicals live on all of them, past the
     # 20-vertex budget of the Stanley-Reisner complex

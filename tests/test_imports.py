@@ -8,7 +8,8 @@ code, in an annotation (quoted or not) or in `__all__`.  `__init__.py` is
 left out of that check because its imports are the package's re-exports.
 No module but groebner.py may import the engine's encoding internals, by
 name or as attributes of `groebner`.  Every name in `linkcoh.__all__` must
-resolve on the package, once.
+resolve on the package, once.  Importing the package in a fresh interpreter
+must not load `multiprocessing`, which only a fanned-out `run_claim` uses.
 
 Every definition in the package -- function, method, class, or name
 assigned at module top level -- must be read by some node of src/ or
@@ -26,7 +27,10 @@ dead `Polynomial.coeff`.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +107,16 @@ def test_every_export_resolves():
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing, "linkcoh.__all__ names what the package lacks: " + ", ".join(missing)
     assert len(set(package.__all__)) == len(package.__all__), "linkcoh.__all__ repeats a name"
+
+
+def test_import_leaves_multiprocessing_out():
+    # only `run_claim` with several workers needs a pool, so a plain import
+    # (the command line's too) must not load multiprocessing
+    probe = "import sys, linkcoh, linkcoh.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ import random
 import pytest
 
 from engine_routes import engine_gb, engine_quotient, tag_intersect
+from linkcoh import monomial
 from linkcoh.groebner import BudgetExceeded, Ideal, min_gens_intersect, set_limits
+from linkcoh.modules import CyclicModule
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -23,6 +25,7 @@ from linkcoh.monomial import (
     associated_primes,
     irreducible_decomposition,
     min_assh_dim,
+    min_vertex_covers,
     minimalize,
     mono_contains,
     mono_intersect,
@@ -30,8 +33,9 @@ from linkcoh.monomial import (
     mono_radical,
     mono_sum,
 )
-from linkcoh.ring import mono_one, parse_poly, ring
-from oracles import mono_colon, polarize
+from linkcoh.ring import Polynomial, mono_one, parse_poly, ring
+from linkcoh.simplicial import _facet_masks
+from oracles import mono_colon, polarize, primes_from_ass
 
 
 def MI(ctx, *texts):
@@ -245,6 +249,87 @@ def test_min_assh_dim(ctx):
     assert info.height == 1
     with pytest.raises(ImproperIdealError):
         min_assh_dim(MI(ctx, "1"))
+
+
+def _monomial_ideals(st):
+    """Proper monomial ideals in 1-7 variables: any exponents up to 3, or
+    squarefree ones, with pure powers of some variables added; the zero
+    ideal included."""
+
+    @st.composite
+    def draw(draw):
+        n = draw(st.integers(1, 7))
+        ctx = ring(*(f"x{i}" for i in range(n)))
+        top = draw(st.sampled_from((1, 3)))
+        gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=6))
+        for i in draw(st.sets(st.integers(0, n - 1))):
+            gens.append(tuple(draw(st.integers(1, 3)) if k == i else 0 for k in range(n)))
+        return MonomialIdeal.from_exponents(ctx, [e for e in gens if any(e)])
+
+    return draw()
+
+
+def test_cover_route_matches_the_decomposition_route_property():
+    # Min, Assh, dim and height from the minimal vertex covers against the
+    # same read off Ass; for squarefree I the Stanley-Reisner facets are the
+    # complements of the covers
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(_monomial_ideals(st))
+    def check(I):
+        info = min_assh_dim(I)
+        ass, mins, assh, dim, height = primes_from_ass(I)
+        assert (info.min_primes, info.assh, info.dim, info.height) == (mins, assh, dim, height)
+        assert info.ass == ass
+        if I.is_squarefree():
+            full = (1 << I.ctx.n) - 1
+            supports = [sum(1 << i for i, x in enumerate(g) if x) for g in I.min_gens]
+            covers = min_vertex_covers(supports, "test")
+            assert _facet_masks(I) == [full ^ c for c in covers]
+            assert sorted(covers) == sorted(sum(1 << i for i in p.vars) for p in mins)
+
+    check()
+
+
+def test_min_primes_and_dim_run_no_decomposition(monkeypatch, ctx):
+    calls = []
+    decompose = monomial.irreducible_decomposition
+
+    def counted(I):
+        calls.append(I)
+        return decompose(I)
+
+    monkeypatch.setattr(monomial, "irreducible_decomposition", counted)
+    I = MI(ctx, "x^2*y", "x*z^3", "y^2*z")
+    info = min_assh_dim(I)
+    assert (info.min_primes, info.assh, info.dim, info.height) == primes_from_ass(I)[1:]
+    calls.clear()  # the oracle decomposed
+    assert CyclicModule(ctx, I.to_ideal()).dim() == info.dim
+    assert calls == []
+    # Ass is decomposed on the first read and kept
+    primes = [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    assert info.ass == info.ass == PrimeSet(map(MonomialPrime, primes))
+    assert calls == [I]
+
+
+def test_render_writes_the_terms_of_the_generators_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 7))
+        ctx = ring(*(f"v{i}" for i in range(n)))
+        # an all-zero vector makes the unit ideal
+        gens = data.draw(st.lists(st.tuples(*[st.integers(0, 12)] * n), max_size=5))
+        I = MonomialIdeal.from_exponents(ctx, gens)
+        assert I.render() == [str(Polynomial.from_monomial(ctx, e)) for e in I.min_gens]
+
+    check()
+    assert MonomialIdeal.from_exponents(ring("x"), [(0,)]).render() == ["1"]
 
 
 def test_all_monomial_primes(ctx):

@@ -18,6 +18,7 @@ from linkcoh.ring import (
     parse_poly,
     ring,
 )
+from oracles import format_poly_fractions
 
 
 @pytest.fixture
@@ -83,6 +84,45 @@ def test_parse_and_format_round_trip_property():
         exps = st.tuples(*[st.integers(0, 4)] * ctx.n)
         p = Polynomial(ctx, data.draw(st.dictionaries(exps, coeffs, max_size=6)))
         assert parse_poly(format_poly(p), ctx) == p
+
+    check()
+
+
+def test_text_boundary_property():
+    # terms with negative, fractional and constant coefficients, some
+    # cancelled by their negation, written with and without denominators:
+    # the text parses to the sum of the terms, the formatter writes what the
+    # Fraction formatter writes, and its text parses back
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeffs = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @hyp.given(st.data())
+    def check(data):
+        names = data.draw(st.sampled_from(["x", "xy", "xyz", "xyzw"]))
+        ctx = ring(*names)
+        exps = st.tuples(*[st.integers(0, 3)] * ctx.n)
+        terms = data.draw(st.lists(st.tuples(exps, coeffs), min_size=1, max_size=6))
+        cancelled = data.draw(st.lists(st.sampled_from(terms), max_size=3))
+        terms += [(e, -c) for e, c in cancelled]
+        pieces = []
+        for e, c in terms:
+            mag, den = abs(c.numerator), c.denominator
+            written = data.draw(st.sampled_from([f"{mag}/{den}", f"{mag * 2}/{den * 2}"]))
+            if den == 1 and data.draw(st.booleans()):
+                written = str(mag)
+            factors = [f"{names[i]}^{x}" for i, x in enumerate(e) if x]
+            pieces.append(("- " if c < 0 else "+ ") + "*".join([written] + factors))
+        want = Polynomial.zero(ctx)
+        for e, c in terms:
+            want = want + Polynomial.from_monomial(ctx, e, c)
+        got = parse_poly(" ".join(pieces), ctx)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.term_map().values())
+        text = format_poly(want)
+        assert text == format_poly_fractions(want)
+        assert parse_poly(text, ctx) == want
 
     check()
 

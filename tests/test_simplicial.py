@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from linkcoh import simplicial
+from linkcoh import groebner, simplicial
 from linkcoh.groebner import BudgetExceeded, Ideal, set_limits
 from linkcoh.modules import koszul_grade
 from linkcoh.monomial import (
@@ -206,15 +206,16 @@ def test_facets_are_complements_of_associated_primes_property():
 def test_complete_graph_covers_branch_without_repeats(monkeypatch):
     # K_20: the minimal covers are the 20 sets of all vertices but one, so
     # the facets are the 20 points; without the bans on earlier branches the
-    # enumeration would take more than 2^19 branches
+    # enumeration would take more than 2^19 branches; the enumeration is
+    # `monomial.min_vertex_covers`, which checks the deadline through groebner
     checks = []
-    deadline = simplicial.check_deadline
+    deadline = groebner.check_deadline
 
     def counted(what):
         checks.append(what)
         deadline(what)
 
-    monkeypatch.setattr(simplicial, "check_deadline", counted)
+    monkeypatch.setattr(groebner, "check_deadline", counted)
     n = 20
     ctx = ring(*(f"x{i}" for i in range(n)))
     edges = [tuple(int(k in (i, j)) for k in range(n)) for i, j in itertools.combinations(range(n), 2)]

@@ -189,8 +189,9 @@ def test_run_claim_parallel_matches_serial():
 
 def test_run_claim_runs_spawned_workers_under_the_callers_limits(monkeypatch):
     # a spawned worker starts from the default limits, so the caller's (here
-    # a soft deadline already past) travel with each instance
-    monkeypatch.setattr(theorems, "Pool", multiprocessing.get_context("spawn").Pool)
+    # a soft deadline already past) travel with each instance; run_claim
+    # takes Pool from multiprocessing only when it fans out
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     params = InstanceParams(n_vars=3, count=4, maxdeg=2, seed=4)
     with set_limits(soft_timeout=-1):
@@ -224,7 +225,7 @@ def test_run_claim_clamps_pool(monkeypatch, jobs, count, cpus, workers):
         def map(self, fn, tasks, chunksize=1):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(theorems, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
     params = InstanceParams(n_vars=3, count=count, maxdeg=2, seed=4)
     doc = run_claim("t2", params, jobs=jobs)
