@@ -14,11 +14,9 @@ from .groebner import (
     BudgetExceeded,
     Ideal,
     eliminate,
-    ideal_contains,
     ideal_equal,
     ideal_intersect,
     ideal_member,
-    ideal_product,
     ideal_quotient,
     ideal_sum,
     is_proper,
@@ -34,7 +32,6 @@ from .invariants import (
     att_top,
     height_in_module,
     is_equidimensional,
-    module_ass_primes,
 )
 from .linkage import (
     GenParams,
@@ -69,11 +66,7 @@ from .monomial import (
 )
 from .ring import ParseError, Polynomial, RingCtx, RingError, parse_poly, ring
 from .session import SessionFile, parse_session, parse_session_text
-from .simplicial import (
-    cd_squarefree,
-    depth_monomial,
-    dim_monomial,
-)
+from .simplicial import cd_squarefree, depth_monomial
 from .theorems import CLAIMS, InstanceParams, run_claim
 
 __version__ = "0.1.0"
@@ -106,16 +99,13 @@ __all__ = [
     "cd_squarefree",
     "check_linked",
     "depth_monomial",
-    "dim_monomial",
     "eliminate",
     "ext1_selfdual",
     "height_in_module",
     "hom_annihilator",
-    "ideal_contains",
     "ideal_equal",
     "ideal_intersect",
     "ideal_member",
-    "ideal_product",
     "ideal_quotient",
     "ideal_sum",
     "irreducible_decomposition",
@@ -128,7 +118,6 @@ __all__ = [
     "min_assh_dim",
     "minimal_primes_in_core_ass",
     "module_ass",
-    "module_ass_primes",
     "mono_radical",
     "parse_poly",
     "parse_session",

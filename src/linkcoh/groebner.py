@@ -109,6 +109,11 @@ class BudgetExceeded(RuntimeError):
         self.spent = spent
         self.limit = limit
 
+    def __reduce__(self):
+        # `args` holds only the formatted message; a worker's exception
+        # crosses to the parent by pickle and is rebuilt from these
+        return type(self), (self.what, self.spent, self.limit)
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -839,24 +844,12 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     return reduced_gb(I) == reduced_gb(J)
 
 
-def ideal_contains(I: Ideal, J: Ideal) -> bool:
-    """Whether J is a subset of I."""
-    _same_ctx(I, J)
-    return all(ideal_member(g, I) for g in J.gens)
-
-
 def ideal_sum(I: Ideal, *others: Ideal) -> Ideal:
     gens = list(I.gens)
     for J in others:
         _same_ctx(I, J)
         gens.extend(J.gens)
     return Ideal(I.ctx, gens)
-
-
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    ctx = _same_ctx(I, J)
-    gens = [f * g for f in I.gens for g in J.gens]
-    return Ideal(ctx, gens)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:

@@ -53,8 +53,8 @@ class Verdict:
         return cls(claim, "pass", tuple(witnesses), tuple(notes))
 
     @classmethod
-    def failing(cls, claim: str, counterexample: str, witnesses=(), notes=()) -> "Verdict":
-        return cls(claim, "fail", tuple(witnesses), tuple(notes), counterexample)
+    def failing(cls, claim: str, counterexample: str, notes=()) -> "Verdict":
+        return cls(claim, "fail", (), tuple(notes), counterexample)
 
     @classmethod
     def skipped(cls, claim: str, reason: str) -> "Verdict":
@@ -77,11 +77,6 @@ class Verdict:
             "notes": list(self.notes),
             "counterexample": self.counterexample,
         }
-
-
-def module_ass_primes(M: CyclicModule) -> PrimeSet:
-    """Ass of R/J as primes of R; needs a monomial defining ideal."""
-    return M.primes().ass
 
 
 def assh(M: CyclicModule) -> PrimeSet:
@@ -128,7 +123,7 @@ def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:
 def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:
     """Associated primes of the zeroth formal local cohomology of M along a:
     the associated primes of M that a pushes up to the maximal ideal."""
-    return PrimeSet(filter(_becomes_maximal(a), module_ass_primes(M)))
+    return PrimeSet(filter(_becomes_maximal(a), M.primes().ass))
 
 
 def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:

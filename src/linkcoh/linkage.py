@@ -7,10 +7,11 @@ The link is geometric when (a+J) and (b+J) meet exactly in I+J, and a is
 selflinked when the two sides agree mod J.
 
 `check_linked` certifies a triple or raises LinkageError with a reason code;
-`link_of` takes the colon partner, or the double colon of a trial ideal, and
-certifies it, and is the one place a pair is built: `random_linked_pairs`
-draws certified instances through it, exploiting that a double colon is
-always colon-stable.  Both take the core I + J from one helper, `_core`,
+a pair known in advance is certified by it directly.  `link_of` takes the
+colon partner, or the double colon of a trial ideal, and certifies it; every
+pair drawn from a trial ideal is built there: `random_linked_pairs` draws
+certified instances through it, exploiting that a double colon is always
+colon-stable.  Both take the core I + J from one helper, `_core`,
 which grows I as a regular chain from J; each step stays on the ideal it
 extended, so the chain is tested once however often it is grown.
 
@@ -50,6 +51,10 @@ class LinkageError(RingError):
     def __init__(self, reason: str, message: str) -> None:
         super().__init__(message)
         self.reason = reason
+
+    def __reduce__(self):
+        # rebuilt from both arguments; `args` holds only the message
+        return type(self), (self.reason, str(self))
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,8 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
 
 
 def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> LinkageCertificate:
-    """The colon partner b = (I+J) : a, certified by `check_linked`; the
-    one place a linked pair is built.
+    """The colon partner b = (I+J) : a, certified by `check_linked`; every
+    pair drawn from a trial ideal a is built here.
 
     When a is not colon-stable the pair fails certification; with close=True
     a is first replaced by its double colon (I+J) : b, which is always

@@ -72,8 +72,8 @@ from .monomial import (
     as_monomial,
     min_assh_dim,
 )
-from .simplicial import depth_monomial, dim_monomial
-from .ring import Polynomial, RingCtx, RingError
+from .simplicial import depth_monomial
+from .ring import Polynomial, RingCtx, RingError, mono_one
 
 log = logging.getLogger("linkcoh")
 
@@ -228,7 +228,7 @@ def module_ass(N: FPModule) -> PrimeSet:
         raise RingError("associated-prime scan needs a multigraded module")
     ann = hom_annihilator(Ideal.zero(N.ctx), N)
     found = []
-    for p in all_monomial_primes(N.ctx, include_zero=True):
+    for p in all_monomial_primes(N.ctx):
         check_deadline("associated-prime scan")
         if not all(p.contains_poly(f) for f in ann.gens):
             continue  # Ass lies inside the support, i.e. over V(Ann)
@@ -367,25 +367,27 @@ class CyclicModule:
     """The module R/J, with cached primes, dimension and depth at the
     variable ideal.
 
-    For monomial J, `primes()` is the one record of Ass, Min, Assh, dim and
-    height of R/J, which `dim()` and every prime invariant read (its Ass is
-    decomposed on first read, the rest are vertex covers), and depth is
-    read off J itself.  For J with homogeneous generators, dimension and
-    depth come from the lead-term ideal in(J) of the reduced degrevlex basis,
-    a flat (Groebner) degeneration of J, which keeps the dimension and can
-    only lower the depth: depth R/in(J) <= depth R/J <= dim R/J = dim R/in(J)
-    (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is squarefree the
-    two depths are equal (Conca-Varbaro, "Square-free Groebner degenerations",
-    Invent. Math. 221, 2020).  So depth R/in(J) is the answer when in(J) is
-    squarefree or reaches the dimension; otherwise the Koszul search runs only
-    over the levels those two bounds leave open.  A non-homogeneous J takes
-    the full Koszul search.
+    `lead_term_ideal()` is the one monomial view of R/J: J's own monomial
+    form when J is monomial, else the lead-term ideal in(J) of the reduced
+    degrevlex basis, a flat (Groebner) degeneration of J.  One prime record
+    of that view (Ass, Min, Assh, dim and height) is kept: it is `primes()`
+    for monomial J, which every prime invariant reads (its Ass is decomposed
+    on first read, the rest are vertex covers), and `dim()` reads its
+    dimension for every J, since the degeneration keeps the dimension.  It
+    can only lower the depth: depth R/in(J) <= depth R/J <= dim R/J =
+    dim R/in(J) (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is
+    squarefree the two depths are equal (Conca-Varbaro, "Square-free
+    Groebner degenerations", Invent. Math. 221, 2020).  So for monomial J the
+    depth is read off J itself, and for J with homogeneous generators depth
+    R/in(J) is the answer when in(J) is squarefree or reaches the dimension;
+    otherwise the Koszul search runs only over the levels those two bounds
+    leave open.  A non-homogeneous J takes the full Koszul search.
     Each depth logs its route at debug level on the `linkcoh` logger:
     `monomial`, `degeneration`, `degeneration+koszul` with its levels, or
     `koszul`.
     """
 
-    __slots__ = ("ctx", "ideal", "monomial", "_primes", "_lead", "_dim", "_depth")
+    __slots__ = ("ctx", "ideal", "monomial", "_lead", "_record", "_depth")
 
     def __init__(self, ctx: RingCtx, J: Ideal) -> None:
         if J.ctx != ctx:
@@ -395,9 +397,8 @@ class CyclicModule:
         self.ctx = ctx
         self.ideal = J
         self.monomial: MonomialIdeal | None = as_monomial(J)
-        self._primes: MinAsshDim | None = None
-        self._lead: MonomialIdeal | None = None
-        self._dim: int | None = None
+        self._lead: MonomialIdeal | None = self.monomial
+        self._record: MinAsshDim | None = None
         self._depth: int | None = None
 
     @classmethod
@@ -405,26 +406,25 @@ class CyclicModule:
         return cls(ctx, Ideal.zero(ctx))
 
     def lead_term_ideal(self) -> MonomialIdeal:
+        """J when J is monomial, else in(J) of the reduced degrevlex basis."""
         if self._lead is None:
             gb = reduced_gb(self.ideal)
             self._lead = MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
         return self._lead
 
+    def _lead_primes(self) -> MinAsshDim:
+        if self._record is None:
+            self._record = min_assh_dim(self.lead_term_ideal())
+        return self._record
+
     def primes(self) -> MinAsshDim:
         """Ass, Min, Assh, dim and height of R/J; needs a monomial J."""
         if self.monomial is None:
             raise RingError("the primes of R/J here need a monomial defining ideal")
-        if self._primes is None:
-            self._primes = min_assh_dim(self.monomial)
-        return self._primes
+        return self._lead_primes()
 
     def dim(self) -> int:
-        if self.monomial is not None:
-            return self.primes().dim
-        if self._dim is None:
-            # Krull dimension survives the flat degeneration to the lead-term ideal
-            self._dim = dim_monomial(self.lead_term_ideal())
-        return self._dim
+        return self._lead_primes().dim
 
     def depth(self) -> int:
         if self._depth is None:
@@ -432,26 +432,28 @@ class CyclicModule:
         return self._depth
 
     def _compute_depth(self) -> int:
-        mono = self.monomial
-        if mono is None and all(g.is_homogeneous() for g in self.ideal.gens):
-            mono = self.lead_term_ideal()
+        one = mono_one(self.ctx.n)
+        if any(one in g.term_map() for g in self.ideal.gens):
+            raise ImproperIdealError(
+                "depth at the ideal of variables needs J inside it;"
+                " a generator of J has a nonzero constant term"
+            )
         gens = [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
         n = len(gens)
-        if mono is not None:
-            d0 = depth_monomial(mono)
-            if self.monomial is not None:
-                log.debug("depth: route monomial")
-                return d0
-            dim = self.dim()
-            if mono.is_squarefree() or d0 == dim:
-                log.debug("depth: route degeneration")
-                return d0
-            log.debug(
-                "depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1
-            )
-            return koszul_grade(gens, self.ideal, d0, dim)
-        log.debug("depth: route koszul")
-        return koszul_grade(gens, self.ideal)
+        if self.monomial is None and not all(g.is_homogeneous() for g in self.ideal.gens):
+            log.debug("depth: route koszul")
+            return koszul_grade(gens, self.ideal)
+        lead = self.lead_term_ideal()
+        d0 = depth_monomial(lead)
+        if self.monomial is not None:
+            log.debug("depth: route monomial")
+            return d0
+        dim = self.dim()
+        if lead.is_squarefree() or d0 == dim:
+            log.debug("depth: route degeneration")
+            return d0
+        log.debug("depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1)
+        return koszul_grade(gens, self.ideal, d0, dim)
 
     def is_cohen_macaulay(self) -> bool:
         return self.depth() == self.dim()

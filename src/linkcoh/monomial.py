@@ -370,10 +370,10 @@ def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
     return MinAsshDim(I, PrimeSet(mins.values()), PrimeSet(assh), n - height, height)
 
 
-def all_monomial_primes(ctx: RingCtx, include_zero: bool = True) -> list[MonomialPrime]:
+def all_monomial_primes(ctx: RingCtx) -> list[MonomialPrime]:
     out = []
     idx = range(ctx.n)
-    for k in range(0 if include_zero else 1, ctx.n + 1):
+    for k in range(ctx.n + 1):
         for sub in combinations(idx, k):
             out.append(MonomialPrime(sub))
     out.sort()

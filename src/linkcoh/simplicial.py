@@ -54,7 +54,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .groebner import BudgetExceeded, check_deadline
-from .monomial import ImproperIdealError, MonomialIdeal, min_assh_dim, min_vertex_covers
+from .monomial import ImproperIdealError, MonomialIdeal, min_vertex_covers
 from .ring import RingError, mono_support
 
 log = logging.getLogger("linkcoh")
@@ -380,10 +380,6 @@ def depth_monomial(J: MonomialIdeal) -> int:
     log.debug("depth colon radicals: %d exponent vectors, %d distinct", vectors, len(depths))
     # b = 0 lies outside the proper J, so there is at least one radical
     return min(depths.values())
-
-
-def dim_monomial(J: MonomialIdeal) -> int:
-    return min_assh_dim(J).dim
 
 
 def cd_squarefree(a: MonomialIdeal) -> int:

@@ -35,7 +35,6 @@ from .invariants import (
     att_top,
     height_in_module,
     is_equidimensional,
-    module_ass_primes,
 )
 from .linkage import (
     GenParams,
@@ -131,7 +130,7 @@ def _random_prime_antichain(
     rng: random.Random, ctx: RingCtx, k: int, height: int | None
 ) -> list[MonomialPrime]:
     chosen: list[MonomialPrime] = []
-    pool = [p for p in all_monomial_primes(ctx, include_zero=False) if p.height < ctx.n]
+    pool = [p for p in all_monomial_primes(ctx) if 0 < p.height < ctx.n]
     if height is not None:
         pool = [p for p in pool if p.height == height]
     rng.shuffle(pool)
@@ -528,7 +527,7 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
                 notes=notes,
             )
         witnesses.append("dimension-gap: one side empty")
-    if ass_formal_zeroth(cert.a, M) == module_ass_primes(M):
+    if ass_formal_zeroth(cert.a, M) == M.primes().ass:
         if att_a != att_top(maximal_ideal(ctx), M) or len(att_b) != 0:
             return Verdict.failing(
                 claim,

@@ -137,6 +137,22 @@ def test_depth_doc_matches_worked_example(capsys):
     assert (doc["depth"], doc["dim"], doc["cm"]) == (1, 2, False)
 
 
+@pytest.mark.parametrize("cmd", ["depth", "cm"])
+def test_depth_refuses_an_ideal_outside_the_variables(capsys, cmd):
+    # x + 1 is proper but not inside (x, y), where depth is taken
+    code, out, err = invoke(capsys, cmd, "--ring", "x,y", "--ideal", "x + 1")
+    assert (code, out) == (1, "")
+    assert err.strip() == (
+        "error: depth at the ideal of variables needs J inside it;"
+        " a generator of J has a nonzero constant term"
+    )
+    # dim still answers, and grade keeps its own refusal
+    assert doc_of(capsys, "dim", "--ring", "x,y", "--ideal", "x + 1")["dim"] == 1
+    code, out, err = invoke(capsys, "grade", "--ring", "x,y", "--ideal", "x, y", "--module", "x + 1")
+    assert code == 1
+    assert err.strip() == "error: grade is undefined when the sequence generates everything"
+
+
 def test_dim_cm_equidim(capsys):
     assert doc_of(capsys, "dim", "--ring", "x,y", "--ideal", "x*y")["dim"] == 1
     doc = doc_of(capsys, "cm", "--ring", "x,y,z", "--ideal", "x*z, y*z")

@@ -15,14 +15,16 @@ Every definition in the package -- function, method, class, or name
 assigned at module top level -- must be read by some node of src/ or
 perfbench/: a name or attribute that is loaded, an import, or a string of
 dotted identifiers such as the tracer's "CyclicModule.depth".  The
-assignment that binds a name does not read it.  References from tests/ do
-not count, so a route or a constant that only tests use lives in tests/
-(the reference routes are in tests/oracles.py and tests/engine_routes.py),
-not in the package.  Dunder names, and methods that override one of a base
-class (which the base's own code calls), are exempt.  The check matches
-names only, so it cannot see a dead method whose name is also used
-elsewhere, for example as a local variable, the way a local `coeff` hid a
-dead `Polynomial.coeff`.
+assignment that binds a name does not read it, and neither does
+`__init__.py`, whose imports are re-exports: so every name in
+`linkcoh.__all__` is read by some other module of src/ or by perfbench/.
+References from tests/ do not count, so a route or a constant that only
+tests use lives in tests/ (the reference routes are in tests/oracles.py
+and tests/engine_routes.py), not in the package.  Dunder names, and
+methods that override one of a base class (which the base's own code
+calls), are exempt.  The check matches names only, so it cannot see a dead
+method whose name is also used elsewhere, for example as a local variable,
+the way a local `coeff` hid a dead `Polynomial.coeff`.
 """
 
 import ast
@@ -188,6 +190,8 @@ def test_no_dead_definitions():
     referenced = set()
     for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
+            if path == SRC / "__init__.py":
+                continue  # a re-export is not a read
             referenced |= _references(ast.parse(path.read_text(), filename=str(path)))
     dead = []
     for path in sorted(SRC.glob("*.py")):

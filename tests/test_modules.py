@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from engine_routes import division_koszul_grade
+from engine_routes import division_koszul_grade, engine_gb
 from oracles import ass_member_presented, hom_cyclic, presented_annihilator
-from linkcoh import groebner, modules
+from linkcoh import groebner, modules, monomial
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -54,10 +54,12 @@ from linkcoh.modules import (
 )
 from linkcoh.monomial import (
     ImproperIdealError,
+    MonomialIdeal,
     MonomialPrime,
     PrimeSet,
     all_monomial_primes,
     associated_primes,
+    min_assh_dim,
 )
 from linkcoh.ops import OPS
 from linkcoh.ring import DEGREVLEX, Polynomial, RingError, mono_divides, parse_poly, ring
@@ -686,7 +688,7 @@ def test_ass_of_hom_is_read_off_the_support():
             terms(ctx, False), terms(ctx, True), st.just(Ideal.zero(ctx)), st.just(Ideal.unit(ctx))
         ))
         H = hom_cyclic(a, N)
-        for p in all_monomial_primes(ctx, include_zero=True):
+        for p in all_monomial_primes(ctx):
             support = all(map(p.contains_poly, a.gens)) and ass_member(p, N)
             assert support == ass_member_presented(p, H), p
             if M is not None:
@@ -790,6 +792,66 @@ def test_cyclic_module_nonmonomial_dim():
     assert curve.depth() == 1
     assert curve.is_cohen_macaulay()
     assert curve.monomial is None
+    # the record that gave dim is that of in(J), never the primes of R/J
+    with pytest.raises(RingError, match="^the primes of R/J here need a monomial defining ideal$"):
+        curve.primes()
+
+
+def test_dim_is_the_dim_of_the_lead_terms_property():
+    # dim R/J against the record of in(J) from a fresh engine basis, over
+    # monomial J written by terms and by non-term generators, homogeneous
+    # binomial J and non-homogeneous J
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
+        exps = st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n).map(tuple).filter(any)
+        ts = data.draw(st.lists(exps, min_size=1, max_size=3, unique=True))
+        term = lambda e, c=1: Polynomial.from_monomial(ctx, e, c)
+        kind = data.draw(st.sampled_from(["terms", "non-term", "binomial", "non-homogeneous"]))
+        if kind == "terms":
+            gens = [term(e) for e in ts]
+        elif kind == "non-term":
+            # a unitriangular change of the terms generates the same ideal
+            gens = [term(e) + term(f, 2) for e, f in zip(ts, ts[1:])] + [term(ts[-1])]
+        elif kind == "binomial":
+            gens = [term(e) - term(tuple(data.draw(st.permutations(e)))) for e in ts]
+            gens = [g for g in gens if not g.is_zero()] or [term(ts[0])]
+        else:
+            i = data.draw(st.integers(0, ctx.n - 1))
+            gens = [term(e) - term(tuple(x + (k == i) for k, x in enumerate(e)), 3) for e in ts]
+        J = Ideal(ctx, gens)
+        M = CyclicModule(ctx, J)
+        if kind in ("terms", "non-term"):
+            assert M.monomial is not None
+        lead = MonomialIdeal.from_exponents(ctx, [g.lead()[0] for g in engine_gb(J)])
+        assert M.dim() == min_assh_dim(lead).dim, (kind, J)
+
+    check()
+
+
+@pytest.mark.parametrize("texts", [("x^2", "x*y"), ("x^2 + x*y", "x*y")])
+def test_monomial_view_is_j_with_one_record(monkeypatch, texts):
+    # J written by terms or not: the view is J's own monomial form, read
+    # without a basis, and dim, primes and Ass come from one record
+    ctx = ring("x", "y", "z")
+    M = CyclicModule(ctx, I_of(ctx, *texts))
+    records, decompositions = [], []
+    real_record, real_decompose = modules.min_assh_dim, monomial.irreducible_decomposition
+    monkeypatch.setattr(modules, "min_assh_dim", lambda I: records.append(I) or real_record(I))
+    monkeypatch.setattr(
+        monomial, "irreducible_decomposition", lambda I: decompositions.append(I) or real_decompose(I)
+    )
+    monkeypatch.setattr(modules, "reduced_gb", None)
+    assert M.lead_term_ideal() is M.monomial
+    assert M.dim() == 2
+    assert M.primes().ass == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
+    assert M.primes().min_primes == PrimeSet([MonomialPrime((0,))])
+    assert M.dim() == 2
+    assert (len(records), len(decompositions)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

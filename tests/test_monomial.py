@@ -335,7 +335,7 @@ def test_render_writes_the_terms_of_the_generators_property():
 def test_all_monomial_primes(ctx):
     ps = all_monomial_primes(ctx)
     assert len(ps) == 8
-    assert len(all_monomial_primes(ctx, include_zero=False)) == 7
+    assert len([p for p in all_monomial_primes(ctx) if p.height]) == 7
 
 
 def test_polarization_squarefree_and_depth_shift(ctx):

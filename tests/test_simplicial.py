@@ -21,9 +21,10 @@ from linkcoh.monomial import (
     MonomialPrime,
     as_monomial,
     associated_primes,
+    min_assh_dim,
 )
 from linkcoh.ring import Polynomial, RingError, mono_one, ring
-from linkcoh.simplicial import cd_squarefree, depth_monomial, depth_squarefree, dim_monomial
+from linkcoh.simplicial import cd_squarefree, depth_monomial, depth_squarefree
 from oracles import (
     CohomologyProfile,
     SimplicialComplex,
@@ -230,19 +231,19 @@ def test_depth_squarefree_known_values():
     # three coordinate points: 1-dimensional, connected enough to be CM
     pts = MI(ctx, "x*y", "x*z", "y*z")
     assert depth_squarefree(pts) == 1
-    assert dim_monomial(pts) == 1
-    assert depth_monomial(pts) == dim_monomial(pts)
+    assert min_assh_dim(pts).dim == 1
+    assert depth_monomial(pts) == min_assh_dim(pts).dim
     # an edge plus an isolated vertex: depth 1 < dim 2
     mixed = MI(ctx, "x*z", "y*z")
     assert depth_squarefree(mixed) == 1
-    assert dim_monomial(mixed) == 2
-    assert depth_monomial(mixed) < dim_monomial(mixed)
+    assert min_assh_dim(mixed).dim == 2
+    assert depth_monomial(mixed) < min_assh_dim(mixed).dim
     # hypersurface: depth = dim = 2
     assert depth_squarefree(MI(ctx, "x*y")) == 2
     # the zero ideal: the full ring
     zero = MonomialIdeal.from_exponents(ctx, [])
     assert depth_squarefree(zero) == 3
-    assert dim_monomial(zero) == 3
+    assert min_assh_dim(zero).dim == 3
 
 
 def test_depth_monomial_polarizes():
@@ -250,7 +251,7 @@ def test_depth_monomial_polarizes():
     m = MI(ctx, "x^2", "x*y")
     # embedded maximal ideal forces depth 0
     assert depth_monomial(m) == 0
-    assert dim_monomial(m) == 1
+    assert min_assh_dim(m).dim == 1
     ctx3 = ring("x", "y", "z")
     assert depth_monomial(MI(ctx3, "x^2*y")) == 2
     pol = polarize(MI(ctx3, "x^2*y"))
@@ -450,7 +451,7 @@ def test_rp2_torsion_is_cleared_by_exact_ranks(monkeypatch):
     assert len(I.min_gens) == 10
     assert complex_of(I) == rp2
     # Cohen-Macaulay over Q; an answer from GF(2) ranks alone would be depth 2
-    assert depth_squarefree(I) == dim_monomial(I) == 3
+    assert depth_squarefree(I) == min_assh_dim(I).dim == 3
     assert exact_calls
 
 

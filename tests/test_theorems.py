@@ -1,16 +1,18 @@
 """Claim checkers and the randomized claim runner."""
 
 import multiprocessing
+import pickle
 import random
 
 import pytest
 
-from linkcoh.groebner import Ideal, set_limits
-from linkcoh.linkage import check_linked
+from linkcoh.groebner import BudgetExceeded, Ideal, set_limits
+from linkcoh.linkage import LinkageError, check_linked
 from linkcoh.modules import CyclicModule
-from linkcoh.monomial import as_monomial
+from linkcoh.monomial import ImproperIdealError, as_monomial
 from linkcoh.invariants import is_equidimensional
-from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh.ring import ParseError, RingError, parse_poly, ring
+from linkcoh.session import SessionError
 from linkcoh import theorems
 from linkcoh.theorems import (
     CLAIMS,
@@ -200,6 +202,22 @@ def test_run_claim_runs_spawned_workers_under_the_callers_limits(monkeypatch):
     assert spawned == serial
     assert serial["counts"]["skip"] == 4
     assert all(v["notes"][0].startswith("budget exhausted") for v in serial["verdicts"])
+
+
+@pytest.mark.parametrize("exc, fields", [
+    (RingError("bad ring"), {}),
+    (ParseError("bad text", 3), {"position": 3}),
+    (SessionError("line 2: bad task"), {"position": None}),
+    (ImproperIdealError("wants a proper ideal"), {}),
+    (LinkageError("improper-b", "b kills the module: bM = M"), {"reason": "improper-b"}),
+    (BudgetExceeded("buchberger", 12, 10), {"what": "buchberger", "spent": 12, "limit": 10}),
+], ids=["RingError", "ParseError", "SessionError", "ImproperIdealError", "LinkageError", "BudgetExceeded"])
+def test_exceptions_survive_pickling(exc, fields):
+    # a worker of a fanned-out run_claim hands its exception to the parent by pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert {k: getattr(back, k) for k in fields} == fields
 
 
 @pytest.mark.parametrize("jobs, count, cpus, workers", [
