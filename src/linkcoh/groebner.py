@@ -38,13 +38,24 @@ fields of w value bits, each under a guard bit, laid out so that integer
 comparison is the term order -- position-over-term, lower positions
 dominant, then the monomial order.  Multiplying by a monomial is an int
 addition, a divisibility test one addition and one mask against the guard
-bits, and `max` and `sorted` need no key.  The width starts from the
-inputs' largest degree, so they fit; a made term with a guard bit set has
-overflowed a field, and the run starts again at double width on a fresh
-S-pair meter (the soft deadline spans the whole call).  Answers are decoded
-to exponent tuples on exit, each term once.  Pairing, the chain criterion
-and each reduction step consult only the basis elements leading at their
-own position.
+bits, and `max` and `sorted` need no key.  A pair's lcm is built from the
+two packed leads by word-parallel operations (`_Codec.lcm`): a field-wise
+minimum of the complement fields through guard-bit borrows, and each
+block's degree field by one multiplication, so no lead is decoded until an
+answer is written.  The width starts from the inputs' largest degree, so
+they fit; a made term or lcm with a field past M has overflowed, and the
+run starts again at double width on a fresh S-pair meter (the soft deadline
+spans the whole call).  Answers are decoded to exponent tuples on exit,
+each term once.  Pairing, the chain criterion and each reduction step
+consult only the basis elements leading at their own position.
+
+A syzygy run reads only its tag block when the caller wants no image
+(`_syzygies(..., image=False)`, behind `_colon` and
+`modules.submodule_syzygies`): the engine still forms every S-pair, but it
+minimalizes, tail-reduces and decodes only the elements leading in the tag
+positions (`_buchberger`'s `tags`).  That is exact, since such an element
+vanishes in the main block, so only reducers leading in the tag positions
+touch its tail.  `colon_and_sum` keeps both blocks.
 
 Pending S-pairs sit in a heap keyed by (ring part of the packed lcm, index
 pair): the S-pair sequence, and where a budget trips, is that of the plain
@@ -331,7 +342,9 @@ class _Codec:
     complement fields are the e_j.
     """
 
-    __slots__ = ("w", "M", "G", "GM", "C", "W", "shifts", "pshift", "ring_mask", "heads")
+    __slots__ = (
+        "w", "M", "G", "GM", "CM", "C", "W", "shifts", "pshift", "ring_mask", "heads", "blocks"
+    )
 
     def __init__(self, order: MonomialOrder, rank: int, n: int, w: int) -> None:
         fields = []
@@ -340,12 +353,17 @@ class _Codec:
         F, M = w + 1, (1 << w) - 1
         W, shifts = [0] * n, [0] * n
         C = G = GM = 0
+        blocks = []
         for i, (kind, v) in enumerate(reversed(fields)):  # bottom field first
             s = i * F
             G |= 1 << (s + w)
             if kind == "deg":
                 for j in v:
                     W[j] += 1 << s
+                # the block's complement fields sit just below its degree field
+                b = len(v)
+                mask = sum(M << (s - k * F) for k in range(1, b + 1))
+                blocks.append((mask, sum(1 << (k * F) for k in range(1, b + 1)), s))
             else:
                 W[v] -= 1 << s
                 C += M << s
@@ -355,6 +373,8 @@ class _Codec:
         if rank:
             G |= 1 << (ps + w)
         self.w, self.M, self.G, self.GM, self.C = w, M, G, GM, C
+        self.CM = GM - (GM >> w)  # every value bit of the complement fields
+        self.blocks = tuple(blocks)
         self.W = [(rank - p) << ps for p in range(rank)] + W
         self.shifts, self.pshift, self.ring_mask = shifts, ps, (1 << ps) - 1
         # the prefix of position field value v, which is r - p
@@ -370,6 +390,30 @@ class _Codec:
                 raise _Overflow
             out[k] = c
         return out
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of the packed exponents a and b of one position,
+        with no field decoded.  Its complement fields are the field-wise
+        minima of theirs: with x and y their complement fields and GM set
+        above them, (x | GM) - y borrows no bit across a field and keeps a
+        field's guard bit exactly where x >= y, and the guard bits, spread
+        over their fields, pick y there and x elsewhere.  A block's degree
+        field is the sum of the block's exponents M - min, which one
+        multiplication folds into it.  The sum is at most the two degrees
+        added, under 2^(w+1), so no partial sum carries and the folded field
+        exceeds M exactly when the lcm overflows: that raises _Overflow."""
+        GM, CM, w, M = self.GM, self.CM, self.w, self.M
+        x, y = a & CM, b & CM
+        g = ((x | GM) - y) & GM
+        low = x ^ ((x ^ y) & (g - (g >> w)))
+        l = (a >> self.pshift << self.pshift) | low
+        e, field = CM - low, 2 * M + 1
+        for mask, fold, s in self.blocks:
+            d = ((e & mask) * fold >> s) & field
+            if d > M:
+                raise _Overflow
+            l |= d << s
+        return l
 
     def dec(self, k: int) -> Exponents:
         """The exponent tuple, prefix and ring part, of a packed exponent."""
@@ -555,10 +599,16 @@ def _divide(work: dict, table: ReducerTable) -> dict:
 
 
 def _buchberger(
-    gens: Iterable[dict], order: MonomialOrder, rank: int = 0, basis: Iterable[dict] = ()
+    gens: Iterable[dict],
+    order: MonomialOrder,
+    rank: int = 0,
+    basis: Iterable[dict] = (),
+    tags: int | None = None,
 ) -> list[dict]:
     """The reduced Groebner basis of the term maps `basis` and `gens`, as
-    monic term maps in increasing order of their leads.
+    monic term maps in increasing order of their leads; with `tags` set,
+    only its elements that lead in the last `tags` positions, the ones a
+    syzygy caller reads (see `_run`).
 
     `basis` must already be a Groebner basis under this order.  Its elements
     are admitted first and never paired with one another: their S-pairs
@@ -578,41 +628,44 @@ def _buchberger(
     n = len(next(iter((known or fresh)[0]))) - rank
     what = "module buchberger" if rank else "buchberger"
     return _widening(
-        lambda cx: _run(known, fresh, cx, what), order, rank, n, _degree(known + fresh)
+        lambda cx: _run(known, fresh, cx, what, tags), order, rank, n, _degree(known + fresh)
     )
 
 
-def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[dict]:
-    """One engine run of `_buchberger` under the codec `cx`.
+def _run(
+    known: list[dict], fresh: list[dict], cx: _Codec, what: str, tags: int | None = None
+) -> list[dict]:
+    """One engine run of `_buchberger` under the codec `cx`, answering every
+    element, or with `tags` set those that lead in the last `tags` positions
+    (position field at most `tags`).
 
     Elements are listed per position of their lead, and pairs, the chain
     criterion and reduction steps look only at the list of their own
-    position.  The coprime criterion is lcm == li + lj - C, which is exact
-    for ideals; for a vector the position field of li + lj - C is twice that
-    of the lcm, so it never fires there, as it must not.
+    position.  A pair's lcm is packed from the two leads (`_Codec.lcm`).
+    The coprime criterion is lcm == li + lj - C, which is exact for ideals;
+    for a vector the position field of li + lj - C is twice that of the
+    lcm, so it never fires there, as it must not.  Every S-pair is formed
+    whatever `tags` is; only the finishing below skips the elements leading
+    in the positions nobody reads.  That is exact: an element's tail lies at
+    or below its lead's position, so no skipped reducer touches an answered
+    tail.
     """
     meter = _Meter()
-    G, GM, ps, C, W, dec = cx.G, cx.GM, cx.pshift, cx.C, cx.W, cx.dec
+    G, GM, ps, C, dec, packed_lcm = cx.G, cx.GM, cx.pshift, cx.C, cx.dec, cx.lcm
     queue = _PairQueue(cx.ring_mask)
     red: list[tuple[int, int, int, tuple]] = []  # (mark, lead, a, tail) of the basis elements
-    exps: list[Exponents] = []  # their leads, decoded
     table: dict = {}  # position field -> the reducers leading there
     at: dict = {}  # position field -> the indices of the elements leading there
 
     def admit(r: tuple, paired: bool = True) -> None:
         lead = r[1]
-        e = dec(lead)
         same = at.setdefault(lead >> ps, [])
         if paired:
             for t in same:
-                l = C + sum(map(mul, map(max, exps[t], e), W))  # the packed lcm
-                if l & G:
-                    raise _Overflow
-                queue.add(t, len(red), l)
+                queue.add(t, len(red), packed_lcm(red[t][1], lead))
         same.append(len(red))
         table.setdefault(lead >> ps, []).append(r)
         red.append(r)
-        exps.append(e)
 
     for g in known:
         admit(_primitive(cx.pack(g), cx), False)
@@ -651,11 +704,14 @@ def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[di
             # position than its pair did
             admit(_primitive(rem, cx))
 
-    # minimalize: keep only leading terms that form an antichain
+    # minimalize: keep only leading terms that form an antichain, position by
+    # position, lowest position field first, up to the last one answered
     final: dict = {}  # position field -> the reducers kept there
     kept: list[int] = []
     for i in sorted(range(len(red)), key=lambda i: red[i][1]):
         lead = red[i][1]
+        if tags is not None and lead >> ps > tags:
+            break
         here = final.setdefault(lead >> ps, [])
         if not any((r[0] - lead) & GM == GM for r in here):
             here.append(red[i])
@@ -666,10 +722,10 @@ def _run(known: list[dict], fresh: list[dict], cx: _Codec, what: str) -> list[di
     # smaller term of its own element, so every lead stays
     out = []
     for i in kept:
-        _, _, a, tail = red[i]
+        _, lead, a, tail = red[i]
         rem, s = _reduce(dict(tail), final, cx, what)
         d = a * s
-        out.append({exps[i]: _ONE, **{dec(e): Fraction(c, d) for e, c in rem.items()}})
+        out.append({dec(lead): _ONE, **{dec(e): Fraction(c, d) for e, c in rem.items()}})
     return out
 
 
@@ -744,12 +800,13 @@ def module_reduce(v: Vec, table: ReducerTable) -> Vec:
 
 
 def _syzygies(
-    vectors: Sequence[Vec], basis: Sequence[Vec], ctx: RingCtx, rank: int
-) -> tuple[list[Vec], Iterator[Vec]]:
+    vectors: Sequence[Vec], basis: Sequence[Vec], ctx: RingCtx, rank: int, image: bool = True
+) -> tuple[list[Vec], Iterator[Vec] | None]:
     """The syzygies {a in R^k : sum a_i vectors[i] lies in <basis>} and the
     image span(vectors) + <basis>, each as its reduced Groebner basis
     (position over degrevlex), where k = len(vectors), every vector has rank
-    `rank`, and `basis` is a Groebner basis of the submodule it spans.
+    `rank`, and `basis` is a Groebner basis of the submodule it spans.  With
+    `image` false the image is None, and the run finishes only the tag block.
 
     One engine run over R^(rank + k): vectors[i] carries the unit tag
     e_(rank + i) below the main block, and `basis`, still a Groebner basis
@@ -760,7 +817,9 @@ def _syzygies(
     reduced basis.  Those leading in the main block lead as the image does,
     with main blocks reduced against one another, so without their tags
     they are its reduced basis, listed as `module_gb` lists it.  The image
-    is decoded only as it is read.
+    is decoded only as it is read, and with `image` false it is never
+    finished: the run answers only the k tag positions (`_buchberger`'s
+    `tags`).
     """
     k = len(vectors)
     heads = _heads(rank + k)
@@ -771,10 +830,12 @@ def _syzygies(
         g[heads[rank + i] + one] = _ONE
         aug.append(g)
     known = [_encode(w, heads) for w in basis]
-    out = _buchberger(aug, DEGREVLEX, rank + k, known)
+    out = _buchberger(aug, DEGREVLEX, rank + k, known, None if image else k)
     # tag-block leads sort first; a map's first key is its lead
     cut = sum(not any(next(iter(g))[:rank]) for g in out)
     syzygies = [_decode(g, ctx, rank + k)[rank:] for g in out[:cut]]
+    if not image:
+        return syzygies, None
     return syzygies, (_decode(g, ctx, rank + k)[:rank] for g in out[cut:])
 
 
@@ -792,7 +853,8 @@ def _colon(ctx: RingCtx, vectors: Sequence[Vec], basis: Sequence[Vec]) -> Ideal:
     """
     stacked = tuple(p for u in vectors for p in u)
     blocks = _block_diagonal(basis, len(vectors))
-    return _seeded(ctx, tuple(a for (a,) in _syzygies([stacked], blocks, ctx, len(stacked))[0]))
+    syz, _ = _syzygies([stacked], blocks, ctx, len(stacked), image=False)
+    return _seeded(ctx, tuple(a for (a,) in syz))
 
 
 def reduced_gb(I: Ideal) -> tuple[Polynomial, ...]:

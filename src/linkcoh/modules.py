@@ -21,9 +21,14 @@ block builder; `hom_annihilator` takes its annihilator as one more colon on
 N, and Ann N (a = 0) and `ass_member` (a = p) read it.  Hom is never
 presented: Ass Hom(R/a, N) = V(a) meet Ass N for every finite N
 (Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise 1.2.27), so `ass_member`
-on N answers for Hom too.  `koszul_grade` makes one syzygy run per
-level it reads, giving that level's cycles and the boundaries below, and
-compares the two reduced bases.  Every regular sequence grows in one
+on N answers for Hom too.  `module_ass` tests only the candidates over
+Ann N that are not minimal over it: the minimal primes of Supp N lie in
+Ass N (Matsumura, *Commutative Ring Theory*, Thm 6.5), and are read off the
+vertex covers of the monomial Ann N.  `koszul_grade` makes one syzygy run
+per level it reads, giving that level's cycles and the boundaries below,
+and compares the two reduced bases; the image, which gives the boundaries,
+is finished only when a further level compares it, so the last level
+searched reads its cycles alone.  Every regular sequence grows in one
 routine, `regular_chain`, which returns the ideal base + (seq) it built:
 each step reads the colon Q : f, which decides whether f is regular, and
 the next sum Q + (f), with its reduced basis, off one syzygy run
@@ -106,7 +111,7 @@ def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec
         raise RingError("syzygy input vectors have mixed ranks")
     if any(len(w) != rank for w in basis):
         raise RingError("basis vectors have the wrong rank")
-    return _syzygies(vectors, basis, vectors[0][0].ctx, rank)[0]
+    return _syzygies(vectors, basis, vectors[0][0].ctx, rank, image=False)[0]
 
 
 class FPModule:
@@ -222,17 +227,27 @@ def ass_member(p: MonomialPrime, N: FPModule) -> bool:
 def module_ass(N: FPModule) -> PrimeSet:
     """All associated primes, found by scanning monomial primes over Ann N.
 
-    The soft deadline is checked once per candidate: a candidate outside the
-    support starts no engine run, so nothing else would check it."""
+    Ann N of a multigraded N is a monomial ideal, and its minimal primes,
+    the minimal primes of Supp N, are associated (Matsumura, *Commutative
+    Ring Theory*, Thm 6.5): they are read off its vertex covers
+    (`min_assh_dim`) and take no test.  Any other candidate over Ann N takes
+    `ass_member`.  The zero module (Ann N = R) has none.  The soft deadline
+    is checked once per candidate: a candidate outside the support starts no
+    engine run, so nothing else would check it."""
     if not N.multigraded:
         raise RingError("associated-prime scan needs a multigraded module")
     ann = hom_annihilator(Ideal.zero(N.ctx), N)
+    mono = as_monomial(ann)
+    if mono is None:
+        raise RingError("associated-prime scan met a non-monomial annihilator")
+    if mono.is_unit():
+        return PrimeSet()
+    minimal = min_assh_dim(mono).min_primes
     found = []
     for p in all_monomial_primes(N.ctx):
         check_deadline("associated-prime scan")
-        if not all(p.contains_poly(f) for f in ann.gens):
-            continue  # Ass lies inside the support, i.e. over V(Ann)
-        if ass_member(p, N):
+        # Ass lies inside the support, i.e. over V(Ann), and holds its minimal primes
+        if p in minimal or (all(map(p.contains_poly, ann.gens)) and ass_member(p, N)):
             found.append(p)
     return PrimeSet(found)
 
@@ -323,12 +338,16 @@ def koszul_grade(
         return upper
     # the run at level i yields the cycles Z_i and the boundaries B_(i-1), which
     # alone are read at level s - lower + 1; B_i lies in Z_i and both are reduced
-    # bases under one order, so H_i vanishes exactly when the two lists agree
+    # bases under one order, so H_i vanishes exactly when the two lists agree.
+    # The last level searched, s - upper + 1, has no level below to compare
+    # its boundaries with, so its run finishes the cycles only
     boundary = ideal_block(base, 1)  # B_s = J*K_s
     for i in range(s - lower + (lower > 0), s - upper, -1):
         cols = _koszul_columns(elements, i)
         rank = len(cols[0])
-        cycles, image = _syzygies(cols, ideal_block(base, rank), base.ctx, rank)
+        cycles, image = _syzygies(
+            cols, ideal_block(base, rank), base.ctx, rank, image=i > s - upper + 1
+        )
         if i <= s - lower and cycles != list(boundary):
             return s - i
         boundary = image

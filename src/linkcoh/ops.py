@@ -362,9 +362,10 @@ TABLE: tuple[Op | Group, ...] = (
        lambda M, hom: {"annihilator": _gens(hom_annihilator(hom, M.to_fp()))},
        _listed("annihilator", "annihilator")),
     Op("assmember", "associated-prime membership test", (_PRIME, _MODULE, _HOM),
-       # Ass Hom(R/a, N) = V(a) meet Ass N, so an a outside p starts no engine run
+       # Ass Hom(R/a, R/J) = V(a) meet Ass R/J, and Ass R/J lies in V(J), so an
+       # a or a J outside p starts no engine run
        lambda p, M, hom: {"prime": p.render(M.ctx), "member": all(
-           map(p.contains_poly, hom.gens)) and ass_member(p, M.to_fp())},
+           map(p.contains_poly, (*M.ideal.gens, *hom.gens))) and ass_member(p, M.to_fp())},
        lambda doc: f"associated: {doc['member']}"),
     Group("linkage", "linkage of ideals over a cyclic module", (
         Op("check", "certify a ~ b through I over R/J",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .groebner import (
     _LIMITS,
@@ -738,7 +738,7 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     return {
         "claim": claim,
         "title": CLAIMS[claim].title,
-        "params": asdict(params),
+        "params": dict(vars(params)),
         "counts": counts,
         "ok": counts["fail"] == 0,
         "verdicts": verdicts,

@@ -9,8 +9,11 @@ shares no construction with the colon and is therefore the colon's oracle.
 `division_koszul_grade` is the oracle of `koszul_grade`: it divides each
 cycle by a boundary basis built in a run of its own.  The ideal API is
 degrevlex only, so a test that wants a lex basis asks the engine for one
-under `lex(n)`.
+under `lex(n)`.  `reference_lcm` packs a pair's lcm variable by variable,
+the way the engine did before `_Codec.lcm` built it from the packed leads.
 """
+
+from operator import mul
 
 from linkcoh.groebner import (
     Ideal,
@@ -33,6 +36,13 @@ def normal_form(f, basis):
     engine's division kernel."""
     table = _table(g.term_map() for g in basis)
     return Polynomial(f.ctx, _divide(f.term_map(), table))
+
+
+def reference_lcm(cx, a, b):
+    """The packed lcm of the exponent tuples a and b, one position prefix
+    and ring part each, under the codec `cx`: the affine encoding of their
+    entry-wise maximum, whose guard bits (`cx.G`) flag an overflow."""
+    return cx.C + sum(map(mul, map(max, a, b), cx.W))
 
 
 def lex(n):

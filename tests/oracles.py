@@ -22,6 +22,9 @@ the tests can compare, and share with those no more than noted:
   associated prime by presenting H = Hom(R/p, N) and taking Ann H so, where
   `modules.hom_annihilator` and `ass_member` take one colon on N's own
   relation basis over the generators of Hom.
+- `module_ass_scan` tests every monomial prime over Ann N with
+  `modules.ass_member`, where `modules.module_ass` counts the minimal
+  primes of Ann N as associated without a test.
 - `primes_from_ass` reads Min, Assh, dim and height of R/I off the
   associated primes of the irreducible decomposition, where
   `monomial.min_assh_dim` reads them off the minimal vertex covers.
@@ -44,6 +47,8 @@ from linkcoh.modules import (
     CyclicModule,
     FPModule,
     _hom_kernel,
+    ass_member,
+    hom_annihilator,
     present_subquotient,
     unit_vec,
     vec_is_zero,
@@ -53,6 +58,7 @@ from linkcoh.monomial import (
     MonomialIdeal,
     MonomialPrime,
     PrimeSet,
+    all_monomial_primes,
     as_monomial,
     associated_primes,
     mono_radical,
@@ -332,6 +338,16 @@ def ass_member_presented(p: MonomialPrime, N: FPModule) -> bool:
     if _is_zero_module(H):
         return False
     return all(p.contains_poly(f) for f in presented_annihilator(H).gens)
+
+
+def module_ass_scan(N: FPModule) -> PrimeSet:
+    """Ass N for a multigraded N: every monomial prime p over Ann N (Ass lies
+    inside the support) for which `ass_member(p, N)` holds."""
+    ann = hom_annihilator(Ideal.zero(N.ctx), N)
+    return PrimeSet(
+        p for p in all_monomial_primes(N.ctx)
+        if all(p.contains_poly(f) for f in ann.gens) and ass_member(p, N)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import linkcoh
-from linkcoh import cli
+from linkcoh import cli, groebner, modules
 from linkcoh.cli import run
 from linkcoh.ops import MODULE, OPS, SWITCH, session_shape
 
@@ -200,6 +200,23 @@ def test_assmember(capsys):
         "--module", "x*y",
         "--hom", "x",
         "--prime", "y",
+    )
+    assert doc["member"] is False
+
+
+def test_assmember_outside_the_support_runs_no_syzygies(capsys, monkeypatch):
+    # Ass R/J lies in V(J): b*d - a*d is outside (a, c), so no Hom run starts
+    def banned(*args, **kwargs):
+        raise AssertionError("a prime outside V(J) needs no syzygy run")
+
+    monkeypatch.setattr(groebner, "_syzygies", banned)
+    monkeypatch.setattr(modules, "_syzygies", banned)
+    doc = doc_of(
+        capsys,
+        "assmember",
+        "--ring", "a,b,c,d",
+        "--prime", "a,c",
+        "--module", "b*d - a*d, a*b - b*c",
     )
     assert doc["member"] is False
 

@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from engine_routes import engine_gb, engine_quotient, lex, normal_form, tag_intersect
+from engine_routes import (
+    engine_gb,
+    engine_quotient,
+    lex,
+    normal_form,
+    reference_lcm,
+    tag_intersect,
+)
 from linkcoh import groebner
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -834,6 +841,77 @@ def test_overflowing_lcm_trips_the_run():
     with pytest.raises(groebner._Overflow):
         groebner._run([], [x4, y4], cx, "buchberger")
     assert groebner._run([], [x4], cx, "buchberger") == [{(4, 0): 1, (0, 0): 1}]
+
+
+def test_packed_lcm_matches_the_per_variable_formula():
+    # `_Codec.lcm` on two packed leads of one position against the affine
+    # encoding of their entry-wise maximum, over ranks 0-5, degrevlex,
+    # elimination and lex blocks, and widths 15 and 30; leads reach degree M
+    # now and then, so some lcms overflow, and those must raise
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    outcomes = set()
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        rank = data.draw(st.integers(0, 5))
+        orders = [DEGREVLEX, lex(n)]
+        if n > 1:
+            drop = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+            orders.append(elimination_order(drop, n))
+        order = data.draw(st.sampled_from(orders))
+        cx = groebner._codec(order, rank, n, data.draw(st.sampled_from([15, 30])))
+        head = data.draw(st.sampled_from(groebner._heads(rank))) if rank else ()
+
+        def exponent():
+            e = data.draw(st.lists(st.integers(0, cx.M // n), min_size=n, max_size=n))
+            if data.draw(st.booleans()):
+                e[data.draw(st.integers(0, n - 1))] += cx.M - sum(e)  # degree M
+            return head + tuple(e)
+
+        a, b = exponent(), exponent()
+        (ka,), (kb,) = cx.pack({a: 1}), cx.pack({b: 1})
+        want = reference_lcm(cx, a, b)
+        if want & cx.G:
+            outcomes.add("overflow")
+            with pytest.raises(groebner._Overflow):
+                cx.lcm(ka, kb)
+        else:
+            outcomes.add("fits")
+            assert cx.lcm(ka, kb) == want == cx.lcm(kb, ka)
+            assert cx.dec(want) == tuple(map(max, a, b))
+
+    check()
+    assert outcomes == {"overflow", "fits"}
+
+
+def test_overflowing_lcm_widens_the_run(monkeypatch):
+    # x^20000 + 1 and y^20000 + 1 pack at 15 bits (M = 32767), but their
+    # lcm's degree 40000 does not: pairing them raises _Overflow, and
+    # `_widening`, started at 15 bits by a degree hint of 0, runs again at 30
+    trips = []
+    real_lcm = groebner._Codec.lcm
+
+    def recorded(cx, a, b):
+        try:
+            return real_lcm(cx, a, b)
+        except groebner._Overflow:
+            trips.append(cx.w)
+            raise
+
+    monkeypatch.setattr(groebner._Codec, "lcm", recorded)
+    x, y = {(20000, 0): 1, (0, 0): 1}, {(0, 20000): 1, (0, 0): 1}
+    widths = []
+
+    def run(cx):
+        widths.append(cx.w)
+        return groebner._run([], [x, y], cx, "buchberger")
+
+    out = groebner._widening(run, DEGREVLEX, 0, 2, 0)
+    assert trips == [15] and widths == [15, 30]
+    assert out == [{(0, 20000): 1, (0, 0): 1}, {(20000, 0): 1, (0, 0): 1}]
 
 
 def test_widened_run_has_its_own_spair_budget(monkeypatch):

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from engine_routes import division_koszul_grade, engine_gb
-from oracles import ass_member_presented, hom_cyclic, presented_annihilator
+from oracles import ass_member_presented, hom_cyclic, module_ass_scan, presented_annihilator
 from linkcoh import groebner, modules, monomial
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -349,15 +349,17 @@ def test_bounded_koszul_grade_builds_only_the_levels_it_reads(monkeypatch):
 
 def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
     # each level's syzygy run yields its cycles and the boundaries below, so
-    # no boundary basis is built and no cycle is divided
-    runs: list[int] = []
+    # no boundary basis is built and no cycle is divided; the last level
+    # searched, s - upper + 1, has no level below to read its boundaries, so
+    # its run asks for the tag block (the cycles) only
+    runs: list[int | None] = []
     built: list[int] = []
     real_run, real_columns = groebner._buchberger, modules._koszul_columns
 
-    def record_run(gens, order, rank=0, basis=()):
+    def record_run(gens, order, rank=0, basis=(), tags=None):
         if rank:
-            runs.append(rank)
-        return real_run(gens, order, rank, basis)
+            runs.append(tags)
+        return real_run(gens, order, rank, basis, tags)
 
     def record_columns(elements, i):
         built.append(i)
@@ -379,6 +381,10 @@ def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
             built.clear()
             assert koszul_grade(xs, J, lower, upper) == grade
             assert len(runs) == len(built) == len(set(built)), (texts, lower, upper)
+            # a tags-only run reads the tag block of d_i, one tag per i-subset
+            for i, tags in zip(built, runs):
+                wanted = math.comb(4, i) if i == 4 - upper + 1 else None
+                assert tags == wanted, (texts, lower, upper, i)
     assert koszul_grade(xs, I_of(ctx, "a*b")) == 3 and built == [4, 3, 2, 1]
 
 
@@ -421,7 +427,8 @@ def test_koszul_grade_matches_the_division_route():
 
 def test_syzygy_run_image_is_the_module_basis():
     # the elements of a syzygy run that lead in the main block are the
-    # reduced basis of span(vectors) + <basis>, listed as module_gb lists it
+    # reduced basis of span(vectors) + <basis>, listed as module_gb lists it,
+    # and a run that finishes only the tag block answers the same syzygies
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -429,7 +436,7 @@ def test_syzygy_run_image_is_the_module_basis():
     @hyp.given(st.data())
     def check(data):
         ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
-        rank = data.draw(st.integers(1, 2))
+        rank = data.draw(st.integers(1, 3))
 
         def poly():
             terms = {}
@@ -446,7 +453,9 @@ def test_syzygy_run_image_is_the_module_basis():
         else:
             basis = module_gb(vectors(0))
         vs = vectors(1)
-        assert list(_syzygies(vs, basis, ctx, rank)[1]) == module_gb(vs + basis)
+        syz, image = _syzygies(vs, basis, ctx, rank)
+        assert list(image) == module_gb(vs + basis)
+        assert _syzygies(vs, basis, ctx, rank, image=False) == (syz, None)
 
     check()
 
@@ -707,6 +716,48 @@ def test_hom_outside_the_prime_starts_no_engine_run(monkeypatch):
     assert runs[0] == 0
 
 
+def test_module_ass_matches_the_full_scan():
+    # the minimal primes of Ann N counted without a test, against testing
+    # every prime over Ann N, on multigraded Ext modules of monomial a and J
+    # over 2-4 variables, the zero module (Ann N = R) and free R (Ann N = 0)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    terms = _small_ideals(st)
+    kinds = set()
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
+        kind = data.draw(st.sampled_from(["ext", "ext", "ext", "zero", "free"]))
+        if kind == "zero":
+            N = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)], multigraded=True)
+        elif kind == "free":
+            N = CyclicModule.full_ring(ctx).to_fp()
+        else:
+            try:
+                N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
+            except ImproperIdealError:
+                hyp.assume(False)
+        ann = hom_annihilator(Ideal.zero(ctx), N)
+        kinds.add("unit" if is_unit_ideal(ann) else "zero" if ann.is_zero_ideal() else kind)
+        assert module_ass(N) == module_ass_scan(N)
+
+    check()
+    assert kinds == {"ext", "unit", "zero"}
+
+
+def test_module_ass_of_m_primary_annihilator_tests_no_prime(monkeypatch):
+    # Ann N is m-primary, so Supp N = {m} = Min: Ass N = {m} with no test
+    ctx = ring("x", "y", "z")
+    N = ext1_selfdual(I_of(ctx, "z^2", "y*z"), I_of(ctx, "x", "y^2"))
+    calls = []
+    real = modules.ass_member
+    monkeypatch.setattr(modules, "ass_member", lambda p, M: calls.append(p) or real(p, M))
+    assert module_ass(N) == PrimeSet([MonomialPrime((0, 1, 2))])
+    assert calls == []
+
+
 def test_associated_prime_scan_honours_soft_timeout():
     # a candidate outside the support starts no engine run, so the scan checks
     # the deadline itself, once per candidate; R^1 needs no S-pair before it
@@ -721,6 +772,10 @@ def test_module_ass_requires_multigraded():
     ctx = ring("x", "y")
     N = FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)], multigraded=False)
     with pytest.raises(RingError):
+        module_ass(N)
+    # a module wrongly promised multigraded shows it by its annihilator
+    N = FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)], multigraded=True)
+    with pytest.raises(RingError, match="non-monomial annihilator"):
         module_ass(N)
 
 
