@@ -5,7 +5,9 @@ engine that ideals and free modules share.
 Every basis, remainder and membership test is degrevlex (position over
 degrevlex for vectors); an ideal caches one reduced basis and one reducer
 table.  The engine entries `_buchberger` and `_gb` also take a block order,
-which `eliminate` (and so `saturate`) runs under and nothing caches.
+which `eliminate` (and so `saturate`) runs under; the elements of that
+basis free of the dropped variables are the answer's reduced degrevlex
+basis, which `eliminate` seeds, so the operation is one engine run.
 
 Operands whose generators are all terms never reach the engine:
 `reduced_gb`, `ideal_quotient` and `ideal_intersect` answer them with the
@@ -42,12 +44,18 @@ bits, and `max` and `sorted` need no key.  A pair's lcm is built from the
 two packed leads by word-parallel operations (`_Codec.lcm`): a field-wise
 minimum of the complement fields through guard-bit borrows, and each
 block's degree field by one multiplication, so no lead is decoded until an
-answer is written.  The width starts from the inputs' largest degree, so
-they fit; a made term or lcm with a field past M has overflowed, and the
-run starts again at double width on a fresh S-pair meter (the soft deadline
-spans the whole call).  Answers are decoded to exponent tuples on exit,
-each term once.  Pairing, the chain criterion and each reduction step
-consult only the basis elements leading at their own position.
+answer is written.  A run starts at the narrowest width its inputs allow,
+w = max(bit_length(4*degree + 4), bit_length(rank)) for their largest
+degree: the inputs fit with room for their products, and the position
+field holds the rank.  Inputs of degree at most 14 start at 6 bits or
+fewer, so a packed exponent of a few variables is one 30-bit CPython
+digit, whose additions, comparisons and hashes take the interpreter's fast
+paths.  An input term of degree past M, or a made term or lcm with a
+field past M, has overflowed, and the run starts again at double width on
+a fresh S-pair meter (the soft deadline spans the whole call).  Answers
+are decoded to exponent tuples on exit, each term once.  Pairing, the
+chain criterion and each reduction step consult only the basis elements
+leading at their own position.
 
 A syzygy run reads only its tag block when the caller wants no image
 (`_syzygies(..., image=False)`, behind `_colon` and
@@ -335,15 +343,19 @@ class _Codec:
     x^(e - le)*g is enc(g) + enc(e) - enc(le).  While every field stays in
     [0, M] no guard bit is set and nothing carries, and a sum of two
     encodings less a third sets the guard bit of its lowest field out of
-    range, so `k & G` flags each overflow.  The complement fields carry
-    divisibility: le | e at a common position exactly when
+    range, so `k & G` flags each overflow of a made term.  An input term
+    is checked by its ring degree instead (`pack`): a raw exponent can put
+    a field more than one bit past M, where no guard bit need be set, and
+    the rank is checked once, when the codec is built.  The complement
+    fields carry divisibility: le | e at a common position exactly when
     (R - enc(e)) & GM == GM, with the reducer's mark R = G + enc(le), since
     each such field then reads 2^w + e_j - le_j.  Decoding reads ~k, whose
     complement fields are the e_j.
     """
 
     __slots__ = (
-        "w", "M", "G", "GM", "CM", "C", "W", "shifts", "pshift", "ring_mask", "heads", "blocks"
+        "w", "M", "G", "GM", "CM", "C", "W", "rank", "shifts", "pshift", "ring_mask", "heads",
+        "blocks",
     )
 
     def __init__(self, order: MonomialOrder, rank: int, n: int, w: int) -> None:
@@ -369,10 +381,12 @@ class _Codec:
                 C += M << s
                 GM |= 1 << (s + w)
                 shifts[v] = s
+        if rank > M:
+            raise _Overflow  # the position field r - p would not fit
         ps = len(fields) * F
         if rank:
             G |= 1 << (ps + w)
-        self.w, self.M, self.G, self.GM, self.C = w, M, G, GM, C
+        self.w, self.M, self.G, self.GM, self.C, self.rank = w, M, G, GM, C, rank
         self.CM = GM - (GM >> w)  # every value bit of the complement fields
         self.blocks = tuple(blocks)
         self.W = [(rank - p) << ps for p in range(rank)] + W
@@ -381,14 +395,16 @@ class _Codec:
         self.heads = [()] + [tuple(int(q == rank - v) for q in range(rank)) for v in range(1, rank + 1)]
 
     def pack(self, terms: dict) -> dict:
-        """The integer term map `terms` with packed exponents."""
-        C, W, G = self.C, self.W, self.G
+        """The integer term map `terms` with packed exponents; a term whose
+        ring degree exceeds M raises _Overflow.  That one test covers every
+        ring field, as no exponent or block degree exceeds the ring degree,
+        and the position field fits since rank <= M."""
+        C, W, M, rank = self.C, self.W, self.M, self.rank
         out = {}
         for e, c in terms.items():
-            k = C + sum(map(mul, e, W))
-            if k & G:
+            if sum(e[rank:]) > M:
                 raise _Overflow
-            out[k] = c
+            out[C + sum(map(mul, e, W))] = c
         return out
 
     def lcm(self, a: int, b: int) -> int:
@@ -440,9 +456,13 @@ def _degree(maps: Iterable[dict]) -> int:
 
 
 def _widening(run, order: MonomialOrder, rank: int, n: int, degree: int):
-    """run(codec), with w = max(15, bit_length(4*degree + 4)) to start, and
-    again at double the width whenever a term overflows its fields."""
-    w = max(15, (4 * degree + 4).bit_length())
+    """run(codec), with w = max(bit_length(4*degree + 4), bit_length(rank))
+    to start, and again at double the width whenever a term overflows its
+    fields.  The degree term leaves the inputs' products and lcms headroom;
+    the rank term keeps the position field r - p inside [0, M].  No wider
+    start is taken: a packed exponent of at most 30 bits is one CPython
+    digit, the fastest int to add, compare and hash."""
+    w = max((4 * degree + 4).bit_length(), rank.bit_length())
     while True:
         try:
             return run(_codec(order, rank, n, w))
@@ -1005,7 +1025,18 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
 
 
 def eliminate(I: Ideal, drop_names: Iterable[str]) -> Ideal:
-    """I ∩ Q[remaining variables], returned over the smaller ring."""
+    """I ∩ Q[remaining variables], returned over the smaller ring with its
+    reduced degrevlex basis cached.
+
+    One engine run under the elimination order gives it: the elements of
+    that reduced basis which avoid the dropped variables are a Groebner
+    basis of I ∩ Q[kept] under the order restricted to the kept block (the
+    Elimination Theorem, Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 3 §1), and that restriction is degrevlex in the
+    smaller ring's variable order.  They are monic and mutually reduced
+    already, and listed in increasing order of their leads, so they are
+    the reduced basis `reduced_gb` would compute.
+    """
     ctx = I.ctx
     drop_idx = {ctx.index(name) for name in drop_names}
     if not drop_idx:
@@ -1016,9 +1047,5 @@ def eliminate(I: Ideal, drop_names: Iterable[str]) -> Ideal:
     small = RingCtx(tuple(ctx.var_names[i] for i in keep))
     basis = _gb(ctx, I.gens, elimination_order(drop_idx, ctx.n))
     down = {old: new for new, old in enumerate(keep)}
-    out = []
-    for p in basis:
-        if p.support() & drop_idx:
-            continue
-        out.append(p.map_vars(small, down))
-    return Ideal(small, out)
+    out = tuple(p.map_vars(small, down) for p in basis if not p.support() & drop_idx)
+    return _seeded(small, out)

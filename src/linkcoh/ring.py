@@ -357,49 +357,57 @@ class Polynomial:
 # between them; a factor is an integer or rational coefficient, or a variable
 # with an optional `^` and nonnegative integer exponent.  No parentheses.
 
+_SIGN = re.compile(r"\s*(?P<sign>[+-]?)\s*")
+
+
 @lru_cache(maxsize=64)
 def _grammar(names: tuple[str, ...]):
-    """The (term, factor) patterns of a ring with these variable names, and
-    each name's index.  Longer names are tried first, so ``x1`` is one
-    variable when the ring has one."""
+    """The factor pattern of a ring with these variable names, and each
+    name's index.  Longer names are tried first, so ``x1`` is one variable
+    when the ring has one."""
     variable = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
     factor = (
         r"\s*(?:\*\s*)?"
         r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?"
         rf"|(?P<var>{variable})(?:\s*\^\s*(?P<exp>\d+))?)"
     )
-    term = rf"\s*(?P<sign>[+-]?)(?P<body>(?:{factor})*)\s*"
-    return re.compile(term), re.compile(factor), {name: i for i, name in enumerate(names)}
+    return re.compile(factor), {name: i for i, name in enumerate(names)}
 
 
 def parse_poly(text: str, ctx: RingCtx) -> Polynomial:
     """Parse polynomial text like ``x^2*y - 3*z`` or ``1/2x y``, term by
-    term; a refusal names the column where reading stopped."""
+    term: a sign, then each factor matched once, where the last one ended;
+    a refusal names the column where reading stopped."""
     if not text or text.isspace():
         raise ParseError("empty polynomial text")
-    term, factor, index = _grammar(ctx.var_names)
+    factor, index = _grammar(ctx.var_names)
     terms: dict[Exponents, int | Fraction] = {}
-    pos = 0
-    while pos < len(text):
-        m = term.match(text, pos)
-        if not m["body"]:
+    end, size = 0, len(text)
+    while end < size:
+        m = _SIGN.match(text, end)
+        pos, sign = m.end(), m["sign"]
+        f = factor.match(text, pos)
+        if f is None:
             # no factor follows; this also catches a later term without its
-            # sign, as the body before it read every factor it could
-            pos = m.end()
-            if pos == len(text):
+            # sign, as the term before it read every factor it could
+            if pos == size:
+                if not sign:
+                    break  # the blank tail of the last term
                 raise ParseError("the text ended where a term was expected", pos)
             raise ParseError(f"unexpected {text[pos]!r}", pos)
-        num_c, den_c = (-1 if m["sign"] == "-" else 1), 1
+        num_c, den_c = (-1 if sign == "-" else 1), 1
         exps = [0] * ctx.n
-        for f in factor.finditer(text, m.start("body"), m.end("body")):
+        while f is not None:
             num, den, var, exp = f.groups()
             if var is not None:
                 exps[index[var]] += int(exp or 1)
-                continue
-            d = int(den or 1)
-            if not d:
-                raise ParseError("division by zero in a coefficient", f.start("num"))
-            num_c, den_c = num_c * int(num), den_c * d
+            else:
+                d = int(den or 1)
+                if not d:
+                    raise ParseError("division by zero in a coefficient", f.start("num"))
+                num_c, den_c = num_c * int(num), den_c * d
+            end = f.end()
+            f = factor.match(text, end)
         key = tuple(exps)
         # integers stay integers; `Polynomial` makes every coefficient a Fraction
         v = terms.get(key, 0) + (num_c if den_c == 1 else Fraction(num_c, den_c))
@@ -407,7 +415,6 @@ def parse_poly(text: str, ctx: RingCtx) -> Polynomial:
             terms[key] = v
         else:
             terms.pop(key, None)
-        pos = m.end()
     return Polynomial(ctx, terms)
 
 

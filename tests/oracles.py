@@ -31,6 +31,9 @@ the tests can compare, and share with those no more than noted:
 - `format_poly_fractions` writes polynomial text by `Fraction` arithmetic
   on each coefficient, where `ring.format_poly` reads the sign and the
   magnitude off the numerator and the denominator.
+- `parse_poly_two_pass` reads polynomial text by matching each whole term
+  against one pattern and then scanning the term again for its factors,
+  where `ring.parse_poly` matches a sign and then each factor once.
 
 The helpers at the end (`mono_colon`, `s_polynomial`) are small
 constructions that several test modules share.
@@ -38,7 +41,9 @@ constructions that several test modules share.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
@@ -64,7 +69,7 @@ from linkcoh.monomial import (
     mono_radical,
     mono_sum,
 )
-from linkcoh.ring import Polynomial, RingCtx, RingError, mono_one
+from linkcoh.ring import ParseError, Polynomial, RingCtx, RingError, mono_one
 from linkcoh.simplicial import _facet_masks, _rank_exact, depth_squarefree
 
 
@@ -394,6 +399,53 @@ def format_poly_fractions(p: Polynomial) -> str:
         else:
             pieces.append(("- " if c < 0 else "+ ") + body)
     return " ".join(pieces)
+
+
+def parse_poly_two_pass(text: str, ctx: RingCtx) -> Polynomial:
+    """Polynomial text read term by term: each term matched whole by a term
+    pattern (a sign, then every factor the body can take), then its factors
+    found again by `finditer` inside the body; refusals name the column
+    where reading stopped, with `ring.parse_poly`'s messages."""
+    if not text or text.isspace():
+        raise ParseError("empty polynomial text")
+    names = ctx.var_names
+    variable = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    factor_text = (
+        r"\s*(?:\*\s*)?"
+        r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?"
+        rf"|(?P<var>{variable})(?:\s*\^\s*(?P<exp>\d+))?)"
+    )
+    term = re.compile(rf"\s*(?P<sign>[+-]?)(?P<body>(?:{factor_text})*)\s*")
+    factor = re.compile(factor_text)
+    index = {name: i for i, name in enumerate(names)}
+    terms: dict = {}
+    pos = 0
+    while pos < len(text):
+        m = term.match(text, pos)
+        if not m["body"]:
+            pos = m.end()
+            if pos == len(text):
+                raise ParseError("the text ended where a term was expected", pos)
+            raise ParseError(f"unexpected {text[pos]!r}", pos)
+        num_c, den_c = (-1 if m["sign"] == "-" else 1), 1
+        exps = [0] * ctx.n
+        for f in factor.finditer(text, m.start("body"), m.end("body")):
+            num, den, var, exp = f.groups()
+            if var is not None:
+                exps[index[var]] += int(exp or 1)
+                continue
+            d = int(den or 1)
+            if not d:
+                raise ParseError("division by zero in a coefficient", f.start("num"))
+            num_c, den_c = num_c * int(num), den_c * d
+        key = tuple(exps)
+        v = terms.get(key, 0) + (num_c if den_c == 1 else Fraction(num_c, den_c))
+        if v:
+            terms[key] = v
+        else:
+            terms.pop(key, None)
+        pos = m.end()
+    return Polynomial(ctx, terms)
 
 
 # ---------------------------------------------------------------------------

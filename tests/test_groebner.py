@@ -9,6 +9,7 @@ degree d.
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -20,7 +21,7 @@ from engine_routes import (
     reference_lcm,
     tag_intersect,
 )
-from linkcoh import groebner
+from linkcoh import cli, groebner
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -787,7 +788,15 @@ def test_codec_packs_the_term_order_divisibility_and_products():
         cx = groebner._codec(order, rank, n, w)
 
         def enc(e):
-            (k,) = cx.pack({e: 1})
+            # the affine encoding, which `pack` gives for a term of ring
+            # degree at most M and refuses beyond it, even where a block
+            # order's fields would hold the term
+            k = cx.C + sum(map(mul, e, cx.W))
+            if sum(e[rank:]) <= cx.M:
+                assert cx.pack({e: 1}) == {k: 1}
+            else:
+                with pytest.raises(groebner._Overflow):
+                    cx.pack({e: 1})
             return k
 
         ring_exp = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
@@ -846,7 +855,7 @@ def test_overflowing_lcm_trips_the_run():
 def test_packed_lcm_matches_the_per_variable_formula():
     # `_Codec.lcm` on two packed leads of one position against the affine
     # encoding of their entry-wise maximum, over ranks 0-5, degrevlex,
-    # elimination and lex blocks, and widths 15 and 30; leads reach degree M
+    # elimination and lex blocks, and widths 3 to 30; leads reach degree M
     # now and then, so some lcms overflow, and those must raise
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -862,7 +871,7 @@ def test_packed_lcm_matches_the_per_variable_formula():
             drop = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
             orders.append(elimination_order(drop, n))
         order = data.draw(st.sampled_from(orders))
-        cx = groebner._codec(order, rank, n, data.draw(st.sampled_from([15, 30])))
+        cx = groebner._codec(order, rank, n, data.draw(st.sampled_from([3, 4, 5, 8, 15, 30])))
         head = data.draw(st.sampled_from(groebner._heads(rank))) if rank else ()
 
         def exponent():
@@ -889,8 +898,7 @@ def test_packed_lcm_matches_the_per_variable_formula():
 
 def test_overflowing_lcm_widens_the_run(monkeypatch):
     # x^20000 + 1 and y^20000 + 1 pack at 15 bits (M = 32767), but their
-    # lcm's degree 40000 does not: pairing them raises _Overflow, and
-    # `_widening`, started at 15 bits by a degree hint of 0, runs again at 30
+    # lcm's degree 40000 does not: pairing them raises _Overflow
     trips = []
     real_lcm = groebner._Codec.lcm
 
@@ -903,21 +911,36 @@ def test_overflowing_lcm_widens_the_run(monkeypatch):
 
     monkeypatch.setattr(groebner._Codec, "lcm", recorded)
     x, y = {(20000, 0): 1, (0, 0): 1}, {(0, 20000): 1, (0, 0): 1}
+    with pytest.raises(groebner._Overflow):
+        groebner._run([], [x, y], groebner._codec(DEGREVLEX, 0, 2, 15), "buchberger")
+    assert trips == [15]
     widths = []
 
-    def run(cx):
-        widths.append(cx.w)
-        return groebner._run([], [x, y], cx, "buchberger")
+    def run(f, g):
+        def at(cx):
+            widths.append(cx.w)
+            return groebner._run([], [f, g], cx, "buchberger")
 
-    out = groebner._widening(run, DEGREVLEX, 0, 2, 0)
-    assert trips == [15] and widths == [15, 30]
+        return at
+
+    # from the honest degree hint the run starts at 17 bits (M = 131071),
+    # where the lcm fits, and gives the basis
+    out = groebner._widening(run(x, y), DEGREVLEX, 0, 2, 20000)
+    assert trips == [15] and widths == [17]
     assert out == [{(0, 20000): 1, (0, 0): 1}, {(20000, 0): 1, (0, 0): 1}]
+    # x^4 + 1 and y^4 + 1 from a degree hint of 0: they pack at 3 bits
+    # (M = 7), their lcm's degree 8 trips, and the run widens to 6 bits
+    x4, y4 = {(4, 0): 1, (0, 0): 1}, {(0, 4): 1, (0, 0): 1}
+    out = groebner._widening(run(x4, y4), DEGREVLEX, 0, 2, 0)
+    assert trips == [15, 3] and widths == [17, 3, 6]
+    assert out == [{(0, 4): 1, (0, 0): 1}, {(4, 0): 1, (0, 0): 1}]
 
 
 def test_widened_run_has_its_own_spair_budget(monkeypatch):
-    # the 17-variable lex chain with one more generator overflows 15-bit
-    # fields after 106 S-pairs and then runs 153 at 30 bits: the budget bounds
-    # each run, so 153 suffice and 152 trip the widened run
+    # the 17-variable lex chain with one more generator starts at 4 bits and
+    # overflows 4-, 8- and 16-bit fields after 106 S-pairs each, then runs
+    # 153 at 32 bits: the budget bounds each run, so 153 suffice and 152
+    # trip the widened run
     widths = []
     real = groebner._codec
 
@@ -931,10 +954,10 @@ def test_widened_run_has_its_own_spair_budget(monkeypatch):
     with set_limits(max_spairs=152):
         with pytest.raises(BudgetExceeded, match=r"\(153 of 152\)"):
             engine_gb(Ideal(ctx, gens), lex(17))
-    assert widths == [15, 30]
+    assert widths == [4, 8, 16, 32]
     with set_limits(max_spairs=153):
         assert engine_gb(Ideal(ctx, gens), lex(17))
-    assert widths == [15, 30, 15, 30]
+    assert widths == [4, 8, 16, 32, 4, 8, 16, 32]
 
 
 def test_cached_table_widens_for_a_high_degree_member():
@@ -945,8 +968,132 @@ def test_cached_table_widens_for_a_high_degree_member():
     assert ideal_member(P(ctx, "x^2 - y^2"), I)
     assert ideal_member(P(ctx, "x^70000 - y^70000"), I)
     assert not ideal_member(P(ctx, "x^70000 - y^69999"), I)
-    assert sorted(I._table._packed) == [15, 19]
+    assert sorted(I._table._packed) == [4, 19]
     assert normal_form(P(ctx, "x^70000 + 1"), reduced_gb(I)) == P(ctx, "y^70000 + 1")
+
+
+def test_pack_refuses_a_field_far_past_m():
+    # at 3 bits (M = 7) x^16 packs to 4199 with every guard bit clear: its
+    # degree field carries past the top of the word.  `pack` refuses it by
+    # its ring degree, and the run widens to 6 bits and gives the basis
+    cx = groebner._codec(DEGREVLEX, 0, 2, 3)
+    assert (cx.C + 16 * cx.W[0]) & cx.G == 0
+    f = {(16, 0): 1, (0, 0): 1}
+    with pytest.raises(groebner._Overflow):
+        cx.pack(f)
+    widths = []
+
+    def run(cx):
+        widths.append(cx.w)
+        return groebner._run([], [f], cx, "buchberger")
+
+    assert groebner._widening(run, DEGREVLEX, 0, 2, 0) == [f]
+    assert widths == [3, 6]
+    # a codec whose position field cannot hold r - p for p = 0 is refused,
+    # and a run starts wide enough for its rank: over R^20 at degree 1 the
+    # degree asks for 4 bits (M = 15) and the rank for 5
+    assert groebner._codec(DEGREVLEX, 7, 1, 3).M == 7
+    with pytest.raises(groebner._Overflow):
+        groebner._codec(DEGREVLEX, 8, 1, 3)
+    del widths[:]
+    groebner._widening(lambda cx: widths.append(cx.w), DEGREVLEX, 20, 1, 1)
+    assert widths == [5]
+
+
+def _int_terms(st, n, top):
+    """A hypothesis strategy of integer term maps over n variables with one
+    to three terms, each exponent entry at most `top`."""
+    exps = st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
+    return st.dictionaries(exps, st.sampled_from([-2, -1, 1, 3]), min_size=1, max_size=3)
+
+
+def test_run_answers_do_not_depend_on_the_width(monkeypatch):
+    # `_buchberger` from its start width gives what one run at 30 bits
+    # gives: ideals under degrevlex and elimination orders, and syzygy runs
+    # of rank 1-3 (vectors with unit tags, as `_syzygies` builds them) that
+    # answer every block or the tags alone
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    widths = []
+    real = groebner._codec
+
+    def record(order, rank, n, w):
+        widths.append(w)
+        return real(order, rank, n, w)
+
+    monkeypatch.setattr(groebner, "_codec", record)
+    seen = set()
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @hyp.given(st.data())
+    def check(data):
+        n, rank = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 3))
+        tags = None
+        if not rank:
+            drop = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+            order = elimination_order(drop, n)
+            gens = data.draw(st.lists(_int_terms(st, n, 2), min_size=1, max_size=3))
+            size = 0
+        else:
+            order, k = DEGREVLEX, data.draw(st.integers(1, 2))
+            heads = groebner._heads(rank + k)
+            gens = []
+            for i in range(k):
+                g = {heads[rank + i] + (0,) * n: 1}
+                for pos in range(rank):
+                    if data.draw(st.booleans()):
+                        g.update({heads[pos] + e: c for e, c in data.draw(_int_terms(st, n, 2)).items()})
+                gens.append(g)
+            tags = data.draw(st.sampled_from([None, k]))
+            size = rank + k
+        del widths[:]
+        got = _buchberger(gens, order, size, tags=tags)
+        start = widths[0]
+        seen.add((bool(order.blocks), rank > 0, start))
+        assert start < 30
+        what = "module buchberger" if size else "buchberger"
+        assert got == groebner._run([], gens, real(order, size, n, 30), what, tags)
+
+    check()
+    # both kinds of run, at more than one start width
+    assert {(b, m) for b, m, _ in seen} == {(False, False), (True, False), (False, True)}
+    assert len({w for *_, w in seen}) > 1
+
+
+def test_eliminate_seeds_the_reduced_basis():
+    # the basis `eliminate` caches, and `saturate` through it, is the one a
+    # fresh engine run on its generators in the smaller ring gives
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        ctx = ring(*"wxyz"[:n])
+        poly = _int_terms(st, n, 2).map(lambda t: Polynomial(ctx, t))
+        I = Ideal(ctx, data.draw(st.lists(poly, min_size=1, max_size=3)))
+        drop = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(2, n - 1)))
+        E = eliminate(I, [ctx.var_names[i] for i in sorted(drop)])
+        assert E._gb == E.gens
+        assert E._gb == engine_gb(Ideal(E.ctx, E.gens))
+        S = saturate(I, data.draw(poly))
+        assert S._gb == S.gens
+        assert S._gb == engine_gb(Ideal(S.ctx, S.gens))
+
+    check()
+
+
+def test_saturate_and_eliminate_make_one_engine_run(monkeypatch, capsys):
+    # the operation's answer is the basis of its one elimination run
+    runs = _engine_runs(monkeypatch)
+    assert cli.run(["eliminate", "--ring", "t,x,y", "--ideal", "x - t^2, y - t^3", "--drop", "t"]) == 0
+    assert '"x^3 - y^2"' in capsys.readouterr().out
+    assert len(runs) == 1
+    argv = ["saturate", "--ring", "x,y,z", "--ideal", "x*y - z^2, x*z - y", "--poly", "x"]
+    assert cli.run(argv) == 0
+    assert '"saturation"' in capsys.readouterr().out
+    assert len(runs) == 2
 
 
 def _sparse_system(seed):

@@ -18,7 +18,7 @@ from linkcoh.ring import (
     parse_poly,
     ring,
 )
-from oracles import format_poly_fractions
+from oracles import format_poly_fractions, parse_poly_two_pass
 
 
 @pytest.fixture
@@ -164,6 +164,42 @@ def test_parse_grammar_corners(ctx):
             parse_poly(text, ctx)
         assert 0 <= err.value.position <= len(text), text
         assert f"(column {err.value.position + 1})" in str(err.value)
+
+
+def test_parse_matches_the_two_pass_reference():
+    # random texts over the names x and x1 (one a prefix of the other), with
+    # fractions, zero denominators and stray `*`, `^` and `(`: the one-pass
+    # parser returns the reference's polynomial, or refuses with its message
+    # at its column
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    pieces = [
+        "x", "x1", "x11", "0", "1", "2", "12", "/", "/0", "/3", "3/4", "^", "^2", "*", "(",
+        " ", "  ", "+", "-", "\t",
+    ]
+    outcomes = set()
+
+    def outcome(parse, text, ctx):
+        try:
+            return "ok", parse(text, ctx)
+        except ParseError as err:
+            return "refused", str(err), err.position
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=800)
+    @hyp.given(st.lists(st.sampled_from(pieces), max_size=12), st.booleans())
+    def check(parts, shared):
+        ctx = ring("x", "x1") if shared else ring("x", "y")
+        text = "".join(parts)
+        got = outcome(parse_poly, text, ctx)
+        assert got == outcome(parse_poly_two_pass, text, ctx), text
+        outcomes.add(got[1].split(" (")[0] if got[0] == "refused" else "ok")
+
+    check()
+    assert outcomes >= {
+        "ok", "empty polynomial text", "division by zero in a coefficient",
+        "the text ended where a term was expected", "unexpected '('", "unexpected '*'",
+        "unexpected '^'", "unexpected '/'",
+    }
 
 
 def test_parse_arithmetic_identities(ctx):
