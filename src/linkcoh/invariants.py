@@ -25,7 +25,7 @@ from .monomial import (
     PrimeSet,
     as_monomial,
 )
-from .ring import Polynomial, RingError
+from .ring import Polynomial, RingError, mono_mask
 
 GRADED_NOTE = (
     "attached and associated sets are read off prime-theoretic"
@@ -90,15 +90,18 @@ def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
     the unit ideal is not, for monomial primes p.  For monomial a, sqrt(a)
     is generated by the supports of its minimal generators, so p passes
     exactly when a is proper and p holds every variable without a pure power
-    among them; that set is found once, for every p."""
+    among them; that vertex mask is found once, for every p."""
     ctx = a.ctx
     am = as_monomial(a)
     if am is not None:
         if am.is_unit():
             return lambda p: False
-        powered = {i for e in am.min_gens for i, x in enumerate(e) if x and sum(e) == x}
-        needed = set(range(ctx.n)) - powered
-        return lambda p: needed.issubset(p.vars)
+        needed = (1 << ctx.n) - 1
+        for e in am.min_gens:
+            m = mono_mask(e)
+            if not m & (m - 1):
+                needed &= ~m
+        return lambda p: not needed & ~p.mask
 
     def test(p: MonomialPrime) -> bool:
         ap = ideal_sum(a, p.to_ideal(ctx))
@@ -128,11 +131,11 @@ def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:
 
 def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:
     """Height of p over M: the largest gap to a minimal prime below it."""
-    pv = set(p.vars)
-    below = [q for q in M.primes().min_primes if set(q.vars) <= pv]
+    pm = p.mask
+    below = [q.mask for q in M.primes().min_primes if not q.mask & ~pm]
     if not below:
         raise RingError("prime lies outside the support of the module")
-    return max(len(pv - set(q.vars)) for q in below)
+    return max((pm & ~q).bit_count() for q in below)
 
 
 def is_equidimensional(M: CyclicModule) -> bool:

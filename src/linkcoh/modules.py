@@ -78,7 +78,7 @@ from .monomial import (
     min_assh_dim,
 )
 from .simplicial import depth_monomial
-from .ring import Polynomial, RingCtx, RingError, mono_one
+from .ring import Polynomial, RingCtx, RingError, mono_mask, mono_one
 
 log = logging.getLogger("linkcoh")
 
@@ -243,11 +243,13 @@ def module_ass(N: FPModule) -> PrimeSet:
     if mono.is_unit():
         return PrimeSet()
     minimal = min_assh_dim(mono).min_primes
+    supports = [mono_mask(g) for g in mono.min_gens]
     found = []
     for p in all_monomial_primes(N.ctx):
         check_deadline("associated-prime scan")
-        # Ass lies inside the support, i.e. over V(Ann), and holds its minimal primes
-        if p in minimal or (all(map(p.contains_poly, ann.gens)) and ass_member(p, N)):
+        # Ass lies inside the support, i.e. over V(Ann) (p meets the support
+        # of every generator), and holds its minimal primes
+        if p in minimal or (all(s & p.mask for s in supports) and ass_member(p, N)):
             found.append(p)
     return PrimeSet(found)
 
@@ -457,11 +459,9 @@ class CyclicModule:
                 "depth at the ideal of variables needs J inside it;"
                 " a generator of J has a nonzero constant term"
             )
-        gens = [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
-        n = len(gens)
         if self.monomial is None and not all(g.is_homogeneous() for g in self.ideal.gens):
             log.debug("depth: route koszul")
-            return koszul_grade(gens, self.ideal)
+            return koszul_grade(self._variables(), self.ideal)
         lead = self.lead_term_ideal()
         d0 = depth_monomial(lead)
         if self.monomial is not None:
@@ -471,8 +471,13 @@ class CyclicModule:
         if lead.is_squarefree() or d0 == dim:
             log.debug("depth: route degeneration")
             return d0
+        n = self.ctx.n
         log.debug("depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1)
-        return koszul_grade(gens, self.ideal, d0, dim)
+        return koszul_grade(self._variables(), self.ideal, d0, dim)
+
+    def _variables(self) -> list[Polynomial]:
+        """The variables, which the Koszul routes of depth take as the sequence."""
+        return [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
 
     def is_cohen_macaulay(self) -> bool:
         return self.depth() == self.dim()

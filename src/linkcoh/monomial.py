@@ -13,13 +13,19 @@ I's generators (Bruns-Herzog, *Cohen-Macaulay Rings*, 5.1), so Min, Assh,
 dim and height come from one bitmask enumeration, `min_vertex_covers`, which
 `simplicial` also reads the Stanley-Reisner facets from.  Only Ass needs the
 irreducible decomposition, and the prime record computes it when first read.
+
+A monomial prime is held as its vertex mask, from the cover enumeration to
+the claim checkers: Min and Assh are built from the cover masks, Ass from
+the OR of each component's support, and inclusion, comparability and
+support tests are AND / AND-NOT on ints.  The written order (height, then
+the sorted indices) is kept; a `PrimeSet` sorts once, on its first
+iteration, and `all_monomial_primes` is one tuple per variable count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
-from itertools import combinations
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Iterator, Sequence
 
 from . import groebner
@@ -30,8 +36,8 @@ from .ring import (
     RingCtx,
     RingError,
     mono_divides,
+    mono_mask,
     mono_mul,
-    mono_support,
     mono_text,
 )
 
@@ -40,36 +46,78 @@ class ImproperIdealError(RingError):
     """An operation that needs a proper ideal got the whole ring."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class MonomialPrime:
-    """A monomial prime ideal, i.e. an ideal generated by a set of variables.
+def _checked_index(value, kind: str) -> int:
+    """A variable index or a vertex mask: a nonnegative int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RingError(f"MonomialPrime wants a nonnegative int {kind}, not {value!r}")
+    return value
 
-    The empty set is allowed and denotes the zero prime (0).
+
+@total_ordering
+class MonomialPrime:
+    """A monomial prime ideal, i.e. an ideal generated by a set of variables,
+    held as its vertex mask: bit i is set when x_i is a generator.
+
+    The mask is the prime from `min_vertex_covers` to the claim checkers, so
+    inclusion and comparability are AND / AND-NOT on ints.  `vars` is the
+    derived tuple of indices, ascending.  Equality and hash are by mask; the
+    order is (height, vars), the order in which primes are written.
+    `MonomialPrime(indices)` takes variable indices in any order, repeats
+    allowed, and `from_mask` takes the mask; both refuse anything but
+    nonnegative ints.  The empty set is allowed and denotes the zero prime
+    (0).
     """
 
-    vars: tuple[int, ...]
+    __slots__ = ("mask", "vars")
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(i, int) for i in self.vars):
-            raise RingError("MonomialPrime wants variable indices, not names")
-        object.__setattr__(self, "vars", tuple(sorted(set(self.vars))))
+    def __init__(self, vars: Iterable[int] = ()) -> None:
+        mask = 0
+        for i in vars:
+            mask |= 1 << _checked_index(i, "variable index")
+        self._hold(mask)
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "MonomialPrime":
+        p = cls.__new__(cls)
+        p._hold(_checked_index(mask, "vertex mask"))
+        return p
+
+    def _hold(self, mask: int) -> None:
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(
+            self, "vars", tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialPrime is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MonomialPrime is immutable")
+
+    def __reduce__(self):
+        return (MonomialPrime.from_mask, (self.mask,))
 
     @property
     def height(self) -> int:
-        return len(self.vars)
+        return self.mask.bit_count()
 
-    def sort_key(self):
-        return (len(self.vars), self.vars)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialPrime):
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     def __lt__(self, other: "MonomialPrime") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.mask.bit_count(), self.vars) < (other.mask.bit_count(), other.vars)
+
+    def __repr__(self) -> str:
+        return f"MonomialPrime(vars={self.vars!r})"
 
     def contains_poly(self, f: Polynomial) -> bool:
         """Membership of a polynomial: every term must involve a var of p."""
-        if f.is_zero():
-            return True
-        vs = set(self.vars)
+        vs = self.vars
         return all(any(e[i] for i in vs) for e in f.term_map())
 
     def to_ideal(self, ctx: RingCtx) -> groebner.Ideal:
@@ -87,15 +135,20 @@ class MonomialPrime:
 
 
 class PrimeSet:
-    """An immutable set of monomial primes with canonical iteration order."""
+    """An immutable set of monomial primes with canonical iteration order,
+    (height, vars).  The set is sorted on its first iteration and the order
+    is kept."""
 
-    __slots__ = ("_primes",)
+    __slots__ = ("_primes", "_order")
 
     def __init__(self, primes: Iterable[MonomialPrime] = ()) -> None:
         self._primes = frozenset(primes)
+        self._order: tuple[MonomialPrime, ...] | None = None
 
     def __iter__(self) -> Iterator[MonomialPrime]:
-        return iter(sorted(self._primes))
+        if self._order is None:
+            self._order = tuple(sorted(self._primes))
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self._primes)
@@ -285,10 +338,10 @@ def associated_primes(I: MonomialIdeal) -> PrimeSet:
         raise ImproperIdealError("associated primes need a proper ideal")
     primes = set()
     for comp in irreducible_decomposition(I):
-        sup: set[int] = set()
+        mask = 0
         for g in comp.min_gens:
-            sup.update(mono_support(g))
-        primes.add(MonomialPrime(tuple(sup)))
+            mask |= mono_mask(g)
+        primes.add(MonomialPrime.from_mask(mask))
     return PrimeSet(primes)
 
 
@@ -359,22 +412,22 @@ def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
     checked at each branch of the cover enumeration."""
     if I.is_unit():
         raise ImproperIdealError("the primes of R/I need a proper ideal")
-    n = I.ctx.n
-    masks = {sum(1 << i for i in mono_support(g)) for g in I.min_gens}
+    masks = {mono_mask(g) for g in I.min_gens}
     # smallest first: a support is missed only if those inside it are, so
     # the covers never branch on one that contains another
     covers = min_vertex_covers(sorted(masks, key=int.bit_count), "minimal primes")
     height = min(c.bit_count() for c in covers)
-    mins = {c: MonomialPrime(tuple(i for i in range(n) if c >> i & 1)) for c in covers}
-    assh = [p for c, p in mins.items() if c.bit_count() == height]
-    return MinAsshDim(I, PrimeSet(mins.values()), PrimeSet(assh), n - height, height)
+    mins = [MonomialPrime.from_mask(c) for c in covers]
+    assh = [p for p in mins if p.height == height]
+    return MinAsshDim(I, PrimeSet(mins), PrimeSet(assh), I.ctx.n - height, height)
 
 
-def all_monomial_primes(ctx: RingCtx) -> list[MonomialPrime]:
-    out = []
-    idx = range(ctx.n)
-    for k in range(ctx.n + 1):
-        for sub in combinations(idx, k):
-            out.append(MonomialPrime(sub))
-    out.sort()
-    return out
+def all_monomial_primes(ctx: RingCtx) -> tuple[MonomialPrime, ...]:
+    """Every monomial prime of ctx, in the order (height, vars): one
+    immutable tuple per variable count, built once."""
+    return _all_primes(ctx.n)
+
+
+@lru_cache(maxsize=None)
+def _all_primes(n: int) -> tuple[MonomialPrime, ...]:
+    return tuple(sorted(map(MonomialPrime.from_mask, range(1 << n))))

@@ -109,8 +109,9 @@ def mono_divides(u: Exponents, v: Exponents) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
 
-def mono_support(u: Exponents) -> tuple[int, ...]:
-    return tuple(i for i, e in enumerate(u) if e)
+def mono_mask(u: Exponents) -> int:
+    """The support of x^u as a vertex mask: bit i is set when u_i > 0."""
+    return sum(1 << i for i, e in enumerate(u) if e)
 
 
 def mono_text(names: tuple[str, ...], e: Exponents) -> str:

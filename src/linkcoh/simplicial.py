@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 
 from .groebner import BudgetExceeded, check_deadline
 from .monomial import ImproperIdealError, MonomialIdeal, min_vertex_covers
-from .ring import RingError, mono_support
+from .ring import RingError, mono_mask
 
 log = logging.getLogger("linkcoh")
 
@@ -78,7 +78,7 @@ def _facet_masks(I: MonomialIdeal) -> list[int]:
     n = I.ctx.n
     if n > 20:
         raise BudgetExceeded("Stanley-Reisner vertex budget", n, 20)
-    supports = [sum(1 << i for i in mono_support(g)) for g in I.min_gens]
+    supports = [mono_mask(g) for g in I.min_gens]
     full = (1 << n) - 1
     return [full ^ c for c in min_vertex_covers(supports, "Stanley-Reisner vertex covers")]
 

@@ -135,8 +135,8 @@ def _random_prime_antichain(
         pool = [p for p in pool if p.height == height]
     rng.shuffle(pool)
     for p in pool:
-        ps = set(p.vars)
-        if any(set(q.vars) <= ps or ps <= set(q.vars) for q in chosen):
+        # comparable exactly when the union is one of the two
+        if any((q.mask | p.mask) in (p.mask, q.mask) for q in chosen):
             continue
         chosen.append(p)
         if len(chosen) == k:
@@ -565,10 +565,11 @@ def _draw_t2(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
     if ctx.n >= 3 and rng.random() < 0.7:
         # bias toward genuinely mixed heights: meet primes of two different sizes
         low = _random_prime_antichain(rng, ctx, 1, rng.randint(1, ctx.n - 2))
+        lm = low[0].mask
         high = [
             p
             for p in _random_prime_antichain(rng, ctx, 2, rng.randint(low[0].height + 1, ctx.n - 1))
-            if not set(p.vars) >= set(low[0].vars) and not set(p.vars) <= set(low[0].vars)
+            if (p.mask | lm) not in (p.mask, lm)
         ]
         if high:
             acc = _meet_of_primes(ctx, low + high)

@@ -28,6 +28,10 @@ the tests can compare, and share with those no more than noted:
 - `primes_from_ass` reads Min, Assh, dim and height of R/I off the
   associated primes of the irreducible decomposition, where
   `monomial.min_assh_dim` reads them off the minimal vertex covers.
+- `cover_tuples` and `ass_tuples` give the same primes as sorted index
+  tuples, in the order primes are written: Min by testing every subset of
+  the variables as a cover, Ass by collecting the variables of each
+  irreducible component.  The package holds primes as vertex masks.
 - `format_poly_fractions` writes polynomial text by `Fraction` arithmetic
   on each coefficient, where `ring.format_poly` reads the sign and the
   magnitude off the numerator and the denominator.
@@ -66,6 +70,7 @@ from linkcoh.monomial import (
     all_monomial_primes,
     as_monomial,
     associated_primes,
+    irreducible_decomposition,
     mono_radical,
     mono_sum,
 )
@@ -370,6 +375,34 @@ def primes_from_ass(I: MonomialIdeal) -> tuple[PrimeSet, PrimeSet, PrimeSet, int
     dim = n - min(p.height for p in mins)
     assh = [p for p in mins if n - p.height == dim]
     return ass, PrimeSet(mins), PrimeSet(assh), dim, n - dim
+
+
+def _written_order(primes: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    return sorted(set(primes), key=lambda t: (len(t), t))
+
+
+def cover_tuples(I: MonomialIdeal) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int, int]:
+    """(Min, Assh, dim, height) of R/I for a proper monomial I, the primes as
+    index tuples in written order: Min the inclusion-minimal subsets of the
+    variables that meet every generator's support."""
+    n = I.ctx.n
+    supports = [{i for i, x in enumerate(g) if x} for g in I.min_gens]
+    covers = [
+        set(c) for k in range(n + 1) for c in combinations(range(n), k)
+        if all(s & set(c) for s in supports)
+    ]
+    mins = _written_order(tuple(sorted(c)) for c in covers if not any(d < c for d in covers))
+    height = min(len(t) for t in mins)
+    return mins, [t for t in mins if len(t) == height], n - height, height
+
+
+def ass_tuples(I: MonomialIdeal) -> list[tuple[int, ...]]:
+    """Ass of R/I for a proper monomial I as index tuples in written order:
+    the variables of each irreducible component."""
+    return _written_order(
+        tuple(sorted({i for g in comp.min_gens for i, x in enumerate(g) if x}))
+        for comp in irreducible_decomposition(I)
+    )
 
 
 def format_poly_fractions(p: Polynomial) -> str:

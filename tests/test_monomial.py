@@ -7,6 +7,7 @@ the colon characterization p in Ass(R/I) iff I : w = p for a monomial w.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -33,9 +34,9 @@ from linkcoh.monomial import (
     mono_radical,
     mono_sum,
 )
-from linkcoh.ring import Polynomial, mono_one, parse_poly, ring
+from linkcoh.ring import Polynomial, RingError, mono_one, parse_poly, ring
 from linkcoh.simplicial import _facet_masks
-from oracles import mono_colon, polarize, primes_from_ass
+from oracles import ass_tuples, cover_tuples, mono_colon, polarize, primes_from_ass
 
 
 def MI(ctx, *texts):
@@ -251,14 +252,14 @@ def test_min_assh_dim(ctx):
         min_assh_dim(MI(ctx, "1"))
 
 
-def _monomial_ideals(st):
-    """Proper monomial ideals in 1-7 variables: any exponents up to 3, or
-    squarefree ones, with pure powers of some variables added; the zero
-    ideal included."""
+def _monomial_ideals(st, max_vars=7):
+    """Proper monomial ideals in 1 to `max_vars` variables: any exponents up
+    to 3, or squarefree ones, with pure powers of some variables added; the
+    zero ideal included."""
 
     @st.composite
     def draw(draw):
-        n = draw(st.integers(1, 7))
+        n = draw(st.integers(1, max_vars))
         ctx = ring(*(f"x{i}" for i in range(n)))
         top = draw(st.sampled_from((1, 3)))
         gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=6))
@@ -336,6 +337,127 @@ def test_all_monomial_primes(ctx):
     ps = all_monomial_primes(ctx)
     assert len(ps) == 8
     assert len([p for p in all_monomial_primes(ctx) if p.height]) == 7
+
+
+def test_all_monomial_primes_is_one_cached_tuple_per_variable_count():
+    for n in range(1, 7):
+        ps = all_monomial_primes(ring(*(f"x{i}" for i in range(n))))
+        assert isinstance(ps, tuple)
+        assert all_monomial_primes(ring(*(f"y{i}" for i in range(n)))) is ps
+        subsets = [c for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+        assert [p.vars for p in ps] == sorted(subsets, key=lambda t: (len(t), t))
+
+
+def test_mask_primes_match_the_tuple_reference_property():
+    # Min, Assh, dim and height from the cover masks, and Ass from the
+    # component masks, against index tuples, in the order they are written
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(_monomial_ideals(st, max_vars=6))
+    def check(I):
+        info = min_assh_dim(I)
+        mins, assh, dim, height = cover_tuples(I)
+        assert [p.vars for p in info.min_primes] == mins
+        assert [p.vars for p in info.assh] == assh
+        assert (info.dim, info.height) == (dim, height)
+        ass = associated_primes(I)
+        names = I.ctx.var_names
+        assert [p.vars for p in ass] == ass_tuples(I)
+        assert ass.render(I.ctx) == [[names[i] for i in t] for t in ass_tuples(I)]
+
+    check()
+
+
+def test_prime_vars_and_mask_round_trip_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.lists(st.integers(0, 9), max_size=8), st.randoms(use_true_random=False))
+    def check(indices, rnd):
+        p = MonomialPrime(indices)
+        assert p.vars == tuple(sorted(set(indices)))
+        assert p.mask == sum(1 << i for i in p.vars)
+        assert p.height == len(p.vars)
+        q = MonomialPrime.from_mask(p.mask)
+        assert (q, q.vars, q.mask) == (p, p.vars, p.mask)
+        # equality and hash ignore the order and the repeats of the indices
+        shuffled = indices + indices[:2]
+        rnd.shuffle(shuffled)
+        r = MonomialPrime(shuffled)
+        assert r == p and hash(r) == hash(p)
+        assert repr(p) == f"MonomialPrime(vars={p.vars!r})"
+
+    check()
+
+
+def test_prime_set_operations_match_sets_of_index_tuples_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    families = st.sets(st.frozensets(st.integers(0, 4)), max_size=8)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(families, families)
+    def check(a, b):
+        ta = {tuple(sorted(s)) for s in a}
+        tb = {tuple(sorted(s)) for s in b}
+        A = PrimeSet(map(MonomialPrime, ta))
+        B = PrimeSet(map(MonomialPrime, tb))
+
+        def written(ts):
+            return sorted(ts, key=lambda t: (len(t), t))
+
+        assert [p.vars for p in A] == [p.vars for p in A] == written(ta)
+        assert [p.vars for p in A & B] == written(ta & tb)
+        assert [p.vars for p in A | B] == written(ta | tb)
+        assert A.issubset(B) == (ta <= tb)
+        assert A.issubset(A | B) and (A & B).issubset(B)
+        assert (A == B) == (ta == tb)
+
+    check()
+
+
+def test_prime_refuses_a_negative_index():
+    # a negative index would wrap to the last variable when rendered
+    with pytest.raises(RingError, match="nonnegative int variable index, not -1"):
+        MonomialPrime((-1, 0))
+
+
+def test_prime_refuses_a_bool_index():
+    with pytest.raises(RingError, match="nonnegative int variable index, not True"):
+        MonomialPrime((True,))
+
+
+def test_prime_refuses_a_variable_name():
+    with pytest.raises(RingError, match="nonnegative int variable index, not 'x'"):
+        MonomialPrime(("x",))
+
+
+def test_from_mask_refuses_a_negative_mask():
+    with pytest.raises(RingError, match="nonnegative int vertex mask, not -1"):
+        MonomialPrime.from_mask(-1)
+
+
+def test_from_mask_refuses_a_bool_mask():
+    with pytest.raises(RingError, match="nonnegative int vertex mask, not False"):
+        MonomialPrime.from_mask(False)
+
+
+def test_from_mask_refuses_a_non_int_mask():
+    with pytest.raises(RingError, match=r"nonnegative int vertex mask, not 3\.0"):
+        MonomialPrime.from_mask(3.0)
+
+
+def test_primes_are_immutable_and_pickle_by_mask():
+    p = MonomialPrime((2, 0))
+    with pytest.raises(AttributeError):
+        p.mask = 1
+    with pytest.raises(AttributeError):
+        del p.vars
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert (MonomialPrime(()).mask, MonomialPrime(()).vars) == (0, ())
 
 
 def test_polarization_squarefree_and_depth_shift(ctx):
