@@ -3,10 +3,10 @@
 An entry names the operation, gives its help text, its operands as
 (flag, kind, default) and the functions that build the result document
 and the one-line stderr summary.  Both front ends are derived from it:
-`cli` turns each operand's text into a value and generates the argparse
-parser, and a session file (`session`) names declared ideals and modules
-in place of the text.  Verbs under one command word, such as
-`linkage check`, sit in a `Group`.
+`cli` reads argv against it, generates the help from it and turns each
+operand's text into a value, and a session file (`session`) names
+declared ideals and modules in place of the text.  Verbs under one
+command word, such as `linkage check`, sit in a `Group`.
 
 A document function takes the operand values in table order.  Operand
 kinds: the ring kinds (an ideal, a monomial ideal, a module R/J given by
@@ -63,7 +63,7 @@ from .monomial import (
 )
 from .ring import RingError
 from .simplicial import cd_squarefree
-from .theorems import InstanceParams, run_claim
+from .theorems import CLAIMS, InstanceParams, run_claim
 
 __all__ = ["Group", "OPS", "Op", "Operand", "TABLE", "run_task", "session_shape"]
 
@@ -394,7 +394,8 @@ TABLE: tuple[Op | Group, ...] = (
        lambda M: {"equidimensional": is_equidimensional(M)},
        lambda doc: f"equidimensional: {doc['equidimensional']}"),
     Op("verify", "batch-check one claim on seeded instances",
-       (Operand("claim", CLAIM), Operand("--random", INT, help="instance count"),
+       (Operand("claim", CLAIM, help=", ".join(sorted(CLAIMS))),
+        Operand("--random", INT, help="instance count"),
         Operand("--vars", INT, 3), Operand("--maxdeg", INT, 3), Operand("--seed", INT, 0),
         Operand("--module", TEXT, None, "pin the base module's defining ideal"),
         Operand("--jobs", INT, 1)),

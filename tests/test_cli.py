@@ -1,15 +1,10 @@
 """Command line surface: document shapes, exit codes, determinism."""
 
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import linkcoh
 from linkcoh import cli, groebner, modules
 from linkcoh.cli import run
 from linkcoh.ops import MODULE, OPS, SWITCH, session_shape
@@ -450,6 +445,14 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
+def test_entry_help_lists_its_flags(capsys):
+    for argv in (("gb", "-h"), ("gb", "--ring", "x", "--help"), ("gb", "--he")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: linkcoh gb [-h] --ring RING --ideal IDEAL\n")
+        assert re.search(r"^\s+--ideal IDEAL\s+comma-separated generators$", out, re.M)
+
+
 def test_parse_error_exit_one(capsys):
     code, out, err = invoke(capsys, "gb", "--ring", "x,y", "--ideal", "x +")
     assert code == 1
@@ -605,7 +608,88 @@ def test_human_summary_on_stderr(capsys):
 
 
 # ---------------------------------------------------------------------------
-# One operation table behind the parser and the session runner.
+# Reading argv off the table.
+
+# a negative --jobs or --max-spairs reaches its own refusal:
+# test_verify_rejects_nonpositive_jobs and test_budget_flags_refuse_bad_values
+@pytest.mark.parametrize("argv, key, value", [
+    (("member", "--ring", "x,y", "--ideal", "x", "--poly", "-x"), "poly", "-x"),
+    (("member", "--ring", "x,y", "--ideal", "x", "--poly=-x"), "poly", "-x"),
+    (("gb", "--ring", "x,y", "--ideal", "-x^2+y"), "generators", ["-x^2 + y"]),
+    (("gb", "--ring", "x,y", "--ideal=-x^2+y"), "generators", ["-x^2 + y"]),
+])
+def test_a_value_may_begin_with_a_dash(capsys, argv, key, value):
+    assert doc_of(capsys, *argv)[key] == value
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("gb", "--ring", "x", "--ideal", "x", "--bogus", "1"), "--bogus"),
+    (("gb", "--ring", "x", "--ideal", "x", "extra"), "extra"),
+    (("session", "a.session", "b.session"), "b.session"),
+    (("gb", "--ring", "x", "--ideal"), "--ideal"),
+    (("gb", "--ring", "x"), "--ideal"),
+    (("gb", "--ideal", "x"), "--ring"),
+    (("verify", "l08"), "--random"),
+    (("linkage", "random", "--ring", "x", "--count", "many"), "--count"),
+    (("verify", "zzz", "--random", "1"), "zzz"),
+    (("gb", "--max-spairs", "3", "--ring", "x", "--ideal", "x"), "--max-spairs"),
+    (("linkage", "random", "--ring", "x", "--m", "3"), "--m could match --maxdeg, --max-extra"),
+    (("linkage", "link-of", "--ring", "x", "--a", "x", "--close=yes"), "--close"),
+    (("--max-spairs",), "--max-spairs"),
+    (("--timeout-soft", "soon", "gb"), "--timeout-soft"),
+    (("linkage", "relink"), "relink"),
+])
+def test_bad_invocations_are_usage_errors(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and flag in err
+
+
+def test_prefixes_equal_forms_and_repeats_are_accepted(capsys):
+    full = doc_of(capsys, "--max-spairs", "50", "gb", "--ring", "x,y", "--ideal", "x*y")
+    assert doc_of(capsys, "--max", "50", "gb", "--ri", "x,y", "--ide", "x*y") == full
+    assert doc_of(capsys, "--max-spairs=50", "gb", "--ring=x,y", "--ideal=x*y") == full
+    # a repeated flag keeps its last value
+    assert doc_of(capsys, "gb", "--ring", "x,y", "--ideal", "x", "--ideal", "x*y") == full
+    # a positional may follow the flags
+    one = doc_of(capsys, "verify", "l08", "--random", "2", "--vars", "3", "--maxdeg", "2")
+    assert doc_of(capsys, "verify", "--random", "2", "--vars", "3", "--maxdeg", "2", "l08") == one
+
+
+def test_a_group_without_a_verb_lists_its_verbs(capsys):
+    code, out, err = invoke(capsys, "linkage")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: linkcoh linkage")
+    for verb in ("check", "link-of", "random"):
+        assert re.search(rf"^\s+{verb}\s", err, re.M)
+
+
+def test_writer_matches_the_json_module_property():
+    # the writer is byte-identical to json.dumps(v, sort_keys=True, indent=2)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalars = (
+        st.none() | st.booleans() | st.floats() | st.text()
+        | st.integers() | st.sampled_from([2**100, -(2**70), -1, 0])
+        | st.text(alphabet='"\\\x00\x1f\x7f\n\té€\U0001f600', max_size=6)
+    )
+    values = st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        max_leaves=25,
+    )
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @hyp.given(values)
+    def check(v):
+        assert cli._json(v) == json.dumps(v, sort_keys=True, indent=2)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# One operation table behind argv and the session runner.
 
 def test_session_and_argv_routes_agree(tmp_path, capsys):
     # every session verb, once as a session task and once as an argv command
@@ -649,20 +733,6 @@ def test_session_and_argv_routes_agree(tmp_path, capsys):
     assert by_task["colon a b"] == {"quotient": ["x"]}
     assert by_task["intersect a b"] == {"intersection": ["x*y"]}
     assert by_task["linkage check a b z0 over M"]["linked"] is True
-
-
-def test_parser_built_once_per_process_and_not_at_import(capsys):
-    src = str(Path(linkcoh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import linkcoh.cli as c; print(c.build_parser.cache_info().currsize)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "0"
-    cli.build_parser.cache_clear()
-    for _ in range(2):
-        assert invoke(capsys, "dim", "--ring", "x,y", "--ideal", "x*y")[0] == 0
-    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_help_lists_every_table_entry(capsys):

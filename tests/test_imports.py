@@ -9,7 +9,8 @@ left out of that check because its imports are the package's re-exports.
 No module but groebner.py may import the engine's encoding internals, by
 name or as attributes of `groebner`.  Every name in `linkcoh.__all__` must
 resolve on the package, once.  Importing the package in a fresh interpreter
-must not load `multiprocessing`, which only a fanned-out `run_claim` uses.
+must not load `multiprocessing`, which only a fanned-out `run_claim` uses,
+nor `argparse`, since the command line reads argv off the operation table.
 
 Every definition in the package -- function, method, class, or name
 assigned at module top level -- must be read by some node of src/ or
@@ -115,6 +116,16 @@ def test_import_leaves_multiprocessing_out():
     # only `run_claim` with several workers needs a pool, so a plain import
     # (the command line's too) must not load multiprocessing
     probe = "import sys, linkcoh, linkcoh.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_import_leaves_argparse_out():
+    # the command line reads argv off the operation table, so neither the
+    # package nor its front end loads argparse
+    probe = "import sys, linkcoh, linkcoh.cli; print('argparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
