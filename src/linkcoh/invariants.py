@@ -9,7 +9,10 @@ variables, which plays the role of the maximal ideal.
 These sets are only enumerable here when J is monomial (so that Ass M
 consists of monomial primes).  Every function reads Ass, Min, Assh and dim
 of M from `CyclicModule.primes()`, derived once per module, which refuses a
-non-monomial J rather than guess.
+non-monomial J rather than guess.  Whether a + p is cofinal with the ideal
+of variables is a vertex-mask test for monomial a and, for any other a,
+`modules.radical_is_maximal`, the package's one test of whether a radical
+is the ideal of variables.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .groebner import Ideal, ideal_sum, is_proper, radical_member
-from .modules import CyclicModule
+from .groebner import Ideal, ideal_sum, is_proper
+from .modules import CyclicModule, radical_is_maximal
 from .monomial import (
     ImproperIdealError,
     MonomialPrime,
     PrimeSet,
     as_monomial,
 )
-from .ring import Polynomial, RingError, mono_mask
+from .ring import RingError, mono_mask
 
 GRADED_NOTE = (
     "attached and associated sets are read off prime-theoretic"
@@ -90,26 +93,19 @@ def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
     the unit ideal is not, for monomial primes p.  For monomial a, sqrt(a)
     is generated by the supports of its minimal generators, so p passes
     exactly when a is proper and p holds every variable without a pure power
-    among them; that vertex mask is found once, for every p."""
-    ctx = a.ctx
+    among them; that vertex mask is found once, for every p.  Any other a
+    asks `radical_is_maximal` of a + p."""
     am = as_monomial(a)
     if am is not None:
         if am.is_unit():
             return lambda p: False
-        needed = (1 << ctx.n) - 1
+        needed = (1 << a.ctx.n) - 1
         for e in am.min_gens:
             m = mono_mask(e)
             if not m & (m - 1):
                 needed &= ~m
         return lambda p: not needed & ~p.mask
-
-    def test(p: MonomialPrime) -> bool:
-        ap = ideal_sum(a, p.to_ideal(ctx))
-        return is_proper(ap) and all(
-            radical_member(Polynomial.variable(ctx, v), ap) for v in ctx.var_names
-        )
-
-    return test
+    return lambda p: radical_is_maximal(ideal_sum(a, p.to_ideal(a.ctx)))
 
 
 def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:

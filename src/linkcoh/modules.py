@@ -1,8 +1,9 @@
 """Finitely presented modules over Q[x_1..x_n]: Groebner bases of submodules
 of free modules, syzygies, annihilators of Hom from cyclic quotients,
 associated prime membership, a self-dual Ext computation for cyclic
-quotients, Koszul homology grades, and cyclic modules R/J caching primes,
-dimension and depth.
+quotients, Koszul homology grades, cyclic modules R/J caching primes,
+dimension and depth, and the one test of whether a radical is the ideal of
+the variables (`radical_is_maximal`).
 
 Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
@@ -65,6 +66,7 @@ from .groebner import (
     module_gb,
     module_reduce,
     module_table,
+    radical_member,
     reduced_gb,
 )
 from .monomial import (
@@ -384,6 +386,12 @@ def maximal_ideal(ctx: RingCtx) -> Ideal:
     return Ideal(ctx, [Polynomial.variable(ctx, v) for v in ctx.var_names])
 
 
+def radical_is_maximal(K: Ideal) -> bool:
+    """Whether sqrt(K) is the ideal of the variables: K is proper and every
+    variable lies in sqrt(K)."""
+    return is_proper(K) and all(radical_member(x, K) for x in maximal_ideal(K.ctx).gens)
+
+
 class CyclicModule:
     """The module R/J, with cached primes, dimension and depth at the
     variable ideal.
@@ -399,10 +407,12 @@ class CyclicModule:
     dim R/in(J) (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is
     squarefree the two depths are equal (Conca-Varbaro, "Square-free
     Groebner degenerations", Invent. Math. 221, 2020).  So for monomial J the
-    depth is read off J itself, and for J with homogeneous generators depth
-    R/in(J) is the answer when in(J) is squarefree or reaches the dimension;
-    otherwise the Koszul search runs only over the levels those two bounds
-    leave open.  A non-homogeneous J takes the full Koszul search.
+    depth is read off J itself, and for homogeneous J (read off its reduced
+    basis) depth R/in(J) is the answer when in(J) is squarefree or reaches
+    the dimension; otherwise the Koszul search runs only over the levels
+    those two bounds leave open.  A non-homogeneous J takes the full Koszul
+    search, which gives the depth at the ideal of variables, so its
+    Cohen-Macaulayness is refused when that depth is below dim R/J.
     Each depth logs its route at debug level on the `linkcoh` logger:
     `monomial`, `degeneration`, `degeneration+koszul` with its levels, or
     `koszul`.
@@ -459,9 +469,9 @@ class CyclicModule:
                 "depth at the ideal of variables needs J inside it;"
                 " a generator of J has a nonzero constant term"
             )
-        if self.monomial is None and not all(g.is_homogeneous() for g in self.ideal.gens):
+        if not self._graded():
             log.debug("depth: route koszul")
-            return koszul_grade(self._variables(), self.ideal)
+            return koszul_grade(maximal_ideal(self.ctx).gens, self.ideal)
         lead = self.lead_term_ideal()
         d0 = depth_monomial(lead)
         if self.monomial is not None:
@@ -473,14 +483,24 @@ class CyclicModule:
             return d0
         n = self.ctx.n
         log.debug("depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1)
-        return koszul_grade(self._variables(), self.ideal, d0, dim)
+        return koszul_grade(maximal_ideal(self.ctx).gens, self.ideal, d0, dim)
 
-    def _variables(self) -> list[Polynomial]:
-        """The variables, which the Koszul routes of depth take as the sequence."""
-        return [Polynomial.variable(self.ctx, v) for v in self.ctx.var_names]
+    def _graded(self) -> bool:
+        """J is monomial or homogeneous, as its reduced degrevlex basis is."""
+        return self.monomial is not None or all(g.is_homogeneous() for g in reduced_gb(self.ideal))
 
     def is_cohen_macaulay(self) -> bool:
-        return self.depth() == self.dim()
+        """depth R/J = dim R/J.  For J neither monomial nor homogeneous the
+        depth is that of the localization at the ideal of variables, whose
+        dimension can be below dim R/J: equality still decides (the local
+        ring is Cohen-Macaulay), and a smaller depth is refused."""
+        depth, dim = self.depth(), self.dim()
+        if depth < dim and not self._graded():
+            raise RingError(
+                f"Cohen-Macaulayness of a non-graded R/J is undecided: depth {depth} at the ideal"
+                f" of variables is below dim R/J = {dim}, which the localization may not reach"
+            )
+        return depth == dim
 
     def to_fp(self) -> FPModule:
         return _presented_by(self.ctx, 1, ideal_block(self.ideal, 1), self.monomial is not None)

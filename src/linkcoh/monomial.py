@@ -13,6 +13,9 @@ I's generators (Bruns-Herzog, *Cohen-Macaulay Rings*, 5.1), so Min, Assh,
 dim and height come from one bitmask enumeration, `min_vertex_covers`, which
 `simplicial` also reads the Stanley-Reisner facets from.  Only Ass needs the
 irreducible decomposition, and the prime record computes it when first read.
+The same enumeration gives the meet of monomial primes (`meet_of_primes`):
+a monomial lies in P_S1 ∩ ... ∩ P_Sk exactly when its support meets every
+S_i, so the minimal generators are the minimal vertex covers of the S_i.
 
 A monomial prime is held as its vertex mask, from the cover enumeration to
 the claim checkers: Min and Assh are built from the cover masks, Ass from
@@ -123,12 +126,6 @@ class MonomialPrime:
     def to_ideal(self, ctx: RingCtx) -> groebner.Ideal:
         gens = [Polynomial.variable(ctx, ctx.var_names[i]) for i in self.vars]
         return groebner.Ideal(ctx, gens)
-
-    def monomial_ideal(self, ctx: RingCtx) -> "MonomialIdeal":
-        """The prime as a monomial ideal of ctx."""
-        return MonomialIdeal.from_exponents(
-            ctx, [tuple(1 if k == i else 0 for k in range(ctx.n)) for i in self.vars]
-        )
 
     def render(self, ctx: RingCtx) -> list[str]:
         return [ctx.var_names[i] for i in self.vars]
@@ -420,6 +417,18 @@ def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
     mins = [MonomialPrime.from_mask(c) for c in covers]
     assh = [p for p in mins if p.height == height]
     return MinAsshDim(I, PrimeSet(mins), PrimeSet(assh), I.ctx.n - height, height)
+
+
+def meet_of_primes(ctx: RingCtx, primes: Iterable[MonomialPrime]) -> MonomialIdeal:
+    """The intersection of the monomial primes: a monomial lies in every
+    P_S exactly when its support meets every S, so the minimal generators
+    are the squarefree monomials of the minimal vertex covers of the prime
+    masks.  The meet of no primes is the unit ideal, and one with the zero
+    prime, which nothing covers, is the zero ideal."""
+    masks = sorted({p.mask for p in primes}, key=int.bit_count)
+    covers = min_vertex_covers(masks, "meet of primes")
+    exps = [tuple(c >> i & 1 for i in range(ctx.n)) for c in covers]
+    return MonomialIdeal.from_exponents(ctx, exps)
 
 
 def all_monomial_primes(ctx: RingCtx) -> tuple[MonomialPrime, ...]:

@@ -25,7 +25,6 @@ from .groebner import (
     ideal_quotient,
     ideal_sum,
     reduced_gb,
-    radical_member,
 )
 from .invariants import (
     Verdict,
@@ -51,15 +50,15 @@ from .modules import (
     koszul_grade,
     maximal_ideal,
     module_ass,
+    radical_is_maximal,
     regular_chain,
 )
 from .monomial import (
     MonomialIdeal,
     MonomialPrime,
-    PrimeSet,
     all_monomial_primes,
-    as_monomial,
     associated_primes,
+    meet_of_primes,
     min_assh_dim,
     mono_contains,
     mono_intersect,
@@ -119,13 +118,6 @@ def _pinned_module(params: InstanceParams, ctx: RingCtx) -> CyclicModule | None:
     return CyclicModule(ctx, Ideal.parse(ctx, params.module))
 
 
-def _meet_of_primes(ctx: RingCtx, primes: list[MonomialPrime]) -> MonomialIdeal:
-    acc = primes[0].monomial_ideal(ctx)
-    for p in primes[1:]:
-        acc = mono_intersect(acc, p.monomial_ideal(ctx))
-    return acc
-
-
 def _random_prime_antichain(
     rng: random.Random, ctx: RingCtx, k: int, height: int | None
 ) -> list[MonomialPrime]:
@@ -158,8 +150,8 @@ def bipartition_zero_link(
     if len(primes) < 2:
         return None
     cut = rng.randint(1, len(primes) - 1)
-    a = _meet_of_primes(ctx, primes[:cut])
-    b = _meet_of_primes(ctx, primes[cut:])
+    a = meet_of_primes(ctx, primes[:cut])
+    b = meet_of_primes(ctx, primes[cut:])
     J = mono_intersect(a, b)
     M = CyclicModule(ctx, J.to_ideal())
     return check_linked(a.to_ideal(), b.to_ideal(), Ideal.zero(ctx), M)
@@ -250,16 +242,14 @@ def check_pure_height_split(a: MonomialIdeal) -> Verdict:
     claim = "t2"
     info = min_assh_dim(a)
     h = info.height
-    pure = [p for p in info.min_primes if p.height == h]
     rest = [p for p in info.min_primes if p.height > h]
-    ctx = a.ctx
     if not rest:
         return Verdict.passing(
             claim, (f"height={h}",), ("all minimal primes share one height; the split is trivial",)
         )
-    ap = _meet_of_primes(ctx, pure)
-    b = _meet_of_primes(ctx, rest)
-    if associated_primes(ap) != PrimeSet(pure):
+    ap = meet_of_primes(a.ctx, info.assh)
+    b = meet_of_primes(a.ctx, rest)
+    if associated_primes(ap) != info.assh:
         return Verdict.failing(claim, "pure-height part has unexpected associated primes")
     if mono_radical(a) != mono_intersect(ap, b):
         return Verdict.failing(claim, "radical differs from the intersection of the two parts")
@@ -426,9 +416,7 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
         return Verdict.inconclusive(
             claim, "pool exhausted before certifying a maximal regular sequence"
         )
-    dim_zero = all(
-        radical_member(Polynomial.variable(ctx, v), Q) for v in ctx.var_names
-    )
+    dim_zero = radical_is_maximal(Q)
     oracle = M.is_cohen_macaulay()
     if dim_zero != oracle:
         return Verdict.failing(
@@ -437,10 +425,9 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
             f" but the depth/dimension oracle says CM={oracle} for {M.describe()}",
             notes=notes,
         )
-    qm = as_monomial(Q)
-    if qm is not None and not qm.is_zero():
-        info = min_assh_dim(qm)
-        no_embedded = info.ass == info.min_primes
+    MQ = CyclicModule(ctx, Q)
+    if MQ.monomial is not None:
+        no_embedded = MQ.primes().ass == MQ.primes().min_primes
         if no_embedded != dim_zero:
             return Verdict.failing(
                 claim,
@@ -572,7 +559,7 @@ def _draw_t2(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
             if (p.mask | lm) not in (p.mask, lm)
         ]
         if high:
-            acc = _meet_of_primes(ctx, low + high)
+            acc = meet_of_primes(ctx, low + high)
             extra = _random_proper_monomial_ideal(rng, ctx, params.maxdeg, 1)
             a = mono_intersect(acc, extra) if rng.random() < 0.3 else acc
             return check_pure_height_split(a)

@@ -11,6 +11,9 @@ cycle by a boundary basis built in a run of its own.  The ideal API is
 degrevlex only, so a test that wants a lex basis asks the engine for one
 under `lex(n)`.  `reference_lcm` packs a pair's lcm variable by variable,
 the way the engine did before `_Codec.lcm` built it from the packed leads.
+`rabinowitsch_is_maximal` decides whether a radical is the ideal of the
+variables by one Rabinowitsch run per variable, with no membership test
+first, against which `modules.radical_is_maximal` is held.
 """
 
 from operator import mul
@@ -19,7 +22,9 @@ from linkcoh.groebner import (
     Ideal,
     _colon,
     _gb,
+    _rabinowitsch,
     eliminate,
+    is_proper,
     ideal_block,
     module_gb,
     module_reduce,
@@ -55,6 +60,19 @@ def engine_gb(I, order=DEGREVLEX):
     """The reduced basis of I under `order` from a fresh engine run, cache
     unread."""
     return tuple(_gb(I.ctx, I.gens, order))
+
+
+def rabinowitsch_is_maximal(K):
+    """Whether sqrt(K) is the ideal of the variables: K is proper and, for
+    every variable x, a fresh engine basis of K + (1 - t*x) is (1)."""
+    if not is_proper(K):
+        return False
+    for v in K.ctx.var_names:
+        T = _rabinowitsch(K, Polynomial.variable(K.ctx, v))
+        basis = engine_gb(T)
+        if not (len(basis) == 1 and basis[0].is_constant()):
+            return False
+    return True
 
 
 def engine_quotient(I, J):

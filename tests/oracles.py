@@ -28,6 +28,9 @@ the tests can compare, and share with those no more than noted:
 - `primes_from_ass` reads Min, Assh, dim and height of R/I off the
   associated primes of the irreducible decomposition, where
   `monomial.min_assh_dim` reads them off the minimal vertex covers.
+- `meet_of_primes_fold` intersects monomial primes one at a time, where
+  `monomial.meet_of_primes` reads the minimal generators of the meet off
+  the minimal vertex covers of the prime masks.
 - `cover_tuples` and `ass_tuples` give the same primes as sorted index
   tuples, in the order primes are written: Min by testing every subset of
   the variables as a cover, Ass by collecting the variables of each
@@ -71,6 +74,8 @@ from linkcoh.monomial import (
     as_monomial,
     associated_primes,
     irreducible_decomposition,
+    meet_of_primes,
+    mono_intersect,
     mono_radical,
     mono_sum,
 )
@@ -296,7 +301,7 @@ def cd_on_quotient(a: MonomialIdeal, p: MonomialPrime) -> int:
         raise RingError("cd_on_quotient needs a squarefree ideal")
     if not a.is_proper():
         raise ImproperIdealError("cd_on_quotient needs a proper ideal")
-    return a.ctx.n - p.height - depth_squarefree(mono_sum(a, p.monomial_ideal(a.ctx)))
+    return a.ctx.n - p.height - depth_squarefree(mono_sum(a, meet_of_primes(a.ctx, [p])))
 
 
 def att_top_via_cd(a: Ideal, M: CyclicModule) -> PrimeSet:
@@ -361,7 +366,8 @@ def module_ass_scan(N: FPModule) -> PrimeSet:
 
 
 # ---------------------------------------------------------------------------
-# Minimal primes by decomposition, and polynomial text by Fraction arithmetic.
+# Minimal primes by decomposition, meets of primes by intersection, and
+# polynomial text by Fraction arithmetic.
 
 def primes_from_ass(I: MonomialIdeal) -> tuple[PrimeSet, PrimeSet, PrimeSet, int, int]:
     """(Ass, Min, Assh, dim, height) of R/I for a proper monomial I: Ass
@@ -375,6 +381,21 @@ def primes_from_ass(I: MonomialIdeal) -> tuple[PrimeSet, PrimeSet, PrimeSet, int
     dim = n - min(p.height for p in mins)
     assh = [p for p in mins if n - p.height == dim]
     return ass, PrimeSet(mins), PrimeSet(assh), dim, n - dim
+
+
+def meet_of_primes_fold(ctx: RingCtx, primes: list[MonomialPrime]) -> MonomialIdeal:
+    """The meet of a nonempty list of monomial primes, each written as the
+    monomial ideal of its variables and met one at a time by
+    `mono_intersect`."""
+
+    def ideal(p: MonomialPrime) -> MonomialIdeal:
+        units = [tuple(1 if k == i else 0 for k in range(ctx.n)) for i in p.vars]
+        return MonomialIdeal.from_exponents(ctx, units)
+
+    acc = ideal(primes[0])
+    for p in primes[1:]:
+        acc = mono_intersect(acc, ideal(p))
+    return acc
 
 
 def _written_order(primes: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -148,6 +148,26 @@ def test_depth_refuses_an_ideal_outside_the_variables(capsys, cmd):
     assert err.strip() == "error: grade is undefined when the sequence generates everything"
 
 
+@pytest.mark.parametrize("cmd", ["depth", "cm"])
+def test_cm_refuses_a_non_graded_ideal_below_its_dimension(capsys, cmd):
+    # the depth at the origin is 1 and dim R/J is 2, but the localization at
+    # the origin is that of (x, y), of dimension 1: undecided, so refused
+    ring_ideal = ("--ring", "x,y,z", "--ideal", "x*z - x, y*z - y")
+    code, out, err = invoke(capsys, cmd, *ring_ideal)
+    assert (code, out) == (1, "")
+    assert err.strip() == (
+        "error: Cohen-Macaulayness of a non-graded R/J is undecided: depth 1 at the ideal"
+        " of variables is below dim R/J = 2, which the localization may not reach"
+    )
+    # grade of the variables still gives the depth at the origin
+    argv = ("grade", "--ring", "x,y,z", "--ideal", "x,y,z", "--module", "x*z - x, y*z - y")
+    assert doc_of(capsys, *argv)["grade"] == 1
+    # a non-graded J whose depth reaches the dimension is answered
+    code, out, err = invoke(capsys, cmd, "--ring", "x,y,z", "--ideal", "x*y - x, x*z")
+    assert code == 0
+    assert err.strip() == "depth 2, dim 2, cm: True"
+
+
 def test_dim_cm_equidim(capsys):
     assert doc_of(capsys, "dim", "--ring", "x,y", "--ideal", "x*y")["dim"] == 1
     doc = doc_of(capsys, "cm", "--ring", "x,y,z", "--ideal", "x*z, y*z")

@@ -47,6 +47,7 @@ from linkcoh.monomial import as_monomial
 from linkcoh.ring import (
     DEGREVLEX,
     Polynomial,
+    RingError,
     elimination_order,
     mono_divides,
     mono_mul,
@@ -353,6 +354,37 @@ def test_radical_member():
     assert radical_member(P(ctx, "x + y"), Ideal(ctx, [cube]))
     assert not radical_member(P(ctx, "x"), I_of(ctx, "y"))
     assert radical_member(P(ctx, "x*y"), I_of(ctx, "x^2*y^3"))
+
+
+@pytest.mark.parametrize("gens", [("x", "y*z"), ("x - y", "y*z")])
+def test_membership_refuses_a_polynomial_from_another_ring(gens):
+    # y of Q[x, y] is no element of Q[x, y, z]: the term ideal's divisibility
+    # test and the reducer table of the other ideal would each read its
+    # two-entry exponents against three variables
+    small, big = ring("x", "y"), ring("x", "y", "z")
+    for test in (ideal_member, radical_member):
+        with pytest.raises(RingError, match="^mixed ring contexts$"):
+            test(P(small, "y"), I_of(big, *gens))
+
+
+def test_radical_member_asks_membership_before_a_rabinowitsch_run(monkeypatch):
+    calls = []
+    real = groebner._rabinowitsch
+
+    def counted(I, f):
+        calls.append(f)
+        return real(I, f)
+
+    monkeypatch.setattr(groebner, "_rabinowitsch", counted)
+    ctx = ring("x", "y")
+    # members of a term ideal and of a non-term one, and zero
+    assert radical_member(P(ctx, "x*y"), I_of(ctx, "x^2", "y"))
+    assert radical_member(P(ctx, "x^3 - x*y"), I_of(ctx, "x^2 - y", "y^3"))
+    assert radical_member(Polynomial.zero(ctx), I_of(ctx, "x^2 - y"))
+    assert calls == []
+    # x is no member of (x^2 - y, y^3), but x^6 is
+    assert radical_member(P(ctx, "x"), I_of(ctx, "x^2 - y", "y^3"))
+    assert calls == [P(ctx, "x")]
 
 
 def test_random_membership_of_constructed_elements():

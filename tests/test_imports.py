@@ -11,6 +11,8 @@ name or as attributes of `groebner`.  Every name in `linkcoh.__all__` must
 resolve on the package, once.  Importing the package in a fresh interpreter
 must not load `multiprocessing`, which only a fanned-out `run_claim` uses,
 nor `argparse`, since the command line reads argv off the operation table.
+Every module of the package must parse under the grammar of the oldest
+Python that `requires-python` in pyproject.toml admits.
 
 Every definition in the package -- function, method, class, or name
 assigned at module top level -- must be read by some node of src/ or
@@ -130,6 +132,21 @@ def test_import_leaves_argparse_out():
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def _python_floor() -> tuple[int, int]:
+    """The oldest Python that `requires-python` in pyproject.toml admits."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_parse_at_the_python_floor(path):
+    # the grammar of the floor release: syntax newer than it (`except*`,
+    # `type` statements, generic parameter lists) fails here under a newer
+    # interpreter, though library calls newer than the floor do not
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from engine_routes import division_koszul_grade, engine_gb
+from engine_routes import division_koszul_grade, engine_gb, rabinowitsch_is_maximal
 from oracles import ass_member_presented, hom_cyclic, module_ass_scan, presented_annihilator
 from linkcoh import groebner, modules, monomial
 from linkcoh.groebner import (
@@ -47,6 +47,7 @@ from linkcoh.modules import (
     maximal_ideal,
     module_ass,
     module_gb,
+    radical_is_maximal,
     regular_chain,
     submodule_syzygies,
     unit_vec,
@@ -1036,6 +1037,58 @@ def test_nonhomogeneous_ideal_takes_the_koszul_route():
     assert M.lead_term_ideal().is_squarefree()
     assert depth_monomial(M.lead_term_ideal()) == 1
     assert M.depth() == _oracle_depth(J) == 2
+
+
+def test_cm_of_a_non_graded_ideal_is_refused_below_its_dimension():
+    # J = (x, y) ∩ (z - 1): at the origin z - 1 is a unit, so the local ring
+    # is that of (x, y), Cohen-Macaulay of dimension 1, while dim R/J = 2
+    ctx = ring("x", "y", "z")
+    M = CyclicModule(ctx, I_of(ctx, "x*z - x", "y*z - y"))
+    assert (M.depth(), M.dim()) == (1, 2)
+    with pytest.raises(RingError, match="^Cohen-Macaulayness of a non-graded R/J is undecided"):
+        M.is_cohen_macaulay()
+    # a depth that reaches dim R/J decides Cohen-Macaulayness at the origin
+    M = CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z"))
+    assert (M.depth(), M.dim(), M.is_cohen_macaulay()) == (2, 2, True)
+
+
+def test_homogeneity_is_read_off_the_reduced_basis(caplog):
+    # the generators are not homogeneous, the reduced basis (x - y, z^2) is:
+    # in(J) = (x, z^2) has depth 1 = dim, so the degeneration decides
+    ctx = ring("x", "y", "z")
+    M = CyclicModule(ctx, I_of(ctx, "x - y", "x - y + z^2"))
+    with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+        assert (M.depth(), M.dim(), M.is_cohen_macaulay()) == (1, 1, True)
+    assert caplog.records[-1].getMessage() == "depth: route degeneration"
+
+
+def test_radical_is_maximal_matches_one_rabinowitsch_run_per_variable():
+    ctx = ring("x", "y", "z")
+    pinned = [
+        (("x", "y", "z"), True),
+        (("x^2 - y", "y^3", "z^2 - x*z"), True),
+        (("x*y - 1", "z"), False),  # the hyperbola misses the origin
+        (("x*y", "y*z", "x*z"), False),
+        (("x - y^2", "y - z^2", "z - x^2"), False),  # the origin and seven more points
+        (("x", "1 - x*y"), False),  # the unit ideal
+        (("x + 1",), False),
+    ]
+    for gens, expected in pinned:
+        K = I_of(ctx, *gens)
+        assert radical_is_maximal(K) == rabinowitsch_is_maximal(K) == expected, gens
+    rng = random.Random(5)
+    terms = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+    seen = set()
+    for _ in range(40):
+        gens = [
+            Polynomial(ctx, {e: rng.choice((-1, 1, 2)) for e in rng.sample(terms, rng.randint(1, 3))})
+            for _ in range(rng.randint(2, 4))
+        ]
+        K = Ideal(ctx, gens)
+        got = radical_is_maximal(K)
+        assert got == rabinowitsch_is_maximal(K), gens
+        seen.add((got, is_proper(K)))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_degeneration_takes_high_exponent_lead_terms_directly(caplog):

@@ -25,6 +25,7 @@ from linkcoh.monomial import (
     as_monomial,
     associated_primes,
     irreducible_decomposition,
+    meet_of_primes,
     min_assh_dim,
     min_vertex_covers,
     minimalize,
@@ -36,7 +37,14 @@ from linkcoh.monomial import (
 )
 from linkcoh.ring import Polynomial, RingError, mono_one, parse_poly, ring
 from linkcoh.simplicial import _facet_masks
-from oracles import ass_tuples, cover_tuples, mono_colon, polarize, primes_from_ass
+from oracles import (
+    ass_tuples,
+    cover_tuples,
+    meet_of_primes_fold,
+    mono_colon,
+    polarize,
+    primes_from_ass,
+)
 
 
 def MI(ctx, *texts):
@@ -292,6 +300,37 @@ def test_cover_route_matches_the_decomposition_route_property():
             assert sorted(covers) == sorted(sum(1 << i for i in p.vars) for p in mins)
 
     check()
+
+
+def test_meet_of_primes_matches_the_intersection_fold_property():
+    # the minimal vertex covers of the prime masks against meeting the primes
+    # one at a time; repeated, comparable and zero primes included
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 7))
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+        return ring(*(f"x{i}" for i in range(n))), [MonomialPrime.from_mask(m) for m in masks]
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @hyp.given(cases())
+    def check(case):
+        ctx, primes = case
+        assert meet_of_primes(ctx, primes) == meet_of_primes_fold(ctx, primes)
+
+    check()
+
+
+def test_meet_of_primes_pinned():
+    ctx = ring("x", "y", "z")
+    xy, yz, y = MonomialPrime((0, 1)), MonomialPrime((1, 2)), MonomialPrime((1,))
+    assert meet_of_primes(ctx, [xy, yz]) == MI(ctx, "y", "x*z")
+    assert meet_of_primes(ctx, [xy, y, xy]) == MI(ctx, "y")
+    # the zero prime lies in every prime, and no prime is the whole ring
+    assert meet_of_primes(ctx, [xy, MonomialPrime()]).is_zero()
+    assert meet_of_primes(ctx, []).is_unit()
 
 
 def test_min_primes_and_dim_run_no_decomposition(monkeypatch, ctx):

@@ -300,6 +300,15 @@ def test_run_claim_pinned_module():
     assert doc["ok"]
 
 
+def test_t6_refuses_a_non_graded_pinned_module_below_its_dimension():
+    # J = (x, y) ∩ (z - 1) has depth 1 at the origin and dim R/J = 2, yet
+    # R/J is Cohen-Macaulay there: the depth/dimension oracle is undecided,
+    # so t6 refuses instead of reporting the claim as failed
+    params = InstanceParams(n_vars=3, count=2, maxdeg=2, seed=0, module="x*z - x, y*z - y")
+    with pytest.raises(RingError, match="^Cohen-Macaulayness of a non-graded R/J is undecided"):
+        run_claim("t6", params)
+
+
 def test_run_claim_non_monomial_pinned_module():
     # the attached and associated sets need a monomial J: l1 and l08 skip,
     # and t6 keeps its sequence route, which needs no monomial J
