@@ -26,7 +26,6 @@ from .groebner import (
     set_limits,
 )
 from .invariants import (
-    Verdict,
     ass_formal_zeroth,
     assh,
     att_top,
@@ -67,7 +66,7 @@ from .monomial import (
 from .ring import ParseError, Polynomial, RingCtx, RingError, parse_poly, ring
 from .session import SessionFile, parse_session, parse_session_text
 from .simplicial import cd_squarefree, depth_monomial
-from .theorems import CLAIMS, InstanceParams, run_claim
+from .theorems import CLAIMS, InstanceParams, Verdict, run_claim
 
 __version__ = "0.1.0"
 

@@ -13,11 +13,14 @@ non-monomial J rather than guess.  Whether a + p is cofinal with the ideal
 of variables is a vertex-mask test for monomial a and, for any other a,
 `modules.radical_is_maximal`, the package's one test of whether a radical
 is the ideal of variables.
+
+The module holds invariants only; `GRADED_NOTE` is the note the claim lab
+(`linkcoh.theorems`, which owns the verdict record) attaches to a verdict
+that reads these sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .groebner import Ideal, ideal_sum, is_proper
@@ -35,51 +38,6 @@ GRADED_NOTE = (
     " characterizations at the ideal of variables; no cohomology module is"
     " materialized"
 )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of checking one claim on one instance (or one batch).
-
-    status is one of pass / fail / skip / inconclusive; `holds` reads it as
-    True, False, or None when the claim was not actually decided.
-    """
-
-    claim: str
-    status: str
-    witnesses: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    counterexample: str | None = None
-
-    @classmethod
-    def passing(cls, claim: str, witnesses=(), notes=()) -> "Verdict":
-        return cls(claim, "pass", tuple(witnesses), tuple(notes))
-
-    @classmethod
-    def failing(cls, claim: str, counterexample: str, notes=()) -> "Verdict":
-        return cls(claim, "fail", (), tuple(notes), counterexample)
-
-    @classmethod
-    def skipped(cls, claim: str, reason: str) -> "Verdict":
-        return cls(claim, "skip", (), (reason,))
-
-    @classmethod
-    def inconclusive(cls, claim: str, reason: str) -> "Verdict":
-        return cls(claim, "inconclusive", (), (reason,))
-
-    @property
-    def holds(self) -> bool | None:
-        return {"pass": True, "fail": False}.get(self.status)
-
-    def as_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "holds": self.holds,
-            "status": self.status,
-            "witnesses": list(self.witnesses),
-            "notes": list(self.notes),
-            "counterexample": self.counterexample,
-        }
 
 
 def assh(M: CyclicModule) -> PrimeSet:

@@ -1,13 +1,18 @@
 """Batch verification of linkage and local-cohomology claims on randomized
 desk-scale instances.
 
-Every claim gets a checker that takes fully constructed domain objects and
-returns a Verdict, plus a sampler that draws one seeded instance; `run_claim`
-fans instances out (optionally across processes) and merges the verdicts
+`CLAIMS` is the one place a claim is named: each entry holds its title, its
+seeded instance draw, and whether the draw reads a pinned base module.  A
+draw builds fully constructed domain objects and hands them to the claim's
+checker, which returns a `Verdict` (status, witnesses, notes) that carries
+no claim name; `run_claim` fans instances out (optionally across
+processes), names each verdict by its key, and merges them
 deterministically.  Gates that a claim genuinely needs (monomial data, no
 embedded primes, equidimensionality, ...) produce skip verdicts rather than
 silently passing; search-based certificates that cannot be closed produce
-inconclusive verdicts.
+inconclusive verdicts.  A checker does not recompute what certification
+already proves about its instance (the grade of a link through a principal
+ideal, for one).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .groebner import (
     reduced_gb,
 )
 from .invariants import (
-    Verdict,
     GRADED_NOTE,
     ass_formal_zeroth,
     assh,
@@ -91,6 +95,50 @@ class InstanceParams:
         for name, least in (("count", 1), ("maxdeg", 1)):
             if getattr(self, name) < least:
                 raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of checking a claim on one instance.
+
+    status is one of pass / fail / skip / inconclusive; `holds` reads it as
+    True, False, or None when the claim was not actually decided.  The claim
+    itself is named only by its key in `CLAIMS`.
+    """
+
+    status: str
+    witnesses: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
+    counterexample: str | None = None
+
+    @classmethod
+    def passing(cls, witnesses=(), notes=()) -> "Verdict":
+        return cls("pass", tuple(witnesses), tuple(notes))
+
+    @classmethod
+    def failing(cls, counterexample: str, notes=()) -> "Verdict":
+        return cls("fail", (), tuple(notes), counterexample)
+
+    @classmethod
+    def skipped(cls, reason: str) -> "Verdict":
+        return cls("skip", (), (reason,))
+
+    @classmethod
+    def inconclusive(cls, reason: str) -> "Verdict":
+        return cls("inconclusive", (), (reason,))
+
+    @property
+    def holds(self) -> bool | None:
+        return {"pass": True, "fail": False}.get(self.status)
+
+    def as_json(self) -> dict:
+        return {
+            "holds": self.holds,
+            "status": self.status,
+            "witnesses": list(self.witnesses),
+            "notes": list(self.notes),
+            "counterexample": self.counterexample,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +230,16 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
     either side against its own quotient has exactly the associated primes
     common to R/(a+J) and R/(b+J).
     """
-    claim = "l1"
     M = cert.module
     if M.monomial is None:
-        return Verdict.skipped(claim, "needs a monomial base ideal")
+        return Verdict.skipped("needs a monomial base ideal")
     Ma, Mb, core = cert.quotient_a, cert.quotient_b, cert.quotient_core
     if core.monomial is None or Ma.monomial is None or Mb.monomial is None:
-        return Verdict.skipped(claim, "needs a monomial core and monomial sides")
+        return Verdict.skipped("needs a monomial core and monomial sides")
     if core.primes().ass != core.primes().min_primes:
         # shared hypothesis for both parts; with an embedded prime in the
         # core the Ext module can pick up extra associated primes
-        return Verdict.skipped(claim, "core has embedded primes")
+        return Verdict.skipped("core has embedded primes")
     witnesses: list[str] = []
     notes = [GRADED_NOTE]
     ass_a, ass_b = Ma.primes().ass, Mb.primes().ass
@@ -207,7 +254,6 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
             ht = height_in_module(p, M)
             if ht != g:
                 return Verdict.failing(
-                    claim,
                     f"module height {ht} of {p.render(cert.ctx)} on side {label}"
                     f" differs from grade {g} over {M.describe()}",
                     notes=notes,
@@ -223,13 +269,12 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
         got = module_ass(E)
         if got != common:
             return Verdict.failing(
-                claim,
                 f"self-dual Ext of side {label} has associated primes"
                 f" {got.render(cert.ctx)}, expected {common.render(cert.ctx)}",
                 notes=notes,
             )
     witnesses.append(f"ext-ass={common.render(cert.ctx)}")
-    return Verdict.passing(claim, witnesses, notes)
+    return Verdict.passing(witnesses, notes)
 
 
 def check_pure_height_split(a: MonomialIdeal) -> Verdict:
@@ -239,63 +284,59 @@ def check_pure_height_split(a: MonomialIdeal) -> Verdict:
     primes and the intersection b of the remaining minimal primes satisfy
     sqrt(a) = a' ∩ b, and a' + b has height at least h + 2.
     """
-    claim = "t2"
     info = min_assh_dim(a)
     h = info.height
     rest = [p for p in info.min_primes if p.height > h]
     if not rest:
         return Verdict.passing(
-            claim, (f"height={h}",), ("all minimal primes share one height; the split is trivial",)
+            (f"height={h}",), ("all minimal primes share one height; the split is trivial",)
         )
     ap = meet_of_primes(a.ctx, info.assh)
     b = meet_of_primes(a.ctx, rest)
     if associated_primes(ap) != info.assh:
-        return Verdict.failing(claim, "pure-height part has unexpected associated primes")
+        return Verdict.failing("pure-height part has unexpected associated primes")
     if mono_radical(a) != mono_intersect(ap, b):
-        return Verdict.failing(claim, "radical differs from the intersection of the two parts")
+        return Verdict.failing("radical differs from the intersection of the two parts")
     joint = min_assh_dim(mono_sum(ap, b)).height
     if not joint > h + 1:
-        return Verdict.failing(
-            claim,
-            f"parts meet in height {joint}, not above {h + 1}",
-        )
-    return Verdict.passing(claim, (f"height={h}", f"joint-height={joint}",))
+        return Verdict.failing(f"parts meet in height {joint}, not above {h + 1}")
+    return Verdict.passing((f"height={h}", f"joint-height={joint}",))
 
 
 def check_grade_one_links(cert: LinkageCertificate) -> Verdict:
     """Pairs linked through a principal ideal over the full ring are unmixed
     of height one, their monomial radical is principal, and in two variables
-    nothing is attached to the top cohomology along them."""
-    claim = "p1"
+    nothing is attached to the top cohomology along them.
+
+    No grade is computed: a certified link a ~ b through (f) has grade one,
+    as a*b lies in (f) and b does not, so a consists of zero-divisors on
+    R/(f).  Both sides are principal, as R is a UFD: (f) : (g) is
+    (f / gcd(f, g)), and (u) ∩ (v) is (lcm(u, v)).
+    """
     ctx = cert.ctx
     if not cert.module.ideal.is_zero_ideal():
-        return Verdict.skipped(claim, "needs the full ring as base module")
+        return Verdict.skipped("needs the full ring as base module")
     if len(cert.I.gens) != 1:
-        return Verdict.skipped(claim, "needs a principal core")
-    if koszul_grade(reduced_gb(cert.a), cert.module.ideal) != 1:
-        return Verdict.skipped(claim, "needs grade one")
+        return Verdict.skipped("needs a principal core")
     witnesses = []
     # over the full ring each quotient is R/a or R/b itself
     for label, side, quot in (("a", cert.a, cert.quotient_a), ("b", cert.b, cert.quotient_b)):
         sm = quot.monomial
         if sm is None:
-            return Verdict.skipped(claim, "needs monomial sides")
-        if any(p.height != 1 for p in quot.primes().min_primes):
-            return Verdict.failing(
-                claim, f"side {label} has a minimal prime of height above one"
-            )
+            return Verdict.skipped("needs monomial sides")
+        if any(p.height != 1 for p in quot.primes().ass):
+            return Verdict.failing(f"side {label} has an associated prime of height above one")
         rad = mono_radical(sm)
         if len(rad.min_gens) != 1:
-            return Verdict.failing(claim, f"side {label} has a non-principal radical")
+            return Verdict.failing(f"side {label} has a non-principal radical")
         if ctx.n == 2:
             att = att_top(side, cert.module)
             if len(att) != 0:
                 return Verdict.failing(
-                    claim,
                     f"side {label} attaches {att.render(ctx)} to the top cohomology",
                 )
         witnesses.append(f"{label}-radical={rad.render()}")
-    return Verdict.passing(claim, witnesses, (GRADED_NOTE,))
+    return Verdict.passing(witnesses, (GRADED_NOTE,))
 
 
 def check_att_calculus(a: MonomialIdeal, b: MonomialIdeal, M: CyclicModule) -> Verdict:
@@ -306,28 +347,27 @@ def check_att_calculus(a: MonomialIdeal, b: MonomialIdeal, M: CyclicModule) -> V
     of the zeroth formal cohomology.  When additionally a*b kills M: the same
     sets along a + b are the unions.
     """
-    claim = "l08"
     if M.monomial is None:
-        return Verdict.skipped(claim, "needs a monomial base ideal")
+        return Verdict.skipped("needs a monomial base ideal")
     ctx = M.ctx
     aI, bI = a.to_ideal(), b.to_ideal()
     cap = mono_intersect(a, b).to_ideal()
     att_a, att_b = att_top(aI, M), att_top(bI, M)
     if att_top(cap, M) != att_a & att_b:
-        return Verdict.failing(claim, "attached set of the intersection is not the intersection")
+        return Verdict.failing("attached set of the intersection is not the intersection")
     f_a, f_b = ass_formal_zeroth(aI, M), ass_formal_zeroth(bI, M)
     if ass_formal_zeroth(cap, M) != f_a & f_b:
-        return Verdict.failing(claim, "formal zeroth sets fail the intersection rule")
+        return Verdict.failing("formal zeroth sets fail the intersection rule")
     witnesses = [f"att(a)={att_a.render(ctx)}", f"att(b)={att_b.render(ctx)}"]
     notes = [GRADED_NOTE]
     if mono_contains(M.monomial, mono_product(a, b)):
         plus = mono_sum(a, b).to_ideal()
         if att_top(plus, M) != att_a | att_b:
-            return Verdict.failing(claim, "attached set of the sum is not the union")
+            return Verdict.failing("attached set of the sum is not the union")
         if ass_formal_zeroth(plus, M) != f_a | f_b:
-            return Verdict.failing(claim, "formal zeroth sets fail the union rule")
+            return Verdict.failing("formal zeroth sets fail the union rule")
         witnesses.append("product-kills-module")
-    return Verdict.passing(claim, witnesses, notes)
+    return Verdict.passing(witnesses, notes)
 
 
 def _homogeneous_pool(rng: random.Random, ctx: RingCtx, maxdeg: int) -> list[Polynomial]:
@@ -387,7 +427,6 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
     certified-maximal regular sequence, the quotient has dimension zero
     exactly when the module was Cohen-Macaulay.
     """
-    claim = "t6"
     ctx = M.ctx
     notes = [GRADED_NOTE]
     witnesses: list[str] = []
@@ -401,7 +440,6 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
         if len(att_a & att_b) != 0:
             if not M.is_cohen_macaulay():
                 return Verdict.failing(
-                    claim,
                     f"attached sets meet in {(att_a & att_b).render(ctx)} but"
                     f" {M.describe()} is not Cohen-Macaulay",
                     notes=notes,
@@ -413,14 +451,11 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
     pool = _homogeneous_pool(rng, ctx, maxdeg)
     seq, Q, certified = _greedy_maximal_sequence(M, pool)
     if not certified:
-        return Verdict.inconclusive(
-            claim, "pool exhausted before certifying a maximal regular sequence"
-        )
+        return Verdict.inconclusive("pool exhausted before certifying a maximal regular sequence")
     dim_zero = radical_is_maximal(Q)
     oracle = M.is_cohen_macaulay()
     if dim_zero != oracle:
         return Verdict.failing(
-            claim,
             f"maximal sequence of length {len(seq)} leaves dimension-zero={dim_zero}"
             f" but the depth/dimension oracle says CM={oracle} for {M.describe()}",
             notes=notes,
@@ -430,38 +465,35 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
         no_embedded = MQ.primes().ass == MQ.primes().min_primes
         if no_embedded != dim_zero:
             return Verdict.failing(
-                claim,
                 "embedded-prime view disagrees with the dimension-zero view"
                 " after a maximal sequence",
                 notes=notes,
             )
         witnesses.append("monomial cross-check: embedded-prime view agrees")
     witnesses.append(f"sequence-route: len={len(seq)}, CM={oracle}")
-    return Verdict.passing(claim, witnesses, notes)
+    return Verdict.passing(witnesses, notes)
 
 
 def check_equidim_transfer(cert: LinkageCertificate) -> Verdict:
     """Geometric zero-links over an equidimensional module leave both
     quotients equidimensional of the same full dimension."""
-    claim = "r1"
     if not cert.geometric or not cert.I.is_zero_ideal():
-        return Verdict.skipped(claim, "needs a geometric zero-link")
+        return Verdict.skipped("needs a geometric zero-link")
     M = cert.module
     if M.monomial is None:
-        return Verdict.skipped(claim, "needs a monomial base ideal")
+        return Verdict.skipped("needs a monomial base ideal")
     if not is_equidimensional(M):
-        return Verdict.skipped(claim, "needs an equidimensional module")
+        return Verdict.skipped("needs an equidimensional module")
     d = M.dim()
     for label, quot in (("a", cert.quotient_a), ("b", cert.quotient_b)):
         if quot.monomial is None:
-            return Verdict.skipped(claim, "needs monomial sides")
+            return Verdict.skipped("needs monomial sides")
         dims = {cert.ctx.n - p.height for p in quot.primes().min_primes}
         if dims != {d}:
             return Verdict.failing(
-                claim,
                 f"side {label} has quotient dimensions {sorted(dims)}, expected {{{d}}}",
             )
-    return Verdict.passing(claim, (f"dim={d}",))
+    return Verdict.passing((f"dim={d}",))
 
 
 def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
@@ -475,18 +507,17 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
     over an equidimensional module with a geometric link, fullness on one
     side is equivalent to fullness on the other.
     """
-    claim = "l15"
     ctx = cert.ctx
     if not cert.I.is_zero_ideal():
-        return Verdict.skipped(claim, "needs a zero-link")
+        return Verdict.skipped("needs a zero-link")
     M = cert.module
     if M.monomial is None:
-        return Verdict.skipped(claim, "needs a monomial base ideal")
+        return Verdict.skipped("needs a monomial base ideal")
     if M.dim() <= 0:
-        return Verdict.skipped(claim, "needs positive dimension")
+        return Verdict.skipped("needs positive dimension")
     Ma, Mb = cert.quotient_a, cert.quotient_b
     if Ma.monomial is None or Mb.monomial is None:
-        return Verdict.skipped(claim, "needs monomial sides")
+        return Verdict.skipped("needs monomial sides")
     att_a = att_top(cert.a, M)
     att_b = att_top(cert.b, M)
     assh_a = assh(Ma)
@@ -494,14 +525,12 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
     notes = [GRADED_NOTE]
     if not att_a.issubset(assh_b):
         return Verdict.failing(
-            claim,
             f"attached along a {att_a.render(ctx)} leaves the top primes of M/bM"
             f" {assh_b.render(ctx)}",
             notes=notes,
         )
     if not att_b.issubset(assh_a):
         return Verdict.failing(
-            claim,
             f"attached along b {att_b.render(ctx)} leaves the top primes of M/aM"
             f" {assh_a.render(ctx)}",
             notes=notes,
@@ -510,14 +539,14 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
     if Ma.dim() != Mb.dim():
         if len(att_a) != 0 and len(att_b) != 0:
             return Verdict.failing(
-                claim, "both attached sets are nonempty although the dimensions differ",
+                "both attached sets are nonempty although the dimensions differ",
                 notes=notes,
             )
         witnesses.append("dimension-gap: one side empty")
     if ass_formal_zeroth(cert.a, M) == M.primes().ass:
-        if att_a != att_top(maximal_ideal(ctx), M) or len(att_b) != 0:
+        # m + p = m for every p, so the attached set along m is all of Assh
+        if att_a != assh(M) or len(att_b) != 0:
             return Verdict.failing(
-                claim,
                 "zeroth formal set of a exhausts the associated primes, yet the"
                 " attached sets are not everything/nothing",
                 notes=notes,
@@ -528,11 +557,11 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
         full_b = att_b == assh_a
         if full_a != full_b:
             return Verdict.failing(
-                claim, "fullness holds on exactly one side of a geometric link",
+                "fullness holds on exactly one side of a geometric link",
                 notes=notes,
             )
         witnesses.append(f"fullness-equivalence: {full_a}")
-    return Verdict.passing(claim, witnesses, notes)
+    return Verdict.passing(witnesses, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +570,10 @@ def check_top_prime_transfer(cert: LinkageCertificate) -> Verdict:
 def _draw_l1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     M = _pinned_module(params, ctx) or _random_module(rng, ctx, min(params.maxdeg, 2))
     if M.ideal.is_zero_ideal():
-        return Verdict.skipped("l1", "needs a proper base module")
+        return Verdict.skipped("needs a proper base module")
     cert = _one_linked_cert(M, rng, params.maxdeg)
     if cert is None:
-        return Verdict.skipped("l1", "no linked pair found for this draw")
+        return Verdict.skipped("no linked pair found for this draw")
     return check_height_and_self_ext(cert)
 
 
@@ -580,8 +609,8 @@ def _draw_p1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
         cert = link_of(trial, core, M, close=True)
     except LinkageError as err:
         if err.reason == "improper-b":
-            return Verdict.skipped("p1", "trial collapsed to a unit colon")
-        return Verdict.skipped("p1", f"draw not linked: {err.reason}")
+            return Verdict.skipped("trial collapsed to a unit colon")
+        return Verdict.skipped(f"draw not linked: {err.reason}")
     return check_grade_one_links(cert)
 
 
@@ -605,32 +634,36 @@ def _draw_t6(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
 
 def _draw_r1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     if ctx.n < 2:
-        return Verdict.skipped("r1", "needs at least two variables")
+        return Verdict.skipped("needs at least two variables")
     cert = bipartition_zero_link(rng, ctx, equal_height=rng.random() < 0.7)
     if cert is None:
-        return Verdict.skipped("r1", "no antichain of primes found for this draw")
+        return Verdict.skipped("no antichain of primes found for this draw")
     return check_equidim_transfer(cert)
 
 
 def _draw_l15(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     if ctx.n < 2:
-        return Verdict.skipped("l15", "needs at least two variables")
+        return Verdict.skipped("needs at least two variables")
     if seed % 2 == 0:
         cert = bipartition_zero_link(rng, ctx, equal_height=rng.random() < 0.6)
         if cert is None:
-            return Verdict.skipped("l15", "no antichain of primes found for this draw")
+            return Verdict.skipped("no antichain of primes found for this draw")
     else:
         M = _random_module(rng, ctx, min(params.maxdeg, 2))
         cert = _one_linked_cert(M, rng, params.maxdeg, seq_len_max=0)
         if cert is None:
-            return Verdict.skipped("l15", "no zero-linked pair found for this draw")
+            return Verdict.skipped("no zero-linked pair found for this draw")
     return check_top_prime_transfer(cert)
 
 
 @dataclass(frozen=True)
 class ClaimInfo:
+    """One claim: its title, its instance draw, and whether the draw reads
+    `InstanceParams.module` (a pinnable claim) or draws its own base module."""
+
     title: str
     draw: object
+    pinnable: bool = False
 
 
 CLAIMS: dict[str, ClaimInfo] = {
@@ -638,6 +671,7 @@ CLAIMS: dict[str, ClaimInfo] = {
         "linked sides sit at their Koszul grade; self-dual Ext carries the common"
         " associated primes",
         _draw_l1,
+        pinnable=True,
     ),
     "t2": ClaimInfo(
         "the radical splits into a pure-height part and a rest meeting in height"
@@ -653,11 +687,13 @@ CLAIMS: dict[str, ClaimInfo] = {
         "attached/associated sets send intersections to intersections, and sums to"
         " unions once the product kills the module",
         _draw_l08,
+        pinnable=True,
     ),
     "t6": ClaimInfo(
         "a nonempty common attached set forces Cohen-Macaulayness; maximal regular"
         " sequences detect it by dimension zero",
         _draw_t6,
+        pinnable=True,
     ),
     "r1": ClaimInfo(
         "geometric zero-links over an equidimensional module keep both quotients"
@@ -672,10 +708,6 @@ CLAIMS: dict[str, ClaimInfo] = {
 }
 
 
-# the claims whose draws read `InstanceParams.module`; the rest draw their own
-_PINNABLE = ("l1", "l08", "t6")
-
-
 def _run_instance(args: tuple[str, InstanceParams, int, Limits]) -> dict:
     claim, params, seed, limits = args
     info = CLAIMS[claim]
@@ -684,12 +716,10 @@ def _run_instance(args: tuple[str, InstanceParams, int, Limits]) -> dict:
     try:
         verdict = info.draw(params, seed, random.Random(seed), ctx)
     except BudgetExceeded as err:
-        verdict = Verdict.skipped(claim, f"budget exhausted: {err}")
+        verdict = Verdict.skipped(f"budget exhausted: {err}")
     finally:
         _LIMITS.reset(token)
-    out = verdict.as_json()
-    out["seed"] = seed
-    return out
+    return {"claim": claim, **verdict.as_json(), "seed": seed}
 
 
 def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
@@ -704,10 +734,11 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
         raise RingError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
     if jobs < 1:
         raise RingError(f"jobs must be at least 1, got {jobs}")
-    if params.module is not None and claim not in _PINNABLE:
-        pinnable = ", ".join(_PINNABLE[:-1]) + " and " + _PINNABLE[-1]
+    if params.module is not None and not CLAIMS[claim].pinnable:
+        *rest, last = (name for name, info in CLAIMS.items() if info.pinnable)
         raise RingError(
-            f"claim {claim} draws its own base module; only {pinnable} take a pinned module"
+            f"claim {claim} draws its own base module;"
+            f" only {', '.join(rest)} and {last} take a pinned module"
         )
     limits = _LIMITS.get()
     tasks = [(claim, params, params.seed + k, limits) for k in range(params.count)]

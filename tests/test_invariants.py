@@ -6,14 +6,13 @@ from engine_routes import rabinowitsch_is_maximal
 from linkcoh.groebner import Ideal, ideal_sum, is_proper
 from linkcoh.invariants import (
     GRADED_NOTE,
-    Verdict,
     ass_formal_zeroth,
     assh,
     att_top,
     height_in_module,
     is_equidimensional,
 )
-from linkcoh.modules import CyclicModule
+from linkcoh.modules import CyclicModule, maximal_ideal
 from linkcoh import monomial
 from linkcoh.monomial import (
     ImproperIdealError,
@@ -24,6 +23,7 @@ from linkcoh.monomial import (
     min_assh_dim,
 )
 from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh.theorems import Verdict
 from oracles import att_top_via_cd
 
 import random
@@ -68,6 +68,26 @@ def test_att_top_of_maximal_ideal_is_assh():
     for M in [R_mod(ctx), R_mod(ctx, "x*y"), R_mod(ctx, "x*z", "y*z")]:
         m = I_of(ctx, "x", "y", "z")
         assert att_top(m, M) == assh(M)
+
+
+def test_att_top_of_maximal_ideal_is_assh_property():
+    # m + p = m for every prime p, so along m every top prime is attached;
+    # l15 reads assh(M) for this set
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+        J = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(exps, max_size=4)))
+        hyp.assume(not J.is_unit())
+        M = CyclicModule(ctx, J.to_ideal())
+        assert att_top(maximal_ideal(ctx), M) == assh(M), J.min_gens
+
+    check()
 
 
 def test_att_top_along_zero_is_empty_in_positive_dimension():
@@ -269,17 +289,19 @@ def test_prime_record_matches_its_definitions():
 
 
 def test_verdict_shapes():
-    v = Verdict.passing("c", witnesses=("w",), notes=("n",))
+    v = Verdict.passing(witnesses=("w",), notes=("n",))
     assert (v.status, v.holds) == ("pass", True)
-    f = Verdict.failing("c", "bad", notes=("n",))
+    f = Verdict.failing("bad", notes=("n",))
     assert (f.status, f.holds, f.counterexample) == ("fail", False, "bad")
-    s = Verdict.skipped("c", "why")
+    s = Verdict.skipped("why")
     assert (s.status, s.holds, s.notes) == ("skip", None, ("why",))
-    i = Verdict.inconclusive("c", "dunno")
+    i = Verdict.inconclusive("dunno")
     assert i.status == "inconclusive" and i.holds is None
     for status, holds in (("pass", True), ("fail", False), ("skip", None), ("inconclusive", None)):
-        assert Verdict("c", status).holds is holds
-    doc = f.as_json()
+        assert Verdict(status).holds is holds
+    # a verdict names no claim; the claim lab puts the claim's key in front
+    assert "claim" not in f.as_json()
+    doc = {"claim": "c", **f.as_json()}
     assert doc == {
         "claim": "c",
         "holds": False,

@@ -1,17 +1,21 @@
 """Claim checkers and the randomized claim runner."""
 
+import ast
+import dataclasses
 import multiprocessing
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from linkcoh.groebner import BudgetExceeded, Ideal, set_limits
-from linkcoh.linkage import LinkageError, check_linked
-from linkcoh.modules import CyclicModule
+from linkcoh.groebner import BudgetExceeded, Ideal, ideal_sum, reduced_gb, set_limits
+from linkcoh.linkage import LinkageError, _random_monomial, check_linked, link_of
+from linkcoh.modules import CyclicModule, koszul_grade
 from linkcoh.monomial import ImproperIdealError, as_monomial
 from linkcoh.invariants import is_equidimensional
-from linkcoh.ring import ParseError, RingError, parse_poly, ring
+from linkcoh.ring import ParseError, Polynomial, RingError, parse_poly, ring
 from linkcoh.session import SessionError
 from linkcoh import theorems
 from linkcoh.theorems import (
@@ -115,6 +119,52 @@ def test_grade_one_checker():
         I_of(ctx3, "x", "z"), I_of(ctx3, "y", "z"), I_of(ctx3, "x*y", "z"), R_mod(ctx3)
     )
     assert check_grade_one_links(cert2).status == "skip"
+
+
+def test_grade_one_checker_reads_every_associated_prime():
+    # (x^2, x*y) = (x) ∩ (x, y)^2 has only the height-one minimal prime (x)
+    # and a principal radical; its embedded prime (x, y) makes it mixed
+    ctx = ring("x", "y")
+    cert = check_linked(I_of(ctx, "x"), I_of(ctx, "y"), I_of(ctx, "x*y"), R_mod(ctx))
+    mixed = I_of(ctx, "x^2", "x*y")
+    forged = dataclasses.replace(cert, a=mixed, quotient_a=CyclicModule(ctx, mixed))
+    v = check_grade_one_links(forged)
+    assert v.status == "fail"
+    assert v.counterexample == "side a has an associated prime of height above one"
+
+
+def _principal_grade_one(side):
+    gens = reduced_gb(side)
+    return len(gens) == 1 and koszul_grade(gens, Ideal.zero(side.ctx)) == 1
+
+
+def test_principal_core_links_have_principal_sides_of_grade_one():
+    # what p1 no longer computes: a certified link through (f) over R has
+    # grade one, and in the UFD R both of its sides are principal
+    linked = 0
+    for n in (2, 3, 4):
+        ctx = theorems.ctx_for(n)
+        R = CyclicModule.full_ring(ctx)
+        for seed in range(60):
+            # drawn as the p1 instances are
+            rng = random.Random(seed)
+            core = Ideal(ctx, [Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, 3))])
+            extras = [
+                Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, 3))
+                for _ in range(rng.randint(1, 2))
+            ]
+            try:
+                cert = link_of(ideal_sum(core, Ideal(ctx, extras)), core, R, close=True)
+            except LinkageError:
+                continue
+            assert _principal_grade_one(cert.a) and _principal_grade_one(cert.b), (n, seed)
+            linked += 1
+    assert linked >= 60, linked
+    # a link that is not monomial: f = x*y*(x + y), a = (x*y), b = (x + y)
+    ctx = ring("x", "y")
+    cert = check_linked(I_of(ctx, "x*y"), I_of(ctx, "x + y"), I_of(ctx, "x^2*y + x*y^2"), R_mod(ctx))
+    assert _principal_grade_one(cert.a) and _principal_grade_one(cert.b)
+    assert check_grade_one_links(cert).notes == ("needs monomial sides",)
 
 
 def test_pure_height_split_checker():
@@ -320,3 +370,55 @@ def test_run_claim_non_monomial_pinned_module():
     doc = run_claim("t6", params)
     assert doc["ok"] and doc["counts"]["pass"] == 4
     assert all(any("linkage route skipped" in n for n in v["notes"]) for v in doc["verdicts"])
+
+
+def test_run_claim_names_each_verdict_by_its_key():
+    doc = run_claim("t2", InstanceParams(n_vars=3, count=3, maxdeg=2, seed=1))
+    for v in doc["verdicts"]:
+        assert list(v) == ["claim", "holds", "status", "witnesses", "notes", "counterexample", "seed"]
+        assert v["claim"] == "t2"
+
+
+# ---------------------------------------------------------------------------
+# The claim table is the one place a claim is named and pinned.
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+PINNABLE = [name for name, info in CLAIMS.items() if info.pinnable]
+
+
+def test_claims_are_named_only_by_the_claim_table():
+    tree = ast.parse(Path(theorems.__file__).read_text(encoding="utf-8"))
+    (table,) = (
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "CLAIMS"
+    )
+    keys = {id(k) for k in table.keys}
+    assert len(keys) == len(CLAIMS)
+    stray = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value in CLAIMS
+        and id(node) not in keys
+    ]
+    assert stray == []
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end]
+
+
+def test_readme_catalog_lists_exactly_the_claims():
+    rows = re.findall(r"^\| `(\w+)` \|", _readme_section("The claim catalog"), re.M)
+    assert rows == list(CLAIMS)
+
+
+def test_readme_pinning_sentence_names_exactly_the_pinnable_claims():
+    prose = " ".join(_readme_section("The claim catalog").split())
+    (named,) = re.findall(r"`--module J` pins the base module of ([^;]*);", prose)
+    assert re.findall(r"`(\w+)`", named) == PINNABLE
