@@ -30,6 +30,7 @@ from .monomial import (
     MonomialPrime,
     PrimeSet,
     as_monomial,
+    check_in_ring,
 )
 from .ring import RingError, mono_mask
 
@@ -86,6 +87,7 @@ def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:
 def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:
     """Height of p over M: the largest gap to a minimal prime below it."""
     pm = p.mask
+    check_in_ring(M.ctx, pm)
     below = [q.mask for q in M.primes().min_primes if not q.mask & ~pm]
     if not below:
         raise RingError("prime lies outside the support of the module")

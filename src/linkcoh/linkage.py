@@ -247,7 +247,7 @@ def random_linked_pairs(
     J = M.ideal
     produced = 0
     seen: set = set()
-    attempts = ATTEMPTS_PER_PAIR * max(1, params.count)
+    attempts = ATTEMPTS_PER_PAIR * params.count
     min_len = 0 if not J.is_zero_ideal() else 1
 
     def gb_key(X: CyclicModule) -> tuple[str, ...]:

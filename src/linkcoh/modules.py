@@ -77,6 +77,7 @@ from .monomial import (
     PrimeSet,
     all_monomial_primes,
     as_monomial,
+    check_in_ring,
     min_assh_dim,
 )
 from .simplicial import depth_monomial
@@ -223,6 +224,7 @@ def ass_member(p: MonomialPrime, N: FPModule) -> bool:
     """Whether p is an associated prime of N: whether Hom(R/p, N), which p
     kills, is nonzero after localizing at p, i.e. its annihilator lies in p.
     A zero Hom has the unit annihilator, which lies in no prime."""
+    check_in_ring(N.ctx, p.mask)
     return all(p.contains_poly(f) for f in hom_annihilator(p.to_ideal(N.ctx), N).gens)
 
 

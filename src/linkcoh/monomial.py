@@ -49,6 +49,16 @@ class ImproperIdealError(RingError):
     """An operation that needs a proper ideal got the whole ring."""
 
 
+def check_in_ring(ctx: RingCtx, mask: int) -> None:
+    """Refuse a vertex mask that names a variable outside ctx: one still
+    nonzero after shifting out the ring's n variables."""
+    if mask >> ctx.n:
+        raise RingError(
+            f"monomial prime names variable index {mask.bit_length() - 1},"
+            f" outside a ring of {ctx.n} variables"
+        )
+
+
 def _checked_index(value, kind: str) -> int:
     """A variable index or a vertex mask: a nonnegative int, not a bool."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -128,6 +138,7 @@ class MonomialPrime:
         return groebner.Ideal(ctx, gens)
 
     def render(self, ctx: RingCtx) -> list[str]:
+        check_in_ring(ctx, self.mask)
         return [ctx.var_names[i] for i in self.vars]
 
 
@@ -424,8 +435,11 @@ def meet_of_primes(ctx: RingCtx, primes: Iterable[MonomialPrime]) -> MonomialIde
     P_S exactly when its support meets every S, so the minimal generators
     are the squarefree monomials of the minimal vertex covers of the prime
     masks.  The meet of no primes is the unit ideal, and one with the zero
-    prime, which nothing covers, is the zero ideal."""
+    prime, which nothing covers, is the zero ideal.  A prime naming a
+    variable outside ctx is refused."""
     masks = sorted({p.mask for p in primes}, key=int.bit_count)
+    # the largest mask holds the highest variable named
+    check_in_ring(ctx, max(masks, default=0))
     covers = min_vertex_covers(masks, "meet of primes")
     exps = [tuple(c >> i & 1 for i in range(ctx.n)) for c in covers]
     return MonomialIdeal.from_exponents(ctx, exps)

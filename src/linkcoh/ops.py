@@ -17,6 +17,7 @@ prime, a list of variable names) need `--ring`; the scalar kinds do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 from typing import Callable
 
 from .groebner import (
@@ -377,8 +378,11 @@ TABLE: tuple[Op | Group, ...] = (
             Operand("--close", SWITCH, False, "replace a by its double link before certifying")),
            lambda a, I, M, close: _certified(link_of, a, I, M, close=close), _summary_link_of),
         Op("random", "seeded random certified linkage instances",
-           (Operand("--count", INT, 10), Operand("--seed", INT, 0), Operand("--maxdeg", INT, 3),
-            Operand("--max-extra", INT, 2), Operand("--seq-len-max", INT, 2), _MODULE),
+           (Operand("--count", INT, GenParams.count),
+            Operand("--seed", INT, signature(random_linked_pairs).parameters["seed"].default),
+            Operand("--maxdeg", INT, GenParams.maxdeg),
+            Operand("--max-extra", INT, GenParams.max_extra),
+            Operand("--seq-len-max", INT, GenParams.seq_len_max), _MODULE),
            _doc_random, _count("certificates", "certificate(s)")),
     )),
     Op("att-top", "attached primes of the top local cohomology", (_IDEAL, _MODULE),
@@ -396,9 +400,11 @@ TABLE: tuple[Op | Group, ...] = (
     Op("verify", "batch-check one claim on seeded instances",
        (Operand("claim", CLAIM, help=", ".join(sorted(CLAIMS))),
         Operand("--random", INT, help="instance count"),
-        Operand("--vars", INT, 3), Operand("--maxdeg", INT, 3), Operand("--seed", INT, 0),
-        Operand("--module", TEXT, None, "pin the base module's defining ideal"),
-        Operand("--jobs", INT, 1)),
+        Operand("--vars", INT, InstanceParams.n_vars),
+        Operand("--maxdeg", INT, InstanceParams.maxdeg),
+        Operand("--seed", INT, InstanceParams.seed),
+        Operand("--module", TEXT, InstanceParams.module, "pin the base module's defining ideal"),
+        Operand("--jobs", INT, signature(run_claim).parameters["jobs"].default)),
        _doc_verify, _summary_verify),
     Op("session", "run every task of a session file", (Operand("path", PATH),),
        _doc_session, _summary_session),

@@ -215,6 +215,15 @@ def test_height_in_module():
         height_in_module(MonomialPrime((0,)), CyclicModule(ctx, I_of(ctx, "x + y^2")))
 
 
+def test_height_in_module_refuses_a_variable_outside_the_ring():
+    # the mask test alone would read (x, x_5) as height 1 over R/(x)
+    ctx = ring("x", "y")
+    M = R_mod(ctx, "x")
+    with pytest.raises(RingError, match="names variable index 5, outside a ring of 2"):
+        height_in_module(MonomialPrime((0, 5)), M)
+    assert height_in_module(MonomialPrime((0, 1)), M) == 1
+
+
 def test_height_in_module_takes_largest_gap():
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, "x*y", "x*z")  # minimal primes (x) and (y, z)

@@ -573,6 +573,14 @@ def test_ass_member_matches_associated_primes():
             assert ass_member(p, N) == (p in expected), (texts, p)
 
 
+def test_ass_member_refuses_a_variable_outside_the_ring():
+    ctx = ring("x", "y")
+    N = CyclicModule(ctx, I_of(ctx, "x")).to_fp()
+    with pytest.raises(RingError, match="names variable index 5, outside a ring of 2"):
+        ass_member(MonomialPrime((0, 5)), N)
+    assert ass_member(MonomialPrime((0,)), N)
+
+
 def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     # a cyclic module keeps its ideal's reduced basis as its relation basis,
     # and Ext keeps the reduced basis of the fresh syzygies presenting it,

@@ -489,6 +489,27 @@ def test_from_mask_refuses_a_non_int_mask():
         MonomialPrime.from_mask(3.0)
 
 
+_OUTSIDE = "names variable index 5, outside a ring of 2 variables"
+
+
+def test_meet_of_primes_refuses_a_variable_outside_the_ring():
+    # the cover of (x_5) alone would be read as the empty cover, the unit
+    # ideal, and the x_5 of (y, x_5) would be dropped from the meet
+    ctx = ring("x", "y")
+    with pytest.raises(RingError, match=_OUTSIDE):
+        meet_of_primes(ctx, [MonomialPrime((5,))])
+    with pytest.raises(RingError, match=_OUTSIDE):
+        meet_of_primes(ctx, [MonomialPrime((0,)), MonomialPrime((1, 5))])
+    assert meet_of_primes(ctx, [MonomialPrime((0, 1)), MonomialPrime((1,))]) == MI(ctx, "y")
+
+
+def test_render_refuses_a_variable_outside_the_ring():
+    ctx = ring("x", "y")
+    with pytest.raises(RingError, match=_OUTSIDE):
+        MonomialPrime((0, 5)).render(ctx)
+    assert MonomialPrime((0, 1)).render(ctx) == ["x", "y"]
+
+
 def test_primes_are_immutable_and_pickle_by_mask():
     p = MonomialPrime((2, 0))
     with pytest.raises(AttributeError):

@@ -10,11 +10,31 @@ from pathlib import Path
 
 import pytest
 
-from linkcoh.groebner import BudgetExceeded, Ideal, ideal_sum, reduced_gb, set_limits
-from linkcoh.linkage import LinkageError, _random_monomial, check_linked, link_of
-from linkcoh.modules import CyclicModule, koszul_grade
-from linkcoh.monomial import ImproperIdealError, as_monomial
-from linkcoh.invariants import is_equidimensional
+from linkcoh.groebner import (
+    BudgetExceeded,
+    Ideal,
+    ideal_quotient,
+    ideal_sum,
+    reduced_gb,
+    set_limits,
+)
+from linkcoh.linkage import (
+    GenParams,
+    LinkageError,
+    _random_monomial,
+    check_linked,
+    link_of,
+    random_linked_pairs,
+)
+from linkcoh.modules import (
+    KOSZUL_SIZE_BUDGET,
+    CyclicModule,
+    ext1_selfdual,
+    koszul_grade,
+    module_ass,
+)
+from linkcoh.monomial import ImproperIdealError, MonomialIdeal, as_monomial
+from linkcoh.invariants import GRADED_NOTE, height_in_module, is_equidimensional
 from linkcoh.ring import ParseError, Polynomial, RingError, parse_poly, ring
 from linkcoh.session import SessionError
 from linkcoh import theorems
@@ -51,6 +71,132 @@ def test_height_and_ext_checker_passes_on_clean_link():
     cert = check_linked(I_of(ctx, "x"), I_of(ctx, "y"), I_of(ctx, "x*y"), R_mod(ctx))
     v = check_height_and_self_ext(cert)
     assert v.status == "pass", v.notes
+
+
+def _monomial_modules(ns, seeds):
+    """Seeded R/J with J a random proper monomial ideal of one or two
+    generators of degree at most two."""
+    for n in ns:
+        ctx = theorems.ctx_for(n)
+        for seed in seeds:
+            rng = random.Random(seed)
+            J = MonomialIdeal.from_exponents(
+                ctx, [_random_monomial(rng, ctx, 2) for _ in range(rng.randint(1, 2))]
+            )
+            yield seed, CyclicModule(ctx, J.to_ideal())
+
+
+def _sampled_certs():
+    """Certified pairs from `random_linked_pairs` over monomial J in 2-4
+    variables and over the binomial J = (x*y - z^2)."""
+    for seed, M in _monomial_modules((2, 3, 4), range(4)):
+        yield from random_linked_pairs(M, GenParams(count=3, maxdeg=2), seed=seed)
+    ctx = theorems.ctx_for(3)
+    B = CyclicModule(ctx, I_of(ctx, "x*y - z^2"))
+    yield from random_linked_pairs(B, GenParams(count=4, maxdeg=2), seed=1)
+
+
+def _unclosed_certs():
+    """Pairs certified by `link_of` without closing: a colon (I+J) : c is
+    colon-stable, since T : (T : (T : c)) = T : c for any ideal T."""
+    for n in (2, 3):
+        ctx = theorems.ctx_for(n)
+        bases = [(), ("x*y",)] + ([("x*y - z^2",)] if n == 3 else [])
+        for texts in bases:
+            M = R_mod(ctx, *texts)
+            for seed in range(24):
+                rng = random.Random(seed)
+
+                def mono():
+                    return Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, 2))
+
+                I = Ideal(ctx, [mono() for _ in range(rng.randint(0, n - 1))])
+                a = ideal_quotient(ideal_sum(I, M.ideal), Ideal(ctx, [mono()]))
+                try:
+                    yield link_of(a, I, M)
+                except LinkageError:
+                    continue
+
+
+def test_linked_sides_have_the_grade_of_the_linking_sequence():
+    # what l1 reads off the certificate: each side has grade len(I.gens) on
+    # M, the length of the M-regular sequence that links it
+    sides = 0
+    for certs in (_sampled_certs(), _unclosed_certs()):
+        for cert in certs:
+            for side in (cert.a, cert.b):
+                gens = reduced_gb(side)
+                if len(gens) <= KOSZUL_SIZE_BUDGET:
+                    g = koszul_grade(gens, cert.module.ideal)
+                    assert g == len(cert.I.gens), cert.as_json()
+                    sides += 1
+    assert sides >= 100, sides
+
+
+@pytest.mark.slow
+def test_height_checker_reads_sides_past_the_koszul_size_gate():
+    # (x,y,z)^3 ~ (x^3,y^3,z^3) + (x,y,z)^4 through (x^3,y^3,z^3): the sides
+    # have 10 and 9 reduced generators, which a Koszul complex of at most
+    # eight generators never saw
+    ctx = ring("x", "y", "z")
+    cube = [f"x^{i}*y^{j}*z^{3 - i - j}" for i in range(4) for j in range(4 - i)]
+    quart = [f"x^{i}*y^{j}*z^{4 - i - j}" for i in range(5) for j in range(5 - i)]
+    I = I_of(ctx, "x^3", "y^3", "z^3")
+    cert = check_linked(I_of(ctx, *cube), I_of(ctx, "x^3", "y^3", "z^3", *quart), I, R_mod(ctx))
+    assert (len(reduced_gb(cert.a)), len(reduced_gb(cert.b))) == (10, 9)
+    v = check_height_and_self_ext(cert)
+    assert v.status == "pass", v
+    assert v.witnesses[:2] == ("heights[a]=grade=3", "heights[b]=grade=3")
+    assert v.notes == (GRADED_NOTE,)
+
+
+def _l1_both_sides(cert):
+    """l1 checked side by side: each side's grade by its Koszul complex, and
+    the self-dual Ext of each side, selflinked or not."""
+    M, Ma, Mb, core = cert.module, cert.quotient_a, cert.quotient_b, cert.quotient_core
+    if M.monomial is None:
+        return theorems.Verdict.skipped("needs a monomial base ideal")
+    if core.monomial is None or Ma.monomial is None or Mb.monomial is None:
+        return theorems.Verdict.skipped("needs a monomial core and monomial sides")
+    if core.primes().ass != core.primes().min_primes:
+        return theorems.Verdict.skipped("core has embedded primes")
+    witnesses = []
+    for label, side, quot in (("a", cert.a, Ma), ("b", cert.b, Mb)):
+        g = koszul_grade(reduced_gb(side), M.ideal)
+        for p in quot.primes().ass:
+            if height_in_module(p, M) != g:
+                return theorems.Verdict.failing(f"height on side {label}", (GRADED_NOTE,))
+        witnesses.append(f"heights[{label}]=grade={g}")
+    common = Ma.primes().ass & Mb.primes().ass
+    base = core.monomial.to_ideal()
+    for label, quot in (("a", Ma), ("b", Mb)):
+        if module_ass(ext1_selfdual(quot.monomial.to_ideal(), base)) != common:
+            return theorems.Verdict.failing(f"ext on side {label}", (GRADED_NOTE,))
+    witnesses.append(f"ext-ass={common.render(cert.ctx)}")
+    return theorems.Verdict.passing(witnesses, (GRADED_NOTE,))
+
+
+def test_height_and_ext_checker_takes_one_ext_of_a_selflinked_pair(monkeypatch):
+    # a selflinked pair has one quotient M/aM = M/bM, so one Ext; the
+    # verdict is the one that checks both sides explicitly
+    calls = []
+    ext = theorems.ext1_selfdual
+
+    def counted(a, J):
+        calls.append(a)
+        return ext(a, J)
+
+    monkeypatch.setattr(theorems, "ext1_selfdual", counted)
+    seen = {True: 0, False: 0}
+    for seed, M in _monomial_modules((2, 3), range(8)):
+        for cert in random_linked_pairs(M, GenParams(count=3, maxdeg=2), seed=seed):
+            calls.clear()
+            v = check_height_and_self_ext(cert)
+            assert v == _l1_both_sides(cert), cert.as_json()
+            if v.status == "pass":
+                assert len(calls) == (1 if cert.selflinked else 2), cert.as_json()
+                seen[cert.selflinked] += 1
+    assert seen[True] >= 10 and seen[False] >= 5, seen
 
 
 def test_height_and_ext_checker_skips_embedded_core():
