@@ -11,8 +11,13 @@ consists of monomial primes).  Every function reads Ass, Min, Assh and dim
 of M from `CyclicModule.primes()`, derived once per module, which refuses a
 non-monomial J rather than guess.  Whether a + p is cofinal with the ideal
 of variables is a vertex-mask test for monomial a and, for any other a,
-`modules.radical_is_maximal`, the package's one test of whether a radical
-is the ideal of variables.
+`modules.radical_is_maximal`, whether sqrt(a + p) is the ideal of
+variables.  That is a global question, V(a + p) = {0}, not the question at
+the ideal of variables, so for a non-homogeneous a whose a + p has zeros
+off the origin the answer can differ from the local one: over Q[x], with
+M = R, a = (x - x^2) attaches nothing while a = (x), equal to it after
+localizing at (x), attaches the zero prime.  Answering locally needs a
+local test, such as a saturation by the variables, which is not built.
 
 The module holds invariants only; `GRADED_NOTE` is the note the claim lab
 (`linkcoh.theorems`, which owns the verdict record) attaches to a verdict

@@ -2,8 +2,9 @@
 of free modules, syzygies, annihilators of Hom from cyclic quotients,
 associated prime membership, a self-dual Ext computation for cyclic
 quotients, Koszul homology grades, cyclic modules R/J caching primes,
-dimension and depth, and the one test of whether a radical is the ideal of
-the variables (`radical_is_maximal`).
+dimension and depth, and the test of whether a radical is the ideal of the
+variables (`radical_is_maximal`), whose one reader is the attached and
+associated sets along a non-monomial ideal (`invariants._becomes_maximal`).
 
 Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
@@ -77,7 +78,6 @@ from .monomial import (
     PrimeSet,
     all_monomial_primes,
     as_monomial,
-    check_in_ring,
     min_assh_dim,
 )
 from .simplicial import depth_monomial
@@ -224,7 +224,6 @@ def ass_member(p: MonomialPrime, N: FPModule) -> bool:
     """Whether p is an associated prime of N: whether Hom(R/p, N), which p
     kills, is nonzero after localizing at p, i.e. its annihilator lies in p.
     A zero Hom has the unit annihilator, which lies in no prime."""
-    check_in_ring(N.ctx, p.mask)
     return all(p.contains_poly(f) for f in hom_annihilator(p.to_ideal(N.ctx), N).gens)
 
 

@@ -130,10 +130,12 @@ class MonomialPrime:
 
     def contains_poly(self, f: Polynomial) -> bool:
         """Membership of a polynomial: every term must involve a var of p."""
+        check_in_ring(f.ctx, self.mask)
         vs = self.vars
         return all(any(e[i] for i in vs) for e in f.term_map())
 
     def to_ideal(self, ctx: RingCtx) -> groebner.Ideal:
+        check_in_ring(ctx, self.mask)
         gens = [Polynomial.variable(ctx, ctx.var_names[i]) for i in self.vars]
         return groebner.Ideal(ctx, gens)
 

@@ -14,6 +14,9 @@ inconclusive verdicts.  A checker does not recompute what certification
 already proves about its instance: the grade of either side of a link is
 the length of the regular sequence that links it, so l1 reads it off the
 certificate, and p1 reads grade one off a link through a principal ideal.
+Dimension has one route, `CyclicModule.dim()`: t6 stops its sequence
+search at dim M, which bounds the length of any regular sequence, and
+reads "dimension zero" off the record of the quotient it leaves.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .modules import (
     ext1_selfdual,
     maximal_ideal,
     module_ass,
-    radical_is_maximal,
     regular_chain,
 )
 from .monomial import (
@@ -398,20 +400,24 @@ def _greedy_maximal_sequence(M: CyclicModule, pool: list[Polynomial]):
     """Extend a regular sequence greedily, in one pass over the pool, each
     element tried once; certify maximality by depth zero.
 
+    The pass stops at dim M: each element of a regular sequence lowers
+    dim R/(J + sequence) by at least one while the sum stays proper (Krull),
+    so no candidate after that many can extend it.
+
     Returns (sequence, J + sequence, certified); certified means the colon at
     the ideal of variables moved, i.e. no regular element exists at all.
     """
-    ctx = M.ctx
     Q = M.ideal
+    d = M.dim()
     seq: list[Polynomial] = []
     for f in pool:
-        if len(seq) == ctx.n:
+        if len(seq) == d:
             break
         nxt = regular_chain([f], Q)
         if nxt is not None:
             seq.append(f)
             Q = nxt
-    certified = not ideal_equal(ideal_quotient(Q, maximal_ideal(ctx)), Q)
+    certified = not ideal_equal(ideal_quotient(Q, maximal_ideal(M.ctx)), Q)
     return seq, Q, certified
 
 
@@ -422,7 +428,12 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
     meet forces that module to be Cohen-Macaulay; it reads the attached
     sets, so it needs a monomial J.  Sequence route: after a
     certified-maximal regular sequence, the quotient has dimension zero
-    exactly when the module was Cohen-Macaulay.
+    exactly when the module was Cohen-Macaulay.  That dimension is
+    `CyclicModule.dim()` of R/(J + sequence), the quotient's prime record;
+    the colon certificate of maximality is independent of it.  For a
+    non-graded J the oracle answers Cohen-Macaulay only when the depth at
+    the ideal of variables reaches dim R/J, so a certified sequence, whose
+    length is that depth, leaves dimension zero.
     """
     ctx = M.ctx
     notes = [GRADED_NOTE]
@@ -449,7 +460,8 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
     seq, Q, certified = _greedy_maximal_sequence(M, pool)
     if not certified:
         return Verdict.inconclusive("pool exhausted before certifying a maximal regular sequence")
-    dim_zero = radical_is_maximal(Q)
+    MQ = CyclicModule(ctx, Q)
+    dim_zero = MQ.dim() == 0
     oracle = M.is_cohen_macaulay()
     if dim_zero != oracle:
         return Verdict.failing(
@@ -457,7 +469,6 @@ def check_cm_criteria(M: CyclicModule, rng: random.Random, maxdeg: int) -> Verdi
             f" but the depth/dimension oracle says CM={oracle} for {M.describe()}",
             notes=notes,
         )
-    MQ = CyclicModule(ctx, Q)
     if MQ.monomial is not None:
         no_embedded = MQ.primes().ass == MQ.primes().min_primes
         if no_embedded != dim_zero:

@@ -510,6 +510,29 @@ def test_render_refuses_a_variable_outside_the_ring():
     assert MonomialPrime((0, 1)).render(ctx) == ["x", "y"]
 
 
+def test_to_ideal_refuses_a_variable_outside_the_ring():
+    # without the refusal, looking up the name of x_5 raised IndexError
+    ctx = ring("x", "y")
+    with pytest.raises(RingError, match=_OUTSIDE):
+        MonomialPrime((5,)).to_ideal(ctx)
+    with pytest.raises(RingError, match=_OUTSIDE):
+        MonomialPrime((0, 5)).to_ideal(ctx)
+    assert MonomialPrime((0, 1)).to_ideal(ctx).gens == (parse_poly("x", ctx), parse_poly("y", ctx))
+
+
+def test_contains_poly_refuses_a_variable_outside_the_ring():
+    # without the refusal, (x_5) raised IndexError on x, and (x, x_5) held
+    # x*y, reading only the variable x of the ring
+    ctx = ring("x", "y")
+    x, xy = parse_poly("x", ctx), parse_poly("x*y", ctx)
+    with pytest.raises(RingError, match=_OUTSIDE):
+        MonomialPrime((5,)).contains_poly(x)
+    with pytest.raises(RingError, match=_OUTSIDE):
+        MonomialPrime((0, 5)).contains_poly(xy)
+    assert MonomialPrime((0,)).contains_poly(xy)
+    assert not MonomialPrime((1,)).contains_poly(x)
+
+
 def test_primes_are_immutable_and_pickle_by_mask():
     p = MonomialPrime((2, 0))
     with pytest.raises(AttributeError):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import multiprocessing
 import pickle
 import random
@@ -13,6 +14,7 @@ import pytest
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
+    ideal_equal,
     ideal_quotient,
     ideal_sum,
     reduced_gb,
@@ -31,7 +33,10 @@ from linkcoh.modules import (
     CyclicModule,
     ext1_selfdual,
     koszul_grade,
+    maximal_ideal,
     module_ass,
+    radical_is_maximal,
+    regular_chain,
 )
 from linkcoh.monomial import ImproperIdealError, MonomialIdeal, as_monomial
 from linkcoh.invariants import GRADED_NOTE, height_in_module, is_equidimensional
@@ -342,6 +347,86 @@ def test_cm_checker_smoke():
     ctx = ring("x", "y", "z")
     assert check_cm_criteria(R_mod(ctx, "x*y"), rng, 2).status == "pass"
     assert check_cm_criteria(R_mod(ctx, "x*z", "y*z"), rng, 2).status == "pass"
+
+
+def _t6_draws(seeds):
+    """Base modules and candidate pools shaped like t6's: a seeded monomial
+    J (or the zero ideal) over 2-4 variables, and the binomial x*y - z^2."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        ctx = theorems.ctx_for(2 + seed % 3)
+        maxdeg = 2 + seed % 2
+        M = theorems._random_module(rng, ctx, maxdeg, allow_zero=True)
+        yield M, theorems._homogeneous_pool(rng, ctx, maxdeg)
+    ctx = ring("x", "y", "z")
+    for seed in seeds[:8]:
+        yield R_mod(ctx, "x*y - z^2"), theorems._homogeneous_pool(random.Random(seed), ctx, 2)
+
+
+def _greedy_to_n(M, pool):
+    """The sequence search bounded by the number of variables, on a fresh
+    copy of J, as the reference for the search bounded by dim M."""
+    ctx = M.ctx
+    Q = Ideal(ctx, M.ideal.gens)
+    seq = []
+    for f in pool:
+        if len(seq) == ctx.n:
+            break
+        nxt = regular_chain([f], Q)
+        if nxt is not None:
+            seq.append(f)
+            Q = nxt
+    return seq, Q, not ideal_equal(ideal_quotient(Q, maximal_ideal(ctx)), Q)
+
+
+def test_quotient_dimension_zero_matches_the_radical_test_on_graded_draws():
+    # t6 reads "dimension zero" off the record of R/Q; on graded Q that is
+    # V(Q) = {0}, the Rabinowitsch test of every variable in sqrt(Q)
+    answers = []
+    for M, pool in _t6_draws(list(range(120))):
+        _, Q, certified = theorems._greedy_maximal_sequence(M, pool)
+        if certified:
+            answers.append(radical_is_maximal(Q))
+            assert answers[-1] == (CyclicModule(M.ctx, Q).dim() == 0), Q.gens
+    assert len(answers) >= 100 and answers.count(False) >= 5
+
+
+def test_sequence_search_stops_at_the_module_dimension(monkeypatch):
+    # a regular sequence lowers dim R/(J + seq) by at least one per element,
+    # so once it has dim M elements every further candidate fails; none is
+    # tried, and the answer is that of the search bounded by n
+    real = theorems.regular_chain
+    tries: list[bool] = []
+
+    def counted(seq, base):
+        got = real(seq, base)
+        tries.append(got is not None)
+        return got
+
+    monkeypatch.setattr(theorems, "regular_chain", counted)
+    saved = 0
+    for M, pool in _t6_draws(list(range(60))):
+        tries.clear()
+        seq, Q, certified = theorems._greedy_maximal_sequence(M, pool)
+        d = M.dim()
+        found_before = list(itertools.accumulate(tries, initial=0))[:-1]
+        assert all(k < d for k in found_before), (M.describe(), d, tries)
+        ref_seq, ref_Q, ref_certified = _greedy_to_n(M, pool)
+        assert (seq, certified) == (ref_seq, ref_certified)
+        assert reduced_gb(Q) == reduced_gb(ref_Q)
+        saved += len(seq) == d and len(tries) < len(pool)
+    assert saved >= 20
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("module", ["x - x^2", "x*y - x"])
+def test_t6_passes_non_graded_cohen_macaulay_hypersurfaces(n, module):
+    # R/J is Cohen-Macaulay, a hypersurface; V(J + seq) can hold points off
+    # the origin, such as x = 1, so the quotient's dimension, not whether
+    # V(J + seq) = {0}, decides
+    doc = run_claim("t6", InstanceParams(n_vars=n, count=12, module=module))
+    assert doc["counts"]["fail"] == 0
+    assert doc["counts"]["pass"] == 12
 
 
 def test_bipartition_zero_link_shapes():
