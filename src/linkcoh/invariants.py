@@ -10,14 +10,15 @@ These sets are only enumerable here when J is monomial (so that Ass M
 consists of monomial primes).  Every function reads Ass, Min, Assh and dim
 of M from `CyclicModule.primes()`, derived once per module, which refuses a
 non-monomial J rather than guess.  Whether a + p is cofinal with the ideal
-of variables is a vertex-mask test for monomial a and, for any other a,
-`modules.radical_is_maximal`, whether sqrt(a + p) is the ideal of
-variables.  That is a global question, V(a + p) = {0}, not the question at
-the ideal of variables, so for a non-homogeneous a whose a + p has zeros
-off the origin the answer can differ from the local one: over Q[x], with
-M = R, a = (x - x^2) attaches nothing while a = (x), equal to it after
-localizing at (x), attaches the zero prime.  Answering locally needs a
-local test, such as a saturation by the variables, which is not built.
+of variables is a vertex-mask test for monomial a and, for homogeneous a,
+whether R/(a + p) has dimension zero (`CyclicModule.dim()`): a graded
+a + p is primary to the ideal of variables exactly when V(a + p) = {0}.
+An a outside the ideal of variables is the unit ideal there, so no a + p
+is cofinal.  Any other a is refused with a RingError: for it the global
+question V(a + p) = {0} is not the question at the ideal of variables
+(over Q[x], a = (x - x^2) equals (x) after localizing at (x), yet has a
+second zero), and a local test, such as a saturation by the variables, is
+not built.
 
 The module holds invariants only; `GRADED_NOTE` is the note the claim lab
 (`linkcoh.theorems`, which owns the verdict record) attaches to a verdict
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .groebner import Ideal, ideal_sum, is_proper
-from .modules import CyclicModule, radical_is_maximal
+from .groebner import Ideal, ideal_sum, is_proper, reduced_gb
+from .modules import CyclicModule
 from .monomial import (
     ImproperIdealError,
     MonomialPrime,
@@ -37,7 +38,7 @@ from .monomial import (
     as_monomial,
     check_in_ring,
 )
-from .ring import RingError, mono_mask
+from .ring import RingError, mono_mask, mono_one
 
 GRADED_NOTE = (
     "attached and associated sets are read off prime-theoretic"
@@ -53,12 +54,14 @@ def assh(M: CyclicModule) -> PrimeSet:
 
 
 def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
-    """The test of whether sqrt(a + p) is the ideal of all variables, which
-    the unit ideal is not, for monomial primes p.  For monomial a, sqrt(a)
-    is generated by the supports of its minimal generators, so p passes
-    exactly when a is proper and p holds every variable without a pure power
-    among them; that vertex mask is found once, for every p.  Any other a
-    asks `radical_is_maximal` of a + p."""
+    """The test of whether a + p is primary to the ideal of all variables,
+    which the unit ideal is not, for monomial primes p.  For monomial a,
+    sqrt(a) is generated by the supports of its minimal generators, so p
+    passes exactly when a is proper and p holds every variable without a
+    pure power among them; that vertex mask is found once, for every p.  An
+    a with a generator off the ideal of variables passes no p; a homogeneous
+    a (read off its reduced basis) asks whether R/(a + p) has dimension
+    zero.  Any other a is refused: the test would be global, not local."""
     am = as_monomial(a)
     if am is not None:
         if am.is_unit():
@@ -69,7 +72,15 @@ def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
             if not m & (m - 1):
                 needed &= ~m
         return lambda p: not needed & ~p.mask
-    return lambda p: radical_is_maximal(ideal_sum(a, p.to_ideal(a.ctx)))
+    ctx = a.ctx
+    if any(mono_one(ctx.n) in g.term_map() for g in a.gens):
+        return lambda p: False
+    if not all(g.is_homogeneous() for g in reduced_gb(a)):
+        raise RingError(
+            "attached and associated sets along a non-graded, non-monomial a are undecided:"
+            " V(a + p) = {0} is a global test, not one at the ideal of variables"
+        )
+    return lambda p: CyclicModule(ctx, ideal_sum(a, p.to_ideal(ctx))).dim() == 0
 
 
 def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:

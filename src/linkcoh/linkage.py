@@ -15,6 +15,14 @@ colon-stable.  Both take the core I + J from one helper, `_core`,
 which grows I as a regular chain from J; each step stays on the ideal it
 extended, so the chain is tested once however often it is grown.
 
+A closed trial t over the core T = I + J is refused as improper-b exactly
+when t lies in T, else as improper-a exactly when T : t = T, i.e. when t
+lies in no associated prime of R/T, and is certified otherwise.  Over a
+monomial core both are bit and divisibility tests on exponent tuples
+(`link_refusal`), so the sampler and the p1 claim refuse such draws before
+building a trial or taking a colon; what passes still goes to `link_of`,
+which alone certifies.
+
 A certificate holds M/aM = R/(a+J), M/bM = R/(b+J) and the core
 M/IM = R/(I+J), the end of the regular chain that certified I, as cyclic
 modules on the ideals certification built, whose bases, monomial forms and
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .groebner import (
     Ideal,
@@ -36,11 +44,13 @@ from .groebner import (
     ideal_sum,
     is_proper,
     is_unit_ideal,
+    monomial_gens,
     radical_member,
     reduced_gb,
 )
 from .modules import CyclicModule, regular_chain
-from .ring import Polynomial, RingError
+from .monomial import MonomialIdeal, PrimeSet, associated_primes
+from .ring import Exponents, Polynomial, RingError, mono_mask
 
 ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
 
@@ -156,6 +166,27 @@ def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> Linkage
     return check_linked(a, b, I, M)
 
 
+def link_refusal(core: MonomialIdeal, ass: PrimeSet, extras: Sequence[Exponents]) -> str | None:
+    """The reason `link_of(t, I, M, close=True)` refuses a trial t = I +
+    (x^e : e in extras), or None when it certifies, read off the monomial
+    core T = I + J and Ass R/T without a colon; I must be M-regular.
+
+    With b = T : t, b is the unit ideal (improper-b) exactly when t lies in
+    T, i.e. when T holds every extra, as it holds I.  Otherwise the double
+    colon T : b is the unit ideal (improper-a) exactly when b = T, and
+    T : t = T exactly when t lies in no P in Ass R/T (prime avoidance): P
+    holds I, and holds the term x^e when the support of e meets P.  In
+    every other case both colons are proper and the double colon is
+    colon-stable, so `check_linked` certifies.
+    """
+    if all(core.contains_mono(e) for e in extras):
+        return "improper-b"
+    supports = [mono_mask(e) for e in extras]
+    if not any(all(s & p.mask for s in supports) for p in ass):
+        return "improper-a"
+    return None
+
+
 def support_identity(cert: LinkageCertificate) -> bool:
     """Radical identity sqrt(I+J) = sqrt(a+J) ∩ sqrt(b+J), checked indirectly.
 
@@ -227,6 +258,19 @@ def _sequence_pool(rng: random.Random, ctx, maxdeg: int) -> Polynomial:
     return Polynomial.from_monomial(ctx, tuple(e))
 
 
+def _monomial_core(T: Ideal, M: CyclicModule) -> tuple[MonomialIdeal, PrimeSet] | None:
+    """The monomial form of a core T grown from M's ideal, and Ass R/T:
+    M's own record when T is M's ideal, else read off T's generators, which
+    are J's and the sequence's; None when they are not all terms."""
+    if T is M.ideal:
+        return None if M.monomial is None else (M.monomial, M.primes().ass)
+    gens = monomial_gens(T)
+    if gens is None:
+        return None
+    core = MonomialIdeal(T.ctx, gens)
+    return core, associated_primes(core)
+
+
 def random_linked_pairs(
     M: CyclicModule, params: GenParams = GenParams(), seed: int = 0
 ) -> Iterator[LinkageCertificate]:
@@ -234,7 +278,10 @@ def random_linked_pairs(
 
     Each draw picks an M-regular sequence I, throws extra monomials on top to
     get a trial ideal, and takes `link_of(trial, I, M, close=True)`;
-    duplicates (same pair mod J) are dropped.
+    duplicates (same pair mod J) are dropped.  Over a core given by terms
+    the extras' exponents meet `link_refusal` first, and only a draw it
+    does not refuse builds its trial and reaches `link_of`; any other core
+    goes to `link_of` as drawn.
 
     A sequence grows one drawn candidate at a time, from J, by
     `regular_chain`.  Each step's colon and sum stay on the ideal it
@@ -249,6 +296,9 @@ def random_linked_pairs(
     seen: set = set()
     attempts = ATTEMPTS_PER_PAIR * params.count
     min_len = 0 if not J.is_zero_ideal() else 1
+
+    # the core's monomial form and Ass R/T, per chain end, read once per call
+    core_primes: dict[Ideal, tuple[MonomialIdeal, PrimeSet] | None] = {}
 
     def gb_key(X: CyclicModule) -> tuple[str, ...]:
         return tuple(str(g) for g in reduced_gb(X.ideal))
@@ -273,12 +323,18 @@ def random_linked_pairs(
                 break
         if not ok:
             continue
-        I = Ideal(ctx, seq)
         extra_min = 1 if not seq else 0
-        extras = [
-            Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, params.maxdeg))
+        exps = [
+            _random_monomial(rng, ctx, params.maxdeg)
             for _ in range(rng.randint(extra_min, max(extra_min, params.max_extra)))
         ]
+        if Q not in core_primes:
+            core_primes[Q] = _monomial_core(Q, M)
+        known = core_primes[Q]
+        if known is not None and link_refusal(*known, exps) is not None:
+            continue
+        I = Ideal(ctx, seq)
+        extras = [Polynomial.from_monomial(ctx, e) for e in exps]
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I
         try:
             cert = link_of(trial, I, M, close=True)

@@ -1,10 +1,8 @@
 """Finitely presented modules over Q[x_1..x_n]: Groebner bases of submodules
 of free modules, syzygies, annihilators of Hom from cyclic quotients,
 associated prime membership, a self-dual Ext computation for cyclic
-quotients, Koszul homology grades, cyclic modules R/J caching primes,
-dimension and depth, and the test of whether a radical is the ideal of the
-variables (`radical_is_maximal`), whose one reader is the attached and
-associated sets along a non-monomial ideal (`invariants._becomes_maximal`).
+quotients, Koszul homology grades, and cyclic modules R/J caching primes,
+dimension and depth.
 
 Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
@@ -67,7 +65,6 @@ from .groebner import (
     module_gb,
     module_reduce,
     module_table,
-    radical_member,
     reduced_gb,
 )
 from .monomial import (
@@ -385,12 +382,6 @@ def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
 
 def maximal_ideal(ctx: RingCtx) -> Ideal:
     return Ideal(ctx, [Polynomial.variable(ctx, v) for v in ctx.var_names])
-
-
-def radical_is_maximal(K: Ideal) -> bool:
-    """Whether sqrt(K) is the ideal of the variables: K is proper and every
-    variable lies in sqrt(K)."""
-    return is_proper(K) and all(radical_member(x, K) for x in maximal_ideal(K.ctx).gens)
 
 
 class CyclicModule:

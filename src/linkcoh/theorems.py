@@ -14,6 +14,8 @@ inconclusive verdicts.  A checker does not recompute what certification
 already proves about its instance: the grade of either side of a link is
 the length of the regular sequence that links it, so l1 reads it off the
 certificate, and p1 reads grade one off a link through a principal ideal.
+A p1 draw that cannot link is refused off the primes of its principal core
+(`linkage.link_refusal`) before any colon, with the note `link_of` gives.
 Dimension has one route, `CyclicModule.dim()`: t6 stops its sequence
 search at dim M, which bounds the length of any regular sequence, and
 reads "dimension zero" off the record of the quotient it leaves.
@@ -45,10 +47,10 @@ from .invariants import (
 from .linkage import (
     GenParams,
     LinkageCertificate,
-    LinkageError,
     _random_monomial,
     check_linked,
     link_of,
+    link_refusal,
     random_linked_pairs,
 )
 from .modules import (
@@ -233,7 +235,8 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
     Szpiro, Invent. Math. 26, 1974, for M = R), and likewise for b.
     Self-dual Ext: over the base R/(I+J), the Ext module of either side
     against its own quotient has exactly the associated primes common to
-    R/(a+J) and R/(b+J); a selflinked pair has one quotient, checked once.
+    R/(a+J) and R/(b+J); a selflinked pair has one quotient, checked once,
+    and two sides whose Ext modules share one presentation take one scan.
     """
     M = cert.module
     if M.monomial is None:
@@ -263,9 +266,15 @@ def check_height_and_self_ext(cert: LinkageCertificate) -> Verdict:
     base = core.monomial.to_ideal()
     # mod the core, the monomial forms of a+J and b+J generate the same ideals
     # as a and b, and Hom does not care which generating set presents its
-    # argument; a selflinked pair's two quotients are one module
+    # argument; a selflinked pair's two quotients are one module, and two
+    # Ext modules with one rank and relation basis are one module, scanned once
+    scanned: dict = {}
     for label, quot in sides[: 1 if Mb is Ma else 2]:
-        got = module_ass(ext1_selfdual(quot.monomial.to_ideal(), base))
+        E = ext1_selfdual(quot.monomial.to_ideal(), base)
+        presentation = E.rank, E.relations
+        if presentation not in scanned:
+            scanned[presentation] = module_ass(E)
+        got = scanned[presentation]
         if got != common:
             return Verdict.failing(
                 f"self-dual Ext of side {label} has associated primes"
@@ -606,20 +615,18 @@ def _draw_t2(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
 
 
 def _draw_p1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
-    M = CyclicModule.full_ring(ctx)
-    core = Ideal(ctx, [Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, params.maxdeg))])
-    extras = [
-        Polynomial.from_monomial(ctx, _random_monomial(rng, ctx, params.maxdeg))
-        for _ in range(rng.randint(1, 2))
-    ]
-    trial = ideal_sum(core, Ideal(ctx, extras))
-    try:
-        cert = link_of(trial, core, M, close=True)
-    except LinkageError as err:
-        if err.reason == "improper-b":
-            return Verdict.skipped("trial collapsed to a unit colon")
-        return Verdict.skipped(f"draw not linked: {err.reason}")
-    return check_grade_one_links(cert)
+    f = _random_monomial(rng, ctx, params.maxdeg)
+    exps = [_random_monomial(rng, ctx, params.maxdeg) for _ in range(rng.randint(1, 2))]
+    # over R the core is (f), and the draw is refused off its primes
+    core = MonomialIdeal.from_exponents(ctx, [f])
+    reason = link_refusal(core, associated_primes(core), exps)
+    if reason == "improper-b":
+        return Verdict.skipped("trial collapsed to a unit colon")
+    if reason is not None:
+        return Verdict.skipped(f"draw not linked: {reason}")
+    I = core.to_ideal()
+    trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in exps]))
+    return check_grade_one_links(link_of(trial, I, CyclicModule.full_ring(ctx), close=True))
 
 
 def _draw_l08(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:

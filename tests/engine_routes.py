@@ -13,7 +13,7 @@ under `lex(n)`.  `reference_lcm` packs a pair's lcm variable by variable,
 the way the engine did before `_Codec.lcm` built it from the packed leads.
 `rabinowitsch_is_maximal` decides whether a radical is the ideal of the
 variables by one Rabinowitsch run per variable, with no membership test
-first, against which `modules.radical_is_maximal` is held.
+first, against which the oracle `radical_is_maximal` is held.
 """
 
 from operator import mul

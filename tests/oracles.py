@@ -16,6 +16,10 @@ the tests can compare, and share with those no more than noted:
   the polarized quotient minus the number of variables added.
 - `cd_on_quotient` and `att_top_via_cd` read the attached primes of the top
   local cohomology off cohomological dimensions instead of cofinality.
+- `radical_is_maximal` asks whether sqrt(K) is the ideal of the variables
+  by one radical membership per variable, where `invariants.att_top` and
+  `theorems` ask a graded K whether R/K has dimension zero
+  (`CyclicModule.dim()`); the two agree on graded K.
 - `hom_cyclic` presents Hom(R/a, N) as a module of its own, which the
   package never does, `presented_annihilator` is the colon of a module's
   relation basis by its unit vectors, and `ass_member_presented` decides an
@@ -54,13 +58,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from linkcoh.groebner import Ideal, _colon, ideal_sum, is_proper, min_gens_colon
+from linkcoh.groebner import Ideal, _colon, ideal_sum, is_proper, min_gens_colon, radical_member
 from linkcoh.modules import (
     CyclicModule,
     FPModule,
     _hom_kernel,
     ass_member,
     hom_annihilator,
+    maximal_ideal,
     present_subquotient,
     unit_vec,
     vec_is_zero,
@@ -318,6 +323,12 @@ def att_top_via_cd(a: Ideal, M: CyclicModule) -> PrimeSet:
     rad = mono_radical(am)
     d = M.dim()
     return PrimeSet(p for p in M.primes().ass if cd_on_quotient(rad, p) == d)
+
+
+def radical_is_maximal(K: Ideal) -> bool:
+    """Whether sqrt(K) is the ideal of the variables: K is proper and every
+    variable lies in sqrt(K), a global question, V(K) = {0}."""
+    return is_proper(K) and all(radical_member(x, K) for x in maximal_ideal(K.ctx).gens)
 
 
 # ---------------------------------------------------------------------------

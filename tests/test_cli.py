@@ -320,6 +320,15 @@ def test_att_top_and_assf0_when_a_plus_p_is_the_unit_ideal(capsys):
     assert doc["associated_primes"] == []
 
 
+def test_att_top_and_assf0_refuse_a_non_graded_ideal_inside_the_variables(capsys):
+    # (x - x^2) equals (x) after localizing at (x) but has a second zero, so
+    # the global test V(a + p) = {0} would not answer at the ideal of variables
+    for cmd in ("att-top", "assf0"):
+        code, out, err = invoke(capsys, cmd, "--ring", "x", "--ideal", "x - x^2")
+        assert code == 1 and out == ""
+        assert "non-graded, non-monomial a are undecided" in err
+
+
 def test_htm(capsys):
     doc = doc_of(
         capsys, "htm", "--ring", "x,y,z", "--prime", "x,y", "--module", "x*y"

@@ -22,9 +22,9 @@ from linkcoh.monomial import (
     associated_primes,
     min_assh_dim,
 )
-from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh.ring import Polynomial, RingError, parse_poly, ring
 from linkcoh.theorems import Verdict
-from oracles import att_top_via_cd
+from oracles import att_top_via_cd, radical_is_maximal
 
 import random
 
@@ -111,10 +111,63 @@ def test_att_top_rejects_improper():
 
 
 def test_att_top_nonmonomial_argument_still_works():
-    # the fallback route radical-tests a + p directly
+    # a homogeneous a asks whether R/(a + p) has dimension zero
     ctx = ring("x", "y")
     M = R_mod(ctx, "x*y")
     assert att_top(I_of(ctx, "x + y"), M) == primes((0,), (1,))
+
+
+def test_non_graded_a_is_refused_unless_it_leaves_the_variables():
+    # (x - x^2) lies in the ideal of variables and is not homogeneous: the
+    # global test would differ from the local one, so both sets refuse it;
+    # (x - 1) is the unit ideal at the variables, so nothing qualifies; the
+    # generators of (x - y, x - y + z^2) are not homogeneous, its basis is
+    ctx = ring("x", "y", "z")
+    M = R_mod(ctx, "x*y")
+    for route in (att_top, ass_formal_zeroth):
+        with pytest.raises(RingError, match="non-graded, non-monomial a are undecided"):
+            route(I_of(ctx, "x - x^2"), M)
+        assert route(I_of(ctx, "x - 1", "z"), M) == PrimeSet()
+    graded = I_of(ctx, "x - y", "x - y + z^2")
+    assert att_top(graded, M) == att_top(I_of(ctx, "x - y", "z^2"), M) == primes((0,), (1,))
+
+
+def test_homogeneous_cofinality_matches_radical_membership():
+    # for homogeneous a, a + p is primary to the ideal of variables exactly
+    # when V(a + p) = {0}: the dimension test agrees with the oracle's
+    # radical membership of every variable
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+
+        def form(d):
+            # a form of degree d: a signed sum of two or three terms
+            exps = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).filter(
+                lambda e: sum(e) <= d
+            ).map(lambda e: (*e, d - sum(e)))
+            terms = data.draw(st.lists(exps, min_size=2, max_size=3, unique=True))
+            signs = data.draw(st.lists(st.sampled_from((-1, 1, 2)), min_size=len(terms), max_size=len(terms)))
+            return Polynomial(ctx, dict(zip(terms, signs)))
+
+        a = Ideal(ctx, [form(data.draw(st.integers(1, 2))) for _ in range(data.draw(st.integers(1, 2)))])
+        J = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any), max_size=3
+        )))
+        M = CyclicModule(ctx, J.to_ideal())
+        expected = PrimeSet(
+            p for p in M.primes().ass if radical_is_maximal(ideal_sum(a, p.to_ideal(ctx)))
+        )
+        assert ass_formal_zeroth(a, M) == expected, (a.gens, J.min_gens)
+        seen.add((monomial.as_monomial(a) is None, bool(expected)))
+
+    seen = set()
+    check()
+    assert {(True, True), (True, False)} <= seen
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,18 @@ from linkcoh.groebner import (
 )
 from linkcoh.linkage import (
     GenParams,
+    LinkageCertificate,
     LinkageError,
     check_linked,
     link_of,
+    link_refusal,
     minimal_primes_in_core_ass,
     random_linked_pairs,
     support_identity,
 )
-from linkcoh.modules import CyclicModule, is_regular_sequence
-from linkcoh.ring import RingError, parse_poly, ring
+from linkcoh.modules import CyclicModule, is_regular_sequence, regular_chain
+from linkcoh.monomial import MonomialIdeal, as_monomial, associated_primes
+from linkcoh.ring import Polynomial, RingError, parse_poly, ring
 
 
 def I_of(ctx, *texts):
@@ -251,8 +254,68 @@ def test_open_link_of_refuses_as_check_linked_does():
     assert {"linked", "not-contained", "colon-mismatch-b"} <= seen
 
 
+def test_link_refusal_answers_as_closed_link_of():
+    # over monomial J and a monomial M-regular sequence I, the mask test on
+    # the core T = I + J and Ass R/T names the reason link_of(trial, I, M,
+    # close=True) refuses a trial of extra terms, and is None exactly when
+    # link_of certifies
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen = set()
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        term = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any)
+        J = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(term, max_size=3)))
+        seq = data.draw(st.lists(term, max_size=2))
+        extras = data.draw(st.lists(term, min_size=0 if seq else 1, max_size=3))
+        M = CyclicModule(ctx, J.to_ideal())
+        I = Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in seq])
+        T = regular_chain(I.gens, Ideal(ctx, M.ideal.gens))
+        hyp.assume(T is not None)
+        core = as_monomial(T)
+        got = link_refusal(core, associated_primes(core), extras)
+        trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in extras]))
+        want = _outcome(link_of, trial, I, M, True)
+        assert got == (None if isinstance(want, LinkageCertificate) else want), (
+            J.min_gens, seq, extras
+        )
+        seen.add(got)
+
+    check()
+    assert seen == {None, "improper-a", "improper-b"}
+
+
 # ---------------------------------------------------------------------------
 # Random sampling.
+
+def test_sampler_sends_link_of_only_draws_a_term_core_certifies(monkeypatch):
+    # over a core given by terms the sampler refuses by `link_refusal` what
+    # link_of would refuse, so every call it makes there certifies; a
+    # sequence holding a sum of two variables still reaches link_of, which
+    # may refuse the draw
+    ctx = ring("x", "y", "z")
+    real = linkage.link_of
+    refused_term_cores, calls = [], []
+
+    def recorded(trial, I, M, close=False):
+        calls.append(I)
+        try:
+            return real(trial, I, M, close)
+        except LinkageError:
+            refused_term_cores.append(all(g.is_term() for g in I.gens))
+            raise
+
+    monkeypatch.setattr(linkage, "link_of", recorded)
+    produced = 0
+    for gens in [(), ("x*y",), ("x^2", "y*z")]:
+        produced += len(list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=5, maxdeg=2), seed=7)))
+    assert produced == 15 and len(calls) > produced
+    assert refused_term_cores and not any(refused_term_cores)
+
 
 def test_random_pairs_deterministic_and_certified():
     ctx = ring("x", "y", "z")

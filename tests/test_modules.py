@@ -15,7 +15,13 @@ import random
 import pytest
 
 from engine_routes import division_koszul_grade, engine_gb, rabinowitsch_is_maximal
-from oracles import ass_member_presented, hom_cyclic, module_ass_scan, presented_annihilator
+from oracles import (
+    ass_member_presented,
+    hom_cyclic,
+    module_ass_scan,
+    presented_annihilator,
+    radical_is_maximal,
+)
 from linkcoh import groebner, modules, monomial
 from linkcoh.groebner import (
     BudgetExceeded,
@@ -47,7 +53,6 @@ from linkcoh.modules import (
     maximal_ideal,
     module_ass,
     module_gb,
-    radical_is_maximal,
     regular_chain,
     submodule_syzygies,
     unit_vec,

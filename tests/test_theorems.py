@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import hashlib
 import itertools
+import json
 import multiprocessing
 import pickle
 import random
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import radical_is_maximal
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -35,7 +38,6 @@ from linkcoh.modules import (
     koszul_grade,
     maximal_ideal,
     module_ass,
-    radical_is_maximal,
     regular_chain,
 )
 from linkcoh.monomial import ImproperIdealError, MonomialIdeal, as_monomial
@@ -202,6 +204,27 @@ def test_height_and_ext_checker_takes_one_ext_of_a_selflinked_pair(monkeypatch):
                 assert len(calls) == (1 if cert.selflinked else 2), cert.as_json()
                 seen[cert.selflinked] += 1
     assert seen[True] >= 10 and seen[False] >= 5, seen
+
+
+def test_height_and_ext_checker_scans_one_presentation_once(monkeypatch):
+    # (z^2, x*z, x*y) ~ (y, z) through 0 over R/(z^2, x*y) is not
+    # selflinked, yet both Ext modules are R/(y, z): one scan answers both
+    ctx = ring("x", "y", "z")
+    cert = check_linked(
+        I_of(ctx, "z^2", "x*z", "x*y"), I_of(ctx, "y", "z"), Ideal.zero(ctx), R_mod(ctx, "z^2", "x*y")
+    )
+    assert not cert.selflinked
+    scans = []
+    real = theorems.module_ass
+
+    def counted(N):
+        scans.append(N)
+        return real(N)
+
+    monkeypatch.setattr(theorems, "module_ass", counted)
+    v = check_height_and_self_ext(cert)
+    assert v == _l1_both_sides(cert) and v.status == "pass"
+    assert len(scans) == 1
 
 
 def test_height_and_ext_checker_skips_embedded_core():
@@ -572,6 +595,35 @@ def test_p1_draws_reach_the_linked_path():
         if v["status"] == "skip":
             (note,) = v["notes"]
             assert note == "trial collapsed to a unit colon" or note.startswith("draw not linked: ")
+
+
+# sha256 (first 16 hex digits) of json.dumps(run_claim(claim, params),
+# sort_keys=True): every verdict of the claims whose pairs come from the
+# sampler or the p1 draw, as they were when every draw went through link_of;
+# refusing a draw before any colon must not change one of them
+PINNED_REPORTS = [
+    ("l1", 2, 1, None, "21522b9dcaed969c"),
+    ("l1", 3, 41, None, "b446eaea0611b63b"),
+    ("l1", 4, 7, None, "03a4b66cbd174ace"),
+    ("l1", 3, 5, "x*y, z^2", "f8945f5637bfe271"),
+    ("l1", 3, 9, "x^2 - y*z", "51fafba2c2da0d1b"),
+    ("t6", 2, 1, None, "38cf4971e42ec2eb"),
+    ("t6", 3, 41, None, "eafee3436406b7ff"),
+    ("t6", 4, 7, None, "6bbe7e4b7fca4007"),
+    ("l15", 2, 1, None, "0c44baa26c589276"),
+    ("l15", 3, 41, None, "739809691d33e8e4"),
+    ("l15", 4, 7, None, "23ecff88aaa3ddab"),
+    ("p1", 2, 1, None, "f28f3cff416d2c15"),
+    ("p1", 3, 41, None, "ff178fe4c67a4e8a"),
+    ("p1", 4, 7, None, "8aaeba6baa987b08"),
+]
+
+
+@pytest.mark.parametrize("claim, n_vars, seed, module, digest", PINNED_REPORTS)
+def test_claim_reports_are_pinned(claim, n_vars, seed, module, digest):
+    params = InstanceParams(n_vars=n_vars, count=40, seed=seed, module=module)
+    text = json.dumps(run_claim(claim, params), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_run_claim_pinned_module():
