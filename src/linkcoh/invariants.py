@@ -20,6 +20,11 @@ question V(a + p) = {0} is not the question at the ideal of variables
 second zero), and a local test, such as a saturation by the variables, is
 not built.
 
+The ideal a may be an `Ideal` or a `MonomialIdeal`; a term ideal is read
+as it is (its minimal generators give the mask test, and over a monomial J
+it is proper against M exactly when it is proper), so a caller holding
+one, such as the l08 claim, builds no `Ideal` for it.
+
 The module holds invariants only; `GRADED_NOTE` is the note the claim lab
 (`linkcoh.theorems`, which owns the verdict record) attaches to a verdict
 that reads these sets.
@@ -33,6 +38,7 @@ from .groebner import Ideal, ideal_sum, is_proper, reduced_gb
 from .modules import CyclicModule
 from .monomial import (
     ImproperIdealError,
+    MonomialIdeal,
     MonomialPrime,
     PrimeSet,
     as_monomial,
@@ -53,7 +59,7 @@ def assh(M: CyclicModule) -> PrimeSet:
     return M.primes().assh
 
 
-def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
+def _becomes_maximal(a: Ideal | MonomialIdeal) -> Callable[[MonomialPrime], bool]:
     """The test of whether a + p is primary to the ideal of all variables,
     which the unit ideal is not, for monomial primes p.  For monomial a,
     sqrt(a) is generated by the supports of its minimal generators, so p
@@ -62,7 +68,7 @@ def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
     a with a generator off the ideal of variables passes no p; a homogeneous
     a (read off its reduced basis) asks whether R/(a + p) has dimension
     zero.  Any other a is refused: the test would be global, not local."""
-    am = as_monomial(a)
+    am = a if isinstance(a, MonomialIdeal) else as_monomial(a)
     if am is not None:
         if am.is_unit():
             return lambda p: False
@@ -83,18 +89,27 @@ def _becomes_maximal(a: Ideal) -> Callable[[MonomialPrime], bool]:
     return lambda p: CyclicModule(ctx, ideal_sum(a, p.to_ideal(ctx))).dim() == 0
 
 
-def att_top(a: Ideal, M: CyclicModule) -> PrimeSet:
+def att_top(a: Ideal | MonomialIdeal, M: CyclicModule) -> PrimeSet:
     """Attached primes of the top local cohomology of M along a.
 
     These are the top-dimensional associated primes p of M for which a + p is
     cofinal with the ideal of variables.
     """
-    if not is_proper(ideal_sum(a, M.ideal)):
+    if isinstance(a, MonomialIdeal):
+        if a.ctx != M.ctx:
+            raise RingError("ideals live in different rings")
+        # a proper term ideal lies in the ideal of variables, as a monomial J does
+        proper = a.is_proper() and (
+            M.monomial is not None or is_proper(ideal_sum(a.to_ideal(), M.ideal))
+        )
+    else:
+        proper = is_proper(ideal_sum(a, M.ideal))
+    if not proper:
         raise ImproperIdealError("att_top wants aM != M")
     return PrimeSet(filter(_becomes_maximal(a), assh(M)))
 
 
-def ass_formal_zeroth(a: Ideal, M: CyclicModule) -> PrimeSet:
+def ass_formal_zeroth(a: Ideal | MonomialIdeal, M: CyclicModule) -> PrimeSet:
     """Associated primes of the zeroth formal local cohomology of M along a:
     the associated primes of M that a pushes up to the maximal ideal."""
     return PrimeSet(filter(_becomes_maximal(a), M.primes().ass))

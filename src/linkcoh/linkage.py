@@ -21,7 +21,13 @@ lies in no associated prime of R/T, and is certified otherwise.  Over a
 monomial core both are bit and divisibility tests on exponent tuples
 (`link_refusal`), so the sampler and the p1 claim refuse such draws before
 building a trial or taking a colon; what passes still goes to `link_of`,
-which alone certifies.
+which alone certifies.  Over a monomial J the sampler also grows its
+sequence on masks: a term, or x_i + x_j, is regular on R/T exactly when it
+lies in no P in Ass R/T, and a core holding one x_i + x_j is read, through
+x_j -> -x_i, as the term ideal of the folded exponents in the ring without
+x_j (`_TermChain`).  So a draw builds no `Polynomial` or `Ideal` until it
+passes; a non-monomial J, and a second x_k + x_l, grow the chain by
+`regular_chain` and go to `link_of` as drawn.
 
 A certificate holds M/aM = R/(a+J), M/bM = R/(b+J) and the core
 M/IM = R/(I+J), the end of the regular chain that certified I, as cyclic
@@ -37,6 +43,7 @@ from typing import Iterator, Sequence
 
 from .groebner import (
     Ideal,
+    check_deadline,
     ideal_equal,
     ideal_intersect,
     ideal_member,
@@ -44,12 +51,11 @@ from .groebner import (
     ideal_sum,
     is_proper,
     is_unit_ideal,
-    monomial_gens,
     radical_member,
     reduced_gb,
 )
 from .modules import CyclicModule, regular_chain
-from .monomial import MonomialIdeal, PrimeSet, associated_primes
+from .monomial import MonomialIdeal, MonomialPrime, PrimeSet, associated_primes
 from .ring import Exponents, Polynomial, RingError, mono_mask
 
 ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
@@ -181,8 +187,7 @@ def link_refusal(core: MonomialIdeal, ass: PrimeSet, extras: Sequence[Exponents]
     """
     if all(core.contains_mono(e) for e in extras):
         return "improper-b"
-    supports = [mono_mask(e) for e in extras]
-    if not any(all(s & p.mask for s in supports) for p in ass):
+    if not _in_some_prime(ass, extras):
         return "improper-a"
     return None
 
@@ -243,32 +248,121 @@ def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _sequence_pool(rng: random.Random, ctx, maxdeg: int) -> Polynomial:
-    i = rng.randrange(ctx.n)
-    if ctx.n > 1 and rng.random() < 0.3:
-        j = rng.randrange(ctx.n)
+def _power(n: int, i: int, d: int = 1) -> Exponents:
+    """The exponent of x_i^d in n variables."""
+    return (0,) * i + (d,) + (0,) * (n - i - 1)
+
+
+def _sequence_pool(rng: random.Random, ctx, maxdeg: int) -> tuple[Exponents, ...]:
+    """A candidate for the next element of a regular sequence, as the
+    exponents of its terms: x_i + x_j (i != j) with probability 0.3 when
+    there are two variables or more, else x_i^d with d in 1..maxdeg."""
+    n = ctx.n
+    i = rng.randrange(n)
+    if n > 1 and rng.random() < 0.3:
+        j = rng.randrange(n)
         while j == i:
-            j = rng.randrange(ctx.n)
-        return Polynomial.variable(ctx, ctx.var_names[i]) + Polynomial.variable(
-            ctx, ctx.var_names[j]
-        )
-    d = rng.randint(1, maxdeg)
-    e = [0] * ctx.n
-    e[i] = d
-    return Polynomial.from_monomial(ctx, tuple(e))
+            j = rng.randrange(n)
+        return _power(n, i), _power(n, j)
+    return (_power(n, i, rng.randint(1, maxdeg)),)
 
 
-def _monomial_core(T: Ideal, M: CyclicModule) -> tuple[MonomialIdeal, PrimeSet] | None:
-    """The monomial form of a core T grown from M's ideal, and Ass R/T:
-    M's own record when T is M's ideal, else read off T's generators, which
-    are J's and the sequence's; None when they are not all terms."""
-    if T is M.ideal:
-        return None if M.monomial is None else (M.monomial, M.primes().ass)
-    gens = monomial_gens(T)
-    if gens is None:
-        return None
-    core = MonomialIdeal(T.ctx, gens)
-    return core, associated_primes(core)
+def _polynomial(ctx, terms: Sequence[Exponents]) -> Polynomial:
+    """The sum of the terms x^e, e in `terms`."""
+    return Polynomial(ctx, dict.fromkeys(terms, 1))
+
+
+def _in_some_prime(ass: PrimeSet, terms: Sequence[Exponents]) -> bool:
+    """Whether some monomial prime P in `ass` holds every term x^e, i.e.
+    the support of every e meets P: then P holds the ideal the terms
+    generate, and their sum."""
+    supports = [mono_mask(e) for e in terms]
+    return any(all(s & p.mask for s in supports) for p in ass)
+
+
+def _fold(fold: tuple[int, int] | None, e: Exponents) -> Exponents:
+    """The exponent of x^e after x_j -> -x_i, for fold = (i, j), up to sign:
+    e_i += e_j, e_j = 0; e itself when fold is None."""
+    if fold is None:
+        return e
+    i, j = fold
+    f = list(e)
+    f[i] += f[j]
+    f[j] = 0
+    return tuple(f)
+
+
+class _TermChain:
+    """A regular chain T = J + (seq) over a monomial J, held in term form:
+    seq holds terms and at most one x_i + x_j.
+
+    Substituting x_j -> -x_i maps R/(J + (x_i + x_j)) onto R'/J', where R'
+    is R without x_j and J' is generated by the folded exponents (e_i +=
+    e_j, e_j = 0); a term x^e lies in T, or in a prime P' + (x_i + x_j) of
+    Ass R/T, exactly when x^fold(e) lies in J', or in P'.  So `core` is the
+    folded term ideal (T itself before any fold, and never naming x_j
+    after one), `ass` is Ass of R/core as vertex masks, and `fold` is
+    (i, j) or None.  An element is regular on R/T exactly when it lies in
+    no P in Ass R/T.  Each step taken stays on the chain it extended
+    (`_steps`), so a prefix drawn again costs a dict lookup.
+    """
+
+    __slots__ = ("core", "ass", "fold", "_steps")
+
+    def __init__(self, core: MonomialIdeal, ass: PrimeSet, fold: tuple[int, int] | None = None):
+        self.core = core
+        self.ass = ass
+        self.fold = fold
+        self._steps: dict[tuple[Exponents, ...], _TermChain | None] = {}
+
+    def step(self, cand: tuple[Exponents, ...]) -> "_TermChain | None":
+        """The chain T + (f) for the candidate f whose terms are `cand`, one
+        term or, before any fold, x_i + x_j; None when f is a zero-divisor
+        on R/T.
+
+        A regular x_i^d lies in no P in Ass R/T, so x_i is in no component
+        of the irreducible decomposition and names no generator of T; the
+        components of T + (x_i^d) are those of T plus x_i^d, and each
+        prime gains x_i.  A regular x_i + x_j folds T, whose Ass is read
+        off the folded ideal.
+        """
+        if cand in self._steps:
+            return self._steps[cand]
+        terms = [_fold(self.fold, e) for e in cand]
+        nxt = None
+        if not _in_some_prime(self.ass, terms):
+            ctx = self.core.ctx
+            if len(terms) == 1:
+                (e,) = terms
+                m = mono_mask(e)
+                core = MonomialIdeal.from_exponents(ctx, (*self.core.min_gens, e))
+                ass = PrimeSet(MonomialPrime.from_mask(p.mask | m) for p in self.ass)
+                nxt = _TermChain(core, ass, self.fold)
+            else:
+                fold = tuple(mono_mask(e).bit_length() - 1 for e in terms)
+                gens = (_fold(fold, g) for g in self.core.min_gens)
+                core = MonomialIdeal.from_exponents(ctx, gens)
+                nxt = _TermChain(core, associated_primes(core), fold)
+        self._steps[cand] = nxt
+        return nxt
+
+
+def _grow(
+    chain: "_TermChain | Ideal",
+    seq: Sequence[tuple[Exponents, ...]],
+    cand: tuple[Exponents, ...],
+    J: Ideal,
+) -> "_TermChain | Ideal | None":
+    """The chain J + (seq, f) for the candidate f with terms `cand` when f
+    is regular on R/(J + (seq)), else None: by the term form's masks while
+    it keeps one, else by `regular_chain`.  A second x_k + x_l leaves the
+    term form, and the chain is grown from J."""
+    ctx = J.ctx
+    if isinstance(chain, Ideal):
+        return regular_chain([_polynomial(ctx, cand)], chain)
+    if len(cand) == 1 or chain.fold is None:
+        return chain.step(cand)
+    return regular_chain([_polynomial(ctx, c) for c in (*seq, cand)], J)
 
 
 def random_linked_pairs(
@@ -278,16 +372,22 @@ def random_linked_pairs(
 
     Each draw picks an M-regular sequence I, throws extra monomials on top to
     get a trial ideal, and takes `link_of(trial, I, M, close=True)`;
-    duplicates (same pair mod J) are dropped.  Over a core given by terms
-    the extras' exponents meet `link_refusal` first, and only a draw it
-    does not refuse builds its trial and reaches `link_of`; any other core
-    goes to `link_of` as drawn.
+    duplicates (same pair mod J) are dropped.  The soft deadline is checked
+    once per draw, whether or not the draw takes a colon.
 
-    A sequence grows one drawn candidate at a time, from J, by
-    `regular_chain`.  Each step's colon and sum stay on the ideal it
-    extended (`colon_and_sum`), so a prefix drawn again, and the chain that
-    `link_of` grows again to certify I, cost dict lookups; the chain's last
-    ideal is J + I, the core that the colons are taken in.
+    A sequence grows one drawn candidate at a time, x_i^d or x_i + x_j, as
+    the exponents of its terms.  Over a monomial J the chain keeps a term
+    form (`_TermChain`) while it holds at most one x_i + x_j: a candidate
+    is regular exactly when it lies in no P in Ass R/(J + I), a mask test,
+    and the trial's extras, folded as the chain is, meet `link_refusal`
+    over the chain's term core.  Only a draw it does not refuse builds its
+    `Polynomial`s, its trial and the `link_of` call, whose certification
+    grows the chain from J by `regular_chain`.  A non-monomial J, and a
+    second x_k + x_l, grow the chain by `regular_chain`, one step at a time,
+    and go to `link_of` as drawn.  Every step stays on the chain it
+    extended (`_TermChain._steps`, `colon_and_sum`), so a prefix drawn
+    again, and the chain that `link_of` grows again to certify I, cost dict
+    lookups.
     """
     rng = random.Random(seed)
     ctx = M.ctx
@@ -296,9 +396,8 @@ def random_linked_pairs(
     seen: set = set()
     attempts = ATTEMPTS_PER_PAIR * params.count
     min_len = 0 if not J.is_zero_ideal() else 1
-
-    # the core's monomial form and Ass R/T, per chain end, read once per call
-    core_primes: dict[Ideal, tuple[MonomialIdeal, PrimeSet] | None] = {}
+    # the chain at J, in term form when J is monomial
+    start = J if M.monomial is None else _TermChain(M.monomial, M.primes().ass)
 
     def gb_key(X: CyclicModule) -> tuple[str, ...]:
         return tuple(str(g) for g in reduced_gb(X.ideal))
@@ -306,17 +405,18 @@ def random_linked_pairs(
     for _ in range(attempts):
         if produced >= params.count:
             return
+        check_deadline("linked-pair draws")
         want = rng.randint(min_len, max(min_len, params.seq_len_max))
-        seq: list[Polynomial] = []
-        Q = J  # J + (seq)
+        seq: list[tuple[Exponents, ...]] = []
+        chain = start  # J + (seq)
         ok = True
         for _ in range(want):
             for _ in range(12):
                 cand = _sequence_pool(rng, ctx, params.maxdeg)
-                nxt = regular_chain([cand], Q)
+                nxt = _grow(chain, seq, cand, J)
                 if nxt is not None:
                     seq.append(cand)
-                    Q = nxt
+                    chain = nxt
                     break
             else:
                 ok = False
@@ -328,12 +428,11 @@ def random_linked_pairs(
             _random_monomial(rng, ctx, params.maxdeg)
             for _ in range(rng.randint(extra_min, max(extra_min, params.max_extra)))
         ]
-        if Q not in core_primes:
-            core_primes[Q] = _monomial_core(Q, M)
-        known = core_primes[Q]
-        if known is not None and link_refusal(*known, exps) is not None:
-            continue
-        I = Ideal(ctx, seq)
+        if isinstance(chain, _TermChain):
+            folded = [_fold(chain.fold, e) for e in exps]
+            if link_refusal(chain.core, chain.ass, folded) is not None:
+                continue
+        I = Ideal(ctx, [_polynomial(ctx, c) for c in seq])
         extras = [Polynomial.from_monomial(ctx, e) for e in exps]
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I
         try:

@@ -18,7 +18,10 @@ A p1 draw that cannot link is refused off the primes of its principal core
 (`linkage.link_refusal`) before any colon, with the note `link_of` gives.
 Dimension has one route, `CyclicModule.dim()`: t6 stops its sequence
 search at dim M, which bounds the length of any regular sequence, and
-reads "dimension zero" off the record of the quotient it leaves.
+reads "dimension zero" off the record of the quotient it leaves.  Term
+data stays term data: l08 hands its `MonomialIdeal`s to the attached and
+associated sets as they are, and t6 writes each candidate of its pool as
+an exponent map rather than by polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .invariants import (
 from .linkage import (
     GenParams,
     LinkageCertificate,
+    _power,
     _random_monomial,
     check_linked,
     link_of,
@@ -358,18 +362,17 @@ def check_att_calculus(a: MonomialIdeal, b: MonomialIdeal, M: CyclicModule) -> V
     if M.monomial is None:
         return Verdict.skipped("needs a monomial base ideal")
     ctx = M.ctx
-    aI, bI = a.to_ideal(), b.to_ideal()
-    cap = mono_intersect(a, b).to_ideal()
-    att_a, att_b = att_top(aI, M), att_top(bI, M)
+    cap = mono_intersect(a, b)
+    att_a, att_b = att_top(a, M), att_top(b, M)
     if att_top(cap, M) != att_a & att_b:
         return Verdict.failing("attached set of the intersection is not the intersection")
-    f_a, f_b = ass_formal_zeroth(aI, M), ass_formal_zeroth(bI, M)
+    f_a, f_b = ass_formal_zeroth(a, M), ass_formal_zeroth(b, M)
     if ass_formal_zeroth(cap, M) != f_a & f_b:
         return Verdict.failing("formal zeroth sets fail the intersection rule")
     witnesses = [f"att(a)={att_a.render(ctx)}", f"att(b)={att_b.render(ctx)}"]
     notes = [GRADED_NOTE]
     if mono_contains(M.monomial, mono_product(a, b)):
-        plus = mono_sum(a, b).to_ideal()
+        plus = mono_sum(a, b)
         if att_top(plus, M) != att_a | att_b:
             return Verdict.failing("attached set of the sum is not the union")
         if ass_formal_zeroth(plus, M) != f_a | f_b:
@@ -379,28 +382,29 @@ def check_att_calculus(a: MonomialIdeal, b: MonomialIdeal, M: CyclicModule) -> V
 
 
 def _homogeneous_pool(rng: random.Random, ctx: RingCtx, maxdeg: int) -> list[Polynomial]:
-    out: list[Polynomial] = [Polynomial.variable(ctx, v) for v in ctx.var_names]
-    xs = out[: ctx.n]
-    for d in range(2, maxdeg + 1):
-        out.extend(x**d for x in xs)
-    idx = list(range(ctx.n))
-    for size in range(2, ctx.n + 1):
-        for _ in range(min(4, ctx.n)):
-            sub = rng.sample(idx, size)
-            out.append(sum((xs[i] for i in sub[1:]), xs[sub[0]]))
+    """Variables and their powers up to maxdeg, sums of 2..n distinct
+    variables, and x_i + c*x_j and x_i^d + x_j^d for random i != j, without
+    repeats, shuffled; each is built from its exponent map, and no term
+    cancels."""
+    n = ctx.n
+
+    def poly(*terms: tuple[int, int, int]) -> Polynomial:
+        # (i, d, c) is the term c * x_i^d
+        return Polynomial(ctx, {_power(n, i, d): c for i, d, c in terms})
+
+    out = [poly((i, d, 1)) for d in range(1, maxdeg + 1) for i in range(n)]
+    for size in range(2, n + 1):
+        for _ in range(min(4, n)):
+            out.append(poly(*((i, 1, 1) for i in rng.sample(range(n), size))))
     for _ in range(4):
-        i, j = rng.randrange(ctx.n), rng.randrange(ctx.n)
+        i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         c = rng.choice((1, 2, 3, -1))
-        out.append(xs[i] + c * xs[j])
+        out.append(poly((i, 1, 1), (j, 1, c)))
         d = rng.randint(2, max(2, maxdeg))
-        out.append(xs[i] ** d + xs[j] ** d)
-    uniq: dict[Polynomial, None] = {}
-    for f in out:
-        if not f.is_zero():
-            uniq.setdefault(f)
-    pool = list(uniq)
+        out.append(poly((i, d, 1), (j, d, 1)))
+    pool = list(dict.fromkeys(out))
     rng.shuffle(pool)
     return pool
 

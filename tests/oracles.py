@@ -45,6 +45,9 @@ the tests can compare, and share with those no more than noted:
 - `parse_poly_two_pass` reads polynomial text by matching each whole term
   against one pattern and then scanning the term again for its factors,
   where `ring.parse_poly` matches a sign and then each factor once.
+- `homogeneous_pool_by_arithmetic` builds the t6 candidate pool by
+  `Polynomial` powers, sums and products, where
+  `theorems._homogeneous_pool` writes each candidate's exponent map.
 
 The helpers at the end (`mono_colon`, `s_polynomial`) are small
 constructions that several test modules share.
@@ -534,3 +537,32 @@ def s_polynomial(g: Polynomial, h: Polynomial) -> Polynomial:
         return f * Polynomial.from_monomial(ctx, tuple(l - a for l, a in zip(lcm, e)), 1 / c)
 
     return lift(g, eg, cg) - lift(h, eh, ch)
+
+
+def homogeneous_pool_by_arithmetic(rng, ctx: RingCtx, maxdeg: int) -> list[Polynomial]:
+    """The t6 candidate pool, with the same RNG calls in the same order,
+    each candidate built by polynomial arithmetic on the variables."""
+    out: list[Polynomial] = [Polynomial.variable(ctx, v) for v in ctx.var_names]
+    xs = out[: ctx.n]
+    for d in range(2, maxdeg + 1):
+        out.extend(x**d for x in xs)
+    idx = list(range(ctx.n))
+    for size in range(2, ctx.n + 1):
+        for _ in range(min(4, ctx.n)):
+            sub = rng.sample(idx, size)
+            out.append(sum((xs[i] for i in sub[1:]), xs[sub[0]]))
+    for _ in range(4):
+        i, j = rng.randrange(ctx.n), rng.randrange(ctx.n)
+        if i == j:
+            continue
+        c = rng.choice((1, 2, 3, -1))
+        out.append(xs[i] + c * xs[j])
+        d = rng.randint(2, max(2, maxdeg))
+        out.append(xs[i] ** d + xs[j] ** d)
+    uniq: dict[Polynomial, None] = {}
+    for f in out:
+        if not f.is_zero():
+            uniq.setdefault(f)
+    pool = list(uniq)
+    rng.shuffle(pool)
+    return pool

@@ -583,6 +583,25 @@ def test_soft_timeout_trips_the_minimal_prime_covers(capsys, cmd):
     assert doc["detail"].startswith("minimal primes")
 
 
+def test_soft_timeout_trips_linked_pair_draws_that_take_no_colon(capsys):
+    # over R/(x, y, z) every trial lies in the core, so each draw is refused
+    # off exponent tuples and no colon or basis runs; the draw loop itself
+    # must see the deadline
+    code, out, err = invoke(
+        capsys,
+        "--timeout-soft", "0.3",
+        "linkage", "random",
+        "--ring", "x,y,z",
+        "--module", "x,y,z",
+        "--count", "5000",
+        "--seq-len-max", "0",
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "budget-exceeded"
+    assert doc["detail"].startswith("linked-pair draws")
+
+
 def test_depth_beyond_the_vertex_budget_exits_two(capsys):
     # 22 variables: the colon radicals live on all of them, past the
     # 20-vertex budget of the Stanley-Reisner complex

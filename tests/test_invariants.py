@@ -227,6 +227,38 @@ def test_monomial_cofinality_matches_radical_membership():
     check()
 
 
+def test_att_sets_take_a_term_ideal_as_the_ideal_it_generates():
+    # att_top and ass_formal_zeroth read a MonomialIdeal a as it is, and
+    # answer, or refuse, as for a.to_ideal(): over a monomial J, and over a
+    # non-monomial one, where the attached sets are refused and a + J may
+    # be the unit ideal
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def outcome(f, a, M):
+        try:
+            return f(a, M)
+        except RingError as err:
+            return type(err), str(err)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+        gens = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(exps.filter(any), max_size=3)))
+        extra = data.draw(st.sampled_from(["", "x0 - 1", "x0 - x1"]))
+        J = Ideal(ctx, [*gens.to_ideal().gens, *([parse_poly(extra, ctx)] if extra else [])])
+        hyp.assume(is_proper(J))
+        M = CyclicModule(ctx, J)
+        a = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(exps, max_size=3)))
+        for f in (att_top, ass_formal_zeroth):
+            assert outcome(f, a, M) == outcome(f, a.to_ideal(), M), (f, a.min_gens, J)
+
+    check()
+
+
 def test_att_top_via_cd_needs_monomial():
     ctx = ring("x", "y")
     with pytest.raises(RingError):

@@ -289,24 +289,77 @@ def test_link_refusal_answers_as_closed_link_of():
     assert seen == {None, "improper-a", "improper-b"}
 
 
+def test_term_chain_answers_as_regular_chain_and_link_of():
+    # over monomial J a chain of terms with one x_i + x_j keeps a term form:
+    # a candidate x_i^d or x_i + x_j is regular exactly when regular_chain
+    # grows the chain, and over the core folded by x_j -> -x_i the folded
+    # extras meet `link_refusal` with link_of's reason, None exactly when
+    # it certifies
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seen, regular = set(), set()
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        term = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any)
+        J = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(term, max_size=3)))
+        M = CyclicModule(ctx, J.to_ideal())
+        index = st.integers(0, n - 1)
+        power = st.tuples(index, st.integers(1, 2)).map(lambda t: (linkage._power(n, *t),))
+        pair = st.lists(index, min_size=2, max_size=2, unique=True).map(
+            lambda ij: tuple(linkage._power(n, k) for k in ij)
+        )
+        around = st.lists(power, max_size=1)
+        seq = [*data.draw(around), data.draw(pair), *data.draw(around)]
+        chain = linkage._TermChain(M.monomial, M.primes().ass)
+        for k, cand in enumerate(seq):
+            nxt = chain.step(cand)
+            polys = [linkage._polynomial(ctx, c) for c in seq[: k + 1]]
+            want = regular_chain(polys, Ideal(ctx, M.ideal.gens)) is not None
+            assert (nxt is not None) == want, (J.min_gens, seq[: k + 1])
+            regular.add((len(cand), want))
+            hyp.assume(want)
+            chain = nxt
+        extras = data.draw(st.lists(term, max_size=3))
+        got = link_refusal(chain.core, chain.ass, [linkage._fold(chain.fold, e) for e in extras])
+        I = Ideal(ctx, polys)
+        trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in extras]))
+        want = _outcome(link_of, trial, I, M, True)
+        assert got == (None if isinstance(want, LinkageCertificate) else want), (
+            J.min_gens, seq, extras
+        )
+        seen.add(got)
+
+    check()
+    assert regular == {(1, True), (1, False), (2, True), (2, False)}
+    assert seen == {None, "improper-a", "improper-b"}
+
+
 # ---------------------------------------------------------------------------
 # Random sampling.
 
 def test_sampler_sends_link_of_only_draws_a_term_core_certifies(monkeypatch):
-    # over a core given by terms the sampler refuses by `link_refusal` what
-    # link_of would refuse, so every call it makes there certifies; a
-    # sequence holding a sum of two variables still reaches link_of, which
-    # may refuse the draw
+    # over a monomial J the sampler refuses by `link_refusal` what link_of
+    # would refuse, on the term core or, for a sequence holding one x_i +
+    # x_j, on the core folded by x_j -> -x_i, so every call it makes there
+    # certifies; only a sequence holding two sums of variables leaves the
+    # term form and reaches link_of as drawn, which may refuse it
     ctx = ring("x", "y", "z")
     real = linkage.link_of
-    refused_term_cores, calls = [], []
+    calls, refused = [], []
+
+    def binomials(I):
+        return sum(not g.is_term() for g in I.gens)
 
     def recorded(trial, I, M, close=False):
-        calls.append(I)
+        calls.append(binomials(I))
         try:
             return real(trial, I, M, close)
         except LinkageError:
-            refused_term_cores.append(all(g.is_term() for g in I.gens))
+            refused.append(binomials(I))
             raise
 
     monkeypatch.setattr(linkage, "link_of", recorded)
@@ -314,7 +367,8 @@ def test_sampler_sends_link_of_only_draws_a_term_core_certifies(monkeypatch):
     for gens in [(), ("x*y",), ("x^2", "y*z")]:
         produced += len(list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=5, maxdeg=2), seed=7)))
     assert produced == 15 and len(calls) > produced
-    assert refused_term_cores and not any(refused_term_cores)
+    assert 1 in calls  # a folded core reached link_of, and certified
+    assert refused and all(k == 2 for k in refused)
 
 
 def test_random_pairs_deterministic_and_certified():
@@ -400,13 +454,15 @@ def test_random_pairs_are_pinned(gens, count, seed, expected):
 
 @pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS])
 def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
-    # within one call, each chain step (Q, f) is computed once: a prefix
-    # (*seq, cand) drawn again, and the chain that certification grows again
-    # from J, read the colon and sum kept on Q (`colon_and_sum`)
+    # within one call, each chain step is computed once: a prefix (*seq,
+    # cand) drawn again reads the step kept on the chain it extended, the
+    # term chain's over a monomial J (`_TermChain._steps`) and the ideal's
+    # (`colon_and_sum`) otherwise, and the chain that certification grows
+    # again from J reads the ideal's
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, *gens)
     computed, calls, drawn = [], [], []
-    step, pool = modules.colon_and_sum, linkage._sequence_pool
+    step, term_step, pool = modules.colon_and_sum, linkage._TermChain.step, linkage._sequence_pool
 
     def counted_step(Q, f):
         calls.append(f)
@@ -414,15 +470,26 @@ def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
             computed.append((Q.gens, f))
         return step(Q, f)
 
+    def counted_term_step(chain, cand):
+        # every chain of the call lives on in the first one's steps, so an
+        # id names one chain throughout
+        calls.append(cand)
+        if cand not in chain._steps:
+            computed.append((id(chain), cand))
+        return term_step(chain, cand)
+
     def counted_draw(*args):
         drawn.append(pool(*args))
         return drawn[-1]
 
     monkeypatch.setattr(modules, "colon_and_sum", counted_step)
+    monkeypatch.setattr(linkage._TermChain, "step", counted_term_step)
     monkeypatch.setattr(linkage, "_sequence_pool", counted_draw)
     list(random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed))
     assert computed and len(set(computed)) == len(computed)
     assert len(drawn) > len(computed) and len(calls) > len(drawn)
+    # the term chain takes the steps exactly when J is monomial
+    assert any(isinstance(key, int) for key, _ in computed) == (M.monomial is not None)
 
 
 @pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS[1:]])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import radical_is_maximal
+from oracles import homogeneous_pool_by_arithmetic, radical_is_maximal
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -384,6 +384,24 @@ def _t6_draws(seeds):
     ctx = ring("x", "y", "z")
     for seed in seeds[:8]:
         yield R_mod(ctx, "x*y - z^2"), theorems._homogeneous_pool(random.Random(seed), ctx, 2)
+
+
+def test_homogeneous_pool_matches_the_arithmetic_route():
+    # t6's pool writes each candidate's exponent map; the reference builds
+    # it by polynomial arithmetic: the same polynomials, terms in the same
+    # order, in the same order, and the RNG left in the same state
+    for n in range(1, 5):
+        ctx = theorems.ctx_for(n)
+        for maxdeg in (1, 2, 3):
+            for seed in range(12):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = theorems._homogeneous_pool(rng, ctx, maxdeg)
+                want = homogeneous_pool_by_arithmetic(ref, ctx, maxdeg)
+                assert got == want
+                assert [list(f.term_map().items()) for f in got] == [
+                    list(f.term_map().items()) for f in want
+                ]
+                assert rng.getstate() == ref.getstate()
 
 
 def _greedy_to_n(M, pool):
