@@ -12,22 +12,20 @@ colon partner, or the double colon of a trial ideal, and certifies it; every
 pair drawn from a trial ideal is built there: `random_linked_pairs` draws
 certified instances through it, exploiting that a double colon is always
 colon-stable.  Both take the core I + J from one helper, `_core`,
-which grows I as a regular chain from J; each step stays on the ideal it
-extended, so the chain is tested once however often it is grown.
+which refuses data from another ring than M's and grows I as a regular
+chain from J; each step stays on the ideal it extended, so the chain is
+tested once however often it is grown.
 
 A closed trial t over the core T = I + J is refused as improper-b exactly
 when t lies in T, else as improper-a exactly when T : t = T, i.e. when t
 lies in no associated prime of R/T, and is certified otherwise.  Over a
-monomial core both are bit and divisibility tests on exponent tuples
-(`link_refusal`), so the sampler and the p1 claim refuse such draws before
-building a trial or taking a colon; what passes still goes to `link_of`,
-which alone certifies.  Over a monomial J the sampler also grows its
-sequence on masks: a term, or x_i + x_j, is regular on R/T exactly when it
-lies in no P in Ass R/T, and a core holding one x_i + x_j is read, through
-x_j -> -x_i, as the term ideal of the folded exponents in the ring without
-x_j (`_TermChain`).  So a draw builds no `Polynomial` or `Ideal` until it
-passes; a non-monomial J, and a second x_k + x_l, grow the chain by
-`regular_chain` and go to `link_of` as drawn.
+monomial J one class, `_TermChain`, holds the core in term form: each sum
+x_k + x_l of the sequence identifies two variables up to sign, so R/T is
+a term ideal's quotient in the ring of the variables left, and a
+candidate's regularity and a trial's refusal are bit and divisibility
+tests on exponent tuples.  The sampler and the p1 claim decide every draw
+there before building a trial or taking a colon; what passes still goes
+to `link_of`, which alone certifies.
 
 A certificate holds M/aM = R/(a+J), M/bM = R/(b+J) and the core
 M/IM = R/(I+J), the end of the regular chain that certified I, as cyclic
@@ -103,12 +101,16 @@ class LinkageCertificate:
         }
 
 
-def _core(I: Ideal, J: Ideal) -> Ideal:
+def _core(M: CyclicModule, I: Ideal, *sides: Ideal) -> Ideal:
     """J + I grown as a regular chain from J (`regular_chain`), the core
-    that both colons are taken in; refuses I when its generators are not
-    an M-regular sequence.  Every step's colon and sum stay on the ideal it
+    that both colons are taken in; refuses I, or a side, from another ring
+    than M's before any chain step, and I when its generators are not an
+    M-regular sequence.  Every step's colon and sum stay on the ideal it
     extended, so growing the chain again from the same J reads them."""
-    T = regular_chain(I.gens, J)
+    for X in (I, *sides):
+        if X.ctx != M.ctx:
+            raise RingError("linkage data lives in different rings")
+    T = regular_chain(I.gens, M.ideal)
     if T is None:
         raise LinkageError(
             "not-regular", "the generators of I are not an M-regular sequence"
@@ -122,12 +124,8 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
     Raises LinkageError (reason codes: not-regular, not-contained, improper-a,
     improper-b, colon-mismatch-a, colon-mismatch-b) when a condition fails.
     """
-    ctx = M.ctx
-    for X in (a, b, I):
-        if X.ctx != ctx:
-            raise RingError("linkage data lives in different rings")
+    T = _core(M, I, a, b)
     J = M.ideal
-    T = _core(I, J)
     aJ = ideal_sum(a, J)
     bJ = ideal_sum(b, J)
     for g in I.gens:
@@ -145,9 +143,9 @@ def check_linked(a: Ideal, b: Ideal, I: Ideal, M: CyclicModule) -> LinkageCertif
     selflinked = ideal_equal(aJ, bJ)
     # a selflink has one quotient M/aM = M/bM, and a zero link (I = 0) leaves
     # the chain at J itself, whose module is M
-    quotient_a = CyclicModule(ctx, aJ)
-    quotient_b = quotient_a if selflinked else CyclicModule(ctx, bJ)
-    quotient_core = M if T is J else CyclicModule(ctx, T)
+    quotient_a = CyclicModule(M.ctx, aJ)
+    quotient_b = quotient_a if selflinked else CyclicModule(M.ctx, bJ)
+    quotient_core = M if T is J else CyclicModule(M.ctx, T)
     return LinkageCertificate(
         M, I, a, b, quotient_a, quotient_b, quotient_core, geometric, selflinked
     )
@@ -163,33 +161,13 @@ def link_of(a: Ideal, I: Ideal, M: CyclicModule, close: bool = False) -> Linkage
     certification would give: the double colon (I+J) : R = I+J holds I and
     is proper.
     """
-    T = _core(I, M.ideal)
+    T = _core(M, I, a)
     b = ideal_quotient(T, a)
     if close:
         if is_unit_ideal(b):
             raise LinkageError("improper-b", "b kills the module: bM = M")
         a = ideal_quotient(T, b)
     return check_linked(a, b, I, M)
-
-
-def link_refusal(core: MonomialIdeal, ass: PrimeSet, extras: Sequence[Exponents]) -> str | None:
-    """The reason `link_of(t, I, M, close=True)` refuses a trial t = I +
-    (x^e : e in extras), or None when it certifies, read off the monomial
-    core T = I + J and Ass R/T without a colon; I must be M-regular.
-
-    With b = T : t, b is the unit ideal (improper-b) exactly when t lies in
-    T, i.e. when T holds every extra, as it holds I.  Otherwise the double
-    colon T : b is the unit ideal (improper-a) exactly when b = T, and
-    T : t = T exactly when t lies in no P in Ass R/T (prime avoidance): P
-    holds I, and holds the term x^e when the support of e meets P.  In
-    every other case both colons are proper and the double colon is
-    colon-stable, so `check_linked` certifies.
-    """
-    if all(core.contains_mono(e) for e in extras):
-        return "improper-b"
-    if not _in_some_prime(ass, extras):
-        return "improper-a"
-    return None
 
 
 def support_identity(cert: LinkageCertificate) -> bool:
@@ -272,97 +250,114 @@ def _polynomial(ctx, terms: Sequence[Exponents]) -> Polynomial:
     return Polynomial(ctx, dict.fromkeys(terms, 1))
 
 
-def _in_some_prime(ass: PrimeSet, terms: Sequence[Exponents]) -> bool:
-    """Whether some monomial prime P in `ass` holds every term x^e, i.e.
-    the support of every e meets P: then P holds the ideal the terms
-    generate, and their sum."""
-    supports = [mono_mask(e) for e in terms]
+def _in_some_prime(ass: PrimeSet, supports: Sequence[int]) -> bool:
+    """Whether some monomial prime P in `ass` meets every vertex mask in
+    `supports`: then P holds each term x^e whose support is one of them,
+    and a sum of variables, one from each."""
     return any(all(s & p.mask for s in supports) for p in ass)
 
 
-def _fold(fold: tuple[int, int] | None, e: Exponents) -> Exponents:
-    """The exponent of x^e after x_j -> -x_i, for fold = (i, j), up to sign:
-    e_i += e_j, e_j = 0; e itself when fold is None."""
-    if fold is None:
-        return e
-    i, j = fold
-    f = list(e)
-    f[i] += f[j]
-    f[j] = 0
+def _image(rep: tuple[tuple[int, int], ...], e: Exponents) -> Exponents:
+    """The exponent of x^e after each x_v -> s*x_r, for rep[v] = (r, s),
+    up to sign: e summed over the variables of each representative."""
+    f = [0] * len(e)
+    for (r, _), x in zip(rep, e):
+        f[r] += x
     return tuple(f)
 
 
 class _TermChain:
     """A regular chain T = J + (seq) over a monomial J, held in term form:
-    seq holds terms and at most one x_i + x_j.
+    seq holds monomials and sums x_k + x_l of variables.
 
-    Substituting x_j -> -x_i maps R/(J + (x_i + x_j)) onto R'/J', where R'
-    is R without x_j and J' is generated by the folded exponents (e_i +=
-    e_j, e_j = 0); a term x^e lies in T, or in a prime P' + (x_i + x_j) of
-    Ass R/T, exactly when x^fold(e) lies in J', or in P'.  So `core` is the
-    folded term ideal (T itself before any fold, and never naming x_j
-    after one), `ass` is Ass of R/core as vertex masks, and `fold` is
-    (i, j) or None.  An element is regular on R/T exactly when it lies in
-    no P in Ass R/T.  Each step taken stays on the chain it extended
-    (`_steps`), so a prefix drawn again costs a dict lookup.
+    The sums identify variables up to sign: rep[v] = (r, s) means x_v =
+    s*x_r mod T, and each representative r maps to (r, 1).  Substituting
+    them maps R/T onto R'/T', where R' is the ring of the representatives
+    and T' is a term ideal; a monomial x^e lies in T, or in a prime of Ass
+    R/T, exactly when x^image(e) lies in T', or in the monomial prime of
+    Ass R'/T' it comes from.  So `core` is T' (T itself before any sum,
+    and never naming a variable that is not a representative) and `ass` is
+    Ass of R/core as vertex masks.  An element is regular on R/T exactly
+    when it lies in no P in Ass R/T, so every step and `refusal` is a mask
+    or divisibility test, bar the primes of a folded core.  Each step taken
+    stays on the chain it extended (`_steps`), so a prefix drawn again
+    costs a dict lookup.
     """
 
-    __slots__ = ("core", "ass", "fold", "_steps")
+    __slots__ = ("core", "ass", "rep", "_steps")
 
-    def __init__(self, core: MonomialIdeal, ass: PrimeSet, fold: tuple[int, int] | None = None):
+    def __init__(self, core: MonomialIdeal, ass: PrimeSet, rep: tuple[tuple[int, int], ...] = ()):
         self.core = core
         self.ass = ass
-        self.fold = fold
+        self.rep = rep or tuple((v, 1) for v in range(core.ctx.n))
         self._steps: dict[tuple[Exponents, ...], _TermChain | None] = {}
+
+    @classmethod
+    def at_ring(cls, ctx) -> "_TermChain":
+        """The chain at J = 0: the empty term ideal, whose one associated
+        prime is zero."""
+        return cls(MonomialIdeal(ctx, ()), PrimeSet((MonomialPrime(()),)))
 
     def step(self, cand: tuple[Exponents, ...]) -> "_TermChain | None":
         """The chain T + (f) for the candidate f whose terms are `cand`, one
-        term or, before any fold, x_i + x_j; None when f is a zero-divisor
-        on R/T.
+        monomial or x_k + x_l; None when f is a zero-divisor on R/T.
 
-        A regular x_i^d lies in no P in Ass R/T, so x_i is in no component
-        of the irreducible decomposition and names no generator of T; the
-        components of T + (x_i^d) are those of T plus x_i^d, and each
-        prime gains x_i.  A regular x_i + x_j folds T, whose Ass is read
-        off the folded ideal.
+        A sum whose variables have representatives r != r' is regular
+        exactly when no P holds both; it folds x_r' -> -s*s'*x_r, and the
+        folded core's primes are read again.  When r = r' the sum is
+        (s + s')*x_r: zero when the signs cancel, else a unit times the
+        term x_r.  A regular term x^e lies in no P, so no variable of its
+        support names a generator of T, and Ass R/(T + (x^e)) is every P
+        with one variable of that support added.
         """
         if cand in self._steps:
             return self._steps[cand]
-        terms = [_fold(self.fold, e) for e in cand]
-        nxt = None
-        if not _in_some_prime(self.ass, terms):
-            ctx = self.core.ctx
-            if len(terms) == 1:
-                (e,) = terms
-                m = mono_mask(e)
-                core = MonomialIdeal.from_exponents(ctx, (*self.core.min_gens, e))
-                ass = PrimeSet(MonomialPrime.from_mask(p.mask | m) for p in self.ass)
-                nxt = _TermChain(core, ass, self.fold)
+        if len(cand) == 1:
+            nxt = self._term(_image(self.rep, cand[0]))
+        else:
+            (r, s), (r2, s2) = (self.rep[mono_mask(e).bit_length() - 1] for e in cand)
+            if r == r2:
+                nxt = self._term(_power(len(self.rep), r)) if s + s2 else None
+            elif _in_some_prime(self.ass, (1 << r, 1 << r2)):
+                nxt = None
             else:
-                fold = tuple(mono_mask(e).bit_length() - 1 for e in terms)
-                gens = (_fold(fold, g) for g in self.core.min_gens)
-                core = MonomialIdeal.from_exponents(ctx, gens)
-                nxt = _TermChain(core, associated_primes(core), fold)
+                # s*x_r + s2*x_r2 = 0 gives x_r2 = -s*s2*x_r
+                rep = tuple((r, -s * s2 * t) if q == r2 else (q, t) for q, t in self.rep)
+                core = MonomialIdeal.from_exponents(
+                    self.core.ctx, (_image(rep, g) for g in self.core.min_gens)
+                )
+                nxt = _TermChain(core, associated_primes(core), rep)
         self._steps[cand] = nxt
         return nxt
 
+    def _term(self, e: Exponents) -> "_TermChain | None":
+        """The step by x^e, e over the representatives."""
+        bits = [1 << i for i, x in enumerate(e) if x]
+        if _in_some_prime(self.ass, (sum(bits),)):
+            return None
+        core = MonomialIdeal.from_exponents(self.core.ctx, (*self.core.min_gens, e))
+        ass = PrimeSet(MonomialPrime.from_mask(p.mask | b) for p in self.ass for b in bits)
+        return _TermChain(core, ass, self.rep)
 
-def _grow(
-    chain: "_TermChain | Ideal",
-    seq: Sequence[tuple[Exponents, ...]],
-    cand: tuple[Exponents, ...],
-    J: Ideal,
-) -> "_TermChain | Ideal | None":
-    """The chain J + (seq, f) for the candidate f with terms `cand` when f
-    is regular on R/(J + (seq)), else None: by the term form's masks while
-    it keeps one, else by `regular_chain`.  A second x_k + x_l leaves the
-    term form, and the chain is grown from J."""
-    ctx = J.ctx
-    if isinstance(chain, Ideal):
-        return regular_chain([_polynomial(ctx, cand)], chain)
-    if len(cand) == 1 or chain.fold is None:
-        return chain.step(cand)
-    return regular_chain([_polynomial(ctx, c) for c in (*seq, cand)], J)
+    def refusal(self, extras: Sequence[Exponents]) -> str | None:
+        """The reason `link_of(t, I, M, close=True)` refuses a trial t = I +
+        (x^e : e in extras), where J + I is this chain, or None when it
+        certifies; read off the core and its primes without a colon.
+
+        With b = T : t, b is the unit ideal (improper-b) exactly when t lies
+        in T, i.e. when T holds every extra, as it holds I.  Otherwise the
+        double colon T : b is the unit ideal (improper-a) exactly when b =
+        T, and T : t = T exactly when t lies in no P in Ass R/T (prime
+        avoidance): P holds I, and holds the term x^e when the support of
+        image(e) meets P.  In every other case both colons are proper and
+        the double colon is colon-stable, so `check_linked` certifies.
+        """
+        folded = [_image(self.rep, e) for e in extras]
+        if all(self.core.contains_mono(e) for e in folded):
+            return "improper-b"
+        if not _in_some_prime(self.ass, [mono_mask(e) for e in folded]):
+            return "improper-a"
+        return None
 
 
 def random_linked_pairs(
@@ -376,18 +371,15 @@ def random_linked_pairs(
     once per draw, whether or not the draw takes a colon.
 
     A sequence grows one drawn candidate at a time, x_i^d or x_i + x_j, as
-    the exponents of its terms.  Over a monomial J the chain keeps a term
-    form (`_TermChain`) while it holds at most one x_i + x_j: a candidate
-    is regular exactly when it lies in no P in Ass R/(J + I), a mask test,
-    and the trial's extras, folded as the chain is, meet `link_refusal`
-    over the chain's term core.  Only a draw it does not refuse builds its
-    `Polynomial`s, its trial and the `link_of` call, whose certification
-    grows the chain from J by `regular_chain`.  A non-monomial J, and a
-    second x_k + x_l, grow the chain by `regular_chain`, one step at a time,
-    and go to `link_of` as drawn.  Every step stays on the chain it
-    extended (`_TermChain._steps`, `colon_and_sum`), so a prefix drawn
-    again, and the chain that `link_of` grows again to certify I, cost dict
-    lookups.
+    the exponents of its terms.  Over a monomial J the chain is held in
+    term form (`_TermChain`), however many sums it holds: `chain.step`
+    decides each candidate and `chain.refusal` the trial's extras, by
+    masks, so only a draw that links builds its `Polynomial`s, its trial
+    and the `link_of` call, which certifies it.  Over another J the chain
+    grows by `regular_chain`, one step at a time, and every draw goes to
+    `link_of`.  Every step stays on the chain it extended
+    (`_TermChain._steps`, `colon_and_sum`), so a prefix drawn again, and
+    the chain that `link_of` grows again to certify I, cost dict lookups.
     """
     rng = random.Random(seed)
     ctx = M.ctx
@@ -413,7 +405,10 @@ def random_linked_pairs(
         for _ in range(want):
             for _ in range(12):
                 cand = _sequence_pool(rng, ctx, params.maxdeg)
-                nxt = _grow(chain, seq, cand, J)
+                if isinstance(chain, _TermChain):
+                    nxt = chain.step(cand)
+                else:
+                    nxt = regular_chain([_polynomial(ctx, cand)], chain)
                 if nxt is not None:
                     seq.append(cand)
                     chain = nxt
@@ -428,10 +423,8 @@ def random_linked_pairs(
             _random_monomial(rng, ctx, params.maxdeg)
             for _ in range(rng.randint(extra_min, max(extra_min, params.max_extra)))
         ]
-        if isinstance(chain, _TermChain):
-            folded = [_fold(chain.fold, e) for e in exps]
-            if link_refusal(chain.core, chain.ass, folded) is not None:
-                continue
+        if isinstance(chain, _TermChain) and chain.refusal(exps) is not None:
+            continue
         I = Ideal(ctx, [_polynomial(ctx, c) for c in seq])
         extras = [Polynomial.from_monomial(ctx, e) for e in exps]
         trial = ideal_sum(I, Ideal(ctx, extras)) if extras else I

@@ -14,8 +14,9 @@ inconclusive verdicts.  A checker does not recompute what certification
 already proves about its instance: the grade of either side of a link is
 the length of the regular sequence that links it, so l1 reads it off the
 certificate, and p1 reads grade one off a link through a principal ideal.
-A p1 draw that cannot link is refused off the primes of its principal core
-(`linkage.link_refusal`) before any colon, with the note `link_of` gives.
+A p1 draw that cannot link is refused by the term chain of its principal
+core (`linkage._TermChain`) before any colon, with the note `link_of`
+gives.
 Dimension has one route, `CyclicModule.dim()`: t6 stops its sequence
 search at dim M, which bounds the length of any regular sequence, and
 reads "dimension zero" off the record of the quotient it leaves.  Term
@@ -50,11 +51,11 @@ from .invariants import (
 from .linkage import (
     GenParams,
     LinkageCertificate,
+    _TermChain,
     _power,
     _random_monomial,
     check_linked,
     link_of,
-    link_refusal,
     random_linked_pairs,
 )
 from .modules import (
@@ -621,14 +622,13 @@ def _draw_t2(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
 def _draw_p1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx) -> Verdict:
     f = _random_monomial(rng, ctx, params.maxdeg)
     exps = [_random_monomial(rng, ctx, params.maxdeg) for _ in range(rng.randint(1, 2))]
-    # over R the core is (f), and the draw is refused off its primes
-    core = MonomialIdeal.from_exponents(ctx, [f])
-    reason = link_refusal(core, associated_primes(core), exps)
+    # over R the core is (f), one term step from the chain at R
+    reason = _TermChain.at_ring(ctx).step((f,)).refusal(exps)
     if reason == "improper-b":
         return Verdict.skipped("trial collapsed to a unit colon")
     if reason is not None:
         return Verdict.skipped(f"draw not linked: {reason}")
-    I = core.to_ideal()
+    I = Ideal(ctx, [Polynomial.from_monomial(ctx, f)])
     trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in exps]))
     return check_grade_one_links(link_of(trial, I, CyclicModule.full_ring(ctx), close=True))
 

@@ -1,5 +1,8 @@
 """Linkage of ideals over a cyclic module: certification, partners, sampling."""
 
+import hashlib
+import json
+
 import pytest
 
 from linkcoh import groebner, linkage, modules
@@ -18,7 +21,6 @@ from linkcoh.linkage import (
     LinkageError,
     check_linked,
     link_of,
-    link_refusal,
     minimal_primes_in_core_ass,
     random_linked_pairs,
     support_identity,
@@ -133,10 +135,21 @@ def test_rejects_improper_side():
 
 
 def test_rejects_foreign_ring():
+    # a foreign a, b or I is refused by both entries before the chain is
+    # grown: I = (x) is not regular on R/(x*y), yet neither answers
+    # not-regular, and a foreign I is not read as generators
     ctx = ring("x", "y")
     other = ring("x", "y", "z")
-    with pytest.raises(RingError):
-        check_linked(I_of(other, "x"), I_of(ctx, "y"), I_of(ctx, "x*y"), R_mod(ctx))
+    M = R_mod(ctx, "x*y")
+    for slot in range(3):
+        a, b, I = (I_of(other if k == slot else ctx, "x") for k in range(3))
+        entries = [lambda: check_linked(a, b, I, M)]
+        if slot != 1:
+            entries.append(lambda: link_of(a, I, M))
+        for entry in entries:
+            with pytest.raises(RingError, match="linkage data lives in different rings") as e:
+                entry()
+            assert not isinstance(e.value, LinkageError)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +290,7 @@ def test_link_refusal_answers_as_closed_link_of():
         T = regular_chain(I.gens, Ideal(ctx, M.ideal.gens))
         hyp.assume(T is not None)
         core = as_monomial(T)
-        got = link_refusal(core, associated_primes(core), extras)
+        got = linkage._TermChain(core, associated_primes(core)).refusal(extras)
         trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in extras]))
         want = _outcome(link_of, trial, I, M, True)
         assert got == (None if isinstance(want, LinkageCertificate) else want), (
@@ -290,16 +303,19 @@ def test_link_refusal_answers_as_closed_link_of():
 
 
 def test_term_chain_answers_as_regular_chain_and_link_of():
-    # over monomial J a chain of terms with one x_i + x_j keeps a term form:
-    # a candidate x_i^d or x_i + x_j is regular exactly when regular_chain
-    # grows the chain, and over the core folded by x_j -> -x_i the folded
-    # extras meet `link_refusal` with link_of's reason, None exactly when
-    # it certifies
+    # over monomial J a chain of monomials and up to three sums x_k + x_l
+    # keeps a term form: each candidate is regular exactly when
+    # regular_chain grows the chain, a sum over two representatives folds
+    # the core, one over a single representative r is 0 (never regular) or
+    # 2*x_r, every step's primes, a monomial's as p1 takes it over R among
+    # them, are Ass of its core, and the chain's
+    # refusal of the extras is link_of's reason, None exactly when it
+    # certifies
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     seen, regular = set(), set()
 
-    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @hyp.given(st.data())
     def check(data):
         n = data.draw(st.integers(2, 4))
@@ -307,25 +323,38 @@ def test_term_chain_answers_as_regular_chain_and_link_of():
         term = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any)
         J = MonomialIdeal.from_exponents(ctx, data.draw(st.lists(term, max_size=3)))
         M = CyclicModule(ctx, J.to_ideal())
-        index = st.integers(0, n - 1)
-        power = st.tuples(index, st.integers(1, 2)).map(lambda t: (linkage._power(n, *t),))
-        pair = st.lists(index, min_size=2, max_size=2, unique=True).map(
-            lambda ij: tuple(linkage._power(n, k) for k in ij)
-        )
-        around = st.lists(power, max_size=1)
-        seq = [*data.draw(around), data.draw(pair), *data.draw(around)]
-        chain = linkage._TermChain(M.monomial, M.primes().ass)
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        sums = st.lists(pair, min_size=1, max_size=3)
+        if n > 2:
+            # x_a + x_b, x_a + x_c, x_b + x_c: the first two give x_b = x_c,
+            # so the third is 2*x_b, where x_a + x_b again would cancel
+            sums |= st.permutations(range(3)).map(lambda p: [p[:2], p[::2], p[1:]])
+        terms = st.lists(term.map(lambda e: (e,)), max_size=1)
+        seq = [
+            c
+            for ij in data.draw(sums)
+            for c in (*data.draw(terms), tuple(linkage._power(n, k) for k in ij))
+        ] + data.draw(terms)
+        # over R the chain starts as p1's does, with no primes computed
+        chain = linkage._TermChain.at_ring(ctx) if J.is_zero() else linkage._TermChain(M.monomial, M.primes().ass)
         for k, cand in enumerate(seq):
+            kind = "term"
+            if len(cand) == 2:
+                (r, s), (r2, s2) = (chain.rep[e.index(1)] for e in cand)
+                kind = "fold" if r != r2 else "double" if s == s2 else "cancel"
             nxt = chain.step(cand)
             polys = [linkage._polynomial(ctx, c) for c in seq[: k + 1]]
             want = regular_chain(polys, Ideal(ctx, M.ideal.gens)) is not None
             assert (nxt is not None) == want, (J.min_gens, seq[: k + 1])
-            regular.add((len(cand), want))
-            hyp.assume(want)
+            regular.add((kind, want))
+            if not want:
+                seq = seq[:k]
+                break
+            assert nxt.ass == associated_primes(nxt.core), (J.min_gens, seq[: k + 1])
             chain = nxt
         extras = data.draw(st.lists(term, max_size=3))
-        got = link_refusal(chain.core, chain.ass, [linkage._fold(chain.fold, e) for e in extras])
-        I = Ideal(ctx, polys)
+        got = chain.refusal(extras)
+        I = Ideal(ctx, [linkage._polynomial(ctx, c) for c in seq])
         trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in extras]))
         want = _outcome(link_of, trial, I, M, True)
         assert got == (None if isinstance(want, LinkageCertificate) else want), (
@@ -334,7 +363,10 @@ def test_term_chain_answers_as_regular_chain_and_link_of():
         seen.add(got)
 
     check()
-    assert regular == {(1, True), (1, False), (2, True), (2, False)}
+    assert regular == {
+        ("term", True), ("term", False), ("fold", True), ("fold", False),
+        ("double", True), ("double", False), ("cancel", False),
+    }
     assert seen == {None, "improper-a", "improper-b"}
 
 
@@ -342,11 +374,9 @@ def test_term_chain_answers_as_regular_chain_and_link_of():
 # Random sampling.
 
 def test_sampler_sends_link_of_only_draws_a_term_core_certifies(monkeypatch):
-    # over a monomial J the sampler refuses by `link_refusal` what link_of
-    # would refuse, on the term core or, for a sequence holding one x_i +
-    # x_j, on the core folded by x_j -> -x_i, so every call it makes there
-    # certifies; only a sequence holding two sums of variables leaves the
-    # term form and reaches link_of as drawn, which may refuse it
+    # over a monomial J the term chain refuses what link_of would refuse,
+    # whatever the number of sums x_i + x_j in the sequence, so every call
+    # the sampler makes there certifies
     ctx = ring("x", "y", "z")
     real = linkage.link_of
     calls, refused = [], []
@@ -364,13 +394,13 @@ def test_sampler_sends_link_of_only_draws_a_term_core_certifies(monkeypatch):
 
     monkeypatch.setattr(linkage, "link_of", recorded)
     produced = 0
-    for gens in [(), ("x*y",), ("x^2", "y*z")]:
-        produced += len(list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=5, maxdeg=2), seed=7)))
-    assert produced == 15 and len(calls) > produced
-    assert 1 in calls  # a folded core reached link_of, and certified
-    assert refused and all(k == 2 for k in refused)
-
-
+    for seq_len_max in (2, 3):
+        for gens in [(), ("x*y",), ("x^2", "y*z")]:
+            params = GenParams(count=5, maxdeg=2, seq_len_max=seq_len_max)
+            produced += len(list(random_linked_pairs(R_mod(ctx, *gens), params, seed=7)))
+    assert produced == 30 and len(calls) > produced
+    assert {1, 2} <= set(calls)  # cores folded once and twice reached link_of
+    assert refused == []
 def test_random_pairs_deterministic_and_certified():
     ctx = ring("x", "y", "z")
     M = R_mod(ctx)
@@ -450,6 +480,34 @@ def test_random_pairs_are_pinned(gens, count, seed, expected):
     M = R_mod(ctx, *gens)
     got = [c.as_json() for c in random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed)]
     assert got == expected
+
+
+# sha256 (first 16 hex digits) of json.dumps([c.as_json() for c in
+# random_linked_pairs(M, GenParams(count=5, maxdeg=2, seq_len_max=3),
+# seed)], sort_keys=True), as drawn when link_of alone decided a sequence
+# holding two sums x_i + x_j; the term chain must draw the same pairs, and
+# one certificate holds two sums
+PINNED_MULTI_SUM_DRAWS = [
+    (("x*y",), 1, "3e1ac1a433546fba"),
+    (("x*y",), 2, "d001a791687d0779"),
+    (("x*y",), 3, "62ad0578f8e51ab3"),
+    (("x*y",), 7, "4187dc87911f8164"),
+    (("x^2", "y*z"), 1, "956a56b5354d0865"),
+    (("x^2", "y*z"), 2, "bf4f0a2a9e7f15e3"),
+    (("x^2", "y*z"), 3, "0b314556e8fdc6cf"),
+    (("x^2", "y*z"), 7, "991ca0f3c5d4b1e3"),
+]
+
+
+def test_multi_sum_draws_are_pinned():
+    ctx = ring("x", "y", "z")
+    sums = set()
+    for gens, seed, digest in PINNED_MULTI_SUM_DRAWS:
+        params = GenParams(count=5, maxdeg=2, seq_len_max=3)
+        got = [c.as_json() for c in random_linked_pairs(R_mod(ctx, *gens), params, seed=seed)]
+        assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()[:16] == digest
+        sums |= {sum("+" in g for g in d["I"]) for d in got}
+    assert 2 in sums
 
 
 @pytest.mark.parametrize("gens, count, seed", [d[:3] for d in PINNED_DRAWS])
