@@ -10,15 +10,13 @@ These sets are only enumerable here when J is monomial (so that Ass M
 consists of monomial primes).  Every function reads Ass, Min, Assh and dim
 of M from `CyclicModule.primes()`, derived once per module, which refuses a
 non-monomial J rather than guess.  Whether a + p is cofinal with the ideal
-of variables is a vertex-mask test for monomial a and, for homogeneous a,
-whether R/(a + p) has dimension zero (`CyclicModule.dim()`): a graded
-a + p is primary to the ideal of variables exactly when V(a + p) = {0}.
-An a outside the ideal of variables is the unit ideal there, so no a + p
-is cofinal.  Any other a is refused with a RingError: for it the global
-question V(a + p) = {0} is not the question at the ideal of variables
-(over Q[x], a = (x - x^2) equals (x) after localizing at (x), yet has a
-second zero), and a local test, such as a saturation by the variables, is
-not built.
+of variables m is asked locally, at m: whether m is a minimal prime of
+a + p, i.e. dim R_m/(a + p) = 0 (Dibaei-Yassemi).  For monomial a that is a
+vertex-mask test; for any other a it is `_minimal_over`, which asks that
+a + p lie in m and that every saturation (a + p) : x_j^infinity leave m.
+So over Q[x], a = (x - x^2) passes the zero prime as a = (x) does: the two
+are equal after localizing at (x), and the second zero of x - x^2 is not
+seen.
 
 The ideal a may be an `Ideal` or a `MonomialIdeal`; a term ideal is read
 as it is (its minimal generators give the mask test, and over a monomial J
@@ -34,8 +32,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .groebner import Ideal, ideal_sum, is_proper, reduced_gb
-from .modules import CyclicModule
+from .groebner import Ideal, ideal_sum, is_proper, saturate
+from .modules import CyclicModule, maximal_ideal
 from .monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -59,15 +57,30 @@ def assh(M: CyclicModule) -> PrimeSet:
     return M.primes().assh
 
 
-def _becomes_maximal(a: Ideal | MonomialIdeal) -> Callable[[MonomialPrime], bool]:
-    """The test of whether a + p is primary to the ideal of all variables,
-    which the unit ideal is not, for monomial primes p.  For monomial a,
-    sqrt(a) is generated by the supports of its minimal generators, so p
-    passes exactly when a is proper and p holds every variable without a
-    pure power among them; that vertex mask is found once, for every p.  An
-    a with a generator off the ideal of variables passes no p; a homogeneous
-    a (read off its reduced basis) asks whether R/(a + p) has dimension
-    zero.  Any other a is refused: the test would be global, not local."""
+def _minimal_over(K: Ideal) -> bool:
+    """Whether the ideal of variables m is a minimal prime of K: K lies in m
+    and K : m^infinity does not.  An ideal lies in m exactly when no
+    generator has a nonzero constant term.  As m is prime, K : m^infinity,
+    the meet of the saturations K : x_j^infinity, leaves m exactly when each
+    of them does, so no meet is built and the first variable whose
+    saturation stays in m decides."""
+    one = mono_one(K.ctx.n)
+
+    def leaves(I: Ideal) -> bool:
+        return any(one in g.term_map() for g in I.gens)
+
+    return not leaves(K) and all(leaves(saturate(K, x)) for x in maximal_ideal(K.ctx).gens)
+
+
+def _becomes_maximal(a: Ideal | MonomialIdeal, M: CyclicModule) -> Callable[[MonomialPrime], bool]:
+    """The test of whether a + p is cofinal with the ideal of all variables
+    m, asked at m: whether m is a minimal prime of a + p (the unit ideal
+    has none), for monomial primes p; a must live in M's ring.  For monomial a, sqrt(a) is generated by the supports of its
+    minimal generators, so p passes exactly when a is proper and p holds
+    every variable without a pure power among them; that vertex mask is
+    found once, for every p.  Any other a asks `_minimal_over(a + p)`."""
+    if a.ctx != M.ctx:
+        raise RingError("ideals live in different rings")
     am = a if isinstance(a, MonomialIdeal) else as_monomial(a)
     if am is not None:
         if am.is_unit():
@@ -78,15 +91,7 @@ def _becomes_maximal(a: Ideal | MonomialIdeal) -> Callable[[MonomialPrime], bool
             if not m & (m - 1):
                 needed &= ~m
         return lambda p: not needed & ~p.mask
-    ctx = a.ctx
-    if any(mono_one(ctx.n) in g.term_map() for g in a.gens):
-        return lambda p: False
-    if not all(g.is_homogeneous() for g in reduced_gb(a)):
-        raise RingError(
-            "attached and associated sets along a non-graded, non-monomial a are undecided:"
-            " V(a + p) = {0} is a global test, not one at the ideal of variables"
-        )
-    return lambda p: CyclicModule(ctx, ideal_sum(a, p.to_ideal(ctx))).dim() == 0
+    return lambda p: _minimal_over(ideal_sum(a, p.to_ideal(a.ctx)))
 
 
 def att_top(a: Ideal | MonomialIdeal, M: CyclicModule) -> PrimeSet:
@@ -95,24 +100,20 @@ def att_top(a: Ideal | MonomialIdeal, M: CyclicModule) -> PrimeSet:
     These are the top-dimensional associated primes p of M for which a + p is
     cofinal with the ideal of variables.
     """
-    if isinstance(a, MonomialIdeal):
-        if a.ctx != M.ctx:
-            raise RingError("ideals live in different rings")
-        # a proper term ideal lies in the ideal of variables, as a monomial J does
-        proper = a.is_proper() and (
-            M.monomial is not None or is_proper(ideal_sum(a.to_ideal(), M.ideal))
-        )
-    else:
-        proper = is_proper(ideal_sum(a, M.ideal))
+    cofinal = _becomes_maximal(a, M)
+    top = assh(M)
+    # the prime record refuses a non-monomial J, so J lies in the ideal of
+    # variables and a term ideal a leaves a + J proper when it is proper
+    proper = a.is_proper() if isinstance(a, MonomialIdeal) else is_proper(ideal_sum(a, M.ideal))
     if not proper:
         raise ImproperIdealError("att_top wants aM != M")
-    return PrimeSet(filter(_becomes_maximal(a), assh(M)))
+    return PrimeSet(filter(cofinal, top))
 
 
 def ass_formal_zeroth(a: Ideal | MonomialIdeal, M: CyclicModule) -> PrimeSet:
     """Associated primes of the zeroth formal local cohomology of M along a:
     the associated primes of M that a pushes up to the maximal ideal."""
-    return PrimeSet(filter(_becomes_maximal(a), M.primes().ass))
+    return PrimeSet(filter(_becomes_maximal(a, M), M.primes().ass))
 
 
 def height_in_module(p: MonomialPrime, M: CyclicModule) -> int:

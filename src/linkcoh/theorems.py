@@ -100,6 +100,7 @@ class InstanceParams:
     module: str | None = None
 
     def __post_init__(self) -> None:
+        ctx_for(self.n_vars)  # refuses a variable count no instance can be drawn over
         for name, least in (("count", 1), ("maxdeg", 1)):
             if getattr(self, name) < least:
                 raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")

@@ -17,9 +17,13 @@ the tests can compare, and share with those no more than noted:
 - `cd_on_quotient` and `att_top_via_cd` read the attached primes of the top
   local cohomology off cohomological dimensions instead of cofinality.
 - `radical_is_maximal` asks whether sqrt(K) is the ideal of the variables
-  by one radical membership per variable, where `invariants.att_top` and
-  `theorems` ask a graded K whether R/K has dimension zero
-  (`CyclicModule.dim()`); the two agree on graded K.
+  by one radical membership per variable, where `theorems` asks a graded K
+  whether R/K has dimension zero (`CyclicModule.dim()`); the two agree on
+  graded K, and there with `invariants._minimal_over`.
+- `minimal_over_by_colons` asks whether the ideal of the variables m is a
+  minimal prime of K through the colons K : m^N, one syzygy colon by m
+  each, until the chain stops, where `invariants._minimal_over` saturates K
+  by each variable through the Rabinowitsch tag.
 - `hom_cyclic` presents Hom(R/a, N) as a module of its own, which the
   package never does, `presented_annihilator` is the colon of a module's
   relation basis by its unit vectors, and `ass_member_presented` decides an
@@ -61,7 +65,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from linkcoh.groebner import Ideal, _colon, ideal_sum, is_proper, min_gens_colon, radical_member
+from linkcoh.groebner import (
+    Ideal,
+    _colon,
+    ideal_equal,
+    ideal_quotient,
+    ideal_sum,
+    is_proper,
+    min_gens_colon,
+    radical_member,
+)
 from linkcoh.modules import (
     CyclicModule,
     FPModule,
@@ -332,6 +345,26 @@ def radical_is_maximal(K: Ideal) -> bool:
     """Whether sqrt(K) is the ideal of the variables: K is proper and every
     variable lies in sqrt(K), a global question, V(K) = {0}."""
     return is_proper(K) and all(radical_member(x, K) for x in maximal_ideal(K.ctx).gens)
+
+
+def minimal_over_by_colons(K: Ideal) -> bool:
+    """Whether the ideal of the variables m is a minimal prime of K, a local
+    question: K lies in m, and K : m^infinity does not.  The colons
+    K : m^N = (K : m^(N-1)) : m grow with N until two agree, and from then
+    on they stay, so the last is K : m^infinity.  An ideal lies in m exactly
+    when none of its generators has a constant term."""
+    m = maximal_ideal(K.ctx)
+    one = mono_one(K.ctx.n)
+
+    def inside(I: Ideal) -> bool:
+        return all(one not in g.term_map() for g in I.gens)
+
+    if not inside(K):
+        return False
+    last, colon = K, ideal_quotient(K, m)
+    while not ideal_equal(last, colon):
+        last, colon = colon, ideal_quotient(colon, m)
+    return not inside(colon)
 
 
 # ---------------------------------------------------------------------------

@@ -320,13 +320,28 @@ def test_att_top_and_assf0_when_a_plus_p_is_the_unit_ideal(capsys):
     assert doc["associated_primes"] == []
 
 
-def test_att_top_and_assf0_refuse_a_non_graded_ideal_inside_the_variables(capsys):
-    # (x - x^2) equals (x) after localizing at (x) but has a second zero, so
-    # the global test V(a + p) = {0} would not answer at the ideal of variables
-    for cmd in ("att-top", "assf0"):
-        code, out, err = invoke(capsys, cmd, "--ring", "x", "--ideal", "x - x^2")
-        assert code == 1 and out == ""
-        assert "non-graded, non-monomial a are undecided" in err
+def test_att_top_and_assf0_answer_a_non_graded_ideal_at_the_variables(capsys):
+    # cofinality is asked at the ideal of variables m: (x - x^2) equals (x)
+    # after localizing at (x), its second zero unseen, so the zero prime of
+    # Q[x] qualifies; over Q[x, y], m is minimal over (x - x^2, y), while
+    # (x*y - x) = (x)(y - 1) and (x*y - x, x^2) are (x) near the origin
+    cases = [
+        ("x", "x - x^2", [[]]),
+        ("x,y", "x - x^2, y", [[]]),
+        ("x,y", "x*y - x", []),
+        ("x,y", "x*y - x, x^2", []),
+    ]
+    for names, ideal, expected in cases:
+        for cmd, key in (("att-top", "attached_primes"), ("assf0", "associated_primes")):
+            assert doc_of(capsys, cmd, "--ring", names, "--ideal", ideal)[key] == expected, (cmd, ideal)
+
+
+def test_soft_timeout_trips_the_local_cofinality_test(capsys):
+    # a non-monomial a saturates a + p by each variable in the engine, under
+    # the ambient budget
+    code, out, err = invoke(capsys, "--timeout-soft", "0", "att-top", "--ring", "x", "--ideal", "x - x^2")
+    assert code == 2
+    assert json.loads(out)["error"] == "budget-exceeded"
 
 
 def test_htm(capsys):

@@ -6,6 +6,7 @@ from engine_routes import rabinowitsch_is_maximal
 from linkcoh.groebner import Ideal, ideal_sum, is_proper
 from linkcoh.invariants import (
     GRADED_NOTE,
+    _minimal_over,
     ass_formal_zeroth,
     assh,
     att_top,
@@ -24,7 +25,7 @@ from linkcoh.monomial import (
 )
 from linkcoh.ring import Polynomial, RingError, parse_poly, ring
 from linkcoh.theorems import Verdict
-from oracles import att_top_via_cd, radical_is_maximal
+from oracles import att_top_via_cd, minimal_over_by_colons, radical_is_maximal
 
 import random
 
@@ -117,19 +118,61 @@ def test_att_top_nonmonomial_argument_still_works():
     assert att_top(I_of(ctx, "x + y"), M) == primes((0,), (1,))
 
 
-def test_non_graded_a_is_refused_unless_it_leaves_the_variables():
-    # (x - x^2) lies in the ideal of variables and is not homogeneous: the
-    # global test would differ from the local one, so both sets refuse it;
-    # (x - 1) is the unit ideal at the variables, so nothing qualifies; the
-    # generators of (x - y, x - y + z^2) are not homogeneous, its basis is
+def test_non_graded_a_is_answered_at_the_variables():
+    # cofinality is asked at the ideal of variables: (x - x^2, z) equals
+    # (x, z) after localizing there, so along the branch (y) it becomes the
+    # ideal of variables, its second zero at x = 1 unseen; (x - 1) is the
+    # unit ideal at the variables, so nothing qualifies; the generators of
+    # (x - y, x - y + z^2) are not homogeneous, its basis is
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, "x*y")
     for route in (att_top, ass_formal_zeroth):
-        with pytest.raises(RingError, match="non-graded, non-monomial a are undecided"):
-            route(I_of(ctx, "x - x^2"), M)
+        assert route(I_of(ctx, "x - x^2", "z"), M) == route(I_of(ctx, "x", "z"), M) == primes((1,))
+        assert route(I_of(ctx, "x - x^2"), M) == PrimeSet()
         assert route(I_of(ctx, "x - 1", "z"), M) == PrimeSet()
     graded = I_of(ctx, "x - y", "x - y + z^2")
     assert att_top(graded, M) == att_top(I_of(ctx, "x - y", "z^2"), M) == primes((0,), (1,))
+
+
+def test_both_sets_refuse_an_ideal_of_another_ring():
+    # a from Q[x, y] against R/(xy) over Q[x, y, z], held as an Ideal,
+    # monomial or not, and as a MonomialIdeal
+    small, big = ring("x", "y"), ring("x", "y", "z")
+    M = R_mod(big, "x*y")
+    for a in (I_of(small, "x"), I_of(small, "x - y^2"), MonomialIdeal.from_exponents(small, [(1, 0)])):
+        for route in (att_top, ass_formal_zeroth):
+            with pytest.raises(RingError, match="^ideals live in different rings$"):
+                route(a, M)
+
+
+def test_minimal_over_matches_the_colon_chain():
+    # the ideal of variables is minimal over K exactly when K lies in it and
+    # K : m^infinity does not; the saturations by each variable agree with
+    # the chain of colons K : m^N, which takes no Rabinowitsch tag
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        # terms of mixed degrees, none of them constant
+        exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any)
+
+        def poly():
+            terms = data.draw(st.lists(exps, min_size=1, max_size=3, unique=True))
+            signs = data.draw(st.lists(st.sampled_from((-1, 1, 2)), min_size=len(terms), max_size=len(terms)))
+            return Polynomial(ctx, dict(zip(terms, signs)))
+
+        K = Ideal(ctx, [poly() for _ in range(data.draw(st.integers(1, 3)))])
+        got = _minimal_over(K)
+        assert got == minimal_over_by_colons(K), K.gens
+        seen.add(got)
+
+    seen = set()
+    check()
+    assert seen == {True, False}
 
 
 def test_homogeneous_cofinality_matches_radical_membership():

@@ -44,7 +44,7 @@ from linkcoh.monomial import ImproperIdealError, MonomialIdeal, as_monomial
 from linkcoh.invariants import GRADED_NOTE, height_in_module, is_equidimensional
 from linkcoh.ring import ParseError, Polynomial, RingError, parse_poly, ring
 from linkcoh.session import SessionError
-from linkcoh import theorems
+from linkcoh import cli, theorems
 from linkcoh.theorems import (
     CLAIMS,
     InstanceParams,
@@ -542,14 +542,10 @@ def test_exceptions_survive_pickling(exc, fields):
     assert {k: getattr(back, k) for k in fields} == fields
 
 
-@pytest.mark.parametrize("jobs, count, cpus, workers", [
-    (64, 3, 2, 2),
-    (64, 3, 8, 3),
-    (3, 10, 8, 3),
-    (64, 1, 8, None),
-    (1, 10, 8, None),
-])
-def test_run_claim_clamps_pool(monkeypatch, jobs, count, cpus, workers):
+@pytest.fixture
+def spawned(monkeypatch):
+    """The process counts of the worker pools built, each an in-process
+    stand-in that maps serially."""
     spawned = []
 
     class FakePool:
@@ -566,11 +562,34 @@ def test_run_claim_clamps_pool(monkeypatch, jobs, count, cpus, workers):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return spawned
+
+
+@pytest.mark.parametrize("jobs, count, cpus, workers", [
+    (64, 3, 2, 2),
+    (64, 3, 8, 3),
+    (3, 10, 8, 3),
+    (64, 1, 8, None),
+    (1, 10, 8, None),
+])
+def test_run_claim_clamps_pool(monkeypatch, spawned, jobs, count, cpus, workers):
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
     params = InstanceParams(n_vars=3, count=count, maxdeg=2, seed=4)
     doc = run_claim("t2", params, jobs=jobs)
     assert len(doc["verdicts"]) == count
     assert spawned == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("n_vars", [0, 7])
+def test_verify_refuses_a_variable_count_before_building_a_pool(monkeypatch, capsys, spawned, n_vars):
+    # InstanceParams refuses the count with ctx_for's message, so no pool of
+    # workers is built for an instance list that cannot be drawn
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 8)
+    assert cli.run(["verify", "p1", "--random", "4", "--vars", str(n_vars), "--jobs", "2"]) == 1
+    assert "supported variable counts are 1..6" in capsys.readouterr().err
+    assert spawned == []
+    with pytest.raises(RingError, match=r"^supported variable counts are 1\.\.6$"):
+        InstanceParams(n_vars=n_vars)
 
 
 def test_run_claim_asks_for_cpus_only_with_several_jobs(monkeypatch):
