@@ -21,9 +21,11 @@ answers need no run on any operands: an ideal none of whose generators has
 a constant term lies in the ideal of the variables, so it is proper; one
 with a constant generator is the unit ideal; and I : J is the unit ideal,
 `Ideal.unit` with its basis seeded, when every generator of J lies in I
-(J = (0) among them).  `colon_and_sum` reads I : (f) and I + (f) off one
-syzygy run.  `_gb` and `_colon` stay callable for tests that compare
-routes.
+(J = (0) among them).  `colon_and_sum` is one step of a regular chain:
+it reads I : (f) and I + (f) off one syzygy run, or, for a variable f over
+a homogeneous I, whether f is regular and I + (f) off the reduced basis of
+I under degrevlex with f's variable moved last, a plain run with no colon.
+`_gb` and `_colon` stay callable for tests that compare routes.
 
 The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
 under the normal strategy; a hard S-pair budget makes a runaway run abort as
@@ -63,7 +65,7 @@ A syzygy run reads only its tag block when the caller wants no image
 minimalizes, tail-reduces and decodes only the elements leading in the tag
 positions (`_buchberger`'s `tags`).  That is exact, since such an element
 vanishes in the main block, so only reducers leading in the tag positions
-touch its tail.  `colon_and_sum` keeps both blocks.
+touch its tail.  `colon_and_sum`'s syzygy run keeps both blocks.
 
 Pending S-pairs sit in a heap keyed by (ring part of the packed lcm, index
 pair): the S-pair sequence, and where a budget trips, is that of the plain
@@ -202,8 +204,9 @@ class Ideal:
     membership tests divide by (`_table`) and the answer of `monomial_gens`
     are each computed at most once and cached on the instance; None means
     not yet computed.  `_steps` maps each f that `colon_and_sum` has
-    extended the ideal by to its answer, so a regular chain grown again
-    from the same ideal reads every step it has taken before.
+    stepped the ideal by to the outcome, the next ideal or None, so a
+    regular chain grown again from the same ideal reads every step it has
+    taken before.
     """
 
     __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens", "_steps")
@@ -220,7 +223,7 @@ class Ideal:
         self._gb: tuple[Polynomial, ...] | None = None
         self._table: ReducerTable | None = None
         self._monomial_gens = _NOT_COMPUTED
-        self._steps: dict[Polynomial, tuple[Ideal, Ideal]] | None = None
+        self._steps: dict[Polynomial, Ideal | None] | None = None
 
     @classmethod
     def parse(cls, ctx: RingCtx, text: str) -> "Ideal":
@@ -969,34 +972,104 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     return _colon(ctx, [(p,) for p in J.gens], [(f,) for f in reduced_gb(I)])
 
 
-def colon_and_sum(I: Ideal, f: Polynomial) -> tuple[Ideal, Ideal]:
-    """I : (f) and I + (f), each with its reduced degrevlex basis cached.
+def colon_and_sum(I: Ideal, f: Polynomial) -> Ideal | None:
+    """One step of a regular chain: I + (f), with its reduced degrevlex
+    basis cached, when f is a nonzerodivisor on R/I (I : f = I), else None.
+    The sum keeps the generators of I, then f.  The outcome is kept on I
+    under f (`Ideal._steps`): a second call returns it and runs nothing.
 
-    Past the answers `ideal_quotient` finds without the engine (f in I, or
-    I and f given by terms), both come from one syzygy run of the vector
-    (f) of R^1 modulo the reduced basis of I: its tags are the colon's
-    reduced basis and its image is the sum's (see `_syzygies`).  The sum
-    keeps the generators of I, then f.  The pair is kept on I under f
-    (`Ideal._steps`): a second call returns the same two ideals and runs
-    nothing.
+    A variable step, f = c*x_j over an I that `_revlex_ready` admits, reads
+    the answer off one reverse-lex basis (`_revlex_step`) and takes no
+    colon.  Any other step takes the colon: past the answers found without
+    the engine (f in I, or I and f given by terms), one syzygy run of the
+    vector (f) of R^1 modulo the reduced basis of I has the colon's reduced
+    basis in its tags and the sum's as its image (see `_syzygies`).
     """
-    if I._steps is None:
-        I._steps = {}
-    elif f in I._steps:
-        return I._steps[f]
+    steps = I._steps
+    if steps is None:
+        steps = I._steps = {}
+    elif f in steps:
+        return steps[f]
+    j = _variable(f)
+    nxt = _revlex_step(I, f, j) if j is not None and _revlex_ready(I) else _colon_step(I, f)
+    steps[f] = nxt
+    return nxt
+
+
+def _colon_step(I: Ideal, f: Polynomial) -> Ideal | None:
+    """The step of `colon_and_sum` by the colon I : (f)."""
     S = Ideal(I.ctx, (*I.gens, f))
     if monomial_gens(S) is not None:
-        reduced_gb(S)
         colon = ideal_quotient(I, Ideal(I.ctx, [f]))
+        if reduced_gb(colon) != reduced_gb(I):
+            return None
+        reduced_gb(S)
     elif ideal_member(f, I):
+        # I : f is the unit ideal, which equals I only when I is
+        if not is_unit_ideal(I):
+            return None
         S._gb = reduced_gb(I)
-        colon = Ideal.unit(I.ctx)
     else:
         syz, image = _syzygies([(f,)], [(g,) for g in reduced_gb(I)], I.ctx, 1)
+        if tuple(a for (a,) in syz) != reduced_gb(I):
+            return None
         S._gb = tuple(g for (g,) in image)
-        colon = _seeded(I.ctx, tuple(a for (a,) in syz))
-    I._steps[f] = colon, S
-    return colon, S
+    return S
+
+
+def _variable(f: Polynomial) -> int | None:
+    """j when f = c*x_j for a nonzero c, else None."""
+    if f.is_term():
+        (e,) = f.term_map()
+        if sum(e) == 1:
+            return e.index(1)
+    return None
+
+
+def _revlex_ready(I: Ideal) -> bool:
+    """Whether I's generators are homogeneous, none a nonzero constant, and
+    not all terms (a term ideal takes the divisibility kernels).  A sum
+    I + (x_j) keeps all three."""
+    gens = I.gens
+    return all(g.is_homogeneous() and not g.is_constant() for g in gens) and not all(
+        g.is_term() for g in gens
+    )
+
+
+def variable_route(I: Ideal, seq: Sequence[Polynomial]) -> bool:
+    """Whether every step of a chain from I by seq is a variable step that
+    `colon_and_sum` reads off a reverse-lex basis."""
+    return _revlex_ready(I) and all(_variable(f) is not None for f in seq)
+
+
+def _revlex_step(I: Ideal, f: Polynomial, j: int) -> Ideal | None:
+    """The step of `colon_and_sum` by f = c*x_j over a homogeneous I, read
+    off the reduced basis G of I under degrevlex with x_j moved last.
+
+    Under that order in(I : x_j) = in(I) : x_j and in(I + (x_j)) =
+    in(I) + (x_j) (Bayer-Stillman, *Invent. Math.* 87, 1987; Eisenbud,
+    *Commutative Algebra*, Prop. 15.12), and a homogeneous g has a lead
+    divisible by x_j exactly when x_j divides g.  So x_j is regular on R/I
+    exactly when x_j divides no element of G, and then x_j with the
+    restrictions g|_(x_j = 0) is the reduced basis of I + (x_j): their
+    leads are those of G, and on monomials free of x_j the moved order and
+    degrevlex agree, so it is degrevlex's too.  With x_j already last, G
+    is I's own cached `reduced_gb` and no run starts; otherwise G is one
+    plain engine run on I's basis if cached, else on its generators.
+    """
+    ctx, n = I.ctx, I.ctx.n
+    if j == n - 1:
+        G = [g.term_map() for g in reduced_gb(I)]
+    else:
+        moved = MonomialOrder((tuple(v for v in range(n) if v != j) + (j,),))
+        G = _buchberger([g.term_map() for g in I._gb or I.gens], moved)
+    if any(all(e[j] for e in g) for g in G):
+        return None
+    basis = [Polynomial(ctx, {e: c for e, c in g.items() if not e[j]}) for g in G]
+    basis.append(Polynomial(ctx, {tuple(int(v == j) for v in range(n)): _ONE}))
+    S = Ideal(ctx, (*I.gens, f))
+    S._gb = tuple(sorted(basis, key=lambda p: DEGREVLEX.key(p.lead()[0])))
+    return S
 
 
 # ---------------------------------------------------------------------------

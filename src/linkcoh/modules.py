@@ -29,11 +29,16 @@ per level it reads, giving that level's cycles and the boundaries below,
 and compares the two reduced bases; the image, which gives the boundaries,
 is finished only when a further level compares it, so the last level
 searched reads its cycles alone.  Every regular sequence grows in one
-routine, `regular_chain`, which returns the ideal base + (seq) it built:
-each step reads the colon Q : f, which decides whether f is regular, and
-the next sum Q + (f), with its reduced basis, off one syzygy run
-(`colon_and_sum`), which keeps both on Q, so a chain grown again from
-the same base reads them.
+routine, `regular_chain`, which returns the ideal base + (seq) it built.
+Each step is one `colon_and_sum`, which keeps its outcome, the next sum
+Q + (f) with its reduced basis or None, on Q, so a chain grown again from
+the same base reads it.  A step by a variable x_j over a homogeneous Q not
+given by terms reads both off the reduced basis of Q under degrevlex with
+x_j moved last (Bayer-Stillman) and takes no colon; any other step reads
+the colon Q : f, which decides whether f is regular, and the sum off one
+syzygy run.  Unbounded, `koszul_grade` on such variables takes its bounds
+from those steps: grade s for a regular sequence, else at most s - 1, and
+at least the length of a regular sequence among the variables.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -58,7 +63,6 @@ from .groebner import (
     check_deadline,
     colon_and_sum,
     ideal_block,
-    ideal_equal,
     ideal_sum,
     is_proper,
     is_unit_ideal,
@@ -66,6 +70,7 @@ from .groebner import (
     module_reduce,
     module_table,
     reduced_gb,
+    variable_route,
 )
 from .monomial import (
     ImproperIdealError,
@@ -323,6 +328,14 @@ def koszul_grade(
     from s down to 1.  `CyclicModule.depth` passes the bounds of a Groebner
     degeneration, depth R/in(J) <= depth R/J <= dim R/J; the unbounded search
     is the oracle that route is tested against.
+
+    Called without bounds on variables c*x_j over a homogeneous base not
+    given by terms (`variable_route`), it takes its bounds from regular
+    steps (`_variable_bounds`), each read off a reverse-lex basis: grade s
+    when the sequence is regular, else at most s - 1, and at least the
+    length of a regular sequence found among the variables.  Only the
+    levels between them are searched, none when they meet; that route is
+    logged at debug level with its levels.
     """
     elements = [f for f in seq if not f.is_zero()]
     if not elements:
@@ -333,7 +346,14 @@ def koszul_grade(
     if s > KOSZUL_SIZE_BUDGET:
         raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     if upper is None:
-        upper = s
+        if variable_route(base, elements):
+            lower, upper = _variable_bounds(elements, base)
+            if lower == upper:
+                log.debug("grade: route revlex, no levels")
+            else:
+                log.debug("grade: route revlex, levels %d down to %d", s - lower, s - upper + 1)
+        else:
+            upper = s
     if not 0 <= lower <= upper <= s:
         raise RingError(f"grade bounds {lower}..{upper} do not lie in 0..{s}")
     if lower == upper:
@@ -356,24 +376,47 @@ def koszul_grade(
     return upper
 
 
+def _variable_bounds(elements: Sequence[Polynomial], base: Ideal) -> tuple[int, int]:
+    """(lower, upper) bounds on the grade of the s variables `elements` on a
+    graded R/base, from regular steps alone.  The variables are stepped in
+    order, each from the sum of those kept before it, and kept when
+    regular: the k kept form a regular sequence in the ideal, so the grade
+    is at least k.  All s are kept exactly when the sequence is regular,
+    since in the graded case a permutation of a regular sequence is
+    regular, and then the grade is s (Koszul); otherwise H_1 of the Koszul
+    complex is nonzero, since graded H_1 = 0 makes the sequence regular
+    (Bruns-Herzog, *Cohen-Macaulay Rings*, Sec. 1.6), and the grade is at
+    most s - 1."""
+    Q, k = base, 0
+    for f in elements:
+        nxt = colon_and_sum(Q, f)
+        if nxt is not None:
+            Q, k = nxt, k + 1
+    s = len(elements)
+    return (s, s) if k == s else (k, s - 1)
+
+
 def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
     """base + (seq), built one element at a time with its basis cached, when
     seq is a regular sequence on R/base (in the given order): each element a
     nonzerodivisor modulo base and those before it (Q : f = Q), the last sum
-    proper.  None otherwise.  Each step's colon and sum come from one
-    `colon_and_sum`, which keeps them on the ideal the step extended, so a
-    chain grown again from the same base reads its steps."""
+    proper.  None otherwise.  Each step is one `colon_and_sum`, which keeps
+    its outcome on the ideal the step extended, so a chain grown again from
+    the same base reads its steps.  A variable step over a homogeneous Q
+    not given by terms is read off a reverse-lex basis, with no colon."""
     Q = base
     for f in seq:
-        colon, nxt = colon_and_sum(Q, f)
-        if not ideal_equal(colon, Q):
+        Q = colon_and_sum(Q, f)
+        if Q is None:
             return None
-        Q = nxt
     return Q if is_proper(Q) else None
 
 
 def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
-    """Whether seq is a regular sequence on R/base (in the given order)."""
+    """Whether seq is a regular sequence on R/base (in the given order).
+    Logs its route at debug level: `revlex` when every step is a variable
+    step read off a reverse-lex basis, else `colon`."""
+    log.debug("regseq: route %s", "revlex" if variable_route(base, seq) else "colon")
     return regular_chain(seq, base) is not None
 
 

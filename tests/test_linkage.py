@@ -579,13 +579,15 @@ def test_certificate_quotients_keep_their_bases(monkeypatch, gens, count, seed):
 
 
 def test_engine_runs_are_pinned(monkeypatch):
-    # a regular chain reads each step's colon and sum off one syzygy run and
-    # keeps them on the ideal it extended, membership in a term ideal divides
-    # by its generators, a colon by an ideal inside I is the unit ideal, and
-    # an ideal whose generators all vanish at the origin is proper, none of
-    # them with an engine run; the route that took each step's colon, then
-    # the sum's own basis, made the counts in the comments.  A change to any
-    # of these must update them.
+    # a regular chain reads a variable step over a homogeneous ideal off one
+    # reverse-lex basis, any other step's colon and sum off one syzygy run,
+    # and keeps each outcome on the ideal it extended; membership in a term
+    # ideal divides by its generators, a colon by an ideal inside I is the
+    # unit ideal, and an ideal whose generators all vanish at the origin is
+    # proper, none of them with an engine run.  The counts in the comments
+    # were made by the route that took every step's colon and sum off one
+    # syzygy run, and before it by the route that took each step's colon,
+    # then the sum's own basis.  A change to any of these must update them.
     runs = []
     real = groebner._buchberger
 
@@ -597,12 +599,12 @@ def test_engine_runs_are_pinned(monkeypatch):
     ctx = ring(*"abcd")
     b, c = parse_poly("b", ctx), parse_poly("c", ctx)
     assert is_regular_sequence([b, c], I_of(ctx, "a*d - b*c"))
-    assert len(runs) == 3  # was 5: J's basis, then one run per step
+    assert len(runs) == 2  # was 3 (J's basis, then one run per step), and 5 before
     del runs[:]
     assert is_proper(ideal_sum(I_of(ctx, "a^2 - b*c", "a*d + c"), I_of(ctx, "b^3 - d")))
     assert runs == []  # was 1
     ctx = ring("x", "y", "z")
     gens, count, seed, expected = PINNED_DRAWS[1]
     got = list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=count, maxdeg=2), seed=seed))
-    assert len(runs) == 54  # was 121
+    assert len(runs) == 50  # was 54, and 121 before
     assert [cert.as_json() for cert in got] == expected

@@ -14,7 +14,12 @@ import random
 
 import pytest
 
-from engine_routes import division_koszul_grade, engine_gb, rabinowitsch_is_maximal
+from engine_routes import (
+    division_koszul_grade,
+    engine_gb,
+    engine_quotient,
+    rabinowitsch_is_maximal,
+)
 from oracles import (
     ass_member_presented,
     hom_cyclic,
@@ -22,7 +27,7 @@ from oracles import (
     presented_annihilator,
     radical_is_maximal,
 )
-from linkcoh import groebner, modules, monomial
+from linkcoh import cli, groebner, modules, monomial
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -359,12 +364,12 @@ def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
     # searched, s - upper + 1, has no level below to read its boundaries, so
     # its run asks for the tag block (the cycles) only
     runs: list[int | None] = []
+    plain: list[None] = []  # the runs over ideals
     built: list[int] = []
     real_run, real_columns = groebner._buchberger, modules._koszul_columns
 
     def record_run(gens, order, rank=0, basis=(), tags=None):
-        if rank:
-            runs.append(tags)
+        (runs if rank else plain).append(tags)
         return real_run(gens, order, rank, basis, tags)
 
     def record_columns(elements, i):
@@ -392,6 +397,21 @@ def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
                 wanted = math.comb(4, i) if i == 4 - upper + 1 else None
                 assert tags == wanted, (texts, lower, upper, i)
     assert koszul_grade(xs, I_of(ctx, "a*b")) == 3 and built == [4, 3, 2, 1]
+    # called without bounds, the variables over the homogeneous binomial J
+    # take their bounds from reverse-lex steps, one plain run each (the step
+    # by d, last already, reads J's own basis): none is regular there, so
+    # 0 <= grade <= 3 and the search stops above level 1 (it searched 4, 3,
+    # 2 with bounds 0 and 4); over the term ideals every level is searched
+    for texts, grade, wanted_built, wanted_runs, wanted_plain in (
+        (("a*b",), 3, [4, 3, 2, 1], [None, None, None, 4], 0),
+        (("a*c - b*d", "a*d - b*c"), 2, [4, 3, 2], [None, None, 6], 4),
+        (("a^2", "a*b"), 2, [4, 3, 2], [None, None, None], 0),
+    ):
+        runs.clear()
+        built.clear()
+        plain.clear()
+        assert koszul_grade(xs, I_of(ctx, *texts)) == grade
+        assert (built, runs, len(plain)) == (wanted_built, wanted_runs, wanted_plain), texts
 
 
 def test_koszul_grade_matches_the_division_route():
@@ -500,6 +520,158 @@ def test_regular_chain_returns_the_sum_it_built():
     # a zero-divisor, and a sequence that generates the whole ring
     assert regular_chain([P(ctx, "x")], I_of(ctx, "x*y")) is None
     assert regular_chain([P(ctx, "x"), P(ctx, "x + 1")], zero) is None
+
+
+def test_variable_steps_match_the_engine_routes(monkeypatch):
+    # over random homogeneous binomial and 2x2-determinantal J, a sequence of
+    # variables (now and then 2*x, a repeat, or a non-variable element, which
+    # takes the colon) has the grade of the division route, each step of its
+    # chain is regular exactly when the engine colon leaves Q unchanged, the
+    # sum's seeded basis is a fresh engine basis of its generators, and a
+    # variable step over a homogeneous Q runs no syzygies
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    syzygy_runs = []
+    real = groebner._buchberger
+
+    def counted(gens, order, rank=0, basis=(), tags=None):
+        if rank:
+            syzygy_runs.append(rank)
+        return real(gens, order, rank, basis, tags)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+
+    def monomial(draw, ctx, d):
+        variables = draw(st.lists(st.integers(0, ctx.n - 1), min_size=d, max_size=d))
+        return Polynomial(ctx, {tuple(variables.count(k) for k in range(ctx.n)): 1})
+
+    @st.composite
+    def ideal(draw, ctx):
+        if draw(st.booleans()):
+            # x^u - x^v of one degree
+            gens = []
+            for _ in range(draw(st.integers(1, 3))):
+                d = draw(st.integers(1, 2))
+                gens.append(monomial(draw, ctx, d) - monomial(draw, ctx, d))
+            return Ideal(ctx, gens)
+        # the 2x2 minors of a 2x3 matrix of variables
+        m = [[monomial(draw, ctx, 1) for _ in range(3)] for _ in range(2)]
+        return Ideal(ctx, [m[0][i] * m[1][k] - m[0][k] * m[1][i] for i, k in ((0, 1), (0, 2), (1, 2))])
+
+    @st.composite
+    def sequence(draw, ctx):
+        seq = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["variable"] * 4 + ["scaled", "repeat", "other"]))
+            x = Polynomial.variable(ctx, draw(st.sampled_from(ctx.var_names)))
+            if kind == "scaled":
+                x = x * Polynomial.const(ctx, 2)
+            elif kind == "repeat" and seq:
+                x = seq[-1]
+            elif kind == "other":
+                x = x + Polynomial.variable(ctx, ctx.var_names[0]) if draw(st.booleans()) else x * x
+            seq.append(x)
+        return seq
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"abcde"[: data.draw(st.integers(3, 5))])
+        J = data.draw(ideal(ctx))
+        seq = [f for f in data.draw(sequence(ctx)) if not f.is_zero()]
+        if not seq:
+            return
+        assert koszul_grade(seq, J) == division_koszul_grade(seq, Ideal(ctx, J.gens))
+        Q = Ideal(ctx, J.gens)
+        for f in seq:
+            revlex = groebner.variable_route(Q, [f])
+            del syzygy_runs[:]
+            S = groebner.colon_and_sum(Q, f)
+            assert not (revlex and syzygy_runs)
+            colon = engine_quotient(Q, Ideal(ctx, [f]))
+            assert (S is not None) == (colon._gb == engine_gb(Q)), (Q, f)
+            if S is None:
+                break
+            assert S._gb == engine_gb(Ideal(ctx, S.gens)), (Q, f)
+            Q = S
+
+    check()
+
+
+def test_variable_steps_at_the_edges_of_their_route(monkeypatch):
+    runs = []
+    real = groebner._buchberger
+
+    def counted(gens, order, rank=0, basis=(), tags=None):
+        runs.append(rank)
+        return real(gens, order, rank, basis, tags)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    ctx = ring(*"abcd")
+    a, b, c, d = (Polynomial.variable(ctx, v) for v in "abcd")
+    # a homogeneous J holding a nonzero constant is the unit ideal: no
+    # sequence is regular on it, and its grade is undefined
+    unit = I_of(ctx, "a*c - b*d", "3")
+    assert not groebner.variable_route(unit, [a, b])
+    assert regular_chain([a, b], unit) is None
+    with pytest.raises(ImproperIdealError):
+        koszul_grade([a, b], unit)
+    # the zero ideal and term ideals take the divisibility kernels
+    del runs[:]
+    assert regular_chain([a, b], Ideal.zero(ctx)) is not None
+    assert regular_chain([d, c], I_of(ctx, "a*b", "c^2")) is None
+    assert regular_chain([d, a * b], I_of(ctx, "a*b")) is None
+    assert regular_chain([c, d], I_of(ctx, "a*b", "a^2")) is not None
+    assert runs == []
+    # a non-homogeneous J takes the colon: one syzygy run, of rank 2
+    J = I_of(ctx, "a^2 - b")
+    assert not groebner.variable_route(J, [b])
+    del runs[:]
+    assert regular_chain([b], J) is not None
+    assert runs == [0, 2]  # J's basis, then the syzygy run
+    # over a homogeneous J the step by the last variable reads J's own basis,
+    # and by another variable one plain run under the moved order
+    J = I_of(ctx, "a*c - b*d", "a*d - b*c")
+    del runs[:]
+    assert regular_chain([d], J) is None
+    assert regular_chain([a], J) is None
+    assert runs == [0, 0]
+    assert J._steps == {d: None, a: None}
+
+
+def test_regseq_and_grade_log_their_route(caplog, capsys):
+    ctx = ring(*"abcd")
+    a, b = P(ctx, "a"), P(ctx, "b")
+    J = I_of(ctx, "a*c - b*d", "a^2 - c*d")
+    for call, message in (
+        (lambda: is_regular_sequence([a, b], J), "regseq: route revlex"),
+        (lambda: is_regular_sequence([a, P(ctx, "a + b")], J), "regseq: route colon"),
+        (lambda: is_regular_sequence([a], I_of(ctx, "a^2 - b")), "regseq: route colon"),
+        (lambda: koszul_grade([a, b], J), "grade: route revlex, no levels"),
+        (lambda: koszul_grade([a, b], I_of(ctx, "a*c - b*d", "a*d - b*c")),
+         "grade: route revlex, levels 2 down to 2"),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+            call()
+        assert [r.getMessage() for r in caplog.records] == [message]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="linkcoh"):
+        koszul_grade([a, b], J, 0, 2)
+        koszul_grade([a, b], I_of(ctx, "a*b"))
+    assert caplog.records == []
+    # the log is no part of the answer: the command line prints the same
+    # document at any log level
+    docs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        with caplog.at_level(level, logger="linkcoh"):
+            for argv in (
+                ["grade", "--ring", "a,b,c,d", "--ideal", "a, b", "--module", "a*c - b*d, a^2 - c*d"],
+                ["regseq", "--ring", "a,b,c,d", "--seq", "a, b", "--module", "a*c - b*d, a^2 - c*d"],
+            ):
+                assert cli.run(argv) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1] and docs[0]
 
 
 # ---------------------------------------------------------------------------
