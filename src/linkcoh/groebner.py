@@ -22,9 +22,12 @@ a constant term lies in the ideal of the variables, so it is proper; one
 with a constant generator is the unit ideal; and I : J is the unit ideal,
 `Ideal.unit` with its basis seeded, when every generator of J lies in I
 (J = (0) among them).  `colon_and_sum` is one step of a regular chain:
-it reads I : (f) and I + (f) off one syzygy run, or, for a variable f over
-a homogeneous I, whether f is regular and I + (f) off the reduced basis of
-I under degrevlex with f's variable moved last, a plain run with no colon.
+over term data it asks I : f = I of the minimal generators
+(`colon_fixes`, which the linked-pair sampler's term chain asks too), over
+other data it reads I : (f) and I + (f) off one syzygy run, or, for a
+variable f over a homogeneous I, whether f is regular and I + (f) off the
+reduced basis of I under degrevlex with f's variable moved last, a plain
+run with no colon.
 `_gb` and `_colon` stay callable for tests that compare routes.
 
 The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
@@ -301,6 +304,15 @@ def min_gens_colon(A: Sequence[Exponents], B: Sequence[Exponents]) -> tuple[Expo
         part = minimalize(tuple(map(sub, g, map(min, g, m))) for g in A)
         out = part if out is None else min_gens_intersect(out, part)
     return out
+
+
+def colon_fixes(A: tuple[Exponents, ...], B: Sequence[Exponents]) -> bool:
+    """Whether (A) : (B) = (A) for minimal generators A and terms B, i.e.
+    whether (B) holds a nonzerodivisor on R/(A).  An empty B is the zero
+    ideal, whose colon is the unit ideal: then whether (A) is."""
+    if not B:
+        return any(not any(e) for e in A)
+    return min_gens_colon(A, B) == A
 
 
 def _by_terms(kernel, I: Ideal, J: Ideal) -> Ideal | None:
@@ -980,10 +992,12 @@ def colon_and_sum(I: Ideal, f: Polynomial) -> Ideal | None:
 
     A variable step, f = c*x_j over an I that `_revlex_ready` admits, reads
     the answer off one reverse-lex basis (`_revlex_step`) and takes no
-    colon.  Any other step takes the colon: past the answers found without
-    the engine (f in I, or I and f given by terms), one syzygy run of the
-    vector (f) of R^1 modulo the reduced basis of I has the colon's reduced
-    basis in its tags and the sum's as its image (see `_syzygies`).
+    colon.  Any other step takes the colon.  When I and f are given by
+    terms, f is regular exactly when the colon of I's minimal generators by
+    f's term leaves them fixed (`colon_fixes`; f = 0 only over the unit
+    ideal).  Past that and f in I, one syzygy run of the vector (f) of R^1
+    modulo the reduced basis of I has the colon's reduced basis in its tags
+    and the sum's as its image (see `_syzygies`).
     """
     steps = I._steps
     if steps is None:
@@ -1000,8 +1014,7 @@ def _colon_step(I: Ideal, f: Polynomial) -> Ideal | None:
     """The step of `colon_and_sum` by the colon I : (f)."""
     S = Ideal(I.ctx, (*I.gens, f))
     if monomial_gens(S) is not None:
-        colon = ideal_quotient(I, Ideal(I.ctx, [f]))
-        if reduced_gb(colon) != reduced_gb(I):
+        if not colon_fixes(monomial_gens(I), tuple(f.term_map())):
             return None
         reduced_gb(S)
     elif ideal_member(f, I):

@@ -17,15 +17,16 @@ chain from J; each step stays on the ideal it extended, so the chain is
 tested once however often it is grown.
 
 A closed trial t over the core T = I + J is refused as improper-b exactly
-when t lies in T, else as improper-a exactly when T : t = T, i.e. when t
-lies in no associated prime of R/T, and is certified otherwise.  Over a
-monomial J one class, `_TermChain`, holds the core in term form: each sum
-x_k + x_l of the sequence identifies two variables up to sign, so R/T is
-a term ideal's quotient in the ring of the variables left, and a
-candidate's regularity and a trial's refusal are bit and divisibility
-tests on exponent tuples.  The sampler and the p1 claim decide every draw
-there before building a trial or taking a colon; what passes still goes
-to `link_of`, which alone certifies.
+when T : t is the unit ideal (t lies in T), else as improper-a exactly when
+T : t = T, and is certified otherwise.  Over a monomial J one class,
+`_TermChain`, holds the core in term form: each sum x_k + x_l of the
+sequence identifies two variables up to sign, so R/T is a term ideal's
+quotient in the ring of the variables left.  A candidate is regular
+exactly when its colon leaves that term ideal fixed, and a trial's refusal
+is one colon of it, both on exponent tuples (`groebner.colon_fixes`, the
+rule `colon_and_sum` applies to term data too).  The sampler and the p1
+claim decide every draw there before building a trial or running the
+engine; what passes still goes to `link_of`, which alone certifies.
 
 A certificate holds M/aM = R/(a+J), M/bM = R/(b+J) and the core
 M/IM = R/(I+J), the end of the regular chain that certified I, as cyclic
@@ -42,6 +43,7 @@ from typing import Iterator, Sequence
 from .groebner import (
     Ideal,
     check_deadline,
+    colon_fixes,
     ideal_equal,
     ideal_intersect,
     ideal_member,
@@ -53,7 +55,7 @@ from .groebner import (
     reduced_gb,
 )
 from .modules import CyclicModule, regular_chain
-from .monomial import MonomialIdeal, MonomialPrime, PrimeSet, associated_primes
+from .monomial import MonomialIdeal
 from .ring import Exponents, Polynomial, RingError, mono_mask
 
 ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
@@ -250,13 +252,6 @@ def _polynomial(ctx, terms: Sequence[Exponents]) -> Polynomial:
     return Polynomial(ctx, dict.fromkeys(terms, 1))
 
 
-def _in_some_prime(ass: PrimeSet, supports: Sequence[int]) -> bool:
-    """Whether some monomial prime P in `ass` meets every vertex mask in
-    `supports`: then P holds each term x^e whose support is one of them,
-    and a sum of variables, one from each."""
-    return any(all(s & p.mask for s in supports) for p in ass)
-
-
 def _image(rep: tuple[tuple[int, int], ...], e: Exponents) -> Exponents:
     """The exponent of x^e after each x_v -> s*x_r, for rep[v] = (r, s),
     up to sign: e summed over the variables of each representative."""
@@ -273,42 +268,37 @@ class _TermChain:
     The sums identify variables up to sign: rep[v] = (r, s) means x_v =
     s*x_r mod T, and each representative r maps to (r, 1).  Substituting
     them maps R/T onto R'/T', where R' is the ring of the representatives
-    and T' is a term ideal; a monomial x^e lies in T, or in a prime of Ass
-    R/T, exactly when x^image(e) lies in T', or in the monomial prime of
-    Ass R'/T' it comes from.  So `core` is T' (T itself before any sum,
-    and never naming a variable that is not a representative) and `ass` is
-    Ass of R/core as vertex masks.  An element is regular on R/T exactly
-    when it lies in no P in Ass R/T, so every step and `refusal` is a mask
-    or divisibility test, bar the primes of a folded core.  Each step taken
-    stays on the chain it extended (`_steps`), so a prefix drawn again
-    costs a dict lookup.
+    and T' is a term ideal, and an ideal of terms x^e onto the ideal of the
+    x^image(e).  `core` is T' (T itself before any sum, and never naming a
+    variable that is not a representative).  An ideal of R/T holds a
+    nonzerodivisor exactly when its colon leaves T fixed, so every step and
+    `refusal` is one colon of term ideals (`groebner.colon_fixes`).  Each
+    step taken stays on the chain it extended (`_steps`), so a prefix drawn
+    again costs a dict lookup.
     """
 
-    __slots__ = ("core", "ass", "rep", "_steps")
+    __slots__ = ("core", "rep", "_steps")
 
-    def __init__(self, core: MonomialIdeal, ass: PrimeSet, rep: tuple[tuple[int, int], ...] = ()):
+    def __init__(self, core: MonomialIdeal, rep: tuple[tuple[int, int], ...] = ()):
         self.core = core
-        self.ass = ass
         self.rep = rep or tuple((v, 1) for v in range(core.ctx.n))
         self._steps: dict[tuple[Exponents, ...], _TermChain | None] = {}
 
     @classmethod
     def at_ring(cls, ctx) -> "_TermChain":
-        """The chain at J = 0: the empty term ideal, whose one associated
-        prime is zero."""
-        return cls(MonomialIdeal(ctx, ()), PrimeSet((MonomialPrime(()),)))
+        """The chain at J = 0: the empty term ideal."""
+        return cls(MonomialIdeal(ctx, ()))
 
     def step(self, cand: tuple[Exponents, ...]) -> "_TermChain | None":
         """The chain T + (f) for the candidate f whose terms are `cand`, one
         monomial or x_k + x_l; None when f is a zero-divisor on R/T.
 
-        A sum whose variables have representatives r != r' is regular
-        exactly when no P holds both; it folds x_r' -> -s*s'*x_r, and the
-        folded core's primes are read again.  When r = r' the sum is
-        (s + s')*x_r: zero when the signs cancel, else a unit times the
-        term x_r.  A regular term x^e lies in no P, so no variable of its
-        support names a generator of T, and Ass R/(T + (x^e)) is every P
-        with one variable of that support added.
+        A term x^e is regular exactly when T' : x^image(e) = T'.  A sum
+        whose variables have representatives r != r' is regular exactly
+        when T' : (x_r, x_r') = T', since the monomial primes of Ass R'/T'
+        hold s*x_r + s'*x_r' exactly when they hold both variables; it
+        folds x_r' -> -s*s'*x_r.  When r = r' the sum is (s + s')*x_r:
+        zero when the signs cancel, else a unit times the term x_r.
         """
         if cand in self._steps:
             return self._steps[cand]
@@ -317,8 +307,8 @@ class _TermChain:
         else:
             (r, s), (r2, s2) = (self.rep[mono_mask(e).bit_length() - 1] for e in cand)
             if r == r2:
-                nxt = self._term(_power(len(self.rep), r)) if s + s2 else None
-            elif _in_some_prime(self.ass, (1 << r, 1 << r2)):
+                nxt = self._term(_image(self.rep, cand[0])) if s + s2 else None
+            elif not colon_fixes(self.core.min_gens, [_image(self.rep, e) for e in cand]):
                 nxt = None
             else:
                 # s*x_r + s2*x_r2 = 0 gives x_r2 = -s*s2*x_r
@@ -326,36 +316,34 @@ class _TermChain:
                 core = MonomialIdeal.from_exponents(
                     self.core.ctx, (_image(rep, g) for g in self.core.min_gens)
                 )
-                nxt = _TermChain(core, associated_primes(core), rep)
+                nxt = _TermChain(core, rep)
         self._steps[cand] = nxt
         return nxt
 
     def _term(self, e: Exponents) -> "_TermChain | None":
         """The step by x^e, e over the representatives."""
-        bits = [1 << i for i, x in enumerate(e) if x]
-        if _in_some_prime(self.ass, (sum(bits),)):
+        if not colon_fixes(self.core.min_gens, (e,)):
             return None
         core = MonomialIdeal.from_exponents(self.core.ctx, (*self.core.min_gens, e))
-        ass = PrimeSet(MonomialPrime.from_mask(p.mask | b) for p in self.ass for b in bits)
-        return _TermChain(core, ass, self.rep)
+        return _TermChain(core, self.rep)
 
     def refusal(self, extras: Sequence[Exponents]) -> str | None:
         """The reason `link_of(t, I, M, close=True)` refuses a trial t = I +
         (x^e : e in extras), where J + I is this chain, or None when it
-        certifies; read off the core and its primes without a colon.
+        certifies; read off the core by one colon of term ideals.
 
-        With b = T : t, b is the unit ideal (improper-b) exactly when t lies
-        in T, i.e. when T holds every extra, as it holds I.  Otherwise the
-        double colon T : b is the unit ideal (improper-a) exactly when b =
-        T, and T : t = T exactly when t lies in no P in Ass R/T (prime
-        avoidance): P holds I, and holds the term x^e when the support of
-        image(e) meets P.  In every other case both colons are proper and
-        the double colon is colon-stable, so `check_linked` certifies.
+        T holds I, so b = T : t is T : (extras), which maps to b' = T' :
+        (x^image(e) : e in extras).  b is the unit ideal (improper-b)
+        exactly when T' holds every mapped extra, as it does when there are
+        none.  Otherwise the double colon T : b is the unit ideal
+        (improper-a) exactly when b = T, i.e. b' = T'.  In every other case
+        both colons are proper and the double colon is colon-stable, so
+        `check_linked` certifies.
         """
         folded = [_image(self.rep, e) for e in extras]
         if all(self.core.contains_mono(e) for e in folded):
             return "improper-b"
-        if not _in_some_prime(self.ass, [mono_mask(e) for e in folded]):
+        if colon_fixes(self.core.min_gens, folded):
             return "improper-a"
         return None
 
@@ -368,28 +356,32 @@ def random_linked_pairs(
     Each draw picks an M-regular sequence I, throws extra monomials on top to
     get a trial ideal, and takes `link_of(trial, I, M, close=True)`;
     duplicates (same pair mod J) are dropped.  The soft deadline is checked
-    once per draw, whether or not the draw takes a colon.
+    once per draw, whether or not the draw takes a colon.  Over R itself
+    (J = 0) no pair links through I = 0, since R is a domain: b = 0 : a = 0
+    and then a = R, so a bound `seq_len_max` of 0 is refused there.
 
     A sequence grows one drawn candidate at a time, x_i^d or x_i + x_j, as
     the exponents of its terms.  Over a monomial J the chain is held in
     term form (`_TermChain`), however many sums it holds: `chain.step`
-    decides each candidate and `chain.refusal` the trial's extras, by
-    masks, so only a draw that links builds its `Polynomial`s, its trial
-    and the `link_of` call, which certifies it.  Over another J the chain
+    decides each candidate and `chain.refusal` the trial's extras, each by
+    one colon of term ideals, so only a draw that links builds its
+    `Polynomial`s, its trial and the `link_of` call, which certifies it.  Over another J the chain
     grows by `regular_chain`, one step at a time, and every draw goes to
     `link_of`.  Every step stays on the chain it extended
     (`_TermChain._steps`, `colon_and_sum`), so a prefix drawn again, and
     the chain that `link_of` grows again to certify I, cost dict lookups.
     """
+    J = M.ideal
+    min_len = 1 if J.is_zero_ideal() else 0
+    if params.seq_len_max < min_len:
+        raise RingError("seq_len_max must be at least 1 over R: no pair links through I = 0")
     rng = random.Random(seed)
     ctx = M.ctx
-    J = M.ideal
     produced = 0
     seen: set = set()
     attempts = ATTEMPTS_PER_PAIR * params.count
-    min_len = 0 if not J.is_zero_ideal() else 1
     # the chain at J, in term form when J is monomial
-    start = J if M.monomial is None else _TermChain(M.monomial, M.primes().ass)
+    start = J if M.monomial is None else _TermChain(M.monomial)
 
     def gb_key(X: CyclicModule) -> tuple[str, ...]:
         return tuple(str(g) for g in reduced_gb(X.ideal))
@@ -398,10 +390,9 @@ def random_linked_pairs(
         if produced >= params.count:
             return
         check_deadline("linked-pair draws")
-        want = rng.randint(min_len, max(min_len, params.seq_len_max))
+        want = rng.randint(min_len, params.seq_len_max)
         seq: list[tuple[Exponents, ...]] = []
         chain = start  # J + (seq)
-        ok = True
         for _ in range(want):
             for _ in range(12):
                 cand = _sequence_pool(rng, ctx, params.maxdeg)
@@ -414,9 +405,8 @@ def random_linked_pairs(
                     chain = nxt
                     break
             else:
-                ok = False
                 break
-        if not ok:
+        if len(seq) < want:
             continue
         extra_min = 1 if not seq else 0
         exps = [

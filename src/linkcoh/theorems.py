@@ -15,7 +15,7 @@ already proves about its instance: the grade of either side of a link is
 the length of the regular sequence that links it, so l1 reads it off the
 certificate, and p1 reads grade one off a link through a principal ideal.
 A p1 draw that cannot link is refused by the term chain of its principal
-core (`linkage._TermChain`) before any colon, with the note `link_of`
+core (`linkage._TermChain`) before any engine run, with the note `link_of`
 gives.
 Dimension has one route, `CyclicModule.dim()`: t6 stops its sequence
 search at dim M, which bounds the length of any regular sequence, and

@@ -63,7 +63,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from linkcoh.groebner import (
     Ideal,
@@ -557,6 +557,15 @@ def mono_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if J.is_zero():
         return MonomialIdeal(I.ctx, (mono_one(I.ctx.n),))
     return MonomialIdeal(I.ctx, min_gens_colon(I.min_gens, J.min_gens))
+
+
+def permute_exponents(e: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The exponent of x^e after the ring automorphism x_i -> x_perm[i]:
+    the entry of x_i moves to place perm[i]."""
+    out = [0] * len(e)
+    for i, x in zip(perm, e):
+        out[i] = x
+    return tuple(out)
 
 
 def s_polynomial(g: Polynomial, h: Polynomial) -> Polynomial:

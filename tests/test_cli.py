@@ -419,6 +419,8 @@ def test_verify_rejects_nonpositive_jobs(capsys, jobs):
     (("verify", "l08", "--random", "-2"), "count"),
     (("verify", "l08", "--random", "0"), "count"),
     (("linkage", "random", "--ring", "x,y", "--seq-len-max", "-1"), "seq_len_max"),
+    # over R no pair links through I = 0
+    (("linkage", "random", "--ring", "x,y", "--seq-len-max", "0"), "seq_len_max"),
 ])
 def test_bad_numeric_input_exit_one(capsys, argv, field):
     code, out, err = invoke(capsys, *argv)

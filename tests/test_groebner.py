@@ -639,6 +639,13 @@ def test_colon_and_sum_match_the_engine_routes(monkeypatch):
         for f in ("0", "x^3 - x*y*z + x*y", "z + 1", "y + z", "x", "x^2 + y")
     }
     assert hand == {"zero", "member", "regular", "zero-divisor"}
+    # term data, which the hypothesis draws below never reach with a
+    # constant term: a unit f, f = 0 over a proper I, and the unit ideal
+    terms = I_of(ctx, "x^2", "x*y")
+    assert [agree(terms, P(ctx, f)) for f in ("0", "3", "x^2*z", "y", "z", "2*z^2")] == [
+        "zero", "regular", "member", "zero-divisor", "regular", "regular"
+    ]
+    assert [agree(I_of(ctx, "1"), P(ctx, f)) for f in ("0", "x")] == ["zero", "member"]
 
     @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
     @hyp.given(st.data())

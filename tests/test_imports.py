@@ -28,6 +28,11 @@ methods that override one of a base class (which the base's own code
 calls), are exempt.  The check matches names only, so it cannot see a dead
 method whose name is also used elsewhere, for example as a local variable,
 the way a local `coeff` hid a dead `Polynomial.coeff`.
+
+Every name in a `__slots__` of the package must be read as an attribute
+somewhere in src/linkcoh, so no instance keeps state that only its
+constructor writes; a read off a call whose function is annotated to return
+one class, such as `M.primes().ass`, counts for that class alone.
 """
 
 import ast
@@ -236,3 +241,48 @@ def test_no_dead_definitions():
             if not _dunder(name) and name not in referenced:
                 dead.append(f"{path.name}:{line} {name}")
     assert not dead, "defined but never referenced: " + ", ".join(dead)
+
+
+def _returned_class(fn: ast.FunctionDef) -> str | None:
+    """The class a function's return annotation names, when it is one bare
+    name, quoted or not."""
+    ann = fn.returns
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str) and ann.value.isidentifier():
+        return ann.value
+    return ann.id if isinstance(ann, ast.Name) else None
+
+
+def test_every_slot_is_read():
+    # a slot that code assigns but never reads is dead state kept up to
+    # date for nothing.  Names are matched, except that a read off a call
+    # whose function returns one class, such as `M.primes().ass`, counts
+    # for that class alone, so a slot `ass` of another class is not read
+    # there; `x.attr += 1` reads its slot
+    trees = [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in sorted(SRC.glob("*.py"))]
+    returns: dict[str, set] = {}
+    slots = []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                returns.setdefault(node.name, set()).add(_returned_class(node))
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                    ):
+                        slots += [(name, node.name, s) for s in ast.literal_eval(stmt.value)]
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add((None, node.target.attr))
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                owner = None
+                if isinstance(node.value, ast.Call):
+                    func = node.value.func
+                    got = returns.get(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+                    owner = next(iter(got)) if got and len(got) == 1 else None
+                read.add((owner, node.attr))
+    assert slots
+    unread = [f"{where}:{cls}.{s}" for where, cls, s in slots if not {(None, s), (cls, s)} & read]
+    assert not unread, "slots never read: " + ", ".join(unread)

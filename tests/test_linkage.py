@@ -13,6 +13,7 @@ from linkcoh.groebner import (
     ideal_sum,
     is_proper,
     is_unit_ideal,
+    minimalize,
     reduced_gb,
 )
 from linkcoh.linkage import (
@@ -27,7 +28,8 @@ from linkcoh.linkage import (
 )
 from linkcoh.modules import CyclicModule, is_regular_sequence, regular_chain
 from linkcoh.monomial import MonomialIdeal, as_monomial, associated_primes
-from linkcoh.ring import Polynomial, RingError, parse_poly, ring
+from linkcoh.ring import Polynomial, RingError, mono_mask, parse_poly, ring
+from oracles import permute_exponents
 
 
 def I_of(ctx, *texts):
@@ -268,9 +270,9 @@ def test_open_link_of_refuses_as_check_linked_does():
 
 
 def test_link_refusal_answers_as_closed_link_of():
-    # over monomial J and a monomial M-regular sequence I, the mask test on
-    # the core T = I + J and Ass R/T names the reason link_of(trial, I, M,
-    # close=True) refuses a trial of extra terms, and is None exactly when
+    # over monomial J and a monomial M-regular sequence I, the colon of the
+    # core T = I + J by the extra terms names the reason link_of(trial, I,
+    # M, close=True) refuses a trial of them, and is None exactly when
     # link_of certifies
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -290,7 +292,7 @@ def test_link_refusal_answers_as_closed_link_of():
         T = regular_chain(I.gens, Ideal(ctx, M.ideal.gens))
         hyp.assume(T is not None)
         core = as_monomial(T)
-        got = linkage._TermChain(core, associated_primes(core)).refusal(extras)
+        got = linkage._TermChain(core).refusal(extras)
         trial = ideal_sum(I, Ideal(ctx, [Polynomial.from_monomial(ctx, e) for e in extras]))
         want = _outcome(link_of, trial, I, M, True)
         assert got == (None if isinstance(want, LinkageCertificate) else want), (
@@ -305,12 +307,12 @@ def test_link_refusal_answers_as_closed_link_of():
 def test_term_chain_answers_as_regular_chain_and_link_of():
     # over monomial J a chain of monomials and up to three sums x_k + x_l
     # keeps a term form: each candidate is regular exactly when
-    # regular_chain grows the chain, a sum over two representatives folds
-    # the core, one over a single representative r is 0 (never regular) or
-    # 2*x_r, every step's primes, a monomial's as p1 takes it over R among
-    # them, are Ass of its core, and the chain's
-    # refusal of the extras is link_of's reason, None exactly when it
-    # certifies
+    # regular_chain grows the chain, and exactly when no prime of Ass of
+    # the core holds it (a sum: both representatives), a sum over two
+    # representatives folds the core, one over a single representative r is
+    # 0 (never regular) or 2*x_r, a monomial over R is regular as p1 takes
+    # it, and the chain's refusal of the extras is link_of's reason, None
+    # exactly when it certifies
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     seen, regular = set(), set()
@@ -335,22 +337,26 @@ def test_term_chain_answers_as_regular_chain_and_link_of():
             for ij in data.draw(sums)
             for c in (*data.draw(terms), tuple(linkage._power(n, k) for k in ij))
         ] + data.draw(terms)
-        # over R the chain starts as p1's does, with no primes computed
-        chain = linkage._TermChain.at_ring(ctx) if J.is_zero() else linkage._TermChain(M.monomial, M.primes().ass)
+        # over R the chain starts as p1's does
+        chain = linkage._TermChain.at_ring(ctx) if J.is_zero() else linkage._TermChain(M.monomial)
         for k, cand in enumerate(seq):
-            kind = "term"
+            # the masks a prime of Ass must meet to hold the candidate; 0
+            # lies in every prime
+            kind, needs = "term", [mono_mask(linkage._image(chain.rep, cand[0]))]
             if len(cand) == 2:
                 (r, s), (r2, s2) = (chain.rep[e.index(1)] for e in cand)
                 kind = "fold" if r != r2 else "double" if s == s2 else "cancel"
+                needs = [1 << r, 1 << r2]
+            ass = associated_primes(chain.core)
+            held = kind == "cancel" or any(all(m & p.mask for m in needs) for p in ass)
             nxt = chain.step(cand)
             polys = [linkage._polynomial(ctx, c) for c in seq[: k + 1]]
             want = regular_chain(polys, Ideal(ctx, M.ideal.gens)) is not None
-            assert (nxt is not None) == want, (J.min_gens, seq[: k + 1])
+            assert (nxt is not None) == want == (not held), (J.min_gens, seq[: k + 1])
             regular.add((kind, want))
             if not want:
                 seq = seq[:k]
                 break
-            assert nxt.ass == associated_primes(nxt.core), (J.min_gens, seq[: k + 1])
             chain = nxt
         extras = data.draw(st.lists(term, max_size=3))
         got = chain.refusal(extras)
@@ -367,6 +373,50 @@ def test_term_chain_answers_as_regular_chain_and_link_of():
         ("term", True), ("term", False), ("fold", True), ("fold", False),
         ("double", True), ("double", False), ("cancel", False),
     }
+    assert seen == {None, "improper-a", "improper-b"}
+
+
+def test_term_chain_moves_with_the_variables():
+    # a permutation of the variables is a ring automorphism: over the
+    # permuted J the chain steps the permuted candidates to the same
+    # regular/None pattern, holds the permuted core after each step and
+    # refuses the permuted extras for the same reason
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    steps, seen = set(), set()
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        ctx = ring(*[f"x{i}" for i in range(n)])
+        perm = data.draw(st.permutations(range(n)))
+
+        def moved(exps):
+            return [permute_exponents(e, perm) for e in exps]
+
+        term = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any)
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        cands = st.one_of(
+            term.map(lambda e: (e,)), pair.map(lambda ij: tuple(linkage._power(n, k) for k in ij))
+        )
+        J = data.draw(st.lists(term, max_size=3))
+        chain = linkage._TermChain(MonomialIdeal.from_exponents(ctx, J))
+        image = linkage._TermChain(MonomialIdeal.from_exponents(ctx, moved(J)))
+        for cand in data.draw(st.lists(cands, max_size=5)):
+            nxt, nxt_image = chain.step(cand), image.step(tuple(moved(cand)))
+            assert (nxt is None) == (nxt_image is None), (J, perm, cand)
+            steps.add((len(cand), nxt is not None))
+            if nxt is not None:
+                chain, image = nxt, nxt_image
+                assert image.core.min_gens == minimalize(moved(chain.core.min_gens)), (J, perm)
+        extras = data.draw(st.lists(term, max_size=3))
+        got = chain.refusal(extras)
+        assert image.refusal(moved(extras)) == got, (J, perm, extras)
+        seen.add(got)
+
+    check()
+    assert steps == {(1, True), (1, False), (2, True), (2, False)}
     assert seen == {None, "improper-a", "improper-b"}
 
 
