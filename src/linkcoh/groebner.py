@@ -24,10 +24,11 @@ with a constant generator is the unit ideal; and I : J is the unit ideal,
 (J = (0) among them).  `colon_and_sum` is one step of a regular chain:
 over term data it asks I : f = I of the minimal generators
 (`colon_fixes`, which the linked-pair sampler's term chain asks too), over
-other data it reads I : (f) and I + (f) off one syzygy run, or, for a
-variable f over a homogeneous I, whether f is regular and I + (f) off the
-reduced basis of I under degrevlex with f's variable moved last, a plain
-run with no colon.
+other data it reads I : (f) and I + (f) off one syzygy run.  Variables
+over a homogeneous I take no colon: `variable_chain` decides a whole chain
+of them, x_j1, x_j2, .., off one plain run under degrevlex with those
+variables moved last in reverse order, x_j1 last of all, and a variable
+step of `colon_and_sum` is that chain of length one.
 `_gb` and `_colon` stay callable for tests that compare routes.
 
 The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
@@ -192,9 +193,11 @@ def check_deadline(what: str, spent: int = 0) -> None:
         raise BudgetExceeded(what, spent, "soft timeout")
 
 
-# `Ideal._monomial_gens` before `monomial_gens` has looked: None is an answer.
-# `_by_terms` and `MonomialIdeal.to_ideal` seed it with the minimal
-# generators they already hold, so `monomial_gens` never looks there.
+# A cache before it is filled where None is an answer: `Ideal._monomial_gens`
+# before `monomial_gens` has looked, a step missing from `Ideal._steps`, and
+# `CyclicModule.monomial` before its first read.  `_by_terms` and
+# `MonomialIdeal.to_ideal` seed `_monomial_gens` with the minimal generators
+# they already hold, so `monomial_gens` never looks there.
 _NOT_COMPUTED = object()
 
 
@@ -206,10 +209,10 @@ class Ideal:
     mutated.  The reduced degrevlex basis (`_gb`), the reducer table that
     membership tests divide by (`_table`) and the answer of `monomial_gens`
     are each computed at most once and cached on the instance; None means
-    not yet computed.  `_steps` maps each f that `colon_and_sum` has
-    stepped the ideal by to the outcome, the next ideal or None, so a
-    regular chain grown again from the same ideal reads every step it has
-    taken before.
+    not yet computed.  `_steps` maps each f that `colon_and_sum` or
+    `variable_chain` has stepped the ideal by to the outcome, the next ideal
+    or None, so a regular chain grown again from the same ideal reads every
+    step it has taken before.
     """
 
     __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens", "_steps")
@@ -990,23 +993,23 @@ def colon_and_sum(I: Ideal, f: Polynomial) -> Ideal | None:
     The sum keeps the generators of I, then f.  The outcome is kept on I
     under f (`Ideal._steps`): a second call returns it and runs nothing.
 
-    A variable step, f = c*x_j over an I that `_revlex_ready` admits, reads
-    the answer off one reverse-lex basis (`_revlex_step`) and takes no
-    colon.  Any other step takes the colon.  When I and f are given by
-    terms, f is regular exactly when the colon of I's minimal generators by
-    f's term leaves them fixed (`colon_fixes`; f = 0 only over the unit
+    A variable step, f = c*x_j over an I that `_revlex_ready` admits, is the
+    chain of length one (`variable_chain`), read off one reverse-lex basis
+    with no colon.  Any other step takes the colon.  When I and f are given
+    by terms, f is regular exactly when the colon of I's minimal generators
+    by f's term leaves them fixed (`colon_fixes`; f = 0 only over the unit
     ideal).  Past that and f in I, one syzygy run of the vector (f) of R^1
     modulo the reduced basis of I has the colon's reduced basis in its tags
     and the sum's as its image (see `_syzygies`).
     """
     steps = I._steps
+    if steps is not None and f in steps:
+        return steps[f]
+    if variable_route(I, (f,)):
+        return variable_chain(I, (f,))[0]
     if steps is None:
         steps = I._steps = {}
-    elif f in steps:
-        return steps[f]
-    j = _variable(f)
-    nxt = _revlex_step(I, f, j) if j is not None and _revlex_ready(I) else _colon_step(I, f)
-    steps[f] = nxt
+    nxt = steps[f] = _colon_step(I, f)
     return nxt
 
 
@@ -1050,39 +1053,93 @@ def _revlex_ready(I: Ideal) -> bool:
 
 
 def variable_route(I: Ideal, seq: Sequence[Polynomial]) -> bool:
-    """Whether every step of a chain from I by seq is a variable step that
-    `colon_and_sum` reads off a reverse-lex basis."""
+    """Whether a chain from I by seq is one `variable_chain`: every element
+    a variable step read off a reverse-lex basis."""
     return _revlex_ready(I) and all(_variable(f) is not None for f in seq)
 
 
-def _revlex_step(I: Ideal, f: Polynomial, j: int) -> Ideal | None:
-    """The step of `colon_and_sum` by f = c*x_j over a homogeneous I, read
-    off the reduced basis G of I under degrevlex with x_j moved last.
+def variable_chain(
+    I: Ideal, seq: Sequence[Polynomial], skip: bool = False
+) -> tuple[Ideal | None, int, int]:
+    """The regular steps of a homogeneous I (one `_revlex_ready` admits) by
+    the variables seq = c_1*x_j1, c_2*x_j2, .. in order, each step taken
+    from the sum of the variables kept before it.  Answers (Q, kept, runs):
+    Q is I plus the kept variables, kept their number and runs the engine
+    runs made.  A variable that is not regular ends the chain with Q None,
+    or, with `skip` set, is left out while the chain goes on.
 
-    Under that order in(I : x_j) = in(I) : x_j and in(I + (x_j)) =
-    in(I) + (x_j) (Bayer-Stillman, *Invent. Math.* 87, 1987; Eisenbud,
-    *Commutative Algebra*, Prop. 15.12), and a homogeneous g has a lead
-    divisible by x_j exactly when x_j divides g.  So x_j is regular on R/I
-    exactly when x_j divides no element of G, and then x_j with the
-    restrictions g|_(x_j = 0) is the reduced basis of I + (x_j): their
-    leads are those of G, and on monomials free of x_j the moved order and
-    degrevlex agree, so it is degrevlex's too.  With x_j already last, G
-    is I's own cached `reduced_gb` and no run starts; otherwise G is one
-    plain engine run on I's basis if cached, else on its generators.
+    One run decides a whole chain.  Its basis G is the reduced basis under
+    degrevlex with the chain's variables moved last in reverse order, so
+    x_j1 is last of all.  Under that order in(Q : x_j1) = in(Q) : x_j1 and
+    in(Q + (x_j1)) = in(Q) + (x_j1) (Bayer-Stillman, *Invent. Math.* 87,
+    1987; Eisenbud, *Commutative Algebra*, Prop. 15.12), and a homogeneous g
+    has a lead divisible by x_j1 exactly when x_j1 divides g.  So x_j1 is
+    regular exactly when it divides no element of G, and then x_j1 with the
+    restrictions g|_(x_j1 = 0) is the reduced basis of the sum under the
+    same order.  The sum modulo x_j1 is the ideal of the restrictions in the
+    other variables, under the order left, where x_j2 is last: the same
+    test applies to it, and so on down the chain.  A variable that is not
+    regular leaves G a basis of the sum under an order where the next
+    variable is not last, so the rest of the chain starts one new run on G.
+    A chain that starts under plain degrevlex reads `reduced_gb(I)` and
+    starts no run of its own.
+
+    Every step decided is kept on the ideal it extended (`Ideal._steps`),
+    and a step kept there is read, not decided again.  Only the last sum
+    gets a basis cache: its G is free of the kept variables, on whose
+    complement the moved order is degrevlex once no variable left over
+    is out of place, and then G is its reduced degrevlex basis.  The sums
+    in between keep none.
     """
     ctx, n = I.ctx, I.ctx.n
-    if j == n - 1:
-        G = [g.term_map() for g in reduced_gb(I)]
-    else:
-        moved = MonomialOrder((tuple(v for v in range(n) if v != j) + (j,),))
-        G = _buchberger([g.term_map() for g in I._gb or I.gens], moved)
-    if any(all(e[j] for e in g) for g in G):
-        return None
-    basis = [Polynomial(ctx, {e: c for e, c in g.items() if not e[j]}) for g in G]
-    basis.append(Polynomial(ctx, {tuple(int(v == j) for v in range(n)): _ONE}))
-    S = Ideal(ctx, (*I.gens, f))
-    S._gb = tuple(sorted(basis, key=lambda p: DEGREVLEX.key(p.lead()[0])))
-    return S
+    Q, G, order, ready, kept, runs = I, None, (), False, set(), 0
+    for i, f in enumerate(seq):
+        j = _variable(f)
+        steps = Q._steps
+        if steps is None:
+            steps = Q._steps = {}
+        nxt = steps.get(f, _NOT_COMPUTED)
+        if nxt is _NOT_COMPUTED:
+            if not ready:
+                tail = tuple(dict.fromkeys(_variable(g) for g in seq[i:]))
+                order = tuple(v for v in range(n) if v not in tail) + tail[::-1]
+                G, ran = _chain_basis(Q, order, G)
+                runs += ran
+                ready = True
+            if any(all(e[j] for e in g) for g in G):
+                nxt = None
+            else:
+                G = [{e: c for e, c in g.items() if not e[j]} for g in G]
+                G.append({tuple(int(v == j) for v in range(n)): _ONE})
+                nxt = Ideal(ctx, (*Q.gens, f))
+            steps[f] = nxt
+        elif nxt is not None:
+            G = None  # a basis of the ideal the kept step extended
+        if nxt is None:
+            if not skip:
+                return None, len(kept), runs
+            ready = False
+            continue
+        Q = nxt
+        kept.add(j)
+    left = [v for v in order if v not in kept]
+    if G is not None and Q._gb is None and left == sorted(left):
+        basis = (Polynomial(ctx, g) for g in G)
+        Q._gb = tuple(sorted(basis, key=lambda p: DEGREVLEX.key(p.lead()[0])))
+    return Q, len(kept), runs
+
+
+def _chain_basis(Q: Ideal, order: tuple[int, ...], G: list[dict] | None) -> tuple[list[dict], bool]:
+    """The reduced basis of Q under degrevlex on the variables listed in
+    `order`, and whether an engine run made it.  Under the plain order it
+    is Q's own `reduced_gb` when that is cached or no G is held; otherwise
+    one plain run on G, a basis of Q under another order, else on Q's
+    cached basis or generators."""
+    if order == tuple(range(len(order))) and (Q._gb is not None or G is None):
+        ran = Q._gb is None
+        return [g.term_map() for g in reduced_gb(Q)], ran
+    gens = G if G is not None else [g.term_map() for g in Q._gb or Q.gens]
+    return _buchberger(gens, MonomialOrder((order,))), True
 
 
 # ---------------------------------------------------------------------------

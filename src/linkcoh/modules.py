@@ -30,15 +30,20 @@ and compares the two reduced bases; the image, which gives the boundaries,
 is finished only when a further level compares it, so the last level
 searched reads its cycles alone.  Every regular sequence grows in one
 routine, `regular_chain`, which returns the ideal base + (seq) it built.
-Each step is one `colon_and_sum`, which keeps its outcome, the next sum
-Q + (f) with its reduced basis or None, on Q, so a chain grown again from
-the same base reads it.  A step by a variable x_j over a homogeneous Q not
-given by terms reads both off the reduced basis of Q under degrevlex with
-x_j moved last (Bayer-Stillman) and takes no colon; any other step reads
-the colon Q : f, which decides whether f is regular, and the sum off one
-syzygy run.  Unbounded, `koszul_grade` on such variables takes its bounds
-from those steps: grade s for a regular sequence, else at most s - 1, and
-at least the length of a regular sequence among the variables.
+Each step keeps its outcome, the next sum Q + (f) or None, on Q, so a
+chain grown again from the same base reads it.  A chain of variables over
+a homogeneous base not given by terms is one `variable_chain`: one plain
+run under degrevlex with the chain's variables moved last in reverse
+order decides every step by restriction (Bayer-Stillman), with no colon,
+and the last sum keeps its reduced basis.  Any other chain takes one
+`colon_and_sum` per element, which reads the colon Q : f, deciding
+whether f is regular, and the sum off one syzygy run.  Unbounded,
+`koszul_grade` on such variables takes its bounds from one chain that
+skips the variables that are not regular: grade s for a regular
+sequence, else at most s - 1, and at least the number kept.  R/J asks
+whether J is monomial only when `CyclicModule.monomial` is read, so grade,
+regseq and assmember over a J not given by terms build no basis of J for
+it.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -53,6 +58,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .groebner import (
+    _NOT_COMPUTED,
     BudgetExceeded,
     Ideal,
     ReducerTable,
@@ -70,6 +76,7 @@ from .groebner import (
     module_reduce,
     module_table,
     reduced_gb,
+    variable_chain,
     variable_route,
 )
 from .monomial import (
@@ -330,12 +337,12 @@ def koszul_grade(
     is the oracle that route is tested against.
 
     Called without bounds on variables c*x_j over a homogeneous base not
-    given by terms (`variable_route`), it takes its bounds from regular
-    steps (`_variable_bounds`), each read off a reverse-lex basis: grade s
-    when the sequence is regular, else at most s - 1, and at least the
-    length of a regular sequence found among the variables.  Only the
-    levels between them are searched, none when they meet; that route is
-    logged at debug level with its levels.
+    given by terms (`variable_route`), it takes its bounds from one
+    `variable_chain` that skips the variables that are not regular
+    (`_variable_bounds`): grade s when the sequence is regular, else at
+    most s - 1, and at least the length of the regular sequence kept.  Only
+    the levels between them are searched, none when they meet; that route
+    is logged at debug level with the chain's engine runs and the levels.
     """
     elements = [f for f in seq if not f.is_zero()]
     if not elements:
@@ -347,11 +354,14 @@ def koszul_grade(
         raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     if upper is None:
         if variable_route(base, elements):
-            lower, upper = _variable_bounds(elements, base)
+            lower, upper, runs = _variable_bounds(elements, base)
             if lower == upper:
-                log.debug("grade: route revlex, no levels")
+                log.debug("grade: route revlex, %s, no levels", _runs(runs))
             else:
-                log.debug("grade: route revlex, levels %d down to %d", s - lower, s - upper + 1)
+                log.debug(
+                    "grade: route revlex, %s, levels %d down to %d",
+                    _runs(runs), s - lower, s - upper + 1,
+                )
         else:
             upper = s
     if not 0 <= lower <= upper <= s:
@@ -376,48 +386,64 @@ def koszul_grade(
     return upper
 
 
-def _variable_bounds(elements: Sequence[Polynomial], base: Ideal) -> tuple[int, int]:
-    """(lower, upper) bounds on the grade of the s variables `elements` on a
-    graded R/base, from regular steps alone.  The variables are stepped in
-    order, each from the sum of those kept before it, and kept when
-    regular: the k kept form a regular sequence in the ideal, so the grade
-    is at least k.  All s are kept exactly when the sequence is regular,
-    since in the graded case a permutation of a regular sequence is
-    regular, and then the grade is s (Koszul); otherwise H_1 of the Koszul
-    complex is nonzero, since graded H_1 = 0 makes the sequence regular
-    (Bruns-Herzog, *Cohen-Macaulay Rings*, Sec. 1.6), and the grade is at
-    most s - 1."""
-    Q, k = base, 0
-    for f in elements:
-        nxt = colon_and_sum(Q, f)
-        if nxt is not None:
-            Q, k = nxt, k + 1
+def _variable_bounds(elements: Sequence[Polynomial], base: Ideal) -> tuple[int, int, int]:
+    """(lower, upper, runs): bounds on the grade of the s variables
+    `elements` on a graded R/base, from regular steps alone, and the engine
+    runs they took.  The variables are stepped in order by one
+    `variable_chain`, each from the sum of those kept before it, and kept
+    when regular; one that is not is skipped, and the rest of the chain
+    starts one new run.  The k kept form a regular sequence in the ideal,
+    so the grade is at least k.  All s are kept exactly when the sequence is
+    regular, since in the graded case a permutation of a regular sequence
+    is regular, and then the grade is s (Koszul); otherwise H_1 of the
+    Koszul complex is nonzero, since graded H_1 = 0 makes the sequence
+    regular (Bruns-Herzog, *Cohen-Macaulay Rings*, Sec. 1.6), and the grade
+    is at most s - 1."""
+    _, k, runs = variable_chain(base, elements, skip=True)
     s = len(elements)
-    return (s, s) if k == s else (k, s - 1)
+    return (s, s, runs) if k == s else (k, s - 1, runs)
 
 
 def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
     """base + (seq), built one element at a time with its basis cached, when
     seq is a regular sequence on R/base (in the given order): each element a
     nonzerodivisor modulo base and those before it (Q : f = Q), the last sum
-    proper.  None otherwise.  Each step is one `colon_and_sum`, which keeps
-    its outcome on the ideal the step extended, so a chain grown again from
-    the same base reads its steps.  A variable step over a homogeneous Q
-    not given by terms is read off a reverse-lex basis, with no colon."""
-    Q = base
-    for f in seq:
-        Q = colon_and_sum(Q, f)
-        if Q is None:
-            return None
-    return Q if is_proper(Q) else None
+    proper.  None otherwise.  Every step is kept on the ideal it extended,
+    so a chain grown again from the same base reads its steps.  A chain of
+    variables over a homogeneous base not given by terms (`variable_route`)
+    is one `variable_chain`, read off one reverse-lex basis with no colon;
+    any other chain takes one `colon_and_sum` per element."""
+    return _regular_chain(seq, base)[0]
+
+
+def _regular_chain(seq: Sequence[Polynomial], base: Ideal) -> tuple[Ideal | None, int | None]:
+    """`regular_chain`'s answer, with the engine runs of its
+    `variable_chain` on that route and None on the colon route."""
+    if variable_route(base, seq):
+        Q, _, runs = variable_chain(base, seq)
+    else:
+        Q, runs = base, None
+        for f in seq:
+            Q = colon_and_sum(Q, f)
+            if Q is None:
+                break
+    return (Q if Q is not None and is_proper(Q) else None), runs
 
 
 def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
     """Whether seq is a regular sequence on R/base (in the given order).
-    Logs its route at debug level: `revlex` when every step is a variable
-    step read off a reverse-lex basis, else `colon`."""
-    log.debug("regseq: route %s", "revlex" if variable_route(base, seq) else "colon")
-    return regular_chain(seq, base) is not None
+    Logs its route at debug level: `revlex` with the engine runs of its
+    chain when the sequence is one `variable_chain`, else `colon`."""
+    Q, runs = _regular_chain(seq, base)
+    if runs is None:
+        log.debug("regseq: route colon")
+    else:
+        log.debug("regseq: route revlex, %s", _runs(runs))
+    return Q is not None
+
+
+def _runs(k: int) -> str:
+    return f"{k} run" if k == 1 else f"{k} runs"
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +477,15 @@ class CyclicModule:
     Each depth logs its route at debug level on the `linkcoh` logger:
     `monomial`, `degeneration`, `degeneration+koszul` with its levels, or
     `koszul`.
+
+    Nothing is computed when R/J is built: whether J is monomial
+    (`monomial`, which needs J's reduced basis when its generators are not
+    all terms) is asked on first read and cached, and the monomial view
+    starts from that answer.  Grade and regular sequences over R/J never
+    read it.
     """
 
-    __slots__ = ("ctx", "ideal", "monomial", "_lead", "_record", "_depth")
+    __slots__ = ("ctx", "ideal", "_monomial", "_lead", "_record", "_depth")
 
     def __init__(self, ctx: RingCtx, J: Ideal) -> None:
         if J.ctx != ctx:
@@ -462,8 +494,8 @@ class CyclicModule:
             raise ImproperIdealError("cyclic module wants a proper defining ideal")
         self.ctx = ctx
         self.ideal = J
-        self.monomial: MonomialIdeal | None = as_monomial(J)
-        self._lead: MonomialIdeal | None = self.monomial
+        self._monomial = _NOT_COMPUTED
+        self._lead: MonomialIdeal | None = None
         self._record: MinAsshDim | None = None
         self._depth: int | None = None
 
@@ -471,11 +503,22 @@ class CyclicModule:
     def full_ring(cls, ctx: RingCtx) -> "CyclicModule":
         return cls(ctx, Ideal.zero(ctx))
 
+    @property
+    def monomial(self) -> MonomialIdeal | None:
+        """J as a monomial ideal, or None when J is not monomial; computed
+        on first read (`as_monomial`: J's reduced basis when its generators
+        are not all terms) and cached."""
+        if self._monomial is _NOT_COMPUTED:
+            self._monomial = as_monomial(self.ideal)
+        return self._monomial
+
     def lead_term_ideal(self) -> MonomialIdeal:
         """J when J is monomial, else in(J) of the reduced degrevlex basis."""
         if self._lead is None:
-            gb = reduced_gb(self.ideal)
-            self._lead = MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
+            self._lead = self.monomial
+            if self._lead is None:
+                gb = reduced_gb(self.ideal)
+                self._lead = MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
         return self._lead
 
     def _lead_primes(self) -> MinAsshDim:

@@ -565,18 +565,37 @@ def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
     # within one call, each chain step is computed once: a prefix (*seq,
     # cand) drawn again reads the step kept on the chain it extended, the
     # term chain's over a monomial J (`_TermChain._steps`) and the ideal's
-    # (`colon_and_sum`) otherwise, and the chain that certification grows
-    # again from J reads the ideal's
+    # (`colon_and_sum`, or `variable_chain` for variables over a homogeneous
+    # J) otherwise, and the chain that certification grows again from J
+    # reads the ideal's
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, *gens)
     computed, calls, drawn = [], [], []
     step, term_step, pool = modules.colon_and_sum, linkage._TermChain.step, linkage._sequence_pool
+    chain = modules.variable_chain
 
     def counted_step(Q, f):
         calls.append(f)
         if f not in (Q._steps or ()):
             computed.append((Q.gens, f))
         return step(Q, f)
+
+    def kept_steps(Q, seq):
+        # the (ideal, element) steps of seq from Q already kept on the ideals
+        out = []
+        for f in seq:
+            if Q is None or f not in (Q._steps or ()):
+                break
+            out.append((Q.gens, f))
+            Q = Q._steps[f]
+        return out
+
+    def counted_chain(Q, seq, skip=False):
+        calls.extend(seq)
+        before = kept_steps(Q, seq)
+        got = chain(Q, seq, skip)
+        computed.extend(kept_steps(Q, seq)[len(before) :])
+        return got
 
     def counted_term_step(chain, cand):
         # every chain of the call lives on in the first one's steps, so an
@@ -591,6 +610,7 @@ def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
         return drawn[-1]
 
     monkeypatch.setattr(modules, "colon_and_sum", counted_step)
+    monkeypatch.setattr(modules, "variable_chain", counted_chain)
     monkeypatch.setattr(linkage._TermChain, "step", counted_term_step)
     monkeypatch.setattr(linkage, "_sequence_pool", counted_draw)
     list(random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed))
@@ -622,22 +642,24 @@ def test_certificate_quotients_keep_their_bases(monkeypatch, gens, count, seed):
         for X in (cert.quotient_a, cert.quotient_b, cert.quotient_core):
             assert X.ideal._gb is not None
             reduced_gb(X.ideal)
-            X.monomial  # read, not derived: set when the quotient was built
+            X.monomial  # derived on this first read from the cached basis
     assert widths == []
     assert all(support_identity(cert) for cert in certs)
     assert widths == []
 
 
 def test_engine_runs_are_pinned(monkeypatch):
-    # a regular chain reads a variable step over a homogeneous ideal off one
-    # reverse-lex basis, any other step's colon and sum off one syzygy run,
-    # and keeps each outcome on the ideal it extended; membership in a term
-    # ideal divides by its generators, a colon by an ideal inside I is the
-    # unit ideal, and an ideal whose generators all vanish at the origin is
-    # proper, none of them with an engine run.  The counts in the comments
-    # were made by the route that took every step's colon and sum off one
-    # syzygy run, and before it by the route that took each step's colon,
-    # then the sum's own basis.  A change to any of these must update them.
+    # a regular chain reads a chain of variables over a homogeneous ideal off
+    # one reverse-lex basis, any other step's colon and sum off one syzygy
+    # run, and keeps each outcome on the ideal it extended; membership in a
+    # term ideal divides by its generators, a colon by an ideal inside I is
+    # the unit ideal, and an ideal whose generators all vanish at the origin
+    # is proper, none of them with an engine run.  The counts in the
+    # comments were made by the route that read each variable step off a
+    # reverse-lex basis of its own, before it by the route that took every
+    # step's colon and sum off one syzygy run, and before that by the route
+    # that took each step's colon, then the sum's own basis.  A change to
+    # any of these must update them.
     runs = []
     real = groebner._buchberger
 
@@ -649,7 +671,8 @@ def test_engine_runs_are_pinned(monkeypatch):
     ctx = ring(*"abcd")
     b, c = parse_poly("b", ctx), parse_poly("c", ctx)
     assert is_regular_sequence([b, c], I_of(ctx, "a*d - b*c"))
-    assert len(runs) == 2  # was 3 (J's basis, then one run per step), and 5 before
+    # was 2 (one run per step), 3 (J's basis, then one run per step), and 5
+    assert len(runs) == 1
     del runs[:]
     assert is_proper(ideal_sum(I_of(ctx, "a^2 - b*c", "a*d + c"), I_of(ctx, "b^3 - d")))
     assert runs == []  # was 1

@@ -24,6 +24,7 @@ from oracles import (
     ass_member_presented,
     hom_cyclic,
     module_ass_scan,
+    permute_exponents,
     presented_annihilator,
     radical_is_maximal,
 )
@@ -398,10 +399,12 @@ def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
                 assert tags == wanted, (texts, lower, upper, i)
     assert koszul_grade(xs, I_of(ctx, "a*b")) == 3 and built == [4, 3, 2, 1]
     # called without bounds, the variables over the homogeneous binomial J
-    # take their bounds from reverse-lex steps, one plain run each (the step
-    # by d, last already, reads J's own basis): none is regular there, so
-    # 0 <= grade <= 3 and the search stops above level 1 (it searched 4, 3,
-    # 2 with bounds 0 and 4); over the term ideals every level is searched
+    # take their bounds from one reverse-lex chain: none is regular there, so
+    # each variable that fails starts the rest of the chain on a new plain
+    # run, and the step by d, last already, reads J's own basis (4 plain
+    # runs, as when each step made its own); 0 <= grade <= 3 and the search
+    # stops above level 1 (it searched 4, 3, 2 with bounds 0 and 4); over
+    # the term ideals every level is searched
     for texts, grade, wanted_built, wanted_runs, wanted_plain in (
         (("a*b",), 3, [4, 3, 2, 1], [None, None, None, 4], 0),
         (("a*c - b*d", "a*d - b*c"), 2, [4, 3, 2], [None, None, 6], 4),
@@ -522,13 +525,39 @@ def test_regular_chain_returns_the_sum_it_built():
     assert regular_chain([P(ctx, "x"), P(ctx, "x + 1")], zero) is None
 
 
+def _binomial_ideals(st):
+    """The hypothesis strategy, given a ring, of its random homogeneous
+    binomial ideals: 1-3 differences x^u - x^v of one degree (1 or 2), or the
+    2x2 minors of a 2x3 matrix of variables."""
+
+    def monomial(draw, ctx, d):
+        variables = draw(st.lists(st.integers(0, ctx.n - 1), min_size=d, max_size=d))
+        return Polynomial(ctx, {tuple(variables.count(k) for k in range(ctx.n)): 1})
+
+    @st.composite
+    def ideal(draw, ctx):
+        if draw(st.booleans()):
+            gens = []
+            for _ in range(draw(st.integers(1, 3))):
+                d = draw(st.integers(1, 2))
+                gens.append(monomial(draw, ctx, d) - monomial(draw, ctx, d))
+            return Ideal(ctx, gens)
+        m = [[monomial(draw, ctx, 1) for _ in range(3)] for _ in range(2)]
+        return Ideal(ctx, [m[0][i] * m[1][k] - m[0][k] * m[1][i] for i, k in ((0, 1), (0, 2), (1, 2))])
+
+    return ideal
+
+
 def test_variable_steps_match_the_engine_routes(monkeypatch):
     # over random homogeneous binomial and 2x2-determinantal J, a sequence of
-    # variables (now and then 2*x, a repeat, or a non-variable element, which
-    # takes the colon) has the grade of the division route, each step of its
-    # chain is regular exactly when the engine colon leaves Q unchanged, the
-    # sum's seeded basis is a fresh engine basis of its generators, and a
-    # variable step over a homogeneous Q runs no syzygies
+    # 1-4 variables (now and then 2*x, a repeat, or a non-variable element,
+    # which takes the colon) has the grade of the division route, each step
+    # of its chain is regular exactly when the engine colon leaves Q
+    # unchanged, the sum's seeded basis is a fresh engine basis of its
+    # generators, and a variable step over a homogeneous Q runs no syzygies.
+    # The whole chain in one call, from a fresh J, agrees with that stepping
+    # one element at a time: None exactly when a step fails, and otherwise
+    # the last sum's basis is a fresh engine basis
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     syzygy_runs = []
@@ -540,28 +569,12 @@ def test_variable_steps_match_the_engine_routes(monkeypatch):
         return real(gens, order, rank, basis, tags)
 
     monkeypatch.setattr(groebner, "_buchberger", counted)
-
-    def monomial(draw, ctx, d):
-        variables = draw(st.lists(st.integers(0, ctx.n - 1), min_size=d, max_size=d))
-        return Polynomial(ctx, {tuple(variables.count(k) for k in range(ctx.n)): 1})
-
-    @st.composite
-    def ideal(draw, ctx):
-        if draw(st.booleans()):
-            # x^u - x^v of one degree
-            gens = []
-            for _ in range(draw(st.integers(1, 3))):
-                d = draw(st.integers(1, 2))
-                gens.append(monomial(draw, ctx, d) - monomial(draw, ctx, d))
-            return Ideal(ctx, gens)
-        # the 2x2 minors of a 2x3 matrix of variables
-        m = [[monomial(draw, ctx, 1) for _ in range(3)] for _ in range(2)]
-        return Ideal(ctx, [m[0][i] * m[1][k] - m[0][k] * m[1][i] for i, k in ((0, 1), (0, 2), (1, 2))])
+    ideal = _binomial_ideals(st)
 
     @st.composite
     def sequence(draw, ctx):
         seq = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 4))):
             kind = draw(st.sampled_from(["variable"] * 4 + ["scaled", "repeat", "other"]))
             x = Polynomial.variable(ctx, draw(st.sampled_from(ctx.var_names)))
             if kind == "scaled":
@@ -594,6 +607,44 @@ def test_variable_steps_match_the_engine_routes(monkeypatch):
                 break
             assert S._gb == engine_gb(Ideal(ctx, S.gens)), (Q, f)
             Q = S
+        revlex = groebner.variable_route(J, seq)
+        del syzygy_runs[:]
+        chain = regular_chain(seq, Ideal(ctx, J.gens))
+        assert not (revlex and syzygy_runs)
+        assert (chain is None) == (S is None), (J, seq)
+        if chain is not None:
+            assert chain._gb == engine_gb(Ideal(ctx, (*J.gens, *seq))), (J, seq)
+
+    check()
+
+
+def test_variable_chains_commute_with_renaming_the_variables():
+    # the chain builds its order from variable indices, so renaming the
+    # ring's variables by a permutation must leave its answers alone: over a
+    # random homogeneous binomial J, a sequence of 1-4 variables (repeats
+    # allowed) has the same regularity and the same grade after the
+    # variables of J and of the sequence are permuted
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ideal = _binomial_ideals(st)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"abcde"[: data.draw(st.integers(3, 5))])
+        J = data.draw(ideal(ctx))
+        picks = data.draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=4))
+        perm = data.draw(st.permutations(range(ctx.n)))
+
+        def renamed(f):
+            return Polynomial(ctx, {permute_exponents(e, perm): c for e, c in f.term_map().items()})
+
+        seq = [Polynomial.variable(ctx, ctx.var_names[i]) for i in picks]
+        moved_seq, moved_J = [renamed(x) for x in seq], Ideal(ctx, [renamed(g) for g in J.gens])
+        regular = is_regular_sequence(seq, J)
+        assert regular == is_regular_sequence(moved_seq, moved_J), (J, seq, perm)
+        fresh, moved_fresh = Ideal(ctx, J.gens), Ideal(ctx, moved_J.gens)
+        assert koszul_grade(seq, fresh) == koszul_grade(moved_seq, moved_fresh), (J, seq, perm)
 
     check()
 
@@ -637,6 +688,19 @@ def test_variable_steps_at_the_edges_of_their_route(monkeypatch):
     assert regular_chain([a], J) is None
     assert runs == [0, 0]
     assert J._steps == {d: None, a: None}
+    # a regular chain of two variables is one plain run under the order with
+    # b last and c just above it; each step stays on the ideal it extended,
+    # and only the last sum keeps a basis, J's degrevlex basis plus (b, c)
+    J = I_of(ctx, "a*d - b*c")
+    del runs[:]
+    S = regular_chain([b, c], J)
+    assert runs == [0]
+    (mid,) = J._steps.values()
+    assert J._steps == {b: mid} and mid._steps == {c: S}
+    assert mid._gb is None and S._gb == engine_gb(Ideal(ctx, (*J.gens, b, c)))
+    # grown again from J, the chain reads its steps and runs nothing
+    del runs[:]
+    assert regular_chain([b, c], J) is S and runs == []
 
 
 def test_regseq_and_grade_log_their_route(caplog, capsys):
@@ -644,12 +708,14 @@ def test_regseq_and_grade_log_their_route(caplog, capsys):
     a, b = P(ctx, "a"), P(ctx, "b")
     J = I_of(ctx, "a*c - b*d", "a^2 - c*d")
     for call, message in (
-        (lambda: is_regular_sequence([a, b], J), "regseq: route revlex"),
+        (lambda: is_regular_sequence([a, b], J), "regseq: route revlex, 1 run"),
         (lambda: is_regular_sequence([a, P(ctx, "a + b")], J), "regseq: route colon"),
         (lambda: is_regular_sequence([a], I_of(ctx, "a^2 - b")), "regseq: route colon"),
-        (lambda: koszul_grade([a, b], J), "grade: route revlex, no levels"),
+        # the step by a, not regular, is kept on J from regseq: one run, for b
+        (lambda: koszul_grade([a, b], J), "grade: route revlex, 1 run, no levels"),
+        # neither is regular, so the step by b starts a second run
         (lambda: koszul_grade([a, b], I_of(ctx, "a*c - b*d", "a*d - b*c")),
-         "grade: route revlex, levels 2 down to 2"),
+         "grade: route revlex, 2 runs, levels 2 down to 2"),
     ):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="linkcoh"):
@@ -1036,6 +1102,40 @@ def test_cyclic_module_nonmonomial_dim():
     # the record that gave dim is that of in(J), never the primes of R/J
     with pytest.raises(RingError, match="^the primes of R/J here need a monomial defining ideal$"):
         curve.primes()
+
+
+def test_cyclic_module_reads_its_monomial_form_when_asked(monkeypatch):
+    # R/J over a J not given by terms starts no engine run when built; the
+    # first read of `monomial` runs J's basis and a second reads the cache.
+    # grade and regseq over R/J never ask, so the command line pays only
+    # for the chain
+    runs = []
+    real = groebner._buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args[2] if len(args) > 2 else 0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    ctx = ring(*"abcd")
+    M = CyclicModule(ctx, I_of(ctx, "a*c - b*d", "a*d - b*c"))
+    assert runs == []
+    assert M.monomial is None and runs == [0]
+    assert M.monomial is None and runs == [0]
+    with pytest.raises(RingError, match="^the primes of R/J here need a monomial defining ideal$"):
+        M.primes()
+    assert runs == [0]
+    # a monomial J written by non-term generators is recognised on that read
+    N = CyclicModule(ctx, I_of(ctx, "a*b + a^2", "a^2"))
+    assert N.monomial.min_gens == ((1, 1, 0, 0), (2, 0, 0, 0)) and runs == [0, 0]
+    assert N.lead_term_ideal() is N.monomial and runs == [0, 0]
+    for argv in (
+        ["regseq", "--ring", "a,b,c,d", "--seq", "b, c", "--module", "a*d - b*c"],
+        ["grade", "--ring", "a,b,c,d", "--ideal", "b, c", "--module", "a*d - b*c"],
+    ):
+        del runs[:]
+        assert cli.run(argv) == 0
+        assert runs == [0], argv
 
 
 def test_dim_is_the_dim_of_the_lead_terms_property():
