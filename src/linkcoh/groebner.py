@@ -21,14 +21,15 @@ answers need no run on any operands: an ideal none of whose generators has
 a constant term lies in the ideal of the variables, so it is proper; one
 with a constant generator is the unit ideal; and I : J is the unit ideal,
 `Ideal.unit` with its basis seeded, when every generator of J lies in I
-(J = (0) among them).  `colon_and_sum` is one step of a regular chain:
-over term data it asks I : f = I of the minimal generators
-(`colon_fixes`, which the linked-pair sampler's term chain asks too), over
-other data it reads I : (f) and I + (f) off one syzygy run.  Variables
-over a homogeneous I take no colon: `variable_chain` decides a whole chain
-of them, x_j1, x_j2, .., off one plain run under degrevlex with those
-variables moved last in reverse order, x_j1 last of all, and a variable
-step of `colon_and_sum` is that chain of length one.
+(J = (0) among them).  One walker, `regular_steps`, takes every step of
+a regular chain.  A run of variables x_j1, x_j2, .. over a homogeneous I
+takes no colon: it is decided off one plain run under degrevlex with those
+variables moved last in reverse order, x_j1 last of all.  Any other step
+takes the colon: over term data it asks I : f = I of the minimal
+generators (`colon_fixes`, which the linked-pair sampler's term chain asks
+too), over other data it reads I : (f) and I + (f) off one syzygy run.
+`engine_runs` counts the engine's calls, so a caller reads the runs it
+made as a difference of two reads.
 `_gb` and `_colon` stay callable for tests that compare routes.
 
 The engine is Buchberger's algorithm with the coprime-lcm and chain criteria
@@ -69,7 +70,7 @@ A syzygy run reads only its tag block when the caller wants no image
 minimalizes, tail-reduces and decodes only the elements leading in the tag
 positions (`_buchberger`'s `tags`).  That is exact, since such an element
 vanishes in the main block, so only reducers leading in the tag positions
-touch its tail.  `colon_and_sum`'s syzygy run keeps both blocks.
+touch its tail.  The colon step of `regular_steps` keeps both blocks.
 
 Pending S-pairs sit in a heap keyed by (ring part of the packed lcm, index
 pair): the S-pair sequence, and where a budget trips, is that of the plain
@@ -108,6 +109,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import takewhile
 from math import gcd, lcm
 from operator import le as le_, mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -209,10 +211,10 @@ class Ideal:
     mutated.  The reduced degrevlex basis (`_gb`), the reducer table that
     membership tests divide by (`_table`) and the answer of `monomial_gens`
     are each computed at most once and cached on the instance; None means
-    not yet computed.  `_steps` maps each f that `colon_and_sum` or
-    `variable_chain` has stepped the ideal by to the outcome, the next ideal
-    or None, so a regular chain grown again from the same ideal reads every
-    step it has taken before.
+    not yet computed.  `_steps` maps each f that `regular_steps` has
+    stepped the ideal by to the outcome, the next ideal or None, so a
+    regular chain grown again from the same ideal reads every step it has
+    taken before; no other function reads or writes it.
     """
 
     __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens", "_steps")
@@ -638,6 +640,15 @@ def _divide(work: dict, table: ReducerTable) -> dict:
     return _widening(run, DEGREVLEX, rank, n, max(table.degree, _degree([ints])))
 
 
+_RUNS = 0
+
+
+def engine_runs() -> int:
+    """The `_buchberger` calls made so far; the difference of two reads
+    counts the engine runs made between them."""
+    return _RUNS
+
+
 def _buchberger(
     gens: Iterable[dict],
     order: MonomialOrder,
@@ -659,8 +670,10 @@ def _buchberger(
     Each exponent is a position prefix of length `rank` followed by a ring
     exponent; `rank` 0 is an ideal.  The run packs them with one `_Codec`
     and starts again, on a fresh S-pair meter, at double width when a term
-    overflows.
+    overflows.  Each call counts once in `engine_runs`.
     """
+    global _RUNS
+    _RUNS += 1
     known = [_integral(g)[0] for g in basis if g]
     fresh = [_integral(g)[0] for g in gens if g]
     if not known and not fresh:
@@ -987,34 +1000,103 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     return _colon(ctx, [(p,) for p in J.gens], [(f,) for f in reduced_gb(I)])
 
 
-def colon_and_sum(I: Ideal, f: Polynomial) -> Ideal | None:
-    """One step of a regular chain: I + (f), with its reduced degrevlex
-    basis cached, when f is a nonzerodivisor on R/I (I : f = I), else None.
-    The sum keeps the generators of I, then f.  The outcome is kept on I
-    under f (`Ideal._steps`): a second call returns it and runs nothing.
+def regular_steps(
+    I: Ideal, seq: Sequence[Polynomial], skip: bool = False
+) -> tuple[Ideal | None, int]:
+    """The steps of a regular chain from I by seq, in order: each f is
+    regular on R/Q, Q the sum of I and the elements kept before it, when it
+    is a nonzerodivisor there (Q : f = Q), and is then kept.  Answers
+    (Q, kept): Q is I plus the kept elements, the sum keeping the generators
+    of I and then each kept f, and kept is their number.  An element that is
+    not regular ends the walk with Q None, or, with `skip` set, is left out
+    while the walk goes on.
 
-    A variable step, f = c*x_j over an I that `_revlex_ready` admits, is the
-    chain of length one (`variable_chain`), read off one reverse-lex basis
-    with no colon.  Any other step takes the colon.  When I and f are given
-    by terms, f is regular exactly when the colon of I's minimal generators
-    by f's term leaves them fixed (`colon_fixes`; f = 0 only over the unit
-    ideal).  Past that and f in I, one syzygy run of the vector (f) of R^1
-    modulo the reduced basis of I has the colon's reduced basis in its tags
-    and the sum's as its image (see `_syzygies`).
+    Every step taken is kept on the ideal it extended (`Ideal._steps`), the
+    next sum or None, and a step kept there is read, not decided again; no
+    other function reads or writes `_steps`.
+
+    A variable c*x_j over a Q that `_revlex_ready` admits starts a run of
+    variables: the elements from it on up to the first that is no variable.
+    One basis decides the run, with no colon.  It is Q's reduced basis G
+    under degrevlex with the run's variables moved last in reverse order,
+    x_j1 last of all (`_chain_basis`).  Under that order in(Q : x_j1) =
+    in(Q) : x_j1 and in(Q + (x_j1)) = in(Q) + (x_j1) (Bayer-Stillman,
+    *Invent. Math.* 87, 1987; Eisenbud, *Commutative Algebra*, Prop. 15.12),
+    and a homogeneous g has a lead divisible by x_j1 exactly when x_j1
+    divides g.  So x_j1 is regular exactly when it divides no element of G,
+    and then x_j1 with the restrictions g|_(x_j1 = 0) is the reduced basis
+    of the sum under the same order.  The sum modulo x_j1 is the ideal of
+    the restrictions in the other variables, under the order left, where
+    x_j2 is last: the same test applies to it, and so on down the run.
+    A run ends after its last variable, at one that is not regular, or at
+    a step kept before.  Its last sum then keeps G as its reduced degrevlex
+    basis when the moved order is degrevlex on the variables not kept
+    (`_seed_run`), so a colon step after the run reads that basis.  A
+    variable after a skipped one starts a new run, from the sum's cached
+    basis or its generators.
+
+    Any other step takes the colon (`_colon_step`).
     """
-    steps = I._steps
-    if steps is not None and f in steps:
-        return steps[f]
-    if variable_route(I, (f,)):
-        return variable_chain(I, (f,))[0]
-    if steps is None:
-        steps = I._steps = {}
-    nxt = steps[f] = _colon_step(I, f)
-    return nxt
+    ctx, n = I.ctx, I.ctx.n
+    Q, G, order, kept, count = I, None, (), set(), 0
+    for i, f in enumerate(seq):
+        steps = Q._steps
+        if steps is None:
+            steps = Q._steps = {}
+        nxt = steps.get(f, _NOT_COMPUTED)
+        j = _variable(f)
+        run = nxt is _NOT_COMPUTED and j is not None and (G is not None or _revlex_ready(Q))
+        if run:
+            if G is None:
+                tail = takewhile(lambda v: v is not None, map(_variable, seq[i:]))
+                tail = tuple(dict.fromkeys(tail))
+                order = tuple(v for v in range(n) if v not in tail) + tail[::-1]
+                G = _chain_basis(Q, order)
+            if any(all(e[j] for e in g) for g in G):
+                nxt = None
+            else:
+                G = [{e: c for e, c in g.items() if not e[j]} for g in G]
+                G.append({tuple(int(v == j) for v in range(n)): _ONE})
+                nxt = Ideal(ctx, (*Q.gens, f))
+            steps[f] = nxt
+        if G is not None and (not run or nxt is None):
+            _seed_run(Q, G, order, kept)
+            G = None
+        if nxt is _NOT_COMPUTED:
+            nxt = steps[f] = _colon_step(Q, f)
+        if nxt is None:
+            if not skip:
+                return None, count
+            continue
+        Q = nxt
+        count += 1
+        if j is not None:
+            kept.add(j)
+    if G is not None:
+        _seed_run(Q, G, order, kept)
+    return Q, count
+
+
+def _seed_run(Q: Ideal, G: list[dict], order: tuple[int, ...], kept: set[int]) -> None:
+    """Seed Q, the last sum of a run, with G, its reduced basis under
+    degrevlex on the variables listed in `order`, when that is its reduced
+    degrevlex basis: G is free of the kept variables but for their own
+    elements, so it is when the order restricted to the other variables is
+    degrevlex."""
+    left = [v for v in order if v not in kept]
+    if Q._gb is None and left == sorted(left):
+        basis = (Polynomial(Q.ctx, g) for g in G)
+        Q._gb = tuple(sorted(basis, key=lambda p: DEGREVLEX.key(p.lead()[0])))
 
 
 def _colon_step(I: Ideal, f: Polynomial) -> Ideal | None:
-    """The step of `colon_and_sum` by the colon I : (f)."""
+    """The step of I by f through the colon I : (f): I + (f), its reduced
+    basis cached, or None.  When I and f are given by terms, f is regular
+    exactly when the colon of I's minimal generators by f's term leaves
+    them fixed (`colon_fixes`; f = 0 only over the unit ideal).  Past that
+    and f in I, one syzygy run of the vector (f) of R^1 modulo the reduced
+    basis of I has the colon's reduced basis in its tags and the sum's as
+    its image (see `_syzygies`)."""
     S = Ideal(I.ctx, (*I.gens, f))
     if monomial_gens(S) is not None:
         if not colon_fixes(monomial_gens(I), tuple(f.term_map())):
@@ -1053,93 +1135,18 @@ def _revlex_ready(I: Ideal) -> bool:
 
 
 def variable_route(I: Ideal, seq: Sequence[Polynomial]) -> bool:
-    """Whether a chain from I by seq is one `variable_chain`: every element
-    a variable step read off a reverse-lex basis."""
+    """Whether the steps from I by seq are one run of variables, read off
+    one reverse-lex basis."""
     return _revlex_ready(I) and all(_variable(f) is not None for f in seq)
 
 
-def variable_chain(
-    I: Ideal, seq: Sequence[Polynomial], skip: bool = False
-) -> tuple[Ideal | None, int, int]:
-    """The regular steps of a homogeneous I (one `_revlex_ready` admits) by
-    the variables seq = c_1*x_j1, c_2*x_j2, .. in order, each step taken
-    from the sum of the variables kept before it.  Answers (Q, kept, runs):
-    Q is I plus the kept variables, kept their number and runs the engine
-    runs made.  A variable that is not regular ends the chain with Q None,
-    or, with `skip` set, is left out while the chain goes on.
-
-    One run decides a whole chain.  Its basis G is the reduced basis under
-    degrevlex with the chain's variables moved last in reverse order, so
-    x_j1 is last of all.  Under that order in(Q : x_j1) = in(Q) : x_j1 and
-    in(Q + (x_j1)) = in(Q) + (x_j1) (Bayer-Stillman, *Invent. Math.* 87,
-    1987; Eisenbud, *Commutative Algebra*, Prop. 15.12), and a homogeneous g
-    has a lead divisible by x_j1 exactly when x_j1 divides g.  So x_j1 is
-    regular exactly when it divides no element of G, and then x_j1 with the
-    restrictions g|_(x_j1 = 0) is the reduced basis of the sum under the
-    same order.  The sum modulo x_j1 is the ideal of the restrictions in the
-    other variables, under the order left, where x_j2 is last: the same
-    test applies to it, and so on down the chain.  A variable that is not
-    regular leaves G a basis of the sum under an order where the next
-    variable is not last, so the rest of the chain starts one new run on G.
-    A chain that starts under plain degrevlex reads `reduced_gb(I)` and
-    starts no run of its own.
-
-    Every step decided is kept on the ideal it extended (`Ideal._steps`),
-    and a step kept there is read, not decided again.  Only the last sum
-    gets a basis cache: its G is free of the kept variables, on whose
-    complement the moved order is degrevlex once no variable left over
-    is out of place, and then G is its reduced degrevlex basis.  The sums
-    in between keep none.
-    """
-    ctx, n = I.ctx, I.ctx.n
-    Q, G, order, ready, kept, runs = I, None, (), False, set(), 0
-    for i, f in enumerate(seq):
-        j = _variable(f)
-        steps = Q._steps
-        if steps is None:
-            steps = Q._steps = {}
-        nxt = steps.get(f, _NOT_COMPUTED)
-        if nxt is _NOT_COMPUTED:
-            if not ready:
-                tail = tuple(dict.fromkeys(_variable(g) for g in seq[i:]))
-                order = tuple(v for v in range(n) if v not in tail) + tail[::-1]
-                G, ran = _chain_basis(Q, order, G)
-                runs += ran
-                ready = True
-            if any(all(e[j] for e in g) for g in G):
-                nxt = None
-            else:
-                G = [{e: c for e, c in g.items() if not e[j]} for g in G]
-                G.append({tuple(int(v == j) for v in range(n)): _ONE})
-                nxt = Ideal(ctx, (*Q.gens, f))
-            steps[f] = nxt
-        elif nxt is not None:
-            G = None  # a basis of the ideal the kept step extended
-        if nxt is None:
-            if not skip:
-                return None, len(kept), runs
-            ready = False
-            continue
-        Q = nxt
-        kept.add(j)
-    left = [v for v in order if v not in kept]
-    if G is not None and Q._gb is None and left == sorted(left):
-        basis = (Polynomial(ctx, g) for g in G)
-        Q._gb = tuple(sorted(basis, key=lambda p: DEGREVLEX.key(p.lead()[0])))
-    return Q, len(kept), runs
-
-
-def _chain_basis(Q: Ideal, order: tuple[int, ...], G: list[dict] | None) -> tuple[list[dict], bool]:
+def _chain_basis(Q: Ideal, order: tuple[int, ...]) -> list[dict]:
     """The reduced basis of Q under degrevlex on the variables listed in
-    `order`, and whether an engine run made it.  Under the plain order it
-    is Q's own `reduced_gb` when that is cached or no G is held; otherwise
-    one plain run on G, a basis of Q under another order, else on Q's
-    cached basis or generators."""
-    if order == tuple(range(len(order))) and (Q._gb is not None or G is None):
-        ran = Q._gb is None
-        return [g.term_map() for g in reduced_gb(Q)], ran
-    gens = G if G is not None else [g.term_map() for g in Q._gb or Q.gens]
-    return _buchberger(gens, MonomialOrder((order,))), True
+    `order`: Q's own `reduced_gb` under the plain order, else one plain run
+    on Q's cached basis or its generators."""
+    if order == tuple(range(len(order))):
+        return [g.term_map() for g in reduced_gb(Q)]
+    return _buchberger([g.term_map() for g in Q._gb or Q.gens], MonomialOrder((order,)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ sequence identifies two variables up to sign, so R/T is a term ideal's
 quotient in the ring of the variables left.  A candidate is regular
 exactly when its colon leaves that term ideal fixed, and a trial's refusal
 is one colon of it, both on exponent tuples (`groebner.colon_fixes`, the
-rule `colon_and_sum` applies to term data too).  The sampler and the p1
+rule `groebner.regular_steps` applies to term data too).  The sampler and the p1
 claim decide every draw there before building a trial or running the
 engine; what passes still goes to `link_of`, which alone certifies.
 
@@ -368,8 +368,9 @@ def random_linked_pairs(
     `Polynomial`s, its trial and the `link_of` call, which certifies it.  Over another J the chain
     grows by `regular_chain`, one step at a time, and every draw goes to
     `link_of`.  Every step stays on the chain it extended
-    (`_TermChain._steps`, `colon_and_sum`), so a prefix drawn again, and
-    the chain that `link_of` grows again to certify I, cost dict lookups.
+    (`_TermChain._steps`, and `Ideal._steps` through `regular_steps`), so
+    a prefix drawn again, and the chain that `link_of` grows again to
+    certify I, cost dict lookups.
     """
     J = M.ideal
     min_len = 1 if J.is_zero_ideal() else 0

@@ -30,17 +30,19 @@ and compares the two reduced bases; the image, which gives the boundaries,
 is finished only when a further level compares it, so the last level
 searched reads its cycles alone.  Every regular sequence grows in one
 routine, `regular_chain`, which returns the ideal base + (seq) it built.
-Each step keeps its outcome, the next sum Q + (f) or None, on Q, so a
-chain grown again from the same base reads it.  A chain of variables over
-a homogeneous base not given by terms is one `variable_chain`: one plain
-run under degrevlex with the chain's variables moved last in reverse
-order decides every step by restriction (Bayer-Stillman), with no colon,
-and the last sum keeps its reduced basis.  Any other chain takes one
-`colon_and_sum` per element, which reads the colon Q : f, deciding
-whether f is regular, and the sum off one syzygy run.  Unbounded,
-`koszul_grade` on such variables takes its bounds from one chain that
-skips the variables that are not regular: grade s for a regular
-sequence, else at most s - 1, and at least the number kept.  R/J asks
+Its steps are one walk of `groebner.regular_steps`, which keeps each
+outcome, the next sum Q + (f) or None, on Q, so a chain grown again from
+the same base reads it.  A run of variables over a homogeneous sum not
+given by terms is decided by restriction off one plain run under
+degrevlex with the run's variables moved last in reverse order
+(Bayer-Stillman), with no colon, and the run's last sum keeps its reduced
+basis.  Any other step reads the colon Q : f, deciding whether f is
+regular, and the sum off one syzygy run.  Unbounded, `koszul_grade` on
+variables over such a base takes its bounds from one walk that skips the
+variables that are not regular: grade s for a regular sequence, else at
+most s - 1, and at least the number kept.  `regseq` and `grade` log their
+route at debug level with the engine runs it made, read off
+`groebner.engine_runs`.  R/J asks
 whether J is monomial only when `CyclicModule.monomial` is read, so grade,
 regseq and assmember over a J not given by terms build no basis of J for
 it.
@@ -67,7 +69,7 @@ from .groebner import (
     _colon,
     _syzygies,
     check_deadline,
-    colon_and_sum,
+    engine_runs,
     ideal_block,
     ideal_sum,
     is_proper,
@@ -76,7 +78,7 @@ from .groebner import (
     module_reduce,
     module_table,
     reduced_gb,
-    variable_chain,
+    regular_steps,
     variable_route,
 )
 from .monomial import (
@@ -338,11 +340,11 @@ def koszul_grade(
 
     Called without bounds on variables c*x_j over a homogeneous base not
     given by terms (`variable_route`), it takes its bounds from one
-    `variable_chain` that skips the variables that are not regular
+    `regular_steps` walk that skips the variables that are not regular
     (`_variable_bounds`): grade s when the sequence is regular, else at
     most s - 1, and at least the length of the regular sequence kept.  Only
     the levels between them are searched, none when they meet; that route
-    is logged at debug level with the chain's engine runs and the levels.
+    is logged at debug level with the walk's engine runs and the levels.
     """
     elements = [f for f in seq if not f.is_zero()]
     if not elements:
@@ -354,14 +356,10 @@ def koszul_grade(
         raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     if upper is None:
         if variable_route(base, elements):
-            lower, upper, runs = _variable_bounds(elements, base)
-            if lower == upper:
-                log.debug("grade: route revlex, %s, no levels", _runs(runs))
-            else:
-                log.debug(
-                    "grade: route revlex, %s, levels %d down to %d",
-                    _runs(runs), s - lower, s - upper + 1,
-                )
+            before = engine_runs()
+            lower, upper = _variable_bounds(elements, base)
+            levels = f"levels {s - lower} down to {s - upper + 1}" if lower < upper else "no levels"
+            log.debug("grade: route revlex, %s, %s", _runs(engine_runs() - before), levels)
         else:
             upper = s
     if not 0 <= lower <= upper <= s:
@@ -386,60 +384,44 @@ def koszul_grade(
     return upper
 
 
-def _variable_bounds(elements: Sequence[Polynomial], base: Ideal) -> tuple[int, int, int]:
-    """(lower, upper, runs): bounds on the grade of the s variables
-    `elements` on a graded R/base, from regular steps alone, and the engine
-    runs they took.  The variables are stepped in order by one
-    `variable_chain`, each from the sum of those kept before it, and kept
-    when regular; one that is not is skipped, and the rest of the chain
-    starts one new run.  The k kept form a regular sequence in the ideal,
-    so the grade is at least k.  All s are kept exactly when the sequence is
-    regular, since in the graded case a permutation of a regular sequence
-    is regular, and then the grade is s (Koszul); otherwise H_1 of the
-    Koszul complex is nonzero, since graded H_1 = 0 makes the sequence
-    regular (Bruns-Herzog, *Cohen-Macaulay Rings*, Sec. 1.6), and the grade
-    is at most s - 1."""
-    _, k, runs = variable_chain(base, elements, skip=True)
+def _variable_bounds(elements: Sequence[Polynomial], base: Ideal) -> tuple[int, int]:
+    """(lower, upper): bounds on the grade of the s variables `elements` on
+    a graded R/base, from regular steps alone.  The variables are stepped
+    in order by one `regular_steps` that skips each one that is not
+    regular, each from the sum of those kept before it.  The k kept form a
+    regular sequence in the ideal, so the grade is at least k.  All s are
+    kept exactly when the sequence is regular, since in the graded case a
+    permutation of a regular sequence is regular, and then the grade is s
+    (Koszul); otherwise H_1 of the Koszul complex is nonzero, since graded
+    H_1 = 0 makes the sequence regular (Bruns-Herzog, *Cohen-Macaulay
+    Rings*, Sec. 1.6), and the grade is at most s - 1."""
+    _, k = regular_steps(base, elements, skip=True)
     s = len(elements)
-    return (s, s, runs) if k == s else (k, s - 1, runs)
+    return (s, s) if k == s else (k, s - 1)
 
 
 def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
     """base + (seq), built one element at a time with its basis cached, when
     seq is a regular sequence on R/base (in the given order): each element a
     nonzerodivisor modulo base and those before it (Q : f = Q), the last sum
-    proper.  None otherwise.  Every step is kept on the ideal it extended,
-    so a chain grown again from the same base reads its steps.  A chain of
-    variables over a homogeneous base not given by terms (`variable_route`)
-    is one `variable_chain`, read off one reverse-lex basis with no colon;
-    any other chain takes one `colon_and_sum` per element."""
-    return _regular_chain(seq, base)[0]
-
-
-def _regular_chain(seq: Sequence[Polynomial], base: Ideal) -> tuple[Ideal | None, int | None]:
-    """`regular_chain`'s answer, with the engine runs of its
-    `variable_chain` on that route and None on the colon route."""
-    if variable_route(base, seq):
-        Q, _, runs = variable_chain(base, seq)
-    else:
-        Q, runs = base, None
-        for f in seq:
-            Q = colon_and_sum(Q, f)
-            if Q is None:
-                break
-    return (Q if Q is not None and is_proper(Q) else None), runs
+    proper.  None otherwise.  The steps are one `regular_steps`, which
+    keeps each on the ideal it extended, so a chain grown again from the
+    same base reads its steps."""
+    Q, _ = regular_steps(base, seq)
+    return Q if Q is not None and is_proper(Q) else None
 
 
 def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
     """Whether seq is a regular sequence on R/base (in the given order).
-    Logs its route at debug level: `revlex` with the engine runs of its
-    chain when the sequence is one `variable_chain`, else `colon`."""
-    Q, runs = _regular_chain(seq, base)
-    if runs is None:
-        log.debug("regseq: route colon")
-    else:
-        log.debug("regseq: route revlex, %s", _runs(runs))
-    return Q is not None
+    Logs its route at debug level with the engine runs it made: `revlex`
+    when the steps are one run of variables (`variable_route`), else
+    `colon`."""
+    before = engine_runs()
+    regular = regular_chain(seq, base) is not None
+    if log.isEnabledFor(logging.DEBUG):
+        route = "revlex" if variable_route(base, seq) else "colon"
+        log.debug("regseq: route %s, %s", route, _runs(engine_runs() - before))
+    return regular
 
 
 def _runs(k: int) -> str:

@@ -27,7 +27,6 @@ from linkcoh.groebner import (
     Ideal,
     _buchberger,
     _gb,
-    colon_and_sum,
     eliminate,
     ideal_equal,
     ideal_intersect,
@@ -40,6 +39,7 @@ from linkcoh.groebner import (
     module_table,
     radical_member,
     reduced_gb,
+    regular_steps,
     saturate,
     set_limits,
 )
@@ -601,7 +601,7 @@ def test_unit_colon_matches_the_engine_colon(monkeypatch):
     check()
 
 
-def test_colon_and_sum_match_the_engine_routes(monkeypatch):
+def test_regular_steps_match_the_engine_routes(monkeypatch):
     # the step of I by f is I + (f), with the reduced basis a fresh run on
     # its generators lists, exactly when the engine colon I : (f) equals I,
     # and None otherwise; f = 0, f in I, f regular and f a zero-divisor on
@@ -615,9 +615,9 @@ def test_colon_and_sum_match_the_engine_routes(monkeypatch):
     runs = _engine_runs(monkeypatch)
 
     def agree(I, f):
-        S = colon_and_sum(I, f)
+        S = regular_steps(I, [f])[0]
         del runs[:]
-        assert colon_and_sum(I, Polynomial(I.ctx, dict(f.term_map()))) is S and runs == []
+        assert regular_steps(I, [Polynomial(I.ctx, dict(f.term_map()))])[0] is S and runs == []
         if f.is_zero():
             kind = "zero"
         else:
@@ -1001,6 +1001,30 @@ def test_widened_run_has_its_own_spair_budget(monkeypatch):
     with set_limits(max_spairs=153):
         assert engine_gb(Ideal(ctx, gens), lex(17))
     assert widths == [4, 8, 16, 32, 4, 8, 16, 32]
+
+
+def test_engine_runs_count_each_engine_call_once(monkeypatch, capsys):
+    # `engine_runs` advances by one per `_buchberger` call, as a wrapped
+    # engine records them, over ideal runs, syzygy runs and runs under a
+    # moved order; a run that widens its packing is one call
+    runs = _engine_runs(monkeypatch)
+    for argv in (
+        ["gb", "--ring", "x,y,z", "--ideal", "x^2 - y*z, x*y - z^2"],
+        ["colon", "--ring", "x,y,z", "--ideal", "x^2 - y*z, x*y", "--by", "y + z"],
+        ["grade", "--ring", "a,b,c,d", "--ideal", "a, b", "--module", "a*c - b*d, a*d - b*c"],
+        ["regseq", "--ring", "a,b,c,d", "--seq", "b, a + d, c", "--module", "a*d - b*c"],
+    ):
+        del runs[:]
+        before = groebner.engine_runs()
+        assert cli.run(argv) == 0
+        assert groebner.engine_runs() - before == len(runs) > 0, argv
+    capsys.readouterr()
+    ctx = ring(*[f"x{i}" for i in range(17)])
+    gens = [P(ctx, f"x{i} - x{i + 1}^2") for i in range(16)] + [P(ctx, "x0*x16 - x1")]
+    before = groebner.engine_runs()
+    with set_limits(max_spairs=153):
+        assert engine_gb(Ideal(ctx, gens), lex(17))
+    assert groebner.engine_runs() - before == 1
 
 
 def test_cached_table_widens_for_a_high_degree_member():

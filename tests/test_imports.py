@@ -286,3 +286,53 @@ def test_every_slot_is_read():
     assert slots
     unread = [f"{where}:{cls}.{s}" for where, cls, s in slots if not {(None, s), (cls, s)} & read]
     assert not unread, "slots never read: " + ", ".join(unread)
+
+
+# a code span: a run of backticks, its text, and a run of the same length
+CODE_SPAN = re.compile(r"(`+)(.+?)\1", re.S)
+FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+# README's paragraph of names removed from the package, and a JSON key
+NOT_DEFINED = {
+    "render_session", "dim_monomial", "module_ass_primes", "ideal_contains", "ideal_product",
+    "schema_version",
+}
+
+
+def _definitions(tree: ast.Module):
+    """Every name the tree defines: function, class, assigned name, stored
+    attribute, parameter, or keyword argument of a call."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+
+
+def test_names_in_backticks_are_defined():
+    # a name in backticks in README.md or a module of the package is one a
+    # reader can look up: every identifier holding `_` in a code span must
+    # be defined in src/linkcoh, tests/ or perfbench/, or name a module file
+    # there, so a renamed or deleted function leaves no stale mention
+    defined = set(NOT_DEFINED)
+    for top in (SRC, ROOT / "tests", ROOT / "perfbench"):
+        for path in top.rglob("*.py"):
+            defined.add(path.stem)
+            defined.update(_definitions(ast.parse(path.read_text(), filename=str(path))))
+    stale = []
+    for path in [ROOT / "README.md", *sorted(SRC.glob("*.py"))]:
+        text = path.read_text()
+        if path.suffix == ".md":
+            text = FENCE.sub(lambda m: "\n" * m.group().count("\n"), text)
+        for span in CODE_SPAN.finditer(text):
+            line = text.count("\n", 0, span.start()) + 1
+            stale += [
+                f"{path.name}:{line} {name}"
+                for name in IDENTIFIER.findall(span.group(2))
+                if "_" in name and name not in defined
+            ]
+    assert not stale, "names in backticks that nothing defines: " + ", ".join(stale)

@@ -565,20 +565,12 @@ def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
     # within one call, each chain step is computed once: a prefix (*seq,
     # cand) drawn again reads the step kept on the chain it extended, the
     # term chain's over a monomial J (`_TermChain._steps`) and the ideal's
-    # (`colon_and_sum`, or `variable_chain` for variables over a homogeneous
-    # J) otherwise, and the chain that certification grows again from J
-    # reads the ideal's
+    # (`regular_steps`) otherwise, and the chain that certification grows
+    # again from J reads the ideal's
     ctx = ring("x", "y", "z")
     M = R_mod(ctx, *gens)
     computed, calls, drawn = [], [], []
-    step, term_step, pool = modules.colon_and_sum, linkage._TermChain.step, linkage._sequence_pool
-    chain = modules.variable_chain
-
-    def counted_step(Q, f):
-        calls.append(f)
-        if f not in (Q._steps or ()):
-            computed.append((Q.gens, f))
-        return step(Q, f)
+    walk, term_step, pool = modules.regular_steps, linkage._TermChain.step, linkage._sequence_pool
 
     def kept_steps(Q, seq):
         # the (ideal, element) steps of seq from Q already kept on the ideals
@@ -590,10 +582,10 @@ def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
             Q = Q._steps[f]
         return out
 
-    def counted_chain(Q, seq, skip=False):
+    def counted_walk(Q, seq, skip=False):
         calls.extend(seq)
         before = kept_steps(Q, seq)
-        got = chain(Q, seq, skip)
+        got = walk(Q, seq, skip)
         computed.extend(kept_steps(Q, seq)[len(before) :])
         return got
 
@@ -609,8 +601,7 @@ def test_sampler_tests_each_chain_prefix_once(monkeypatch, gens, count, seed):
         drawn.append(pool(*args))
         return drawn[-1]
 
-    monkeypatch.setattr(modules, "colon_and_sum", counted_step)
-    monkeypatch.setattr(modules, "variable_chain", counted_chain)
+    monkeypatch.setattr(modules, "regular_steps", counted_walk)
     monkeypatch.setattr(linkage._TermChain, "step", counted_term_step)
     monkeypatch.setattr(linkage, "_sequence_pool", counted_draw)
     list(random_linked_pairs(M, GenParams(count=count, maxdeg=2), seed=seed))

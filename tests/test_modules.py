@@ -599,7 +599,7 @@ def test_variable_steps_match_the_engine_routes(monkeypatch):
         for f in seq:
             revlex = groebner.variable_route(Q, [f])
             del syzygy_runs[:]
-            S = groebner.colon_and_sum(Q, f)
+            S, _ = groebner.regular_steps(Q, [f])
             assert not (revlex and syzygy_runs)
             colon = engine_quotient(Q, Ideal(ctx, [f]))
             assert (S is not None) == (colon._gb == engine_gb(Q)), (Q, f)
@@ -703,14 +703,30 @@ def test_variable_steps_at_the_edges_of_their_route(monkeypatch):
     assert regular_chain([b, c], J) is S and runs == []
 
 
+def test_mixed_chains_share_one_run_per_run_of_variables(monkeypatch):
+    # over J = (a*d - b*c) a run of variables is decided off one basis under
+    # its moved order, and the run's last sum keeps its degrevlex basis, so a
+    # colon step after the run reads that basis (one syzygy run), and a run
+    # after a colon step starts from the colon's seeded basis.  Stepping one
+    # element at a time made 3, 4 and 3 runs
+    runs = _count_engine_runs(monkeypatch)
+    ctx = ring(*"abcd")
+    b, c, s = P(ctx, "b"), P(ctx, "c"), P(ctx, "a + d")
+    for seq, made in (([b, c, s], 2), ([s, b, c], 3), ([b, s, c], 3)):
+        runs[0] = 0
+        Q = regular_chain(seq, I_of(ctx, "a*d - b*c"))
+        assert runs[0] == made, seq
+        assert Q._gb == engine_gb(Ideal(ctx, Q.gens)), seq
+
+
 def test_regseq_and_grade_log_their_route(caplog, capsys):
     ctx = ring(*"abcd")
     a, b = P(ctx, "a"), P(ctx, "b")
     J = I_of(ctx, "a*c - b*d", "a^2 - c*d")
     for call, message in (
         (lambda: is_regular_sequence([a, b], J), "regseq: route revlex, 1 run"),
-        (lambda: is_regular_sequence([a, P(ctx, "a + b")], J), "regseq: route colon"),
-        (lambda: is_regular_sequence([a], I_of(ctx, "a^2 - b")), "regseq: route colon"),
+        (lambda: is_regular_sequence([a, P(ctx, "a + b")], J), "regseq: route colon, 0 runs"),
+        (lambda: is_regular_sequence([a], I_of(ctx, "a^2 - b")), "regseq: route colon, 2 runs"),
         # the step by a, not regular, is kept on J from regseq: one run, for b
         (lambda: koszul_grade([a, b], J), "grade: route revlex, 1 run, no levels"),
         # neither is regular, so the step by b starts a second run
