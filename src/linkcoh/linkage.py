@@ -284,11 +284,6 @@ class _TermChain:
         self.rep = rep or tuple((v, 1) for v in range(core.ctx.n))
         self._steps: dict[tuple[Exponents, ...], _TermChain | None] = {}
 
-    @classmethod
-    def at_ring(cls, ctx) -> "_TermChain":
-        """The chain at J = 0: the empty term ideal."""
-        return cls(MonomialIdeal(ctx, ()))
-
     def step(self, cand: tuple[Exponents, ...]) -> "_TermChain | None":
         """The chain T + (f) for the candidate f whose terms are `cand`, one
         monomial or x_k + x_l; None when f is a zero-divisor on R/T.
@@ -384,9 +379,6 @@ def random_linked_pairs(
     # the chain at J, in term form when J is monomial
     start = J if M.monomial is None else _TermChain(M.monomial)
 
-    def gb_key(X: CyclicModule) -> tuple[str, ...]:
-        return tuple(str(g) for g in reduced_gb(X.ideal))
-
     for _ in range(attempts):
         if produced >= params.count:
             return
@@ -423,7 +415,8 @@ def random_linked_pairs(
             cert = link_of(trial, I, M, close=True)
         except LinkageError:
             continue
-        key = frozenset(map(gb_key, (cert.quotient_a, cert.quotient_b))), gb_key(cert.quotient_core)
+        sides = (reduced_gb(cert.quotient_a.ideal), reduced_gb(cert.quotient_b.ideal))
+        key = frozenset(sides), reduced_gb(cert.quotient_core.ideal)
         if key in seen:
             continue
         seen.add(key)

@@ -40,12 +40,13 @@ basis.  Any other step reads the colon Q : f, deciding whether f is
 regular, and the sum off one syzygy run.  Unbounded, `koszul_grade` on
 variables over such a base takes its bounds from one walk that skips the
 variables that are not regular: grade s for a regular sequence, else at
-most s - 1, and at least the number kept.  `regseq` and `grade` log their
-route at debug level with the engine runs it made, read off
-`groebner.engine_runs`.  R/J asks
-whether J is monomial only when `CyclicModule.monomial` is read, so grade,
-regseq and assmember over a J not given by terms build no basis of J for
-it.
+most s - 1, and at least the number kept.  `regseq` logs at debug level
+the engine runs it made, read off `groebner.engine_runs`; `grade` on that
+route logs them with the levels its bounds leave open.  The depth of R/J
+reaches the Koszul layer through one bounded `koszul_grade` call, or
+none for a monomial J.  R/J asks whether J is monomial only when
+`CyclicModule.monomial` is read, so grade, regseq and assmember over a J
+not given by terms build no basis of J for it.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
 generators (the engine's basis contract, see `groebner.py`): the module
@@ -333,10 +334,12 @@ def koszul_grade(
     `lower` <= grade <= `upper` are bounds the caller already knows: the
     levels above s - lower vanish and level s - upper does not, so only the
     levels s - lower down to s - upper + 1 are searched, and `upper` is the
-    answer when all of them vanish.  The defaults 0 and s search every level
-    from s down to 1.  `CyclicModule.depth` passes the bounds of a Groebner
-    degeneration, depth R/in(J) <= depth R/J <= dim R/J; the unbounded search
-    is the oracle that route is tested against.
+    answer when all of them vanish, or at once when the bounds meet.  The
+    defaults 0 and s search every level from s down to 1.
+    `CyclicModule.depth` passes the bounds of a Groebner degeneration,
+    depth R/in(J) <= depth R/J <= dim R/J, for a homogeneous J not given by
+    terms, and 0 and n for any other; the full search is the oracle the
+    degeneration is tested against.
 
     Called without bounds on variables c*x_j over a homogeneous base not
     given by terms (`variable_route`), it takes its bounds from one
@@ -345,6 +348,9 @@ def koszul_grade(
     most s - 1, and at least the length of the regular sequence kept.  Only
     the levels between them are searched, none when they meet; that route
     is logged at debug level with the walk's engine runs and the levels.
+
+    `KOSZUL_SIZE_BUDGET` caps s only when a level is to be built, so bounds
+    that meet answer for any s.
     """
     elements = [f for f in seq if not f.is_zero()]
     if not elements:
@@ -352,20 +358,20 @@ def koszul_grade(
     if is_unit_ideal(ideal_sum(base, Ideal(base.ctx, elements))):
         raise ImproperIdealError("grade is undefined when the sequence generates everything")
     s = len(elements)
-    if s > KOSZUL_SIZE_BUDGET:
-        raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     if upper is None:
         if variable_route(base, elements):
             before = engine_runs()
             lower, upper = _variable_bounds(elements, base)
-            levels = f"levels {s - lower} down to {s - upper + 1}" if lower < upper else "no levels"
-            log.debug("grade: route revlex, %s, %s", _runs(engine_runs() - before), levels)
+            runs = _runs(engine_runs() - before)
+            log.debug("grade: route revlex, %s, %s", runs, _levels(s, lower, upper))
         else:
             upper = s
     if not 0 <= lower <= upper <= s:
         raise RingError(f"grade bounds {lower}..{upper} do not lie in 0..{s}")
     if lower == upper:
         return upper
+    if s > KOSZUL_SIZE_BUDGET:
+        raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     # the run at level i yields the cycles Z_i and the boundaries B_(i-1), which
     # alone are read at level s - lower + 1; B_i lies in Z_i and both are reduced
     # bases under one order, so H_i vanishes exactly when the two lists agree.
@@ -413,19 +419,22 @@ def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
 
 def is_regular_sequence(seq: Sequence[Polynomial], base: Ideal) -> bool:
     """Whether seq is a regular sequence on R/base (in the given order).
-    Logs its route at debug level with the engine runs it made: `revlex`
-    when the steps are one run of variables (`variable_route`), else
-    `colon`."""
+    Logs the engine runs it made at debug level, read off
+    `groebner.engine_runs`."""
     before = engine_runs()
     regular = regular_chain(seq, base) is not None
-    if log.isEnabledFor(logging.DEBUG):
-        route = "revlex" if variable_route(base, seq) else "colon"
-        log.debug("regseq: route %s, %s", route, _runs(engine_runs() - before))
+    log.debug("regseq: %s", _runs(engine_runs() - before))
     return regular
 
 
 def _runs(k: int) -> str:
     return f"{k} run" if k == 1 else f"{k} runs"
+
+
+def _levels(s: int, lower: int, upper: int) -> str:
+    """The Koszul levels that the grade bounds lower..upper leave open on s
+    elements."""
+    return f"levels {s - lower} down to {s - upper + 1}" if lower < upper else "no levels"
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +459,15 @@ class CyclicModule:
     dim R/in(J) (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is
     squarefree the two depths are equal (Conca-Varbaro, "Square-free
     Groebner degenerations", Invent. Math. 221, 2020).  So for monomial J the
-    depth is read off J itself, and for homogeneous J (read off its reduced
-    basis) depth R/in(J) is the answer when in(J) is squarefree or reaches
-    the dimension; otherwise the Koszul search runs only over the levels
-    those two bounds leave open.  A non-homogeneous J takes the full Koszul
+    depth is read off J itself.  Any other J makes one `koszul_grade` call
+    on the variables, which searches only the levels its bounds leave open:
+    for homogeneous J (read off its reduced basis) depth R/in(J) and, unless
+    in(J) is squarefree, dim R/J; for a non-homogeneous J 0 and n, the full
     search, which gives the depth at the ideal of variables, so its
-    Cohen-Macaulayness is refused when that depth is below dim R/J.
-    Each depth logs its route at debug level on the `linkcoh` logger:
-    `monomial`, `degeneration`, `degeneration+koszul` with its levels, or
-    `koszul`.
+    Cohen-Macaulayness is refused when that depth is below dim R/J.  Each
+    depth logs its route at debug level on the `linkcoh` logger: `depth:
+    route monomial`, or `depth: route degeneration` or `depth: route
+    koszul` with the levels left open (`no levels` when the bounds meet).
 
     Nothing is computed when R/J is built: whether J is monomial
     (`monomial`, which needs J's reduced basis when its generators are not
@@ -529,21 +538,20 @@ class CyclicModule:
                 "depth at the ideal of variables needs J inside it;"
                 " a generator of J has a nonzero constant term"
             )
-        if not self._graded():
-            log.debug("depth: route koszul")
-            return koszul_grade(maximal_ideal(self.ctx).gens, self.ideal)
-        lead = self.lead_term_ideal()
-        d0 = depth_monomial(lead)
         if self.monomial is not None:
+            depth = depth_monomial(self.monomial)
             log.debug("depth: route monomial")
-            return d0
-        dim = self.dim()
-        if lead.is_squarefree() or d0 == dim:
-            log.debug("depth: route degeneration")
-            return d0
+            return depth
         n = self.ctx.n
-        log.debug("depth: route degeneration+koszul, levels %d down to %d", n - d0, n - dim + 1)
-        return koszul_grade(maximal_ideal(self.ctx).gens, self.ideal, d0, dim)
+        if self._graded():
+            lead = self.lead_term_ideal()
+            lower = depth_monomial(lead)
+            upper = lower if lead.is_squarefree() else self.dim()
+            route = "degeneration"
+        else:
+            lower, upper, route = 0, n, "koszul"
+        log.debug("depth: route %s, %s", route, _levels(n, lower, upper))
+        return koszul_grade(maximal_ideal(self.ctx).gens, self.ideal, lower, upper)
 
     def _graded(self) -> bool:
         """J is monomial or homogeneous, as its reduced degrevlex basis is."""

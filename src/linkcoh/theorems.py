@@ -594,6 +594,8 @@ def _draw_l1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
     M = _pinned_module(params, ctx) or _random_module(rng, ctx, min(params.maxdeg, 2))
     if M.ideal.is_zero_ideal():
         return Verdict.skipped("needs a proper base module")
+    if M.monomial is None:
+        return Verdict.skipped("needs a monomial base ideal")
     cert = _one_linked_cert(M, rng, params.maxdeg)
     if cert is None:
         return Verdict.skipped("no linked pair found for this draw")
@@ -624,7 +626,7 @@ def _draw_p1(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCtx
     f = _random_monomial(rng, ctx, params.maxdeg)
     exps = [_random_monomial(rng, ctx, params.maxdeg) for _ in range(rng.randint(1, 2))]
     # over R the core is (f), one term step from the chain at R
-    reason = _TermChain.at_ring(ctx).step((f,)).refusal(exps)
+    reason = _TermChain(MonomialIdeal(ctx, ())).step((f,)).refusal(exps)
     if reason == "improper-b":
         return Verdict.skipped("trial collapsed to a unit colon")
     if reason is not None:

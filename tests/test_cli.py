@@ -185,6 +185,14 @@ def test_cd_and_grade(capsys):
     assert doc["grade"] == 1
 
 
+def test_grade_whose_variable_walk_closes_the_gap_builds_no_complex(capsys):
+    # over R/(a^2 + b^2) in 11 variables the walk keeps all but b, so the
+    # bounds 10 and 10 meet and the Koszul size budget is never asked
+    names = "a,b,c,d,e,f,g,h,i,j,k"
+    doc = doc_of(capsys, "grade", "--ring", names, "--ideal", names, "--module", "a^2 + b^2")
+    assert doc["grade"] == 10
+
+
 def test_regseq(capsys):
     doc = doc_of(capsys, "regseq", "--ring", "x,y", "--seq", "x, y")
     assert doc["regular"] is True

@@ -33,6 +33,10 @@ Every name in a `__slots__` of the package must be read as an attribute
 somewhere in src/linkcoh, so no instance keeps state that only its
 constructor writes; a read off a call whose function is annotated to return
 one class, such as `M.primes().ass`, counts for that class alone.
+
+Every debug line README.md quotes in a code span (`regseq: …`, `grade: …`,
+`depth: …`) must match the format string of a `log.debug` call of the
+package, with `%s`, `%d` and README's `…` as wildcards.
 """
 
 import ast
@@ -336,3 +340,58 @@ def test_names_in_backticks_are_defined():
                 if "_" in name and name not in defined
             ]
     assert not stale, "names in backticks that nothing defines: " + ", ".join(stale)
+
+
+# the debug lines README quotes, and the wildcards of either side
+LOGGED = re.compile(r"(?:regseq|grade|depth): ")
+WILDCARD = re.compile(r"%[sd]|…")
+
+
+def _debug_formats():
+    """The format string of every `log.debug` call in src/linkcoh."""
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "debug"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                yield node.args[0].value
+
+
+def _overlap(a: str, b: str) -> bool:
+    """Whether some line matches both patterns, each wildcard (`%s`, `%d`,
+    `…`) standing for any text."""
+    a, b = WILDCARD.sub("\0", a), WILDCARD.sub("\0", b)
+    seen = set()
+
+    def meet(i, j):
+        if (i, j) in seen:
+            return False
+        seen.add((i, j))
+        if i == len(a) or j == len(b):
+            return a[i:].strip("\0") == "" and b[j:].strip("\0") == ""
+        if a[i] == "\0":
+            return meet(i + 1, j) or meet(i, j + 1)
+        if b[j] == "\0":
+            return meet(i, j + 1) or meet(i + 1, j)
+        return a[i] == b[j] and meet(i + 1, j + 1)
+
+    return meet(0, 0)
+
+
+def test_readme_debug_lines_match_the_log_formats():
+    # every debug line README quotes in a code span (`regseq: …`, `grade:
+    # …`, `depth: …`) must match the format string of a `log.debug` call of
+    # the package, so a log change that README does not follow fails here
+    assert _overlap("regseq: %s", "regseq: 2 runs")
+    assert not _overlap("regseq: route %s, %s", "regseq: 2 runs")
+    formats = list(_debug_formats())
+    text = FENCE.sub("", (ROOT / "README.md").read_text())
+    quoted = [" ".join(m.group(2).split()) for m in CODE_SPAN.finditer(text)]
+    quoted = [q for q in quoted if LOGGED.match(q)]
+    assert {q.split(":")[0] for q in quoted} == {"regseq", "grade", "depth"}
+    stale = [q for q in quoted if not any(_overlap(q, f) for f in formats)]
+    assert not stale, "README quotes debug lines that no log.debug call writes: " + ", ".join(stale)

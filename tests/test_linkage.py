@@ -338,7 +338,7 @@ def test_term_chain_answers_as_regular_chain_and_link_of():
             for c in (*data.draw(terms), tuple(linkage._power(n, k) for k in ij))
         ] + data.draw(terms)
         # over R the chain starts as p1's does
-        chain = linkage._TermChain.at_ring(ctx) if J.is_zero() else linkage._TermChain(M.monomial)
+        chain = linkage._TermChain(MonomialIdeal(ctx, ()) if J.is_zero() else M.monomial)
         for k, cand in enumerate(seq):
             # the masks a prime of Ass must meet to hold the candidate; 0
             # lies in every prime

@@ -296,6 +296,14 @@ def test_grade_error_and_budget():
     too_many = [P(ctx, "x")] * (KOSZUL_SIZE_BUDGET + 1)
     with pytest.raises(BudgetExceeded):
         koszul_grade(too_many, Ideal.zero(ctx))
+    # the budget is asked when a level is to be built: over R/(a^2 + b^2,
+    # a*b) the walk over 11 variables skips a and b, and the bounds 9 and
+    # 10 leave level 2 open (test_cli holds bounds that meet over 11)
+    big = ring(*"abcdefghijk")
+    xs = list(maximal_ideal(big).gens)
+    assert len(xs) == KOSZUL_SIZE_BUDGET + 1
+    with pytest.raises(BudgetExceeded):
+        koszul_grade(xs, I_of(big, "a^2 + b^2", "a*b"))
 
 
 def test_koszul_differentials_square_to_zero():
@@ -723,10 +731,15 @@ def test_regseq_and_grade_log_their_route(caplog, capsys):
     ctx = ring(*"abcd")
     a, b = P(ctx, "a"), P(ctx, "b")
     J = I_of(ctx, "a*c - b*d", "a^2 - c*d")
+    c, s = P(ctx, "c"), P(ctx, "a + d")
     for call, message in (
-        (lambda: is_regular_sequence([a, b], J), "regseq: route revlex, 1 run"),
-        (lambda: is_regular_sequence([a, P(ctx, "a + b")], J), "regseq: route colon, 0 runs"),
-        (lambda: is_regular_sequence([a], I_of(ctx, "a^2 - b")), "regseq: route colon, 2 runs"),
+        (lambda: is_regular_sequence([a, b], J), "regseq: 1 run"),
+        (lambda: is_regular_sequence([a, P(ctx, "a + b")], J), "regseq: 0 runs"),
+        (lambda: is_regular_sequence([a], I_of(ctx, "a^2 - b")), "regseq: 2 runs"),
+        # a mixed sequence: one moved-order run for b, c and one syzygy run
+        # for a + d, however its steps were decided
+        (lambda: is_regular_sequence([b, c, s], I_of(ctx, "a*d - b*c")), "regseq: 2 runs"),
+        (lambda: is_regular_sequence([b, c], I_of(ctx, "a*d - b*c")), "regseq: 1 run"),
         # the step by a, not regular, is kept on J from regseq: one run, for b
         (lambda: koszul_grade([a, b], J), "grade: route revlex, 1 run, no levels"),
         # neither is regular, so the step by b starts a second run
@@ -1360,7 +1373,7 @@ def test_homogeneity_is_read_off_the_reduced_basis(caplog):
     M = CyclicModule(ctx, I_of(ctx, "x - y", "x - y + z^2"))
     with caplog.at_level(logging.DEBUG, logger="linkcoh"):
         assert (M.depth(), M.dim(), M.is_cohen_macaulay()) == (1, 1, True)
-    assert caplog.records[-1].getMessage() == "depth: route degeneration"
+    assert caplog.records[-1].getMessage() == "depth: route degeneration, no levels"
 
 
 def test_radical_is_maximal_matches_one_rabinowitsch_run_per_variable():
@@ -1403,7 +1416,7 @@ def test_degeneration_takes_high_exponent_lead_terms_directly(caplog):
         "depth links: 1 faces, 0 non-cone, 0 by connectivity, 1 distinct scanned, "
         "0 GF(2) ranks (0 stopped at the bound), 0 exact ranks",
         "depth colon radicals: 1 exponent vectors, 1 distinct",
-        "depth: route degeneration",
+        "depth: route degeneration, no levels",
     ]
 
 
@@ -1424,8 +1437,15 @@ def test_depth_logs_its_route(caplog):
         "depth links: 0 faces, 0 non-cone, 0 by connectivity, 1 distinct scanned, "
         "0 GF(2) ranks (0 stopped at the bound), 0 exact ranks"
     )
+    five_faces = one_face.replace("1 faces", "5 faces")
     # every route but the plain Koszul one scans the links of each distinct
-    # colon radical (one line each), then sums up the colon radicals
+    # colon radical (one line each), then sums up the colon radicals; a
+    # degeneration whose bounds meet (in(J) squarefree, or d0 = dim) opens
+    # no level, and a non-homogeneous J opens every level
+    squarefree = CyclicModule(CTX4, _ideal4("a*d - b*c"))
+    at_dim = CyclicModule(CTX4, _ideal4("a*d - b*c, a*c - b^2, b*d - c^2"))
+    assert squarefree.lead_term_ideal().is_squarefree()
+    assert not at_dim.lead_term_ideal().is_squarefree()
     routes = [
         (
             CyclicModule(ctx, I_of(ctx, "x*y")),
@@ -1433,16 +1453,25 @@ def test_depth_logs_its_route(caplog):
             "depth: route monomial",
         ),
         (
-            CyclicModule(CTX4, _ideal4("a*d - b*c, a*c - b^2, b*d - c^2")),
+            squarefree,
+            [five_faces, "depth colon radicals: 1 exponent vectors, 1 distinct"],
+            "depth: route degeneration, no levels",
+        ),
+        (
+            at_dim,
             [one_face, "depth colon radicals: 3 exponent vectors, 1 distinct"],
-            "depth: route degeneration",
+            "depth: route degeneration, no levels",
         ),
         (
             CyclicModule(CTX4, _ideal4(D0_BELOW_DEPTH[0])),
             [one_face, no_face, "depth colon radicals: 3 exponent vectors, 2 distinct"],
-            "depth: route degeneration+koszul, levels 3 down to 3",
+            "depth: route degeneration, levels 3 down to 3",
         ),
-        (CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z")), [], "depth: route koszul"),
+        (
+            CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z")),
+            [],
+            "depth: route koszul, levels 3 down to 1",
+        ),
     ]
     for M, scans, message in routes:
         caplog.clear()
@@ -1450,6 +1479,7 @@ def test_depth_logs_its_route(caplog):
             M.depth()
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert debug == scans + [message]
+    assert (squarefree.depth(), at_dim.depth(), at_dim.dim()) == (3, 2, 2)
 
 
 def test_cyclic_module_rejects_unit_ideal():

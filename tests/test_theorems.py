@@ -17,6 +17,7 @@ from oracles import homogeneous_pool_by_arithmetic, radical_is_maximal
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
+    engine_runs,
     ideal_equal,
     ideal_quotient,
     ideal_sum,
@@ -690,6 +691,13 @@ def test_run_claim_non_monomial_pinned_module():
     doc = run_claim("t6", params)
     assert doc["ok"] and doc["counts"]["pass"] == 4
     assert all(any("linkage route skipped" in n for n in v["notes"]) for v in doc["verdicts"])
+    # l1 asks whether M is monomial before it draws a pair: one basis per
+    # instance, where certifying pairs that are then skipped took 124 runs
+    before = engine_runs()
+    doc = run_claim("l1", InstanceParams(n_vars=3, count=10, maxdeg=2, seed=1, module="x*y - z^2"))
+    assert engine_runs() - before <= 10
+    assert doc["counts"]["skip"] == 10
+    assert all(v["notes"] == ["needs a monomial base ideal"] for v in doc["verdicts"])
 
 
 def test_run_claim_names_each_verdict_by_its_key():
