@@ -59,6 +59,7 @@ from .monomial import (
     PrimeSet,
     as_monomial,
     associated_primes,
+    hom_ass,
     irreducible_decomposition,
     min_assh_dim,
     mono_radical,
@@ -102,6 +103,7 @@ __all__ = [
     "ext1_selfdual",
     "height_in_module",
     "hom_annihilator",
+    "hom_ass",
     "ideal_equal",
     "ideal_intersect",
     "ideal_member",

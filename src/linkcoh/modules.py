@@ -21,10 +21,14 @@ block builder; `hom_annihilator` takes its annihilator as one more colon on
 N, and Ann N (a = 0) and `ass_member` (a = p) read it.  Hom is never
 presented: Ass Hom(R/a, N) = V(a) meet Ass N for every finite N
 (Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise 1.2.27), so `ass_member`
-on N answers for Hom too.  `module_ass` tests only the candidates over
-Ann N that are not minimal over it: the minimal primes of Supp N lie in
-Ass N (Matsumura, *Commutative Ring Theory*, Thm 6.5), and are read off the
-vertex covers of the monomial Ann N.  `koszul_grade` makes one syzygy run
+on N answers for Hom too.  `module_ass` answers the self-dual Ext of
+monomial a and J, which records (a + J, J) as its `hom_pair`, with
+`monomial.hom_ass` off Z^n-degree classes and no engine run; l1 calls
+that kernel itself and builds no presentation.  Any other multigraded
+module is scanned, testing only the candidates over Ann N that are not
+minimal over it: the minimal primes of Supp N lie in Ass N (Matsumura,
+*Commutative Ring Theory*, Thm 6.5), and are read off the vertex covers
+of the monomial Ann N.  `koszul_grade` makes one syzygy run
 per level it reads, giving that level's cycles and the boundaries below,
 and compares the two reduced bases; the image, which gives the boundaries,
 is finished only when a further level compares it, so the last level
@@ -90,7 +94,9 @@ from .monomial import (
     PrimeSet,
     all_monomial_primes,
     as_monomial,
+    hom_ass,
     min_assh_dim,
+    mono_sum,
 )
 from .simplicial import depth_monomial
 from .ring import Polynomial, RingCtx, RingError, mono_mask, mono_one
@@ -135,10 +141,12 @@ class FPModule:
     The module is R^rank / <relations>; a zero rank is the zero module.
     `multigraded` is a promise made by the constructor that the module admits
     a fine Z^n-grading, which is what lets associated primes be found among
-    the monomial primes.
+    the monomial primes.  `hom_pair` is (A, T) when the module is
+    Hom_{R/T}(A/T, R/A) for monomial T ⊆ A by construction, as
+    `ext1_selfdual` records it, and None otherwise.
     """
 
-    __slots__ = ("ctx", "rank", "relations", "multigraded", "_gb", "_table")
+    __slots__ = ("ctx", "rank", "relations", "multigraded", "hom_pair", "_gb", "_table")
 
     def __init__(
         self,
@@ -157,6 +165,7 @@ class FPModule:
                 kept.append(v)
         self.relations: tuple[Vec, ...] = tuple(kept)
         self.multigraded = multigraded
+        self.hom_pair: tuple[MonomialIdeal, MonomialIdeal] | None = None
         self._gb: list[Vec] | None = None
         self._table: ReducerTable | None = None
 
@@ -240,17 +249,22 @@ def ass_member(p: MonomialPrime, N: FPModule) -> bool:
 
 
 def module_ass(N: FPModule) -> PrimeSet:
-    """All associated primes, found by scanning monomial primes over Ann N.
+    """All associated primes of a multigraded N.
 
-    Ann N of a multigraded N is a monomial ideal, and its minimal primes,
-    the minimal primes of Supp N, are associated (Matsumura, *Commutative
-    Ring Theory*, Thm 6.5): they are read off its vertex covers
-    (`min_assh_dim`) and take no test.  Any other candidate over Ann N takes
-    `ass_member`.  The zero module (Ann N = R) has none.  The soft deadline
-    is checked once per candidate: a candidate outside the support starts no
-    engine run, so nothing else would check it."""
+    A module that records its monomial pair (A, T) (`FPModule.hom_pair`)
+    is Hom_{R/T}(A/T, R/A), answered by `monomial.hom_ass` off Z^n-degree
+    classes with no engine run.  Any other is scanned over Ann N.  Ann N
+    of a multigraded N is a monomial ideal, and its minimal primes, the
+    minimal primes of Supp N, are associated (Matsumura, *Commutative Ring
+    Theory*, Thm 6.5): they are read off its vertex covers (`min_assh_dim`)
+    and take no test.  Any other candidate over Ann N takes `ass_member`.
+    The zero module (Ann N = R) has none.  The soft deadline is checked
+    once per candidate: a candidate outside the support starts no engine
+    run, so nothing else would check it."""
     if not N.multigraded:
         raise RingError("associated-prime scan needs a multigraded module")
+    if N.hom_pair is not None:
+        return hom_ass(*N.hom_pair)
     ann = hom_annihilator(Ideal.zero(N.ctx), N)
     mono = as_monomial(ann)
     if mono is None:
@@ -277,7 +291,10 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
     Hom(a, R'/a) -> Ext^1(R'/a, R'/a) whose cokernel vanishes and whose kernel
     is the image of Hom(R', R'/a); that image is zero because a*a lies in a.
     A hom is a choice of images of the generators of a, constrained by every
-    syzygy among those generators over R'.
+    syzygy among those generators over R'.  For monomial a and J (read
+    through `as_monomial`, so generators that are not terms count too) the
+    module records (A, T) = (a + J, J) as its `hom_pair`, from which
+    `module_ass` reads its associated primes.
     """
     if a.ctx != J.ctx:
         raise RingError("ideals live in different rings")
@@ -287,14 +304,19 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
         raise ImproperIdealError("self-dual Ext wants a proper ideal")
     t = len(a.gens)
     syz = submodule_syzygies([(p,) for p in a.gens], [(h,) for h in reduced_gb(J)])
-    graded = as_monomial(a) is not None and as_monomial(J) is not None
+    mono_a = as_monomial(a)
+    mono_J = None if mono_a is None else as_monomial(J)
+    graded = mono_J is not None
     if not syz:
         kernel = [unit_vec(ctx, t, i) for i in range(t)]
     else:
         s = len(syz)
         columns = [tuple(syz[i][j] for i in range(s)) for j in range(t)]
         kernel = submodule_syzygies(columns, ideal_block(aJ, s))
-    return present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t), False), graded)
+    N = present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t), False), graded)
+    if graded:
+        N.hom_pair = (mono_sum(mono_a, mono_J), mono_J)
+    return N
 
 
 # ---------------------------------------------------------------------------

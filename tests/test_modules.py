@@ -1020,6 +1020,7 @@ def test_module_ass_matches_the_full_scan():
                 N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
             except ImproperIdealError:
                 hyp.assume(False)
+            N.hom_pair = None  # the scan route, not the degree-class kernel
         ann = hom_annihilator(Ideal.zero(ctx), N)
         kinds.add("unit" if is_unit_ideal(ann) else "zero" if ann.is_zero_ideal() else kind)
         assert module_ass(N) == module_ass_scan(N)
@@ -1029,9 +1030,11 @@ def test_module_ass_matches_the_full_scan():
 
 
 def test_module_ass_of_m_primary_annihilator_tests_no_prime(monkeypatch):
-    # Ann N is m-primary, so Supp N = {m} = Min: Ass N = {m} with no test
+    # Ann N is m-primary, so Supp N = {m} = Min: Ass N = {m} with no test;
+    # the Ext's record is dropped, so the scan route answers
     ctx = ring("x", "y", "z")
     N = ext1_selfdual(I_of(ctx, "z^2", "y*z"), I_of(ctx, "x", "y^2"))
+    N.hom_pair = None
     calls = []
     real = modules.ass_member
     monkeypatch.setattr(modules, "ass_member", lambda p, M: calls.append(p) or real(p, M))
@@ -1091,6 +1094,119 @@ def test_ext_selfdual_selflinked_cases():
     assert module_ass(E) == PrimeSet([MonomialPrime((0,))])
     E2 = ext1_selfdual(I_of(ctx, "x", "y"), I_of(ctx, "x^2", "y^2"))
     assert module_ass(E2) == PrimeSet([MonomialPrime((0, 1))])
+
+
+def _wide_side():
+    """(x, y, z)^3 over R/(x^3, y^3, z^3): its Ext has rank 42 and 126
+    relations."""
+    ctx = ring("x", "y", "z")
+    cube = [f"x^{i}*y^{j}*z^{3 - i - j}" for i in range(4) for j in range(4 - i)]
+    return ctx, ext1_selfdual(I_of(ctx, *cube), I_of(ctx, "x^3", "y^3", "z^3"))
+
+
+def test_hom_kernel_matches_the_scan_of_the_presented_ext():
+    # the degree-class kernel against testing every prime over Ann N on the
+    # presentation of Hom_{R/J}((a + J)/J, R/(a + J)), for monomial a and J
+    # over 2-4 variables with generators of degree at most 3; module_ass on
+    # the Ext takes the kernel
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def ideal(draw, ctx, least):
+        gens = []
+        for _ in range(draw(st.integers(least, 3))):
+            e = [0] * ctx.n
+            for i in draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=3)):
+                e[i] += 1
+            gens.append(Polynomial.from_monomial(ctx, tuple(e)))
+        return Ideal(ctx, gens)
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @hyp.given(st.data())
+    def check(data):
+        ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
+        a, J = data.draw(ideal(ctx, 1)), data.draw(ideal(ctx, 0))
+        hyp.assume(is_proper(ideal_sum(a, J)))
+        N = ext1_selfdual(a, J)
+        got = monomial.hom_ass(*N.hom_pair)
+        assert got == module_ass_scan(N), (a.gens, J.gens)
+        assert module_ass(N) == got
+
+    check()
+
+
+def test_ext_records_its_monomial_pair_through_as_monomial(monkeypatch):
+    # (2xz + y, y) = (xz, y) is monomial though its generators are not terms:
+    # the Ext records (a + J, J) and module_ass answers with the kernel
+    ctx = ring("x", "y", "z")
+    a, J = I_of(ctx, "2*x*z + y", "y"), I_of(ctx, "x^2*z", "y^2")
+    N = ext1_selfdual(a, J)
+    A, T = N.hom_pair
+    assert A == monomial.as_monomial(I_of(ctx, "x*z", "y"))
+    assert T == monomial.as_monomial(J)
+    calls = []
+    real = modules.ass_member
+    monkeypatch.setattr(modules, "ass_member", lambda p, M: calls.append(p) or real(p, M))
+    before = groebner.engine_runs()
+    got = module_ass(N)
+    assert groebner.engine_runs() == before and calls == []
+    assert got == module_ass_scan(N)
+
+
+def test_non_monomial_ext_keeps_its_refusal():
+    # a by a binomial: the Ext is not multigraded and records no pair, so
+    # module_ass refuses it as before
+    ctx = ring("x", "y", "z")
+    N = ext1_selfdual(I_of(ctx, "x + y"), I_of(ctx, "x*y"))
+    assert N.hom_pair is None and not N.multigraded
+    with pytest.raises(RingError, match="needs a multigraded module"):
+        module_ass(N)
+
+
+def test_zero_ext_answers_the_empty_set_from_its_record():
+    # a inside J, a = 0 included: A = T and the kernel answers no prime
+    ctx = ring("x", "y")
+    for a, J in [(Ideal.zero(ctx), I_of(ctx, "x*y")), (I_of(ctx, "x^2*y"), I_of(ctx, "x*y"))]:
+        N = ext1_selfdual(a, J)
+        A, T = N.hom_pair
+        assert A == T
+        assert monomial.hom_ass(A, T) == PrimeSet() == module_ass(N) == module_ass_scan(N)
+
+
+def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
+    # no record: R^2 / (x*e_1, x^2*e_2, x*y*e_2) is scanned, and its one
+    # candidate not minimal over Ann N = (x^2, x*y), (x, y), takes ass_member
+    ctx = ring("x", "y")
+    z = Polynomial.zero(ctx)
+    N = FPModule(
+        ctx, 2, [(P(ctx, "x"), z), (z, P(ctx, "x^2")), (z, P(ctx, "x*y"))], multigraded=True
+    )
+    assert N.hom_pair is None
+    calls = []
+    real = modules.ass_member
+    monkeypatch.setattr(modules, "ass_member", lambda p, M: calls.append(p) or real(p, M))
+    assert module_ass(N) == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
+    assert calls == [MonomialPrime((0, 1))]
+    assert module_ass(N) == module_ass_scan(N)
+
+
+def test_wide_ext_takes_no_engine_run_in_module_ass():
+    # the wide side of l1: one prime, read off degree classes
+    ctx, N = _wide_side()
+    assert (N.rank, len(N.relations)) == (42, 126)
+    before = groebner.engine_runs()
+    assert module_ass(N) == PrimeSet([MonomialPrime((0, 1, 2))])
+    assert groebner.engine_runs() == before
+
+
+def test_hom_kernel_honours_soft_timeout():
+    # the kernel checks the deadline once per degree class it scans
+    ctx, N = _wide_side()
+    with set_limits(soft_timeout=0):
+        with pytest.raises(BudgetExceeded) as trip:
+            module_ass(N)
+    assert trip.value.what == "hom associated primes"
 
 
 # ---------------------------------------------------------------------------

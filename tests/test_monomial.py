@@ -24,6 +24,7 @@ from linkcoh.monomial import (
     all_monomial_primes,
     as_monomial,
     associated_primes,
+    hom_ass,
     irreducible_decomposition,
     meet_of_primes,
     min_assh_dim,
@@ -42,6 +43,7 @@ from oracles import (
     cover_tuples,
     meet_of_primes_fold,
     mono_colon,
+    permute_exponents,
     polarize,
     primes_from_ass,
 )
@@ -298,6 +300,56 @@ def test_cover_route_matches_the_decomposition_route_property():
             covers = min_vertex_covers(supports, "test")
             assert _facet_masks(I) == [full ^ c for c in covers]
             assert sorted(covers) == sorted(sum(1 << i for i in p.vars) for p in mins)
+
+    check()
+
+
+def test_hom_ass_hand_cases_and_refusals(ctx):
+    # Hom_{R/(x^2)}((x)/(x^2), R/(x)) = R/(x), and the self-dual Ext of the
+    # wide side (x, y, z)^3 over (x^3, y^3, z^3) has the one prime m
+    x, xyz = MonomialPrime((0,)), MonomialPrime((0, 1, 2))
+    assert hom_ass(MI(ctx, "x"), MI(ctx, "x^2")) == PrimeSet([x])
+    cube = [f"x^{i}*y^{j}*z^{3 - i - j}" for i in range(4) for j in range(4 - i)]
+    assert hom_ass(MI(ctx, *cube), MI(ctx, "x^3", "y^3", "z^3")) == PrimeSet([xyz])
+    assert hom_ass(MI(ctx, "x", "y"), MI(ctx, "x", "y")) == PrimeSet()
+    with pytest.raises(RingError, match="needs T inside A"):
+        hom_ass(MI(ctx, "x"), MI(ctx, "y"))
+    with pytest.raises(ImproperIdealError):
+        hom_ass(MI(ctx, "1"), MI(ctx, "x"))
+
+
+def test_hom_ass_moves_with_the_variables_property():
+    # a permutation of the variables moves the primes of Hom_{R/T}(A/T, R/A)
+    # by the same permutation; x_j -> x_j^(k_j) with k in {1, 2, 3}^n is flat
+    # and takes each P_S to a P_S-primary ideal, so it leaves them as they are
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 4))
+        term = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+        return (
+            ring(*"xyzw"[:n]),
+            draw(st.lists(term, max_size=3)),
+            draw(st.lists(term, min_size=1, max_size=3)),
+            draw(st.permutations(range(n))),
+            draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+        )
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @hyp.given(cases())
+    def check(case):
+        ctx, core, extra, perm, k = case
+
+        def hom_primes(move):
+            T = MonomialIdeal.from_exponents(ctx, map(move, core))
+            return hom_ass(mono_sum(T, MonomialIdeal.from_exponents(ctx, map(move, extra))), T)
+
+        primes = hom_primes(lambda e: e)
+        moved = PrimeSet(MonomialPrime(perm[i] for i in p.vars) for p in primes)
+        assert hom_primes(lambda e: permute_exponents(e, perm)) == moved
+        assert hom_primes(lambda e: tuple(x * y for x, y in zip(e, k))) == primes
 
     check()
 

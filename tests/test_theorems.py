@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import homogeneous_pool_by_arithmetic, radical_is_maximal
+from oracles import homogeneous_pool_by_arithmetic, module_ass_scan, radical_is_maximal
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -38,7 +38,6 @@ from linkcoh.modules import (
     ext1_selfdual,
     koszul_grade,
     maximal_ideal,
-    module_ass,
     regular_chain,
 )
 from linkcoh.monomial import ImproperIdealError, MonomialIdeal, as_monomial
@@ -160,7 +159,8 @@ def test_height_checker_reads_sides_past_the_koszul_size_gate():
 
 def _l1_both_sides(cert):
     """l1 checked side by side: each side's grade by its Koszul complex, and
-    the self-dual Ext of each side, selflinked or not."""
+    the self-dual Ext of each side, selflinked or not, presented and
+    scanned by the engine (`module_ass_scan`)."""
     M, Ma, Mb, core = cert.module, cert.quotient_a, cert.quotient_b, cert.quotient_core
     if M.monomial is None:
         return theorems.Verdict.skipped("needs a monomial base ideal")
@@ -178,23 +178,23 @@ def _l1_both_sides(cert):
     common = Ma.primes().ass & Mb.primes().ass
     base = core.monomial.to_ideal()
     for label, quot in (("a", Ma), ("b", Mb)):
-        if module_ass(ext1_selfdual(quot.monomial.to_ideal(), base)) != common:
+        if module_ass_scan(ext1_selfdual(quot.monomial.to_ideal(), base)) != common:
             return theorems.Verdict.failing(f"ext on side {label}", (GRADED_NOTE,))
     witnesses.append(f"ext-ass={common.render(cert.ctx)}")
     return theorems.Verdict.passing(witnesses, (GRADED_NOTE,))
 
 
 def test_height_and_ext_checker_takes_one_ext_of_a_selflinked_pair(monkeypatch):
-    # a selflinked pair has one quotient M/aM = M/bM, so one Ext; the
-    # verdict is the one that checks both sides explicitly
+    # a selflinked pair has one quotient M/aM = M/bM, so one kernel call;
+    # the verdict is the one that checks both sides by the engine route
     calls = []
-    ext = theorems.ext1_selfdual
+    real = theorems.hom_ass
 
-    def counted(a, J):
-        calls.append(a)
-        return ext(a, J)
+    def counted(A, T):
+        calls.append(A)
+        return real(A, T)
 
-    monkeypatch.setattr(theorems, "ext1_selfdual", counted)
+    monkeypatch.setattr(theorems, "hom_ass", counted)
     seen = {True: 0, False: 0}
     for seed, M in _monomial_modules((2, 3), range(8)):
         for cert in random_linked_pairs(M, GenParams(count=3, maxdeg=2), seed=seed):
@@ -207,25 +207,30 @@ def test_height_and_ext_checker_takes_one_ext_of_a_selflinked_pair(monkeypatch):
     assert seen[True] >= 10 and seen[False] >= 5, seen
 
 
-def test_height_and_ext_checker_scans_one_presentation_once(monkeypatch):
+def test_height_and_ext_checker_reads_each_distinct_side_once(monkeypatch):
     # (z^2, x*z, x*y) ~ (y, z) through 0 over R/(z^2, x*y) is not
-    # selflinked, yet both Ext modules are R/(y, z): one scan answers both
+    # selflinked: two distinct sides, one kernel call each, and no engine
+    # run for the Ext part; both Ext modules are R/(y, z)
     ctx = ring("x", "y", "z")
     cert = check_linked(
         I_of(ctx, "z^2", "x*z", "x*y"), I_of(ctx, "y", "z"), Ideal.zero(ctx), R_mod(ctx, "z^2", "x*y")
     )
     assert not cert.selflinked
-    scans = []
-    real = theorems.module_ass
+    for quot in (cert.quotient_a, cert.quotient_b, cert.quotient_core, cert.module):
+        quot.primes()
+    calls = []
+    real = theorems.hom_ass
 
-    def counted(N):
-        scans.append(N)
-        return real(N)
+    def counted(A, T):
+        calls.append(A)
+        return real(A, T)
 
-    monkeypatch.setattr(theorems, "module_ass", counted)
+    monkeypatch.setattr(theorems, "hom_ass", counted)
+    before = engine_runs()
     v = check_height_and_self_ext(cert)
+    assert engine_runs() == before
     assert v == _l1_both_sides(cert) and v.status == "pass"
-    assert len(scans) == 1
+    assert calls == [cert.quotient_a.monomial, cert.quotient_b.monomial]
 
 
 def test_height_and_ext_checker_skips_embedded_core():
@@ -661,6 +666,31 @@ PINNED_REPORTS = [
 def test_claim_reports_are_pinned(claim, n_vars, seed, module, digest):
     params = InstanceParams(n_vars=n_vars, count=40, seed=seed, module=module)
     text = json.dumps(run_claim(claim, params), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# l1 over 200 draws (maxdeg 2, seed 1): the verdicts by status and first
+# note, and the report's digest as above, both as they were when each side's
+# Ext was presented and scanned by the engine
+L1_COVERAGE = [
+    (3, {"pass": 165, "needs a monomial core and monomial sides": 25,
+         "core has embedded primes": 6, "no linked pair found for this draw": 4},
+     "1ba43db4db2054f3"),
+    (4, {"pass": 172, "needs a monomial core and monomial sides": 22,
+         "core has embedded primes": 6},
+     "95c6bb078e674fd0"),
+]
+
+
+@pytest.mark.parametrize("n_vars, tally, digest", L1_COVERAGE)
+def test_l1_coverage_is_pinned(n_vars, tally, digest):
+    doc = run_claim("l1", InstanceParams(n_vars=n_vars, count=200, maxdeg=2, seed=1))
+    seen: dict = {}
+    for v in doc["verdicts"]:
+        key = v["notes"][0] if v["status"] == "skip" else v["status"]
+        seen[key] = seen.get(key, 0) + 1
+    assert seen == tally
+    text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
