@@ -106,13 +106,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import takewhile
 from math import gcd, lcm
 from operator import le as le_, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ring import (
     DEGREVLEX,
@@ -144,8 +143,7 @@ class BudgetExceeded(RuntimeError):
         return type(self), (self.what, self.spent, self.limit)
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_spairs: int = 100_000
     deadline: float | None = None  # time.monotonic() value
 
@@ -214,10 +212,12 @@ class Ideal:
     not yet computed.  `_steps` maps each f that `regular_steps` has
     stepped the ideal by to the outcome, the next ideal or None, so a
     regular chain grown again from the same ideal reads every step it has
-    taken before; no other function reads or writes it.
+    taken before; no other function reads or writes it.  `_quotients` maps
+    the generators of each J that `ideal_quotient` has divided the ideal by
+    to the colon, so a colon taken again is read, not run.
     """
 
-    __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens", "_steps")
+    __slots__ = ("ctx", "gens", "_gb", "_table", "_monomial_gens", "_steps", "_quotients")
 
     def __init__(self, ctx: RingCtx, gens: Iterable[Polynomial]) -> None:
         kept = []
@@ -232,6 +232,7 @@ class Ideal:
         self._table: ReducerTable | None = None
         self._monomial_gens = _NOT_COMPUTED
         self._steps: dict[Polynomial, Ideal | None] | None = None
+        self._quotients: dict[tuple[Polynomial, ...], Ideal] | None = None
 
     @classmethod
     def parse(cls, ctx: RingCtx, text: str) -> "Ideal":
@@ -283,10 +284,13 @@ def monomial_gens(I: Ideal) -> tuple[Exponents, ...] | None:
 def minimalize(exps: Iterable[Exponents]) -> tuple[Exponents, ...]:
     """The minimal generators among `exps`, sorted by (degree, exponent)."""
     kept: list[Exponents] = []
-    for i, e in enumerate(sorted(set(exps), key=lambda e: (sum(e), e))):
+    for i, (_, e) in enumerate(sorted({(sum(e), e) for e in exps})):
         if i & 255 == 255:
             check_deadline("minimalize")
-        if not any(all(map(le_, f, e)) for f in kept):
+        for f in kept:
+            if all(map(le_, f, e)):
+                break
+        else:
             kept.append(e)
     return tuple(kept)
 
@@ -990,14 +994,23 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     vector (g_1..g_k) modulo I*R^k: `_colon` over R^1, seeded with the
     reduced basis of I.  When every g_j lies in I (J = (0) among them) the
     colon is the whole ring, found by membership alone.  The result's basis
-    cache holds its reduced degrevlex basis.
+    cache holds its reduced degrevlex basis.  The colon is kept on I under
+    J's generators (`Ideal._quotients`) and read from there when asked again.
     """
     ctx = _same_ctx(I, J)
-    if all(ideal_member(g, I) for g in J.gens):
-        return Ideal.unit(ctx)
-    if (by_terms := _by_terms(min_gens_colon, I, J)) is not None:
-        return by_terms
-    return _colon(ctx, [(p,) for p in J.gens], [(f,) for f in reduced_gb(I)])
+    kept = I._quotients
+    if kept is None:
+        kept = I._quotients = {}
+    Q = kept.get(J.gens)
+    if Q is None:
+        if all(ideal_member(g, I) for g in J.gens):
+            Q = Ideal.unit(ctx)
+        else:
+            Q = _by_terms(min_gens_colon, I, J) or _colon(
+                ctx, [(p,) for p in J.gens], [(f,) for f in reduced_gb(I)]
+            )
+        kept[J.gens] = Q
+    return Q
 
 
 def regular_steps(

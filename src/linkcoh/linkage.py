@@ -37,8 +37,8 @@ primes every reader takes from there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .groebner import (
     Ideal,
@@ -59,6 +59,7 @@ from .monomial import MonomialIdeal
 from .ring import Exponents, Polynomial, RingError, mono_mask
 
 ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
+DEFAULT_SEED = 0  # the seed of `random_linked_pairs` and of `linkage random`
 
 
 class LinkageError(RingError):
@@ -73,8 +74,7 @@ class LinkageError(RingError):
         return type(self), (self.reason, str(self))
 
 
-@dataclass(frozen=True)
-class LinkageCertificate:
+class LinkageCertificate(NamedTuple):
     """A verified linkage instance, holding M/aM, M/bM and M/IM as its three
     quotients; construction goes through check_linked."""
 
@@ -206,17 +206,15 @@ def minimal_primes_in_core_ass(cert: LinkageCertificate) -> bool | None:
 # ---------------------------------------------------------------------------
 # Random certified instances.
 
-@dataclass(frozen=True)
-class GenParams:
-    count: int = 10
-    maxdeg: int = 3
-    max_extra: int = 2
-    seq_len_max: int = 2
+class GenParams(namedtuple("GenParams", "count maxdeg max_extra seq_len_max", defaults=(10, 3, 2, 2))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "GenParams":
+        self = super().__new__(cls, *args, **kwargs)
         for name, least in (("count", 1), ("maxdeg", 1), ("max_extra", 0), ("seq_len_max", 0)):
             if getattr(self, name) < least:
                 raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        return self
 
 
 def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> tuple[int, ...]:
@@ -344,7 +342,7 @@ class _TermChain:
 
 
 def random_linked_pairs(
-    M: CyclicModule, params: GenParams = GenParams(), seed: int = 0
+    M: CyclicModule, params: GenParams = GenParams(), seed: int = DEFAULT_SEED
 ) -> Iterator[LinkageCertificate]:
     """Draw up to params.count distinct certified linkage instances over M.
 

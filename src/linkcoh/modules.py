@@ -60,7 +60,6 @@ side passes `FPModule.rel_gb()`, an ideal side `reduced_gb` or the
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -98,10 +97,8 @@ from .monomial import (
     min_assh_dim,
     mono_sum,
 )
-from .simplicial import depth_monomial
+from .simplicial import depth_monomial, log
 from .ring import Polynomial, RingCtx, RingError, mono_mask, mono_one
-
-log = logging.getLogger("linkcoh")
 
 
 def vec_is_zero(v: Vec) -> bool:

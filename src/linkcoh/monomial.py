@@ -35,11 +35,11 @@ data, off those cells, with no Groebner run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce, total_ordering
 from itertools import accumulate
 from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import groebner
 from .groebner import min_gens_intersect, minimalize, monomial_gens
@@ -198,8 +198,7 @@ class PrimeSet:
         return "PrimeSet(" + ", ".join(str(p.vars) for p in self) + ")"
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """A monomial ideal held by its (unique) minimal generators, sorted by
     (degree, exponent) as `minimalize` returns them.
 
@@ -405,19 +404,12 @@ def min_vertex_covers(supports: Sequence[int], label: str) -> list[int]:
     return covers
 
 
-@dataclass(frozen=True)
-class MinAsshDim:
-    """The primes of R/I for a proper monomial I: the minimal primes, the
-    top-dimensional ones (Assh), and the dimension and height of R/I, all
-    read off the minimal vertex covers.  Ass needs the irreducible
+class MinAsshDim(namedtuple("MinAsshDim", "ideal min_primes assh dim height")):
+    """The primes of R/I for a proper monomial I (`ideal`): the minimal
+    primes, the top-dimensional ones (Assh), and the dimension and height of
+    R/I, all read off the minimal vertex covers.  Ass needs the irreducible
     decomposition of `ideal`; it runs on the first read of `ass` and is
-    kept."""
-
-    ideal: MonomialIdeal
-    min_primes: PrimeSet
-    assh: PrimeSet
-    dim: int
-    height: int
+    kept on the instance, beside the fields."""
 
     @cached_property
     def ass(self) -> PrimeSet:

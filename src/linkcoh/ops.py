@@ -16,9 +16,7 @@ prime, a list of variable names) need `--ring`; the scalar kinds do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from inspect import signature
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .groebner import (
     Ideal,
@@ -38,6 +36,7 @@ from .invariants import (
     is_equidimensional,
 )
 from .linkage import (
+    DEFAULT_SEED,
     GenParams,
     LinkageCertificate,
     LinkageError,
@@ -64,7 +63,7 @@ from .monomial import (
 )
 from .ring import RingError
 from .simplicial import cd_squarefree
-from .theorems import CLAIMS, InstanceParams, run_claim
+from .theorems import CLAIMS, DEFAULT_JOBS, InstanceParams, run_claim
 
 __all__ = ["Group", "OPS", "Op", "Operand", "TABLE", "run_task", "session_shape"]
 
@@ -78,8 +77,7 @@ INT, SWITCH, TEXT, CLAIM, PATH = "int", "switch", "text", "claim", "path"
 REQUIRED = object()  # default of an operand that must be given
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     """One operand: `flag` is `--name`, or a bare name for a positional."""
 
     flag: str
@@ -92,8 +90,7 @@ class Operand:
         return self.flag.lstrip("-").replace("-", "_")
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One subcommand; `doc` takes the operand values in table order."""
 
     name: str
@@ -107,8 +104,7 @@ class Op:
         return any(o.kind in RING_KINDS for o in self.operands)
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """Verbs under one command word; an entry's full name is `name verb`."""
 
     name: str
@@ -316,6 +312,7 @@ _MODULE_J = Operand("--module", MODULE, "0", "defining ideal J; defaults to 0")
 _QUOTIENT = Operand("--ideal", MODULE, "0", "defaults to the zero ideal")
 _HOM = Operand("--hom", IDEAL, "0", "take Hom(R/THIS, module) first; defaults to 0")
 _PRIME = Operand("--prime", PRIME, help="comma-separated variables, or 0")
+_RANDOM, _VERIFY = GenParams(), InstanceParams()  # the defaults of `linkage random`, `verify`
 
 
 TABLE: tuple[Op | Group, ...] = (
@@ -378,11 +375,11 @@ TABLE: tuple[Op | Group, ...] = (
             Operand("--close", SWITCH, False, "replace a by its double link before certifying")),
            lambda a, I, M, close: _certified(link_of, a, I, M, close=close), _summary_link_of),
         Op("random", "seeded random certified linkage instances",
-           (Operand("--count", INT, GenParams.count),
-            Operand("--seed", INT, signature(random_linked_pairs).parameters["seed"].default),
-            Operand("--maxdeg", INT, GenParams.maxdeg),
-            Operand("--max-extra", INT, GenParams.max_extra),
-            Operand("--seq-len-max", INT, GenParams.seq_len_max), _MODULE),
+           (Operand("--count", INT, _RANDOM.count),
+            Operand("--seed", INT, DEFAULT_SEED),
+            Operand("--maxdeg", INT, _RANDOM.maxdeg),
+            Operand("--max-extra", INT, _RANDOM.max_extra),
+            Operand("--seq-len-max", INT, _RANDOM.seq_len_max), _MODULE),
            _doc_random, _count("certificates", "certificate(s)")),
     )),
     Op("att-top", "attached primes of the top local cohomology", (_IDEAL, _MODULE),
@@ -400,11 +397,11 @@ TABLE: tuple[Op | Group, ...] = (
     Op("verify", "batch-check one claim on seeded instances",
        (Operand("claim", CLAIM, help=", ".join(sorted(CLAIMS))),
         Operand("--random", INT, help="instance count"),
-        Operand("--vars", INT, InstanceParams.n_vars),
-        Operand("--maxdeg", INT, InstanceParams.maxdeg),
-        Operand("--seed", INT, InstanceParams.seed),
-        Operand("--module", TEXT, InstanceParams.module, "pin the base module's defining ideal"),
-        Operand("--jobs", INT, signature(run_claim).parameters["jobs"].default)),
+        Operand("--vars", INT, _VERIFY.n_vars),
+        Operand("--maxdeg", INT, _VERIFY.maxdeg),
+        Operand("--seed", INT, _VERIFY.seed),
+        Operand("--module", TEXT, _VERIFY.module, "pin the base module's defining ideal"),
+        Operand("--jobs", INT, DEFAULT_JOBS)),
        _doc_verify, _summary_verify),
     Op("session", "run every task of a session file", (Operand("path", PATH),),
        _doc_session, _summary_session),

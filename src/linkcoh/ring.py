@@ -14,11 +14,11 @@ exponents with `mono_text`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import neg
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Exponents = tuple[int, ...]
 
@@ -40,20 +40,20 @@ class ParseError(RingError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class RingCtx:
+class RingCtx(namedtuple("RingCtx", "var_names")):
     """The polynomial ring Q[x_1..x_n], given by its ordered variable names."""
 
-    var_names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "var_names", tuple(self.var_names))
-        if not self.var_names:
+    def __new__(cls, var_names: Iterable[str]) -> "RingCtx":
+        var_names = tuple(var_names)
+        if not var_names:
             raise RingError("a ring needs at least one variable")
-        if any(not name for name in self.var_names):
+        if any(not name for name in var_names):
             raise RingError("variable names must be nonempty")
-        if len(set(self.var_names)) != len(self.var_names):
+        if len(set(var_names)) != len(var_names):
             raise RingError("variable names must be unique")
+        return super().__new__(cls, var_names)
 
     @classmethod
     def parse(cls, text: str) -> "RingCtx":
@@ -125,8 +125,7 @@ def _degrevlex_key(e: Exponents):
     return (sum(e), *map(neg, reversed(e)))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A multiplicative monomial well-order usable as a max-selection key,
     held by its index blocks alone.
 

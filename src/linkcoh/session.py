@@ -17,7 +17,7 @@ canonical: parse-then-render is idempotent on its own output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .groebner import Ideal
 from .modules import CyclicModule
@@ -47,12 +47,22 @@ _VERBS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class SessionTask:
+class SessionTask(NamedTuple):
+    """One task line; two tasks are equal when they agree on all but `line`."""
+
     op: str
     args: tuple[str, ...]
     over: str | None
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        return self[:3] == other[:3] if isinstance(other, SessionTask) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     def words(self) -> tuple[str, ...]:
         out = list(self.op.split())
@@ -62,16 +72,29 @@ class SessionTask:
         return tuple(out)
 
 
-@dataclass
 class SessionFile:
-    """A parsed session: every name resolved, modules already constructed."""
+    """A parsed session: every name resolved, modules already constructed.
+    Its fields may be reassigned, so it is equal to another session with
+    equal fields but has no hash."""
 
-    ctx: RingCtx
-    ideals: dict[str, Ideal]
-    modules: dict[str, CyclicModule]
-    module_defs: dict[str, str | None]
-    tasks: tuple[SessionTask, ...]
-    source: str = "<session>"
+    __slots__ = ("ctx", "ideals", "modules", "module_defs", "tasks", "source")
+
+    def __init__(
+        self,
+        ctx: RingCtx,
+        ideals: dict[str, Ideal],
+        modules: dict[str, CyclicModule],
+        module_defs: dict[str, str | None],
+        tasks: tuple[SessionTask, ...],
+        source: str = "<session>",
+    ) -> None:
+        self.ctx, self.ideals, self.modules = ctx, ideals, modules
+        self.module_defs, self.tasks, self.source = module_defs, tasks, source
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SessionFile):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def render(self) -> str:
         """Canonical text for the session: ring, ideals, modules, tasks."""

@@ -48,7 +48,7 @@ example RP^2) that the filter cannot see past.
 
 from __future__ import annotations
 
-import logging
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -57,7 +57,29 @@ from .groebner import BudgetExceeded, check_deadline
 from .monomial import ImproperIdealError, MonomialIdeal, min_vertex_covers
 from .ring import RingError, mono_mask
 
-log = logging.getLogger("linkcoh")
+_DEBUG = 10  # logging.DEBUG
+
+
+class _Log:
+    """The `linkcoh` logger of `logging`, reached only once the application
+    has imported `logging`: until then no handler can be configured, so a
+    debug line has nowhere to go, and the package never imports `logging`
+    on its own account.  Shared by simplicial.py and modules.py."""
+
+    __slots__ = ()
+
+    def isEnabledFor(self, level: int) -> bool:
+        logging = sys.modules.get("logging")
+        return logging is not None and logging.getLogger("linkcoh").isEnabledFor(level)
+
+    def debug(self, msg: str, *args) -> None:
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            # the record names the caller's line, not this method's
+            logging.getLogger("linkcoh").debug(msg, *args, stacklevel=2)
+
+
+log = _Log()
 
 
 def _facet_masks(I: MonomialIdeal) -> list[int]:
@@ -321,7 +343,7 @@ def depth_squarefree(I: MonomialIdeal) -> int:
                     best = size + 1 + j
                     break
         size += 1
-    if log.isEnabledFor(logging.DEBUG):
+    if log.isEnabledFor(_DEBUG):
         log.debug(
             "depth links: %d faces, %d non-cone, %d by connectivity, %d distinct scanned, "
             "%d GF(2) ranks (%d stopped at the bound), %d exact ranks",

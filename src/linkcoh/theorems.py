@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .groebner import (
     _LIMITS,
@@ -80,6 +81,7 @@ from .monomial import (
 from .ring import Polynomial, RingCtx, RingError, ring
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
+DEFAULT_JOBS = 1  # the worker processes of `run_claim` and of `verify`
 
 
 def ctx_for(n: int) -> RingCtx:
@@ -88,25 +90,23 @@ def ctx_for(n: int) -> RingCtx:
     return ring(*_VAR_NAMES[:n])
 
 
-@dataclass(frozen=True)
-class InstanceParams:
+class InstanceParams(
+    namedtuple("InstanceParams", "n_vars count maxdeg seed module", defaults=(3, 20, 3, 0, None))
+):
     """Knobs shared by all samplers; `module` pins the base module when set."""
 
-    n_vars: int = 3
-    count: int = 20
-    maxdeg: int = 3
-    seed: int = 0
-    module: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "InstanceParams":
+        self = super().__new__(cls, *args, **kwargs)
         ctx_for(self.n_vars)  # refuses a variable count no instance can be drawn over
         for name, least in (("count", 1), ("maxdeg", 1)):
             if getattr(self, name) < least:
                 raise RingError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        return self
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking a claim on one instance.
 
     status is one of pass / fail / skip / inconclusive; `holds` reads it as
@@ -670,8 +670,7 @@ def _draw_l15(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCt
     return check_top_prime_transfer(cert)
 
 
-@dataclass(frozen=True)
-class ClaimInfo:
+class ClaimInfo(NamedTuple):
     """One claim: its title, its instance draw, and whether the draw reads
     `InstanceParams.module` (a pinnable claim) or draws its own base module."""
 
@@ -736,7 +735,7 @@ def _run_instance(args: tuple[str, InstanceParams, int, Limits]) -> dict:
     return {"claim": claim, **verdict.as_json(), "seed": seed}
 
 
-def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
+def run_claim(claim: str, params: InstanceParams, jobs: int = DEFAULT_JOBS) -> dict:
     """Check one claim on `params.count` seeded instances and tally verdicts.
 
     The instance stream depends only on params, never on jobs, so reruns are
@@ -771,7 +770,7 @@ def run_claim(claim: str, params: InstanceParams, jobs: int = 1) -> dict:
     return {
         "claim": claim,
         "title": CLAIMS[claim].title,
-        "params": dict(vars(params)),
+        "params": params._asdict(),
         "counts": counts,
         "ok": counts["fail"] == 0,
         "verdicts": verdicts,

@@ -726,6 +726,21 @@ def test_colon_spair_count_is_pinned():
     assert ideal_equal(Ideal(ctx, [q * f for q in Q.gens]), tag_intersect(I, F))
 
 
+def test_colon_is_kept_on_the_dividend(monkeypatch):
+    # I : J is kept on I under J's generators: asked again, by J or by
+    # another ideal with the same generators, it is the same ideal and
+    # starts no engine run; another divisor takes a colon of its own
+    ctx = ring("x", "y", "z")
+    I, F = I_of(ctx, "x^2*y-z^3", "x*y^2-z", "x*z-y^3"), Ideal(ctx, [P(ctx, "x+y+z")])
+    runs = _engine_runs(monkeypatch)
+    Q = ideal_quotient(I, F)
+    assert runs
+    del runs[:]
+    assert ideal_quotient(I, F) is Q and ideal_quotient(I, Ideal(ctx, F.gens)) is Q
+    assert runs == []
+    assert ideal_quotient(I, Ideal(ctx, [P(ctx, "x+y")])) is not Q and runs
+
+
 def test_seeded_run_matches_the_joined_run():
     # a run handed a reduced basis B as its known part, whose pairs it never
     # forms, ends at the reduced basis of the run on B and the generators;

@@ -8,9 +8,12 @@ code, in an annotation (quoted or not) or in `__all__`.  `__init__.py` is
 left out of that check because its imports are the package's re-exports.
 No module but groebner.py may import the engine's encoding internals, by
 name or as attributes of `groebner`.  Every name in `linkcoh.__all__` must
-resolve on the package, once.  Importing the package in a fresh interpreter
-must not load `multiprocessing`, which only a fanned-out `run_claim` uses,
-nor `argparse`, since the command line reads argv off the operation table.
+resolve on the package, once.  Importing the package and its command line
+in a fresh interpreter must not load `multiprocessing`, which only a
+fanned-out `run_claim` uses, `argparse`, since the command line reads argv
+off the operation table, nor `dataclasses`, `inspect` or `logging`.  The
+package's records compare and hash by their fields, refuse assignment (all
+but the session file), and refuse bad parameters as they are built.
 Every module of the package must parse under the grammar of the oldest
 Python that `requires-python` in pyproject.toml admits.
 
@@ -42,12 +45,22 @@ package, with `%s`, `%d` and README's `…` as wildcards.
 import ast
 import importlib
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from linkcoh.groebner import Ideal, Limits
+from linkcoh.linkage import GenParams, LinkageCertificate
+from linkcoh.modules import CyclicModule
+from linkcoh.monomial import MinAsshDim, MonomialIdeal, min_assh_dim
+from linkcoh.ops import OPS, Group, Op, Operand
+from linkcoh.ring import MonomialOrder, RingCtx, RingError
+from linkcoh.session import SessionFile, SessionTask
+from linkcoh.theorems import ClaimInfo, InstanceParams, Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linkcoh"
@@ -123,24 +136,81 @@ def test_every_export_resolves():
     assert len(set(package.__all__)) == len(package.__all__), "linkcoh.__all__ repeats a name"
 
 
-def test_import_leaves_multiprocessing_out():
-    # only `run_claim` with several workers needs a pool, so a plain import
-    # (the command line's too) must not load multiprocessing
-    probe = "import sys, linkcoh, linkcoh.cli; print('multiprocessing' in sys.modules)"
+@pytest.mark.parametrize("module", ["multiprocessing", "argparse", "dataclasses", "inspect", "logging"])
+def test_import_leaves_out(module):
+    # a plain import, the command line's too, loads none of these: only
+    # `run_claim` with several workers needs a multiprocessing pool; the
+    # command line reads argv off the operation table, not through argparse;
+    # the records are named tuples or slotted classes, and the table takes
+    # its defaults from named constants, not from signatures; the package's
+    # debug lines reach `logging` only once the application has imported it
+    probe = f"import sys, linkcoh, linkcoh.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
 
 
-def test_import_leaves_argparse_out():
-    # the command line reads argv off the operation table, so neither the
-    # package nor its front end loads argparse
-    probe = "import sys, linkcoh, linkcoh.cli; print('argparse' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+def _record(name: str):
+    """(class, constructor arguments, a field) of each record of the package."""
+    ctx = RingCtx(("x", "y"))
+    I = Ideal.parse(ctx, "x*y")
+    M = CyclicModule(ctx, I)
+    m = MonomialIdeal.from_exponents(ctx, [(1, 1)])
+    p = min_assh_dim(m)
+    op = OPS["gb"]
+    return {
+        "Limits": (Limits, (7, None), "max_spairs"),
+        "LinkageCertificate": (LinkageCertificate, (M, I, I, I, M, M, M, False, True), "a"),
+        "GenParams": (GenParams, (4, 2, 1, 1), "count"),
+        "MonomialIdeal": (MonomialIdeal, (ctx, m.min_gens), "min_gens"),
+        "MinAsshDim": (MinAsshDim, (m, p.min_primes, p.assh, p.dim, p.height), "dim"),
+        "Operand": (Operand, ("--x", "int", 0, None), "default"),
+        "Op": (Op, (op.name, op.help, op.operands, op.doc, op.summary), "operands"),
+        "Group": (Group, ("g", "verbs", (op,)), "ops"),
+        "RingCtx": (RingCtx, (("x", "y"),), "var_names"),
+        "MonomialOrder": (MonomialOrder, (((0,), (1,)),), "blocks"),
+        "SessionTask": (SessionTask, ("gb", ("I",), None, 3), "args"),
+        "SessionFile": (SessionFile, (ctx, {"I": I}, {"M": M}, {"M": "I"}, (), "s"), "source"),
+        "InstanceParams": (InstanceParams, (2, 3, 2, 5, None), "seed"),
+        "Verdict": (Verdict, ("pass", ("w",), (), None), "status"),
+        "ClaimInfo": (ClaimInfo, ("t", len, True), "pinnable"),
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "Limits", "LinkageCertificate", "GenParams", "MonomialIdeal", "MinAsshDim", "Operand", "Op",
+    "Group", "RingCtx", "MonomialOrder", "SessionTask", "SessionFile", "InstanceParams",
+    "Verdict", "ClaimInfo",
+])
+def test_records_are_values(name):
+    # the records are compared by their fields; all but a session file are
+    # immutable and hash by their fields, and the parameter records refuse
+    # bad values as they are built; those that cross to a worker process
+    # come back from pickle equal
+    cls, args, field = _record(name)
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    if cls is SessionFile:
+        a.source = "elsewhere"
+        assert a != b
+        return
+    assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    if cls in (Limits, GenParams, InstanceParams, Verdict):
+        assert pickle.loads(pickle.dumps(a)) == a
+    if cls is SessionTask:
+        moved = SessionTask(*args[:3], line=9)
+        assert moved == a and hash(moved) == hash(a) and not moved != a
+    bad = {
+        RingCtx: [(("x", "x"),), ((),), (("x", ""),)],
+        GenParams: [(0,), (1, 0), (1, 1, -1), (1, 1, 0, -1)],
+        InstanceParams: [(0,), (9,), (2, 0), (2, 1, 0)],
+    }
+    for wrong in bad.get(cls, ()):
+        with pytest.raises(RingError):
+            cls(*wrong)
 
 
 def _python_floor() -> tuple[int, int]:

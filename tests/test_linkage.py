@@ -246,6 +246,26 @@ def test_closed_link_of_matches_the_inline_double_colon():
     assert {"linked", "improper-a", "improper-b", "not-regular"} <= seen
 
 
+def test_closed_link_of_reads_repeated_colons_off_the_core(monkeypatch):
+    # link_of(a, I, M, close=True) takes b = T : a and a' = T : b over the
+    # core T = I + J, and check_linked takes T : a' and T : b again; here
+    # a' = b = (x, y, z), so both are read off T, and the three colon runs
+    # left are T : a, T : b and the intersection's (five before colons were
+    # kept on the dividend)
+    calls = []
+    real = groebner._colon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_colon", counted)
+    ctx = ring("x", "y", "z")
+    cert = link_of(I_of(ctx, "x", "z"), I_of(ctx, "x", "y"), R_mod(ctx, "x*y - z^2"), close=True)
+    assert cert.selflinked and cert.as_json()["b"] == ["z", "y", "x"]
+    assert len(calls) == 3
+
+
 def test_open_link_of_refuses_as_check_linked_does():
     # without close, link_of certifies (a, (I+J) : a) and nothing else: its
     # answer is check_linked's on that unclosed pair, reason for reason, and
@@ -649,8 +669,10 @@ def test_engine_runs_are_pinned(monkeypatch):
     # comments were made by the route that read each variable step off a
     # reverse-lex basis of its own, before it by the route that took every
     # step's colon and sum off one syzygy run, and before that by the route
-    # that took each step's colon, then the sum's own basis.  A change to
-    # any of these must update them.
+    # that took each step's colon, then the sum's own basis.  The sampler's
+    # count fell when colons were kept on the dividend, so check_linked
+    # reads the colons link_of took.  A change to any of these must update
+    # them.
     runs = []
     real = groebner._buchberger
 
@@ -670,5 +692,5 @@ def test_engine_runs_are_pinned(monkeypatch):
     ctx = ring("x", "y", "z")
     gens, count, seed, expected = PINNED_DRAWS[1]
     got = list(random_linked_pairs(R_mod(ctx, *gens), GenParams(count=count, maxdeg=2), seed=seed))
-    assert len(runs) == 50  # was 54, and 121 before
+    assert len(runs) == 45  # was 50, 54, and 121 before
     assert [cert.as_json() for cert in got] == expected
