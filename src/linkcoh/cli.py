@@ -19,8 +19,8 @@ Exit codes: 0 the computation ran (negative verdicts included), 1 usage
 or input error, 2 resource budget tripped.  The global `--max-spairs`
 and `--timeout-soft` flags go before the subcommand and bound every
 Groebner computation of the invocation; the soft deadline also bounds the
-monomial kernels, the Stanley-Reisner depth scan, the associated-prime
-scan and the irreducible decomposition (README lists every check point).
+monomial kernels, the Stanley-Reisner depth scan and the irreducible
+decomposition (README lists every check point).
 """
 
 from __future__ import annotations

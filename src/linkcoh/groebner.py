@@ -1048,9 +1048,12 @@ def regular_steps(
     variable after a skipped one starts a new run, from the sum's cached
     basis or its generators.
 
-    Any other step takes the colon (`_colon_step`).
+    Any other step takes the colon (`_colon_step`).  An element from
+    another ring is refused before any step.
     """
     ctx, n = I.ctx, I.ctx.n
+    if any(f.ctx != ctx for f in seq):
+        raise RingError("mixed ring contexts")
     Q, G, order, kept, count = I, None, (), set(), 0
     for i, f in enumerate(seq):
         steps = Q._steps

@@ -21,19 +21,16 @@ block builder; `hom_annihilator` takes its annihilator as one more colon on
 N, and Ann N (a = 0) and `ass_member` (a = p) read it.  Hom is never
 presented: Ass Hom(R/a, N) = V(a) meet Ass N for every finite N
 (Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise 1.2.27), so `ass_member`
-on N answers for Hom too.  `module_ass` answers the self-dual Ext of
-monomial a and J, which records (a + J, J) as its `hom_pair`, with
+on N answers for Hom too.  `module_ass` answers only the self-dual Ext
+of monomial a and J, which records (a + J, J) as its `hom_pair`, with
 `monomial.hom_ass` off Z^n-degree classes and no engine run; l1 calls
-that kernel itself and builds no presentation.  Any other multigraded
-module is scanned, testing only the candidates over Ann N that are not
-minimal over it: the minimal primes of Supp N lie in Ass N (Matsumura,
-*Commutative Ring Theory*, Thm 6.5), and are read off the vertex covers
-of the monomial Ann N.  `koszul_grade` makes one syzygy run
-per level it reads, giving that level's cycles and the boundaries below,
-and compares the two reduced bases; the image, which gives the boundaries,
-is finished only when a further level compares it, so the last level
-searched reads its cycles alone.  Every regular sequence grows in one
-routine, `regular_chain`, which returns the ideal base + (seq) it built.
+that kernel itself and builds no presentation.  `koszul_grade` makes one
+syzygy run per level it reads, giving that level's cycles and the
+boundaries below, and compares the two reduced bases; the image, which
+gives the boundaries, is finished only when a further level compares it,
+so the last level searched reads its cycles alone.  Every regular
+sequence grows in one routine, `regular_chain`, which returns the ideal
+base + (seq) it built.
 Its steps are one walk of `groebner.regular_steps`, which keeps each
 outcome, the next sum Q + (f) or None, on Q, so a chain grown again from
 the same base reads it.  A run of variables over a homogeneous sum not
@@ -72,7 +69,6 @@ from .groebner import (
     _block_diagonal,
     _colon,
     _syzygies,
-    check_deadline,
     engine_runs,
     ideal_block,
     ideal_sum,
@@ -91,14 +87,13 @@ from .monomial import (
     MonomialIdeal,
     MonomialPrime,
     PrimeSet,
-    all_monomial_primes,
     as_monomial,
     hom_ass,
     min_assh_dim,
     mono_sum,
 )
 from .simplicial import depth_monomial, log
-from .ring import Polynomial, RingCtx, RingError, mono_mask, mono_one
+from .ring import Polynomial, RingCtx, RingError, mono_one
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -135,23 +130,17 @@ def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec
 class FPModule:
     """Cokernel of a map into a free module, held by its relation vectors.
 
-    The module is R^rank / <relations>; a zero rank is the zero module.
-    `multigraded` is a promise made by the constructor that the module admits
-    a fine Z^n-grading, which is what lets associated primes be found among
-    the monomial primes.  `hom_pair` is (A, T) when the module is
+    The module is R^rank / <relations>; a zero rank is the zero module, and
+    a negative rank is refused.  `hom_pair` is (A, T) when the module is
     Hom_{R/T}(A/T, R/A) for monomial T ⊆ A by construction, as
     `ext1_selfdual` records it, and None otherwise.
     """
 
-    __slots__ = ("ctx", "rank", "relations", "multigraded", "hom_pair", "_gb", "_table")
+    __slots__ = ("ctx", "rank", "relations", "hom_pair", "_gb", "_table")
 
-    def __init__(
-        self,
-        ctx: RingCtx,
-        rank: int,
-        relations: Iterable[Vec] = (),
-        multigraded: bool = False,
-    ) -> None:
+    def __init__(self, ctx: RingCtx, rank: int, relations: Iterable[Vec] = ()) -> None:
+        if rank < 0:
+            raise RingError(f"a free module has a nonnegative rank, not {rank}")
         self.ctx = ctx
         self.rank = rank
         kept = []
@@ -161,7 +150,6 @@ class FPModule:
             if not vec_is_zero(v):
                 kept.append(v)
         self.relations: tuple[Vec, ...] = tuple(kept)
-        self.multigraded = multigraded
         self.hom_pair: tuple[MonomialIdeal, MonomialIdeal] | None = None
         self._gb: list[Vec] | None = None
         self._table: ReducerTable | None = None
@@ -182,9 +170,9 @@ class FPModule:
         return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
 
 
-def _presented_by(ctx: RingCtx, rank: int, basis: list[Vec], multigraded: bool) -> FPModule:
+def _presented_by(ctx: RingCtx, rank: int, basis: list[Vec]) -> FPModule:
     """R^rank / <basis> for a reduced basis, kept as the relation basis."""
-    N = FPModule(ctx, rank, basis, multigraded)
+    N = FPModule(ctx, rank, basis)
     N._gb = basis
     return N
 
@@ -199,15 +187,16 @@ def _nonzero_forms(gens: Iterable[Vec], N: FPModule) -> list[Vec]:
     return list(seen)
 
 
-def present_subquotient(gens: Sequence[Vec], N: FPModule, multigraded: bool = False) -> FPModule:
+def present_subquotient(gens: Sequence[Vec], N: FPModule) -> FPModule:
     """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
     by generators and fresh syzygies; divides by N's cached relation basis
-    and takes the syzygies modulo it, keeping their reduced basis as its own."""
+    and takes the syzygies modulo it, keeping their reduced basis as its own.
+    It records no `hom_pair`."""
     kept = _nonzero_forms(gens, N)
     if not kept:
-        return FPModule(N.ctx, 0, (), multigraded)
+        return FPModule(N.ctx, 0)
     rels = submodule_syzygies(kept, N.rel_gb())
-    return _presented_by(N.ctx, len(kept), rels, multigraded)
+    return _presented_by(N.ctx, len(kept), rels)
 
 
 def _hom_kernel(a: Ideal, N: FPModule) -> list[Vec]:
@@ -246,38 +235,15 @@ def ass_member(p: MonomialPrime, N: FPModule) -> bool:
 
 
 def module_ass(N: FPModule) -> PrimeSet:
-    """All associated primes of a multigraded N.
-
-    A module that records its monomial pair (A, T) (`FPModule.hom_pair`)
-    is Hom_{R/T}(A/T, R/A), answered by `monomial.hom_ass` off Z^n-degree
-    classes with no engine run.  Any other is scanned over Ann N.  Ann N
-    of a multigraded N is a monomial ideal, and its minimal primes, the
-    minimal primes of Supp N, are associated (Matsumura, *Commutative Ring
-    Theory*, Thm 6.5): they are read off its vertex covers (`min_assh_dim`)
-    and take no test.  Any other candidate over Ann N takes `ass_member`.
-    The zero module (Ann N = R) has none.  The soft deadline is checked
-    once per candidate: a candidate outside the support starts no engine
-    run, so nothing else would check it."""
-    if not N.multigraded:
-        raise RingError("associated-prime scan needs a multigraded module")
-    if N.hom_pair is not None:
-        return hom_ass(*N.hom_pair)
-    ann = hom_annihilator(Ideal.zero(N.ctx), N)
-    mono = as_monomial(ann)
-    if mono is None:
-        raise RingError("associated-prime scan met a non-monomial annihilator")
-    if mono.is_unit():
-        return PrimeSet()
-    minimal = min_assh_dim(mono).min_primes
-    supports = [mono_mask(g) for g in mono.min_gens]
-    found = []
-    for p in all_monomial_primes(N.ctx):
-        check_deadline("associated-prime scan")
-        # Ass lies inside the support, i.e. over V(Ann) (p meets the support
-        # of every generator), and holds its minimal primes
-        if p in minimal or (all(s & p.mask for s in supports) and ass_member(p, N)):
-            found.append(p)
-    return PrimeSet(found)
+    """All associated primes of a module that records its monomial pair
+    (A, T) (`FPModule.hom_pair`): it is Hom_{R/T}(A/T, R/A), answered by
+    `monomial.hom_ass` off Z^n-degree classes with no engine run.  Any other
+    module is refused; `ass_member` tests one prime of it."""
+    if N.hom_pair is None:
+        raise RingError(
+            "module_ass answers the self-dual Ext of monomial a and J; this module records no pair"
+        )
+    return hom_ass(*N.hom_pair)
 
 
 def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
@@ -291,7 +257,8 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
     syzygy among those generators over R'.  For monomial a and J (read
     through `as_monomial`, so generators that are not terms count too) the
     module records (A, T) = (a + J, J) as its `hom_pair`, from which
-    `module_ass` reads its associated primes.
+    `module_ass` reads its associated primes; any other a and J record
+    none, and `module_ass` refuses their Ext.
     """
     if a.ctx != J.ctx:
         raise RingError("ideals live in different rings")
@@ -303,15 +270,14 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
     syz = submodule_syzygies([(p,) for p in a.gens], [(h,) for h in reduced_gb(J)])
     mono_a = as_monomial(a)
     mono_J = None if mono_a is None else as_monomial(J)
-    graded = mono_J is not None
     if not syz:
         kernel = [unit_vec(ctx, t, i) for i in range(t)]
     else:
         s = len(syz)
         columns = [tuple(syz[i][j] for i in range(s)) for j in range(t)]
         kernel = submodule_syzygies(columns, ideal_block(aJ, s))
-    N = present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t), False), graded)
-    if graded:
+    N = present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t)))
+    if mono_J is not None:
         N.hom_pair = (mono_sum(mono_a, mono_J), mono_J)
     return N
 
@@ -590,7 +556,7 @@ class CyclicModule:
         return depth == dim
 
     def to_fp(self) -> FPModule:
-        return _presented_by(self.ctx, 1, ideal_block(self.ideal, 1), self.monomial is not None)
+        return _presented_by(self.ctx, 1, ideal_block(self.ideal, 1))
 
     def describe(self) -> str:
         if self.ideal.is_zero_ideal():

@@ -536,8 +536,11 @@ def hom_ass(A: MonomialIdeal, T: MonomialIdeal) -> PrimeSet:
     and j in S (at its last end) when C dies in the next class.  Cells are
     scanned from the top down, so the cells above one are read from a memo;
     those with no live generator are skipped, and the soft deadline is
-    checked once per cell scanned.
+    checked once per cell scanned.  A and T from different rings are
+    refused.
     """
+    if A.ctx != T.ctx:
+        raise RingError("ideals live in different rings")
     if not mono_contains(A, T):
         raise RingError("Hom_{R/T}(A/T, R/A) needs T inside A")
     if not A.is_proper():

@@ -31,8 +31,9 @@ the tests can compare, and share with those no more than noted:
   `modules.hom_annihilator` and `ass_member` take one colon on N's own
   relation basis over the generators of Hom.
 - `module_ass_scan` tests every monomial prime over Ann N with
-  `modules.ass_member`, where `modules.module_ass` counts the minimal
-  primes of Ann N as associated without a test.
+  `modules.ass_member`, where `modules.module_ass` reads the monomial pair
+  an Ext records off Z^n-degree classes (`monomial.hom_ass`) and refuses
+  any other module.
 - `primes_from_ass` reads Min, Assh, dim and height of R/I off the
   associated primes of the irreducible decomposition, where
   `monomial.min_assh_dim` reads them off the minimal vertex covers.
@@ -376,7 +377,7 @@ def _is_zero_module(N: FPModule) -> bool:
 
 def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     """Hom(R/a, N), presented as the submodule of N that a kills."""
-    return present_subquotient(_hom_kernel(a, N), N, N.multigraded and as_monomial(a) is not None)
+    return present_subquotient(_hom_kernel(a, N), N)
 
 
 def presented_annihilator(H: FPModule) -> Ideal:

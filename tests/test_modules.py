@@ -711,6 +711,23 @@ def test_variable_steps_at_the_edges_of_their_route(monkeypatch):
     assert regular_chain([b, c], J) is S and runs == []
 
 
+def test_regular_steps_refuse_an_element_from_another_ring():
+    # over a homogeneous J not given by terms a variable would take the
+    # run route, which reads exponents against J's four variables; e of
+    # Q[a..e] and p of Q[p, q, r, s] are refused before any step, after a
+    # variable of J's own ring too
+    ctx = ring("a", "b", "c", "d")
+    J = I_of(ctx, "a*c - b*d", "a*d - b*c")
+    for other, name in ((ring("a", "b", "c", "d", "e"), "e"), (ring("p", "q", "r", "s"), "p")):
+        f = Polynomial.variable(other, name)
+        for seq in ([f], [P(ctx, "a"), f]):
+            with pytest.raises(RingError, match="^mixed ring contexts$"):
+                groebner.regular_steps(J, seq)
+    assert J._steps is None
+    with pytest.raises(RingError, match="^mixed ring contexts$"):
+        is_regular_sequence([Polynomial.variable(ring("p", "q", "r", "s"), "p")], J)
+
+
 def test_mixed_chains_share_one_run_per_run_of_variables(monkeypatch):
     # over J = (a*d - b*c) a run of variables is decided off one basis under
     # its moved order, and the run's last sum keeps its degrevlex basis, so a
@@ -786,10 +803,20 @@ def test_annihilator_of_cyclic_and_zero():
     ctx = ring("x", "y")
     M = CyclicModule(ctx, I_of(ctx, "x^2", "x*y")).to_fp()
     assert ideal_equal(hom_annihilator(Ideal.zero(ctx), M), I_of(ctx, "x^2", "x*y"))
-    zero_mod = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)], multigraded=True)
+    zero_mod = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)])
     assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), zero_mod))
     free = CyclicModule.full_ring(ctx).to_fp()
     assert hom_annihilator(Ideal.zero(ctx), free).is_zero_ideal()
+
+
+def test_fp_module_refuses_a_negative_rank():
+    # R^-2 is no module; it would read as the zero module, with the unit
+    # annihilator and no associated prime
+    ctx = ring("x", "y")
+    for rank in (-1, -2):
+        with pytest.raises(RingError, match="nonnegative rank"):
+            FPModule(ctx, rank)
+    assert FPModule(ctx, 0).relations == ()
 
 
 def _small_poly(rng, ctx):
@@ -856,7 +883,8 @@ def test_ass_member_refuses_a_variable_outside_the_ring():
 def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     # a cyclic module keeps its ideal's reduced basis as its relation basis,
     # and Ext keeps the reduced basis of the fresh syzygies presenting it,
-    # so module_gb is never reached on either
+    # so module_gb is never reached on either: the cyclic one through the
+    # scan's ass_member tests, the Ext through module_ass
     inputs: list[tuple] = []
     real = modules.module_gb
 
@@ -867,7 +895,7 @@ def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     monkeypatch.setattr(modules, "module_gb", record)
     ctx = ring("x", "y", "z")
     M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
-    assert module_ass(M.to_fp()) == associated_primes(M.monomial)
+    assert module_ass_scan(M.to_fp()) == associated_primes(M.monomial)
     assert inputs == []
     E = ext1_selfdual(I_of(ctx, "x*y", "z^2"), I_of(ctx, "x^2", "y*z"))
     assert module_ass(E) == PrimeSet([MonomialPrime((0, 2)), MonomialPrime((0, 1, 2))])
@@ -997,72 +1025,6 @@ def test_hom_outside_the_prime_starts_no_engine_run(monkeypatch):
     assert runs[0] == 0
 
 
-def test_module_ass_matches_the_full_scan():
-    # the minimal primes of Ann N counted without a test, against testing
-    # every prime over Ann N, on multigraded Ext modules of monomial a and J
-    # over 2-4 variables, the zero module (Ann N = R) and free R (Ann N = 0)
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
-    terms = _small_ideals(st)
-    kinds = set()
-
-    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=60)
-    @hyp.given(st.data())
-    def check(data):
-        ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
-        kind = data.draw(st.sampled_from(["ext", "ext", "ext", "zero", "free"]))
-        if kind == "zero":
-            N = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)], multigraded=True)
-        elif kind == "free":
-            N = CyclicModule.full_ring(ctx).to_fp()
-        else:
-            try:
-                N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
-            except ImproperIdealError:
-                hyp.assume(False)
-            N.hom_pair = None  # the scan route, not the degree-class kernel
-        ann = hom_annihilator(Ideal.zero(ctx), N)
-        kinds.add("unit" if is_unit_ideal(ann) else "zero" if ann.is_zero_ideal() else kind)
-        assert module_ass(N) == module_ass_scan(N)
-
-    check()
-    assert kinds == {"ext", "unit", "zero"}
-
-
-def test_module_ass_of_m_primary_annihilator_tests_no_prime(monkeypatch):
-    # Ann N is m-primary, so Supp N = {m} = Min: Ass N = {m} with no test;
-    # the Ext's record is dropped, so the scan route answers
-    ctx = ring("x", "y", "z")
-    N = ext1_selfdual(I_of(ctx, "z^2", "y*z"), I_of(ctx, "x", "y^2"))
-    N.hom_pair = None
-    calls = []
-    real = modules.ass_member
-    monkeypatch.setattr(modules, "ass_member", lambda p, M: calls.append(p) or real(p, M))
-    assert module_ass(N) == PrimeSet([MonomialPrime((0, 1, 2))])
-    assert calls == []
-
-
-def test_associated_prime_scan_honours_soft_timeout():
-    # a candidate outside the support starts no engine run, so the scan checks
-    # the deadline itself, once per candidate; R^1 needs no S-pair before it
-    ctx = ring("x", "y", "z")
-    with set_limits(soft_timeout=-1):
-        with pytest.raises(BudgetExceeded) as trip:
-            module_ass(FPModule(ctx, 1, (), multigraded=True))
-    assert trip.value.what == "associated-prime scan"
-
-
-def test_module_ass_requires_multigraded():
-    ctx = ring("x", "y")
-    N = FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)], multigraded=False)
-    with pytest.raises(RingError):
-        module_ass(N)
-    # a module wrongly promised multigraded shows it by its annihilator
-    N = FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)], multigraded=True)
-    with pytest.raises(RingError, match="non-monomial annihilator"):
-        module_ass(N)
-
-
 def test_ext_selfdual_vanishing_split_base():
     # over R' = Q[x,y]/(xy) with a = (x): Ext^1(R'/a, R'/a) = 0
     ctx = ring("x", "y")
@@ -1072,12 +1034,13 @@ def test_ext_selfdual_vanishing_split_base():
 
 
 def test_zero_ext_keeps_its_grading():
-    # Ext over the zero ideal is the zero module, still multigraded, so the
-    # associated-prime scan reads it as (x) over R/(x) does
+    # Ext over the zero ideal is the zero module, still recording its
+    # monomial pair, so module_ass reads it as (x) over R/(x) does
     ctx = ring("x", "y")
     for a, J in [(Ideal.zero(ctx), I_of(ctx, "x*y")), (I_of(ctx, "x"), I_of(ctx, "x"))]:
         E = ext1_selfdual(a, J)
-        assert (E.rank, E.multigraded) == (0, True)
+        assert E.rank == 0
+        assert E.hom_pair == (monomial.as_monomial(ideal_sum(a, J)), monomial.as_monomial(J))
         assert module_ass(E) == PrimeSet()
 
 
@@ -1155,12 +1118,11 @@ def test_ext_records_its_monomial_pair_through_as_monomial(monkeypatch):
 
 
 def test_non_monomial_ext_keeps_its_refusal():
-    # a by a binomial: the Ext is not multigraded and records no pair, so
-    # module_ass refuses it as before
+    # a by a binomial: the Ext records no pair, so module_ass refuses it
     ctx = ring("x", "y", "z")
     N = ext1_selfdual(I_of(ctx, "x + y"), I_of(ctx, "x*y"))
-    assert N.hom_pair is None and not N.multigraded
-    with pytest.raises(RingError, match="needs a multigraded module"):
+    assert N.hom_pair is None
+    with pytest.raises(RingError, match="self-dual Ext of monomial a and J"):
         module_ass(N)
 
 
@@ -1174,21 +1136,22 @@ def test_zero_ext_answers_the_empty_set_from_its_record():
         assert monomial.hom_ass(A, T) == PrimeSet() == module_ass(N) == module_ass_scan(N)
 
 
-def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
-    # no record: R^2 / (x*e_1, x^2*e_2, x*y*e_2) is scanned, and its one
-    # candidate not minimal over Ann N = (x^2, x*y), (x, y), takes ass_member
+def test_module_ass_refuses_a_module_without_its_pair():
+    # R/(xy) and R^2 / (x*e_1, x^2*e_2, x*y*e_2) are graded but record no
+    # monomial pair: module_ass refuses both before any engine run, and
+    # the scan, which tests each prime over Ann N, answers them
     ctx = ring("x", "y")
     z = Polynomial.zero(ctx)
-    N = FPModule(
-        ctx, 2, [(P(ctx, "x"), z), (z, P(ctx, "x^2")), (z, P(ctx, "x*y"))], multigraded=True
-    )
-    assert N.hom_pair is None
-    calls = []
-    real = modules.ass_member
-    monkeypatch.setattr(modules, "ass_member", lambda p, M: calls.append(p) or real(p, M))
-    assert module_ass(N) == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
-    assert calls == [MonomialPrime((0, 1))]
-    assert module_ass(N) == module_ass_scan(N)
+    cyclic = CyclicModule(ctx, I_of(ctx, "x*y")).to_fp()
+    hand = FPModule(ctx, 2, [(P(ctx, "x"), z), (z, P(ctx, "x^2")), (z, P(ctx, "x*y"))])
+    for N in (cyclic, hand):
+        assert N.hom_pair is None
+        before = groebner.engine_runs()
+        with pytest.raises(RingError, match="self-dual Ext of monomial a and J"):
+            module_ass(N)
+        assert groebner.engine_runs() == before
+    assert module_ass_scan(cyclic) == PrimeSet([MonomialPrime((0,)), MonomialPrime((1,))])
+    assert module_ass_scan(hand) == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
 
 
 def test_wide_ext_takes_no_engine_run_in_module_ass():

@@ -318,6 +318,16 @@ def test_hom_ass_hand_cases_and_refusals(ctx):
         hom_ass(MI(ctx, "1"), MI(ctx, "x"))
 
 
+def test_hom_ass_refuses_ideals_from_different_rings():
+    # (x^2) of Q[x, y, z] would pass as inside (x, y) of Q[x, y], its
+    # exponents read against two variables
+    small, big = ring("x", "y"), ring("x", "y", "z")
+    with pytest.raises(RingError, match="^ideals live in different rings$"):
+        hom_ass(MI(small, "x", "y"), MI(big, "x^2"))
+    with pytest.raises(RingError, match="^ideals live in different rings$"):
+        hom_ass(MI(big, "x", "y"), MI(small, "x^2"))
+
+
 def test_hom_ass_moves_with_the_variables_property():
     # a permutation of the variables moves the primes of Hom_{R/T}(A/T, R/A)
     # by the same permutation; x_j -> x_j^(k_j) with k in {1, 2, 3}^n is flat
