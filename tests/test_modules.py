@@ -20,6 +20,7 @@ from engine_routes import (
     engine_quotient,
     rabinowitsch_is_maximal,
 )
+import oracles
 from oracles import (
     ass_member_presented,
     hom_cyclic,
@@ -1136,22 +1137,41 @@ def test_zero_ext_answers_the_empty_set_from_its_record():
         assert monomial.hom_ass(A, T) == PrimeSet() == module_ass(N) == module_ass_scan(N)
 
 
-def test_module_ass_refuses_a_module_without_its_pair():
-    # R/(xy) and R^2 / (x*e_1, x^2*e_2, x*y*e_2) are graded but record no
-    # monomial pair: module_ass refuses both before any engine run, and
-    # the scan, which tests each prime over Ann N, answers them
+def test_module_ass_requires_multigraded():
+    # module_ass answers only a module that records its monomial pair:
+    # R/(x^2 + y) and R/(xy), presented with no record, are refused before
+    # any engine run
     ctx = ring("x", "y")
-    z = Polynomial.zero(ctx)
-    cyclic = CyclicModule(ctx, I_of(ctx, "x*y")).to_fp()
-    hand = FPModule(ctx, 2, [(P(ctx, "x"), z), (z, P(ctx, "x^2")), (z, P(ctx, "x*y"))])
-    for N in (cyclic, hand):
+    for N in (
+        FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)]),
+        CyclicModule(ctx, I_of(ctx, "x*y")).to_fp(),
+    ):
         assert N.hom_pair is None
         before = groebner.engine_runs()
         with pytest.raises(RingError, match="self-dual Ext of monomial a and J"):
             module_ass(N)
         assert groebner.engine_runs() == before
-    assert module_ass_scan(cyclic) == PrimeSet([MonomialPrime((0,)), MonomialPrime((1,))])
-    assert module_ass_scan(hand) == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
+    assert module_ass_scan(CyclicModule(ctx, I_of(ctx, "x*y")).to_fp()) == PrimeSet(
+        [MonomialPrime((0,)), MonomialPrime((1,))]
+    )
+
+
+def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
+    # no record: R^2 / (x*e_1, x^2*e_2, x*y*e_2) is refused by module_ass,
+    # and the scan tests each prime over Ann N = (x^2, x*y) by ass_member
+    ctx = ring("x", "y")
+    z = Polynomial.zero(ctx)
+    N = FPModule(ctx, 2, [(P(ctx, "x"), z), (z, P(ctx, "x^2")), (z, P(ctx, "x*y"))])
+    assert N.hom_pair is None
+    before = groebner.engine_runs()
+    with pytest.raises(RingError, match="self-dual Ext of monomial a and J"):
+        module_ass(N)
+    assert groebner.engine_runs() == before
+    calls = []
+    real = oracles.ass_member
+    monkeypatch.setattr(oracles, "ass_member", lambda p, M: calls.append(p) or real(p, M))
+    assert module_ass_scan(N) == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
+    assert sorted(calls) == sorted([MonomialPrime((0,)), MonomialPrime((0, 1))])
 
 
 def test_wide_ext_takes_no_engine_run_in_module_ass():
