@@ -78,14 +78,16 @@ normal strategy.  Every remainder goes through one division kernel
 (`_reduce`).  Outside Buchberger a division is `_table` (a basis's
 reducers, packed once per width asked for) and `_divide` (one remainder,
 widened as a run is).  Only this module knows the vector encoding and the
-packing: `modules.py` calls `module_gb`, `module_table`, `module_reduce`,
-`_syzygies`, `_block_diagonal` and `_colon`.
+packing: `modules.py` calls `module_gb`, `module_table`, `module_reduce`
+and `_syzygies`.
 
 Every colon is one syzygy run (`_colon`): for N in R^r and vectors
 u_1..u_k, N : (u_1..u_k) is the a with a*(u_1|..|u_k) in k block-diagonal
-copies of N.  `ideal_quotient` is the case r = 1, the annihilator
-`hom_annihilator(0, N)` u_j = e_j, and a non-monomial `ideal_intersect`
-(I*e1 + J*e2) : (1, 1) in R^2.  Saturation and radical membership use the
+copies of N.  `ideal_quotient` is the case r = 1, and over R/J the
+annihilator of Hom(R/a, R/J) = (J : a)/J is two of them,
+J : (J : a) (`modules.hom_annihilator`); a non-monomial `ideal_intersect`
+is (I*e1 + J*e2) : (1, 1) in R^2.  The rank-r annihilator, u_j = e_j, is
+the test reference's (`tests/oracles.py`).  Saturation and radical membership use the
 Rabinowitsch tag variable; `radical_member` asks `ideal_member` first, since
 f in I puts f in the radical, and otherwise asks `is_unit_ideal` of the
 tagged ideal, so it reaches the engine only through that unit test.

@@ -11,24 +11,27 @@ textbook module elimination.
 
 Modules run on the one Groebner engine of `groebner.py`, which alone knows
 how a vector is encoded for it; this module calls only its vector-level
-operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`,
-`_block_diagonal`, `_colon`).  `FPModule` tables its relation basis once,
-and a module presented by a reduced basis its maker holds keeps it as that
-basis, so `module_gb` never runs on it: an ideal's (`CyclicModule.to_fp`,
-the Ext ambient) or a subquotient's syzygies (Ext).  Hom(R/a, N), the
-submodule of N that a kills, is generated by one syzygy run on the colon's
-block builder; `hom_annihilator` takes its annihilator as one more colon on
-N, and Ann N (a = 0) and `ass_member` (a = p) read it.  Hom is never
-presented: Ass Hom(R/a, N) = V(a) meet Ass N for every finite N
-(Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise 1.2.27), so `ass_member`
-on N answers for Hom too.  `module_ass` answers only the self-dual Ext
-of monomial a and J, which records (a + J, J) as its `hom_pair`, with
-`monomial.hom_ass` off Z^n-degree classes and no engine run; l1 calls
-that kernel itself and builds no presentation.  `koszul_grade` makes one
-syzygy run per level it reads, giving that level's cycles and the
-boundaries below, and compares the two reduced bases; the image, which
-gives the boundaries, is finished only when a further level compares it,
-so the last level searched reads its cycles alone.  Every regular
+operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`).
+`FPModule` tables its relation basis once, and a module presented by a
+reduced basis its maker holds keeps it as that basis, so `module_gb` never
+runs on it: an ideal's (the Ext ambient) or a subquotient's syzygies
+(Ext).  A relation or an element from another ring is refused.  Over a
+cyclic M = R/J, Hom(R/a, R/J) is (J : a)/J, so `hom_annihilator` is the
+ideal colon J : (J : a), two `ideal_quotient` calls that J and a given by
+terms answer by divisibility; Ann R/J (a = 0) is J, and `ass_member`
+(a = p) reads it.  Hom is never presented: Ass Hom(R/a, N) = V(a) meet
+Ass N for every finite N (Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise
+1.2.27), so `ass_member` on R/J answers for Hom too.  The rank-r route,
+Hom(R/a, N) by one syzygy run and its annihilator by one colon on N's
+relation basis, is the test reference (`tests/oracles.py`).  `module_ass`
+answers only the self-dual Ext of monomial a and J, which records
+(a + J, J) as its `hom_pair`, with `monomial.hom_ass` off Z^n-degree
+classes and no engine run; l1 calls that kernel itself and builds no
+presentation.  `koszul_grade` makes one syzygy run per level it reads,
+giving that level's cycles and the boundaries below, and compares the
+two reduced bases; the image, which gives the boundaries, is finished
+only when a further level compares it, so the last level searched reads
+its cycles alone.  Every regular
 sequence grows in one routine, `regular_chain`, which returns the ideal
 base + (seq) it built.
 Its steps are one walk of `groebner.regular_steps`, which keeps each
@@ -66,11 +69,10 @@ from .groebner import (
     Ideal,
     ReducerTable,
     Vec,
-    _block_diagonal,
-    _colon,
     _syzygies,
     engine_runs,
     ideal_block,
+    ideal_quotient,
     ideal_sum,
     is_proper,
     is_unit_ideal,
@@ -147,6 +149,8 @@ class FPModule:
         for v in relations:
             if len(v) != rank:
                 raise RingError("relation vector has the wrong rank")
+            if any(f.ctx != ctx for f in v):
+                raise RingError("relation vector lives in a different ring")
             if not vec_is_zero(v):
                 kept.append(v)
         self.relations: tuple[Vec, ...] = tuple(kept)
@@ -162,6 +166,8 @@ class FPModule:
     def nf(self, v: Vec) -> Vec:
         if len(v) != self.rank:
             raise RingError("element has the wrong rank")
+        if any(f.ctx != self.ctx for f in v):
+            raise RingError("element lives in a different ring")
         if self._table is None:
             self._table = module_table(self.rel_gb(), self.rank)
         return module_reduce(v, self._table)
@@ -199,46 +205,27 @@ def present_subquotient(gens: Sequence[Vec], N: FPModule) -> FPModule:
     return _presented_by(N.ctx, len(kept), rels)
 
 
-def _hom_kernel(a: Ideal, N: FPModule) -> list[Vec]:
-    """Vectors of R^r whose images generate Hom(R/a, N), the submodule of N
-    that a kills: for generators g_1..g_t of a, the syzygies of the stacked
-    vectors (g_1*e_j|..|g_t*e_j), j = 1..r, modulo t block-diagonal copies
-    of the relation basis, in one engine run; every e_j when a = 0."""
-    if a.ctx != N.ctx:
-        raise RingError("ideal and module live in different rings")
-    r = N.rank
-    if r == 0:
-        return []
-    if not a.gens:
-        return [unit_vec(N.ctx, r, j) for j in range(r)]
-    zero = Polynomial.zero(N.ctx)
-    columns = [tuple(f if k == j else zero for f in a.gens for k in range(r)) for j in range(r)]
-    return submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(a.gens)))
+def hom_annihilator(a: Ideal, M: CyclicModule) -> Ideal:
+    """Ann Hom(R/a, R/J) for M = R/J: Hom is (J : a)/J, so its annihilator
+    is the ideal colon J : (J : a), which comes back with its reduced
+    degrevlex basis cached.  J itself when a = 0, and the unit ideal when
+    Hom is zero (J : a = J)."""
+    J = M.ideal
+    return ideal_quotient(J, ideal_quotient(J, a))
 
 
-def hom_annihilator(a: Ideal, N: FPModule) -> Ideal:
-    """Ann Hom(R/a, N) without presenting Hom: the colon N : (u_1..u_k) over
-    the nonzero normal forms u_i of `_hom_kernel`, which generate Hom, in one
-    engine run seeded with N's relation basis; the answer comes back with its
-    reduced degrevlex basis cached.  The unit ideal when there are none."""
-    kept = _nonzero_forms(_hom_kernel(a, N), N)
-    if not kept:
-        return Ideal.unit(N.ctx)
-    return _colon(N.ctx, kept, N.rel_gb())
-
-
-def ass_member(p: MonomialPrime, N: FPModule) -> bool:
-    """Whether p is an associated prime of N: whether Hom(R/p, N), which p
-    kills, is nonzero after localizing at p, i.e. its annihilator lies in p.
-    A zero Hom has the unit annihilator, which lies in no prime."""
-    return all(p.contains_poly(f) for f in hom_annihilator(p.to_ideal(N.ctx), N).gens)
+def ass_member(p: MonomialPrime, M: CyclicModule) -> bool:
+    """Whether p is an associated prime of M = R/J: whether Hom(R/p, R/J),
+    which p kills, is nonzero after localizing at p, i.e. its annihilator
+    lies in p.  A zero Hom has the unit annihilator, which lies in no prime."""
+    return all(p.contains_poly(f) for f in hom_annihilator(p.to_ideal(M.ctx), M).gens)
 
 
 def module_ass(N: FPModule) -> PrimeSet:
     """All associated primes of a module that records its monomial pair
     (A, T) (`FPModule.hom_pair`): it is Hom_{R/T}(A/T, R/A), answered by
     `monomial.hom_ass` off Z^n-degree classes with no engine run.  Any other
-    module is refused; `ass_member` tests one prime of it."""
+    module is refused."""
     if N.hom_pair is None:
         raise RingError(
             "module_ass answers the self-dual Ext of monomial a and J; this module records no pair"
@@ -554,9 +541,6 @@ class CyclicModule:
                 f" of variables is below dim R/J = {dim}, which the localization may not reach"
             )
         return depth == dim
-
-    def to_fp(self) -> FPModule:
-        return _presented_by(self.ctx, 1, ideal_block(self.ideal, 1))
 
     def describe(self) -> str:
         if self.ideal.is_zero_ideal():

@@ -357,13 +357,14 @@ TABLE: tuple[Op | Group, ...] = (
        (Operand("--seq", SEQUENCE, help="comma-separated elements, in order"), _MODULE),
        _doc_regseq, lambda doc: f"regular: {doc['regular']}"),
     Op("ann", "annihilator of R/J or of Hom(R/a, R/J)", (_MODULE_J, _HOM),
-       lambda M, hom: {"annihilator": _gens(hom_annihilator(hom, M.to_fp()))},
+       lambda M, hom: {"annihilator": _gens(hom_annihilator(hom, M))},
        _listed("annihilator", "annihilator")),
     Op("assmember", "associated-prime membership test", (_PRIME, _MODULE, _HOM),
        # Ass Hom(R/a, R/J) = V(a) meet Ass R/J, and Ass R/J lies in V(J), so an
-       # a or a J outside p starts no engine run
+       # a or a J outside p starts no engine run; else p is associated when
+       # J : (J : p) lies in p, two ideal colons
        lambda p, M, hom: {"prime": p.render(M.ctx), "member": all(
-           map(p.contains_poly, (*M.ideal.gens, *hom.gens))) and ass_member(p, M.to_fp())},
+           map(p.contains_poly, (*M.ideal.gens, *hom.gens))) and ass_member(p, M)},
        lambda doc: f"associated: {doc['member']}"),
     Group("linkage", "linkage of ideals over a cyclic module", (
         Op("check", "certify a ~ b through I over R/J",

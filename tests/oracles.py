@@ -24,14 +24,23 @@ the tests can compare, and share with those no more than noted:
   minimal prime of K through the colons K : m^N, one syzygy colon by m
   each, until the chain stops, where `invariants._minimal_over` saturates K
   by each variable through the Rabinowitsch tag.
+- `presented_cyclic` presents R/J as the rank-one module R^1 / J, with
+  J's reduced basis as its relation basis, for the routes below.
+- `hom_kernel` generates Hom(R/a, N), the submodule of a presented N
+  that a kills, by one syzygy run on the colon's block builder;
+  `fp_hom_annihilator` takes Ann Hom(R/a, N) as one more colon on N's own
+  relation basis over their nonzero normal forms, and `fp_ass_member`
+  reads p as associated when that annihilator for a = p lies in p.  This
+  is the rank-r route, where over a cyclic R/J `modules.hom_annihilator`
+  takes the ideal colon J : (J : a) and `modules.ass_member` reads it.
 - `hom_cyclic` presents Hom(R/a, N) as a module of its own, which the
   package never does, `presented_annihilator` is the colon of a module's
   relation basis by its unit vectors, and `ass_member_presented` decides an
   associated prime by presenting H = Hom(R/p, N) and taking Ann H so, where
-  `modules.hom_annihilator` and `ass_member` take one colon on N's own
+  `fp_hom_annihilator` and `fp_ass_member` take one colon on N's own
   relation basis over the generators of Hom.
 - `module_ass_scan` tests every monomial prime over Ann N with
-  `modules.ass_member`, where `modules.module_ass` reads the monomial pair
+  `fp_ass_member`, where `modules.module_ass` reads the monomial pair
   an Ext records off Z^n-degree classes (`monomial.hom_ass`) and refuses
   any other module.
 - `primes_from_ass` reads Min, Assh, dim and height of R/I off the
@@ -68,7 +77,10 @@ from typing import Iterable, Sequence
 
 from linkcoh.groebner import (
     Ideal,
+    Vec,
+    _block_diagonal,
     _colon,
+    ideal_block,
     ideal_equal,
     ideal_quotient,
     ideal_sum,
@@ -79,11 +91,11 @@ from linkcoh.groebner import (
 from linkcoh.modules import (
     CyclicModule,
     FPModule,
-    _hom_kernel,
-    ass_member,
-    hom_annihilator,
+    _nonzero_forms,
+    _presented_by,
     maximal_ideal,
     present_subquotient,
+    submodule_syzygies,
     unit_vec,
     vec_is_zero,
 )
@@ -375,9 +387,50 @@ def _is_zero_module(N: FPModule) -> bool:
     return all(vec_is_zero(N.nf(unit_vec(N.ctx, N.rank, j))) for j in range(N.rank))
 
 
+def presented_cyclic(M: CyclicModule) -> FPModule:
+    """R/J as the rank-one module R^1 / J, which keeps J's reduced basis as
+    its relation basis."""
+    return _presented_by(M.ctx, 1, ideal_block(M.ideal, 1))
+
+
+def hom_kernel(a: Ideal, N: FPModule) -> list[Vec]:
+    """Vectors of R^r whose images generate Hom(R/a, N), the submodule of N
+    that a kills: for generators g_1..g_t of a, the syzygies of the stacked
+    vectors (g_1*e_j|..|g_t*e_j), j = 1..r, modulo t block-diagonal copies
+    of the relation basis, in one engine run; every e_j when a = 0."""
+    if a.ctx != N.ctx:
+        raise RingError("ideal and module live in different rings")
+    r = N.rank
+    if r == 0:
+        return []
+    if not a.gens:
+        return [unit_vec(N.ctx, r, j) for j in range(r)]
+    zero = Polynomial.zero(N.ctx)
+    columns = [tuple(f if k == j else zero for f in a.gens for k in range(r)) for j in range(r)]
+    return submodule_syzygies(columns, _block_diagonal(N.rel_gb(), len(a.gens)))
+
+
+def fp_hom_annihilator(a: Ideal, N: FPModule) -> Ideal:
+    """Ann Hom(R/a, N) without presenting Hom: the colon N : (u_1..u_k) over
+    the nonzero normal forms u_i of `hom_kernel`, which generate Hom, in one
+    engine run seeded with N's relation basis; the answer comes back with its
+    reduced degrevlex basis cached.  The unit ideal when there are none."""
+    kept = _nonzero_forms(hom_kernel(a, N), N)
+    if not kept:
+        return Ideal.unit(N.ctx)
+    return _colon(N.ctx, kept, N.rel_gb())
+
+
+def fp_ass_member(p: MonomialPrime, N: FPModule) -> bool:
+    """Whether p is an associated prime of N: whether Hom(R/p, N), which p
+    kills, is nonzero after localizing at p, i.e. its annihilator lies in p.
+    A zero Hom has the unit annihilator, which lies in no prime."""
+    return all(p.contains_poly(f) for f in fp_hom_annihilator(p.to_ideal(N.ctx), N).gens)
+
+
 def hom_cyclic(a: Ideal, N: FPModule) -> FPModule:
     """Hom(R/a, N), presented as the submodule of N that a kills."""
-    return present_subquotient(_hom_kernel(a, N), N)
+    return present_subquotient(hom_kernel(a, N), N)
 
 
 def presented_annihilator(H: FPModule) -> Ideal:
@@ -405,11 +458,11 @@ def ass_member_presented(p: MonomialPrime, N: FPModule) -> bool:
 
 def module_ass_scan(N: FPModule) -> PrimeSet:
     """Ass N for a multigraded N: every monomial prime p over Ann N (Ass lies
-    inside the support) for which `ass_member(p, N)` holds."""
-    ann = hom_annihilator(Ideal.zero(N.ctx), N)
+    inside the support) for which `fp_ass_member(p, N)` holds."""
+    ann = fp_hom_annihilator(Ideal.zero(N.ctx), N)
     return PrimeSet(
         p for p in all_monomial_primes(N.ctx)
-        if all(p.contains_poly(f) for f in ann.gens) and ass_member(p, N)
+        if all(p.contains_poly(f) for f in ann.gens) and fp_ass_member(p, N)
     )
 
 

@@ -244,6 +244,22 @@ def test_assmember_outside_the_support_runs_no_syzygies(capsys, monkeypatch):
     assert doc["member"] is False
 
 
+@pytest.mark.parametrize("argv, summary, runs", [
+    (("ann", "--ring", "x,y,z", "--module", "x*y, x^2*z", "--hom", "x, y"), "annihilator: (y, x)", 0),
+    (("assmember", "--ring", "x,y", "--prime", "x", "--module", "x*y, x^2"), "associated: True", 0),
+    (("assmember", "--ring", "x,y", "--prime", "x,y", "--module", "x*y, x^2"), "associated: True", 0),
+    (("ann", "--ring", "a,b,c,d", "--module", "a*d - b*c", "--hom", "a, b"), "annihilator: (1)", 2),
+])
+def test_ann_and_assmember_over_terms_start_no_engine_run(capsys, argv, summary, runs):
+    # Ann Hom(R/a, R/J) is the ideal colon J : (J : a): J and a given by
+    # terms answer by divisibility, while the binomial J takes one run for
+    # its basis and one for J : a
+    before = groebner.engine_runs()
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, summary + "\n")
+    assert groebner.engine_runs() - before == runs
+
+
 @pytest.mark.parametrize("argv", [
     ("ann", "--ring", "x,y", "--module", "x^2, x*y"),
     ("ann", "--ring", "x,y", "--module", "x^2 - y"),

@@ -369,7 +369,7 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 # README's paragraph of names removed from the package, and a JSON key
 NOT_DEFINED = {
     "render_session", "dim_monomial", "module_ass_primes", "ideal_contains", "ideal_product",
-    "schema_version",
+    "schema_version", "to_fp",
 }
 
 

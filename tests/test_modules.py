@@ -23,10 +23,13 @@ from engine_routes import (
 import oracles
 from oracles import (
     ass_member_presented,
+    fp_ass_member,
+    fp_hom_annihilator,
     hom_cyclic,
     module_ass_scan,
     permute_exponents,
     presented_annihilator,
+    presented_cyclic,
     radical_is_maximal,
 )
 from linkcoh import cli, groebner, modules, monomial
@@ -791,22 +794,26 @@ def test_regseq_and_grade_log_their_route(caplog, capsys):
 # Hom, Ext, annihilators, Ass membership.
 
 def test_hom_cyclic_annihilators():
+    # Hom(R/(x), R/(xy)) = (y)/(xy) has annihilator (x), presented and as the
+    # ideal colon (xy) : ((xy) : x); Hom(R/(x), R) is zero
     ctx = ring("x", "y")
-    N = CyclicModule(ctx, I_of(ctx, "x*y")).to_fp()
-    H = hom_cyclic(I_of(ctx, "x"), N)
-    assert ideal_equal(hom_annihilator(Ideal.zero(ctx), H), I_of(ctx, "x"))
-    free = CyclicModule.full_ring(ctx).to_fp()
-    H0 = hom_cyclic(I_of(ctx, "x"), free)
-    assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), H0))
+    M = CyclicModule(ctx, I_of(ctx, "x*y"))
+    H = hom_cyclic(I_of(ctx, "x"), presented_cyclic(M))
+    assert ideal_equal(fp_hom_annihilator(Ideal.zero(ctx), H), I_of(ctx, "x"))
+    assert ideal_equal(hom_annihilator(I_of(ctx, "x"), M), I_of(ctx, "x"))
+    free = CyclicModule.full_ring(ctx)
+    H0 = hom_cyclic(I_of(ctx, "x"), presented_cyclic(free))
+    assert is_unit_ideal(fp_hom_annihilator(Ideal.zero(ctx), H0))
+    assert is_unit_ideal(hom_annihilator(I_of(ctx, "x"), free))
 
 
 def test_annihilator_of_cyclic_and_zero():
     ctx = ring("x", "y")
-    M = CyclicModule(ctx, I_of(ctx, "x^2", "x*y")).to_fp()
+    M = CyclicModule(ctx, I_of(ctx, "x^2", "x*y"))
     assert ideal_equal(hom_annihilator(Ideal.zero(ctx), M), I_of(ctx, "x^2", "x*y"))
     zero_mod = FPModule(ctx, 1, [(Polynomial.const(ctx, 1),)])
-    assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), zero_mod))
-    free = CyclicModule.full_ring(ctx).to_fp()
+    assert is_unit_ideal(fp_hom_annihilator(Ideal.zero(ctx), zero_mod))
+    free = CyclicModule.full_ring(ctx)
     assert hom_annihilator(Ideal.zero(ctx), free).is_zero_ideal()
 
 
@@ -818,6 +825,21 @@ def test_fp_module_refuses_a_negative_rank():
         with pytest.raises(RingError, match="nonnegative rank"):
             FPModule(ctx, rank)
     assert FPModule(ctx, 0).relations == ()
+
+
+def test_fp_module_refuses_a_relation_from_another_ring():
+    # a relation of Q[x,y,z] in a module over Q[x,y] was kept, and nf then
+    # read e_1 as zero; an element of another ring is refused by nf too
+    ctx, big = ring("x", "y"), ring("x", "y", "z")
+    z = Polynomial.zero(ctx)
+    for rank, relation in [(1, (P(big, "z^2"),)), (2, (P(ctx, "x"), P(big, "z")))]:
+        with pytest.raises(RingError, match="^relation vector lives in a different ring$"):
+            FPModule(ctx, rank, [relation])
+    N = FPModule(ctx, 2, [(P(ctx, "x^2"), z)])
+    for v in [(P(big, "z"), z), unit_vec(big, 2, 0)]:
+        with pytest.raises(RingError, match="^element lives in a different ring$"):
+            N.nf(v)
+    assert N.nf(unit_vec(ctx, 2, 0)) == unit_vec(ctx, 2, 0)
 
 
 def _small_poly(rng, ctx):
@@ -848,7 +870,7 @@ def test_annihilator_of_higher_rank_matches_joined_colons():
             continue
         if N.rank < 2:
             continue
-        ann = hom_annihilator(Ideal.zero(ctx), N)
+        ann = fp_hom_annihilator(Ideal.zero(ctx), N)
         joined = None
         for j in range(N.rank):
             tags = submodule_syzygies([unit_vec(ctx, N.rank, j)], N.rel_gb())
@@ -867,25 +889,24 @@ def test_ass_member_matches_associated_primes():
     for texts in [("x^2", "x*y"), ("x*y", "x*z", "y*z"), ("x^2", "y^3"), ()]:
         J = I_of(ctx, *texts) if texts else Ideal.zero(ctx)
         M = CyclicModule(ctx, J)
-        N = M.to_fp()
         expected = associated_primes(M.monomial)
         for p in all_monomial_primes(ctx):
-            assert ass_member(p, N) == (p in expected), (texts, p)
+            assert ass_member(p, M) == (p in expected), (texts, p)
 
 
 def test_ass_member_refuses_a_variable_outside_the_ring():
     ctx = ring("x", "y")
-    N = CyclicModule(ctx, I_of(ctx, "x")).to_fp()
+    M = CyclicModule(ctx, I_of(ctx, "x"))
     with pytest.raises(RingError, match="names variable index 5, outside a ring of 2"):
-        ass_member(MonomialPrime((0, 5)), N)
-    assert ass_member(MonomialPrime((0,)), N)
+        ass_member(MonomialPrime((0, 5)), M)
+    assert ass_member(MonomialPrime((0,)), M)
 
 
 def test_module_ass_computes_each_relation_basis_once(monkeypatch):
-    # a cyclic module keeps its ideal's reduced basis as its relation basis,
+    # R/J presented keeps its ideal's reduced basis as its relation basis,
     # and Ext keeps the reduced basis of the fresh syzygies presenting it,
     # so module_gb is never reached on either: the cyclic one through the
-    # scan's ass_member tests, the Ext through module_ass
+    # scan's fp_ass_member tests, the Ext through module_ass
     inputs: list[tuple] = []
     real = modules.module_gb
 
@@ -896,7 +917,7 @@ def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     monkeypatch.setattr(modules, "module_gb", record)
     ctx = ring("x", "y", "z")
     M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
-    assert module_ass_scan(M.to_fp()) == associated_primes(M.monomial)
+    assert module_ass_scan(presented_cyclic(M)) == associated_primes(M.monomial)
     assert inputs == []
     E = ext1_selfdual(I_of(ctx, "x*y", "z^2"), I_of(ctx, "x^2", "y*z"))
     assert module_ass(E) == PrimeSet([MonomialPrime((0, 2)), MonomialPrime((0, 1, 2))])
@@ -916,18 +937,21 @@ def _count_engine_runs(monkeypatch) -> list[int]:
 
 
 def test_ass_member_takes_one_colon_on_the_module_basis(monkeypatch):
-    # the cyclic module is presented by its ideal's cached basis, and each
-    # membership test is the kernel run of Hom plus one colon on that basis
+    # each membership test over R/J is the ideal colon J : (J : p): by
+    # divisibility with no engine run for J given by terms, and at most one
+    # run per colon for a binomial J, where it agrees with the presented route
     runs = _count_engine_runs(monkeypatch)
     ctx = ring("x", "y", "z")
     M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
-    N = M.to_fp()
-    assert N.rel_gb() == [(g,) for g in reduced_gb(M.ideal)]
-    assert runs[0] == 0
     for vars_, member in [((0, 1), True), ((0, 2), False), ((0, 1, 2), True), ((1,), False)]:
+        assert ass_member(MonomialPrime(vars_), M) is member
+    assert runs[0] == 0
+    M = CyclicModule(ctx, I_of(ctx, "x^2 - y*z", "x*y"))
+    for p in all_monomial_primes(ctx):
         runs[0] = 0
-        assert ass_member(MonomialPrime(vars_), N) is member
-        assert runs[0] <= 2, vars_
+        member = ass_member(p, M)
+        assert runs[0] <= 2, p
+        assert member == fp_ass_member(p, presented_cyclic(M)), p
 
 
 def _small_ideals(st):
@@ -951,9 +975,10 @@ def _small_ideals(st):
 
 
 def test_hom_annihilator_matches_the_presented_route():
-    # Ann Hom(R/a, N) as one colon on N against the annihilator of the
-    # presented Hom, and ass_member against the presented route, over cyclic
-    # R/J (monomial or binomial J) and self-dual Ext modules
+    # Ann Hom(R/a, R/J) as the ideal colon J : (J : a) against the
+    # annihilator of the presented Hom, and ass_member against the presented
+    # route, over R/J with J monomial or binomial; over self-dual Ext modules
+    # the rank-r route, one colon on N, against the same
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     terms = _small_ideals(st)
@@ -964,9 +989,11 @@ def test_hom_annihilator_matches_the_presented_route():
         ctx = ring(*"xyz"[: data.draw(st.integers(2, 3))])
         try:
             if data.draw(st.booleans()):
-                N = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans())))).to_fp()
+                M = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans()))))
+                N, annihilator, member = presented_cyclic(M), hom_annihilator, ass_member
             else:
                 N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
+                M, annihilator, member = N, fp_hom_annihilator, fp_ass_member
         except ImproperIdealError:
             hyp.assume(False)
         primes = all_monomial_primes(ctx)
@@ -974,9 +1001,9 @@ def test_hom_annihilator_matches_the_presented_route():
             st.sampled_from(primes).map(lambda p: p.to_ideal(ctx)),
             terms(ctx, True),
         ))
-        assert ideal_equal(hom_annihilator(a, N), presented_annihilator(hom_cyclic(a, N)))
+        assert ideal_equal(annihilator(a, M), presented_annihilator(hom_cyclic(a, N)))
         for p in primes:
-            assert ass_member(p, N) == ass_member_presented(p, N), p
+            assert member(p, M) == ass_member_presented(p, N), p
 
     check()
 
@@ -985,7 +1012,8 @@ def test_ass_of_hom_is_read_off_the_support():
     # Ass Hom(R/a, N) = V(a) meet Ass N: the containment a in p and ass_member
     # on N against presenting Hom(R/a, N), for every monomial prime p, over a
     # by terms or binomials, (0) and (1), and N cyclic (monomial or binomial
-    # J) or a self-dual Ext module; a cyclic N also through `assmember`
+    # J, through ass_member and `assmember`) or a self-dual Ext module
+    # (through fp_ass_member)
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     terms = _small_ideals(st)
@@ -998,7 +1026,7 @@ def test_ass_of_hom_is_read_off_the_support():
         try:
             if data.draw(st.booleans()):
                 M = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans()))))
-                N = M.to_fp()
+                N = presented_cyclic(M)
             else:
                 N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
         except ImproperIdealError:
@@ -1008,7 +1036,8 @@ def test_ass_of_hom_is_read_off_the_support():
         ))
         H = hom_cyclic(a, N)
         for p in all_monomial_primes(ctx):
-            support = all(map(p.contains_poly, a.gens)) and ass_member(p, N)
+            associated = fp_ass_member(p, N) if M is None else ass_member(p, M)
+            support = all(map(p.contains_poly, a.gens)) and associated
             assert support == ass_member_presented(p, H), p
             if M is not None:
                 assert OPS["assmember"].doc(p, M, a)["member"] == support, p
@@ -1031,7 +1060,7 @@ def test_ext_selfdual_vanishing_split_base():
     ctx = ring("x", "y")
     E = ext1_selfdual(I_of(ctx, "x"), I_of(ctx, "x*y"))
     assert module_ass(E) == PrimeSet()
-    assert is_unit_ideal(hom_annihilator(Ideal.zero(ctx), E))
+    assert is_unit_ideal(fp_hom_annihilator(Ideal.zero(ctx), E))
 
 
 def test_zero_ext_keeps_its_grading():
@@ -1144,21 +1173,21 @@ def test_module_ass_requires_multigraded():
     ctx = ring("x", "y")
     for N in (
         FPModule(ctx, 1, [(P(ctx, "x^2 + y"),)]),
-        CyclicModule(ctx, I_of(ctx, "x*y")).to_fp(),
+        presented_cyclic(CyclicModule(ctx, I_of(ctx, "x*y"))),
     ):
         assert N.hom_pair is None
         before = groebner.engine_runs()
         with pytest.raises(RingError, match="self-dual Ext of monomial a and J"):
             module_ass(N)
         assert groebner.engine_runs() == before
-    assert module_ass_scan(CyclicModule(ctx, I_of(ctx, "x*y")).to_fp()) == PrimeSet(
+    assert module_ass_scan(presented_cyclic(CyclicModule(ctx, I_of(ctx, "x*y")))) == PrimeSet(
         [MonomialPrime((0,)), MonomialPrime((1,))]
     )
 
 
 def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
     # no record: R^2 / (x*e_1, x^2*e_2, x*y*e_2) is refused by module_ass,
-    # and the scan tests each prime over Ann N = (x^2, x*y) by ass_member
+    # and the scan tests each prime over Ann N = (x^2, x*y) by fp_ass_member
     ctx = ring("x", "y")
     z = Polynomial.zero(ctx)
     N = FPModule(ctx, 2, [(P(ctx, "x"), z), (z, P(ctx, "x^2")), (z, P(ctx, "x*y"))])
@@ -1168,8 +1197,8 @@ def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
         module_ass(N)
     assert groebner.engine_runs() == before
     calls = []
-    real = oracles.ass_member
-    monkeypatch.setattr(oracles, "ass_member", lambda p, M: calls.append(p) or real(p, M))
+    real = oracles.fp_ass_member
+    monkeypatch.setattr(oracles, "fp_ass_member", lambda p, M: calls.append(p) or real(p, M))
     assert module_ass_scan(N) == PrimeSet([MonomialPrime((0,)), MonomialPrime((0, 1))])
     assert sorted(calls) == sorted([MonomialPrime((0,)), MonomialPrime((0, 1))])
 
