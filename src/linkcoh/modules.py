@@ -25,8 +25,9 @@ Ass N for every finite N (Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise
 Hom(R/a, N) by one syzygy run and its annihilator by one colon on N's
 relation basis, is the test reference (`tests/oracles.py`).  `module_ass`
 answers only the self-dual Ext of monomial a and J, which records
-(a + J, J) as its `hom_pair`, with `monomial.hom_ass` off Z^n-degree
-classes and no engine run; l1 calls that kernel itself and builds no
+(a + J, J) as its `hom_pair`, with `monomial.hom_ass` and no engine run:
+by the same identity it is the primes of Ass R/(a + J) that contain the
+monomial colon J : (a + J).  l1 calls that kernel itself and builds no
 presentation.  `koszul_grade` makes one syzygy run per level it reads,
 giving that level's cycles and the boundaries below, and compares the
 two reduced bases; the image, which gives the boundaries, is finished
@@ -223,9 +224,9 @@ def ass_member(p: MonomialPrime, M: CyclicModule) -> bool:
 
 def module_ass(N: FPModule) -> PrimeSet:
     """All associated primes of a module that records its monomial pair
-    (A, T) (`FPModule.hom_pair`): it is Hom_{R/T}(A/T, R/A), answered by
-    `monomial.hom_ass` off Z^n-degree classes with no engine run.  Any other
-    module is refused."""
+    (A, T) (`FPModule.hom_pair`): it is Hom_{R/T}(A/T, R/A), whose Ass is
+    Supp A/T ∩ Ass R/A, answered by `monomial.hom_ass` with no engine run.
+    Any other module is refused."""
     if N.hom_pair is None:
         raise RingError(
             "module_ass answers the self-dual Ext of monomial a and J; this module records no pair"

@@ -24,25 +24,20 @@ support tests are AND / AND-NOT on ints.  The written order (height, then
 the sorted indices) is kept; a `PrimeSet` sorts once, on its first
 iteration, and `all_monomial_primes` is one tuple per variable count.
 
-Z^n-graded modules built from monomials are read off degree classes: per
-variable, the breakpoints of `degree_classes` cut the degrees into
-classes on whose products (cells) every divisibility test of the module's
-pieces is constant.  `hom_ass` reads Ass Hom_{R/T}(A/T, R/A), the
-self-dual Ext of claim l1 and of `modules.ext1_selfdual` over monomial
-data, off those cells, with no Groebner run.
+`hom_ass` gives Ass Hom_{R/T}(A/T, R/A), the self-dual Ext of claim l1
+and of `modules.ext1_selfdual` over monomial data, as Supp ∩ Ass: the
+primes of Ass R/A that contain the monomial colon T : A, with no Groebner
+run.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
-from functools import cached_property, lru_cache, reduce, total_ordering
-from itertools import accumulate
-from operator import and_, or_
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import groebner
-from .groebner import min_gens_intersect, minimalize, monomial_gens
+from .groebner import min_gens_colon, min_gens_intersect, minimalize, monomial_gens
 from .ring import (
     Exponents,
     Polynomial,
@@ -450,93 +445,18 @@ def meet_of_primes(ctx: RingCtx, primes: Iterable[MonomialPrime]) -> MonomialIde
 
 
 # ---------------------------------------------------------------------------
-# Z^n-degree classes and the associated primes of Hom_{R/T}(A/T, R/A).
-
-def degree_classes(gens: Sequence[Exponents], shifts: Sequence[Exponents]) -> list[tuple[int, ...]]:
-    """Per variable j, the sorted breakpoints -g_j (g in gens) and h_j - w_j
-    (h in gens, w in shifts).  Whether x^(g+u) is a monomial and whether
-    x^(w+u) lies in the ideal of `gens` depend on u_j only through the
-    breakpoints at or below it, so the breakpoints cut Z into degree
-    classes: class i of variable j is [b_i, b_(i+1) - 1], the last one
-    [b_i, oo), and below the first no x^(g+u) is a monomial."""
-    classes = []
-    for j in range(len(gens[0])):
-        heads, tails = {h[j] for h in gens}, {w[j] for w in shifts}
-        classes.append(tuple(sorted({-y for y in heads} | {y - w for y in heads for w in tails})))
-    return classes
-
-
-def _class_masks(gens: Sequence[Exponents], shifts: Sequence[Exponents], j: int, cuts: tuple[int, ...]):
-    """Per degree class b of variable j: the mask of the generators g (the
-    first len(gens) shifts) with g_j + b >= 0, and per generator h the mask
-    of the shifts w with w_j + b >= h_j."""
-    column: dict[int, int] = {}
-    for k, w in enumerate(shifts):
-        column[w[j]] = column.get(w[j], 0) | 1 << k
-    ys = sorted(column)
-    # reach[i]: the shifts with w_j >= ys[i]; past the last, none
-    reach = list(accumulate((column[y] for y in reversed(ys)), or_))[::-1] + [0]
-    live_bits = (1 << len(gens)) - 1
-    return [
-        (
-            reach[bisect_left(ys, -b)] & live_bits,
-            tuple(reach[bisect_left(ys, h[j] - b)] for h in gens),
-        )
-        for b in cuts
-    ]
-
-
-def _cells(tables: list, r: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(cell, live generators, shifts w with x^(w+u) outside A) at every
-    class cell where some generator g has g + u >= 0, in falling
-    lexicographic order: every cell at or above a cell in each variable
-    comes first.  A cell's mask of x^(w+u) in A is the OR over generators
-    h of the AND over variables of `_class_masks`' per-h masks."""
-    states = [((), (1 << r) - 1, (-1,) * r)]
-    for rows in tables:
-        grown = []
-        for cell, nonneg, above in states:
-            for i in range(len(rows) - 1, -1, -1):
-                nonneg_i, above_i = rows[i]
-                if not nonneg & nonneg_i:
-                    # a lower class leaves still fewer generators nonnegative
-                    break
-                grown.append((cell + (i,), nonneg & nonneg_i, tuple(map(and_, above, above_i))))
-        states = grown
-    cells = []
-    for cell, nonneg, above in states:
-        outside = ~reduce(or_, above)
-        cells.append((cell, nonneg & outside, outside))
-    return cells
-
+# The associated primes of Hom_{R/T}(A/T, R/A).
 
 def hom_ass(A: MonomialIdeal, T: MonomialIdeal) -> PrimeSet:
     """Ass of N = Hom_{R/T}(A/T, R/A) for monomial ideals T ⊆ A, A proper,
-    read off Z^n-degree classes with no Groebner run.
+    with no Groebner run.
 
-    N is Z^n-graded.  With g_1..g_r the minimal generators of A, a hom of
-    degree u sends g_k to c_k x^(g_k+u), which is nonzero only when g_k + u
-    >= 0 and x^(g_k+u) is not in A: g_k is live at u.  The relations of
-    A/T are the Taylor syzygies of A's generators and T's (Miller-Sturmfels,
-    *Combinatorial Commutative Algebra*, ch. 4).  So in degree u the
-    coefficients of live g_k and g_l are equal when x^(lcm(g_k,g_l)+u) is
-    not in A, and a live coefficient is zero when that holds with g_l not
-    live, or when x^(lcm(g_k,t)+u) is not in A for a generator t of T.  N_u
-    is spanned by the components of that equality graph on the live
-    generators that hold no forced zero, and x_j keeps the coefficients of
-    the generators still live at u + e_j.
-
-    So P_S is associated exactly when, at some u, such a component C dies
-    under x_j for every j in S and for no j outside it, and some member of
-    C is live at v, with v_j = u_j on S and in the top class elsewhere:
-    the element C spans then has annihilator P_S.  All of this is constant
-    on the cells of `degree_classes`, over the shifts g_k, the pairwise lcms
-    and the lcms with T.  x_j leaves a class only from its last degree, so
-    a class of more than one degree offers j outside S (at its first end),
-    and j in S (at its last end) when C dies in the next class.  Cells are
-    scanned from the top down, so the cells above one are read from a memo;
-    those with no live generator are skipped, and the soft deadline is
-    checked once per cell scanned.  A and T from different rings are
+    For a finite module M, Ass Hom_R(M, L) = Supp M ∩ Ass L (Bruns-Herzog,
+    *Cohen-Macaulay Rings*, Ex. 1.2.27), and Supp A/T = V(T : A).  So the
+    answer is the primes of Ass R/A that contain the monomial colon T : A; a
+    prime P_S contains a monomial ideal when the support of each minimal
+    generator meets S.  The soft deadline is checked by the colon kernel and
+    the irreducible decomposition.  A and T from different rings are
     refused.
     """
     if A.ctx != T.ctx:
@@ -547,72 +467,8 @@ def hom_ass(A: MonomialIdeal, T: MonomialIdeal) -> PrimeSet:
         raise ImproperIdealError("Hom_{R/T}(A/T, R/A) needs a proper A")
     if mono_contains(T, A):
         return PrimeSet()
-    gens, r = A.min_gens, len(A.min_gens)
-    pairs = [(k, l) for k in range(r) for l in range(k + 1, r)]
-    # the shift bits: generator k is bit k, then the pairs, then each
-    # generator's lcms with T's generators
-    shifts = list(gens) + [tuple(map(max, gens[k], gens[l])) for k, l in pairs]
-    by_t = []
-    for g in gens:
-        by_t.append(((1 << len(T.min_gens)) - 1) << len(shifts))
-        shifts += [tuple(map(max, g, t)) for t in T.min_gens]
-    classes = degree_classes(gens, shifts)
-    top = tuple(len(cuts) - 1 for cuts in classes)
-    live: dict[tuple[int, ...], int] = {}
-    found: set[int] = set()
-    for cell, alive, outside in _cells(
-        [_class_masks(gens, shifts, j, cuts) for j, cuts in enumerate(classes)], r
-    ):
-        live[cell] = alive
-        if not alive:
-            continue
-        groebner.check_deadline("hom associated primes")
-        forced, adj = 0, [0] * r
-        for k in range(r):
-            if alive >> k & 1 and outside & by_t[k]:
-                forced |= 1 << k
-        for p, (k, l) in enumerate(pairs, r):
-            if outside >> p & 1:
-                if alive >> k & 1 and alive >> l & 1:
-                    adj[k] |= 1 << l
-                    adj[l] |= 1 << k
-                elif alive >> k & 1:
-                    forced |= 1 << k
-                elif alive >> l & 1:
-                    forced |= 1 << l
-        rest = alive
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                k = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                grown = adj[k] & ~comp
-                comp |= grown
-                frontier |= grown
-            rest &= ~comp
-            if comp & forced:
-                continue
-            # per variable: sure in S (a one-degree class C dies past), or
-            # either way (a longer class, C dying past its last degree)
-            sure = either = 0
-            for j, i in enumerate(cell):
-                if i == top[j] or live.get(cell[:j] + (i + 1,) + cell[j + 1 :], 0) & comp:
-                    continue
-                if classes[j][i + 1] - classes[j][i] > 1:
-                    either |= 1 << j
-                else:
-                    sure |= 1 << j
-            sub = either
-            while True:
-                S = sure | sub
-                if S not in found:
-                    v = tuple(i if S >> j & 1 else top[j] for j, i in enumerate(cell))
-                    if live.get(v, 0) & comp:
-                        found.add(S)
-                if not sub:
-                    break
-                sub = (sub - 1) & either
-    return PrimeSet(MonomialPrime.from_mask(S) for S in found)
+    supports = [mono_mask(g) for g in min_gens_colon(T.min_gens, A.min_gens)]
+    return PrimeSet(p for p in associated_primes(A) if all(s & p.mask for s in supports))
 
 
 def all_monomial_primes(ctx: RingCtx) -> tuple[MonomialPrime, ...]:

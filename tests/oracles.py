@@ -40,9 +40,10 @@ the tests can compare, and share with those no more than noted:
   `fp_hom_annihilator` and `fp_ass_member` take one colon on N's own
   relation basis over the generators of Hom.
 - `module_ass_scan` tests every monomial prime over Ann N with
-  `fp_ass_member`, where `modules.module_ass` reads the monomial pair
-  an Ext records off Z^n-degree classes (`monomial.hom_ass`) and refuses
-  any other module.
+  `fp_ass_member`, where `modules.module_ass` answers the monomial pair
+  (A, T) an Ext records as Supp A/T ∩ Ass R/A (`monomial.hom_ass`: the
+  primes of Ass R/A that contain the colon T : A) and refuses any other
+  module.
 - `primes_from_ass` reads Min, Assh, dim and height of R/I off the
   associated primes of the irreducible decomposition, where
   `monomial.min_assh_dim` reads them off the minimal vertex covers.

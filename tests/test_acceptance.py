@@ -226,7 +226,7 @@ def test_05_zero_link_top_prime_transfer():
         n = rng.choice((3, 4))
         ctx = _vars_ctx(n)
         cert = bipartition_zero_link(rng, ctx, equal_height=rng.random() < 0.5)
-        if cert is None or not cert.geometric:
+        if not cert.geometric:
             continue
         M = cert.module
         if M.dim() <= 0:

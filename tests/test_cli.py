@@ -548,6 +548,16 @@ def test_empty_items_in_comma_lists_exit_one(capsys, argv, words):
     assert words in err
 
 
+@pytest.mark.parametrize("argv, words", [
+    (("saturate", "--ring", "x,y", "--ideal", "x*y", "--poly", "0"), "saturation by zero is undefined"),
+    (("eliminate", "--ring", "x,y", "--ideal", "x*y", "--drop", "x,y"), "cannot eliminate every variable"),
+])
+def test_undefined_operations_exit_one(capsys, argv, words):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: " + words
+
+
 def test_zero_ideal_and_zero_prime_stay_readable(capsys):
     assert doc_of(capsys, "regseq", "--ring", "x,y", "--seq", "x, y", "--module", "0")["regular"]
     for prime in ("", "0"):

@@ -39,7 +39,9 @@ one class, such as `M.primes().ass`, counts for that class alone.
 
 Every debug line README.md quotes in a code span (`regseq: …`, `grade: …`,
 `depth: …`) must match the format string of a `log.debug` call of the
-package, with `%s`, `%d` and README's `…` as wildcards.
+package, with `%s`, `%d` and README's `…` as wildcards.  Every budget
+label README quotes after "trips as" or "trip as" must be a string literal
+of the package, so a renamed or removed check point leaves no stale label.
 """
 
 import ast
@@ -465,3 +467,22 @@ def test_readme_debug_lines_match_the_log_formats():
     assert {q.split(":")[0] for q in quoted} == {"regseq", "grade", "depth"}
     stale = [q for q in quoted if not any(_overlap(q, f) for f in formats)]
     assert not stale, "README quotes debug lines that no log.debug call writes: " + ", ".join(stale)
+
+
+# a budget label README quotes: "trips as `label`" or "trip as `label`"
+BUDGET_LABEL = re.compile(r"\btrips?\s+as\s+`([^`]+)`")
+
+
+def test_readme_budget_labels_are_package_literals():
+    # every label README says a budget trips as must be a string literal in
+    # src/linkcoh, where a check point passes it to the deadline check
+    literals = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    text = FENCE.sub("", (ROOT / "README.md").read_text())
+    labels = [" ".join(m.group(1).split()) for m in BUDGET_LABEL.finditer(text)]
+    assert labels
+    stale = [label for label in labels if label not in literals]
+    assert not stale, "README quotes budget labels that the package never passes: " + ", ".join(stale)

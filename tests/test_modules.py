@@ -1098,7 +1098,7 @@ def _wide_side():
 
 
 def test_hom_kernel_matches_the_scan_of_the_presented_ext():
-    # the degree-class kernel against testing every prime over Ann N on the
+    # the Supp ∩ Ass kernel against testing every prime over Ann N on the
     # presentation of Hom_{R/J}((a + J)/J, R/(a + J)), for monomial a and J
     # over 2-4 variables with generators of degree at most 3; module_ass on
     # the Ext takes the kernel
@@ -1204,7 +1204,7 @@ def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
 
 
 def test_wide_ext_takes_no_engine_run_in_module_ass():
-    # the wide side of l1: one prime, read off degree classes
+    # the wide side of l1: one prime, read off the monomial colon and Ass R/A
     ctx, N = _wide_side()
     assert (N.rank, len(N.relations)) == (42, 126)
     before = groebner.engine_runs()
@@ -1213,12 +1213,12 @@ def test_wide_ext_takes_no_engine_run_in_module_ass():
 
 
 def test_hom_kernel_honours_soft_timeout():
-    # the kernel checks the deadline once per degree class it scans
+    # the kernel's first check point is the colon T : A
     ctx, N = _wide_side()
     with set_limits(soft_timeout=0):
         with pytest.raises(BudgetExceeded) as trip:
             module_ass(N)
-    assert trip.value.what == "hom associated primes"
+    assert trip.value.what == "monomial colon"
 
 
 # ---------------------------------------------------------------------------

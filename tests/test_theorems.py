@@ -484,8 +484,6 @@ def test_bipartition_zero_link_shapes():
     for seed in range(6):
         rng = random.Random(seed)
         cert = bipartition_zero_link(rng, ctx, equal_height=True)
-        if cert is None:
-            continue
         assert cert.geometric
         assert cert.I.is_zero_ideal()
         assert is_equidimensional(cert.module)
@@ -493,7 +491,7 @@ def test_bipartition_zero_link_shapes():
     for seed in range(12):
         rng = random.Random(seed)
         cert = bipartition_zero_link(rng, ctx, equal_height=False)
-        if cert is not None and not is_equidimensional(cert.module):
+        if not is_equidimensional(cert.module):
             found_unequal = True
     assert found_unequal
 
@@ -620,6 +618,19 @@ def test_run_claim_rejects_nonpositive_jobs(jobs):
 def test_run_claim_rejects_unknown():
     with pytest.raises(RingError):
         run_claim("nope", InstanceParams())
+
+
+@pytest.mark.parametrize("claim, params, note", [
+    ("l1", InstanceParams(module="0", count=1), "needs a proper base module"),
+    ("r1", InstanceParams(n_vars=1, count=2), "needs at least two variables"),
+    ("l15", InstanceParams(n_vars=1, count=2), "needs at least two variables"),
+])
+def test_run_claim_skips_a_draw_it_cannot_check(claim, params, note):
+    # l1 refuses the zero base ideal; r1 and l15 split an antichain of
+    # primes of height 1..n-1, which one variable does not have
+    doc = run_claim(claim, params)
+    assert doc["counts"]["skip"] == params.count
+    assert all(v["notes"] == [note] for v in doc["verdicts"])
 
 
 @pytest.mark.parametrize("claim", ["r1", "l15", "p1", "t2"])
