@@ -44,7 +44,6 @@ from .linkage import (
 )
 from .modules import (
     CyclicModule,
-    FPModule,
     ass_member,
     ext1_selfdual,
     hom_annihilator,
@@ -75,7 +74,6 @@ __all__ = [
     "BudgetExceeded",
     "CLAIMS",
     "CyclicModule",
-    "FPModule",
     "GenParams",
     "Ideal",
     "InstanceParams",

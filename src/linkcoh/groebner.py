@@ -78,8 +78,8 @@ normal strategy.  Every remainder goes through one division kernel
 (`_reduce`).  Outside Buchberger a division is `_table` (a basis's
 reducers, packed once per width asked for) and `_divide` (one remainder,
 widened as a run is).  Only this module knows the vector encoding and the
-packing: `modules.py` calls `module_gb`, `module_table`, `module_reduce`
-and `_syzygies`.
+packing: `modules.py` calls `module_table`, `module_reduce` and
+`_syzygies`.
 
 Every colon is one syzygy run (`_colon`): for N in R^r and vectors
 u_1..u_k, N : (u_1..u_k) is the a with a*(u_1|..|u_k) in k block-diagonal
@@ -98,7 +98,7 @@ another, since those S-pairs reduce to zero.  The second argument of
 `_syzygies` and `_colon` (and of `modules.submodule_syzygies`) is such a
 basis of the submodule taken modulo, under the run's order, never raw
 generators.  Callers pass what they already hold: `reduced_gb` of an ideal
-(cached on it), `ideal_block` built from it, or `FPModule.rel_gb()`.
+(cached on it) or `ideal_block` built from it.
 Membership tests divide by a reducer table cached on the ideal beside its
 basis.
 """
@@ -832,17 +832,6 @@ def ideal_block(I: Ideal, rank: int) -> list[Vec]:
     return _block_diagonal([(g,) for g in reduced_gb(I)], rank)
 
 
-def module_gb(gens: Sequence[Vec]) -> list[Vec]:
-    """Reduced Groebner basis of the submodule spanned by `gens`, under
-    position-over-term order with lower positions dominant."""
-    if not gens:
-        return []
-    ctx, rank = gens[0][0].ctx, len(gens[0])
-    heads = _heads(rank)
-    out = _buchberger([_encode(v, heads) for v in gens], DEGREVLEX, rank)
-    return [_decode(g, ctx, rank) for g in out]
-
-
 def module_table(basis: Sequence[Vec], rank: int) -> ReducerTable:
     """The reducer table of vectors of R^rank, built once for any number of
     `module_reduce` calls."""
@@ -875,7 +864,7 @@ def _syzygies(
     the tag block vanish in the main block; their tags are the syzygies'
     reduced basis.  Those leading in the main block lead as the image does,
     with main blocks reduced against one another, so without their tags
-    they are its reduced basis, listed as `module_gb` lists it.  The image
+    they are its reduced basis, in increasing order of their leads.  The image
     is decoded only as it is read, and with `image` false it is never
     finished: the run answers only the k tag positions (`_buchberger`'s
     `tags`).

@@ -1,8 +1,7 @@
-"""Finitely presented modules over Q[x_1..x_n]: Groebner bases of submodules
-of free modules, syzygies, annihilators of Hom from cyclic quotients,
-associated prime membership, a self-dual Ext computation for cyclic
-quotients, Koszul homology grades, and cyclic modules R/J caching primes,
-dimension and depth.
+"""Modules over Q[x_1..x_n]: syzygies of vectors of free modules,
+annihilators of Hom from cyclic quotients, associated prime membership,
+the generators of a self-dual Ext of cyclic quotients, Koszul homology
+grades, and cyclic modules R/J caching primes, dimension and depth.
 
 Free-module elements are plain tuples of Polynomial.  The module order is
 position-over-term with lower positions dominant and degrevlex inside each
@@ -11,11 +10,9 @@ textbook module elimination.
 
 Modules run on the one Groebner engine of `groebner.py`, which alone knows
 how a vector is encoded for it; this module calls only its vector-level
-operations (`module_gb`, `module_table` and `module_reduce`, `_syzygies`).
-`FPModule` tables its relation basis once, and a module presented by a
-reduced basis its maker holds keeps it as that basis, so `module_gb` never
-runs on it: an ideal's (the Ext ambient) or a subquotient's syzygies
-(Ext).  A relation or an element from another ring is refused.  Over a
+operations (`module_table` and `module_reduce`, `_syzygies`).  No module
+is presented by generators and relations here; that route, with a general
+presented-module type, is the test reference (`tests/oracles.py`).  Over a
 cyclic M = R/J, Hom(R/a, R/J) is (J : a)/J, so `hom_annihilator` is the
 ideal colon J : (J : a), two `ideal_quotient` calls that J and a given by
 terms answer by divisibility; Ann R/J (a = 0) is J, and `ass_member`
@@ -23,14 +20,15 @@ terms answer by divisibility; Ann R/J (a = 0) is J, and `ass_member`
 Ass N for every finite N (Bruns-Herzog, *Cohen-Macaulay Rings*, Exercise
 1.2.27), so `ass_member` on R/J answers for Hom too.  The rank-r route,
 Hom(R/a, N) by one syzygy run and its annihilator by one colon on N's
-relation basis, is the test reference (`tests/oracles.py`).  `module_ass`
-answers only the self-dual Ext of monomial a and J, which records
-(a + J, J) as its `hom_pair`, with `monomial.hom_ass` and no engine run:
-by the same identity it is the primes of Ass R/(a + J) that contain the
-monomial colon J : (a + J).  l1 calls that kernel itself and builds no
-presentation.  `koszul_grade` makes one syzygy run per level it reads,
-giving that level's cycles and the boundaries below, and compares the
-two reduced bases; the image, which gives the boundaries, is finished
+relation basis, is the test reference too.  `ext1_selfdual` returns
+its Ext by generators alone, the nonzero normal forms of one kernel, and
+takes no relation among them.  `module_ass` answers only the self-dual
+Ext of monomial a and J, which records (a + J, J) as its `hom_pair`, with
+`monomial.hom_ass` and no engine run: by the same identity it is the
+primes of Ass R/(a + J) that contain the monomial colon J : (a + J).  l1
+calls that kernel itself and builds no module.  `koszul_grade` makes one
+syzygy run per level it reads, giving that level's cycles and the
+boundaries below, and compares the two reduced bases; the image, which gives the boundaries, is finished
 only when a further level compares it, so the last level searched reads
 its cycles alone.  Every regular
 sequence grows in one routine, `regular_chain`, which returns the ideal
@@ -54,21 +52,20 @@ none for a monomial J.  R/J asks whether J is monomial only when
 not given by terms build no basis of J for it.
 
 Every syzygy or colon run is taken modulo a Groebner basis, never raw
-generators (the engine's basis contract, see `groebner.py`): the module
-side passes `FPModule.rel_gb()`, an ideal side `reduced_gb` or the
-`ideal_block` built from it, so no run rebuilds a basis its caller holds.
+generators (the engine's basis contract, see `groebner.py`): an ideal
+side passes `reduced_gb` or the `ideal_block` built from it, so no run
+rebuilds a basis its caller holds.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .groebner import (
     _NOT_COMPUTED,
     BudgetExceeded,
     Ideal,
-    ReducerTable,
     Vec,
     _syzygies,
     engine_runs,
@@ -77,7 +74,6 @@ from .groebner import (
     ideal_sum,
     is_proper,
     is_unit_ideal,
-    module_gb,
     module_reduce,
     module_table,
     reduced_gb,
@@ -97,10 +93,6 @@ from .monomial import (
 )
 from .simplicial import depth_monomial, log
 from .ring import Polynomial, RingCtx, RingError, mono_one
-
-
-def vec_is_zero(v: Vec) -> bool:
-    return all(p.is_zero() for p in v)
 
 
 def unit_vec(ctx: RingCtx, rank: int, pos: int) -> Vec:
@@ -130,82 +122,6 @@ def submodule_syzygies(vectors: Sequence[Vec], basis: Sequence[Vec]) -> list[Vec
     return _syzygies(vectors, basis, vectors[0][0].ctx, rank, image=False)[0]
 
 
-class FPModule:
-    """Cokernel of a map into a free module, held by its relation vectors.
-
-    The module is R^rank / <relations>; a zero rank is the zero module, and
-    a negative rank is refused.  `hom_pair` is (A, T) when the module is
-    Hom_{R/T}(A/T, R/A) for monomial T ⊆ A by construction, as
-    `ext1_selfdual` records it, and None otherwise.
-    """
-
-    __slots__ = ("ctx", "rank", "relations", "hom_pair", "_gb", "_table")
-
-    def __init__(self, ctx: RingCtx, rank: int, relations: Iterable[Vec] = ()) -> None:
-        if rank < 0:
-            raise RingError(f"a free module has a nonnegative rank, not {rank}")
-        self.ctx = ctx
-        self.rank = rank
-        kept = []
-        for v in relations:
-            if len(v) != rank:
-                raise RingError("relation vector has the wrong rank")
-            if any(f.ctx != ctx for f in v):
-                raise RingError("relation vector lives in a different ring")
-            if not vec_is_zero(v):
-                kept.append(v)
-        self.relations: tuple[Vec, ...] = tuple(kept)
-        self.hom_pair: tuple[MonomialIdeal, MonomialIdeal] | None = None
-        self._gb: list[Vec] | None = None
-        self._table: ReducerTable | None = None
-
-    def rel_gb(self) -> list[Vec]:
-        if self._gb is None:
-            self._gb = module_gb(self.relations)
-        return self._gb
-
-    def nf(self, v: Vec) -> Vec:
-        if len(v) != self.rank:
-            raise RingError("element has the wrong rank")
-        if any(f.ctx != self.ctx for f in v):
-            raise RingError("element lives in a different ring")
-        if self._table is None:
-            self._table = module_table(self.rel_gb(), self.rank)
-        return module_reduce(v, self._table)
-
-    def __repr__(self) -> str:
-        return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
-
-
-def _presented_by(ctx: RingCtx, rank: int, basis: list[Vec]) -> FPModule:
-    """R^rank / <basis> for a reduced basis, kept as the relation basis."""
-    N = FPModule(ctx, rank, basis)
-    N._gb = basis
-    return N
-
-
-def _nonzero_forms(gens: Iterable[Vec], N: FPModule) -> list[Vec]:
-    """The distinct nonzero normal forms of gens modulo N's relation basis."""
-    seen: dict[Vec, None] = {}
-    for g in gens:
-        r = N.nf(g)
-        if not vec_is_zero(r):
-            seen.setdefault(r)
-    return list(seen)
-
-
-def present_subquotient(gens: Sequence[Vec], N: FPModule) -> FPModule:
-    """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
-    by generators and fresh syzygies; divides by N's cached relation basis
-    and takes the syzygies modulo it, keeping their reduced basis as its own.
-    It records no `hom_pair`."""
-    kept = _nonzero_forms(gens, N)
-    if not kept:
-        return FPModule(N.ctx, 0)
-    rels = submodule_syzygies(kept, N.rel_gb())
-    return _presented_by(N.ctx, len(kept), rels)
-
-
 def hom_annihilator(a: Ideal, M: CyclicModule) -> Ideal:
     """Ann Hom(R/a, R/J) for M = R/J: Hom is (J : a)/J, so its annihilator
     is the ideal colon J : (J : a), which comes back with its reduced
@@ -222,9 +138,24 @@ def ass_member(p: MonomialPrime, M: CyclicModule) -> bool:
     return all(p.contains_poly(f) for f in hom_annihilator(p.to_ideal(M.ctx), M).gens)
 
 
-def module_ass(N: FPModule) -> PrimeSet:
+class SelfDualExt(NamedTuple):
+    """The self-dual Ext of `ext1_selfdual`, held by its generators: the
+    distinct nonzero vectors of (R/(a + J))^t that generate it, in the
+    order first seen, and its monomial pair (A, T), or None when a or J is
+    not monomial.  `rank` is the number of generators; it is 0 exactly
+    when the module is zero."""
+
+    gens: tuple[Vec, ...]
+    hom_pair: tuple[MonomialIdeal, MonomialIdeal] | None
+
+    @property
+    def rank(self) -> int:
+        return len(self.gens)
+
+
+def module_ass(N: SelfDualExt) -> PrimeSet:
     """All associated primes of a module that records its monomial pair
-    (A, T) (`FPModule.hom_pair`): it is Hom_{R/T}(A/T, R/A), whose Ass is
+    (A, T) (`SelfDualExt.hom_pair`): it is Hom_{R/T}(A/T, R/A), whose Ass is
     Supp A/T ∩ Ass R/A, answered by `monomial.hom_ass` with no engine run.
     Any other module is refused."""
     if N.hom_pair is None:
@@ -234,19 +165,25 @@ def module_ass(N: FPModule) -> PrimeSet:
     return hom_ass(*N.hom_pair)
 
 
-def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
-    """Hom_{R'}(a, R'/a) over R' = R/J, presented over R.
+def ext1_selfdual(a: Ideal, J: Ideal) -> SelfDualExt:
+    """Hom_{R'}(a, R'/a) over R' = R/J, by its generators over R.
 
     For a cyclic argument this module is isomorphic to Ext^1_{R'}(R'/a, R'/a):
     applying Hom(-, R'/a) to 0 -> a -> R' -> R'/a -> 0 gives a connecting map
     Hom(a, R'/a) -> Ext^1(R'/a, R'/a) whose cokernel vanishes and whose kernel
     is the image of Hom(R', R'/a); that image is zero because a*a lies in a.
     A hom is a choice of images of the generators of a, constrained by every
-    syzygy among those generators over R'.  For monomial a and J (read
-    through `as_monomial`, so generators that are not terms count too) the
-    module records (A, T) = (a + J, J) as its `hom_pair`, from which
-    `module_ass` reads its associated primes; any other a and J record
-    none, and `module_ass` refuses their Ext.
+    syzygy among those generators over R'.  So the module is a submodule of
+    (R/(a + J))^t, t the number of generators of a; its generators are the
+    distinct nonzero normal forms of the kernel vectors modulo the basis of
+    (a + J)^t, in the order first seen, and no relation among them is
+    computed.  That is two syzygy runs at most, one when a has no syzygy
+    over R/J.  For monomial a and J (read through `as_monomial`, so
+    generators that are not terms count too) the module records (A, T) =
+    (a + J, J) as its `hom_pair`, from which `module_ass` reads its
+    associated primes; any other a and J record none, and `module_ass`
+    refuses their Ext.  The presentation by generators and relations is the
+    test reference (`tests/oracles.py:presented_ext`).
     """
     if a.ctx != J.ctx:
         raise RingError("ideals live in different rings")
@@ -264,10 +201,10 @@ def ext1_selfdual(a: Ideal, J: Ideal) -> FPModule:
         s = len(syz)
         columns = [tuple(syz[i][j] for i in range(s)) for j in range(t)]
         kernel = submodule_syzygies(columns, ideal_block(aJ, s))
-    N = present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t)))
-    if mono_J is not None:
-        N.hom_pair = (mono_sum(mono_a, mono_J), mono_J)
-    return N
+    table = module_table(ideal_block(aJ, t), t)
+    forms = (module_reduce(v, table) for v in kernel)
+    gens = tuple(dict.fromkeys(r for r in forms if not all(f.is_zero() for f in r)))
+    return SelfDualExt(gens, None if mono_J is None else (mono_sum(mono_a, mono_J), mono_J))
 
 
 # ---------------------------------------------------------------------------

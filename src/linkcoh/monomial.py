@@ -24,10 +24,10 @@ support tests are AND / AND-NOT on ints.  The written order (height, then
 the sorted indices) is kept; a `PrimeSet` sorts once, on its first
 iteration, and `all_monomial_primes` is one tuple per variable count.
 
-`hom_ass` gives Ass Hom_{R/T}(A/T, R/A), the self-dual Ext of claim l1
-and of `modules.ext1_selfdual` over monomial data, as Supp ∩ Ass: the
-primes of Ass R/A that contain the monomial colon T : A, with no Groebner
-run.
+`hom_ass` gives Ass Hom_{R/T}(A/T, R/A), the self-dual Ext of claim l1,
+as Supp ∩ Ass: the primes of Ass R/A that contain the monomial colon
+T : A, with no Groebner run.  `modules.module_ass` answers with it for the
+pair (a + J, J) that `modules.ext1_selfdual` records over monomial data.
 """
 
 from __future__ import annotations

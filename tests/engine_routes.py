@@ -26,13 +26,13 @@ from linkcoh.groebner import (
     eliminate,
     is_proper,
     ideal_block,
-    module_gb,
     module_reduce,
     _divide,
     _table,
     module_table,
 )
-from linkcoh.modules import _koszul_columns, submodule_syzygies, vec_is_zero
+from linkcoh.modules import _koszul_columns, submodule_syzygies
+from oracles import module_gb, vec_is_zero
 from linkcoh.ring import DEGREVLEX, MonomialOrder, Polynomial
 
 

@@ -24,6 +24,15 @@ the tests can compare, and share with those no more than noted:
   minimal prime of K through the colons K : m^N, one syzygy colon by m
   each, until the chain stops, where `invariants._minimal_over` saturates K
   by each variable through the Rabinowitsch tag.
+- `FPModule` is a finitely presented module R^r / N held by its
+  relations, with N's reduced basis (`rel_gb`, one `module_gb` run unless
+  its maker holds the basis) and normal forms modulo it (`nf`) cached;
+  `present_subquotient` presents a submodule of one by its nonzero normal
+  forms and their fresh syzygies.  The package presents no module:
+  `presented_ext` presents the self-dual Ext whose generators
+  `modules.ext1_selfdual` returns, recording the same monomial pair, so
+  the tests read its relations off this presentation and hold the
+  package's rank to it.
 - `presented_cyclic` presents R/J as the rank-one module R^1 / J, with
   J's reduced basis as its relation basis, for the routes below.
 - `hom_kernel` generates Hom(R/a, N), the submodule of a presented N
@@ -78,28 +87,26 @@ from typing import Iterable, Sequence
 
 from linkcoh.groebner import (
     Ideal,
+    ReducerTable,
     Vec,
     _block_diagonal,
+    _buchberger,
     _colon,
+    _decode,
+    _encode,
+    _heads,
     ideal_block,
     ideal_equal,
     ideal_quotient,
     ideal_sum,
     is_proper,
     min_gens_colon,
+    module_reduce,
+    module_table,
     radical_member,
+    reduced_gb,
 )
-from linkcoh.modules import (
-    CyclicModule,
-    FPModule,
-    _nonzero_forms,
-    _presented_by,
-    maximal_ideal,
-    present_subquotient,
-    submodule_syzygies,
-    unit_vec,
-    vec_is_zero,
-)
+from linkcoh.modules import CyclicModule, maximal_ideal, submodule_syzygies, unit_vec
 from linkcoh.monomial import (
     ImproperIdealError,
     MonomialIdeal,
@@ -114,7 +121,7 @@ from linkcoh.monomial import (
     mono_radical,
     mono_sum,
 )
-from linkcoh.ring import ParseError, Polynomial, RingCtx, RingError, mono_one
+from linkcoh.ring import DEGREVLEX, ParseError, Polynomial, RingCtx, RingError, mono_one
 from linkcoh.simplicial import _facet_masks, _rank_exact, depth_squarefree
 
 
@@ -379,6 +386,129 @@ def minimal_over_by_colons(K: Ideal) -> bool:
     while not ideal_equal(last, colon):
         last, colon = colon, ideal_quotient(colon, m)
     return not inside(colon)
+
+
+# ---------------------------------------------------------------------------
+# Presented modules.
+
+def module_gb(gens: Sequence[Vec]) -> list[Vec]:
+    """Reduced Groebner basis of the submodule spanned by `gens`, under
+    position-over-term order with lower positions dominant."""
+    if not gens:
+        return []
+    ctx, rank = gens[0][0].ctx, len(gens[0])
+    heads = _heads(rank)
+    out = _buchberger([_encode(v, heads) for v in gens], DEGREVLEX, rank)
+    return [_decode(g, ctx, rank) for g in out]
+
+
+def vec_is_zero(v: Vec) -> bool:
+    return all(p.is_zero() for p in v)
+
+
+class FPModule:
+    """Cokernel of a map into a free module, held by its relation vectors.
+
+    The module is R^rank / <relations>; a zero rank is the zero module, and
+    a negative rank is refused.  `hom_pair` is (A, T) when the module is
+    Hom_{R/T}(A/T, R/A) for monomial T ⊆ A by construction, as
+    `presented_ext` records it, and None otherwise.
+    """
+
+    __slots__ = ("ctx", "rank", "relations", "hom_pair", "_gb", "_table")
+
+    def __init__(self, ctx: RingCtx, rank: int, relations: Iterable[Vec] = ()) -> None:
+        if rank < 0:
+            raise RingError(f"a free module has a nonnegative rank, not {rank}")
+        self.ctx = ctx
+        self.rank = rank
+        kept = []
+        for v in relations:
+            if len(v) != rank:
+                raise RingError("relation vector has the wrong rank")
+            if any(f.ctx != ctx for f in v):
+                raise RingError("relation vector lives in a different ring")
+            if not vec_is_zero(v):
+                kept.append(v)
+        self.relations: tuple[Vec, ...] = tuple(kept)
+        self.hom_pair: tuple[MonomialIdeal, MonomialIdeal] | None = None
+        self._gb: list[Vec] | None = None
+        self._table: ReducerTable | None = None
+
+    def rel_gb(self) -> list[Vec]:
+        if self._gb is None:
+            self._gb = module_gb(self.relations)
+        return self._gb
+
+    def nf(self, v: Vec) -> Vec:
+        if len(v) != self.rank:
+            raise RingError("element has the wrong rank")
+        if any(f.ctx != self.ctx for f in v):
+            raise RingError("element lives in a different ring")
+        if self._table is None:
+            self._table = module_table(self.rel_gb(), self.rank)
+        return module_reduce(v, self._table)
+
+    def __repr__(self) -> str:
+        return f"<fp module rank {self.rank}, {len(self.relations)} relations>"
+
+
+def _presented_by(ctx: RingCtx, rank: int, basis: list[Vec]) -> FPModule:
+    """R^rank / <basis> for a reduced basis, kept as the relation basis."""
+    N = FPModule(ctx, rank, basis)
+    N._gb = basis
+    return N
+
+
+def _nonzero_forms(gens: Iterable[Vec], N: FPModule) -> list[Vec]:
+    """The distinct nonzero normal forms of gens modulo N's relation basis."""
+    seen: dict[Vec, None] = {}
+    for g in gens:
+        r = N.nf(g)
+        if not vec_is_zero(r):
+            seen.setdefault(r)
+    return list(seen)
+
+
+def present_subquotient(gens: Sequence[Vec], N: FPModule) -> FPModule:
+    """Present the submodule of N generated by gens, (<gens> + <relations>)/<relations>,
+    by generators and fresh syzygies; divides by N's cached relation basis
+    and takes the syzygies modulo it, keeping their reduced basis as its own.
+    It records no `hom_pair`."""
+    kept = _nonzero_forms(gens, N)
+    if not kept:
+        return FPModule(N.ctx, 0)
+    rels = submodule_syzygies(kept, N.rel_gb())
+    return _presented_by(N.ctx, len(kept), rels)
+
+
+def presented_ext(a: Ideal, J: Ideal) -> FPModule:
+    """The Ext of `modules.ext1_selfdual`, Hom_{R'}(a, R'/a) over R' = R/J,
+    presented over R: the same kernel in (R/(a + J))^t, presented as a
+    subquotient by its nonzero normal forms and the reduced basis of their
+    fresh syzygies, one engine run more than `ext1_selfdual` makes.  For
+    monomial a and J it records (a + J, J) as its `hom_pair`, as
+    `ext1_selfdual` does."""
+    if a.ctx != J.ctx:
+        raise RingError("ideals live in different rings")
+    ctx = a.ctx
+    aJ = ideal_sum(a, J)
+    if not is_proper(aJ):
+        raise ImproperIdealError("self-dual Ext wants a proper ideal")
+    t = len(a.gens)
+    syz = submodule_syzygies([(p,) for p in a.gens], [(h,) for h in reduced_gb(J)])
+    mono_a = as_monomial(a)
+    mono_J = None if mono_a is None else as_monomial(J)
+    if not syz:
+        kernel = [unit_vec(ctx, t, i) for i in range(t)]
+    else:
+        s = len(syz)
+        columns = [tuple(syz[i][j] for i in range(s)) for j in range(t)]
+        kernel = submodule_syzygies(columns, ideal_block(aJ, s))
+    N = present_subquotient(kernel, _presented_by(ctx, t, ideal_block(aJ, t)))
+    if mono_J is not None:
+        N.hom_pair = (mono_sum(mono_a, mono_J), mono_J)
+    return N
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,19 @@ from engine_routes import (
 )
 import oracles
 from oracles import (
+    FPModule,
     ass_member_presented,
     fp_ass_member,
     fp_hom_annihilator,
     hom_cyclic,
     module_ass_scan,
+    module_gb,
     permute_exponents,
     presented_annihilator,
     presented_cyclic,
+    presented_ext,
     radical_is_maximal,
+    vec_is_zero,
 )
 from linkcoh import cli, groebner, modules, monomial
 from linkcoh.groebner import (
@@ -51,7 +55,6 @@ from linkcoh.groebner import (
 )
 from linkcoh.modules import (
     CyclicModule,
-    FPModule,
     KOSZUL_SIZE_BUDGET,
     _koszul_columns,
     ass_member,
@@ -62,11 +65,9 @@ from linkcoh.modules import (
     koszul_grade,
     maximal_ideal,
     module_ass,
-    module_gb,
     regular_chain,
     submodule_syzygies,
     unit_vec,
-    vec_is_zero,
 )
 from linkcoh.monomial import (
     ImproperIdealError,
@@ -394,7 +395,8 @@ def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger", record_run)
     monkeypatch.setattr(modules, "_koszul_columns", record_columns)
-    for name in ("module_gb", "module_table", "module_reduce"):
+    monkeypatch.setattr(oracles, "module_gb", banned)
+    for name in ("module_table", "module_reduce"):
         monkeypatch.setattr(modules, name, banned)
     ctx = ring("a", "b", "c", "d")
     xs = [Polynomial.variable(ctx, v) for v in ctx.var_names]
@@ -863,7 +865,7 @@ def test_annihilator_of_higher_rank_matches_joined_colons():
         a = Ideal(ctx, [_small_poly(rng, ctx) for _ in range(rng.randint(2, 3))])
         J = Ideal(ctx, [f * g for f, g in zip(a.gens, a.gens[1:] + a.gens[:1])])
         try:
-            N = ext1_selfdual(a, J)
+            N = presented_ext(a, J)
             if i % 2:
                 N = hom_cyclic(Ideal(ctx, [_small_poly(rng, ctx) for _ in range(2)]), N)
         except ImproperIdealError:
@@ -904,22 +906,22 @@ def test_ass_member_refuses_a_variable_outside_the_ring():
 
 def test_module_ass_computes_each_relation_basis_once(monkeypatch):
     # R/J presented keeps its ideal's reduced basis as its relation basis,
-    # and Ext keeps the reduced basis of the fresh syzygies presenting it,
-    # so module_gb is never reached on either: the cyclic one through the
-    # scan's fp_ass_member tests, the Ext through module_ass
+    # and the presented Ext keeps the reduced basis of the fresh syzygies
+    # presenting it, so module_gb is never reached on either: the cyclic
+    # one through the scan's fp_ass_member tests, the Ext through module_ass
     inputs: list[tuple] = []
-    real = modules.module_gb
+    real = oracles.module_gb
 
     def record(gens):
         inputs.append(tuple(gens))
         return real(gens)
 
-    monkeypatch.setattr(modules, "module_gb", record)
+    monkeypatch.setattr(oracles, "module_gb", record)
     ctx = ring("x", "y", "z")
     M = CyclicModule(ctx, I_of(ctx, "x^2*y", "x*z^2", "y^2"))
     assert module_ass_scan(presented_cyclic(M)) == associated_primes(M.monomial)
     assert inputs == []
-    E = ext1_selfdual(I_of(ctx, "x*y", "z^2"), I_of(ctx, "x^2", "y*z"))
+    E = presented_ext(I_of(ctx, "x*y", "z^2"), I_of(ctx, "x^2", "y*z"))
     assert module_ass(E) == PrimeSet([MonomialPrime((0, 2)), MonomialPrime((0, 1, 2))])
     assert inputs == []
 
@@ -992,7 +994,7 @@ def test_hom_annihilator_matches_the_presented_route():
                 M = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans()))))
                 N, annihilator, member = presented_cyclic(M), hom_annihilator, ass_member
             else:
-                N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
+                N = presented_ext(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
                 M, annihilator, member = N, fp_hom_annihilator, fp_ass_member
         except ImproperIdealError:
             hyp.assume(False)
@@ -1028,7 +1030,7 @@ def test_ass_of_hom_is_read_off_the_support():
                 M = CyclicModule(ctx, data.draw(terms(ctx, data.draw(st.booleans()))))
                 N = presented_cyclic(M)
             else:
-                N = ext1_selfdual(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
+                N = presented_ext(data.draw(terms(ctx, False)), data.draw(terms(ctx, False)))
         except ImproperIdealError:
             hyp.assume(False)
         a = data.draw(st.one_of(
@@ -1058,9 +1060,28 @@ def test_hom_outside_the_prime_starts_no_engine_run(monkeypatch):
 def test_ext_selfdual_vanishing_split_base():
     # over R' = Q[x,y]/(xy) with a = (x): Ext^1(R'/a, R'/a) = 0
     ctx = ring("x", "y")
-    E = ext1_selfdual(I_of(ctx, "x"), I_of(ctx, "x*y"))
-    assert module_ass(E) == PrimeSet()
-    assert is_unit_ideal(fp_hom_annihilator(Ideal.zero(ctx), E))
+    a, J = I_of(ctx, "x"), I_of(ctx, "x*y")
+    assert module_ass(ext1_selfdual(a, J)) == PrimeSet()
+    assert is_unit_ideal(fp_hom_annihilator(Ideal.zero(ctx), presented_ext(a, J)))
+
+
+def test_ext_takes_no_relation_run():
+    # the Ext is its generators: one syzygy run for the syzygies of a over
+    # R/J and one for the kernel, none when a has no syzygy; presenting it
+    # takes one more run, for the relations among the generators
+    ctx = ring("x", "y", "z")
+    for a, J, runs, rank, primes in (
+        (I_of(ctx, "x*y", "y*z"), I_of(ctx, "x^2"), 2, 4, [(0, 1), (0, 2)]),
+        (I_of(ctx, "x"), Ideal.zero(ctx), 1, 1, [(0,)]),
+    ):
+        before = groebner.engine_runs()
+        E = ext1_selfdual(a, J)
+        assert groebner.engine_runs() - before == runs, a.gens
+        assert E.rank == len(E.gens) == rank
+        assert module_ass(E) == PrimeSet(map(MonomialPrime, primes))
+        before = groebner.engine_runs()
+        assert presented_ext(a, J).rank == rank
+        assert groebner.engine_runs() - before == runs + 1, a.gens
 
 
 def test_zero_ext_keeps_its_grading():
@@ -1090,41 +1111,53 @@ def test_ext_selfdual_selflinked_cases():
 
 
 def _wide_side():
-    """(x, y, z)^3 over R/(x^3, y^3, z^3): its Ext has rank 42 and 126
-    relations."""
+    """(x, y, z)^3 and (x^3, y^3, z^3): the Ext of the first over R modulo
+    the second has rank 42 and, presented, 126 relations."""
     ctx = ring("x", "y", "z")
     cube = [f"x^{i}*y^{j}*z^{3 - i - j}" for i in range(4) for j in range(4 - i)]
-    return ctx, ext1_selfdual(I_of(ctx, *cube), I_of(ctx, "x^3", "y^3", "z^3"))
+    return ctx, I_of(ctx, *cube), I_of(ctx, "x^3", "y^3", "z^3")
 
 
 def test_hom_kernel_matches_the_scan_of_the_presented_ext():
     # the Supp ∩ Ass kernel against testing every prime over Ann N on the
     # presentation of Hom_{R/J}((a + J)/J, R/(a + J)), for monomial a and J
     # over 2-4 variables with generators of degree at most 3; module_ass on
-    # the Ext takes the kernel
+    # the Ext takes the kernel.  About one generator in five is a binomial
+    # (a term plus -1 or 2 times another), and J = 0 is drawn too: over
+    # every pair the generators of the Ext number as many as the presented
+    # Ext's, and both record the same monomial pair or none
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @st.composite
     def ideal(draw, ctx, least):
-        gens = []
-        for _ in range(draw(st.integers(least, 3))):
+        def term():
             e = [0] * ctx.n
             for i in draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=3)):
                 e[i] += 1
-            gens.append(Polynomial.from_monomial(ctx, tuple(e)))
+            return tuple(e)
+
+        gens = []
+        for _ in range(draw(st.integers(least, 3))):
+            terms = {term(): 1}
+            if draw(st.integers(0, 9)) < 3:
+                terms.setdefault(term(), draw(st.sampled_from([-1, 2])))
+            gens.append(Polynomial(ctx, terms))
         return Ideal(ctx, gens)
 
-    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=330)
     @hyp.given(st.data())
     def check(data):
         ctx = ring(*"xyzw"[: data.draw(st.integers(2, 4))])
         a, J = data.draw(ideal(ctx, 1)), data.draw(ideal(ctx, 0))
         hyp.assume(is_proper(ideal_sum(a, J)))
-        N = ext1_selfdual(a, J)
-        got = monomial.hom_ass(*N.hom_pair)
-        assert got == module_ass_scan(N), (a.gens, J.gens)
-        assert module_ass(N) == got
+        N, presented = ext1_selfdual(a, J), presented_ext(a, J)
+        assert N.rank == presented.rank, (a.gens, J.gens)
+        assert N.hom_pair == presented.hom_pair
+        if N.hom_pair is not None:
+            got = monomial.hom_ass(*N.hom_pair)
+            assert got == module_ass_scan(presented), (a.gens, J.gens)
+            assert module_ass(N) == got
 
     check()
 
@@ -1144,7 +1177,7 @@ def test_ext_records_its_monomial_pair_through_as_monomial(monkeypatch):
     before = groebner.engine_runs()
     got = module_ass(N)
     assert groebner.engine_runs() == before and calls == []
-    assert got == module_ass_scan(N)
+    assert got == module_ass_scan(presented_ext(a, J))
 
 
 def test_non_monomial_ext_keeps_its_refusal():
@@ -1163,7 +1196,8 @@ def test_zero_ext_answers_the_empty_set_from_its_record():
         N = ext1_selfdual(a, J)
         A, T = N.hom_pair
         assert A == T
-        assert monomial.hom_ass(A, T) == PrimeSet() == module_ass(N) == module_ass_scan(N)
+        assert monomial.hom_ass(A, T) == PrimeSet() == module_ass(N)
+        assert module_ass_scan(presented_ext(a, J)) == PrimeSet()
 
 
 def test_module_ass_requires_multigraded():
@@ -1205,8 +1239,9 @@ def test_hand_built_multigraded_module_takes_the_scan(monkeypatch):
 
 def test_wide_ext_takes_no_engine_run_in_module_ass():
     # the wide side of l1: one prime, read off the monomial colon and Ass R/A
-    ctx, N = _wide_side()
-    assert (N.rank, len(N.relations)) == (42, 126)
+    ctx, a, J = _wide_side()
+    N, presented = ext1_selfdual(a, J), presented_ext(a, J)
+    assert (N.rank, presented.rank, len(presented.relations)) == (42, 42, 126)
     before = groebner.engine_runs()
     assert module_ass(N) == PrimeSet([MonomialPrime((0, 1, 2))])
     assert groebner.engine_runs() == before
@@ -1214,7 +1249,8 @@ def test_wide_ext_takes_no_engine_run_in_module_ass():
 
 def test_hom_kernel_honours_soft_timeout():
     # the kernel's first check point is the colon T : A
-    ctx, N = _wide_side()
+    ctx, a, J = _wide_side()
+    N = ext1_selfdual(a, J)
     with set_limits(soft_timeout=0):
         with pytest.raises(BudgetExceeded) as trip:
             module_ass(N)

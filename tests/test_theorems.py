@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import homogeneous_pool_by_arithmetic, module_ass_scan, radical_is_maximal
+from oracles import homogeneous_pool_by_arithmetic, module_ass_scan, presented_ext, radical_is_maximal
 from linkcoh.groebner import (
     BudgetExceeded,
     Ideal,
@@ -35,7 +35,6 @@ from linkcoh.linkage import (
 from linkcoh.modules import (
     KOSZUL_SIZE_BUDGET,
     CyclicModule,
-    ext1_selfdual,
     koszul_grade,
     maximal_ideal,
     regular_chain,
@@ -178,7 +177,7 @@ def _l1_both_sides(cert):
     common = Ma.primes().ass & Mb.primes().ass
     base = core.monomial.to_ideal()
     for label, quot in (("a", Ma), ("b", Mb)):
-        if module_ass_scan(ext1_selfdual(quot.monomial.to_ideal(), base)) != common:
+        if module_ass_scan(presented_ext(quot.monomial.to_ideal(), base)) != common:
             return theorems.Verdict.failing(f"ext on side {label}", (GRADED_NOTE,))
     witnesses.append(f"ext-ass={common.render(cert.ctx)}")
     return theorems.Verdict.passing(witnesses, (GRADED_NOTE,))
