@@ -18,10 +18,10 @@ The answer is the minimal generators, monic, in increasing order (the
 engine's output), and a colon or intersection has its degrevlex basis and
 its minimal generators cached, as `_colon` caches its basis.  Three more
 answers need no run on any operands: an ideal none of whose generators has
-a constant term lies in the ideal of the variables, so it is proper; one
-with a constant generator is the unit ideal; and I : J is the unit ideal,
-`Ideal.unit` with its basis seeded, when every generator of J lies in I
-(J = (0) among them).  One walker, `regular_steps`, takes every step of
+a constant term lies in the ideal of the variables (`lies_in_variables`),
+so it is proper; one with a constant generator is the unit ideal; and
+I : J is the unit ideal, `Ideal.unit` with its basis seeded, when every
+generator of J lies in I (J = (0) among them).  One walker, `regular_steps`, takes every step of
 a regular chain.  A run of variables x_j1, x_j2, .. over a homogeneous I
 takes no colon: it is decided off one plain run under degrevlex with those
 variables moved last in reverse order, x_j1 last of all.  Any other step
@@ -124,6 +124,7 @@ from .ring import (
     RingError,
     elimination_order,
     mono_one,
+    mono_power,
     parse_poly,
 )
 
@@ -802,7 +803,7 @@ Vec = tuple[Polynomial, ...]
 
 def _heads(rank: int) -> list[Exponents]:
     """The one-hot position prefixes of R^rank, position 0 first."""
-    return [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
+    return [mono_power(rank, k) for k in range(rank)]
 
 
 def _encode(v: Vec, heads: Sequence[Exponents]) -> dict:
@@ -934,13 +935,19 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
     return not _divide(f.term_map(), I._table)
 
 
-def is_unit_ideal(I: Ideal) -> bool:
-    """Whether I is the whole ring.  No basis is built when no generator has
-    a constant term (I then lies in the ideal of the variables, so it is
-    proper) or when a generator is a nonzero constant, as one is whenever
-    the generators are all terms and one has a constant term."""
+def lies_in_variables(I: Ideal) -> bool:
+    """Whether I lies in the ideal of the variables: no generator has a
+    nonzero constant term."""
     one = mono_one(I.ctx.n)
-    if not any(one in g.term_map() for g in I.gens):
+    return not any(one in g.term_map() for g in I.gens)
+
+
+def is_unit_ideal(I: Ideal) -> bool:
+    """Whether I is the whole ring.  No basis is built when I lies in the
+    ideal of the variables (so it is proper) or when a generator is a
+    nonzero constant, as one is whenever the generators are all terms and
+    one has a constant term."""
+    if lies_in_variables(I):
         return False
     if any(g.is_constant() for g in I.gens):
         return True
@@ -1063,7 +1070,7 @@ def regular_steps(
                 nxt = None
             else:
                 G = [{e: c for e, c in g.items() if not e[j]} for g in G]
-                G.append({tuple(int(v == j) for v in range(n)): _ONE})
+                G.append({mono_power(n, j): _ONE})
                 nxt = Ideal(ctx, (*Q.gens, f))
             steps[f] = nxt
         if G is not None and (not run or nxt is None):

@@ -8,9 +8,10 @@ variables, which plays the role of the maximal ideal.
 
 These sets are only enumerable here when J is monomial (so that Ass M
 consists of monomial primes).  Every function reads Ass, Min, Assh and dim
-of M from `CyclicModule.primes()`, derived once per module, which refuses a
-non-monomial J rather than guess.  Whether a + p is cofinal with the ideal
-of variables m is asked locally, at m: whether m is a minimal prime of
+of M from `CyclicModule.primes()`, the record kept on J's monomial form
+(derived once per ideal value), which refuses a non-monomial J rather than
+guess.  Whether a + p is cofinal with the ideal of variables m is asked
+locally, at m: whether m is a minimal prime of
 a + p, i.e. dim R_m/(a + p) = 0 (Dibaei-Yassemi).  For monomial a that is a
 vertex-mask test; for any other a it is `_minimal_over`, which asks that
 a + p lie in m and that every saturation (a + p) : x_j^infinity leave m.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .groebner import Ideal, ideal_sum, is_proper, saturate
+from .groebner import Ideal, ideal_sum, is_proper, lies_in_variables, saturate
 from .modules import CyclicModule, maximal_ideal
 from .monomial import (
     ImproperIdealError,
@@ -42,7 +43,7 @@ from .monomial import (
     as_monomial,
     check_in_ring,
 )
-from .ring import RingError, mono_mask, mono_one
+from .ring import RingError, mono_mask
 
 GRADED_NOTE = (
     "attached and associated sets are read off prime-theoretic"
@@ -59,17 +60,14 @@ def assh(M: CyclicModule) -> PrimeSet:
 
 def _minimal_over(K: Ideal) -> bool:
     """Whether the ideal of variables m is a minimal prime of K: K lies in m
-    and K : m^infinity does not.  An ideal lies in m exactly when no
-    generator has a nonzero constant term.  As m is prime, K : m^infinity,
-    the meet of the saturations K : x_j^infinity, leaves m exactly when each
-    of them does, so no meet is built and the first variable whose
-    saturation stays in m decides."""
-    one = mono_one(K.ctx.n)
-
-    def leaves(I: Ideal) -> bool:
-        return any(one in g.term_map() for g in I.gens)
-
-    return not leaves(K) and all(leaves(saturate(K, x)) for x in maximal_ideal(K.ctx).gens)
+    and K : m^infinity does not (`lies_in_variables`: no generator has a
+    nonzero constant term).  As m is prime, K : m^infinity, the meet of the
+    saturations K : x_j^infinity, leaves m exactly when each of them does,
+    so no meet is built and the first variable whose saturation stays in m
+    decides."""
+    return lies_in_variables(K) and not any(
+        lies_in_variables(saturate(K, x)) for x in maximal_ideal(K.ctx).gens
+    )
 
 
 def _becomes_maximal(a: Ideal | MonomialIdeal, M: CyclicModule) -> Callable[[MonomialPrime], bool]:

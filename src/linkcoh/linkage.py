@@ -56,7 +56,7 @@ from .groebner import (
 )
 from .modules import CyclicModule, regular_chain
 from .monomial import MonomialIdeal
-from .ring import Exponents, Polynomial, RingError, mono_mask
+from .ring import Exponents, Polynomial, RingError, mono_mask, mono_power
 
 ATTEMPTS_PER_PAIR = 80  # draws `random_linked_pairs` may make per wanted pair
 DEFAULT_SEED = 0  # the seed of `random_linked_pairs` and of `linkage random`
@@ -226,11 +226,6 @@ def _random_monomial(rng: random.Random, ctx, maxdeg: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _power(n: int, i: int, d: int = 1) -> Exponents:
-    """The exponent of x_i^d in n variables."""
-    return (0,) * i + (d,) + (0,) * (n - i - 1)
-
-
 def _sequence_pool(rng: random.Random, ctx, maxdeg: int) -> tuple[Exponents, ...]:
     """A candidate for the next element of a regular sequence, as the
     exponents of its terms: x_i + x_j (i != j) with probability 0.3 when
@@ -241,8 +236,8 @@ def _sequence_pool(rng: random.Random, ctx, maxdeg: int) -> tuple[Exponents, ...
         j = rng.randrange(n)
         while j == i:
             j = rng.randrange(n)
-        return _power(n, i), _power(n, j)
-    return (_power(n, i, rng.randint(1, maxdeg)),)
+        return mono_power(n, i), mono_power(n, j)
+    return (mono_power(n, i, rng.randint(1, maxdeg)),)
 
 
 def _polynomial(ctx, terms: Sequence[Exponents]) -> Polynomial:

@@ -74,6 +74,7 @@ from .groebner import (
     ideal_sum,
     is_proper,
     is_unit_ideal,
+    lies_in_variables,
     module_reduce,
     module_table,
     reduced_gb,
@@ -88,11 +89,10 @@ from .monomial import (
     PrimeSet,
     as_monomial,
     hom_ass,
-    min_assh_dim,
     mono_sum,
 )
 from .simplicial import depth_monomial, log
-from .ring import Polynomial, RingCtx, RingError, mono_one
+from .ring import Polynomial, RingCtx, RingError
 
 
 def unit_vec(ctx: RingCtx, rank: int, pos: int) -> Vec:
@@ -360,13 +360,14 @@ class CyclicModule:
 
     `lead_term_ideal()` is the one monomial view of R/J: J's own monomial
     form when J is monomial, else the lead-term ideal in(J) of the reduced
-    degrevlex basis, a flat (Groebner) degeneration of J.  One prime record
-    of that view (Ass, Min, Assh, dim and height) is kept: it is `primes()`
-    for monomial J, which every prime invariant reads (its Ass is decomposed
-    on first read, the rest are vertex covers), and `dim()` reads its
-    dimension for every J, since the degeneration keeps the dimension.  It
-    can only lower the depth: depth R/in(J) <= depth R/J <= dim R/J =
-    dim R/in(J) (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is
+    degrevlex basis, a flat (Groebner) degeneration of J.  The prime record
+    of that view (Ass, Min, Assh, dim and height) is the view's own
+    `MonomialIdeal.primes`, kept on the ideal and not here: it is
+    `primes()` for monomial J, which every prime invariant reads (its Ass
+    is decomposed on first read, the rest are vertex covers), and `dim()`
+    reads its dimension for every J, since the degeneration keeps the
+    dimension.  It can only lower the depth: depth R/in(J) <= depth R/J <=
+    dim R/J = dim R/in(J) (Herzog-Hibi, *Monomial Ideals*, Sec. 3.3).  When in(J) is
     squarefree the two depths are equal (Conca-Varbaro, "Square-free
     Groebner degenerations", Invent. Math. 221, 2020).  So for monomial J the
     depth is read off J itself.  Any other J makes one `koszul_grade` call
@@ -386,7 +387,7 @@ class CyclicModule:
     read it.
     """
 
-    __slots__ = ("ctx", "ideal", "_monomial", "_lead", "_record", "_depth")
+    __slots__ = ("ctx", "ideal", "_monomial", "_lead", "_depth")
 
     def __init__(self, ctx: RingCtx, J: Ideal) -> None:
         if J.ctx != ctx:
@@ -397,7 +398,6 @@ class CyclicModule:
         self.ideal = J
         self._monomial = _NOT_COMPUTED
         self._lead: MonomialIdeal | None = None
-        self._record: MinAsshDim | None = None
         self._depth: int | None = None
 
     @classmethod
@@ -422,19 +422,14 @@ class CyclicModule:
                 self._lead = MonomialIdeal.from_exponents(self.ctx, [g.lead()[0] for g in gb])
         return self._lead
 
-    def _lead_primes(self) -> MinAsshDim:
-        if self._record is None:
-            self._record = min_assh_dim(self.lead_term_ideal())
-        return self._record
-
     def primes(self) -> MinAsshDim:
         """Ass, Min, Assh, dim and height of R/J; needs a monomial J."""
         if self.monomial is None:
             raise RingError("the primes of R/J here need a monomial defining ideal")
-        return self._lead_primes()
+        return self.monomial.primes
 
     def dim(self) -> int:
-        return self._lead_primes().dim
+        return self.lead_term_ideal().primes.dim
 
     def depth(self) -> int:
         if self._depth is None:
@@ -442,8 +437,7 @@ class CyclicModule:
         return self._depth
 
     def _compute_depth(self) -> int:
-        one = mono_one(self.ctx.n)
-        if any(one in g.term_map() for g in self.ideal.gens):
+        if not lies_in_variables(self.ideal):
             raise ImproperIdealError(
                 "depth at the ideal of variables needs J inside it;"
                 " a generator of J has a nonzero constant term"

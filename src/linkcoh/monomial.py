@@ -12,7 +12,11 @@ The minimal primes of R/I are the minimal vertex covers of the supports of
 I's generators (Bruns-Herzog, *Cohen-Macaulay Rings*, 5.1), so Min, Assh,
 dim and height come from one bitmask enumeration, `min_vertex_covers`, which
 `simplicial` also reads the Stanley-Reisner facets from.  Only Ass needs the
-irreducible decomposition, and the prime record computes it when first read.
+irreducible decomposition.  A `MonomialIdeal` owns its prime record: its
+`primes` (Min, Assh, dim and height) and `ass` are computed on first read
+and kept on the value, so a cyclic module, the claim checkers, `hom_ass`
+and the `ass` and `minprimes` operations that hold the same ideal share
+one record, and Ass is decomposed at most once per value.
 The same enumeration gives the meet of monomial primes (`meet_of_primes`):
 a monomial lies in P_S1 ∩ ... ∩ P_Sk exactly when its support meets every
 S_i, so the minimal generators are the minimal vertex covers of the S_i.
@@ -25,7 +29,7 @@ the sorted indices) is kept; a `PrimeSet` sorts once, on its first
 iteration, and `all_monomial_primes` is one tuple per variable count.
 
 `hom_ass` gives Ass Hom_{R/T}(A/T, R/A), the self-dual Ext of claim l1,
-as Supp ∩ Ass: the primes of Ass R/A that contain the monomial colon
+as Supp ∩ Ass: the primes of A's kept Ass that contain the monomial colon
 T : A, with no Groebner run.  `modules.module_ass` answers with it for the
 pair (a + J, J) that `modules.ext1_selfdual` records over monomial data.
 """
@@ -46,6 +50,7 @@ from .ring import (
     mono_divides,
     mono_mask,
     mono_mul,
+    mono_power,
     mono_text,
 )
 
@@ -193,7 +198,12 @@ class PrimeSet:
         return "PrimeSet(" + ", ".join(str(p.vars) for p in self) + ")"
 
 
-class MonomialIdeal(NamedTuple):
+class _MonomialIdealFields(NamedTuple):
+    ctx: RingCtx
+    min_gens: tuple[Exponents, ...]
+
+
+class MonomialIdeal(_MonomialIdealFields):
     """A monomial ideal held by its (unique) minimal generators, sorted by
     (degree, exponent) as `minimalize` returns them.
 
@@ -204,10 +214,14 @@ class MonomialIdeal(NamedTuple):
 
     No generators at all means the zero ideal; the single generator 1 means
     the unit ideal.
-    """
 
-    ctx: RingCtx
-    min_gens: tuple[Exponents, ...]
+    The ideal owns its prime record: `primes` (`min_assh_dim`) and `ass`
+    (`associated_primes`) are computed on first read and kept on the
+    instance, beside the fields, so every reader of one value shares them.
+    Equality and hash stay those of the two fields, and a pickled ideal
+    comes back equal.  A unit ideal has no record: each read raises the
+    builder's refusal again.
+    """
 
     @classmethod
     def from_exponents(cls, ctx: RingCtx, exps: Iterable[Exponents]) -> "MonomialIdeal":
@@ -227,6 +241,14 @@ class MonomialIdeal(NamedTuple):
 
     def contains_mono(self, e: Exponents) -> bool:
         return any(mono_divides(g, e) for g in self.min_gens)
+
+    @cached_property
+    def primes(self) -> "MinAsshDim":
+        return min_assh_dim(self)
+
+    @cached_property
+    def ass(self) -> PrimeSet:
+        return associated_primes(self)
 
     def to_ideal(self) -> groebner.Ideal:
         """The ideal of the terms x^e, e in `min_gens`, which are already its
@@ -316,12 +338,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     if I.is_zero():
         return (I,)
     n = I.ctx.n
-
-    def power(i: int, y: int) -> Exponents:
-        return (0,) * i + (y,) + (0,) * (n - i - 1)
-
     first, *rest = I.min_gens
-    vecs = [power(i, y) for i, y in enumerate(first) if y]
+    vecs = [mono_power(n, i, y) for i, y in enumerate(first) if y]
     for g in rest:
         groebner.check_deadline("irreducible decomposition")
         sup = [(i, y) for i, y in enumerate(g) if y]
@@ -339,7 +357,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
                 vecs.append(a)
     # a component's minimal generators are its pure powers, by (degree, exponent)
     comps = sorted(
-        tuple(sorted((power(i, y) for i, y in enumerate(a) if y), key=lambda e: (sum(e), e)))
+        tuple(sorted((mono_power(n, i, y) for i, y in enumerate(a) if y), key=lambda e: (sum(e), e)))
         for a in vecs
     )
     return tuple(MonomialIdeal(I.ctx, gens) for gens in comps)
@@ -403,12 +421,14 @@ class MinAsshDim(namedtuple("MinAsshDim", "ideal min_primes assh dim height")):
     """The primes of R/I for a proper monomial I (`ideal`): the minimal
     primes, the top-dimensional ones (Assh), and the dimension and height of
     R/I, all read off the minimal vertex covers.  Ass needs the irreducible
-    decomposition of `ideal`; it runs on the first read of `ass` and is
-    kept on the instance, beside the fields."""
+    decomposition of `ideal`; `ass` reads the ideal's own `ass`, which runs
+    it on first read and keeps it on the ideal."""
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def ass(self) -> PrimeSet:
-        return associated_primes(self.ideal)
+        return self.ideal.ass
 
 
 def min_assh_dim(I: MonomialIdeal) -> MinAsshDim:
@@ -468,7 +488,7 @@ def hom_ass(A: MonomialIdeal, T: MonomialIdeal) -> PrimeSet:
     if mono_contains(T, A):
         return PrimeSet()
     supports = [mono_mask(g) for g in min_gens_colon(T.min_gens, A.min_gens)]
-    return PrimeSet(p for p in associated_primes(A) if all(s & p.mask for s in supports))
+    return PrimeSet(p for p in A.ass if all(s & p.mask for s in supports))
 
 
 def all_monomial_primes(ctx: RingCtx) -> tuple[MonomialPrime, ...]:

@@ -56,9 +56,7 @@ from .modules import (
 from .monomial import (
     MonomialIdeal,
     as_monomial,
-    associated_primes,
     irreducible_decomposition,
-    min_assh_dim,
     mono_radical,
 )
 from .ring import RingError
@@ -189,7 +187,7 @@ def _doc_member(I: Ideal, f) -> dict:
 
 
 def _doc_minprimes(m: MonomialIdeal) -> dict:
-    info = min_assh_dim(m)
+    info = m.primes
     return {
         "minimal_primes": info.min_primes.render(m.ctx),
         "height": info.height,
@@ -336,7 +334,7 @@ TABLE: tuple[Op | Group, ...] = (
        lambda m: {"components": [c.render() or ["0"] for c in irreducible_decomposition(m)]},
        _count("components", "irreducible component(s)")),
     Op("ass", "associated primes of R/I (monomial)", (_MONO,),
-       lambda m: {"associated_primes": associated_primes(m).render(m.ctx)},
+       lambda m: {"associated_primes": m.ass.render(m.ctx)},
        _count("associated_primes", "associated prime(s)")),
     Op("minprimes", "minimal primes, height and dim (monomial)", (_MONO,), _doc_minprimes,
        lambda doc: f"{len(doc['minimal_primes'])} minimal prime(s), height {doc['height']}"),

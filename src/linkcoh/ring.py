@@ -100,6 +100,11 @@ def mono_one(n: int) -> Exponents:
     return (0,) * n
 
 
+def mono_power(n: int, i: int, d: int = 1) -> Exponents:
+    """The exponent of x_i^d in n variables."""
+    return (0,) * i + (d,) + (0,) * (n - i - 1)
+
+
 def mono_mul(u: Exponents, v: Exponents) -> Exponents:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -191,9 +196,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ctx: RingCtx, name: str) -> "Polynomial":
-        i = ctx.index(name)
-        e = tuple(1 if j == i else 0 for j in range(ctx.n))
-        return cls(ctx, {e: _ONE})
+        return cls(ctx, {mono_power(ctx.n, ctx.index(name)): _ONE})
 
     @classmethod
     def from_monomial(cls, ctx: RingCtx, e: Exponents, c=1) -> "Polynomial":

@@ -53,7 +53,6 @@ from .linkage import (
     GenParams,
     LinkageCertificate,
     _TermChain,
-    _power,
     _random_monomial,
     check_linked,
     link_of,
@@ -68,17 +67,15 @@ from .monomial import (
     MonomialIdeal,
     MonomialPrime,
     all_monomial_primes,
-    associated_primes,
     hom_ass,
     meet_of_primes,
-    min_assh_dim,
     mono_contains,
     mono_intersect,
     mono_product,
     mono_radical,
     mono_sum,
 )
-from .ring import Polynomial, RingCtx, RingError, ring
+from .ring import Polynomial, RingCtx, RingError, mono_power, ring
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
 DEFAULT_JOBS = 1  # the worker processes of `run_claim` and of `verify`
@@ -291,7 +288,7 @@ def check_pure_height_split(a: MonomialIdeal) -> Verdict:
     primes and the intersection b of the remaining minimal primes satisfy
     sqrt(a) = a' ∩ b, and a' + b has height at least h + 2.
     """
-    info = min_assh_dim(a)
+    info = a.primes
     h = info.height
     rest = [p for p in info.min_primes if p.height > h]
     if not rest:
@@ -300,11 +297,11 @@ def check_pure_height_split(a: MonomialIdeal) -> Verdict:
         )
     ap = meet_of_primes(a.ctx, info.assh)
     b = meet_of_primes(a.ctx, rest)
-    if associated_primes(ap) != info.assh:
+    if ap.ass != info.assh:
         return Verdict.failing("pure-height part has unexpected associated primes")
     if mono_radical(a) != mono_intersect(ap, b):
         return Verdict.failing("radical differs from the intersection of the two parts")
-    joint = min_assh_dim(mono_sum(ap, b)).height
+    joint = mono_sum(ap, b).primes.height
     if not joint > h + 1:
         return Verdict.failing(f"parts meet in height {joint}, not above {h + 1}")
     return Verdict.passing((f"height={h}", f"joint-height={joint}",))
@@ -385,7 +382,7 @@ def _homogeneous_pool(rng: random.Random, ctx: RingCtx, maxdeg: int) -> list[Pol
 
     def poly(*terms: tuple[int, int, int]) -> Polynomial:
         # (i, d, c) is the term c * x_i^d
-        return Polynomial(ctx, {_power(n, i, d): c for i, d, c in terms})
+        return Polynomial(ctx, {mono_power(n, i, d): c for i, d, c in terms})
 
     out = [poly((i, d, 1)) for d in range(1, maxdeg + 1) for i in range(n)]
     for size in range(2, n + 1):

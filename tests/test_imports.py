@@ -202,6 +202,15 @@ def test_records_are_values(name):
         setattr(a, field, getattr(b, field))
     if cls in (Limits, GenParams, InstanceParams, Verdict):
         assert pickle.loads(pickle.dumps(a)) == a
+    if cls is MonomialIdeal:
+        # the prime record kept on a read ideal is no field: it still
+        # equals, hashes and pickles as a fresh one and keeps its generators
+        read, fresh = cls(*args), cls(*args)
+        assert (read.primes.dim, len(read.ass)) == (1, 2)
+        assert read == fresh and hash(read) == hash(fresh) and not read != fresh
+        assert pickle.loads(pickle.dumps(read)) == fresh
+        with pytest.raises(AttributeError):
+            read.min_gens = ()
     if cls is SessionTask:
         moved = SessionTask(*args[:3], line=9)
         assert moved == a and hash(moved) == hash(a) and not moved != a

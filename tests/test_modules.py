@@ -1374,8 +1374,9 @@ def test_monomial_view_is_j_with_one_record(monkeypatch, texts):
     ctx = ring("x", "y", "z")
     M = CyclicModule(ctx, I_of(ctx, *texts))
     records, decompositions = [], []
-    real_record, real_decompose = modules.min_assh_dim, monomial.irreducible_decomposition
-    monkeypatch.setattr(modules, "min_assh_dim", lambda I: records.append(I) or real_record(I))
+    # the record is built where the ideal's `primes` reads it
+    real_record, real_decompose = monomial.min_assh_dim, monomial.irreducible_decomposition
+    monkeypatch.setattr(monomial, "min_assh_dim", lambda I: records.append(I) or real_record(I))
     monkeypatch.setattr(
         monomial, "irreducible_decomposition", lambda I: decompositions.append(I) or real_decompose(I)
     )

@@ -318,6 +318,24 @@ def test_hom_ass_hand_cases_and_refusals(ctx):
         hom_ass(MI(ctx, "1"), MI(ctx, "x"))
 
 
+def test_hom_ass_reads_the_ass_kept_on_its_ideal(monkeypatch, ctx):
+    # Ass R/A read once is kept on the value A, so hom_ass(A, T) runs no
+    # decomposition; an equal ideal built afresh holds no record yet
+    calls = []
+    decompose = monomial.irreducible_decomposition
+    monkeypatch.setattr(monomial, "irreducible_decomposition", lambda I: calls.append(I) or decompose(I))
+    # A = (x^2, y) ∩ (x, z) and T : A = (x, z)
+    A, T = MI(ctx, "x^2", "x*y", "y*z"), MI(ctx, "x^2", "y*z")
+    assert A.ass == PrimeSet(map(MonomialPrime, [(0, 1), (0, 2)]))
+    assert calls == [A]
+    calls.clear()
+    expected = PrimeSet([MonomialPrime((0, 2))])
+    assert hom_ass(A, T) == hom_ass(A, T) == expected
+    assert calls == []
+    fresh = MI(ctx, "x^2", "x*y", "y*z")
+    assert hom_ass(fresh, T) == expected and calls == [fresh]
+
+
 def test_hom_ass_refuses_ideals_from_different_rings():
     # (x^2) of Q[x, y, z] would pass as inside (x, y) of Q[x, y], its
     # exponents read against two variables

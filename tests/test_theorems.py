@@ -43,7 +43,7 @@ from linkcoh.monomial import ImproperIdealError, MonomialIdeal, as_monomial
 from linkcoh.invariants import GRADED_NOTE, height_in_module, is_equidimensional
 from linkcoh.ring import ParseError, Polynomial, RingError, parse_poly, ring
 from linkcoh.session import SessionError
-from linkcoh import cli, theorems
+from linkcoh import cli, monomial, theorems
 from linkcoh.theorems import (
     CLAIMS,
     InstanceParams,
@@ -705,6 +705,19 @@ def test_l1_coverage_is_pinned(n_vars, tally, digest):
     assert seen == tally
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_l1_decomposes_each_ideal_once_per_value(monkeypatch):
+    # each side's Ass is kept on its monomial ideal, so the self-dual Ext
+    # reads the decomposition its height check made: 71 decompositions,
+    # not the 110 of a record kept per module, and the same report
+    calls = []
+    decompose = monomial.irreducible_decomposition
+    monkeypatch.setattr(monomial, "irreducible_decomposition", lambda I: calls.append(I) or decompose(I))
+    doc = run_claim("l1", InstanceParams(n_vars=3, count=40, maxdeg=2, seed=1))
+    assert len(calls) <= 71
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1567740697db8e11"
 
 
 def test_run_claim_pinned_module():
