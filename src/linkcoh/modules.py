@@ -40,14 +40,15 @@ given by terms is decided by restriction off one plain run under
 degrevlex with the run's variables moved last in reverse order
 (Bayer-Stillman), with no colon, and the run's last sum keeps its reduced
 basis.  Any other step reads the colon Q : f, deciding whether f is
-regular, and the sum off one syzygy run.  Unbounded, `koszul_grade` on
-variables over such a base takes its bounds from one walk that skips the
-variables that are not regular: grade s for a regular sequence, else at
-most s - 1, and at least the number kept.  `regseq` logs at debug level
+regular, and the sum off one syzygy run.  `koszul_grade` on variables
+over such a base, whenever its bounds leave a level open, walks them once,
+skipping the variables that are not regular, and searches only the
+variables left over the sum of the base and the k kept, adding k: the
+one place that walks variables for a grade.  `regseq` logs at debug level
 the engine runs it made, read off `groebner.engine_runs`; `grade` on that
-route logs them with the levels its bounds leave open.  The depth of R/J
-reaches the Koszul layer through one bounded `koszul_grade` call, or
-none for a monomial J.  R/J asks whether J is monomial only when
+route logs them with the number kept and the levels left open.  The
+depth of R/J reaches the Koszul layer through one bounded `koszul_grade`
+call, or none for a monomial J.  R/J asks whether J is monomial only when
 `CyclicModule.monomial` is read, so grade, regseq and assmember over a J
 not given by terms build no basis of J for it.
 
@@ -251,16 +252,25 @@ def koszul_grade(
     terms, and 0 and n for any other; the full search is the oracle the
     degeneration is tested against.
 
-    Called without bounds on variables c*x_j over a homogeneous base not
-    given by terms (`variable_route`), it takes its bounds from one
-    `regular_steps` walk that skips the variables that are not regular
-    (`_variable_bounds`): grade s when the sequence is regular, else at
-    most s - 1, and at least the length of the regular sequence kept.  Only
-    the levels between them are searched, none when they meet; that route
-    is logged at debug level with the walk's engine runs and the levels.
+    Variables c*x_j over a homogeneous base not given by terms
+    (`variable_route`) whose bounds leave a level open are first peeled:
+    one `regular_steps` walk that skips the variables that are not regular
+    keeps k of them, a regular sequence in the ideal, so the grade is k
+    plus the grade of the variables left on R/Q, Q = base + kept, which
+    holds the kept ones (Bruns-Herzog, *Cohen-Macaulay Rings*, 1.2.10).
+    Only that search is made, on s - k elements with the bounds moved down
+    by k.  All s are kept exactly when the sequence is regular, since in
+    the graded case a permutation of a regular sequence is regular, and
+    the grade is then s; otherwise graded H_1 is nonzero (H_1 = 0 makes
+    the sequence regular, Bruns-Herzog Sec. 1.6), and the grade is at most
+    s - 1.  The walk is logged at debug level with its engine runs, the
+    number kept and the levels it leaves open.  A bound that misses the
+    grade answers as the search does, the nearer bound (graded Koszul
+    homology is nonzero at every level below the top one).
 
-    `KOSZUL_SIZE_BUDGET` caps s only when a level is to be built, so bounds
-    that meet answer for any s.
+    `KOSZUL_SIZE_BUDGET` caps the number of elements searched only when a
+    level is to be built, so bounds that meet answer for any s, and a walk
+    counts only the variables it leaves.
     """
     elements = [f for f in seq if not f.is_zero()]
     if not elements:
@@ -268,18 +278,23 @@ def koszul_grade(
     if is_unit_ideal(ideal_sum(base, Ideal(base.ctx, elements))):
         raise ImproperIdealError("grade is undefined when the sequence generates everything")
     s = len(elements)
-    if upper is None:
-        if variable_route(base, elements):
-            before = engine_runs()
-            lower, upper = _variable_bounds(elements, base)
-            runs = _runs(engine_runs() - before)
-            log.debug("grade: route revlex, %s, %s", runs, _levels(s, lower, upper))
-        else:
-            upper = s
+    upper = s if upper is None else upper
     if not 0 <= lower <= upper <= s:
         raise RingError(f"grade bounds {lower}..{upper} do not lie in 0..{s}")
+    kept = 0
+    if lower < upper and variable_route(base, elements):
+        before = engine_runs()
+        Q, kept = regular_steps(base, elements, skip=True)
+        for f in Q.gens[len(base.gens) :]:
+            elements.remove(f)  # one occurrence each: a repeat stays to be searched
+        base, s = Q, s - kept
+        lower, upper = max(lower - kept, 0), min(upper - kept, max(s - 1, 0))
+        runs = _runs(engine_runs() - before)
+        log.debug("grade: route revlex, %s, kept %d, %s", runs, kept, _levels(s, lower, upper))
+        if upper < 0:  # the kept variables alone pass the caller's upper bound
+            return kept + upper
     if lower == upper:
-        return upper
+        return kept + upper
     if s > KOSZUL_SIZE_BUDGET:
         raise BudgetExceeded("koszul complex size", s, KOSZUL_SIZE_BUDGET)
     # the run at level i yields the cycles Z_i and the boundaries B_(i-1), which
@@ -295,25 +310,9 @@ def koszul_grade(
             cols, ideal_block(base, rank), base.ctx, rank, image=i > s - upper + 1
         )
         if i <= s - lower and cycles != list(boundary):
-            return s - i
+            return kept + s - i
         boundary = image
-    return upper
-
-
-def _variable_bounds(elements: Sequence[Polynomial], base: Ideal) -> tuple[int, int]:
-    """(lower, upper): bounds on the grade of the s variables `elements` on
-    a graded R/base, from regular steps alone.  The variables are stepped
-    in order by one `regular_steps` that skips each one that is not
-    regular, each from the sum of those kept before it.  The k kept form a
-    regular sequence in the ideal, so the grade is at least k.  All s are
-    kept exactly when the sequence is regular, since in the graded case a
-    permutation of a regular sequence is regular, and then the grade is s
-    (Koszul); otherwise H_1 of the Koszul complex is nonzero, since graded
-    H_1 = 0 makes the sequence regular (Bruns-Herzog, *Cohen-Macaulay
-    Rings*, Sec. 1.6), and the grade is at most s - 1."""
-    _, k = regular_steps(base, elements, skip=True)
-    s = len(elements)
-    return (s, s) if k == s else (k, s - 1)
+    return kept + upper
 
 
 def regular_chain(seq: Sequence[Polynomial], base: Ideal) -> Ideal | None:
@@ -375,10 +374,15 @@ class CyclicModule:
     for homogeneous J (read off its reduced basis) depth R/in(J) and, unless
     in(J) is squarefree, dim R/J; for a non-homogeneous J 0 and n, the full
     search, which gives the depth at the ideal of variables, so its
-    Cohen-Macaulayness is refused when that depth is below dim R/J.  Each
-    depth logs its route at debug level on the `linkcoh` logger: `depth:
-    route monomial`, or `depth: route degeneration` or `depth: route
-    koszul` with the levels left open (`no levels` when the bounds meet).
+    Cohen-Macaulayness is refused when that depth is below dim R/J.  The
+    variables go last first, so where the bounds leave a gap over J's
+    generators the walk of `koszul_grade` starts on J's own degrevlex
+    basis, already built for in(J), and peels the regular variables off
+    before any level is searched.  Each depth logs its route at debug
+    level on the `linkcoh` logger: `depth: route monomial`, or `depth:
+    route degeneration` or `depth: route koszul` with the levels left open
+    (`no levels` when the bounds meet), then the walk's `grade: route
+    revlex` line when there is one.
 
     Nothing is computed when R/J is built: whether J is monomial
     (`monomial`, which needs J's reduced basis when its generators are not
@@ -455,7 +459,8 @@ class CyclicModule:
         else:
             lower, upper, route = 0, n, "koszul"
         log.debug("depth: route %s, %s", route, _levels(n, lower, upper))
-        return koszul_grade(maximal_ideal(self.ctx).gens, self.ideal, lower, upper)
+        # last variable first: the walk's first run reads J's degrevlex basis
+        return koszul_grade(maximal_ideal(self.ctx).gens[::-1], self.ideal, lower, upper)
 
     def _graded(self) -> bool:
         """J is monomial or homogeneous, as its reduced degrevlex basis is."""

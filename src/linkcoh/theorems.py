@@ -657,8 +657,11 @@ def _draw_l15(params: InstanceParams, seed: int, rng: random.Random, ctx: RingCt
     if seed % 2 == 0:
         cert = bipartition_zero_link(rng, ctx, equal_height=rng.random() < 0.6)
     else:
+        # over a prime J (every minimal generator a variable) R/J is a domain:
+        # J : a = J for every a outside J, so no pair links through I = 0
         M = _random_module(rng, ctx, min(params.maxdeg, 2))
-        cert = _one_linked_cert(M, rng, params.maxdeg, seq_len_max=0)
+        prime = all(sum(e) == 1 for e in M.monomial.min_gens)
+        cert = None if prime else _one_linked_cert(M, rng, params.maxdeg, seq_len_max=0)
         if cert is None:
             return Verdict.skipped("no zero-linked pair found for this draw")
     return check_top_prime_transfer(cert)

@@ -193,6 +193,15 @@ def test_grade_whose_variable_walk_closes_the_gap_builds_no_complex(capsys):
     assert doc["grade"] == 10
 
 
+def test_depth_searches_only_the_variables_its_walk_leaves(capsys):
+    # the degeneration leaves a gap over 12 variables; the walk keeps 10 of
+    # them, so the Koszul search runs on the two left, inside the budget of
+    # 10 elements that all 12 would exceed
+    names = ",".join(f"x{i}" for i in range(12))
+    doc = doc_of(capsys, "depth", "--ring", names, "--ideal", "x0^2 - x0*x1, x0*x2 - x1*x2")
+    assert (doc["depth"], doc["dim"]) == (10, 11)
+
+
 def test_regseq(capsys):
     doc = doc_of(capsys, "regseq", "--ring", "x,y", "--seq", "x, y")
     assert doc["regular"] is True

@@ -301,14 +301,19 @@ def test_grade_error_and_budget():
     too_many = [P(ctx, "x")] * (KOSZUL_SIZE_BUDGET + 1)
     with pytest.raises(BudgetExceeded):
         koszul_grade(too_many, Ideal.zero(ctx))
-    # the budget is asked when a level is to be built: over R/(a^2 + b^2,
-    # a*b) the walk over 11 variables skips a and b, and the bounds 9 and
-    # 10 leave level 2 open (test_cli holds bounds that meet over 11)
+    # the budget is asked when a level is to be built, on the elements left
+    # to search: over R/(a^2 + b^2, a*b) the walk over 11 variables skips a
+    # and b and keeps the 9 others, so only (a, b) is searched over R/(J +
+    # kept), where it has grade 0 (test_cli holds bounds that meet over 11)
     big = ring(*"abcdefghijk")
     xs = list(maximal_ideal(big).gens)
     assert len(xs) == KOSZUL_SIZE_BUDGET + 1
-    with pytest.raises(BudgetExceeded):
-        koszul_grade(xs, I_of(big, "a^2 + b^2", "a*b"))
+    assert koszul_grade(xs, I_of(big, "a^2 + b^2", "a*b")) == 9
+    # over J = (a - b)*m the ideal of variables is associated, so the walk
+    # keeps no variable and the search on all 11 trips the budget
+    J = Ideal(big, [P(big, "a - b") * x for x in xs])
+    with pytest.raises(BudgetExceeded, match="koszul complex size"):
+        koszul_grade(xs, J)
 
 
 def test_koszul_differentials_square_to_zero():
@@ -342,34 +347,46 @@ def test_koszul_differentials_square_to_zero():
 
 
 def test_bounded_koszul_grade_builds_only_the_levels_it_reads(monkeypatch):
-    built: list[int] = []
+    built: list[tuple[int, int]] = []
     real = modules._koszul_columns
 
     def record(elements, i):
-        built.append(i)
+        built.append((len(elements), i))
         return real(elements, i)
 
     monkeypatch.setattr(modules, "_koszul_columns", record)
     ctx = ring("a", "b", "c", "d")
     xs = [Polynomial.variable(ctx, v) for v in ctx.var_names]
     s = len(xs)
-    for J in (
-        I_of(ctx, "a*b"),
-        I_of(ctx, "a*c - b*d", "a*d - b*c"),
-        I_of(ctx, "a*c - d^2", "a*c - c*d", "c*d - c^2"),
-        I_of(ctx, "a^2", "a*b"),
+    # the walk runs over the homogeneous J not given by terms whenever the
+    # bounds leave a level open, and keeps `kept` variables there; the
+    # search is then made on the s - kept variables left, its bounds moved
+    # down by kept and its upper bound at most s - 1 - kept
+    for J, kept in (
+        (I_of(ctx, "a*b"), None),
+        (I_of(ctx, "a*c - b*d", "a*d - b*c"), 0),
+        (I_of(ctx, "a*c - b*d", "a^2 - c*d"), 1),
+        (I_of(ctx, "a*c - d^2", "a*c - c*d", "c*d - c^2"), 2),
+        (I_of(ctx, "a^2", "a*b"), None),
     ):
+        assert groebner.variable_route(J, xs) == (kept is not None)
         grade = koszul_grade(xs, J)
         for lower in range(grade + 1):
             for upper in range(grade, s + 1):
                 built.clear()
                 assert koszul_grade(xs, J, lower, upper) == grade
-                # the image level above the search when lower > 0, then each
+                left, lo, hi = s, lower, upper
+                if kept is not None and lower < upper:
+                    left, lo, hi = s - kept, max(lower - kept, 0), min(upper, s - 1) - kept
+                # the image level above the search when lo > 0, then each
                 # searched level once, down to the first nonzero homology or
-                # level s - upper + 1; nothing when lower == upper
-                last = s - min(grade, upper - 1)
-                above = [s - lower + 1] if 0 < lower < upper else []
-                assert built == above + list(range(s - lower, last - 1, -1))
+                # level left - hi + 1; nothing when lo == hi
+                levels = []
+                if lo < hi:
+                    last = left - min(grade - (s - left), hi - 1)
+                    above = [left - lo + 1] if lo > 0 else []
+                    levels = above + list(range(left - lo, last - 1, -1))
+                assert built == [(left, i) for i in levels], (J, lower, upper)
 
 
 def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
@@ -407,21 +424,30 @@ def test_koszul_grade_makes_one_engine_run_per_level(monkeypatch):
             built.clear()
             assert koszul_grade(xs, J, lower, upper) == grade
             assert len(runs) == len(built) == len(set(built)), (texts, lower, upper)
-            # a tags-only run reads the tag block of d_i, one tag per i-subset
+            # the walk over the binomial J keeps no variable, so it searches
+            # all four with its upper bound at most 3; a tags-only run reads
+            # the tag block of d_i, one tag per i-subset
+            top = min(upper, 3) if groebner.variable_route(J, xs) and lower < upper else upper
             for i, tags in zip(built, runs):
-                wanted = math.comb(4, i) if i == 4 - upper + 1 else None
+                wanted = math.comb(4, i) if i == 4 - top + 1 else None
                 assert tags == wanted, (texts, lower, upper, i)
     assert koszul_grade(xs, I_of(ctx, "a*b")) == 3 and built == [4, 3, 2, 1]
     # called without bounds, the variables over the homogeneous binomial J
-    # take their bounds from one reverse-lex chain: none is regular there, so
-    # each variable that fails starts the rest of the chain on a new plain
-    # run, and the step by d, last already, reads J's own basis (4 plain
-    # runs, as when each step made its own); 0 <= grade <= 3 and the search
-    # stops above level 1 (it searched 4, 3, 2 with bounds 0 and 4); over
-    # the term ideals every level is searched
+    # are walked on one reverse-lex chain: none is regular there, so each
+    # variable that fails starts the rest of the chain on a new plain run,
+    # and the step by d, last already, reads J's own basis (4 plain runs,
+    # as when each step made its own); 0 <= grade <= 3 and the search stops
+    # above level 1 (it searched 4, 3, 2 with bounds 0 and 4).  Over
+    # (a*c - b*d, a^2 - c*d) the walk keeps c (3 plain runs, the last sum's
+    # basis seeded), so the search is on the 3 variables left over J + (c)
+    # and stops at level 2, tags only; over the third binomial J it keeps
+    # two and searches level 2 of the two left.  Over the term ideals every
+    # level is searched
     for texts, grade, wanted_built, wanted_runs, wanted_plain in (
         (("a*b",), 3, [4, 3, 2, 1], [None, None, None, 4], 0),
         (("a*c - b*d", "a*d - b*c"), 2, [4, 3, 2], [None, None, 6], 4),
+        (("a*c - b*d", "a^2 - c*d"), 2, [3, 2], [None, 3], 3),
+        (("a*c - d^2", "a*c - c*d", "c*d - c^2"), 2, [2], [1], 2),
         (("a^2", "a*b"), 2, [4, 3, 2], [None, None, None], 0),
     ):
         runs.clear()
@@ -763,19 +789,23 @@ def test_regseq_and_grade_log_their_route(caplog, capsys):
         # for a + d, however its steps were decided
         (lambda: is_regular_sequence([b, c, s], I_of(ctx, "a*d - b*c")), "regseq: 2 runs"),
         (lambda: is_regular_sequence([b, c], I_of(ctx, "a*d - b*c")), "regseq: 1 run"),
-        # the step by a, not regular, is kept on J from regseq: one run, for b
-        (lambda: koszul_grade([a, b], J), "grade: route revlex, 1 run, no levels"),
+        # the step by a, not regular, is kept on J from regseq: one run, for
+        # b, which is kept, so a alone is left, with bounds that meet
+        (lambda: koszul_grade([a, b], J), "grade: route revlex, 1 run, kept 1, no levels"),
+        # bounds that leave a level open walk too, reading the kept steps
+        (lambda: koszul_grade([a, b], J, 0, 2), "grade: route revlex, 0 runs, kept 1, no levels"),
         # neither is regular, so the step by b starts a second run
         (lambda: koszul_grade([a, b], I_of(ctx, "a*c - b*d", "a*d - b*c")),
-         "grade: route revlex, 2 runs, levels 2 down to 2"),
+         "grade: route revlex, 2 runs, kept 0, levels 2 down to 2"),
     ):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="linkcoh"):
             call()
         assert [r.getMessage() for r in caplog.records] == [message]
+    # bounds that meet and term ideals make no walk and log nothing
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="linkcoh"):
-        koszul_grade([a, b], J, 0, 2)
+        koszul_grade([a, b], J, 1, 1)
         koszul_grade([a, b], I_of(ctx, "a*b"))
     assert caplog.records == []
     # the log is no part of the answer: the command line prints the same
@@ -1507,6 +1537,70 @@ def test_koszul_grade_with_known_bounds():
             koszul_grade(gens, J, lower, upper)
 
 
+def test_peeled_grade_and_depth_match_the_division_route():
+    # koszul_grade on variables (repeats allowed) peels the regular ones off
+    # before it searches; under any bounds that hold the true grade, and
+    # through CyclicModule.depth, it must answer what the division route
+    # answers with the full search on every element, over random
+    # homogeneous binomial and 2x2-determinantal J and the pinned ideals
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ideal = _binomial_ideals(st)
+
+    @st.composite
+    def case(draw):
+        ctx = ring(*"abcde"[: draw(st.integers(3, 5))])
+        picks = draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=5))
+        return draw(ideal(ctx)), picks
+
+    every = [0, 1, 2, 3]
+    pinned = [_ideal4(t) for t in D0_BELOW_DEPTH + D0_AT_DEPTH]
+
+    def examples(check):
+        for J in pinned:
+            for picks, at in ((every, (0, 99)), (every + [0], (99, 0)), ([3, 1, 1], (1, 1))):
+                check = hyp.example((J, picks), *at)(check)
+        return check
+
+    @hyp.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hyp.given(case(), st.integers(0, 99), st.integers(0, 99))
+    @examples
+    def check(drawn, u, v):
+        J, picks = drawn
+        ctx = J.ctx
+        seq = [Polynomial.variable(ctx, ctx.var_names[i]) for i in picks]
+        s = len(seq)
+        grade = division_koszul_grade(seq, Ideal(ctx, J.gens))
+        lower, upper = u % (grade + 1), grade + v % (s - grade + 1)
+        assert koszul_grade(seq, Ideal(ctx, J.gens), lower, upper) == grade, (J, picks, lower, upper)
+        assert koszul_grade(seq, Ideal(ctx, J.gens)) == grade, (J, picks)
+        variables = list(maximal_ideal(ctx).gens)
+        depth = division_koszul_grade(variables, Ideal(ctx, J.gens))
+        assert CyclicModule(ctx, Ideal(ctx, J.gens)).depth() == depth, J
+
+    check()
+
+
+def test_depth_below_the_gap_builds_no_level_on_every_variable(monkeypatch):
+    # in(J) leaves a gap over each D0_BELOW_DEPTH ideal (depth 1 against 2);
+    # the walk keeps regular variables there, so no Koszul level is built
+    # on all four
+    sizes: list[int] = []
+    real = modules._koszul_columns
+
+    def record(elements, i):
+        sizes.append(len(elements))
+        return real(elements, i)
+
+    monkeypatch.setattr(modules, "_koszul_columns", record)
+    for text in D0_BELOW_DEPTH:
+        sizes.clear()
+        M = CyclicModule(CTX4, _ideal4(text))
+        assert (depth_monomial(M.lead_term_ideal()), M.dim()) == (1, 2)
+        assert M.depth() == 2, text
+        assert 4 not in sizes, (text, sizes)
+
+
 def test_nonhomogeneous_ideal_takes_the_koszul_route():
     # in(J) = (x*y, x*z) is squarefree with depth 1, but J is not homogeneous:
     # the depth at the variable ideal is 2
@@ -1606,7 +1700,8 @@ def test_depth_logs_its_route(caplog):
     # every route but the plain Koszul one scans the links of each distinct
     # colon radical (one line each), then sums up the colon radicals; a
     # degeneration whose bounds meet (in(J) squarefree, or d0 = dim) opens
-    # no level, and a non-homogeneous J opens every level
+    # no level, one that leaves a level open walks the variables, and a
+    # non-homogeneous J opens every level
     squarefree = CyclicModule(CTX4, _ideal4("a*d - b*c"))
     at_dim = CyclicModule(CTX4, _ideal4("a*d - b*c, a*c - b^2, b*d - c^2"))
     assert squarefree.lead_term_ideal().is_squarefree()
@@ -1615,35 +1710,40 @@ def test_depth_logs_its_route(caplog):
         (
             CyclicModule(ctx, I_of(ctx, "x*y")),
             [one_face, "depth colon radicals: 1 exponent vectors, 1 distinct"],
-            "depth: route monomial",
+            ["depth: route monomial"],
         ),
         (
             squarefree,
             [five_faces, "depth colon radicals: 1 exponent vectors, 1 distinct"],
-            "depth: route degeneration, no levels",
+            ["depth: route degeneration, no levels"],
         ),
         (
             at_dim,
             [one_face, "depth colon radicals: 3 exponent vectors, 1 distinct"],
-            "depth: route degeneration, no levels",
+            ["depth: route degeneration, no levels"],
         ),
         (
             CyclicModule(CTX4, _ideal4(D0_BELOW_DEPTH[0])),
             [one_face, no_face, "depth colon radicals: 3 exponent vectors, 2 distinct"],
-            "depth: route degeneration, levels 3 down to 3",
+            # the walk, last variable first, skips d and c (a new run
+            # after each skip), keeps b and a, and closes the gap
+            [
+                "depth: route degeneration, levels 3 down to 3",
+                "grade: route revlex, 2 runs, kept 2, no levels",
+            ],
         ),
         (
             CyclicModule(ctx, I_of(ctx, "x*y - x", "x*z")),
             [],
-            "depth: route koszul, levels 3 down to 1",
+            ["depth: route koszul, levels 3 down to 1"],
         ),
     ]
-    for M, scans, message in routes:
+    for M, scans, messages in routes:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="linkcoh"):
             M.depth()
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert debug == scans + [message]
+        assert debug == scans + messages
     assert (squarefree.depth(), at_dim.depth(), at_dim.dim()) == (3, 2, 2)
 
 

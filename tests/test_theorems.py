@@ -707,6 +707,32 @@ def test_l1_coverage_is_pinned(n_vars, tally, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+# l15 over 200 seeds (maxdeg 3, seed 1): the report's digest as above, as
+# it was when every odd-seed draw went to the linked-pair sampler
+L15_PRIME_SKIPS = [(3, 52, "b7530bbd9cac9580"), (4, 44, "8b668aca58cb7d43")]
+
+
+@pytest.mark.parametrize("n_vars, skips, digest", L15_PRIME_SKIPS)
+def test_l15_skips_a_prime_base_before_drawing(monkeypatch, n_vars, skips, digest):
+    # over a prime J (every minimal generator a variable) R/J is a domain,
+    # so no pair links through I = 0: the odd-seed draw skips it without
+    # entering the sampler, and every draw that does enter finds a pair
+    entered = []
+    draw = theorems.random_linked_pairs
+
+    def record(M, *args, **kwargs):
+        entered.append(M.monomial)
+        return draw(M, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "random_linked_pairs", record)
+    doc = run_claim("l15", InstanceParams(n_vars=n_vars, count=200, seed=1))
+    assert not [J for J in entered if all(sum(e) == 1 for e in J.min_gens)]
+    odd = sum(v["seed"] % 2 for v in doc["verdicts"])
+    assert doc["counts"]["skip"] == skips == odd - len(entered)
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_l1_decomposes_each_ideal_once_per_value(monkeypatch):
     # each side's Ass is kept on its monomial ideal, so the self-dual Ext
     # reads the decomposition its height check made: 71 decompositions,
